@@ -1,0 +1,36 @@
+"""Byte-for-byte CLI contract on the fixture triplets.
+
+Each case in golden/cli.json is an argv, the exit code and the exact
+stdout that `tbshift.cli.main` gave for it.  The CLI runs in-process with
+stdout captured and the repository root as the working directory, so the
+triplet paths in the argv resolve the same way wherever pytest starts.
+
+Left out for their cost: `malleability` on mod5_standard, mod7_standard
+and product_3_5, and `conjugate product_3_5 product_3_5`.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from tbshift.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+CASES = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text("utf-8"))
+
+
+def _case_id(case):
+    return "-".join(Path(arg).stem for arg in case["argv"])
+
+
+@pytest.mark.parametrize("case", CASES, ids=[_case_id(c) for c in CASES])
+def test_cli_output_is_unchanged(case, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(case["argv"]))
+    assert code == case["exit"]
+    assert out.getvalue() == case["stdout"]
