@@ -1,16 +1,26 @@
 """Exact twisted group-algebra arithmetic.
 
-AlgebraElement is a finite formal sum of basis unitaries u(config) with
-Cyclotomic coefficients, multiplied through the sitewise cocycle pairing.
-TensorElement covers the two-leg algebra used by the malleability flow.
-Zero coefficients are pruned eagerly so equality is structural.
+A twisted group algebra over a group of keys K has basis unitaries u(k)
+with u(k1) u(k2) = e^{2 pi i twist(k1, k2)} u(k1 + k2), where the twist is
+a normalized 2-cocycle on K.  One private base class holds the arithmetic
+(sums, the product loop, adjoint, trace) for any key group; its two
+subclasses state only the keys and the twist:
+
+* AlgebraElement: K is the group of configurations, twisted by the
+  sitewise pairing mu~ (the shift algebra);
+* TensorElement: K is H x H, twisted by mu (+) mu (the tensor square
+  carrying the malleability flow).
+
+Elements are finite formal sums with Cyclotomic coefficients.  Zero
+coefficients are pruned eagerly so equality is structural.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import isqrt
-from typing import Dict, Tuple
+from typing import Dict
 
 from .abelian import AbElem, Character
 from .cocycle import degeneracy_witness
@@ -22,12 +32,18 @@ def _zeta(p: Phase) -> Cyclotomic:
     return Cyclotomic.from_phase(p)
 
 
-class AlgebraElement:
-    """Finite formal sum sum_lambda c(lambda) u(lambda) over a cocycle base."""
+class _TwistedGroupAlgebra:
+    """Finite formal sum sum_k c(k) u(k) over a twisted group algebra.
+
+    A subclass states the key group and the twist as static hooks:
+    _zero_key(group), _add_keys(k1, k2), _neg_key(k), _twist(mu, k1, k2)
+    (the phase of u(k1) u(k2) against u(k1 + k2)) and _total(k) (the sum
+    in H of the group values the key places).
+    """
 
     __slots__ = ("cocycle", "terms")
 
-    def __init__(self, cocycle, terms: Dict[Config, Cyclotomic]):
+    def __init__(self, cocycle, terms: Dict[object, Cyclotomic]):
         self.cocycle = cocycle
         self.terms = {k: v for k, v in terms.items() if not v.is_zero}
 
@@ -35,76 +51,104 @@ class AlgebraElement:
     def group(self):
         return self.cocycle.group
 
-    @staticmethod
-    def zero(cocycle) -> "AlgebraElement":
-        return AlgebraElement(cocycle, {})
+    @classmethod
+    def zero(cls, cocycle):
+        return cls(cocycle, {})
 
-    @staticmethod
-    def unit(cocycle, config: Config, coeff=Cyclotomic.ONE) -> "AlgebraElement":
-        return AlgebraElement(cocycle, {config: coeff})
+    @classmethod
+    def one(cls, cocycle):
+        return cls(cocycle, {cls._zero_key(cocycle.group): Cyclotomic.ONE})
 
-    @staticmethod
-    def one(cocycle) -> "AlgebraElement":
-        return AlgebraElement.unit(cocycle, Config.zero(cocycle.group))
-
-    def _check(self, other: "AlgebraElement") -> None:
+    def _check(self, other) -> None:
         if self.cocycle != other.cocycle:
             raise ValueError("elements over different bases")
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AlgebraElement):
+        if not isinstance(other, type(self)):
             return NotImplemented
         if self.cocycle != other.cocycle or self.terms.keys() != other.terms.keys():
             return False
         return all(other.terms[k] == v for k, v in self.terms.items())
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+    def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
         for k, v in other.terms.items():
             out[k] = out[k] + v if k in out else v
-        return AlgebraElement(self.cocycle, out)
+        return type(self)(self.cocycle, out)
 
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.cocycle, {k: -v for k, v in self.terms.items()})
+    def __neg__(self):
+        return type(self)(self.cocycle, {k: -v for k, v in self.terms.items()})
 
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
+    def __sub__(self, other):
         return self + (-other)
 
-    def scaled(self, c) -> "AlgebraElement":
+    def scaled(self, c):
         if isinstance(c, (int, Fraction)):
             c = Cyclotomic.from_rational(c)
-        return AlgebraElement(self.cocycle, {k: v * c for k, v in self.terms.items()})
+        return type(self)(self.cocycle, {k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
             return self.scaled(other)
         self._check(other)
-        mu = self.cocycle
-        out: Dict[Config, Cyclotomic] = {}
+        mu, add, twist = self.cocycle, self._add_keys, self._twist
+        out: Dict[object, Cyclotomic] = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
-                # u(l1) u(l2) = mu~(l1, l2) u(l1 + l2)
-                key = k1 + k2
-                coeff = v1 * v2 * _zeta(mu_tilde(mu, k1, k2))
+                # u(k1) u(k2) = twist(k1, k2) u(k1 + k2)
+                key = add(k1, k2)
+                coeff = v1 * v2 * _zeta(twist(mu, k1, k2))
                 out[key] = out[key] + coeff if key in out else coeff
-        return AlgebraElement(self.cocycle, out)
+        return type(self)(self.cocycle, out)
 
     __rmul__ = scaled
 
-    def star(self) -> "AlgebraElement":
-        """Adjoint: u(l)* = conj(mu~(l, -l)) u(-l), coefficients conjugated."""
-        mu = self.cocycle
-        out: Dict[Config, Cyclotomic] = {}
+    def star(self):
+        """Adjoint: u(k)* = conj(twist(k, -k)) u(-k), coefficients conjugated."""
+        mu, neg, twist = self.cocycle, self._neg_key, self._twist
+        out: Dict[object, Cyclotomic] = {}
         for k, v in self.terms.items():
-            nk = -k
-            coeff = v.conjugate() * _zeta(-mu_tilde(mu, k, nk))
+            nk = neg(k)
+            coeff = v.conjugate() * _zeta(-twist(mu, k, nk))
             out[nk] = out[nk] + coeff if nk in out else coeff
-        return AlgebraElement(self.cocycle, out)
+        return type(self)(self.cocycle, out)
 
     def trace(self) -> Cyclotomic:
-        """Coefficient at the zero configuration."""
-        return self.terms.get(Config.zero(self.group), Cyclotomic.ZERO)
+        """Coefficient at the zero key."""
+        return self.terms.get(self._zero_key(self.group), Cyclotomic.ZERO)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({len(self.terms)} terms)"
+
+
+class AlgebraElement(_TwistedGroupAlgebra):
+    """Finite formal sum sum_lambda c(lambda) u(lambda) over a cocycle base."""
+
+    __slots__ = ()
+    _zero_key = staticmethod(Config.zero)
+    _add_keys = staticmethod(operator.add)
+    _neg_key = staticmethod(operator.neg)
+    _total = staticmethod(Config.total)
+
+    @staticmethod
+    def _twist(mu, k1: Config, k2: Config) -> Phase:
+        # mu_tilde is looked up per call, so a rebinding of the module name
+        # (as instrumentation does) reaches the product loop
+        return mu_tilde(mu, k1, k2)
+
+    @staticmethod
+    def unit(cocycle, config: Config, coeff=Cyclotomic.ONE) -> "AlgebraElement":
+        return AlgebraElement(cocycle, {config: coeff})
+
+    # bound again so that each class's own __dict__ holds them and
+    # per-class instrumentation can replace them
+    __mul__ = _TwistedGroupAlgebra.__mul__
+    star = _TwistedGroupAlgebra.star
 
     def restrict_zero_sum(self) -> "AlgebraElement":
         """Conditional expectation: drop every non-zero-sum term."""
@@ -116,114 +160,39 @@ class AlgebraElement:
     def is_zero_sum_supported(self) -> bool:
         return all(k.is_zero_sum for k in self.terms)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
-    def __repr__(self) -> str:
-        return f"AlgebraElement({len(self.terms)} terms)"
-
-
-class TensorElement:
+class TensorElement(_TwistedGroupAlgebra):
     """Finite formal sum over pairs (g, g') of u_g (x) u_g' with one cocycle."""
 
-    __slots__ = ("cocycle", "terms")
-
-    def __init__(self, cocycle, terms: Dict[Tuple[AbElem, AbElem], Cyclotomic]):
-        self.cocycle = cocycle
-        self.terms = {k: v for k, v in terms.items() if not v.is_zero}
-
-    @property
-    def group(self):
-        return self.cocycle.group
+    __slots__ = ()
 
     @staticmethod
-    def zero(cocycle) -> "TensorElement":
-        return TensorElement(cocycle, {})
+    def _zero_key(group):
+        return (group.zero(), group.zero())
+
+    @staticmethod
+    def _add_keys(k1, k2):
+        return (k1[0] + k2[0], k1[1] + k2[1])
+
+    @staticmethod
+    def _neg_key(k):
+        return (-k[0], -k[1])
+
+    @staticmethod
+    def _twist(mu, k1, k2) -> Phase:
+        return mu(k1[0], k2[0]) + mu(k1[1], k2[1])
+
+    @staticmethod
+    def _total(k) -> AbElem:
+        return k[0] + k[1]
 
     @staticmethod
     def unit(cocycle, g: AbElem, h: AbElem, coeff=Cyclotomic.ONE) -> "TensorElement":
         return TensorElement(cocycle, {(g, h): coeff})
 
-    @staticmethod
-    def one(cocycle) -> "TensorElement":
-        zero = cocycle.group.zero()
-        return TensorElement.unit(cocycle, zero, zero)
-
-    def _check(self, other: "TensorElement") -> None:
-        if self.cocycle != other.cocycle:
-            raise ValueError("elements over different bases")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        if self.cocycle != other.cocycle or self.terms.keys() != other.terms.keys():
-            return False
-        return all(other.terms[k] == v for k, v in self.terms.items())
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        self._check(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out[k] + v if k in out else v
-        return TensorElement(self.cocycle, out)
-
-    def __neg__(self) -> "TensorElement":
-        return TensorElement(self.cocycle, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + (-other)
-
-    def scaled(self, c) -> "TensorElement":
-        if isinstance(c, (int, Fraction)):
-            c = Cyclotomic.from_rational(c)
-        return TensorElement(self.cocycle, {k: v * c for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            return self.scaled(other)
-        self._check(other)
-        mu = self.cocycle
-        out: Dict[Tuple[AbElem, AbElem], Cyclotomic] = {}
-        for (g1, h1), v1 in self.terms.items():
-            for (g2, h2), v2 in other.terms.items():
-                key = (g1 + g2, h1 + h2)
-                coeff = v1 * v2 * _zeta(mu(g1, g2) + mu(h1, h2))
-                out[key] = out[key] + coeff if key in out else coeff
-        return TensorElement(self.cocycle, out)
-
-    __rmul__ = scaled
-
-    def star(self) -> "TensorElement":
-        mu = self.cocycle
-        out: Dict[Tuple[AbElem, AbElem], Cyclotomic] = {}
-        for (g, h), v in self.terms.items():
-            key = (-g, -h)
-            coeff = v.conjugate() * _zeta(-(mu(g, -g) + mu(h, -h)))
-            out[key] = out[key] + coeff if key in out else coeff
-        return TensorElement(self.cocycle, out)
-
-    def trace(self) -> Cyclotomic:
-        zero = self.group.zero()
-        return self.terms.get((zero, zero), Cyclotomic.ZERO)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __repr__(self) -> str:
-        return f"TensorElement({len(self.terms)} terms)"
-
-
-def first_leg(cocycle, x_terms: Dict[AbElem, Cyclotomic]) -> TensorElement:
-    """Embed sum c_g u_g as sum c_g (u_g (x) 1)."""
-    zero = cocycle.group.zero()
-    return TensorElement(cocycle, {(g, zero): c for g, c in x_terms.items()})
-
-
-def second_leg(cocycle, x_terms: Dict[AbElem, Cyclotomic]) -> TensorElement:
-    zero = cocycle.group.zero()
-    return TensorElement(cocycle, {(zero, g): c for g, c in x_terms.items()})
+    # bound again, as in AlgebraElement
+    __mul__ = _TwistedGroupAlgebra.__mul__
+    star = _TwistedGroupAlgebra.star
 
 
 def malleability_unitary(mu) -> TensorElement:
@@ -276,17 +245,6 @@ def malleability_flow(mu, t: Fraction, x: TensorElement) -> TensorElement:
 
 def apply_diagonal_character(c: Character, x):
     """Scale each term by c evaluated on the total group content of its key."""
-    if isinstance(x, AlgebraElement):
-        out = {}
-        for k, v in x.terms.items():
-            phase = Phase.ZERO
-            for _, value in k.items():
-                phase = phase + c(value)
-            out[k] = v * _zeta(phase)
-        return AlgebraElement(x.cocycle, out)
-    if isinstance(x, TensorElement):
-        out = {}
-        for (g, h), v in x.terms.items():
-            out[(g, h)] = v * _zeta(c(g) + c(h))
-        return TensorElement(x.cocycle, out)
-    raise TypeError("expected an AlgebraElement or TensorElement")
+    if not isinstance(x, _TwistedGroupAlgebra):
+        raise TypeError("expected an AlgebraElement or TensorElement")
+    return type(x)(x.cocycle, {k: v * _zeta(c(x._total(k))) for k, v in x.terms.items()})
