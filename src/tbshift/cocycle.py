@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .abelian import AbElem, AbGroup
@@ -29,6 +30,22 @@ class CocycleError(ValueError):
     def __init__(self, violation: str, detail: str = ""):
         self.violation = violation
         super().__init__(f"{violation}: {detail}" if detail else violation)
+
+
+def _bilinear_value(form, g: AbElem, h: AbElem) -> Phase:
+    """sum_ij g_i M_ij h_j for the Phase matrix M = form.matrix.
+
+    Bound as BilinearCocycle.__call__ and as Bicharacter.value.
+    """
+    total = Fraction(0)
+    for i, gi in enumerate(g.coords):
+        if gi:
+            row = form.matrix[i]
+            for j, hj in enumerate(h.coords):
+                if hj:
+                    p = row[j]
+                    total += Fraction(gi * p.num * hj, p.den)
+    return Phase.from_fraction(total)
 
 
 @dataclass(frozen=True)
@@ -58,16 +75,7 @@ class BilinearCocycle:
                             "torsion", f"entry ({i},{j}) not killed by order {n}"
                         )
 
-    def __call__(self, g: AbElem, h: AbElem) -> Phase:
-        total = Fraction(0)
-        for i, gi in enumerate(g.coords):
-            if gi:
-                row = self.matrix[i]
-                for j, hj in enumerate(h.coords):
-                    if hj:
-                        p = row[j]
-                        total += Fraction(gi * p.num * hj, p.den)
-        return Phase.from_fraction(total)
+    __call__ = _bilinear_value
 
     def validate(self) -> None:
         """Construction already enforces everything; kept for surface parity."""
@@ -165,15 +173,7 @@ class Bicharacter:
     matrix: tuple
     antisymmetric: bool = False
 
-    def value(self, g: AbElem, h: AbElem) -> Phase:
-        total = Fraction(0)
-        for i, gi in enumerate(g.coords):
-            if gi:
-                for j, hj in enumerate(h.coords):
-                    if hj:
-                        p = self.matrix[i][j]
-                        total += Fraction(gi * p.num * hj, p.den)
-        return Phase.from_fraction(total)
+    value = _bilinear_value
 
 
 def star_bicharacter(mu) -> Bicharacter:
@@ -238,7 +238,7 @@ def coboundary_witness(mu1, mu2) -> Optional[dict]:
             value = nu(g, h)
             rows.append(row)
             rhs_phases.append(value)
-            modulus = modulus * value.den // _gcd(modulus, value.den)
+            modulus = modulus * value.den // gcd(modulus, value.den)
     modulus *= group.exponent()
     rhs = [p.num * (modulus // p.den) for p in rhs_phases]
     solution = solve_congruence(rows, rhs, modulus)
@@ -252,12 +252,6 @@ def coboundary_witness(mu1, mu2) -> Optional[dict]:
             if witness[g] + witness[h] - witness[g + h] != nu(g, h):
                 return None
     return witness
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def degeneracy_witness(mu) -> Optional[AbElem]:
