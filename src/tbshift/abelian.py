@@ -438,13 +438,6 @@ def group_structure(elements: Sequence[T], compose: Callable[[T, T], T]) -> Stru
             if table[(x, y)] != table[(y, x)]:
                 return StructureReport(len(elems), False, None, (x, y))
 
-    def element_order(x: T) -> int:
-        k, acc = 1, x
-        while acc != identity:
-            acc = table[(acc, x)]
-            k += 1
-        return k
-
     def peel(members: list, mul: Callable[[T, T], T], ident: T) -> list:
         if len(members) == 1:
             return []

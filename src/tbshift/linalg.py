@@ -8,6 +8,7 @@ tiny (at most a few thousand rows), so clarity beats asymptotics.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 
@@ -124,7 +125,7 @@ def solve_congruence(a: list, rhs: list, modulus: int) -> Optional[list]:
             if si % modulus != 0:
                 return None
             continue
-        g = _gcd(di, modulus)
+        g = gcd(di, modulus)
         if si % g != 0:
             return None
         red = modulus // g
@@ -132,12 +133,6 @@ def solve_congruence(a: list, rhs: list, modulus: int) -> Optional[list]:
         z[i] = z_i
     x = mat_vec(v, z)
     return [xi % modulus for xi in x]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def rational_kernel_basis(a: list) -> list:
@@ -180,11 +175,11 @@ def primitive_integer_vector(vec: list) -> list:
     fracs = [Fraction(x) for x in vec]
     lcm = 1
     for f in fracs:
-        lcm = lcm * f.denominator // _gcd(lcm, f.denominator)
+        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
     ints = [int(f * lcm) for f in fracs]
     g = 0
     for x in ints:
-        g = _gcd(g, x)
+        g = gcd(g, x)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return [x // g for x in ints]

@@ -78,13 +78,6 @@ class Phase:
 Phase.ZERO = Phase(0, 1)
 
 
-def phase_sum(phases) -> Phase:
-    total = Phase.ZERO
-    for p in phases:
-        total = total + p
-    return total
-
-
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     if n < 1:
