@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Dict, List, Optional
 
 from .abelian import AbGroup, AbHom, Character, dual_characters
@@ -149,14 +150,12 @@ def witness_catalog(rng: random.Random, count: int) -> list:
 
 
 def _random_bilinear(rng: random.Random, group: AbGroup) -> BilinearCocycle:
-    from math import gcd as _gcd
-
     r = group.rank
     rows = []
     for i in range(r):
         row = []
         for j in range(r):
-            g = _gcd(group.generator_order(i), group.generator_order(j))
+            g = gcd(group.generator_order(i), group.generator_order(j))
             row.append(Phase(rng.randrange(g), g) if g > 1 else Phase.ZERO)
         rows.append(tuple(row))
     return BilinearCocycle(group, tuple(rows))
@@ -231,43 +230,47 @@ def suite_intertwiner(rng: random.Random) -> dict:
     }
 
 
-def suite_malleability(rng: random.Random, q: int = 3) -> dict:
-    """The swap unitary and the rational-time flow on the tensor square."""
-    t = mod_q_triplet(q)
-    mu = t.cocycle
-    v = malleability_unitary(mu)
-    n = t.group.order()
-    one = TensorElement.one(mu)
+def check_malleability(v: TensorElement, rng: random.Random, samples: int) -> dict:
+    """Checks of the swap unitary v and of the flow on its tensor square.
+
+    v is self-adjoint with v^2 = |H|, the flow at t = 1 is the flip, and on
+    `samples` basis elements drawn from rng the flows at t = 1/2 compose to
+    t = 1 and commute with a random diagonal character.
+    """
+    mu, group = v.cocycle, v.group
+    zero = group.zero()
     checks = {
         "self_adjoint": v.star() == v,
-        "square": v * v == one.scaled(n),
+        "square": v * v == TensorElement.one(mu).scaled(group.order()),
+        "full_swap": all(
+            malleability_flow(mu, Fraction(1), TensorElement.unit(mu, g, zero))
+            == TensorElement.unit(mu, zero, g)
+            for g in group.elements()
+        ),
     }
-    swap_ok = True
-    for g in t.group.elements():
-        x = TensorElement.unit(mu, g, t.group.zero())
-        if malleability_flow(mu, Fraction(1), x) != TensorElement.unit(
-            mu, t.group.zero(), g
-        ):
-            swap_ok = False
-    checks["full_swap"] = swap_ok
     half = Fraction(1, 2)
-    flow_ok = True
-    char_ok = True
-    chars = list(dual_characters(t.group))
-    for _ in range(5):
-        g = t.group.element([rng.randrange(q), rng.randrange(q)])
-        h = t.group.element([rng.randrange(q), rng.randrange(q)])
+    chars = list(dual_characters(group))
+    ok_half, ok_char = True, True
+    for _ in range(samples):
+        g = group.element([rng.randrange(m) for m in group.torsion])
+        h = group.element([rng.randrange(m) for m in group.torsion])
         x = TensorElement.unit(mu, g, h)
         once = malleability_flow(mu, half, x)
         if malleability_flow(mu, half, once) != malleability_flow(mu, Fraction(1), x):
-            flow_ok = False
+            ok_half = False
         c = rng.choice(chars)
-        if apply_diagonal_character(c, malleability_flow(mu, half, x)) != malleability_flow(
+        if apply_diagonal_character(c, once) != malleability_flow(
             mu, half, apply_diagonal_character(c, x)
         ):
-            char_ok = False
-    checks["half_composition"] = flow_ok
-    checks["character_commutation"] = char_ok
+            ok_char = False
+    checks["half_composition"] = ok_half
+    checks["character_commutation"] = ok_char
+    return checks
+
+
+def suite_malleability(rng: random.Random, q: int = 3) -> dict:
+    """The swap unitary and the rational-time flow on the tensor square."""
+    checks = check_malleability(malleability_unitary(mod_q_triplet(q).cocycle), rng, 5)
     return {"ok": all(checks.values()), **checks}
 
 
