@@ -33,10 +33,7 @@ class CocycleError(ValueError):
 
 
 def _bilinear_value(form, g: AbElem, h: AbElem) -> Phase:
-    """sum_ij g_i M_ij h_j for the Phase matrix M = form.matrix.
-
-    Bound as BilinearCocycle.__call__ and as Bicharacter.value.
-    """
+    """sum_ij g_i M_ij h_j over the Phase matrix M of a cocycle or bicharacter."""
     total = Fraction(0)
     for i, gi in enumerate(g.coords):
         if gi:
@@ -78,7 +75,7 @@ class BilinearCocycle:
     __call__ = _bilinear_value
 
     def validate(self) -> None:
-        """Construction already enforces everything; kept for surface parity."""
+        """Construction already enforces everything; Triplet.validate calls this."""
 
 
 @dataclass(frozen=True, eq=False)
