@@ -166,6 +166,9 @@ def cmd_selftest(args) -> int:
         _emit({"ok": False, "detail": f"unknown suite {exc.args[0]!r}",
                "available": sorted(SUITES)})
         return EXIT_INVALID
+    except ValueError as exc:  # a --q that names no group, such as 1 or 0
+        _emit({"ok": False, "detail": str(exc)})
+        return EXIT_INVALID
     _emit(report)
     return EXIT_OK if report["ok"] else EXIT_NO
 

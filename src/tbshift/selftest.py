@@ -235,7 +235,10 @@ def check_malleability(v: TensorElement, rng: random.Random, samples: int) -> di
 
     v is self-adjoint with v^2 = |H|, the flow at t = 1 is the flip, and on
     `samples` basis elements drawn from rng the flows at t = 1/2 compose to
-    t = 1 and commute with a random diagonal character.
+    t = 1 and commute with a random diagonal character.  At t = 1 the
+    closed form in malleability_flow is the flip by construction, so
+    full_swap only checks that relabelling; the tests compare the flow with
+    the product W_t x W_t^*.
     """
     mu, group = v.cocycle, v.group
     zero = group.zero()

@@ -11,7 +11,12 @@ from tbshift.algebra import (
     malleability_flow,
     malleability_unitary,
 )
-from tbshift.cocycle import trivial_cocycle
+from tbshift.cocycle import (
+    BilinearCocycle,
+    coboundary_cocycle,
+    table_from_function,
+    trivial_cocycle,
+)
 from tbshift.configs import Config, dipole, mu_tilde
 from tbshift.families import mod_q_cocycle, mod_q_group, mod_q_triplet, product_triplet
 from tbshift.scalars import Cyclotomic, Phase
@@ -248,3 +253,55 @@ def test_flow_on_product_group():
     assert malleability_flow(mu, Fraction(1), x) == TensorElement.unit(
         mu, g.zero(), g.element((1, 0, 2, 0))
     )
+
+
+def _random_tensor_element(rng, mu, terms=3):
+    g = mu.group
+    out = {}
+    while len(out) < terms:
+        key = tuple(g.element([rng.randrange(m) for m in g.torsion]) for _ in range(2))
+        out[key] = Cyclotomic.from_phase(Phase(rng.randrange(4), 4)) * Fraction(
+            rng.randrange(1, 5), rng.randrange(1, 4)
+        )
+    return TensorElement(mu, out)
+
+
+def _shifted_table_cocycle(rng):
+    mu = mod_q_cocycle(3)
+    g = mu.group
+    b = {h: Phase(rng.randrange(6), 6) for h in g.elements()}
+    shift = coboundary_cocycle(g, b)
+    return table_from_function(g, lambda h, k: mu(h, k) + shift(h, k))
+
+
+def test_flow_matches_brute_conjugation(rng):
+    # the closed form against the product W_t x W_t^* it stands for
+    z2p4 = AbGroup(0, (2, 2, 2, 2))
+    half, z = Phase(1, 2), Phase.ZERO
+    symplectic = [[z] * 4 for _ in range(4)]
+    symplectic[0][1] = symplectic[2][3] = half
+    bases = [
+        mod_q_cocycle(2),
+        mod_q_cocycle(3),
+        mod_q_cocycle(4),
+        BilinearCocycle(z2p4, symplectic),
+        _shifted_table_cocycle(rng),
+    ]
+    times = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)]
+    for mu in bases:
+        for t in times:
+            w = flow_unitary(mu, t)
+            x = _random_tensor_element(rng, mu)
+            assert malleability_flow(mu, t, x) == w * x * w.star()
+
+
+@pytest.mark.parametrize("t", [Fraction(0), Fraction(1), Fraction(1, 2)])
+def test_flow_errors_at_every_time(t):
+    cases = [
+        (trivial_cocycle(AbGroup(0, (2, 2))), "degenerate"),
+        (trivial_cocycle(AbGroup(0, (2, 3))), "square"),
+        (trivial_cocycle(AbGroup(2)), "infinite"),
+    ]
+    for mu, message in cases:
+        with pytest.raises(ValueError, match=message):
+            malleability_flow(mu, t, TensorElement.one(mu))
