@@ -10,20 +10,21 @@ action is the automorphism group cut out by the same two conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator, List, Optional, Sequence
 
 from .abelian import (
     AbElem,
     AbHom,
+    Character,
     StructureReport,
+    _image_candidates,
     abstractly_isomorphic,
-    enumerate_isomorphisms,
     group_structure,
     is_isomorphism,
 )
 from .algebra import AlgebraElement, _zeta
-from .cocycle import BilinearCocycle, star_bicharacter
+from .cocycle import BilinearCocycle, star_bicharacter, trivial_cocycle
 from .configs import Config, mu_hat
 from .dynamics import Triplet, beta
 from .lattice import (
@@ -183,32 +184,89 @@ def _lattice_det_value(mu) -> Optional[Phase]:
     return star_bicharacter(mu).value(gens[0], gens[1])
 
 
+def _matching_isomorphisms(
+    ta: Triplet, tb: Triplet, bound: Optional[int] = None
+) -> Iterator[AbHom]:
+    """Every isomorphism H_a -> H_b meeting both conditions, lazily.
+
+    Backtracks over generator images.  The pool of generator g_j holds the
+    `_image_candidates` of its order with chi_b^2(x) = chi_a^2(g_j).  A new
+    image x_j must satisfy sb(x_i, x_j) = sa(g_i, g_j) for every earlier
+    i; the star forms are alternating, so these pairs settle all of them.
+    A full tuple is kept when it is an isomorphism.  Walking each pool in
+    candidate order visits tuples in `enumerate_isomorphisms` order, so the
+    hits come out in that order too.  `bound` limits the free matrix
+    entries and is required when free parts are present.
+    """
+    ga, gb = ta.group, tb.group
+    sa = star_bicharacter(ta.cocycle)
+    sb = star_bicharacter(tb.cocycle)
+    chi_a2 = ta.character.power(2)
+    chi_b2 = tb.character.power(2)
+    gens = ga.generators()
+    pools = [
+        [
+            x
+            for x in _image_candidates(gb, ga.generator_order(j), bound)
+            if chi_b2(x) == chi_a2(g)
+        ]
+        for j, g in enumerate(gens)
+    ]
+    chosen: List[AbElem] = []
+
+    def extend(j: int) -> Iterator[AbHom]:
+        if j == len(gens):
+            f = AbHom.from_images(ga, gb, chosen)
+            if is_isomorphism(f):
+                yield f
+            return
+        for x in pools[j]:
+            if all(sb.value(chosen[i], x) == sa.value(gens[i], gens[j]) for i in range(j)):
+                chosen.append(x)
+                yield from extend(j + 1)
+                chosen.pop()
+
+    return extend(0)
+
+
+def _separate_checks(ta: Triplet, tb: Triplet, bound: Optional[int]) -> dict:
+    """Whether some isomorphism meets each condition on its own.
+
+    The same search, with the other datum made trivial on both sides.
+    """
+    def found(a: Triplet, b: Triplet) -> bool:
+        return next(_matching_isomorphisms(a, b, bound), None) is not None
+
+    return {
+        "cocycle": found(replace(ta, character=Character.trivial(ta.group)),
+                         replace(tb, character=Character.trivial(tb.group))),
+        "character": found(replace(ta, cocycle=trivial_cocycle(ta.group)),
+                           replace(tb, cocycle=trivial_cocycle(tb.group))),
+    }
+
+
 def decide_conjugacy(ta: Triplet, tb: Triplet, bound: Optional[int] = None) -> ConjugacyReport:
     """Decide conjugacy of the two shift actions at the triplet level.
 
-    Finite groups are decided completely by enumeration.  The rank-two
+    Finite groups are decided completely by the pruned isomorphism search:
+    the witness is the first isomorphism meeting both conditions, and a NO
+    reports whether each condition alone can be met.  The rank-two
     lattice case with bilinear cocycles has a complete closed form for the
     cocycle condition (pullback flips the star value by the determinant,
     so only +-v is reachable); it decides NO outright and YES whenever an
     explicit witness (identity or a reflection) settles the character
-    condition too.  Anything else falls back to a bounded search and may
-    return UNKNOWN.
+    condition too.  Anything else falls back to the same search over
+    matrices with free entries bounded by `bound`, and may return UNKNOWN.
     """
     ga, gb = ta.group, tb.group
     if not abstractly_isomorphic(ga, gb):
         return ConjugacyReport("NO", None, {"cocycle": False, "character": False}, True,
                                "groups are not isomorphic")
     if ga.is_finite and gb.is_finite:
-        isos, complete = enumerate_isomorphisms(ga, gb)
-        assert complete
-        seen = {"cocycle": False, "character": False}
-        for phi in isos:
-            c_ok, x_ok = check_conditions(ta, tb, phi)
-            seen["cocycle"] = seen["cocycle"] or c_ok
-            seen["character"] = seen["character"] or x_ok
-            if c_ok and x_ok:
-                return ConjugacyReport("YES", phi, {"cocycle": True, "character": True}, True)
-        return ConjugacyReport("NO", None, seen, True)
+        phi = next(_matching_isomorphisms(ta, tb), None)
+        if phi is not None:
+            return ConjugacyReport("YES", phi, {"cocycle": True, "character": True}, True)
+        return ConjugacyReport("NO", None, _separate_checks(ta, tb, None), True)
 
     va = _lattice_det_value(ta.cocycle)
     vb = _lattice_det_value(tb.cocycle)
@@ -234,15 +292,10 @@ def decide_conjugacy(ta: Triplet, tb: Triplet, bound: Optional[int] = None) -> C
             "UNKNOWN", None, {"cocycle": False, "character": False}, False,
             "free parts present and no search bound given",
         )
-    isos, _ = enumerate_isomorphisms(ga, gb, bound)
-    seen = {"cocycle": False, "character": False}
-    for phi in isos:
-        c_ok, x_ok = check_conditions(ta, tb, phi)
-        seen["cocycle"] = seen["cocycle"] or c_ok
-        seen["character"] = seen["character"] or x_ok
-        if c_ok and x_ok:
-            return ConjugacyReport("YES", phi, {"cocycle": True, "character": True}, False)
-    return ConjugacyReport("UNKNOWN", None, seen, False,
+    phi = next(_matching_isomorphisms(ta, tb, bound), None)
+    if phi is not None:
+        return ConjugacyReport("YES", phi, {"cocycle": True, "character": True}, False)
+    return ConjugacyReport("UNKNOWN", None, _separate_checks(ta, tb, bound), False,
                            f"no witness with entries bounded by {bound}")
 
 
@@ -258,52 +311,21 @@ class CentralizerReport:
 def centralizer(t: Triplet, bound: Optional[int] = None) -> CentralizerReport:
     """Automorphisms of H preserving the star bicharacter and squared character.
 
-    Finite groups: complete backtracking search over generator images with
-    both conditions used for pruning (they are bilinear/linear, so checking
-    generators is enough).  Rank-two lattice groups with bilinear cocycle
-    and trivial squared character are provably infinite (every determinant
-    +-1 matrix that the star value allows qualifies).  Otherwise a bounded,
-    explicitly incomplete search is performed when a bound is given.
+    Finite groups: every hit of the pruned isomorphism search from H to
+    itself, which is complete.  Rank-two lattice groups with bilinear
+    cocycle and trivial squared character are provably infinite (every
+    determinant +-1 matrix that the star value allows qualifies).
+    Otherwise, when a bound is given, the same search over matrices with
+    free entries bounded by it, explicitly incomplete.
     """
     group = t.group
-    star = star_bicharacter(t.cocycle)
-    chi2 = t.character.power(2)
-    gens = group.generators()
-
     if group.is_finite:
-        pools: List[List[AbElem]] = []
-        for j, g in enumerate(gens):
-            n = group.generator_order(j)
-            pool = [
-                x
-                for x in group.elements()
-                if x.order() != 0 and n % x.order() == 0 and chi2(x) == chi2(g)
-            ]
-            pools.append(pool)
-        found: List[AbHom] = []
-        chosen: List[AbElem] = []
-
-        def extend(j: int) -> None:
-            if j == len(gens):
-                f = AbHom.from_images(group, group, chosen)
-                if is_isomorphism(f):
-                    found.append(f)
-                return
-            for x in pools[j]:
-                if all(
-                    star.value(chosen[i], x) == star.value(gens[i], gens[j])
-                    for i in range(j)
-                ):
-                    chosen.append(x)
-                    extend(j + 1)
-                    chosen.pop()
-
-        extend(0)
+        found = tuple(_matching_isomorphisms(t, t))
         structure = group_structure(found, lambda a, b: a.compose(b))
-        return CentralizerReport("OK", tuple(found), structure, True)
+        return CentralizerReport("OK", found, structure, True)
 
     v = _lattice_det_value(t.cocycle)
-    if v is not None and chi2.is_trivial:
+    if v is not None and t.character.power(2).is_trivial:
         family = "GL(2,Z)" if (v + v).is_zero else "SL(2,Z)"
         return CentralizerReport(
             "INFINITE", (), None, True,
@@ -313,10 +335,7 @@ def centralizer(t: Triplet, bound: Optional[int] = None) -> CentralizerReport:
         return CentralizerReport(
             "UNKNOWN", (), None, False, "free parts present and no search bound given"
         )
-    autos, _ = enumerate_isomorphisms(group, group, bound)
-    found = tuple(
-        phi for phi in autos if all(check_conditions(t, t, phi))
-    )
     return CentralizerReport(
-        "OK", found, None, False, f"bounded search with entries up to {bound}"
+        "OK", tuple(_matching_isomorphisms(t, t, bound)), None, False,
+        f"bounded search with entries up to {bound}",
     )

@@ -43,6 +43,8 @@ def _load_triplet(path: str) -> Triplet:
         raise SchemaError("$", f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"{path} is not JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError("$", f"{path} nests too deeply to parse") from None
     return triplet_from_json(raw)
 
 
@@ -63,17 +65,36 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _invalid_input(detail: str) -> int:
+    _emit({"ok": False, "violation": "invalid-input", "detail": detail})
+    return EXIT_INVALID
+
+
 def _parse_or_exit(args) -> Optional[Triplet]:
     try:
         triplet = _load_triplet(args.path)
         triplet.validate()
         return triplet
     except (SchemaError, ValueError) as exc:
-        _emit({"ok": False, "violation": "invalid-input", "detail": str(exc)})
+        _invalid_input(str(exc))
         return None
 
 
+def _below_one(flag: str, value: Optional[int]) -> bool:
+    """Report a count option below 1 as invalid input; None means unset.
+
+    A --bound below 1 leaves no nonzero free matrix entry, so no
+    isomorphism; --samples below 1 checks nothing.
+    """
+    if value is None or value >= 1:
+        return False
+    _invalid_input(f"{flag} must be at least 1, got {value}")
+    return True
+
+
 def cmd_centralizer(args) -> int:
+    if _below_one("--bound", args.bound):
+        return EXIT_INVALID
     triplet = _parse_or_exit(args)
     if triplet is None:
         return EXIT_INVALID
@@ -91,14 +112,15 @@ def cmd_centralizer(args) -> int:
 
 
 def cmd_conjugate(args) -> int:
+    if _below_one("--bound", args.bound):
+        return EXIT_INVALID
     try:
         ta = _load_triplet(args.path_a)
         ta.validate()
         tb = _load_triplet(args.path_b)
         tb.validate()
     except (SchemaError, ValueError) as exc:
-        _emit({"ok": False, "violation": "invalid-input", "detail": str(exc)})
-        return EXIT_INVALID
+        return _invalid_input(str(exc))
     report = decide_conjugacy(ta, tb, bound=args.bound)
     _emit(
         {
@@ -139,6 +161,8 @@ def cmd_bicharacter(args) -> int:
 
 
 def cmd_malleability(args) -> int:
+    if _below_one("--samples", args.samples):
+        return EXIT_INVALID
     triplet = _parse_or_exit(args)
     if triplet is None:
         return EXIT_INVALID

@@ -1,10 +1,17 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from tbshift.abelian import AbGroup, AbHom, Character, enumerate_automorphisms
+from tbshift.abelian import (
+    AbGroup,
+    AbHom,
+    Character,
+    enumerate_automorphisms,
+    enumerate_isomorphisms,
+)
 from tbshift.algebra import AlgebraElement
 from tbshift.classify import (
     build_pi,
@@ -13,7 +20,7 @@ from tbshift.classify import (
     decide_conjugacy,
     verify_pi,
 )
-from tbshift.cocycle import trivial_cocycle
+from tbshift.cocycle import BilinearCocycle, trivial_cocycle
 from tbshift.configs import dipole, row_major_key
 from tbshift.dynamics import Triplet, beta
 from tbshift.families import (
@@ -25,7 +32,12 @@ from tbshift.families import (
 )
 from tbshift.lattice import AffineSL2, LatticePoint
 from tbshift.scalars import Phase
-from tbshift.selftest import random_algebra_element, random_point, random_sl2
+from tbshift.selftest import (
+    _random_bilinear,
+    random_algebra_element,
+    random_point,
+    random_sl2,
+)
 
 
 @pytest.fixture
@@ -319,3 +331,104 @@ def test_centralizer_lattice_cases():
     rep4 = centralizer(trip, bound=1)
     assert rep4.verdict == "OK" and not rep4.complete
     assert AbHom.identity(g) in rep4.elements
+
+
+def _brute_conjugacy(ta, tb, isos, complete):
+    """(verdict, witness, checks) from check_conditions on every isomorphism."""
+    seen = {"cocycle": False, "character": False}
+    for phi in isos:
+        c_ok, x_ok = check_conditions(ta, tb, phi)
+        if c_ok and x_ok:
+            return "YES", phi, {"cocycle": True, "character": True}
+        seen["cocycle"] = seen["cocycle"] or c_ok
+        seen["character"] = seen["character"] or x_ok
+    return ("NO" if complete else "UNKNOWN"), None, seen
+
+
+def _random_form(rng, group):
+    """Random bilinear cocycle; free-free entries get denominators 4 to 16."""
+    if group.is_finite:
+        return _random_bilinear(rng, group)
+    rows = []
+    for i in range(group.rank):
+        row = []
+        for j in range(group.rank):
+            n = gcd(group.generator_order(i), group.generator_order(j)) or rng.choice((4, 8, 16))
+            row.append(Phase(rng.randrange(n), n))
+        rows.append(tuple(row))
+    return BilinearCocycle(group, tuple(rows))
+
+
+def _random_character(rng, group):
+    # free generators get a phase of order 5, so chi^2 is nontrivial there
+    return Character(group, tuple(
+        Phase(rng.randrange(n), n) if n else Phase(rng.randrange(1, 5), 5)
+        for n in (group.generator_order(j) for j in range(group.rank))
+    ))
+
+
+def _pushforward(t, psi):
+    """The triplet that psi^-1 maps t to: data pulled back through psi."""
+    g = t.group
+    images = [psi(e) for e in g.generators()]
+    matrix = tuple(tuple(t.cocycle(x, y) for y in images) for x in images)
+    return Triplet(g, BilinearCocycle(g, matrix), t.character.pullback(psi))
+
+
+def _oracle_pair(rng, group, isos, pick):
+    """A YES pair built by pullback (pick 0), or partly shared random data."""
+    ta = Triplet(group, _random_form(rng, group), _random_character(rng, group))
+    if pick == 0:
+        return ta, _pushforward(ta, rng.choice(isos))
+    cocycle = ta.cocycle if pick == 1 else _random_form(rng, group)
+    character = ta.character if pick == 2 else _random_character(rng, group)
+    return ta, Triplet(group, cocycle, character)
+
+
+def _assert_search_matches_brute(ta, tb, isos, bound):
+    report = decide_conjugacy(ta, tb, bound=bound)
+    assert report.complete == (bound is None)
+    verdict, witness, checks = _brute_conjugacy(ta, tb, isos, report.complete)
+    assert (report.verdict, report.witness, report.checks) == (verdict, witness, checks)
+    return verdict
+
+
+FINITE_ORACLE_GROUPS = [(n, n) for n in range(2, 7)] + [(2, 4), (2, 6), (2, 2, 2)]
+
+
+def test_search_matches_brute_oracle_finite():
+    # per group: a pullback YES pair and one pair with partly shared data,
+    # whose first triplet also gets its centralizer compared
+    rng = random.Random(4)
+    verdicts = []
+    for index, torsion in enumerate(FINITE_ORACLE_GROUPS):
+        group = AbGroup(0, torsion)
+        isos, complete = enumerate_isomorphisms(group, group)
+        assert complete
+        for pick in (0, 1 + index % 3):
+            ta, tb = _oracle_pair(rng, group, isos, pick)
+            verdicts.append(_assert_search_matches_brute(ta, tb, isos, None))
+        expected = tuple(phi for phi in isos if all(check_conditions(ta, ta, phi)))
+        assert centralizer(ta).elements == expected
+    assert verdicts[::2] == ["YES"] * len(FINITE_ORACLE_GROUPS)
+    assert "NO" in verdicts
+
+
+def test_search_matches_brute_oracle_bounded():
+    # chi^2 is nontrivial, so the Z^2 closed forms leave these to the search
+    # as long as the star values agree up to sign (pullback or shared
+    # cocycle) and the squared characters differ
+    rng = random.Random(5)
+    verdicts = set()
+    for group, picks in ((AbGroup(2), (0, 1) * 4), (AbGroup(2, (2,)), (0, 1, 2, 3) * 2)):
+        isos, complete = enumerate_isomorphisms(group, group, 1)
+        assert not complete
+        for pick in picks:
+            ta, tb = _oracle_pair(rng, group, isos, pick)
+            if not group.torsion and ta.character.power(2) == tb.character.power(2):
+                continue
+            verdicts.add(_assert_search_matches_brute(ta, tb, isos, 1))
+            expected = tuple(phi for phi in isos if all(check_conditions(ta, ta, phi)))
+            rep = centralizer(ta, bound=1)
+            assert rep.verdict == "OK" and rep.elements == expected
+    assert verdicts == {"YES", "UNKNOWN"}

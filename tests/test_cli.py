@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -22,3 +23,45 @@ def test_selftest_rejects_modulus_below_two(q):
     assert code == EXIT_INVALID
     assert payload["ok"] is False
     assert "torsion orders" in payload["detail"]
+
+
+FIXTURE = "triplets/lattice_theta_1_16_chi_1_5.json"
+
+
+@pytest.fixture
+def at_root(monkeypatch):
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+@pytest.mark.parametrize("command", [["centralizer", FIXTURE], ["conjugate", FIXTURE, FIXTURE]])
+def test_bound_below_one_is_invalid_input(at_root, command, bound):
+    # a box with no nonzero free entry holds no isomorphism, not even the identity
+    code, payload = _run(command + ["--bound", bound])
+    assert code == EXIT_INVALID
+    assert payload == {
+        "ok": False,
+        "violation": "invalid-input",
+        "detail": f"--bound must be at least 1, got {bound}",
+    }
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_malleability_rejects_samples_below_one(at_root, samples):
+    code, payload = _run(["malleability", "triplets/mod3_standard.json", "--samples", samples])
+    assert code == EXIT_INVALID
+    assert payload["ok"] is False and payload["violation"] == "invalid-input"
+    assert "--samples" in payload["detail"]
+
+
+@pytest.mark.parametrize(
+    "command, violation",
+    [(["validate"], "schema"), (["centralizer"], "invalid-input"), (["factor"], "invalid-input")],
+)
+def test_deeply_nested_file_is_invalid_input(tmp_path, command, violation):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    code, payload = _run(command + [str(path)])
+    assert code == EXIT_INVALID
+    assert payload["ok"] is False and payload["violation"] == violation
+    assert "nests too deeply" in payload["detail"]

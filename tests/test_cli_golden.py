@@ -7,8 +7,12 @@ triplet paths in the argv resolve the same way wherever pytest starts.
 
 `malleability` on mod5_standard runs with `--samples 1` only.  Left out
 for their cost: `malleability` on mod5_standard with the default samples,
-on mod7_standard and on product_3_5 (even at `--samples 1`), and
-`conjugate product_3_5 product_3_5`.
+on mod7_standard and on product_3_5 (even at `--samples 1`).
+
+The Z^2 fixtures with a nontrivial character (lattice_theta_1_16_chi_*)
+run `centralizer` and `conjugate` with `--bound`, which reaches the
+bounded searches; product_3_5 against itself and against product_3_5_trivial
+covers the finite YES and NO searches.
 """
 
 import contextlib
