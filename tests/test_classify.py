@@ -120,6 +120,7 @@ def test_lattice_closed_form_separation():
 
 def test_lattice_closed_form_vs_bounded_enumeration(rng):
     # the closed form and a bound-3 search must agree on random phase pairs
+    isos, _ = enumerate_isomorphisms(AbGroup(2), AbGroup(2), 3)
     for i in range(50):
         theta_a = random_rational_phase(rng)
         pick = i % 3
@@ -132,23 +133,13 @@ def test_lattice_closed_form_vs_bounded_enumeration(rng):
         ta = lattice_det_triplet(theta_a)
         tb = lattice_det_triplet(theta_b)
         fast = decide_conjugacy(ta, tb)
-        slow = decide_conjugacy_by_search(ta, tb, 3)
+        slow, _, _ = _brute_conjugacy(ta, tb, isos, False)
         if fast.verdict == "YES":
             assert slow == "YES"
         elif fast.verdict == "NO":
             assert slow != "YES"
         else:
             pytest.fail(f"closed form left {theta_a}, {theta_b} undecided")
-
-
-def decide_conjugacy_by_search(ta, tb, bound):
-    from tbshift.abelian import enumerate_isomorphisms
-
-    isos, _ = enumerate_isomorphisms(ta.group, tb.group, bound)
-    for phi in isos:
-        if check_conditions(ta, tb, phi) == (True, True):
-            return "YES"
-    return "NONE_FOUND"
 
 
 def test_lattice_unknown_without_bound():
