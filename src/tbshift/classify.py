@@ -193,6 +193,11 @@ def _matching_isomorphisms(
     `_image_candidates` of its order with chi_b^2(x) = chi_a^2(g_j).  A new
     image x_j must satisfy sb(x_i, x_j) = sa(g_i, g_j) for every earlier
     i; the star forms are alternating, so these pairs settle all of them.
+    Between finite groups x_j must also add a direct summand of order
+    ord(g_j) to the span of the earlier images (no m x_j with 0 < m <
+    ord(g_j) lies in it), which every injective map satisfies on each
+    prefix; this is tested first, so the cost of a search that finds
+    nothing is set by the pools, not by how degenerate the star forms are.
     A full tuple is kept when it is an isomorphism.  Walking each pool in
     candidate order visits tuples in `enumerate_isomorphisms` order, so the
     hits come out in that order too.  `bound` limits the free matrix
@@ -212,21 +217,37 @@ def _matching_isomorphisms(
         ]
         for j, g in enumerate(gens)
     ]
+    finite = ga.is_finite and gb.is_finite
     chosen: List[AbElem] = []
 
-    def extend(j: int) -> Iterator[AbHom]:
+    def multiples(x: AbElem, order: int) -> list:
+        """Coordinates of m x for 0 <= m < order (x in the finite H_b)."""
+        return [tuple(m * c % n for c, n in zip(x.coords, gb.torsion)) for m in range(order)]
+
+    def extend(j: int, span: set) -> Iterator[AbHom]:
         if j == len(gens):
             f = AbHom.from_images(ga, gb, chosen)
             if is_isomorphism(f):
                 yield f
             return
+        order = ga.generator_order(j)
         for x in pools[j]:
+            if finite:
+                steps = multiples(x, order)
+                if any(y in span for y in steps[1:]):
+                    continue
             if all(sb.value(chosen[i], x) == sa.value(gens[i], gens[j]) for i in range(j)):
                 chosen.append(x)
-                yield from extend(j + 1)
+                if finite and j + 1 < len(gens):
+                    yield from extend(j + 1, {
+                        tuple((a + b) % n for a, b, n in zip(s, y, gb.torsion))
+                        for s in span for y in steps
+                    })
+                else:
+                    yield from extend(j + 1, span)
                 chosen.pop()
 
-    return extend(0)
+    return extend(0, {(0,) * gb.rank})
 
 
 def _separate_checks(ta: Triplet, tb: Triplet, bound: Optional[int]) -> dict:

@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from tbshift import classify
 from tbshift.abelian import (
     AbGroup,
     AbHom,
@@ -423,3 +424,26 @@ def test_search_matches_brute_oracle_bounded():
             rep = centralizer(ta, bound=1)
             assert rep.verdict == "OK" and rep.elements == expected
     assert verdicts == {"YES", "UNKNOWN"}
+
+
+def test_finite_search_reaches_leaves_only_with_isomorphisms(monkeypatch):
+    # the degenerate form (star kernel Z/2 x Z/2) and the nondegenerate one
+    # have star kernels of different size: a NO whose cocycle-only search
+    # meets many non-injective tuples that the span check must cut early
+    seen = []
+    original = classify.is_isomorphism
+
+    def recording(f):
+        seen.append(original(f))
+        return seen[-1]
+
+    monkeypatch.setattr(classify, "is_isomorphism", recording)
+    group = AbGroup(0, (4, 4))
+    degenerate = Triplet(group, BilinearCocycle(group, (
+        (Phase.ZERO, Phase(1, 2)), (Phase.ZERO, Phase.ZERO))), Character.trivial(group))
+    standard = Triplet(group, BilinearCocycle(group, (
+        (Phase.ZERO, Phase(1, 4)), (Phase.ZERO, Phase.ZERO))), Character.trivial(group))
+    report = decide_conjugacy(degenerate, standard)
+    assert report.verdict == "NO" and report.checks == {"cocycle": False, "character": True}
+    assert centralizer(degenerate).elements
+    assert seen and all(seen)
