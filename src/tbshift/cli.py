@@ -1,8 +1,11 @@
 """Command-line surface: triplet files in, sorted JSON out.
 
 Exit codes: 0 success/YES, 1 NO (or a failed check), 2 invalid input,
-3 UNKNOWN.  Output is deterministic: identical inputs give byte-identical
-JSON.
+3 UNKNOWN, 4 internal error.  Exit 4 means a command raised an exception
+it does not report itself; stdout then holds
+{"ok": false, "violation": "internal", "detail": "<Type>: <message>"} and
+the traceback goes to stderr.  Output is deterministic: identical inputs
+give byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import argparse
 import json
 import random
 import sys
+import traceback
 from typing import Optional
 
 from .algebra import malleability_unitary
@@ -29,6 +33,7 @@ EXIT_OK = 0
 EXIT_NO = 1
 EXIT_INVALID = 2
 EXIT_UNKNOWN = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(payload: dict) -> None:
@@ -243,7 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # SystemExit and KeyboardInterrupt pass through
+        traceback.print_exc(file=sys.stderr)
+        _emit({"ok": False, "violation": "internal", "detail": f"{type(exc).__name__}: {exc}"})
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -34,15 +34,20 @@ class CocycleError(ValueError):
 
 def _bilinear_value(form, g: AbElem, h: AbElem) -> Phase:
     """sum_ij g_i M_ij h_j over the Phase matrix M of a cocycle or bicharacter."""
-    total = Fraction(0)
+    num, den = 0, 1
     for i, gi in enumerate(g.coords):
         if gi:
             row = form.matrix[i]
             for j, hj in enumerate(h.coords):
                 if hj:
                     p = row[j]
-                    total += Fraction(gi * p.num * hj, p.den)
-    return Phase.from_fraction(total)
+                    q = p.den
+                    if den % q:
+                        step = q // gcd(den, q)
+                        num *= step
+                        den *= step
+                    num += gi * p.num * hj * (den // q)
+    return Phase(num, den)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,13 @@ A unimodular scalar is stored either as a :class:`Phase` (the exponent p/q
 of e^{2*pi*i*p/q}, an element of Q/Z) or, when scalars have to be added,
 as a :class:`Cyclotomic` (an exact element of Q(zeta_N)).  No floating
 point is used anywhere; equality is always decidable.
+
+Both run on plain ints.  A Phase is a reduced pair of ints.  A Cyclotomic
+is a vector of int numerators over one common positive int denominator,
+the form GAP uses for cyclotomics (Breuer, "Integral bases for subfields
+of cyclotomic fields", AAECC 8, 1997); Phi_N is monic, so reducing a
+product modulo Phi_N never leaves the integers.  Fraction appears only at
+the edges: parsing, the public coeffs view and str().
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import ClassVar
 
 
@@ -28,11 +35,16 @@ class Phase:
     den: int = 1
 
     def __post_init__(self) -> None:
-        if self.den == 0:
+        n, d = self.num, self.den
+        if d == 0:
             raise ZeroDivisionError("phase denominator must be nonzero")
-        f = Fraction(self.num, self.den)
-        n, d = f.numerator % f.denominator, f.denominator
-        object.__setattr__(self, "num", n)
+        if d < 0:
+            n, d = -n, -d
+        g = gcd(n, d)
+        if g != 1:
+            n //= g
+            d //= g
+        object.__setattr__(self, "num", n % d)
         object.__setattr__(self, "den", d)
 
     @staticmethod
@@ -142,55 +154,105 @@ def cyclotomic_polynomial(n: int) -> tuple:
     return q
 
 
-def _reduce_mod_cyclotomic(coeffs: list, n: int) -> tuple:
-    """Reduce a coefficient list (Fractions) modulo Phi_n, pad to phi(n)."""
+@lru_cache(maxsize=None)
+def _reduction_terms(n: int) -> tuple:
+    """deg Phi_n and its nonzero lower terms (j, c_j), j < deg."""
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
-    work = list(coeffs)
+    return deg, tuple((j, y) for j, y in enumerate(phi[:deg]) if y)
+
+
+def _reduce(work: list, n: int) -> tuple:
+    """Reduce integer coefficients (low degree first) modulo Phi_n.
+
+    Phi_n is monic, so the remainder stays integral.  Pads to phi(n).
+    """
+    deg, low = _reduction_terms(n)
     for i in range(len(work) - 1, deg - 1, -1):
         c = work[i]
         if c:
-            for j, y in enumerate(phi):
-                work[i - deg + j] -= c * y
-    work = work[:deg]
-    work.extend([Fraction(0)] * (deg - len(work)))
-    return tuple(Fraction(c) for c in work)
+            base = i - deg
+            for j, y in low:
+                work[base + j] -= c * y
+    del work[deg:]
+    work.extend([0] * (deg - len(work)))
+    return tuple(work)
 
 
-@dataclass(frozen=True, eq=False)
+def _make(order: int, num, den: int) -> "Cyclotomic":
+    """The Cyclotomic num/den (den > 0) of the given order, in lowest terms."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    return _new(order, tuple(num), den)
+
+
+def _new(order: int, num: tuple, den: int) -> "Cyclotomic":
+    """An instance from a numerator already in lowest terms over den."""
+    x = object.__new__(Cyclotomic)
+    _set_order(x, order)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
+
+
 class Cyclotomic:
     """Exact element of Q(zeta_N) in canonical reduced form.
 
-    coeffs holds the residue modulo Phi_N on the basis 1, z, ..., z^{phi(N)-1}
-    where z = zeta_N = e^{2*pi*i/N}.  Two elements are equal iff they agree
-    after rebasing to the lcm of their orders, which is decidable exactly.
+    The number is sum_i (_num[i] / _den) z^i over the basis 1, z, ...,
+    z^{phi(N)-1} of Q(zeta_N), z = zeta_N = e^{2*pi*i/N}: a tuple of int
+    numerators over one positive int denominator, with the gcd of all of
+    them 1 (zero is (0, ...)/1).  That form is unique, so elements of one
+    order are equal iff their (_den, _num) agree; elements of different
+    orders are compared after rebasing to the lcm of the orders.  Products
+    and sums run on ints; reduction modulo the monic Phi_N stays integral.
+    coeffs gives the same coefficients as Fractions.  Instances are
+    immutable.
     """
 
-    order: int
-    coeffs: tuple
+    __slots__ = ("order", "_num", "_den")
 
-    def __post_init__(self) -> None:
-        want = euler_phi(self.order)
-        if len(self.coeffs) != want:
-            raise ValueError(f"order {self.order} needs {want} coefficients")
+    def __new__(cls, order: int, coeffs) -> "Cyclotomic":
+        want = euler_phi(order)
+        if len(coeffs) != want:
+            raise ValueError(f"order {order} needs {want} coefficients")
+        fracs = [Fraction(c) for c in coeffs]
+        den = lcm(*(f.denominator for f in fracs))
+        return _make(order, [f.numerator * (den // f.denominator) for f in fracs], den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Cyclotomic is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Cyclotomic is immutable: cannot delete {name!r}")
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(Fraction(c, self._den) for c in self._num)
+
+    def __repr__(self) -> str:
+        return f"Cyclotomic(order={self.order}, coeffs={self.coeffs!r})"
 
     @staticmethod
     def from_rational(value) -> "Cyclotomic":
-        return Cyclotomic(1, (Fraction(value),))
+        f = Fraction(value)
+        return _new(1, (f.numerator,), f.denominator)
 
     @staticmethod
+    @lru_cache(maxsize=1024)
     def from_phase(p: Phase) -> "Cyclotomic":
         """The root of unity zeta_den^num with order = den."""
-        coeffs = [Fraction(0)] * max(p.num + 1, 1)
-        coeffs[p.num] = Fraction(1)
-        return Cyclotomic(p.den, _reduce_mod_cyclotomic(coeffs, p.den))
+        work = [0] * (p.num + 1)
+        work[p.num] = 1
+        return _new(p.den, _reduce(work, p.den), 1)
 
     ZERO: ClassVar["Cyclotomic"]
     ONE: ClassVar["Cyclotomic"]
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._num)
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -202,13 +264,14 @@ class Cyclotomic:
         if m == self.order:
             return self
         step = m // self.order
-        out = [Fraction(0)] * (len(self.coeffs) * step)
-        for i, c in enumerate(self.coeffs):
-            out[i * step] = c
-        return Cyclotomic(m, _reduce_mod_cyclotomic(out, m))
+        out = [0] * (len(self._num) * step)
+        out[::step] = self._num
+        return _make(m, _reduce(out, m), self._den)
 
     def _common(self, other: "Cyclotomic") -> tuple:
-        m = self.order * other.order // gcd(self.order, other.order)
+        if self.order == other.order:
+            return self, other, self.order
+        m = lcm(self.order, other.order)
         return self.rebase(m), other.rebase(m), m
 
     def __eq__(self, other: object) -> bool:
@@ -217,48 +280,55 @@ class Cyclotomic:
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         a, b, _ = self._common(other)
-        return a.coeffs == b.coeffs
+        return a._den == b._den and a._num == b._num
 
     def __add__(self, other: "Cyclotomic") -> "Cyclotomic":
         a, b, m = self._common(other)
-        return Cyclotomic(m, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        da, db = a._den, b._den
+        if da == db:
+            num = [x + y for x, y in zip(a._num, b._num)]
+        else:
+            den = lcm(da, db)
+            fa, fb = den // da, den // db
+            num = [x * fa + y * fb for x, y in zip(a._num, b._num)]
+            da = den
+        return _make(m, num, da)
 
     def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic(self.order, tuple(-c for c in self.coeffs))
+        return _new(self.order, tuple(-c for c in self._num), self._den)
 
     def __sub__(self, other: "Cyclotomic") -> "Cyclotomic":
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return Cyclotomic(self.order, tuple(c * f for c in self.coeffs))
+        if isinstance(other, int):
+            return _make(self.order, [c * other for c in self._num], self._den)
+        if isinstance(other, Fraction):
+            k = other.numerator
+            return _make(self.order, [c * k for c in self._num], self._den * other.denominator)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         a, b, m = self._common(other)
-        prod = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
+        bn = b._num
+        prod = [0] * (len(a._num) + len(bn) - 1)
+        for i, x in enumerate(a._num):
             if x:
-                for j, y in enumerate(b.coeffs):
+                for j, y in enumerate(bn, i):
                     if y:
-                        prod[i + j] += x * y
-        return Cyclotomic(m, _reduce_mod_cyclotomic(prod, m))
+                        prod[j] += x * y
+        return _make(m, _reduce(prod, m), a._den * b._den)
 
     __rmul__ = __mul__
 
-    def _substitute_power(self, k: int) -> "Cyclotomic":
-        """Image under zeta -> zeta^k (k coprime to order): a field automorphism."""
-        n = self.order
-        out = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
-            out[(i * k) % n] += c
-        return Cyclotomic(n, _reduce_mod_cyclotomic(out, n))
-
     def conjugate(self) -> "Cyclotomic":
-        """Complex conjugation: zeta_N -> zeta_N^{N-1}."""
-        if self.order == 1:
+        """Complex conjugation: zeta_N -> zeta_N^{N-1}, i.e. z^i -> z^{-i}."""
+        n = self.order
+        if n == 1:
             return self
-        return self._substitute_power(self.order - 1)
+        out = [0] * n
+        for i, c in enumerate(self._num):
+            out[-i % n] += c
+        return _make(n, _reduce(out, n), self._den)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -276,5 +346,9 @@ class Cyclotomic:
         return " + ".join(parts)
 
 
-Cyclotomic.ZERO = Cyclotomic(1, (Fraction(0),))
-Cyclotomic.ONE = Cyclotomic(1, (Fraction(1),))
+_set_order = Cyclotomic.order.__set__
+_set_num = Cyclotomic._num.__set__
+_set_den = Cyclotomic._den.__set__
+
+Cyclotomic.ZERO = Cyclotomic.from_rational(0)
+Cyclotomic.ONE = Cyclotomic.from_rational(1)

@@ -60,9 +60,21 @@ def cyclotomic_to_json(x: Cyclotomic) -> dict:
 def cyclotomic_from_json(obj: Any, path: str = "$") -> Cyclotomic:
     order = _need(_need_key(obj, "order", path), int, path + ".order", "an integer")
     coeffs = _need(_need_key(obj, "coeffs", path), list, path + ".coeffs", "a list")
+    values = []
+    for i, c in enumerate(coeffs):
+        here = f"{path}.coeffs[{i}]"
+        # JSON floats (and inf/nan) are not exact rationals; bool is not a number
+        if isinstance(c, bool) or not isinstance(c, (int, str)):
+            raise SchemaError(
+                here, f'expected an integer or a rational string "p/q", got {type(c).__name__}'
+            )
+        try:
+            values.append(Fraction(c))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SchemaError(here, f"bad coefficient {c!r}: {exc}") from None
     try:
-        return Cyclotomic(order, tuple(Fraction(c) for c in coeffs))
-    except (ValueError, ZeroDivisionError) as exc:
+        return Cyclotomic(order, tuple(values))
+    except ValueError as exc:
         raise SchemaError(path, str(exc)) from None
 
 

@@ -253,6 +253,12 @@ def test_flow_on_product_group():
     assert malleability_flow(mu, Fraction(1), x) == TensorElement.unit(
         mu, g.zero(), g.element((1, 0, 2, 0))
     )
+    # t = 1 only sees the flip; t = 1/2 against the brute product also
+    # checks the two cross terms
+    half = Fraction(1, 2)
+    w = flow_unitary(mu, half)
+    x = TensorElement.unit(mu, g.element((1, 0, 2, 0)), g.element((0, 1, 0, 3)))
+    assert malleability_flow(mu, half, x) == w * x * w.star()
 
 
 def _random_tensor_element(rng, mu, terms=3):

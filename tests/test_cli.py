@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from tbshift.cli import EXIT_INVALID, main
+from tbshift import cli
+from tbshift.cli import EXIT_INTERNAL, EXIT_INVALID, main
 
 
 def _run(argv):
@@ -65,3 +66,29 @@ def test_deeply_nested_file_is_invalid_input(tmp_path, command, violation):
     assert code == EXIT_INVALID
     assert payload["ok"] is False and payload["violation"] == violation
     assert "nests too deeply" in payload["detail"]
+
+
+def test_uncaught_exception_is_an_internal_error(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("table out of step")
+
+    monkeypatch.setattr(cli, "cmd_factor", broken)
+    code = main(["factor", "triplets/mod3_standard.json"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL == 4
+    assert json.loads(captured.out) == {
+        "ok": False,
+        "violation": "internal",
+        "detail": "RuntimeError: table out of step",
+    }
+    assert "Traceback" in captured.err
+
+
+@pytest.mark.parametrize("exc", [KeyboardInterrupt(), SystemExit(7)])
+def test_exit_and_interrupt_are_not_caught(monkeypatch, exc):
+    def stopped(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_factor", stopped)
+    with pytest.raises(type(exc)):
+        main(["factor", "triplets/mod3_standard.json"])

@@ -5,9 +5,9 @@ stdout that `tbshift.cli.main` gave for it.  The CLI runs in-process with
 stdout captured and the repository root as the working directory, so the
 triplet paths in the argv resolve the same way wherever pytest starts.
 
-`malleability` on mod5_standard runs with `--samples 1` only.  Left out
-for their cost: `malleability` on mod5_standard with the default samples,
-on mod7_standard and on product_3_5 (even at `--samples 1`).
+`malleability` runs on mod5_standard at `--samples 1` and with the default
+samples, and on mod7_standard.  Left out for its cost: `malleability` on
+product_3_5 (about 14 s even at `--samples 1`).
 
 The Z^2 fixtures with a nontrivial character (lattice_theta_1_16_chi_*)
 run `centralizer` and `conjugate` with `--bound`, which reaches the

@@ -1,9 +1,13 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tbshift.abelian import AbGroup
+from tbshift.cocycle import BilinearCocycle, _bilinear_value
 from tbshift.scalars import Cyclotomic, Phase, cyclotomic_polynomial, euler_phi
 
 phases = st.builds(Phase, st.integers(-60, 60), st.integers(1, 24))
@@ -131,3 +135,155 @@ def test_scalar_multiplication():
     assert z4 * 2 == z4 + z4
     assert z4 * Fraction(1, 2) + z4 * Fraction(1, 2) == z4
     assert (z4 * 0).is_zero
+
+
+# -- the int kernel against sympy: an independent reduction mod Phi_N over QQ --
+
+ORDERS = list(range(1, 25)) + [60]
+MIXED = [(1, 7), (2, 3), (3, 4), (4, 6), (5, 12), (8, 12), (9, 6), (15, 20), (24, 60), (7, 60)]
+X = sympy.Symbol("x")
+
+
+def _reduced(coeffs, n):
+    """sum_i coeffs[i] x^i modulo Phi_n over QQ, low degree first, padded to phi(n)."""
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
+                      X, domain="QQ")
+    rem = sympy.rem(poly, sympy.Poly(sympy.cyclotomic_poly(n, X), X, domain="QQ"))
+    out = [Fraction(int(c.p), int(c.q)) for c in reversed(rem.all_coeffs())]
+    return tuple(out + [Fraction(0)] * (euler_phi(n) - len(out)))
+
+
+def _times(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _lifted(coeffs, n, m):
+    """The same number in Q(zeta_m): substitute x -> x^(m/n), then reduce."""
+    step = m // n
+    out = [Fraction(0)] * (len(coeffs) * step)
+    out[::step] = coeffs
+    return _reduced(out, m)
+
+
+def _conjugated(coeffs, n):
+    out = [Fraction(0)] * n
+    for i, c in enumerate(coeffs):
+        out[-i % n] += c
+    return _reduced(out, n)
+
+
+def _random_raw(rng, n):
+    """Unreduced rational coefficients of degree up to 2n."""
+    return [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, 2 * n + 1))]
+
+
+def _assert_canonical(x):
+    assert x._den > 0
+    assert len(x._num) == euler_phi(x.order)
+    assert gcd(x._den, *x._num) == 1
+    if not any(x._num):
+        assert x._den == 1
+    assert x.coeffs == tuple(Fraction(c, x._den) for c in x._num)
+
+
+def _from_roots(raw, n):
+    """The kernel's own route: sum_i raw[i] * zeta_n^i."""
+    total = Cyclotomic.ZERO
+    for i, c in enumerate(raw):
+        total = total + Cyclotomic.from_phase(Phase(i, n)) * c
+    return total
+
+
+@pytest.mark.parametrize("n", ORDERS)
+def test_kernel_matches_sympy_in_one_field(n, rng):
+    for _ in range(3):
+        raw_a, raw_b = _random_raw(rng, n), _random_raw(rng, n)
+        ra, rb = _reduced(raw_a, n), _reduced(raw_b, n)
+        a, b = Cyclotomic(n, ra), Cyclotomic(n, rb)
+        assert a.coeffs == ra
+        assert _from_roots(raw_a, n) == a
+        for got, want in [
+            (a + b, _reduced([x + y for x, y in zip(ra, rb)], n)),
+            (a - b, _reduced([x - y for x, y in zip(ra, rb)], n)),
+            (a * b, _reduced(_times(ra, rb), n)),
+            (a * 3, tuple(c * 3 for c in ra)),
+            (a * Fraction(-2, 7), tuple(c * Fraction(-2, 7) for c in ra)),
+            (a.conjugate(), _conjugated(ra, n)),
+            (a.rebase(2 * n), _lifted(ra, n, 2 * n)),
+            (a.rebase(3 * n), _lifted(ra, n, 3 * n)),
+            (a - a, tuple([Fraction(0)] * euler_phi(n))),
+        ]:
+            _assert_canonical(got)
+            assert got.coeffs == want
+        assert (a == b) == (ra == rb)
+        assert a == Cyclotomic(n, ra) and a.rebase(2 * n) == a and a == a.rebase(3 * n)
+        assert a * b == b * a
+
+
+@pytest.mark.parametrize("n, m", MIXED)
+def test_kernel_matches_sympy_across_orders(n, m, rng):
+    big = lcm(n, m)
+    for _ in range(3):
+        ra, rb = _reduced(_random_raw(rng, n), n), _reduced(_random_raw(rng, m), m)
+        a, b = Cyclotomic(n, ra), Cyclotomic(m, rb)
+        la, lb = _lifted(ra, n, big), _lifted(rb, m, big)
+        for got, want in [
+            (a + b, _reduced([x + y for x, y in zip(la, lb)], big)),
+            (b - a, _reduced([y - x for x, y in zip(la, lb)], big)),
+            (a * b, _reduced(_times(la, lb), big)),
+            (b * a, _reduced(_times(la, lb), big)),
+        ]:
+            _assert_canonical(got)
+            assert got.order == big and got.coeffs == want
+        assert (a == b) == (la == lb)
+        assert a == Cyclotomic(big, la) and Cyclotomic(big, lb) == b
+    # equal numbers written in different fields
+    assert Cyclotomic.from_phase(Phase(1, n)) == Cyclotomic.from_phase(Phase(big // n, big))
+    assert Cyclotomic.from_rational(Fraction(3, 4)) == Cyclotomic(m, _lifted((Fraction(3, 4),), 1, m))
+
+
+def test_zero_is_canonical():
+    z12 = Cyclotomic.from_phase(Phase(1, 12))
+    for zero in [z12 - z12, z12 * 0, Cyclotomic(12, ("0", "0", "0", "0")), Cyclotomic.ZERO]:
+        _assert_canonical(zero)
+        assert zero.is_zero and zero == 0 and not zero
+    assert Cyclotomic(4, (Fraction(2, 6), Fraction(4, 6)))._den == 3
+
+
+def test_cyclotomic_is_immutable():
+    x = Cyclotomic.from_phase(Phase(1, 5))
+    with pytest.raises(AttributeError):
+        x.order = 10
+    with pytest.raises(AttributeError):
+        x._num = (0, 0, 0, 0)
+    with pytest.raises(AttributeError):
+        del x._den
+
+
+def test_phase_normalization_matches_fraction():
+    for den in [d for d in range(-12, 13) if d]:
+        for num in range(-30, 31):
+            p, f = Phase(num, den), Fraction(num, den) % 1
+            assert (p.num, p.den) == (f.numerator, f.denominator)
+    with pytest.raises(ZeroDivisionError):
+        Phase(1, 0)
+
+
+def test_bilinear_value_matches_fraction_sum(rng):
+    group = AbGroup(3)
+    for _ in range(40):
+        matrix = [[Phase(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(3)]
+                  for _ in range(3)]
+        mu = BilinearCocycle(group, matrix)
+        g = group.element([rng.randint(-9, 9) for _ in range(3)])
+        h = group.element([rng.randint(-9, 9) for _ in range(3)])
+        total = sum(
+            (Fraction(gi * p.num * hj, p.den)
+             for gi, row in zip(g.coords, mu.matrix) for hj, p in zip(h.coords, row)),
+            Fraction(0),
+        )
+        assert _bilinear_value(mu, g, h) == Phase.from_fraction(total)

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -47,6 +48,24 @@ def test_cyclotomic_roundtrip():
     assert cyclotomic_from_json(cyclotomic_to_json(x)) == x
     with pytest.raises(SchemaError):
         cyclotomic_from_json({"order": 5, "coeffs": ["1/2"]})  # wrong length
+
+
+def test_cyclotomic_coefficients_are_ints_or_strings():
+    x = cyclotomic_from_json({"order": 4, "coeffs": [2, "-1/3"]})
+    assert x.coeffs == (Fraction(2), Fraction(-1, 3))
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.1, True, None, [1]])
+def test_cyclotomic_coefficient_must_be_exact(bad):
+    with pytest.raises(SchemaError) as err:
+        cyclotomic_from_json({"order": 5, "coeffs": ["1/2", "0", bad, "0"]})
+    assert err.value.path == "$.coeffs[2]"
+
+
+def test_cyclotomic_bad_coefficient_string_has_its_path():
+    with pytest.raises(SchemaError) as err:
+        cyclotomic_from_json({"order": 4, "coeffs": ["1/0", "x"]})
+    assert err.value.path == "$.coeffs[0]"
 
 
 def test_group_and_parts_roundtrip():
