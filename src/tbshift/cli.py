@@ -14,7 +14,6 @@ import argparse
 import json
 import random
 import sys
-import traceback
 from typing import Optional
 
 from .algebra import malleability_unitary
@@ -251,6 +250,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # SystemExit and KeyboardInterrupt pass through
+        import traceback  # here, not at the top: it would add to every start-up
+
         traceback.print_exc(file=sys.stderr)
         _emit({"ok": False, "violation": "internal", "detail": f"{type(exc).__name__}: {exc}"})
         return EXIT_INTERNAL

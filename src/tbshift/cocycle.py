@@ -42,7 +42,7 @@ def _bilinear_value(form, g: AbElem, h: AbElem) -> Phase:
                 if hj:
                     p = row[j]
                     q = p.den
-                    if den % q:
+                    if den % q:  # widen den to lcm(den, q)
                         step = q // gcd(den, q)
                         num *= step
                         den *= step

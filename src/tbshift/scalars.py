@@ -162,8 +162,8 @@ def _reduction_terms(n: int) -> tuple:
     return deg, tuple((j, y) for j, y in enumerate(phi[:deg]) if y)
 
 
-def _reduce(work: list, n: int) -> tuple:
-    """Reduce integer coefficients (low degree first) modulo Phi_n.
+def _reduce(work: list, n: int) -> list:
+    """Reduce integer coefficients (low degree first) modulo Phi_n, in place.
 
     Phi_n is monic, so the remainder stays integral.  Pads to phi(n).
     """
@@ -176,7 +176,7 @@ def _reduce(work: list, n: int) -> tuple:
                 work[base + j] -= c * y
     del work[deg:]
     work.extend([0] * (deg - len(work)))
-    return tuple(work)
+    return work
 
 
 def _make(order: int, num, den: int) -> "Cyclotomic":
@@ -185,14 +185,9 @@ def _make(order: int, num, den: int) -> "Cyclotomic":
     if g != 1:
         num = [c // g for c in num]
         den //= g
-    return _new(order, tuple(num), den)
-
-
-def _new(order: int, num: tuple, den: int) -> "Cyclotomic":
-    """An instance from a numerator already in lowest terms over den."""
     x = object.__new__(Cyclotomic)
     _set_order(x, order)
-    _set_num(x, num)
+    _set_num(x, tuple(num))
     _set_den(x, den)
     return x
 
@@ -237,7 +232,7 @@ class Cyclotomic:
     @staticmethod
     def from_rational(value) -> "Cyclotomic":
         f = Fraction(value)
-        return _new(1, (f.numerator,), f.denominator)
+        return _make(1, (f.numerator,), f.denominator)
 
     @staticmethod
     @lru_cache(maxsize=1024)
@@ -245,7 +240,7 @@ class Cyclotomic:
         """The root of unity zeta_den^num with order = den."""
         work = [0] * (p.num + 1)
         work[p.num] = 1
-        return _new(p.den, _reduce(work, p.den), 1)
+        return _make(p.den, _reduce(work, p.den), 1)
 
     ZERO: ClassVar["Cyclotomic"]
     ONE: ClassVar["Cyclotomic"]
@@ -284,18 +279,12 @@ class Cyclotomic:
 
     def __add__(self, other: "Cyclotomic") -> "Cyclotomic":
         a, b, m = self._common(other)
-        da, db = a._den, b._den
-        if da == db:
-            num = [x + y for x, y in zip(a._num, b._num)]
-        else:
-            den = lcm(da, db)
-            fa, fb = den // da, den // db
-            num = [x * fa + y * fb for x, y in zip(a._num, b._num)]
-            da = den
-        return _make(m, num, da)
+        den = lcm(a._den, b._den)
+        fa, fb = den // a._den, den // b._den
+        return _make(m, [x * fa + y * fb for x, y in zip(a._num, b._num)], den)
 
     def __neg__(self) -> "Cyclotomic":
-        return _new(self.order, tuple(-c for c in self._num), self._den)
+        return _make(self.order, [-c for c in self._num], self._den)
 
     def __sub__(self, other: "Cyclotomic") -> "Cyclotomic":
         return self + (-other)
