@@ -148,9 +148,9 @@ def _reduced(coeffs, n):
     """sum_i coeffs[i] x^i modulo Phi_n over QQ, low degree first, padded to phi(n)."""
     poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
                       X, domain="QQ")
-    rem = sympy.rem(poly, sympy.Poly(sympy.cyclotomic_poly(n, X), X, domain="QQ"))
-    out = [Fraction(int(c.p), int(c.q)) for c in reversed(rem.all_coeffs())]
-    return tuple(out + [Fraction(0)] * (euler_phi(n) - len(out)))
+    phi = sympy.Poly(sympy.cyclotomic_poly(n, X), X, domain="QQ")
+    out = [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.rem(poly, phi).all_coeffs())]
+    return tuple(out + [Fraction(0)] * (phi.degree() - len(out)))
 
 
 def _times(a, b):
