@@ -3,7 +3,10 @@
 Groups are kept in the presentation they were given (free generators first,
 then torsion generators); isomorphism tests cope with equivalent
 presentations.  Elements are integer coordinate vectors with torsion
-coordinates reduced into [0, n_i).
+coordinates reduced into [0, n_i).  Smith normal form is the one
+structural algorithm here: it gives invariant factors (of a presentation
+and of the finite groups that `group_structure` identifies) and decides
+whether a homomorphism is bijective.
 """
 
 from __future__ import annotations
@@ -145,25 +148,6 @@ class AbElem:
         return result
 
 
-def subgroup_generated(images: Sequence[AbElem]) -> set:
-    """All elements generated by the given ones (finite closures only)."""
-    if not images:
-        return set()
-    zero = images[0].group.zero()
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in images:
-                y = x + g
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
-
-
 @dataclass(frozen=True)
 class AbHom:
     """Homomorphism given by an integer matrix: column j = image of source
@@ -232,17 +216,13 @@ class AbHom:
 def is_isomorphism(f: AbHom) -> bool:
     """True iff f is bijective.
 
-    Finite groups: image-size count.  Groups with a free part: abstract
-    isomorphism of the presentations plus surjectivity, read off the Smith
-    normal form of the matrix augmented with the target relations;
-    surjectivity between isomorphic finitely generated groups forces
-    injectivity.
+    The presentations must be abstractly isomorphic, and f surjective:
+    the Smith normal form of the matrix augmented with the target
+    relations must be all ones.  Between isomorphic finitely generated
+    groups surjectivity forces injectivity, finite or not.
     """
     if not abstractly_isomorphic(f.source, f.target):
         return False
-    if f.source.is_finite and f.target.is_finite:
-        images = [f.column(j) for j in range(f.source.rank)]
-        return len(subgroup_generated(images)) == f.target.order()
     rb = f.target.rank
     cols = [[f.matrix[i][j] for i in range(rb)] for j in range(f.source.rank)]
     for i in range(rb):
@@ -409,72 +389,61 @@ class StructureReport:
 def group_structure(elements: Sequence[T], compose: Callable[[T, T], T]) -> StructureReport:
     """Identify the abstract group formed by the given elements.
 
-    The list must be closed under composition and inverses (verified; a
-    counterexample pair is reported otherwise).  Abelian groups are
-    decomposed into invariant factors by peeling off a cyclic subgroup of
-    maximal order; nonabelian groups are reported with a witness pair.
+    Generators are picked greedily: g_j is the first element outside the
+    span so far, and m_j the least m >= 1 with g_j^m in that span.  The
+    span is closed breadth first under all generators, keeping an exponent
+    word per element, so closure is checked with about n*k compositions
+    for k generators and no Cayley table.  The identity is the idempotent,
+    checked on both sides of each generator.  The group is abelian iff its
+    generators commute, else a noncommuting pair is the witness.  When
+    abelian, the rows m_j e_j - word(g_j^m_j) generate every relation
+    (their determinant prod m_j is the order), so the invariant factors
+    are their Smith normal form.
     """
     elems = list(dict.fromkeys(elements))
     universe = set(elems)
-    table = {}
-    for x in elems:
-        for y in elems:
-            z = compose(x, y)
-            if z not in universe:
-                raise ValueError(f"not closed under composition: {(x, y)}")
-            table[(x, y)] = z
-    identity = None
-    for e in elems:
-        if all(table[(e, x)] == x and table[(x, e)] == x for x in elems):
-            identity = e
-            break
+    n = len(elems)
+
+    def product(x: T, y: T) -> T:
+        z = compose(x, y)
+        if z not in universe:
+            raise ValueError(f"not closed under composition: {(x, y)}")
+        return z
+
+    identity = next((e for e in elems if compose(e, e) == e), None)
     if identity is None:
         raise ValueError("no identity element present")
-    for x in elems:
-        if not any(table[(x, y)] == identity for y in elems):
-            raise ValueError(f"not closed under inverses: {x}")
-    for x in elems:
-        for y in elems:
-            if table[(x, y)] != table[(y, x)]:
-                return StructureReport(len(elems), False, None, (x, y))
-
-    def peel(members: list, mul: Callable[[T, T], T], ident: T) -> list:
-        if len(members) == 1:
-            return []
-        orders = {x: 1 for x in members}
-        for x in members:
-            k, acc = 1, x
-            while acc != ident:
-                acc = mul(acc, x)
-                k += 1
-            orders[x] = k
-        g = max(members, key=lambda x: orders[x])
-        m = orders[g]
-        cyclic = [ident]
-        acc = g
-        while acc != ident:
-            cyclic.append(acc)
-            acc = mul(acc, g)
-        cyclic_set = set(cyclic)
-        coset_of = {}
-        for x in members:
-            if x in coset_of:
-                continue
-            coset = frozenset(mul(x, c) for c in cyclic_set)
-            for y in coset:
-                coset_of[y] = coset
-        quotient = list(dict.fromkeys(coset_of[x] for x in members))
-        reps = {c: next(iter(c)) for c in quotient}
-
-        def qmul(a: frozenset, b: frozenset) -> frozenset:
-            return coset_of[mul(reps[a], reps[b])]
-
-        return [m] + peel(quotient, qmul, coset_of[ident])
-
-    factors = peel(elems, lambda a, b: table[(a, b)], identity)
-    factors.sort()
-    total = 1
-    for n in factors:
-        total *= n
-    assert total == len(elems)
-    return StructureReport(len(elems), True, tuple(factors), None)
+    words = {identity: ()}  # element -> exponents of the generators so far
+    gens, relations = [], []
+    for g in elems:
+        if g in words:
+            continue
+        if compose(identity, g) != g or compose(g, identity) != g:
+            raise ValueError(f"{identity} is not an identity for {g}")
+        power, m = g, 1
+        while power not in words:
+            if m == n:
+                raise ValueError(f"not closed under inverses: {g}")
+            power, m = product(power, g), m + 1
+        gens.append(g)
+        relations.append((m, words[power]))
+        frontier = list(words)
+        while frontier:
+            nxt = []
+            for x in frontier:
+                word = words[x] + (0,) * (len(gens) - len(words[x]))
+                for i, h in enumerate(gens):
+                    y = product(x, h)
+                    if y not in words:
+                        words[y] = word[:i] + (word[i] + 1,) + word[i + 1 :]
+                        nxt.append(y)
+            frontier = nxt
+    for x, y in itertools.combinations(gens, 2):
+        if compose(x, y) != compose(y, x):
+            return StructureReport(n, False, None, (x, y))
+    k = len(gens)
+    rows = [
+        [-c for c in word] + [0] * (j - len(word)) + [m] + [0] * (k - j - 1)
+        for j, (m, word) in enumerate(relations)
+    ]
+    return StructureReport(n, True, tuple(d for d in snf_diagonal(rows) if d != 1), None)

@@ -4,8 +4,11 @@ Exit codes: 0 success/YES, 1 NO (or a failed check), 2 invalid input,
 3 UNKNOWN, 4 internal error.  Exit 4 means a command raised an exception
 it does not report itself; stdout then holds
 {"ok": false, "violation": "internal", "detail": "<Type>: <message>"} and
-the traceback goes to stderr.  Output is deterministic: identical inputs
-give byte-identical JSON.
+the traceback goes to stderr.  A usage error (a missing or unknown
+command, argument or choice, or an option of the wrong type) exits 2 with
+{"ok": false, "violation": "usage", "detail": "<message>"} on stdout and
+the usage text on stderr.  Output is deterministic: identical inputs give
+byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -190,10 +193,6 @@ def cmd_selftest(args) -> int:
     names = [args.suite] if args.suite else None
     try:
         report = run_suites(names, q=args.q)
-    except KeyError as exc:
-        _emit({"ok": False, "detail": f"unknown suite {exc.args[0]!r}",
-               "available": sorted(SUITES)})
-        return EXIT_INVALID
     except ValueError as exc:  # a --q that names no group, such as 1 or 0
         _emit({"ok": False, "detail": str(exc)})
         return EXIT_INVALID
@@ -201,8 +200,18 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if report["ok"] else EXIT_NO
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with the JSON contract for usage errors; subparsers inherit it."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        _emit({"ok": False, "violation": "usage", "detail": message})
+        sys.exit(EXIT_INVALID)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tbshift",
         description="Exact algebra for twisted Bernoulli shift data: "
         "validate triplet files, decide conjugacy, compute centralizers.",

@@ -259,37 +259,30 @@ def coboundary_witness(mu1, mu2) -> Optional[dict]:
 def degeneracy_witness(mu) -> Optional[AbElem]:
     """A nonzero g whose star pairing against every h vanishes, or None.
 
-    Finite groups are checked exhaustively against the generator pairings
-    (a character vanishing on generators vanishes everywhere).  On groups
-    with a free part the bilinear phases are read as rational tags for a
-    dense parameter family, so infinite-order directions are tested for
-    generic degeneracy (a rational kernel vector of the pairing matrix),
-    while the torsion subgroup is still checked exactly.
+    On groups with a free part the bilinear phases are first read as
+    rational tags for a dense parameter family, so infinite-order
+    directions are tested for generic degeneracy (a rational kernel vector
+    of the pairing matrix).  Then the torsion subgroup, which is all of a
+    finite group, is checked exhaustively against the generator pairings
+    (a character vanishing on generators vanishes everywhere).
     """
     group = mu.group
     star = star_bicharacter(mu)
     gens = group.generators()
-    if group.is_finite:
-        for g in group.elements():
-            if g.is_zero:
-                continue
-            if all(star.value(g, e).is_zero for e in gens):
-                return g
-        return None
-    rational = [
-        [Fraction(p.num, p.den) for p in row] for row in star.matrix
-    ]
-    transposed = [[rational[i][j] for i in range(group.rank)] for j in range(group.rank)]
-    for vec in rational_kernel_basis(transposed):
-        if any(vec):
-            return group.element(primitive_integer_vector(vec))
-    if group.torsion:
-        for tors in itertools.product(*(range(n) for n in group.torsion)):
-            if not any(tors):
-                continue
-            g = group.element((0,) * group.free_rank + tors)
-            if all(star.value(g, e).is_zero for e in gens):
-                return g
+    if group.free_rank:
+        rational = [
+            [Fraction(p.num, p.den) for p in row] for row in star.matrix
+        ]
+        transposed = [[rational[i][j] for i in range(group.rank)] for j in range(group.rank)]
+        for vec in rational_kernel_basis(transposed):
+            if any(vec):
+                return group.element(primitive_integer_vector(vec))
+    for tors in itertools.product(*(range(n) for n in group.torsion)):
+        if not any(tors):
+            continue
+        g = group.element((0,) * group.free_rank + tors)
+        if all(star.value(g, e).is_zero for e in gens):
+            return g
     return None
 
 

@@ -209,6 +209,9 @@ class Cyclotomic:
     __slots__ = ("order", "_num", "_den")
 
     def __new__(cls, order: int, coeffs) -> "Cyclotomic":
+        # phi(N) >= sqrt(N/2): a list this short is wrong without factoring N
+        if 2 * len(coeffs) ** 2 < order:
+            raise ValueError(f"order {order} needs more than {len(coeffs)} coefficients")
         want = euler_phi(order)
         if len(coeffs) != want:
             raise ValueError(f"order {order} needs {want} coefficients")

@@ -13,7 +13,6 @@ from tbshift.abelian import (
     group_structure,
     is_isomorphism,
     separating_characters,
-    subgroup_generated,
 )
 from tbshift.scalars import Phase
 
@@ -72,18 +71,38 @@ def test_is_isomorphism_examples():
     assert not is_isomorphism(AbHom(z, g3, ((1,),)))  # not abstractly isomorphic
 
 
+def _brute_closure(images):
+    """Every element generated by the images, by closing under addition."""
+    zero = images[0].group.zero()
+    seen, frontier = {zero}, [zero]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in images:
+                y = x + g
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
 def test_image_count_matches_isomorphism(rng):
-    g = AbGroup(0, (2, 4))
-    elems = list(g.elements())
-    for _ in range(40):
-        images = [rng.choice(elems) for _ in range(g.rank)]
-        try:
-            f = AbHom.from_images(g, g, images)
-        except ValueError:
-            continue
-        got = is_isomorphism(f)
-        brute = len(subgroup_generated([f.column(j) for j in range(g.rank)])) == g.order()
-        assert got == brute
+    verdicts = set()
+    for torsion in [(2, 4), (2, 2, 2), (3, 9)]:
+        g = AbGroup(0, torsion)
+        elems = list(g.elements())
+        for _ in range(60):
+            images = [rng.choice(elems) for _ in range(g.rank)]
+            try:
+                f = AbHom.from_images(g, g, images)
+            except ValueError:
+                continue
+            got = is_isomorphism(f)
+            brute = len(_brute_closure([f.column(j) for j in range(g.rank)])) == g.order()
+            assert got == brute
+            verdicts.add((torsion, got))
+    assert len(verdicts) == 6  # each shape gives both verdicts
 
 
 def test_automorphism_counts():
@@ -219,6 +238,19 @@ def test_group_structure_rejects_non_closed():
     shear = AbHom(g33, g33, ((1, 0), (1, 1)))
     with pytest.raises(ValueError, match="closed"):
         group_structure([AbHom.identity(g33), shear], lambda a, b: a.compose(b))
+
+
+@pytest.mark.parametrize(
+    "elements, compose, message",
+    [
+        ([1, 2], lambda a, b: (a + b) % 3, "no identity element present"),
+        ([1, 2], lambda a, b: 1, "not an identity for 2"),
+        ([0, 1, 2], max, "not closed under inverses: 1"),
+    ],
+)
+def test_group_structure_rejects_non_groups(elements, compose, message):
+    with pytest.raises(ValueError, match=message):
+        group_structure(elements, compose)
 
 
 def test_group_structure_invariant_factors_against_order_statistics():

@@ -1,7 +1,10 @@
+import json
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +36,7 @@ from tbshift.families import (
 )
 from tbshift.lattice import AffineSL2, LatticePoint
 from tbshift.scalars import Phase
+from tbshift.serialize import triplet_from_json
 from tbshift.selftest import (
     _random_bilinear,
     random_algebra_element,
@@ -307,6 +311,83 @@ def test_centralizer_product():
     assert len(rep.elements) == 15
     assert rep.structure.invariant_factors == (15,)
     assert rep.structure.description == "Z/15"
+
+
+def _symplectic_order(n, p):
+    """|Sp(2n, p)| = p^(n^2) * prod_{i=1..n} (p^(2i) - 1)."""
+    order = p ** (n * n)
+    for i in range(1, n + 1):
+        order *= p ** (2 * i) - 1
+    return order
+
+
+def _standard_symplectic_triplet(n, p, chi_first):
+    """(Z/p)^(2n) with mu(s, t) = sum_i s_(2i-1) t_(2i) / p and chi = (chi_first, 0, ...)."""
+    group = AbGroup(0, (p,) * (2 * n))
+    rows = [[Phase.ZERO] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        rows[2 * i][2 * i + 1] = Phase(1, p)
+    phases = (chi_first,) + (Phase.ZERO,) * (2 * n - 1)
+    cocycle = BilinearCocycle(group, tuple(tuple(row) for row in rows))
+    return Triplet(group, cocycle, Character(group, phases))
+
+
+@pytest.mark.parametrize(
+    "n, p, chi_first, order",
+    [(1, p, Phase.ZERO, p * (p * p - 1)) for p in (3, 5, 7)]
+    + [(1, p, Phase(1, p), p) for p in (3, 5, 7)]
+    + [(2, 2, Phase.ZERO, 720), (2, 3, Phase(1, 3), 648)],
+)
+def test_centralizer_order_matches_symplectic_closed_form(n, p, chi_first, order):
+    # the star form is the standard symplectic form, so the centralizer is
+    # Sp(2n, p) when chi^2 is trivial and the stabilizer of the nonzero
+    # vector chi^2 otherwise (Wall 1963; Kleppner 1965)
+    expected = _symplectic_order(n, p)
+    if not (chi_first * 2).is_zero:
+        expected //= p ** (2 * n) - 1
+    assert expected == order
+    rep = centralizer(_standard_symplectic_triplet(n, p, chi_first))
+    assert rep.verdict == "OK" and rep.complete
+    assert len(rep.elements) == rep.structure.order == order
+
+
+def _hom_order(f):
+    ident = AbHom.identity(f.source)
+    k, power = 1, f
+    while power != ident:
+        power, k = power.compose(f), k + 1
+    return k
+
+
+def _structure_cases():
+    for path in sorted((Path(__file__).resolve().parent.parent / "triplets").glob("*.json")):
+        t = triplet_from_json(json.loads(path.read_text("utf-8")))
+        if t.group.is_finite:
+            yield t
+    rng = random.Random(6)
+    for torsion in [(2, 2), (3, 3), (2, 4), (4, 4), (2, 6), (2, 2, 2), (5, 5), (2, 2, 4)]:
+        for _ in range(3):
+            group = AbGroup(0, torsion)
+            yield Triplet(group, _random_bilinear(rng, group), _random_character(rng, group))
+
+
+def test_centralizer_structure_against_element_orders():
+    kinds = set()
+    for t in _structure_cases():
+        rep = centralizer(t)
+        structure = rep.structure
+        assert structure.order == len(rep.elements)
+        kinds.add(structure.abelian)
+        if structure.abelian:
+            model = AbGroup(0, structure.invariant_factors)
+            assert Counter(map(_hom_order, rep.elements)) == Counter(
+                x.order() for x in model.elements()
+            )
+        else:
+            x, y = structure.noncommuting
+            assert x in rep.elements and y in rep.elements
+            assert x.compose(y) != y.compose(x)
+    assert kinds == {True, False}
 
 
 def test_centralizer_lattice_cases():

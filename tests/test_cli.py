@@ -92,3 +92,31 @@ def test_exit_and_interrupt_are_not_caught(monkeypatch, exc):
     monkeypatch.setattr(cli, "cmd_factor", stopped)
     with pytest.raises(type(exc)):
         main(["factor", "triplets/mod3_standard.json"])
+
+
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (["selftest", "--suite", "nope"], "argument --suite: invalid choice: 'nope'"),
+        (["centralizer", FIXTURE, "--bound", "abc"], "argument --bound: invalid int value: 'abc'"),
+        ([], "the following arguments are required: command"),
+        (["centralizer"], "the following arguments are required: path"),
+    ],
+)
+def test_usage_error_is_json(argv, detail, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    captured = capsys.readouterr()
+    assert stop.value.code == EXIT_INVALID
+    payload = json.loads(captured.out)
+    assert payload["ok"] is False and payload["violation"] == "usage"
+    assert payload["detail"].startswith(detail)
+    assert captured.err.startswith("usage: tbshift")
+
+
+def test_help_is_not_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    captured = capsys.readouterr()
+    assert stop.value.code == 0
+    assert captured.out.startswith("usage: tbshift") and captured.err == ""

@@ -12,7 +12,9 @@ product_3_5 (about 14 s even at `--samples 1`).
 The Z^2 fixtures with a nontrivial character (lattice_theta_1_16_chi_*)
 run `centralizer` and `conjugate` with `--bound`, which reaches the
 bounded searches; product_3_5 against itself and against product_3_5_trivial
-covers the finite YES and NO searches.
+covers the finite YES and NO searches.  `centralizer` on
+z3_4_symplectic_chi is the largest finite centralizer here (648
+elements, nonabelian), which pins the structure step on (Z/3)^4.
 """
 
 import contextlib

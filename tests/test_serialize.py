@@ -9,6 +9,7 @@ from tbshift.cocycle import to_table
 from tbshift.configs import Config, dipole
 from tbshift.families import mod_q_cocycle, mod_q_triplet, lattice_det_triplet
 from tbshift.lattice import XI, AffineSL2, LatticePoint
+from tbshift import scalars
 from tbshift.scalars import Cyclotomic, Phase
 from tbshift.serialize import (
     SchemaError,
@@ -48,6 +49,17 @@ def test_cyclotomic_roundtrip():
     assert cyclotomic_from_json(cyclotomic_to_json(x)) == x
     with pytest.raises(SchemaError):
         cyclotomic_from_json({"order": 5, "coeffs": ["1/2"]})  # wrong length
+
+
+def test_short_coefficient_list_is_refused_without_factoring(monkeypatch):
+    # phi(N) >= sqrt(N/2), so one coefficient cannot fit a 14-digit prime order
+    def no_factoring(n):
+        raise AssertionError("euler_phi called")
+
+    monkeypatch.setattr(scalars, "euler_phi", no_factoring)
+    with pytest.raises(SchemaError, match="needs more than 1 coefficients") as err:
+        cyclotomic_from_json({"order": 99999999999973, "coeffs": ["1"]})
+    assert err.value.path == "$"
 
 
 def test_cyclotomic_coefficients_are_ints_or_strings():
