@@ -253,7 +253,7 @@ def test_group_structure_rejects_non_groups(elements, compose, message):
         group_structure(elements, compose)
 
 
-def test_group_structure_invariant_factors_against_order_statistics():
+def test_group_structure_invariant_factors_against_order_statistics(rng):
     # Z/2 x Z/4 modelled as translations acting on itself
     g = AbGroup(0, (2, 4))
     elems = list(g.elements())
@@ -264,3 +264,16 @@ def test_group_structure_invariant_factors_against_order_statistics():
 
     counts = Counter(e.order() for e in elems)
     assert counts == Counter({1: 1, 2: 3, 4: 4})
+    # listed as 0, 2, 1, 3, Z/4 is picked as <2> then 1 with 1 + 1 = 2 in
+    # the span: the relation rows must carry that word, not just the orders
+    z4 = AbGroup(0, (4,))
+    listed = [z4.element((c,)) for c in (0, 2, 1, 3)]
+    assert group_structure(listed, lambda a, b: a + b).invariant_factors == (4,)
+    for torsion in [(2, 4), (4, 6), (3, 9), (2, 2, 8)]:
+        shuffled = list(AbGroup(0, torsion).elements())
+        rng.shuffle(shuffled)
+        rep = group_structure(shuffled, lambda a, b: a + b)
+        model = AbGroup(0, rep.invariant_factors)
+        assert Counter(x.order() for x in model.elements()) == Counter(
+            x.order() for x in shuffled
+        )

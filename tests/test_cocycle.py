@@ -17,7 +17,7 @@ from tbshift.cocycle import (
 )
 from tbshift.families import det_form_cocycle, mod_q_cocycle
 from tbshift.scalars import Phase
-from tbshift.selftest import witness_catalog
+from tbshift.selftest import _random_bilinear, witness_catalog
 
 
 def random_phase_map(rng, group, den=8):
@@ -162,6 +162,25 @@ def test_degeneracy_witness_vanishes_against_generators():
     assert w is not None
     for e in mu.group.generators():
         assert star.value(w, e).is_zero
+
+
+def test_finite_degeneracy_witness_is_first_in_element_order(rng):
+    # brute oracle: the first nonzero g, in elements() order, whose star
+    # pairing vanishes against every h (not only the generators)
+    shapes = [(2, 4), (2, 2, 2), (3, 3), (4, 4), (2, 6), (3,)]
+    cocycles = [trivial_cocycle(AbGroup(0, t)) for t in shapes]
+    cocycles += [_random_bilinear(rng, AbGroup(0, t)) for t in shapes for _ in range(4)]
+    found = 0
+    for mu in cocycles:
+        star = star_bicharacter(mu)
+        elems = list(mu.group.elements())
+        brute = next(
+            (g for g in elems if not g.is_zero and all(star.value(g, h).is_zero for h in elems)),
+            None,
+        )
+        assert degeneracy_witness(mu) == brute
+        found += brute is not None
+    assert 0 < found < len(cocycles)
 
 
 def test_degenerate_free_direction_is_found():
