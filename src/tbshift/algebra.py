@@ -13,19 +13,27 @@ subclasses state only the keys and the twist:
 
 Elements are finite formal sums with Cyclotomic coefficients.  Zero
 coefficients are pruned eagerly so equality is structural.
+
+The malleability flow on the tensor square runs its products on a private
+swap kernel (_SwapKernel), built once per check from the swap unitary V:
+tables of the finite group and of the twist, and int coefficient
+rotations in place of Cyclotomic products.  The generic product loop of
+the base class stays the reference the tests compare the kernel with,
+and the only product AlgebraElement uses.  The flow is bounded to
+|H| <= MAX_FLOW_ORDER, checked before anything of size |H| is built.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Dict, Tuple
 
 from .abelian import AbElem, Character
 from .cocycle import degeneracy_witness
 from .configs import Config, mu_tilde
-from .scalars import Cyclotomic, Phase
+from .scalars import Cyclotomic, Phase, _make, _reduce
 
 
 def _zeta(p: Phase) -> Cyclotomic:
@@ -195,16 +203,29 @@ class TensorElement(_TwistedGroupAlgebra):
     star = _TwistedGroupAlgebra.star
 
 
+MAX_FLOW_ORDER = 1024
+"""Largest |H| the flow is run on: (Z/32)^2.  The swap unitary has |H|
+terms and the kernel's tables |H|^2 entries, so larger groups are refused
+before any of them is built."""
+
+
+def _check_flow_order(n: int) -> None:
+    if n > MAX_FLOW_ORDER:
+        raise ValueError(f"the flow is limited to |H| <= {MAX_FLOW_ORDER}, got |H| = {n}")
+
+
 def malleability_unitary(mu) -> TensorElement:
     """The scaled symmetric unitary V = sum_h u_h (x) u_h^*.
 
     V equals |H|^(1/2) times the unit-normalized element; keeping the
     integer scaling avoids the square root in the scalar field.  Requires
-    a finite base group and a nondegenerate cocycle.
+    a finite base group of order at most MAX_FLOW_ORDER and a
+    nondegenerate cocycle.
     """
     group = mu.group
     if not group.is_finite:
         raise ValueError("the malleability unitary needs a finite group")
+    _check_flow_order(group.order())
     witness = degeneracy_witness(mu)
     if witness is not None:
         raise ValueError(
@@ -216,30 +237,181 @@ def malleability_unitary(mu) -> TensorElement:
     return TensorElement(mu, terms)
 
 
-def _flow_parts(mu, t: Fraction):
-    """(a, b, S) with W_t = a + b S: a = (1 + e)/2, b = (1 - e)/2 for
-    e = e^{i pi t}, and S = V/sqrt|H|, the self-adjoint unitary that
-    implements the flip of the two legs.
+def _flow_scale(group) -> int:
+    """sqrt|H|, after the checks of every flow entry point in their order.
 
-    Exact only when |H| is a perfect square (then 1/sqrt|H| is rational);
-    every square base group (Z/q x Z/q and their products) qualifies.
-    Raises for an infinite group, then for a non-square order, then for a
-    degenerate cocycle.
+    The flow is exact only when |H| is a perfect square (then 1/sqrt|H| is
+    rational); every square base group (Z/q x Z/q and their products)
+    qualifies.  Raises for an infinite group, then for a non-square
+    order, then for an order above MAX_FLOW_ORDER; the degenerate
+    cocycle is refused after these, by malleability_unitary.
     """
-    n = mu.group.order()
+    n = group.order()
     s = isqrt(n)
     if s * s != n:
         raise ValueError("exact flow needs |H| to be a perfect square")
+    _check_flow_order(n)
+    return s
+
+
+def _flow_scalars(t: Fraction) -> Tuple[Cyclotomic, Cyclotomic]:
+    """(a, b) with W_t = a + b S: a = (1 + e)/2, b = (1 - e)/2 for
+    e = e^{i pi t}, and S = V/sqrt|H|, the self-adjoint unitary that
+    implements the flip of the two legs."""
     e = _zeta(Phase.from_fraction(Fraction(t) / 2))
-    a = (Cyclotomic.ONE + e) * Fraction(1, 2)
-    b = (Cyclotomic.ONE - e) * Fraction(1, 2)
-    return a, b, malleability_unitary(mu).scaled(Fraction(1, s))
+    return (Cyclotomic.ONE + e) * Fraction(1, 2), (Cyclotomic.ONE - e) * Fraction(1, 2)
 
 
 def flow_unitary(mu, t: Fraction) -> TensorElement:
     """W_t = P_1 + e^{i pi t} P_{-1} with P_{+-1} = (1 +- V/sqrt|H|)/2."""
-    a, b, s = _flow_parts(mu, t)
-    return TensorElement.one(mu).scaled(a) + s.scaled(b)
+    s = _flow_scale(mu.group)
+    a, b = _flow_scalars(t)
+    return TensorElement.one(mu).scaled(a) + malleability_unitary(mu).scaled(b * Fraction(1, s))
+
+
+class _SwapKernel:
+    """Products on the tensor square of one finite base, on tables.
+
+    Built once from the swap unitary V and shared by every flow of one
+    check.  The elements of H are numbered in the order of
+    group.elements(), a mixed radix over the torsion orders.  Tables give
+    the number of g + h and of -g, and the twist mu(g, h) as an exponent
+    of zeta_N, N the lcm of the twist's denominators.  A product term pair
+    then costs lookups and one rotation of int coefficients in the power
+    basis of Q(zeta_L), L a multiple of N and of every coefficient order;
+    each output coefficient is reduced mod Phi_L once.  No AbElem is
+    added, no Phase is evaluated and no root of unity is rebased in the
+    loop.  The generic TensorElement product stays the reference.
+
+    A coefficient is held as (m, d, ((k, c), ...)): the number
+    sum_k c zeta_m^k / d.  A root of unity of order dividing N, such as
+    each coefficient of V, becomes one such term.
+    """
+
+    def __init__(self, v: TensorElement):
+        mu, group = v.cocycle, v.group
+        self.mu = mu
+        self.scale = _flow_scale(group)
+        elems = list(group.elements())
+        self.elems = elems
+        self.index = {g.coords: i for i, g in enumerate(elems)}
+        add = [[0]]
+        for m in group.torsion:
+            # number (c_1, ..., c_r) as (...(c_1 m_2 + c_2) m_3 + ...) + c_r
+            add = [
+                [p * m + (c1 + c2) % m for p in row for c2 in range(m)]
+                for row in add
+                for c1 in range(m)
+            ]
+        self.add = add
+        # one row of Phases at a time: the exponents rescale when the
+        # conductor grows
+        twist, n = [], 1
+        for g in elems:
+            phases = [mu(g, h) for h in elems]
+            wider = lcm(n, *{p.den for p in phases})
+            if wider != n:
+                twist = [[e * (wider // n) for e in row] for row in twist]
+                n = wider
+            twist.append([p.num * (n // p.den) for p in phases])
+        self.twist, self.conductor = twist, n
+        self.roots = {}
+        for k in range(n):
+            z = _zeta(Phase(k, n))
+            self.roots[(z.order, z._num)] = k
+        self.v = self._terms(v)
+
+    @classmethod
+    def of(cls, mu) -> "_SwapKernel":
+        """The kernel of malleability_unitary(mu), after the flow's checks."""
+        _flow_scale(mu.group)
+        return cls(malleability_unitary(mu))
+
+    def _coefficient(self, c: Cyclotomic) -> tuple:
+        if c._den == 1:
+            k = self.roots.get((c.order, c._num))
+            if k is not None:
+                return (self.conductor, 1, ((k, 1),))
+        return (c.order, c._den, tuple((k, a) for k, a in enumerate(c._num) if a))
+
+    def _terms(self, x: TensorElement) -> list:
+        if x.cocycle is not self.mu and x.cocycle != self.mu:
+            raise ValueError("element is not over the kernel's base")
+        index, coefficient = self.index, self._coefficient
+        return [
+            (index[g.coords], index[h.coords], coefficient(c))
+            for (g, h), c in x.terms.items()
+        ]
+
+    def _scaled_v(self, c: Cyclotomic) -> list:
+        """V c / sqrt|H| in term form."""
+        m, d, cterms = self._coefficient(c * Fraction(1, self.scale))
+        out = []
+        for i, j, (mv, dv, vterms) in self.v:
+            order = lcm(m, mv)
+            sc, sv = order // m, order // mv
+            acc: Dict[int, int] = {}
+            for k1, a1 in cterms:
+                for k2, a2 in vterms:
+                    k = (k1 * sc + k2 * sv) % order
+                    acc[k] = acc.get(k, 0) + a1 * a2
+            out.append((i, j, (order, d * dv, tuple(acc.items()))))
+        return out
+
+    def _product(self, left: list, right: list) -> TensorElement:
+        n = self.conductor
+        order = lcm(n, *{m for _, _, (m, _, _) in left}, *{m for _, _, (m, _, _) in right})
+        dl = lcm(*{d for _, _, (_, d, _) in left})
+        dr = lcm(*{d for _, _, (_, d, _) in right})
+
+        def at_order(terms, den):
+            return [
+                (i, j, [(k * (order // m), a * (den // d)) for k, a in cs])
+                for i, j, (m, d, cs) in terms
+            ]
+
+        add, twist, step = self.add, self.twist, order // n
+        acc: Dict[Tuple[int, int], list] = {}
+        rights = at_order(right, dr)
+        for i1, j1, c1 in at_order(left, dl):
+            add_i, add_j, tw_i, tw_j = add[i1], add[j1], twist[i1], twist[j1]
+            for i2, j2, c2 in rights:
+                # u(i1, j1) u(i2, j2) = zeta^(mu(i1, i2) + mu(j1, j2)) u(i1 + i2, j1 + j2)
+                key = (add_i[i2], add_j[j2])
+                vec = acc.get(key)
+                if vec is None:
+                    vec = acc[key] = [0] * order
+                e = (tw_i[i2] + tw_j[j2]) * step
+                for k2, a2 in c2:
+                    e2 = e + k2
+                    for k1, a1 in c1:
+                        vec[(k1 + e2) % order] += a1 * a2
+        elems, den = self.elems, dl * dr
+        out = {}
+        for (i, j), vec in acc.items():
+            _reduce(vec, order)
+            if any(vec):
+                out[(elems[i], elems[j])] = _make(order, vec, den)
+        return TensorElement(self.mu, out)
+
+    def mul(self, x: TensorElement, y: TensorElement) -> TensorElement:
+        """x * y, equal to the generic TensorElement product."""
+        return self._product(self._terms(x), self._terms(y))
+
+    def flow(self, t: Fraction, x: TensorElement) -> TensorElement:
+        """Ad W_t(x) = |a|^2 x + |b|^2 flip(x) + a conj(b) x S + b conj(a) S x."""
+        terms = self._terms(x)
+        a, b = _flow_scalars(t)
+        ac, bc = a.conjugate(), b.conjugate()
+        flip = TensorElement(self.mu, {(k[1], k[0]): v for k, v in x.terms.items()})
+        out = x.scaled(a * ac) + flip.scaled(b * bc)
+        if a.is_zero or b.is_zero:
+            return out
+        return (
+            out
+            + self._product(terms, self._scaled_v(a * bc))
+            + self._product(self._scaled_v(b * ac), terms)
+        )
 
 
 def malleability_flow(mu, t: Fraction, x: TensorElement) -> TensorElement:
@@ -252,17 +424,12 @@ def malleability_flow(mu, t: Fraction, x: TensorElement) -> TensorElement:
     where flip(x) swaps the two legs of each key and keeps its coefficient.
     That is O(|x| |H|) term pairs against O(|x| |H|^2) for the product
     W_t x W_t^*, which the tests keep as the oracle.  At integer t one of
-    a, b is zero and the flow is x or flip(x).
+    a, b is zero and the flow is x or flip(x).  Raises for an element over
+    another base, then as _flow_scale and malleability_unitary do.
     """
     if x.cocycle != mu:
         raise ValueError("element is not over the given base")
-    a, b, s = _flow_parts(mu, t)
-    ac, bc = a.conjugate(), b.conjugate()
-    flip = TensorElement(mu, {(k[1], k[0]): v for k, v in x.terms.items()})
-    out = x.scaled(a * ac) + flip.scaled(b * bc)
-    if a.is_zero or b.is_zero:
-        return out
-    return out + x * s.scaled(a * bc) + s.scaled(b * ac) * x
+    return _SwapKernel.of(mu).flow(t, x)
 
 
 def apply_diagonal_character(c: Character, x):

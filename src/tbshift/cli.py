@@ -19,7 +19,7 @@ import random
 import sys
 from typing import Optional
 
-from .algebra import malleability_unitary
+from .algebra import MAX_FLOW_ORDER, malleability_unitary
 from .classify import centralizer, decide_conjugacy
 from .cocycle import CocycleError, degeneracy_witness, star_bicharacter
 from .dynamics import Triplet
@@ -176,6 +176,10 @@ def cmd_malleability(args) -> int:
     group = triplet.group
     if not group.is_finite:
         _emit({"ok": False, "detail": "the flow is only constructed for finite groups"})
+        return EXIT_UNKNOWN
+    n = group.order()
+    if n > MAX_FLOW_ORDER:
+        _emit({"ok": False, "detail": f"the flow is only run for |H| <= {MAX_FLOW_ORDER}, got {n}"})
         return EXIT_UNKNOWN
     try:
         v = malleability_unitary(triplet.cocycle)

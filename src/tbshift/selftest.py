@@ -15,10 +15,11 @@ from typing import Callable, Dict, List, Optional
 
 from .abelian import AbGroup, AbHom, Character, dual_characters
 from .algebra import (
+    MAX_FLOW_ORDER,
     AlgebraElement,
     TensorElement,
+    _SwapKernel,
     apply_diagonal_character,
-    malleability_flow,
     malleability_unitary,
 )
 from .classify import build_pi, verify_pi
@@ -235,18 +236,20 @@ def check_malleability(v: TensorElement, rng: random.Random, samples: int) -> di
 
     v is self-adjoint with v^2 = |H|, the flow at t = 1 is the flip, and on
     `samples` basis elements drawn from rng the flows at t = 1/2 compose to
-    t = 1 and commute with a random diagonal character.  At t = 1 the
-    closed form in malleability_flow is the flip by construction, so
-    full_swap only checks that relabelling; the tests compare the flow with
-    the product W_t x W_t^*.
+    t = 1 and commute with a random diagonal character.  One swap kernel
+    built from v runs the square and every flow.  At t = 1 the closed
+    form of the flow is the flip by construction, so full_swap only checks
+    that relabelling; the tests compare the flow with the product
+    W_t x W_t^*, and the kernel's product with the generic one.
     """
     mu, group = v.cocycle, v.group
+    kernel = _SwapKernel(v)
     zero = group.zero()
     checks = {
         "self_adjoint": v.star() == v,
-        "square": v * v == TensorElement.one(mu).scaled(group.order()),
+        "square": kernel.mul(v, v) == TensorElement.one(mu).scaled(group.order()),
         "full_swap": all(
-            malleability_flow(mu, Fraction(1), TensorElement.unit(mu, g, zero))
+            kernel.flow(Fraction(1), TensorElement.unit(mu, g, zero))
             == TensorElement.unit(mu, zero, g)
             for g in group.elements()
         ),
@@ -258,12 +261,12 @@ def check_malleability(v: TensorElement, rng: random.Random, samples: int) -> di
         g = group.element([rng.randrange(m) for m in group.torsion])
         h = group.element([rng.randrange(m) for m in group.torsion])
         x = TensorElement.unit(mu, g, h)
-        once = malleability_flow(mu, half, x)
-        if malleability_flow(mu, half, once) != malleability_flow(mu, Fraction(1), x):
+        once = kernel.flow(half, x)
+        if kernel.flow(half, once) != kernel.flow(Fraction(1), x):
             ok_half = False
         c = rng.choice(chars)
-        if apply_diagonal_character(c, once) != malleability_flow(
-            mu, half, apply_diagonal_character(c, x)
+        if apply_diagonal_character(c, once) != kernel.flow(
+            half, apply_diagonal_character(c, x)
         ):
             ok_char = False
     checks["half_composition"] = ok_half
@@ -301,6 +304,9 @@ SUITES: Dict[str, Callable] = {
 
 def run_suites(names: Optional[List[str]] = None, q: int = 3) -> dict:
     chosen = names or sorted(SUITES)
+    if "malleability" in chosen and q * q > MAX_FLOW_ORDER:
+        # refused before any suite runs: the flow needs |H| = q^2 terms
+        raise ValueError(f"q = {q} gives |H| = {q * q}, above the flow's limit {MAX_FLOW_ORDER}")
     report = {}
     for name in chosen:
         if name not in SUITES:

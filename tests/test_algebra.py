@@ -2,10 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from tbshift import algebra
 from tbshift.abelian import AbGroup, Character, dual_characters
 from tbshift.algebra import (
+    MAX_FLOW_ORDER,
     AlgebraElement,
     TensorElement,
+    _SwapKernel,
     apply_diagonal_character,
     flow_unitary,
     malleability_flow,
@@ -272,6 +275,13 @@ def _random_tensor_element(rng, mu, terms=3):
     return TensorElement(mu, out)
 
 
+def _symplectic_z2p4():
+    half, z = Phase(1, 2), Phase.ZERO
+    matrix = [[z] * 4 for _ in range(4)]
+    matrix[0][1] = matrix[2][3] = half
+    return BilinearCocycle(AbGroup(0, (2, 2, 2, 2)), matrix)
+
+
 def _shifted_table_cocycle(rng):
     mu = mod_q_cocycle(3)
     g = mu.group
@@ -282,15 +292,11 @@ def _shifted_table_cocycle(rng):
 
 def test_flow_matches_brute_conjugation(rng):
     # the closed form against the product W_t x W_t^* it stands for
-    z2p4 = AbGroup(0, (2, 2, 2, 2))
-    half, z = Phase(1, 2), Phase.ZERO
-    symplectic = [[z] * 4 for _ in range(4)]
-    symplectic[0][1] = symplectic[2][3] = half
     bases = [
         mod_q_cocycle(2),
         mod_q_cocycle(3),
         mod_q_cocycle(4),
-        BilinearCocycle(z2p4, symplectic),
+        _symplectic_z2p4(),
         _shifted_table_cocycle(rng),
     ]
     times = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)]
@@ -311,3 +317,81 @@ def test_flow_errors_at_every_time(t):
     for mu, message in cases:
         with pytest.raises(ValueError, match=message):
             malleability_flow(mu, t, TensorElement.one(mu))
+
+
+# coefficients of orders 1, 3, 5, 12 and 60, some with a denominator
+MIXED = [
+    Cyclotomic.from_phase(Phase(1, 12)) * Fraction(3, 2),
+    Cyclotomic.from_phase(Phase(1, 5)),
+    Cyclotomic.from_phase(Phase(2, 3)) * Fraction(-1, 4),
+    Cyclotomic.from_phase(Phase(7, 12)) + Cyclotomic.from_phase(Phase(3, 5)),
+    Cyclotomic.from_rational(Fraction(5, 3)),
+]
+
+
+def _mixed_tensor_element(rng, mu, terms):
+    g = mu.group
+    out = {}
+    for _ in range(terms):
+        key = tuple(g.element([rng.randrange(m) for m in g.torsion]) for _ in range(2))
+        out[key] = rng.choice(MIXED)
+    return TensorElement(mu, out)
+
+
+def test_kernel_product_matches_generic_product(rng):
+    product_3_5 = product_triplet(mod_q_triplet(3), mod_q_triplet(5)).cocycle
+    bases = [
+        (mod_q_cocycle(2), 40),
+        (mod_q_cocycle(3), 40),
+        (mod_q_cocycle(4), 40),
+        (_symplectic_z2p4(), 40),
+        (_shifted_table_cocycle(rng), 40),
+        (product_3_5, 8),
+    ]
+    for mu, rounds in bases:
+        kernel = _SwapKernel.of(mu)
+        zero = TensorElement.zero(mu)
+        for _ in range(rounds):
+            x = _mixed_tensor_element(rng, mu, rng.randint(1, 4))
+            y = _mixed_tensor_element(rng, mu, rng.randint(1, 4))
+            assert kernel.mul(x, y) == x * y
+            assert kernel.mul(x, zero) == zero == kernel.mul(zero, y)
+
+
+def test_kernel_product_cancels_to_zero():
+    # V^2 = |H| = 4, so (2 + V)(2 - V) = 0: every key of the product cancels
+    mu = mod_q_cocycle(2)
+    v = malleability_unitary(mu)
+    two = TensorElement.one(mu).scaled(2)
+    kernel = _SwapKernel(v)
+    assert (two + v) * (two - v) == TensorElement.zero(mu)
+    assert kernel.mul(two + v, two - v) == TensorElement.zero(mu)
+    # one key cancels, the others stay: a u_p + u_q against c u_r + d u_s
+    # with p + r = q + s and d = -a c mu(p, r) / mu(q, s)
+    g = mu.group
+    p, q, r = g.element((1, 0)), g.element((0, 1)), g.element((1, 1))
+    s = p + r - q
+    a, c = MIXED[0], MIXED[1]
+    d = -(a * c * Cyclotomic.from_phase(mu(p, r) - mu(q, s)))
+    zero = g.zero()
+    x = TensorElement(mu, {(p, zero): a, (q, zero): Cyclotomic.ONE})
+    y = TensorElement(mu, {(r, zero): c, (s, zero): d})
+    assert (p + r, zero) not in (x * y).terms
+    assert kernel.mul(x, y) == x * y
+
+
+def test_flow_refuses_groups_above_the_bound(monkeypatch):
+    def never(mu):
+        raise AssertionError("the bound is checked before the degeneracy witness")
+
+    monkeypatch.setattr(algebra, "degeneracy_witness", never)
+    mu = mod_q_cocycle(64)
+    assert mu.group.order() == 4096 > MAX_FLOW_ORDER
+    for build in (
+        lambda: _SwapKernel.of(mu),
+        lambda: malleability_unitary(mu),
+        lambda: flow_unitary(mu, Fraction(1, 2)),
+        lambda: malleability_flow(mu, Fraction(1, 2), TensorElement.one(mu)),
+    ):
+        with pytest.raises(ValueError, match="limited to"):
+            build()

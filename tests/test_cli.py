@@ -3,12 +3,13 @@
 import contextlib
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from tbshift import cli
-from tbshift.cli import EXIT_INTERNAL, EXIT_INVALID, main
+from tbshift import algebra, cli
+from tbshift.cli import EXIT_INTERNAL, EXIT_INVALID, EXIT_UNKNOWN, main
 
 
 def _run(argv):
@@ -26,12 +27,54 @@ def test_selftest_rejects_modulus_below_two(q):
     assert "torsion orders" in payload["detail"]
 
 
+@pytest.mark.parametrize("suite", [[], ["--suite", "malleability"]])
+def test_selftest_refuses_modulus_above_the_flow_bound(suite):
+    # (Z/1000)^2 has 10^6 elements: refused before any suite runs
+    start = time.perf_counter()
+    code, payload = _run(["selftest", *suite, "--q", "1000"])
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_INVALID
+    assert payload == {
+        "ok": False,
+        "detail": "q = 1000 gives |H| = 1000000, above the flow's limit 1024",
+    }
+
+
+def test_malleability_refuses_groups_above_the_flow_bound(tmp_path):
+    triplet = {
+        "group": {"free_rank": 0, "torsion": [64, 64]},
+        "cocycle": {"kind": "bichar", "matrix": [["0/1", "1/64"], ["0/1", "0/1"]]},
+        "character": {"phases": ["1/64", "0/1"]},
+    }
+    path = tmp_path / "mod64.json"
+    path.write_text(json.dumps(triplet), encoding="utf-8")
+    start = time.perf_counter()
+    code, payload = _run(["malleability", str(path)])
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_UNKNOWN
+    assert payload == {"ok": False, "detail": "the flow is only run for |H| <= 1024, got 4096"}
+
+
 FIXTURE = "triplets/lattice_theta_1_16_chi_1_5.json"
 
 
 @pytest.fixture
 def at_root(monkeypatch):
     monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+
+
+def test_malleability_runs_the_degeneracy_witness_once(at_root, monkeypatch):
+    calls = []
+    witness = algebra.degeneracy_witness
+
+    def counted(mu):
+        calls.append(mu)
+        return witness(mu)
+
+    monkeypatch.setattr(algebra, "degeneracy_witness", counted)
+    code, payload = _run(["malleability", "triplets/mod3_standard.json", "--samples", "2"])
+    assert code == 0 and payload["ok"] is True
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("bound", ["0", "-1"])
