@@ -275,8 +275,8 @@ class _SwapKernel:
     Built once from the swap unitary V and shared by every flow of one
     check.  The elements of H are numbered in the order of
     group.elements(), a mixed radix over the torsion orders.  Tables give
-    the number of g + h and of -g, and the twist mu(g, h) as an exponent
-    of zeta_N, N the lcm of the twist's denominators.  A product term pair
+    the number of g + h and the twist mu(g, h) as an exponent of zeta_N,
+    N the lcm of the twist's denominators.  A product term pair
     then costs lookups and one rotation of int coefficients in the power
     basis of Q(zeta_L), L a multiple of N and of every coefficient order;
     each output coefficient is reduced mod Phi_L once.  No AbElem is
