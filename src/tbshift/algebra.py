@@ -14,12 +14,13 @@ subclasses state only the keys and the twist:
 Elements are finite formal sums with Cyclotomic coefficients.  Zero
 coefficients are pruned eagerly so equality is structural.
 
-The malleability flow on the tensor square runs its products on a private
-swap kernel (_SwapKernel), built once per check from the swap unitary V:
-tables of the finite group and of the twist, and int coefficient
+The malleability flow on the tensor square needs one product per flow,
+y V with the swap unitary V on the right.  A private swap kernel
+(_SwapKernel), built once per check from the cocycle, computes it on
+tables of the finite group and of the twist, with int coefficient
 rotations in place of Cyclotomic products.  The generic product loop of
-the base class stays the reference the tests compare the kernel with,
-and the only product AlgebraElement uses.  The flow is bounded to
+the base class stays the reference the tests compare y V with, and the
+only product AlgebraElement uses.  The flow is bounded to
 |H| <= MAX_FLOW_ORDER, checked before anything of size |H| is built.
 """
 
@@ -214,6 +215,14 @@ def _check_flow_order(n: int) -> None:
         raise ValueError(f"the flow is limited to |H| <= {MAX_FLOW_ORDER}, got |H| = {n}")
 
 
+def _check_nondegenerate(mu) -> None:
+    witness = degeneracy_witness(mu)
+    if witness is not None:
+        raise ValueError(
+            f"cocycle is degenerate: {witness.coords} pairs trivially with everything"
+        )
+
+
 def malleability_unitary(mu) -> TensorElement:
     """The scaled symmetric unitary V = sum_h u_h (x) u_h^*.
 
@@ -226,11 +235,7 @@ def malleability_unitary(mu) -> TensorElement:
     if not group.is_finite:
         raise ValueError("the malleability unitary needs a finite group")
     _check_flow_order(group.order())
-    witness = degeneracy_witness(mu)
-    if witness is not None:
-        raise ValueError(
-            f"cocycle is degenerate: {witness.coords} pairs trivially with everything"
-        )
+    _check_nondegenerate(mu)
     terms: Dict[Tuple[AbElem, AbElem], Cyclotomic] = {}
     for h in group.elements():
         terms[(h, -h)] = _zeta(-mu(h, -h))
@@ -244,7 +249,7 @@ def _flow_scale(group) -> int:
     rational); every square base group (Z/q x Z/q and their products)
     qualifies.  Raises for an infinite group, then for a non-square
     order, then for an order above MAX_FLOW_ORDER; the degenerate
-    cocycle is refused after these, by malleability_unitary.
+    cocycle is refused after these.
     """
     n = group.order()
     s = isqrt(n)
@@ -270,26 +275,23 @@ def flow_unitary(mu, t: Fraction) -> TensorElement:
 
 
 class _SwapKernel:
-    """Products on the tensor square of one finite base, on tables.
+    """Right multiplication by the swap unitary V on tables, and the flow.
 
-    Built once from the swap unitary V and shared by every flow of one
-    check.  The elements of H are numbered in the order of
-    group.elements(), a mixed radix over the torsion orders.  Tables give
-    the number of g + h and the twist mu(g, h) as an exponent of zeta_N,
-    N the lcm of the twist's denominators.  A product term pair
-    then costs lookups and one rotation of int coefficients in the power
-    basis of Q(zeta_L), L a multiple of N and of every coefficient order;
-    each output coefficient is reduced mod Phi_L once.  No AbElem is
-    added, no Phase is evaluated and no root of unity is rebased in the
-    loop.  The generic TensorElement product stays the reference.
-
-    A coefficient is held as (m, d, ((k, c), ...)): the number
-    sum_k c zeta_m^k / d.  A root of unity of order dividing N, such as
-    each coefficient of V, becomes one such term.
+    Built once per cocycle and shared by every flow of one check.  The
+    elements of H are numbered in the order of group.elements(), a mixed
+    radix over the torsion orders.  Tables give the number of g + h and
+    the twist mu(g, h) as an exponent of zeta_N, N the lcm of the twist's
+    denominators; V's coefficient at u_h (x) u_{-h} is zeta_N to the
+    exponent -mu(h, -h).  A term pair of y V then costs lookups and one
+    rotation of int coefficients in the power basis of Q(zeta_L), L a
+    multiple of N and of every coefficient order of y; each output
+    coefficient is reduced mod Phi_L once.  No AbElem is added, no Phase
+    is evaluated and no root of unity is rebased in the loop.  The generic
+    TensorElement product stays the reference.
     """
 
-    def __init__(self, v: TensorElement):
-        mu, group = v.cocycle, v.group
+    def __init__(self, mu):
+        group = mu.group
         self.mu = mu
         self.scale = _flow_scale(group)
         elems = list(group.elements())
@@ -315,78 +317,42 @@ class _SwapKernel:
                 n = wider
             twist.append([p.num * (n // p.den) for p in phases])
         self.twist, self.conductor = twist, n
-        self.roots = {}
-        for k in range(n):
-            z = _zeta(Phase(k, n))
-            self.roots[(z.order, z._num)] = k
-        self.v = self._terms(v)
+        # V = sum_h zeta_N^(-mu(h, -h)) u_h (x) u_-h as (h, -h, exponent),
+        # with -h read off the zero in row h of the addition table
+        neg = [row.index(0) for row in add]
+        self.v = [(h, nh, -twist[h][nh]) for h, nh in enumerate(neg)]
 
     @classmethod
     def of(cls, mu) -> "_SwapKernel":
-        """The kernel of malleability_unitary(mu), after the flow's checks."""
+        """The kernel of mu, after the flow's checks in their order."""
         _flow_scale(mu.group)
-        return cls(malleability_unitary(mu))
+        _check_nondegenerate(mu)
+        return cls(mu)
 
-    def _coefficient(self, c: Cyclotomic) -> tuple:
-        if c._den == 1:
-            k = self.roots.get((c.order, c._num))
-            if k is not None:
-                return (self.conductor, 1, ((k, 1),))
-        return (c.order, c._den, tuple((k, a) for k, a in enumerate(c._num) if a))
-
-    def _terms(self, x: TensorElement) -> list:
-        if x.cocycle is not self.mu and x.cocycle != self.mu:
+    def times_v(self, y: TensorElement) -> TensorElement:
+        """y V, equal to the generic TensorElement product."""
+        if y.cocycle is not self.mu and y.cocycle != self.mu:
             raise ValueError("element is not over the kernel's base")
-        index, coefficient = self.index, self._coefficient
-        return [
-            (index[g.coords], index[h.coords], coefficient(c))
-            for (g, h), c in x.terms.items()
-        ]
-
-    def _scaled_v(self, c: Cyclotomic) -> list:
-        """V c / sqrt|H| in term form."""
-        m, d, cterms = self._coefficient(c * Fraction(1, self.scale))
-        out = []
-        for i, j, (mv, dv, vterms) in self.v:
-            order = lcm(m, mv)
-            sc, sv = order // m, order // mv
-            acc: Dict[int, int] = {}
-            for k1, a1 in cterms:
-                for k2, a2 in vterms:
-                    k = (k1 * sc + k2 * sv) % order
-                    acc[k] = acc.get(k, 0) + a1 * a2
-            out.append((i, j, (order, d * dv, tuple(acc.items()))))
-        return out
-
-    def _product(self, left: list, right: list) -> TensorElement:
-        n = self.conductor
-        order = lcm(n, *{m for _, _, (m, _, _) in left}, *{m for _, _, (m, _, _) in right})
-        dl = lcm(*{d for _, _, (_, d, _) in left})
-        dr = lcm(*{d for _, _, (_, d, _) in right})
-
-        def at_order(terms, den):
-            return [
-                (i, j, [(k * (order // m), a * (den // d)) for k, a in cs])
-                for i, j, (m, d, cs) in terms
-            ]
-
+        n, index = self.conductor, self.index
+        order = lcm(n, *{c.order for c in y.terms.values()})
+        den = lcm(*{c._den for c in y.terms.values()})
         add, twist, step = self.add, self.twist, order // n
         acc: Dict[Tuple[int, int], list] = {}
-        rights = at_order(right, dr)
-        for i1, j1, c1 in at_order(left, dl):
-            add_i, add_j, tw_i, tw_j = add[i1], add[j1], twist[i1], twist[j1]
-            for i2, j2, c2 in rights:
-                # u(i1, j1) u(i2, j2) = zeta^(mu(i1, i2) + mu(j1, j2)) u(i1 + i2, j1 + j2)
-                key = (add_i[i2], add_j[j2])
+        for (g, h), c in y.terms.items():
+            i, j = index[g.coords], index[h.coords]
+            sc, sd = order // c.order, den // c._den
+            cs = [(k * sc, a * sd) for k, a in enumerate(c._num) if a]
+            add_i, add_j, tw_i, tw_j = add[i], add[j], twist[i], twist[j]
+            for k, nk, ev in self.v:
+                # u(i, j) u(k, -k) = zeta^(mu(i, k) + mu(j, -k)) u(i + k, j - k)
+                key = (add_i[k], add_j[nk])
                 vec = acc.get(key)
                 if vec is None:
                     vec = acc[key] = [0] * order
-                e = (tw_i[i2] + tw_j[j2]) * step
-                for k2, a2 in c2:
-                    e2 = e + k2
-                    for k1, a1 in c1:
-                        vec[(k1 + e2) % order] += a1 * a2
-        elems, den = self.elems, dl * dr
+                e = (tw_i[k] + tw_j[nk] + ev) * step
+                for p, a in cs:
+                    vec[(p + e) % order] += a
+        elems = self.elems
         out = {}
         for (i, j), vec in acc.items():
             _reduce(vec, order)
@@ -394,24 +360,20 @@ class _SwapKernel:
                 out[(elems[i], elems[j])] = _make(order, vec, den)
         return TensorElement(self.mu, out)
 
-    def mul(self, x: TensorElement, y: TensorElement) -> TensorElement:
-        """x * y, equal to the generic TensorElement product."""
-        return self._product(self._terms(x), self._terms(y))
-
     def flow(self, t: Fraction, x: TensorElement) -> TensorElement:
-        """Ad W_t(x) = |a|^2 x + |b|^2 flip(x) + a conj(b) x S + b conj(a) S x."""
-        terms = self._terms(x)
+        """Ad W_t(x) = |a|^2 x + |b|^2 flip(x) + (a conj(b) x + b conj(a) flip(x)) S.
+
+        S x = flip(x) S, as S is self-adjoint, S^2 = 1 and S x S = flip(x),
+        so both cross terms share the one product with S on the right.
+        """
         a, b = _flow_scalars(t)
         ac, bc = a.conjugate(), b.conjugate()
-        flip = TensorElement(self.mu, {(k[1], k[0]): v for k, v in x.terms.items()})
+        flip = TensorElement(x.cocycle, {(k[1], k[0]): v for k, v in x.terms.items()})
         out = x.scaled(a * ac) + flip.scaled(b * bc)
         if a.is_zero or b.is_zero:
             return out
-        return (
-            out
-            + self._product(terms, self._scaled_v(a * bc))
-            + self._product(self._scaled_v(b * ac), terms)
-        )
+        r = Fraction(1, self.scale)
+        return out + self.times_v(x.scaled(a * bc * r) + flip.scaled(b * ac * r))
 
 
 def malleability_flow(mu, t: Fraction, x: TensorElement) -> TensorElement:
@@ -419,13 +381,13 @@ def malleability_flow(mu, t: Fraction, x: TensorElement) -> TensorElement:
 
     With W_t = a + b S and S u_g (x) u_h S = u_h (x) u_g,
 
-        Ad W_t(x) = |a|^2 x + |b|^2 flip(x) + a conj(b) x S + b conj(a) S x,
+        Ad W_t(x) = |a|^2 x + |b|^2 flip(x) + (a conj(b) x + b conj(a) flip(x)) S,
 
     where flip(x) swaps the two legs of each key and keeps its coefficient.
     That is O(|x| |H|) term pairs against O(|x| |H|^2) for the product
     W_t x W_t^*, which the tests keep as the oracle.  At integer t one of
     a, b is zero and the flow is x or flip(x).  Raises for an element over
-    another base, then as _flow_scale and malleability_unitary do.
+    another base, then as _flow_scale does, then for a degenerate cocycle.
     """
     if x.cocycle != mu:
         raise ValueError("element is not over the given base")

@@ -90,8 +90,7 @@ def rho(t: Triplet, g: Motion, x: AlgebraElement) -> AlgebraElement:
             d = det2(g.shift, point)
             if d:
                 phase = phase + chi(value) * d
-        for _, value in rotated.items():
-            phase = phase + g.char(value)
+        phase = phase + g.char(rotated.total())
         key = rotated.moved_by(translate)
         term = coeff * _zeta(phase)
         out[key] = out[key] + term if key in out else term

@@ -34,7 +34,7 @@ from .cocycle import (
 )
 from .configs import Config, dipole
 from .dynamics import Motion, Triplet, motion_mul, verify_motion_relations, weak_mixing_witness
-from .families import mod_q_triplet
+from .families import mod_q_group, mod_q_triplet
 from .lattice import (
     IDENTITY_MAT,
     LatticePoint,
@@ -237,17 +237,18 @@ def check_malleability(v: TensorElement, rng: random.Random, samples: int) -> di
     v is self-adjoint with v^2 = |H|, the flow at t = 1 is the flip, and on
     `samples` basis elements drawn from rng the flows at t = 1/2 compose to
     t = 1 and commute with a random diagonal character.  One swap kernel
-    built from v runs the square and every flow.  At t = 1 the closed
-    form of the flow is the flip by construction, so full_swap only checks
-    that relabelling; the tests compare the flow with the product
-    W_t x W_t^*, and the kernel's product with the generic one.
+    built from v's cocycle runs every flow and the square, as v times the
+    kernel's own table-built V.  At t = 1 the closed form of the flow is
+    the flip by construction, so full_swap only checks that relabelling;
+    the tests compare the flow with the product W_t x W_t^*, and the
+    kernel's y V with the generic product.
     """
     mu, group = v.cocycle, v.group
-    kernel = _SwapKernel(v)
+    kernel = _SwapKernel(mu)
     zero = group.zero()
     checks = {
         "self_adjoint": v.star() == v,
-        "square": kernel.mul(v, v) == TensorElement.one(mu).scaled(group.order()),
+        "square": kernel.times_v(v) == TensorElement.one(mu).scaled(group.order()),
         "full_swap": all(
             kernel.flow(Fraction(1), TensorElement.unit(mu, g, zero))
             == TensorElement.unit(mu, zero, g)
@@ -304,9 +305,12 @@ SUITES: Dict[str, Callable] = {
 
 def run_suites(names: Optional[List[str]] = None, q: int = 3) -> dict:
     chosen = names or sorted(SUITES)
-    if "malleability" in chosen and q * q > MAX_FLOW_ORDER:
-        # refused before any suite runs: the flow needs |H| = q^2 terms
-        raise ValueError(f"q = {q} gives |H| = {q * q}, above the flow's limit {MAX_FLOW_ORDER}")
+    if "malleability" in chosen:
+        # refused before any suite runs: the flow needs |H| = q^2 terms,
+        # and a q such as 1 or 0 names no group
+        if q * q > MAX_FLOW_ORDER:
+            raise ValueError(f"q = {q} gives |H| = {q * q}, above the flow's limit {MAX_FLOW_ORDER}")
+        mod_q_group(q)
     report = {}
     for name in chosen:
         if name not in SUITES:

@@ -208,7 +208,6 @@ def test_flow_unitary_composition(mu3):
 
 def test_flow_needs_square_order():
     mu = trivial_cocycle(AbGroup(0, (2, 3)))  # order 6, not a square
-    x = TensorElement.one(mu)
     with pytest.raises(ValueError, match="square"):
         flow_unitary(mu, Fraction(1, 2))
 
@@ -338,6 +337,10 @@ def _mixed_tensor_element(rng, mu, terms):
     return TensorElement(mu, out)
 
 
+def _flip(x):
+    return TensorElement(x.cocycle, {(k[1], k[0]): c for k, c in x.terms.items()})
+
+
 def test_kernel_product_matches_generic_product(rng):
     product_3_5 = product_triplet(mod_q_triplet(3), mod_q_triplet(5)).cocycle
     bases = [
@@ -350,34 +353,40 @@ def test_kernel_product_matches_generic_product(rng):
     ]
     for mu, rounds in bases:
         kernel = _SwapKernel.of(mu)
+        v = malleability_unitary(mu)
         zero = TensorElement.zero(mu)
+        assert kernel.times_v(zero) == zero
         for _ in range(rounds):
             x = _mixed_tensor_element(rng, mu, rng.randint(1, 4))
-            y = _mixed_tensor_element(rng, mu, rng.randint(1, 4))
-            assert kernel.mul(x, y) == x * y
-            assert kernel.mul(x, zero) == zero == kernel.mul(zero, y)
+            assert kernel.times_v(x) == x * v
+            # S x = flip(x) S, which the flow's single product rests on
+            assert v * x == _flip(x) * v
 
 
 def test_kernel_product_cancels_to_zero():
-    # V^2 = |H| = 4, so (2 + V)(2 - V) = 0: every key of the product cancels
-    mu = mod_q_cocycle(2)
-    v = malleability_unitary(mu)
-    two = TensorElement.one(mu).scaled(2)
-    kernel = _SwapKernel(v)
-    assert (two + v) * (two - v) == TensorElement.zero(mu)
-    assert kernel.mul(two + v, two - v) == TensorElement.zero(mu)
-    # one key cancels, the others stay: a u_p + u_q against c u_r + d u_s
-    # with p + r = q + s and d = -a c mu(p, r) / mu(q, s)
+    # V V = |H|: every key of the product but the zero key cancels
+    for mu in (mod_q_cocycle(2), mod_q_cocycle(3), _symplectic_z2p4()):
+        v = malleability_unitary(mu)
+        assert _SwapKernel.of(mu).times_v(v) == TensorElement.one(mu).scaled(mu.group.order())
+    # one key cancels, the others stay: a u(p1, p2) + b u(q1, q2) with
+    # p1 + p2 = q1 + q2 hits the key (p1 + k, p2 - k) of u(p1, p2) V at
+    # u(q1, q2) u(l, -l), l = p1 + k - q1; b makes the two terms there cancel
+    mu = mod_q_cocycle(3)
     g = mu.group
-    p, q, r = g.element((1, 0)), g.element((0, 1)), g.element((1, 1))
-    s = p + r - q
-    a, c = MIXED[0], MIXED[1]
-    d = -(a * c * Cyclotomic.from_phase(mu(p, r) - mu(q, s)))
-    zero = g.zero()
-    x = TensorElement(mu, {(p, zero): a, (q, zero): Cyclotomic.ONE})
-    y = TensorElement(mu, {(r, zero): c, (s, zero): d})
-    assert (p + r, zero) not in (x * y).terms
-    assert kernel.mul(x, y) == x * y
+    p1, p2, q1, q2 = (g.element(c) for c in ((1, 0), (0, 1), (2, 2), (2, 2)))
+    k = g.element((1, 2))
+    l = p1 + k - q1
+
+    def phase(h1, h2, m):
+        # u(h1, h2) u(m, -m) with V's coefficient at (m, -m)
+        return mu(h1, m) + mu(h2, -m) - mu(m, -m)
+
+    a = MIXED[0]
+    b = -(a * Cyclotomic.from_phase(phase(p1, p2, k) - phase(q1, q2, l)))
+    y = TensorElement(mu, {(p1, p2): a, (q1, q2): b})
+    product = y * malleability_unitary(mu)
+    assert (p1 + k, p2 - k) not in product.terms and product.terms
+    assert _SwapKernel.of(mu).times_v(y) == product
 
 
 def test_flow_refuses_groups_above_the_bound(monkeypatch):

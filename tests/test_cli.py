@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from tbshift import algebra, cli
-from tbshift.cli import EXIT_INTERNAL, EXIT_INVALID, EXIT_UNKNOWN, main
+from tbshift import algebra, cli, selftest
+from tbshift.cli import EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, EXIT_UNKNOWN, main
 
 
 def _run(argv):
@@ -25,6 +25,24 @@ def test_selftest_rejects_modulus_below_two(q):
     assert code == EXIT_INVALID
     assert payload["ok"] is False
     assert "torsion orders" in payload["detail"]
+
+
+def test_selftest_rejects_modulus_below_two_before_any_suite(monkeypatch, capsys):
+    def never(rng):
+        raise AssertionError("a bad --q is refused before any suite runs")
+
+    for name in selftest.SUITES:
+        if name != "malleability":
+            monkeypatch.setitem(selftest.SUITES, name, never)
+    assert main(["selftest", "--q", "1"]) == EXIT_INVALID
+    assert capsys.readouterr().out == (
+        '{\n  "detail": "torsion orders must be >= 2",\n  "ok": false\n}\n'
+    )
+
+
+def test_selftest_ignores_modulus_without_the_malleability_suite():
+    code, payload = _run(["selftest", "--suite", "detgcd", "--q", "1"])
+    assert code == EXIT_OK and payload["ok"] is True
 
 
 @pytest.mark.parametrize("suite", [[], ["--suite", "malleability"]])
