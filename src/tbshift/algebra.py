@@ -37,10 +37,6 @@ from .configs import Config, mu_tilde
 from .scalars import Cyclotomic, Phase, _make, _reduce
 
 
-def _zeta(p: Phase) -> Cyclotomic:
-    return Cyclotomic.from_phase(p)
-
-
 class _TwistedGroupAlgebra:
     """Finite formal sum sum_k c(k) u(k) over a twisted group algebra.
 
@@ -107,7 +103,7 @@ class _TwistedGroupAlgebra:
             for k2, v2 in other.terms.items():
                 # u(k1) u(k2) = twist(k1, k2) u(k1 + k2)
                 key = add(k1, k2)
-                coeff = v1 * v2 * _zeta(twist(mu, k1, k2))
+                coeff = v1 * v2 * Cyclotomic.from_phase(twist(mu, k1, k2))
                 out[key] = out[key] + coeff if key in out else coeff
         return type(self)(self.cocycle, out)
 
@@ -119,7 +115,7 @@ class _TwistedGroupAlgebra:
         out: Dict[object, Cyclotomic] = {}
         for k, v in self.terms.items():
             nk = neg(k)
-            coeff = v.conjugate() * _zeta(-twist(mu, k, nk))
+            coeff = v.conjugate() * Cyclotomic.from_phase(-twist(mu, k, nk))
             out[nk] = out[nk] + coeff if nk in out else coeff
         return type(self)(self.cocycle, out)
 
@@ -238,7 +234,7 @@ def malleability_unitary(mu) -> TensorElement:
     _check_nondegenerate(mu)
     terms: Dict[Tuple[AbElem, AbElem], Cyclotomic] = {}
     for h in group.elements():
-        terms[(h, -h)] = _zeta(-mu(h, -h))
+        terms[(h, -h)] = Cyclotomic.from_phase(-mu(h, -h))
     return TensorElement(mu, terms)
 
 
@@ -263,7 +259,7 @@ def _flow_scalars(t: Fraction) -> Tuple[Cyclotomic, Cyclotomic]:
     """(a, b) with W_t = a + b S: a = (1 + e)/2, b = (1 - e)/2 for
     e = e^{i pi t}, and S = V/sqrt|H|, the self-adjoint unitary that
     implements the flip of the two legs."""
-    e = _zeta(Phase.from_fraction(Fraction(t) / 2))
+    e = Cyclotomic.from_phase(Phase.from_fraction(Fraction(t) / 2))
     return (Cyclotomic.ONE + e) * Fraction(1, 2), (Cyclotomic.ONE - e) * Fraction(1, 2)
 
 
@@ -398,4 +394,5 @@ def apply_diagonal_character(c: Character, x):
     """Scale each term by c evaluated on the total group content of its key."""
     if not isinstance(x, _TwistedGroupAlgebra):
         raise TypeError("expected an AlgebraElement or TensorElement")
-    return type(x)(x.cocycle, {k: v * _zeta(c(x._total(k))) for k, v in x.terms.items()})
+    terms = {k: v * Cyclotomic.from_phase(c(x._total(k))) for k, v in x.terms.items()}
+    return type(x)(x.cocycle, terms)

@@ -23,7 +23,7 @@ from .abelian import (
     group_structure,
     is_isomorphism,
 )
-from .algebra import AlgebraElement, _zeta
+from .algebra import AlgebraElement
 from .cocycle import BilinearCocycle, star_bicharacter, trivial_cocycle
 from .configs import Config, mu_hat
 from .dynamics import Triplet, beta
@@ -39,7 +39,7 @@ from .lattice import (
     gcd2,
     spiral_index,
 )
-from .scalars import Phase
+from .scalars import Cyclotomic, Phase
 
 
 def check_conditions(ta: Triplet, tb: Triplet, phi: AbHom) -> tuple:
@@ -109,7 +109,7 @@ class PiPhi:
         out: dict = {}
         for lam, coeff in x.terms.items():
             key = lam.mapped(self.phi)
-            term = coeff * _zeta(self.term_phase(lam))
+            term = coeff * Cyclotomic.from_phase(self.term_phase(lam))
             out[key] = out[key] + term if key in out else term
         return AlgebraElement(self.tb.cocycle, out)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .abelian import AbGroup, Character, separating_characters
-from .algebra import AlgebraElement, apply_diagonal_character, _zeta
+from .algebra import AlgebraElement, apply_diagonal_character
 from .lattice import (
     IDENTITY_MAT,
     ORIGIN,
@@ -25,7 +25,7 @@ from .lattice import (
     mat_apply,
     spiral_points,
 )
-from .scalars import Phase
+from .scalars import Cyclotomic, Phase
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def rho(t: Triplet, g: Motion, x: AlgebraElement) -> AlgebraElement:
                 phase = phase + chi(value) * d
         phase = phase + g.char(rotated.total())
         key = rotated.moved_by(translate)
-        term = coeff * _zeta(phase)
+        term = coeff * Cyclotomic.from_phase(phase)
         out[key] = out[key] + term if key in out else term
     return AlgebraElement(x.cocycle, out)
 

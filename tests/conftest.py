@@ -1,4 +1,6 @@
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -6,3 +8,24 @@ import pytest
 @pytest.fixture
 def rng():
     return random.Random(20260810)
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError inside the block once `seconds` of wall time pass.
+
+    Use it around a call that could run without limit, so a regression
+    fails the test instead of hanging the suite.  Built on SIGALRM, so it
+    works only in the main thread.
+    """
+
+    def expire(signum, frame):
+        raise TimeoutError(f"deadline of {seconds} s passed")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

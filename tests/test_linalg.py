@@ -1,0 +1,205 @@
+"""The exact linear algebra against sympy and brute-force oracles."""
+
+import itertools
+import random
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+import sympy
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+from conftest import deadline
+from tbshift.abelian import AbGroup, AbHom, is_isomorphism
+from tbshift.linalg import (
+    primitive_integer_vector,
+    rational_kernel_basis,
+    smith_normal_form,
+    snf_diagonal,
+    solve_congruence,
+)
+
+SEEDS = (1, 2, 3, 4)
+
+
+@lru_cache(maxsize=None)
+def random_sample(seed: int, count: int = 1500) -> tuple:
+    """Sparse matrices up to 7 x 9: each entry 0 with probability 2/3, else in [-30, 30]."""
+    rng = random.Random(seed)
+    sample = []
+    for _ in range(count):
+        m, n = rng.randint(1, 7), rng.randint(1, 9)
+        sample.append([[0 if rng.random() < 2 / 3 else rng.randint(-30, 30) for _ in range(n)]
+                       for _ in range(m)])
+    return tuple(sample)
+
+
+def matmul(x: list, y: list, cols: int) -> list:
+    return [[sum(row[k] * y[k][j] for k in range(len(y))) for j in range(cols)] for row in x]
+
+
+def determinant(mat: list) -> int:
+    """Bareiss fraction-free elimination: exact in ints."""
+    a = [list(row) for row in mat]
+    sign, previous = 1, 1
+    for k in range(len(a) - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, len(a)) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, len(a)):
+            for j in range(k + 1, len(a)):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // previous
+        previous = a[k][k]
+    return sign * a[-1][-1] if a else 1
+
+
+def check_snf(a: list) -> list:
+    """Check the (d, u, v) contract of smith_normal_form(a) and return the diagonal."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    d, u, v = smith_normal_form(a)
+    assert matmul(matmul(u, a, n), v, n) == d
+    assert abs(determinant(u)) == 1 and abs(determinant(v)) == 1
+    assert all(d[i][j] == 0 for i in range(m) for j in range(n) if i != j)
+    diag = snf_diagonal(a)
+    assert diag == [d[i][i] for i in range(min(m, n))]
+    nonzero = [x for x in diag if x]
+    assert all(x > 0 for x in nonzero)
+    assert diag == nonzero + [0] * (len(diag) - len(nonzero))
+    assert all(y % x == 0 for x, y in zip(nonzero, nonzero[1:]))
+    if m and n:
+        reference = sympy_snf(sympy.Matrix(a), domain=sympy.ZZ)
+        assert diag == [abs(reference[i, i]) for i in range(min(m, n))]
+    return diag
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_snf_matches_sympy_on_random_sample(seed):
+    for a in random_sample(seed):
+        check_snf(a)
+
+
+@pytest.mark.parametrize(
+    "a, diag",
+    [
+        ([[3, -6, 9, 0]], [3]),
+        ([[4], [-6], [0]], [2]),
+        ([[0, 0, 0], [0, 0, 0]], [0, 0]),
+        ([[0]], [0]),
+        ([[-5]], [5]),
+        ([[2, 0], [0, 3]], [1, 6]),
+        ([[]], []),
+        ([], []),
+    ],
+    ids=["row", "column", "zero", "zero_1x1", "negative_1x1", "coprime_pair", "1x0", "empty"],
+)
+def test_snf_edge_shapes(a, diag):
+    assert check_snf(a) == diag
+
+
+# Inputs on which naive integer elimination grows entries to thousands of
+# digits and gives no answer within minutes.  Each must finish well inside
+# the deadline.
+
+def test_snf_without_entry_blowup():
+    a = [
+        [0, 15, -3, -26, -13, 9, 0],
+        [0, 0, 0, 0, 0, -27, -25],
+        [0, 0, 0, -22, 0, 0, 0],
+        [18, 0, -29, 0, 0, 0, 0],
+        [0, -27, 0, 0, 0, 0, 24],
+    ]
+    with deadline(5):
+        assert snf_diagonal(a) == [1, 1, 1, 1, 594]
+
+
+def test_is_isomorphism_rank_six_finishes():
+    g = AbGroup(0, (9, 6, 30, 8, 8, 30))
+    f = AbHom(g, g, (
+        (7, 6, 3, 0, 0, 6),
+        (0, 4, 3, 0, 3, 5),
+        (20, 15, 11, 15, 15, 14),
+        (0, 4, 0, 4, 1, 0),
+        (0, 4, 4, 3, 7, 4),
+        (10, 0, 29, 0, 0, 9),
+    ))
+    with deadline(5):
+        assert not is_isomorphism(f)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_snf_transforms_stay_small(seed):
+    sample = random_sample(seed)
+    with deadline(5):
+        widest = max(
+            abs(x).bit_length()
+            for a in sample
+            for transform in smith_normal_form(a)[1:]
+            for row in transform
+            for x in row
+        )
+    assert widest < 256
+
+
+@pytest.mark.parametrize("modulus", range(1, 13))
+def test_solve_congruence_matches_brute_force(modulus):
+    rng = random.Random(modulus)
+    for n in (1, 2, 3):
+        points = list(itertools.product(range(modulus), repeat=n))
+        for _ in range(15):
+            m = rng.randint(1, 4)
+            a = [[0 if rng.random() < 1 / 3 else rng.randint(-modulus, 2 * modulus)
+                  for _ in range(n)] for _ in range(m)]
+            image = {tuple(sum(c * x for c, x in zip(row, p)) % modulus for row in a)
+                     for p in points}
+            if rng.random() < 0.5:
+                target = rng.choice(sorted(image))
+            else:
+                target = [rng.randrange(modulus) for _ in range(m)]
+            rhs = [b + modulus * rng.randint(-2, 2) for b in target]
+            x = solve_congruence(a, rhs, modulus)
+            assert (x is not None) == (tuple(target) in image)
+            if x is not None:
+                assert len(x) == n
+                assert all((sum(c * xi for c, xi in zip(row, x)) - b) % modulus == 0
+                           for row, b in zip(a, rhs))
+
+
+def rational_matrix(rng: random.Random, m: int, n: int, rank: int) -> list:
+    """An m x n rational matrix of rank at most `rank`, as a product of two factors."""
+    def factor(rows, cols):
+        return [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
+                for _ in range(rows)]
+
+    left, right = factor(m, rank), factor(rank, n)
+    return [[sum((left[i][k] * right[k][j] for k in range(rank)), Fraction(0))
+             for j in range(n)] for i in range(m)]
+
+
+def test_rational_kernel_matches_sympy_nullspace():
+    rng = random.Random(7)
+    for _ in range(200):
+        m, n = rng.randint(1, 5), rng.randint(1, 6)
+        a = rational_matrix(rng, m, n, rng.randint(0, min(m, n)))
+        big_a = sympy.Matrix(m, n, [sympy.Rational(x.numerator, x.denominator)
+                                    for row in a for x in row])
+        ours = [sympy.Matrix([sympy.Rational(x.numerator, x.denominator) for x in vec])
+                for vec in rational_kernel_basis(a)]
+        theirs = big_a.nullspace()
+        assert all(big_a * vec == sympy.zeros(m, 1) for vec in ours)
+        assert len(ours) == len(theirs)
+        if ours:
+            assert sympy.Matrix.hstack(*ours).rank() == len(ours)
+            assert sympy.Matrix.hstack(*ours, *theirs).rank() == len(ours)
+    assert rational_kernel_basis([]) == []
+
+
+def test_primitive_integer_vector():
+    assert primitive_integer_vector([Fraction(1, 2), Fraction(-1, 3), 0]) == [3, -2, 0]
+    assert primitive_integer_vector([-4, 6]) == [-2, 3]
+    assert primitive_integer_vector([Fraction(5, 7)]) == [1]
+    with pytest.raises(ValueError):
+        primitive_integer_vector([0, Fraction(0)])
