@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm, prod
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .linalg import snf_diagonal
@@ -48,16 +48,10 @@ class AbGroup:
     def order(self) -> int:
         if not self.is_finite:
             raise ValueError("infinite group has no order")
-        result = 1
-        for n in self.torsion:
-            result *= n
-        return result
+        return prod(self.torsion)
 
     def exponent(self) -> int:
-        result = 1
-        for n in self.torsion:
-            result = result * n // gcd(result, n)
-        return result
+        return lcm(*self.torsion)
 
     def reduce(self, coords: Sequence[int]) -> tuple:
         if len(coords) != self.rank:
@@ -141,11 +135,7 @@ class AbElem:
         g = self.group
         if any(self.coords[: g.free_rank]):
             return 0
-        result = 1
-        for c, n in zip(self.coords[g.free_rank :], g.torsion):
-            o = n // gcd(n, c) if c else 1
-            result = result * o // gcd(result, o)
-        return result
+        return lcm(*(n // gcd(n, c) for c, n in zip(self.coords[g.free_rank :], g.torsion)))
 
 
 @dataclass(frozen=True)

@@ -13,16 +13,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 from .abelian import AbElem, AbGroup
-from .linalg import (
-    primitive_integer_vector,
-    rational_kernel_basis,
-    solve_congruence,
-)
+from .linalg import integer_kernel_basis, solve_congruence
 from .scalars import Phase
 
 
@@ -226,7 +221,6 @@ def coboundary_witness(mu1, mu2) -> Optional[dict]:
         if nu(g, h) != nu(h, g):
             return None
 
-    modulus = 1
     rows = []
     rhs_phases = []
     for a, g in enumerate(nonzero):
@@ -237,11 +231,9 @@ def coboundary_witness(mu1, mu2) -> Optional[dict]:
             s = g + h
             if not s.is_zero:
                 row[index[s]] -= 1
-            value = nu(g, h)
             rows.append(row)
-            rhs_phases.append(value)
-            modulus = modulus * value.den // gcd(modulus, value.den)
-    modulus *= group.exponent()
+            rhs_phases.append(nu(g, h))
+    modulus = lcm(*(p.den for p in rhs_phases)) * group.exponent()
     rhs = [p.num * (modulus // p.den) for p in rhs_phases]
     solution = solve_congruence(rows, rhs, modulus)
     if solution is None:
@@ -261,22 +253,25 @@ def degeneracy_witness(mu) -> Optional[AbElem]:
 
     On groups with a free part the bilinear phases are first read as
     rational tags for a dense parameter family, so infinite-order
-    directions are tested for generic degeneracy (a rational kernel vector
-    of the pairing matrix).  Then the torsion subgroup, which is all of a
-    finite group, is checked exhaustively against the generator pairings
-    (a character vanishing on generators vanishes everywhere).
+    directions are tested for generic degeneracy: the star matrix, scaled
+    by the lcm of its denominators to integers, has its transpose's
+    integer kernel read off, and the first kernel vector with a nonzero
+    free part is the witness.  A kernel vector with zero free part is a
+    torsion element (possibly zero), left to the next step.  Then the
+    torsion subgroup, which is all of a finite group, is checked
+    exhaustively against the generator pairings (a character vanishing on
+    generators vanishes everywhere).
     """
     group = mu.group
     star = star_bicharacter(mu)
     gens = group.generators()
     if group.free_rank:
-        rational = [
-            [Fraction(p.num, p.den) for p in row] for row in star.matrix
-        ]
-        transposed = [[rational[i][j] for i in range(group.rank)] for j in range(group.rank)]
-        for vec in rational_kernel_basis(transposed):
-            if any(vec):
-                return group.element(primitive_integer_vector(vec))
+        scale = lcm(*(p.den for row in star.matrix for p in row))
+        transposed = [[row[j].num * (scale // row[j].den) for row in star.matrix]
+                      for j in range(group.rank)]
+        for vec in integer_kernel_basis(transposed):
+            if any(vec[:group.free_rank]):
+                return group.element(vec)
     for tors in itertools.product(*(range(n) for n in group.torsion)):
         if not any(tors):
             continue

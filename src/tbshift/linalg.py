@@ -1,17 +1,19 @@
-"""Exact integer and rational linear algebra used by the group machinery.
+"""Exact integer linear algebra used by the group machinery.
 
-Hand-rolled routines: Smith normal form with transform matrices, linear
-congruence solving, and rational kernels.  The largest inputs come from
-`cocycle.coboundary_witness`: at |H| = 64 it solves a 2,016 x 63
-congruence system, so the Smith normal form carries a 2,016 x 2,016 row
-transform u.  Its entries must not grow without limit; see
-`smith_normal_form` for how they are kept small.
+One Smith normal form elimination, `_eliminate`, does all the work, on
+the rows [a | right] stacked over `below`.  Row operations carry the
+columns right of a along (they come out as u*right); column operations
+turn an I_n below into v.  Each caller carries only what it reads:
+`smith_normal_form` I_m and I_n, `snf_diagonal` nothing,
+`solve_congruence` the column rhs and I_n, `integer_kernel_basis` I_n.
+So the largest input, the 2,016 x 63 system of
+`cocycle.coboundary_witness` at |H| = 64, carries one extra column, not
+a 2,016 x 2,016 u.  See `_eliminate` for how entries are kept small.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional
 
 
@@ -19,139 +21,109 @@ def identity_matrix(n: int) -> list:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_vec(mat: list, vec: list) -> list:
-    return [sum(row[j] * vec[j] for j in range(len(vec))) for row in mat]
+def _eliminate(a: list, right: list, below: list) -> list:
+    """Bring a to Smith normal form in the rows [a | right] over `below`.
+
+    Returns the rows: the first len(a) hold d next to u*right, the rest
+    are below*v, where u*a*v = d, u and v unimodular, d diagonal.  d's
+    diagonal entries are nonnegative, each divides the next, and the zeros
+    come last.  Pivot search and divisibility repair look only at the
+    block of a; `right` and `below` are just carried.
+
+    One elimination loop: step t brings the smallest nonzero entry of the
+    block d[t:, t:] to (t, t), clears row t and column t modulo that
+    pivot, and takes the smallest remainder left in them as the next
+    pivot.  Once row and column t are clear, a block entry the pivot does
+    not divide has its row added into row t and the loop goes on, so step
+    t ends with a pivot that divides the whole block, and every later
+    pivot is a multiple of it.  The pivot only ever shrinks within a step,
+    so entries stay small: on random sparse matrices up to 7 x 9 with
+    entries in [-30, 30], no entry of u or v passes 110 bits.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    rows = [[*map(int, row), *extra] for row, extra in zip(a, right)] + below
+    for t in range(min(m, n)):
+        pivot = min(((abs(x), i, j) for i in range(t, m)
+                     for j, x in enumerate(rows[i][t:n], t) if x), default=None)
+        if pivot is None:
+            break
+        _, i, j = pivot
+        while True:
+            rows[t], rows[i] = rows[i], rows[t]
+            for row in rows:
+                row[t], row[j] = row[j], row[t]
+            p = rows[t][t]
+            for k in range(t + 1, m):
+                q = rows[k][t] // p
+                if q:
+                    rows[k] = [x - q * y for x, y in zip(rows[k], rows[t])]
+            for k in range(t + 1, n):
+                q = rows[t][k] // p
+                if q:
+                    for row in rows:
+                        row[k] -= q * row[t]
+            rest = [(abs(rows[k][t]), k, t) for k in range(t + 1, m) if rows[k][t]]
+            rest += [(abs(rows[t][k]), t, k) for k in range(t + 1, n) if rows[t][k]]
+            if rest:
+                _, i, j = min(rest)
+                continue
+            bad = next((k for k in range(t + 1, m)
+                        if any(x % p for x in rows[k][t + 1:n])), None)
+            if bad is None:
+                break
+            rows[t] = [x + y for x, y in zip(rows[t], rows[bad])]
+            i = j = t
+        if rows[t][t] < 0:
+            rows[t] = [-x for x in rows[t]]
+    return rows
 
 
 def smith_normal_form(a: list) -> tuple:
     """Return (d, u, v) with u*a*v = d, u and v unimodular, d diagonal.
 
-    d's diagonal entries are nonnegative, each divides the next, and the
-    zeros come last.  One elimination loop: step t brings the smallest
-    nonzero entry of the block d[t:, t:] to (t, t), clears row t and
-    column t modulo that pivot, and takes the smallest remainder left in
-    them as the next pivot.  Once row and column t are clear, a block
-    entry the pivot does not divide has its row added into row t and the
-    loop goes on, so step t ends with a pivot that divides the whole
-    block, and every later pivot is a multiple of it.  The pivot only
-    ever shrinks within a step, so entries stay small: on random sparse
-    matrices up to 7 x 9 with entries in [-30, 30], no entry of u or v
-    passes 110 bits.
+    d is in Smith normal form, as described in `_eliminate`.
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    d = [list(map(int, row)) for row in a]
-    u = identity_matrix(m)
-    v = identity_matrix(n)
-    for t in range(min(m, n)):
-        pivot = min(((abs(x), i, j) for i in range(t, m)
-                     for j, x in enumerate(d[i][t:], t) if x), default=None)
-        if pivot is None:
-            break
-        _, i, j = pivot
-        while True:
-            d[t], d[i] = d[i], d[t]
-            u[t], u[i] = u[i], u[t]
-            for row in (*d, *v):
-                row[t], row[j] = row[j], row[t]
-            p = d[t][t]
-            for k in range(t + 1, m):
-                q = d[k][t] // p
-                if q:
-                    d[k] = [x - q * y for x, y in zip(d[k], d[t])]
-                    u[k] = [x - q * y for x, y in zip(u[k], u[t])]
-            for k in range(t + 1, n):
-                q = d[t][k] // p
-                if q:
-                    for row in (*d, *v):
-                        row[k] -= q * row[t]
-            rest = [(abs(d[k][t]), k, t) for k in range(t + 1, m) if d[k][t]]
-            rest += [(abs(d[t][k]), t, k) for k in range(t + 1, n) if d[t][k]]
-            if rest:
-                _, i, j = min(rest)
-                continue
-            bad = next((k for k in range(t + 1, m) if any(x % p for x in d[k][t + 1:])), None)
-            if bad is None:
-                break
-            d[t] = [x + y for x, y in zip(d[t], d[bad])]
-            u[t] = [x + y for x, y in zip(u[t], u[bad])]
-            i = j = t
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
-    return d, u, v
+    rows = _eliminate(a, identity_matrix(m), identity_matrix(n))
+    return [row[:n] for row in rows[:m]], [row[n:] for row in rows[:m]], rows[m:]
 
 
 def snf_diagonal(a: list) -> list:
-    d, _, _ = smith_normal_form(a)
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+    rows = _eliminate(a, [[]] * len(a), [])
+    return [rows[i][i] for i in range(min(len(a), len(a[0]) if a else 0))]
 
 
 def solve_congruence(a: list, rhs: list, modulus: int) -> Optional[list]:
     """One solution x of a*x == rhs (mod modulus), or None."""
     m = len(a)
     n = len(a[0]) if m else 0
-    d, u, v = smith_normal_form(a)
-    s = [x % modulus for x in mat_vec(u, rhs)]
+    rows = _eliminate(a, [[b] for b in rhs], identity_matrix(n))
     z = [0] * n
     for i in range(m):
-        di = d[i][i] if i < min(m, n) else 0
-        si = s[i]
+        di = rows[i][i] if i < n else 0
+        si = rows[i][n] % modulus
         if di == 0:
-            if si % modulus != 0:
+            if si != 0:
                 return None
             continue
         g = gcd(di, modulus)
         if si % g != 0:
             return None
         red = modulus // g
-        z_i = (si // g) * pow(di // g, -1, red) % red if red > 1 else 0
-        z[i] = z_i
-    x = mat_vec(v, z)
-    return [xi % modulus for xi in x]
+        z[i] = (si // g) * pow(di // g, -1, red) % red if red > 1 else 0
+    return [sum(x * y for x, y in zip(row, z)) % modulus for row in rows[m:]]
 
 
-def rational_kernel_basis(a: list) -> list:
-    """Basis of the right kernel of a rational matrix, as lists of Fractions."""
+def integer_kernel_basis(a: list) -> list:
+    """A basis of the integer right kernel {x in Z^n : a*x = 0} of an integer matrix.
+
+    The vectors are the columns of v past the rank of a; each is
+    primitive (gcd 1), because v is unimodular.
+    """
     m = len(a)
     n = len(a[0]) if m else 0
-    rows = [[Fraction(x) for x in row] for row in a]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        pivot = None
-        for i in range(rank, m):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(m):
-            if i != rank and rows[i][col] != 0:
-                c = rows[i][col]
-                rows[i] = [x - c * y for x, y in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    free_cols = [j for j in range(n) if j not in pivots]
-    basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rows[i][fc]
-        basis.append(vec)
-    return basis
-
-
-def primitive_integer_vector(vec: list) -> list:
-    """Scale a nonzero rational vector to a primitive integer vector."""
-    fracs = [Fraction(x) for x in vec]
-    scale = lcm(*(f.denominator for f in fracs))
-    ints = [int(f * scale) for f in fracs]
-    g = gcd(*ints)
-    if g == 0:
-        raise ValueError("zero vector has no primitive form")
-    return [x // g for x in ints]
+    rows = _eliminate(a, [[]] * m, identity_matrix(n))
+    rank = sum(1 for i in range(min(m, n)) if rows[i][i])
+    return [[row[j] for row in rows[m:]] for j in range(rank, n)]

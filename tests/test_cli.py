@@ -73,6 +73,20 @@ def test_malleability_refuses_groups_above_the_flow_bound(tmp_path):
     assert payload == {"ok": False, "detail": "the flow is only run for |H| <= 1024, got 4096"}
 
 
+def test_factor_reports_no_zero_witness(tmp_path):
+    # the rational kernel of this star form is spanned by (0, -8, 3), which
+    # is the zero element of Z x Z/4 x Z/3; no torsion element pairs trivially
+    triplet = {
+        "group": {"free_rank": 1, "torsion": [4, 3]},
+        "cocycle": {"kind": "bichar", "matrix": [["0", "1/4", "2/3"], ["0", "0", "0"], ["0", "0", "0"]]},
+        "character": {"phases": ["0", "0", "0"]},
+    }
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(triplet), encoding="utf-8")
+    assert _run(["validate", str(path)]) == (EXIT_OK, {"ok": True})
+    assert _run(["factor", str(path)]) == (EXIT_OK, {"nondegenerate": True})
+
+
 FIXTURE = "triplets/lattice_theta_1_16_chi_1_5.json"
 
 

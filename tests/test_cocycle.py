@@ -1,5 +1,10 @@
-import pytest
+import random
+from math import gcd
 
+import pytest
+import sympy
+
+from conftest import deadline
 from tbshift.abelian import AbGroup
 from tbshift.cocycle import (
     BilinearCocycle,
@@ -208,6 +213,51 @@ def test_torsion_degeneracy_on_mixed_group():
     w = degeneracy_witness(mu)
     assert w is not None
     assert w.coords[:2] == (0, 0) and w.coords[2] != 0
+
+
+def random_mixed_cocycle(rng):
+    """A sparse bilinear cocycle on Z^r x (up to two of Z/2, Z/3, Z/4, Z/6), r in 1..4."""
+    group = AbGroup(rng.randint(1, 4), tuple(rng.choice((2, 3, 4, 6)) for _ in range(rng.randint(0, 2))))
+    orders = [group.generator_order(i) for i in range(group.rank)]
+
+    def entry(a, b):
+        n = gcd(a, b) or 12
+        return Phase.ZERO if rng.random() < 0.5 else Phase(rng.randrange(n), n)
+
+    return BilinearCocycle(group, tuple(tuple(entry(a, b) for b in orders) for a in orders))
+
+
+def test_mixed_degeneracy_witness_is_nonzero_and_degenerate():
+    # oracle for the free part: sympy's rational nullspace of the transposed
+    # star matrix, read as rational tags
+    rng = random.Random(11)
+    free_found = 0
+    for _ in range(1000):
+        mu = random_mixed_cocycle(rng)
+        group, star = mu.group, star_bicharacter(mu)
+        transposed = sympy.Matrix(group.rank, group.rank,
+                                  lambda i, j: sympy.Rational(star.matrix[j][i].num, star.matrix[j][i].den))
+        free_direction = any(any(vec[:group.free_rank]) for vec in transposed.nullspace())
+        w = degeneracy_witness(mu)
+        if w is None:
+            assert not free_direction
+            continue
+        assert not w.is_zero
+        assert all(star.value(w, e).is_zero for e in group.generators())
+        assert any(w.coords[:group.free_rank]) == free_direction
+        free_found += free_direction
+    assert free_found
+
+
+def test_coboundary_witness_on_order_64_is_fast(rng):
+    g = AbGroup(0, (8, 8))
+    shifted = to_table(coboundary_cocycle(g, random_phase_map(rng, g)))
+    triv = trivial_cocycle(g)
+    with deadline(5):
+        witness = coboundary_witness(triv, shifted)
+    assert witness is not None
+    assert all(witness[x] + witness[y] - witness[x + y] == triv(x, y) - shifted(x, y)
+               for x in g.elements() for y in g.elements())
 
 
 def test_table_roundtrip_preserves_values():

@@ -1,8 +1,8 @@
 """The exact linear algebra against sympy and brute-force oracles."""
 
 import itertools
+import math
 import random
-from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -12,8 +12,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from conftest import deadline
 from tbshift.abelian import AbGroup, AbHom, is_isomorphism
 from tbshift.linalg import (
-    primitive_integer_vector,
-    rational_kernel_basis,
+    integer_kernel_basis,
     smith_normal_form,
     snf_diagonal,
     solve_congruence,
@@ -168,38 +167,26 @@ def test_solve_congruence_matches_brute_force(modulus):
                            for row, b in zip(a, rhs))
 
 
-def rational_matrix(rng: random.Random, m: int, n: int, rank: int) -> list:
-    """An m x n rational matrix of rank at most `rank`, as a product of two factors."""
-    def factor(rows, cols):
-        return [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
-                for _ in range(rows)]
-
-    left, right = factor(m, rank), factor(rank, n)
-    return [[sum((left[i][k] * right[k][j] for k in range(rank)), Fraction(0))
-             for j in range(n)] for i in range(m)]
+def low_rank_matrix(rng: random.Random, m: int, n: int, rank: int) -> list:
+    """An m x n integer matrix of rank at most `rank`, as a product of two factors."""
+    left = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(m)]
+    right = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rank)]
+    return matmul(left, right, n)
 
 
-def test_rational_kernel_matches_sympy_nullspace():
+def test_integer_kernel_matches_sympy_nullspace():
     rng = random.Random(7)
     for _ in range(200):
         m, n = rng.randint(1, 5), rng.randint(1, 6)
-        a = rational_matrix(rng, m, n, rng.randint(0, min(m, n)))
-        big_a = sympy.Matrix(m, n, [sympy.Rational(x.numerator, x.denominator)
-                                    for row in a for x in row])
-        ours = [sympy.Matrix([sympy.Rational(x.numerator, x.denominator) for x in vec])
-                for vec in rational_kernel_basis(a)]
-        theirs = big_a.nullspace()
-        assert all(big_a * vec == sympy.zeros(m, 1) for vec in ours)
+        a = low_rank_matrix(rng, m, n, rng.randint(0, min(m, n)))
+        kernel = integer_kernel_basis(a)
+        assert all(len(vec) == n and math.gcd(*vec) == 1 for vec in kernel)
+        assert all(matmul(a, [[x] for x in vec], 1) == [[0]] * m for vec in kernel)
+        ours = [sympy.Matrix(vec) for vec in kernel]
+        theirs = sympy.Matrix(a).nullspace()
         assert len(ours) == len(theirs)
         if ours:
             assert sympy.Matrix.hstack(*ours).rank() == len(ours)
             assert sympy.Matrix.hstack(*ours, *theirs).rank() == len(ours)
-    assert rational_kernel_basis([]) == []
-
-
-def test_primitive_integer_vector():
-    assert primitive_integer_vector([Fraction(1, 2), Fraction(-1, 3), 0]) == [3, -2, 0]
-    assert primitive_integer_vector([-4, 6]) == [-2, 3]
-    assert primitive_integer_vector([Fraction(5, 7)]) == [1]
-    with pytest.raises(ValueError):
-        primitive_integer_vector([0, Fraction(0)])
+    assert integer_kernel_basis([]) == []
+    assert integer_kernel_basis([[0, 0]]) == [[1, 0], [0, 1]]
