@@ -3,10 +3,11 @@
 Groups are kept in the presentation they were given (free generators first,
 then torsion generators); isomorphism tests cope with equivalent
 presentations.  Elements are integer coordinate vectors with torsion
-coordinates reduced into [0, n_i).  Smith normal form is the one
-structural algorithm here: it gives invariant factors (of a presentation
-and of the finite groups that `group_structure` identifies) and decides
-whether a homomorphism is bijective.
+coordinates reduced into [0, n_i).  Smith normal form gives invariant
+factors (of a presentation and of the finite groups that
+`group_structure` identifies) and decides whether a homomorphism is
+bijective; subgroups of finite groups are kept as `linalg.hermite_mod`
+echelon rows by their callers.
 """
 
 from __future__ import annotations
@@ -337,12 +338,11 @@ def dual_characters(group: AbGroup) -> Iterator[Character]:
 def separating_characters(group: AbGroup, values: Iterable[AbElem]) -> list:
     """A finite character family that separates the given elements from 0.
 
-    For finite groups this is the full dual.  Otherwise one character per
-    generator, with order exceeding twice the largest coordinate magnitude
-    that occurs, so that no occurring nonzero value can be missed.
+    One character per generator (`rank` of them, not |H|): phase 1/n_j on
+    a torsion generator of order n_j, and on a free generator a phase of
+    order exceeding twice the largest coordinate magnitude that occurs,
+    so no occurring nonzero value can be missed.
     """
-    if group.is_finite:
-        return list(dual_characters(group))
     biggest = 1
     for v in values:
         for c in v.coords[: group.free_rank]:

@@ -39,6 +39,7 @@ from .lattice import (
     gcd2,
     spiral_index,
 )
+from .linalg import hermite_mod, order_mod
 from .scalars import Cyclotomic, Phase
 
 
@@ -194,14 +195,17 @@ def _matching_isomorphisms(
     image x_j must satisfy sb(x_i, x_j) = sa(g_i, g_j) for every earlier
     i; the star forms are alternating, so these pairs settle all of them.
     Between finite groups x_j must also add a direct summand of order
-    ord(g_j) to the span of the earlier images (no m x_j with 0 < m <
-    ord(g_j) lies in it), which every injective map satisfies on each
-    prefix; this is tested first, so the cost of a search that finds
-    nothing is set by the pools, not by how degenerate the star forms are.
-    A full tuple is kept when it is an isomorphism.  Walking each pool in
-    candidate order visits tuples in `enumerate_isomorphisms` order, so the
-    hits come out in that order too.  `bound` limits the free matrix
-    entries and is required when free parts are present.
+    ord(g_j) to the span of the earlier images, held as `hermite_mod`
+    rows: `order_mod(x_j, span)` = ord(g_j), as on each prefix of an
+    injective map.  This is tested first, so the cost of a search that
+    finds nothing is set by the pools, not by how degenerate the star
+    forms are.  The cut is exact: a full tuple spans a subgroup of order
+    |H_a| = |H_b| (callers check the groups are isomorphic), so only the
+    bounded free-part search checks its tuples with `is_isomorphism`.
+    Walking each pool in candidate order visits tuples in
+    `enumerate_isomorphisms` order, so the hits come out in that order
+    too.  `bound` limits the free matrix entries and is required when
+    free parts are present.
     """
     ga, gb = ta.group, tb.group
     sa = star_bicharacter(ta.cocycle)
@@ -218,36 +222,28 @@ def _matching_isomorphisms(
         for j, g in enumerate(gens)
     ]
     finite = ga.is_finite and gb.is_finite
+    moduli = gb.torsion
     chosen: List[AbElem] = []
 
-    def multiples(x: AbElem, order: int) -> list:
-        """Coordinates of m x for 0 <= m < order (x in the finite H_b)."""
-        return [tuple(m * c % n for c, n in zip(x.coords, gb.torsion)) for m in range(order)]
-
-    def extend(j: int, span: set) -> Iterator[AbHom]:
+    def extend(j: int, span: list) -> Iterator[AbHom]:
         if j == len(gens):
             f = AbHom.from_images(ga, gb, chosen)
-            if is_isomorphism(f):
+            if finite or is_isomorphism(f):
                 yield f
             return
         order = ga.generator_order(j)
         for x in pools[j]:
-            if finite:
-                steps = multiples(x, order)
-                if any(y in span for y in steps[1:]):
-                    continue
+            if finite and order_mod(x.coords, span, moduli) != order:
+                continue
             if all(sb.value(chosen[i], x) == sa.value(gens[i], gens[j]) for i in range(j)):
                 chosen.append(x)
                 if finite and j + 1 < len(gens):
-                    yield from extend(j + 1, {
-                        tuple((a + b) % n for a, b, n in zip(s, y, gb.torsion))
-                        for s in span for y in steps
-                    })
+                    yield from extend(j + 1, hermite_mod(span + [x.coords], moduli))
                 else:
                     yield from extend(j + 1, span)
                 chosen.pop()
 
-    return extend(0, {(0,) * gb.rank})
+    return extend(0, hermite_mod([], moduli) if finite else [])
 
 
 def _separate_checks(ta: Triplet, tb: Triplet, bound: Optional[int]) -> dict:

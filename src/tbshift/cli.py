@@ -77,9 +77,9 @@ def _invalid_input(detail: str) -> int:
     return EXIT_INVALID
 
 
-def _parse_or_exit(args) -> Optional[Triplet]:
+def _parse_or_exit(path: str) -> Optional[Triplet]:
     try:
-        triplet = _load_triplet(args.path)
+        triplet = _load_triplet(path)
         triplet.validate()
         return triplet
     except (SchemaError, ValueError) as exc:
@@ -102,7 +102,7 @@ def _below_one(flag: str, value: Optional[int]) -> bool:
 def cmd_centralizer(args) -> int:
     if _below_one("--bound", args.bound):
         return EXIT_INVALID
-    triplet = _parse_or_exit(args)
+    triplet = _parse_or_exit(args.path)
     if triplet is None:
         return EXIT_INVALID
     report = centralizer(triplet, bound=args.bound)
@@ -121,13 +121,10 @@ def cmd_centralizer(args) -> int:
 def cmd_conjugate(args) -> int:
     if _below_one("--bound", args.bound):
         return EXIT_INVALID
-    try:
-        ta = _load_triplet(args.path_a)
-        ta.validate()
-        tb = _load_triplet(args.path_b)
-        tb.validate()
-    except (SchemaError, ValueError) as exc:
-        return _invalid_input(str(exc))
+    ta = _parse_or_exit(args.path_a)
+    tb = None if ta is None else _parse_or_exit(args.path_b)
+    if tb is None:
+        return EXIT_INVALID
     report = decide_conjugacy(ta, tb, bound=args.bound)
     _emit(
         {
@@ -142,7 +139,7 @@ def cmd_conjugate(args) -> int:
 
 
 def cmd_factor(args) -> int:
-    triplet = _parse_or_exit(args)
+    triplet = _parse_or_exit(args.path)
     if triplet is None:
         return EXIT_INVALID
     witness = degeneracy_witness(triplet.cocycle)
@@ -154,7 +151,7 @@ def cmd_factor(args) -> int:
 
 
 def cmd_bicharacter(args) -> int:
-    triplet = _parse_or_exit(args)
+    triplet = _parse_or_exit(args.path)
     if triplet is None:
         return EXIT_INVALID
     star = star_bicharacter(triplet.cocycle)
@@ -170,7 +167,7 @@ def cmd_bicharacter(args) -> int:
 def cmd_malleability(args) -> int:
     if _below_one("--samples", args.samples):
         return EXIT_INVALID
-    triplet = _parse_or_exit(args)
+    triplet = _parse_or_exit(args.path)
     if triplet is None:
         return EXIT_INVALID
     group = triplet.group

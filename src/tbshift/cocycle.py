@@ -17,7 +17,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from .abelian import AbElem, AbGroup
-from .linalg import integer_kernel_basis, solve_congruence
+from .linalg import hermite_mod, integer_kernel_basis, solve_congruence
 from .scalars import Phase
 
 
@@ -251,33 +251,35 @@ def coboundary_witness(mu1, mu2) -> Optional[dict]:
 def degeneracy_witness(mu) -> Optional[AbElem]:
     """A nonzero g whose star pairing against every h vanishes, or None.
 
-    On groups with a free part the bilinear phases are first read as
-    rational tags for a dense parameter family, so infinite-order
-    directions are tested for generic degeneracy: the star matrix, scaled
-    by the lcm of its denominators to integers, has its transpose's
-    integer kernel read off, and the first kernel vector with a nonzero
-    free part is the witness.  A kernel vector with zero free part is a
-    torsion element (possibly zero), left to the next step.  Then the
-    torsion subgroup, which is all of a finite group, is checked
-    exhaustively against the generator pairings (a character vanishing on
-    generators vanishes everywhere).
+    The star matrix is lifted to an antisymmetric integer matrix A: the
+    stored phases in [0, 1) above the diagonal, negated below it, times
+    the lcm D of their denominators.  With a free part, A holds rational
+    tags for a dense parameter family, and the first integer kernel
+    vector of A^T with a nonzero free part is the witness.  Else the
+    witness lies in the torsion radical {g : sum_i g_i A_ij = 0 mod D for
+    all j}, whose preimage is the g-part of the integer kernel of
+    [A_t^T | D*I] (A_t: the torsion rows).  Of its `hermite_mod` rows,
+    the one of the last coordinate k with pivot below n_k is the first
+    nonzero radical element in `elements()` order; with no such k the
+    radical is trivial.
     """
     group = mu.group
-    star = star_bicharacter(mu)
-    gens = group.generators()
-    if group.free_rank:
-        scale = lcm(*(p.den for row in star.matrix for p in row))
-        transposed = [[row[j].num * (scale // row[j].den) for row in star.matrix]
-                      for j in range(group.rank)]
+    star = star_bicharacter(mu).matrix
+    r, f = group.rank, group.free_rank
+    scale = lcm(*(p.den for row in star for p in row))
+    upper = [[p.num * (scale // p.den) if i < j else 0 for j, p in enumerate(row)]
+             for i, row in enumerate(star)]
+    transposed = [[upper[i][j] - upper[j][i] for i in range(r)] for j in range(r)]
+    if f:
         for vec in integer_kernel_basis(transposed):
-            if any(vec[:group.free_rank]):
+            if any(vec[:f]):
                 return group.element(vec)
-    for tors in itertools.product(*(range(n) for n in group.torsion)):
-        if not any(tors):
-            continue
-        g = group.element((0,) * group.free_rank + tors)
-        if all(star.value(g, e).is_zero for e in gens):
-            return g
+    system = [row[f:] + [scale if i == j else 0 for i in range(r)]
+              for j, row in enumerate(transposed)]
+    rows = hermite_mod([vec[:r - f] for vec in integer_kernel_basis(system)], group.torsion)
+    for k in reversed(range(r - f)):
+        if rows[k][k] < group.torsion[k]:
+            return group.element([0] * f + rows[k])
     return None
 
 

@@ -142,9 +142,9 @@ def verify_motion_relations(t: Triplet, samples: Sequence) -> RelationReport:
 def is_dual_fixed(t: Triplet, x: AlgebraElement) -> bool:
     """True iff x is fixed by the whole diagonal dual action.
 
-    For finite H every character is tried; otherwise a finite separating
-    family (one character per generator, of order exceeding twice any
-    coordinate that occurs in x) suffices, because only finitely many
+    A finite separating family suffices: one character per generator,
+    of order n_j on a torsion generator and of order exceeding twice any
+    coordinate that occurs in x on a free one, because only finitely many
     values appear in a finite sum.
     """
     values = [value for cfg in x.terms for _, value in cfg.items()]

@@ -1,20 +1,28 @@
 """Exact integer linear algebra used by the group machinery.
 
-One Smith normal form elimination, `_eliminate`, does all the work, on
-the rows [a | right] stacked over `below`.  Row operations carry the
-columns right of a along (they come out as u*right); column operations
-turn an I_n below into v.  Each caller carries only what it reads:
-`smith_normal_form` I_m and I_n, `snf_diagonal` nothing,
-`solve_congruence` the column rhs and I_n, `integer_kernel_basis` I_n.
-So the largest input, the 2,016 x 63 system of
-`cocycle.coboundary_witness` at |H| = 64, carries one extra column, not
-a 2,016 x 2,016 u.  See `_eliminate` for how entries are kept small.
+One Smith normal form elimination, `_eliminate`, does the work of every
+integer matrix routine here, on the rows [a | right] stacked over
+`below`.  Row operations carry the columns right of a along (they come
+out as u*right); column operations turn an I_n below into v.  Each
+caller carries only what it reads: `smith_normal_form` I_m and I_n,
+`snf_diagonal` nothing, `solve_congruence` the column rhs and I_n,
+`integer_kernel_basis` I_n.  So the largest input, the 2,016 x 63
+system of `cocycle.coboundary_witness` at |H| = 64, carries one extra
+column, not a 2,016 x 2,016 u.  See `_eliminate` for how entries are
+kept small.
+
+The one other step, `hermite_mod`, brings a subgroup of
+Z/n_1 + ... + Z/n_r to echelon rows with row operations only, and
+`order_mod` reads element orders modulo that subgroup off the rows.
+`cocycle.degeneracy_witness` puts a star form's radical in echelon
+form; `classify._matching_isomorphisms` keeps the span of its chosen
+images that way and cuts candidates with `order_mod`.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Optional
+from typing import Optional, Sequence
 
 
 def identity_matrix(n: int) -> list:
@@ -127,3 +135,42 @@ def integer_kernel_basis(a: list) -> list:
     rows = _eliminate(a, [[]] * m, identity_matrix(n))
     rank = sum(1 for i in range(min(m, n)) if rows[i][i])
     return [[row[j] for row in rows[m:]] for j in range(rank, n)]
+
+
+def hermite_mod(gens: list, moduli: Sequence[int]) -> list:
+    """Echelon rows of the subgroup of Z/n_1 + ... + Z/n_r that `gens` generate.
+
+    Row k is zero before column k, and its pivot d_k divides n_k: the
+    subgroup's elements that vanish before column k are the multiples of
+    row k plus elements that vanish before column k + 1, so the subgroup
+    has order prod(n_k / d_k).  A pivot d_k = n_k marks the row n_k*e_k,
+    zero in the group.  Row operations only, entries reduced mod the
+    moduli (Cohen, GTM 138, section 2.4.2).
+    """
+    pending = [[x % n for x, n in zip(g, moduli)] for g in gens]
+    rows = []
+    for k, n in enumerate(moduli):
+        # Euclid on column k against n*e_k: unimodular steps, so the
+        # preimage lattice (gens and every n_i*e_i) is kept whole
+        row = [n if i == k else 0 for i in range(len(moduli))]
+        rest = []
+        for v in pending:
+            while v[k]:
+                q = row[k] // v[k]
+                row, v = v, [(x - q * y) % m for x, y, m in zip(row, v, moduli)]
+            if any(v):
+                rest.append(v)
+        pending = rest
+        rows.append(row)
+    return rows
+
+
+def order_mod(x: Sequence[int], rows: list, moduli: Sequence[int]) -> int:
+    """Least m >= 1 with m*x in the subgroup that `hermite_mod` rows describe."""
+    m, y = 1, [c % n for c, n in zip(x, moduli)]
+    for k, row in enumerate(rows):
+        f = row[k] // gcd(row[k], y[k])
+        q = f * y[k] // row[k]
+        m *= f
+        y = [(f * a - q * b) % n for a, b, n in zip(y, row, moduli)]
+    return m

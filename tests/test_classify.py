@@ -15,6 +15,7 @@ from tbshift.abelian import (
     Character,
     enumerate_automorphisms,
     enumerate_isomorphisms,
+    is_isomorphism,
 )
 from tbshift.algebra import AlgebraElement
 from tbshift.classify import (
@@ -507,18 +508,12 @@ def test_search_matches_brute_oracle_bounded():
     assert verdicts == {"YES", "UNKNOWN"}
 
 
-def test_finite_search_reaches_leaves_only_with_isomorphisms(monkeypatch):
+def test_finite_search_reaches_leaves_only_with_isomorphisms():
     # the degenerate form (star kernel Z/2 x Z/2) and the nondegenerate one
-    # have star kernels of different size: a NO whose cocycle-only search
-    # meets many non-injective tuples that the span check must cut early
-    seen = []
-    original = classify.is_isomorphism
-
-    def recording(f):
-        seen.append(original(f))
-        return seen[-1]
-
-    monkeypatch.setattr(classify, "is_isomorphism", recording)
+    # have star kernels of different size: a NO whose character-only search
+    # (both cocycles trivial) and whose centralizer meet many non-injective
+    # tuples.  The finite search yields its leaves unchecked, so only the
+    # span cut keeps them out; every hit is checked here, outside it.
     group = AbGroup(0, (4, 4))
     degenerate = Triplet(group, BilinearCocycle(group, (
         (Phase.ZERO, Phase(1, 2)), (Phase.ZERO, Phase.ZERO))), Character.trivial(group))
@@ -526,5 +521,8 @@ def test_finite_search_reaches_leaves_only_with_isomorphisms(monkeypatch):
         (Phase.ZERO, Phase(1, 4)), (Phase.ZERO, Phase.ZERO))), Character.trivial(group))
     report = decide_conjugacy(degenerate, standard)
     assert report.verdict == "NO" and report.checks == {"cocycle": False, "character": True}
-    assert centralizer(degenerate).elements
-    assert seen and all(seen)
+    plain = [replace(t, cocycle=trivial_cocycle(group)) for t in (degenerate, standard)]
+    assert list(classify._matching_isomorphisms(degenerate, standard)) == []
+    assert list(classify._matching_isomorphisms(*plain)) == enumerate_automorphisms(group)
+    hits = centralizer(degenerate).elements
+    assert hits and all(is_isomorphism(f) for f in hits)

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import deadline
 from tbshift import algebra, cli, selftest
-from tbshift.cli import EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, EXIT_UNKNOWN, main
+from tbshift.cli import EXIT_INTERNAL, EXIT_INVALID, EXIT_NO, EXIT_OK, EXIT_UNKNOWN, main
 
 
 def _run(argv):
@@ -85,6 +86,45 @@ def test_factor_reports_no_zero_witness(tmp_path):
     path.write_text(json.dumps(triplet), encoding="utf-8")
     assert _run(["validate", str(path)]) == (EXIT_OK, {"ok": True})
     assert _run(["factor", str(path)]) == (EXIT_OK, {"nondegenerate": True})
+
+
+def _write(tmp_path, name, torsion, matrix, free_rank=0):
+    path = tmp_path / name
+    triplet = {
+        "group": {"free_rank": free_rank, "torsion": list(torsion)},
+        "cocycle": {"kind": "bichar", "matrix": matrix},
+        "character": {"phases": ["0"] * (free_rank + len(torsion))},
+    }
+    path.write_text(json.dumps(triplet), encoding="utf-8")
+    return str(path)
+
+
+def test_factor_on_free_rank_three_finds_the_odd_rank_kernel(tmp_path):
+    # every antisymmetric form of odd rank is singular; the antisymmetric
+    # lift [[0, 15, 10], [-15, 0, 6], [-10, -6, 0]] / 30 has kernel (6, -10, 15)
+    path = _write(tmp_path, "z3.json", (), [["0", "1/2", "1/3"], ["0", "0", "1/5"], ["0", "0", "0"]], 3)
+    assert _run(["factor", path]) == (EXIT_NO, {"nondegenerate": False, "witness_g": [-6, 10, -15]})
+
+
+def test_factor_on_a_huge_cyclic_group(tmp_path):
+    path = _write(tmp_path, "z2_70.json", (2 ** 70,), [["0"]])
+    assert _run(["factor", path]) == (EXIT_NO, {"nondegenerate": False, "witness_g": [1]})
+
+
+def test_factor_on_order_1009_squared_is_fast(tmp_path):
+    path = _write(tmp_path, "z1009.json", (1009, 1009), [["0", "1/1009"], ["0", "0"]])
+    with deadline(1):
+        assert _run(["factor", path]) == (EXIT_OK, {"nondegenerate": True})
+
+
+def test_conjugate_on_order_211_squared_is_fast(tmp_path):
+    path = _write(tmp_path, "z211.json", (211, 211), [["0", "1/211"], ["0", "0"]])
+    with deadline(3):
+        code, payload = _run(["conjugate", path, path])
+    # with trivial chi every pool is all of H; the first hit swaps the
+    # generators up to sign, so det = 1 keeps the s1*t2 star form
+    assert code == EXIT_OK and payload["verdict"] == "YES"
+    assert payload["witness"] == {"matrix": [[0, 210], [1, 0]]}
 
 
 FIXTURE = "triplets/lattice_theta_1_16_chi_1_5.json"

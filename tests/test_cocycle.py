@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import gcd
 
@@ -188,6 +189,28 @@ def test_finite_degeneracy_witness_is_first_in_element_order(rng):
     assert 0 < found < len(cocycles)
 
 
+def torsion_loop_witness(mu):
+    """The exhaustive oracle: the first nonzero torsion element, in
+    elements() order, whose star pairing vanishes against every generator."""
+    group, star = mu.group, star_bicharacter(mu)
+    torsion = (group.element((0,) * group.free_rank + t)
+               for t in itertools.product(*(range(n) for n in group.torsion)))
+    return next((g for g in torsion if not g.is_zero
+                 and all(star.value(g, e).is_zero for e in group.generators())), None)
+
+
+def test_echelon_witness_matches_the_torsion_loop():
+    rng = random.Random(5)
+    found = 0
+    for _ in range(1000):
+        group = AbGroup(0, tuple(rng.choice((2, 3, 4, 5, 6, 8, 9, 12)) for _ in range(rng.randint(1, 4))))
+        mu = _random_bilinear(rng, group)
+        brute = torsion_loop_witness(mu)
+        assert degeneracy_witness(mu) == brute
+        found += brute is not None
+    assert 0 < found < 1000
+
+
 def test_degenerate_free_direction_is_found():
     # a rank-one form on Z^2 pairs (0,1) trivially with everything
     z = Phase.ZERO
@@ -229,16 +252,23 @@ def random_mixed_cocycle(rng):
 
 def test_mixed_degeneracy_witness_is_nonzero_and_degenerate():
     # oracle for the free part: sympy's rational nullspace of the transposed
-    # star matrix, read as rational tags
+    # antisymmetric lift of the star matrix (stored phases above the
+    # diagonal, their negatives below), read as rational tags
     rng = random.Random(11)
     free_found = 0
     for _ in range(1000):
         mu = random_mixed_cocycle(rng)
         group, star = mu.group, star_bicharacter(mu)
-        transposed = sympy.Matrix(group.rank, group.rank,
-                                  lambda i, j: sympy.Rational(star.matrix[j][i].num, star.matrix[j][i].den))
+
+        def lift(i, j):
+            p = star.matrix[min(i, j)][max(i, j)]
+            return sympy.sign(j - i) * sympy.Rational(p.num, p.den)
+
+        transposed = sympy.Matrix(group.rank, group.rank, lambda i, j: lift(j, i))
         free_direction = any(any(vec[:group.free_rank]) for vec in transposed.nullspace())
         w = degeneracy_witness(mu)
+        if w is None or not any(w.coords[:group.free_rank]):
+            assert w == torsion_loop_witness(mu)
         if w is None:
             assert not free_direction
             continue

@@ -12,7 +12,9 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from conftest import deadline
 from tbshift.abelian import AbGroup, AbHom, is_isomorphism
 from tbshift.linalg import (
+    hermite_mod,
     integer_kernel_basis,
+    order_mod,
     smith_normal_form,
     snf_diagonal,
     solve_congruence,
@@ -190,3 +192,33 @@ def test_integer_kernel_matches_sympy_nullspace():
             assert sympy.Matrix.hstack(*ours, *theirs).rank() == len(ours)
     assert integer_kernel_basis([]) == []
     assert integer_kernel_basis([[0, 0]]) == [[1, 0], [0, 1]]
+
+
+def subgroup_closure(gens: list, moduli: tuple) -> set:
+    """Brute oracle: every element of the subgroup the generators span."""
+    span = {(0,) * len(moduli)}
+    frontier = list(span)
+    while frontier:
+        frontier = [t for t in {tuple((a + b) % n for a, b, n in zip(s, g, moduli))
+                                for s in frontier for g in gens} if t not in span]
+        span.update(frontier)
+    return span
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_hermite_mod_and_order_mod_match_subgroup_closure(seed):
+    rng = random.Random(seed)
+    for _ in range(300):
+        moduli = tuple(rng.choice((2, 3, 4, 5, 6, 8, 9, 12)) for _ in range(rng.randint(1, 4)))
+        gens = [[rng.randint(-20, 20) for _ in moduli] for _ in range(rng.randint(0, 3))]
+        rows = hermite_mod(gens, moduli)
+        span = subgroup_closure(gens, moduli)
+        assert math.prod(n // row[k] for k, (row, n) in enumerate(zip(rows, moduli))) == len(span)
+        for k, (row, n) in enumerate(zip(rows, moduli)):
+            assert not any(row[:k]) and n % row[k] == 0
+            assert tuple(x % m for x, m in zip(row, moduli)) in span
+        for _ in range(5):
+            x = [rng.randint(-20, 20) for _ in moduli]
+            least = next(m for m in itertools.count(1)
+                         if tuple(m * c % n for c, n in zip(x, moduli)) in span)
+            assert order_mod(x, rows, moduli) == least
