@@ -270,6 +270,11 @@ def flow_unitary(mu, t: Fraction) -> TensorElement:
     return TensorElement.one(mu).scaled(a) + malleability_unitary(mu).scaled(b * Fraction(1, s))
 
 
+def _flip(x: TensorElement) -> TensorElement:
+    """Swap the two legs of each key, keeping its coefficient."""
+    return TensorElement(x.cocycle, {(k[1], k[0]): v for k, v in x.terms.items()})
+
+
 class _SwapKernel:
     """Right multiplication by the swap unitary V on tables, and the flow.
 
@@ -364,7 +369,7 @@ class _SwapKernel:
         """
         a, b = _flow_scalars(t)
         ac, bc = a.conjugate(), b.conjugate()
-        flip = TensorElement(x.cocycle, {(k[1], k[0]): v for k, v in x.terms.items()})
+        flip = _flip(x)
         out = x.scaled(a * ac) + flip.scaled(b * bc)
         if a.is_zero or b.is_zero:
             return out
@@ -382,11 +387,17 @@ def malleability_flow(mu, t: Fraction, x: TensorElement) -> TensorElement:
     where flip(x) swaps the two legs of each key and keeps its coefficient.
     That is O(|x| |H|) term pairs against O(|x| |H|^2) for the product
     W_t x W_t^*, which the tests keep as the oracle.  At integer t one of
-    a, b is zero and the flow is x or flip(x).  Raises for an element over
+    a, b is zero and the flow is x or flip(x), returned after the same
+    checks without building the swap kernel.  Raises for an element over
     another base, then as _flow_scale does, then for a degenerate cocycle.
     """
     if x.cocycle != mu:
         raise ValueError("element is not over the given base")
+    if Fraction(t).denominator == 1:
+        # x (t even) or flip(x) (t odd): the checks, and no table
+        _flow_scale(mu.group)
+        _check_nondegenerate(mu)
+        return _flip(x) if t % 2 else x
     return _SwapKernel.of(mu).flow(t, x)
 
 

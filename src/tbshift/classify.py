@@ -11,6 +11,7 @@ action is the automorphism group cut out by the same two conditions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Iterator, List, Optional, Sequence
 
 from .abelian import (
@@ -76,7 +77,9 @@ class PiPhi:
     Sends the normalized basis unitary of a zero-sum configuration lam to
     the corrector times the normalized unitary of phi o lam, where the
     corrector is the +-1 character mismatch c(h) = chi_a(h) - chi_b(phi h)
-    accumulated over the support with gcd(k) exponents.
+    accumulated over the support with gcd(k) exponents.  The mismatch is
+    one character, computed once from its values on the generators, and
+    each lam is mapped through phi once per application.
     """
 
     ta: Triplet
@@ -85,17 +88,21 @@ class PiPhi:
     weight: Callable[[LatticePoint], int] = gcd2
     order_key: Callable[[LatticePoint], object] = spiral_index
 
-    def char_mismatch(self, h: AbElem) -> Phase:
-        return self.ta.character(h) - self.tb.character(self.phi(h))
+    @cached_property
+    def mismatch(self) -> Character:
+        """The character c = chi_a - chi_b o phi on H_a."""
+        return self.ta.character * self.tb.character.pullback(self.phi).power(-1)
 
     def corrector(self, lam: Config) -> Phase:
-        total = Phase.ZERO
-        for point, value in lam.items():
-            total = total + self.char_mismatch(value) * self.weight(point)
-        return total
+        """sum_k weight(k) c(lam(k)), as c of the weighted sum of the values."""
+        weighted = [0] * lam.group.rank
+        for point, coords in lam.support:
+            w = self.weight(point)
+            weighted = [s + w * c for s, c in zip(weighted, coords)]
+        return self.mismatch(lam.group.element(weighted))
 
-    def term_phase(self, lam: Config) -> Phase:
-        image = lam.mapped(self.phi)
+    def term_phase(self, lam: Config, image: Config) -> Phase:
+        """The phase of lam's term; image is lam mapped through phi."""
         return (
             mu_hat(self.ta.cocycle, lam, self.order_key)
             + self.corrector(lam)
@@ -110,7 +117,7 @@ class PiPhi:
         out: dict = {}
         for lam, coeff in x.terms.items():
             key = lam.mapped(self.phi)
-            term = coeff * Cyclotomic.from_phase(self.term_phase(lam))
+            term = coeff * Cyclotomic.from_phase(self.term_phase(lam, key))
             out[key] = out[key] + term if key in out else term
         return AlgebraElement(self.tb.cocycle, out)
 
@@ -144,21 +151,28 @@ def verify_pi(
     pairs: Sequence[tuple],
     moves: Sequence[AffineSL2] = CANONICAL_MOVES,
 ) -> VerifyReport:
-    """Exact checks that pi intertwines: products, star, trace, equivariance."""
+    """Exact checks that pi intertwines: products, star, trace, equivariance.
+
+    pi(a) and pi(b) are computed once per pair and shared by every check;
+    the checks and the order of the failures are those of one check at a
+    time.
+    """
     report = VerifyReport(True)
     for a, b in pairs:
-        if pi(a * b) != pi(a) * pi(b):
+        product = pi(a * b)
+        pa = pi(a)
+        if product != pa * pi(b):
             report.ok = False
             report.failures.append(("product", a, b))
-        if pi(a.star()) != pi(a).star():
+        if pi(a.star()) != pa.star():
             report.ok = False
             report.failures.append(("star", a))
-        if pi(a).trace() != a.trace():
+        if pa.trace() != a.trace():
             report.ok = False
             report.failures.append(("trace", a))
         for move in moves:
             lhs = pi(beta(pi.ta, move, a))
-            rhs = beta(pi.tb, move, pi(a))
+            rhs = beta(pi.tb, move, pa)
             if lhs != rhs:
                 report.ok = False
                 report.failures.append(("equivariance", move, a))

@@ -9,6 +9,7 @@ equality, hashing and serialization are canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 from .abelian import AbElem, AbGroup
@@ -57,13 +58,15 @@ class Config:
         return not self.support
 
     def total(self) -> AbElem:
-        acc = self.group.zero()
-        for _, value in self.items():
-            acc = acc + value
-        return acc
+        """The sum in H of the values: coordinates summed as ints, reduced once."""
+        support = self.support
+        return self.group.element(
+            [sum(coords[i] for _, coords in support) for i in range(self.group.rank)]
+        )
 
-    @property
+    @cached_property
     def is_zero_sum(self) -> bool:
+        """Computed once per Config (the intertwiner, beta and mu_hat all ask)."""
         return self.total().is_zero
 
     def __add__(self, other: "Config") -> "Config":
@@ -81,10 +84,13 @@ class Config:
         return self + (-other)
 
     def moved_by(self, move: AffineSL2) -> "Config":
-        """Relocate the support: the value at k moves to move(k)."""
-        return Config.from_items(
-            self.group, ((move.act(p), coords) for p, coords in self.support)
-        )
+        """Relocate the support: the value at k moves to move(k).
+
+        move is a bijection of Z^2, so distinct points stay distinct and the
+        values need no reduction or merging, only a re-sort of the support.
+        """
+        act = move.act
+        return Config(self.group, tuple(sorted((act(p), c) for p, c in self.support)))
 
     @property
     def supported_on_axis(self) -> bool:

@@ -14,6 +14,7 @@ from typing import Sequence
 
 from .abelian import AbGroup, Character, separating_characters
 from .algebra import AlgebraElement, apply_diagonal_character
+from .configs import Config
 from .lattice import (
     IDENTITY_MAT,
     ORIGIN,
@@ -25,7 +26,7 @@ from .lattice import (
     mat_apply,
     spiral_points,
 )
-from .scalars import Cyclotomic, Phase
+from .scalars import Cyclotomic
 
 
 @dataclass(frozen=True)
@@ -75,23 +76,30 @@ def rho(t: Triplet, g: Motion, x: AlgebraElement) -> AlgebraElement:
 
     rho(gamma) relocates supports by the matrix; rho(k) shifts supports and
     multiplies by chi(value at m)^det(k, m) over the support; rho(c)
-    multiplies by c of the total content.
+    multiplies by c of the total content.  One pass per configuration maps
+    each point p to gamma p, takes det(k, gamma p) and places the value at
+    k + gamma p, so the key Config is built once.  The det-weighted values
+    are summed as ints and chi is evaluated once on the sum (chi is a
+    homomorphism); a relocation keeps the total content, so it is read
+    from the original configuration.
     """
     if x.group != t.group:
         raise ValueError("element is not over the triplet's group")
-    chi = t.character
-    rotate = AffineSL2(ORIGIN, g.matrix)
-    translate = AffineSL2(g.shift, IDENTITY_MAT)
+    group, chi = t.group, t.character
+    move = g.move  # checks that the matrix is in SL(2,Z)
+    k, gamma = move.translation, move.matrix
     out: dict = {}
     for cfg, coeff in x.terms.items():
-        rotated = cfg.moved_by(rotate)
-        phase = Phase.ZERO
-        for point, value in rotated.items():
-            d = det2(g.shift, point)
+        weighted = [0] * group.rank
+        support = []
+        for point, coords in cfg.support:
+            moved = mat_apply(gamma, point)
+            d = det2(k, moved)
             if d:
-                phase = phase + chi(value) * d
-        phase = phase + g.char(rotated.total())
-        key = rotated.moved_by(translate)
+                weighted = [w + d * c for w, c in zip(weighted, coords)]
+            support.append((k + moved, coords))
+        phase = chi(group.element(weighted)) + g.char(cfg.total())
+        key = Config(group, tuple(sorted(support)))
         term = coeff * Cyclotomic.from_phase(phase)
         out[key] = out[key] + term if key in out else term
     return AlgebraElement(x.cocycle, out)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import deadline
 from tbshift import algebra
 from tbshift.abelian import AbGroup, Character, dual_characters
 from tbshift.algebra import (
@@ -306,7 +307,10 @@ def test_flow_matches_brute_conjugation(rng):
             assert malleability_flow(mu, t, x) == w * x * w.star()
 
 
-@pytest.mark.parametrize("t", [Fraction(0), Fraction(1), Fraction(1, 2)])
+# at integer t the flow builds no kernel but keeps its checks and their order
+@pytest.mark.parametrize(
+    "t", [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1), Fraction(2), 3]
+)
 def test_flow_errors_at_every_time(t):
     cases = [
         (trivial_cocycle(AbGroup(0, (2, 2))), "degenerate"),
@@ -316,6 +320,8 @@ def test_flow_errors_at_every_time(t):
     for mu, message in cases:
         with pytest.raises(ValueError, match=message):
             malleability_flow(mu, t, TensorElement.one(mu))
+    with pytest.raises(ValueError, match="base"):
+        malleability_flow(mod_q_cocycle(3), t, TensorElement.one(mod_q_cocycle(5)))
 
 
 # coefficients of orders 1, 3, 5, 12 and 60, some with a denominator
@@ -401,6 +407,29 @@ def test_flow_refuses_groups_above_the_bound(monkeypatch):
         lambda: malleability_unitary(mu),
         lambda: flow_unitary(mu, Fraction(1, 2)),
         lambda: malleability_flow(mu, Fraction(1, 2), TensorElement.one(mu)),
+        lambda: malleability_flow(mu, Fraction(1), TensorElement.one(mu)),
     ):
         with pytest.raises(ValueError, match="limited to"):
             build()
+
+
+def test_integer_time_flow_matches_the_kernel(rng):
+    # x at even t and flip(x) at odd t, without the kernel, against it
+    bases = [mod_q_cocycle(2), mod_q_cocycle(3), _symplectic_z2p4(), _shifted_table_cocycle(rng)]
+    for mu in bases:
+        kernel = _SwapKernel(mu)
+        for t in (-1, 0, 1, 2, 3):
+            x = _random_tensor_element(rng, mu)
+            assert malleability_flow(mu, Fraction(t), x) == kernel.flow(Fraction(t), x)
+            assert malleability_flow(mu, t, x) == kernel.flow(Fraction(t), x)
+
+
+def test_integer_time_flow_builds_no_table_on_the_product_group():
+    # the 225-element group: its swap kernel takes about 0.1 s to build
+    mu = product_triplet(mod_q_triplet(3), mod_q_triplet(5)).cocycle
+    g = mu.group
+    x = TensorElement.unit(mu, g.element((1, 0, 2, 0)), g.element((0, 1, 0, 3)))
+    with deadline(0.05):
+        for t in (-1, 0, 1, 2, 3):
+            expected = _flip(x) if t % 2 else x
+            assert malleability_flow(mu, Fraction(t), x) == expected

@@ -19,6 +19,9 @@ from tbshift.abelian import (
 )
 from tbshift.algebra import AlgebraElement
 from tbshift.classify import (
+    CANONICAL_MOVES,
+    PiPhi,
+    VerifyReport,
     build_pi,
     centralizer,
     check_conditions,
@@ -35,7 +38,7 @@ from tbshift.families import (
     product_triplet,
     trivial_triplet,
 )
-from tbshift.lattice import AffineSL2, LatticePoint
+from tbshift.lattice import AffineSL2, LatticePoint, spiral_index
 from tbshift.scalars import Phase
 from tbshift.serialize import triplet_from_json
 from tbshift.selftest import (
@@ -43,6 +46,7 @@ from tbshift.selftest import (
     random_algebra_element,
     random_point,
     random_sl2,
+    random_zero_sum_config,
 )
 
 
@@ -240,6 +244,95 @@ def test_corrupted_weight_breaks_equivariance(rng):
     report = verify_pi(mutated, probes)
     assert not report.ok
     assert any(kind == "equivariance" for kind, *_ in report.failures)
+
+
+def test_mismatch_and_corrector_match_the_sitewise_formula(rng):
+    # the precomputed character against chi_a(h) - chi_b(phi h), and the
+    # corrector against its sum over the sites
+    half_a, half_b = _half_shift_pair()
+    g = AbGroup(2, (2,))
+    mixed_a = Triplet(g, trivial_cocycle(g), Character(g, (Phase(1, 3), Phase(5, 12), Phase(1, 2))))
+    mixed_b = Triplet(g, trivial_cocycle(g), Character(g, (Phase(1, 4), Phase(2, 3), Phase(1, 2))))
+    t3 = mod_q_triplet(3)
+    t3b = replace(t3, character=Character(t3.group, (Phase(2, 3), Phase(1, 3))))
+    cases = [
+        PiPhi(half_a, half_b, AbHom.identity(half_a.group)),
+        PiPhi(mixed_a, mixed_b, AbHom(g, g, ((1, 1, 0), (0, 1, 0), (0, 1, 1)))),
+        PiPhi(t3, t3b, AbHom(t3.group, t3.group, ((1, 0), (1, 1)))),
+    ]
+    for pi in cases:
+        ga = pi.ta.group
+        assert not pi.mismatch.is_trivial
+        for _ in range(100):
+            coords = [rng.randint(-6, 6) for _ in range(ga.free_rank)]
+            h = ga.element(coords + [rng.randrange(n) for n in ga.torsion])
+            assert pi.mismatch(h) == pi.ta.character(h) - pi.tb.character(pi.phi(h))
+        for _ in range(30):
+            lam = random_zero_sum_config(rng, ga, radius=3)
+            sitewise = Phase.ZERO
+            for point, value in lam.items():
+                mismatch = pi.ta.character(value) - pi.tb.character(pi.phi(value))
+                sitewise = sitewise + mismatch * pi.weight(point)
+            assert pi.corrector(lam) == sitewise
+
+
+def _verify_pi_one_check_at_a_time(pi, pairs, moves=CANONICAL_MOVES):
+    """verify_pi with every check computing its own pi(a) and pi(b)."""
+    report = VerifyReport(True)
+    for a, b in pairs:
+        if pi(a * b) != pi(a) * pi(b):
+            report.ok = False
+            report.failures.append(("product", a, b))
+        if pi(a.star()) != pi(a).star():
+            report.ok = False
+            report.failures.append(("star", a))
+        if pi(a).trace() != a.trace():
+            report.ok = False
+            report.failures.append(("trace", a))
+        for move in moves:
+            if pi(beta(pi.ta, move, a)) != beta(pi.tb, move, pi(a)):
+                report.ok = False
+                report.failures.append(("equivariance", move, a))
+    return report
+
+
+def test_verify_pi_reports_what_one_check_at_a_time_reports(rng):
+    t3 = mod_q_triplet(3)
+    good = build_pi(t3, t3, AbHom(t3.group, t3.group, ((1, 0), (1, 1))))
+    ta, tb = _half_shift_pair()
+    weightless = replace(build_pi(ta, tb, AbHom.identity(ta.group)), weight=lambda k: 1)
+    # the phase is enumeration-independent while phi keeps the star form,
+    # so a wrong order key shows only on a phi that does not: (1, 0; 0, 2)
+    # doubles the mod-3 form
+    unkept = replace(good, phi=AbHom(t3.group, t3.group, ((1, 0), (0, 2))))
+    reversed_key = replace(unkept, order_key=lambda k: -spiral_index(k))
+    t3_pairs = [
+        (random_algebra_element(rng, t3.cocycle), random_algebra_element(rng, t3.cocycle))
+        for _ in range(6)
+    ]
+    half_pairs = [
+        (
+            AlgebraElement.unit(ta.cocycle, dipole(ta.group.element((1, 0)))),
+            AlgebraElement.unit(ta.cocycle, dipole(ta.group.element((0, 1)))),
+        ),
+        (random_algebra_element(rng, ta.cocycle), random_algebra_element(rng, ta.cocycle)),
+    ]
+    cases = [
+        (good, t3_pairs, True),
+        (replace(good, order_key=row_major_key), t3_pairs, True),
+        (weightless, half_pairs, False),
+        (unkept, t3_pairs, False),
+        (reversed_key, t3_pairs, False),
+    ]
+    kinds = set()
+    for pi, pairs, ok in cases:
+        report = verify_pi(pi, pairs)
+        oracle = _verify_pi_one_check_at_a_time(pi, pairs)
+        assert report.ok == oracle.ok == ok
+        assert report.failures == oracle.failures
+        kinds.update(kind for kind, *_ in report.failures)
+    assert verify_pi(unkept, t3_pairs).failures != verify_pi(reversed_key, t3_pairs).failures
+    assert kinds == {"product", "star", "equivariance"}
 
 
 def test_conjugacy_yes_witnesses_verify(rng):

@@ -183,3 +183,42 @@ def test_cocycle_correction_identity_for_cohomologous_pairs(rng):
                 )
 
             assert invariant(base) == invariant(other)
+
+
+def _random_config(rng, g, zero_sum):
+    if zero_sum:
+        return random_zero_sum_config(rng, g, radius=3)
+    items = []
+    for _ in range(rng.randrange(0, 5)):
+        point = LatticePoint(rng.randint(-3, 3), rng.randint(-3, 3))
+        coords = [rng.randint(-5, 5) for _ in range(g.free_rank)]
+        coords += [rng.randrange(n) for n in g.torsion]
+        items.append((point, g.element(coords)))
+    return Config.from_items(g, items)
+
+
+def test_total_and_zero_sum_match_a_fold_of_additions(rng):
+    # the int sum reduced once against one AbElem addition per site
+    groups = [AbGroup(2), AbGroup(1, (2,)), AbGroup(2, (2,)), AbGroup(0, (3, 3)),
+              AbGroup(1, (4, 6))]
+    for g in groups:
+        for i in range(200):
+            lam = _random_config(rng, g, zero_sum=i % 2 == 0)
+            fold = g.zero()
+            for _, value in lam.items():
+                fold = fold + value
+            assert lam.total() == fold
+            assert lam.is_zero_sum == fold.is_zero
+    assert Config.zero(AbGroup(1, (4,))).total() == AbGroup(1, (4,)).zero()
+
+
+def test_moved_by_matches_a_relocation_through_from_items(rng):
+    from tbshift.selftest import random_sl2
+
+    for g in (AbGroup(0, (3, 3)), AbGroup(2, (2,))):
+        for _ in range(100):
+            lam = _random_config(rng, g, zero_sum=False)
+            move = AffineSL2(LatticePoint(rng.randint(-3, 3), rng.randint(-3, 3)),
+                             random_sl2(rng))
+            relocated = Config.from_items(g, ((move.act(p), v) for p, v in lam.items()))
+            assert lam.moved_by(move) == relocated

@@ -244,3 +244,69 @@ def test_weak_mixing_witness_random_lists(trip, rng):
         for a in elems:
             for b in elems:
                 assert (a * beta(trip, move, b)).trace() == a.trace() * b.trace()
+
+
+def _rho_oracle(t, g, x):
+    """rho as it reads: rotate, sum chi(value)^det(k, m) site by site, add
+    c of the total, translate; relocations go through from_items and the
+    total is a fold of AbElem additions."""
+
+    def relocate(cfg, move):
+        return Config.from_items(cfg.group, ((move.act(p), v) for p, v in cfg.items()))
+
+    rotate = AffineSL2(ORIGIN, g.matrix)
+    translate = AffineSL2(g.shift)
+    out = {}
+    for cfg, coeff in x.terms.items():
+        rotated = relocate(cfg, rotate)
+        phase = Phase.ZERO
+        total = t.group.zero()
+        for point, value in rotated.items():
+            phase = phase + t.character(value) * det2(g.shift, point)
+            total = total + value
+        phase = phase + g.char(total)
+        key = relocate(rotated, translate)
+        term = coeff * Cyclotomic.from_phase(phase)
+        out[key] = out[key] + term if key in out else term
+    return AlgebraElement(x.cocycle, out)
+
+
+def _nontrivial_character(rng, group):
+    while True:
+        c = Character(group, tuple(
+            Phase(rng.randrange(n), n) if n else Phase(rng.randrange(12), 12)
+            for n in (group.generator_order(j) for j in range(group.rank))
+        ))
+        if not c.is_trivial:
+            return c
+
+
+def _random_element(rng, cocycle):
+    # terms of any total content, so the c(total) part of rho is exercised
+    g = cocycle.group
+    terms = {}
+    for _ in range(rng.randrange(1, 4)):
+        items = []
+        for _ in range(rng.randrange(1, 4)):
+            coords = [rng.randint(-3, 3) for _ in range(g.free_rank)]
+            coords += [rng.randrange(n) for n in g.torsion]
+            items.append((random_point(rng, 3), g.element(coords)))
+        terms[Config.from_items(g, items)] = Cyclotomic.from_phase(Phase(rng.randrange(12), 12))
+    return AlgebraElement(cocycle, terms)
+
+
+def test_rho_matches_the_relocate_and_sum_oracle(rng):
+    for group in (AbGroup(0, (3, 3)), AbGroup(2), AbGroup(2, (2,))):
+        for _ in range(10):
+            t = Triplet(group, trivial_triplet(group).cocycle, _nontrivial_character(rng, group))
+            for _ in range(5):
+                g = Motion(_nontrivial_character(rng, group), random_point(rng), random_sl2(rng))
+                x = _random_element(rng, t.cocycle)
+                assert rho(t, g, x) == _rho_oracle(t, g, x)
+
+
+def test_rho_refuses_a_matrix_outside_sl2(trip, rng):
+    x = random_algebra_element(rng, trip.cocycle)
+    g = Motion(Character.trivial(trip.group), E1, ((2, 0), (0, 1)))
+    with pytest.raises(ValueError, match="determinant"):
+        rho(trip, g, x)
