@@ -323,13 +323,6 @@ class _SwapKernel:
         neg = [row.index(0) for row in add]
         self.v = [(h, nh, -twist[h][nh]) for h, nh in enumerate(neg)]
 
-    @classmethod
-    def of(cls, mu) -> "_SwapKernel":
-        """The kernel of mu, after the flow's checks in their order."""
-        _flow_scale(mu.group)
-        _check_nondegenerate(mu)
-        return cls(mu)
-
     def times_v(self, y: TensorElement) -> TensorElement:
         """y V, equal to the generic TensorElement product."""
         if y.cocycle is not self.mu and y.cocycle != self.mu:
@@ -387,18 +380,17 @@ def malleability_flow(mu, t: Fraction, x: TensorElement) -> TensorElement:
     where flip(x) swaps the two legs of each key and keeps its coefficient.
     That is O(|x| |H|) term pairs against O(|x| |H|^2) for the product
     W_t x W_t^*, which the tests keep as the oracle.  At integer t one of
-    a, b is zero and the flow is x or flip(x), returned after the same
-    checks without building the swap kernel.  Raises for an element over
-    another base, then as _flow_scale does, then for a degenerate cocycle.
+    a, b is zero and the flow is x or flip(x), returned after the checks
+    without building the swap kernel.  Raises for an element over another
+    base, then as _flow_scale does, then for a degenerate cocycle.
     """
     if x.cocycle != mu:
         raise ValueError("element is not over the given base")
+    _flow_scale(mu.group)
+    _check_nondegenerate(mu)
     if Fraction(t).denominator == 1:
-        # x (t even) or flip(x) (t odd): the checks, and no table
-        _flow_scale(mu.group)
-        _check_nondegenerate(mu)
         return _flip(x) if t % 2 else x
-    return _SwapKernel.of(mu).flow(t, x)
+    return _SwapKernel(mu).flow(t, x)
 
 
 def apply_diagonal_character(c: Character, x):

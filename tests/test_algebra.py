@@ -358,7 +358,7 @@ def test_kernel_product_matches_generic_product(rng):
         (product_3_5, 8),
     ]
     for mu, rounds in bases:
-        kernel = _SwapKernel.of(mu)
+        kernel = _SwapKernel(mu)
         v = malleability_unitary(mu)
         zero = TensorElement.zero(mu)
         assert kernel.times_v(zero) == zero
@@ -373,7 +373,7 @@ def test_kernel_product_cancels_to_zero():
     # V V = |H|: every key of the product but the zero key cancels
     for mu in (mod_q_cocycle(2), mod_q_cocycle(3), _symplectic_z2p4()):
         v = malleability_unitary(mu)
-        assert _SwapKernel.of(mu).times_v(v) == TensorElement.one(mu).scaled(mu.group.order())
+        assert _SwapKernel(mu).times_v(v) == TensorElement.one(mu).scaled(mu.group.order())
     # one key cancels, the others stay: a u(p1, p2) + b u(q1, q2) with
     # p1 + p2 = q1 + q2 hits the key (p1 + k, p2 - k) of u(p1, p2) V at
     # u(q1, q2) u(l, -l), l = p1 + k - q1; b makes the two terms there cancel
@@ -392,7 +392,7 @@ def test_kernel_product_cancels_to_zero():
     y = TensorElement(mu, {(p1, p2): a, (q1, q2): b})
     product = y * malleability_unitary(mu)
     assert (p1 + k, p2 - k) not in product.terms and product.terms
-    assert _SwapKernel.of(mu).times_v(y) == product
+    assert _SwapKernel(mu).times_v(y) == product
 
 
 def test_flow_refuses_groups_above_the_bound(monkeypatch):
@@ -403,7 +403,6 @@ def test_flow_refuses_groups_above_the_bound(monkeypatch):
     mu = mod_q_cocycle(64)
     assert mu.group.order() == 4096 > MAX_FLOW_ORDER
     for build in (
-        lambda: _SwapKernel.of(mu),
         lambda: malleability_unitary(mu),
         lambda: flow_unitary(mu, Fraction(1, 2)),
         lambda: malleability_flow(mu, Fraction(1, 2), TensorElement.one(mu)),

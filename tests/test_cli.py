@@ -127,6 +127,43 @@ def test_conjugate_on_order_211_squared_is_fast(tmp_path):
     assert payload["witness"] == {"matrix": [[0, 210], [1, 0]]}
 
 
+TABLE = Path(__file__).resolve().parent.parent / "triplets" / "mod3_table.json"
+
+
+def _edited_table(tmp_path, drop=None, replace=None):
+    """mod3_table.json with the entry at index drop removed, or with
+    replace = (index, phase) giving one entry another value."""
+    triplet = json.loads(TABLE.read_text("utf-8"))
+    entries = triplet["cocycle"]["entries"]
+    if drop is not None:
+        del entries[drop]
+    if replace is not None:
+        index, phase = replace
+        entries[index][2] = phase
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(triplet), encoding="utf-8")
+    return str(path)
+
+
+def test_validate_refuses_a_table_with_a_missing_entry(tmp_path):
+    path = _edited_table(tmp_path, drop=40)  # ((1, 1), (1, 1))
+    code, payload = _run(["validate", path])
+    assert code == EXIT_INVALID
+    assert payload == {
+        "ok": False,
+        "violation": "table",
+        "detail": "table: missing entry ((1, 1), (1, 1))",
+    }
+
+
+def test_validate_refuses_a_table_that_breaks_the_cocycle_identity(tmp_path):
+    # mu((1, 0), (0, 1)) = 1/3 becomes 2/3; the values on the axes stay 0
+    path = _edited_table(tmp_path, replace=(28, "2/3"))
+    code, payload = _run(["validate", path])
+    assert code == EXIT_INVALID
+    assert payload["ok"] is False and payload["violation"] == "cocycle-identity"
+
+
 FIXTURE = "triplets/lattice_theta_1_16_chi_1_5.json"
 
 

@@ -15,6 +15,11 @@ bounded searches; product_3_5 against itself and against product_3_5_trivial
 covers the finite YES and NO searches.  `centralizer` on
 z3_4_symplectic_chi is the largest finite centralizer here (648
 elements, nonabelian), which pins the structure step on (Z/3)^4.
+
+mod3_table is mod3_standard with its cocycle written as a `"kind":
+"table"` of all 81 values; `validate`, `factor`, `bicharacter` and
+`centralizer` on it print the same bytes as on mod3_standard, through the
+table branches of the parser and of `TableCocycle`.
 """
 
 import contextlib

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,8 @@ from tbshift.lattice import (
     AffineSL2,
     LatticePoint,
     det2,
+    spiral_index,
+    spiral_points,
 )
 from tbshift.scalars import Cyclotomic, Phase
 from tbshift.selftest import random_algebra_element, random_point, random_sl2
@@ -244,6 +247,37 @@ def test_weak_mixing_witness_random_lists(trip, rng):
         for a in elems:
             for b in elems:
                 assert (a * beta(trip, move, b)).trace() == a.trace() * b.trace()
+
+
+def _factorises(trip, elems, k):
+    move = AffineSL2(k)
+    return all(
+        (a * beta(trip, move, b)).trace() == a.trace() * b.trace() for a in elems for b in elems
+    )
+
+
+def test_weak_mixing_witness_away_from_the_origin(trip):
+    # tr(u(lam) u(lam')) is nonzero only when lam + lam' = 0, so the pair
+    # (x, beta(k)(x*)) fails exactly at k = 0 and (x, beta(k)(beta(s)(x*)))
+    # exactly at k = -s
+    g = trip.group
+    h = g.element((1, 2))
+    x = AlgebraElement.unit(trip.cocycle, dipole(g.element((1, 0))))
+    wide = AlgebraElement.unit(
+        trip.cocycle, Config.from_items(g, [(LatticePoint(3, -2), h), (ORIGIN, -h)])
+    )
+    ring_1 = list(itertools.islice(spiral_points(), 9))
+    cases = [
+        ([x, x.star()], LatticePoint(1, 0)),
+        ([wide, wide.star()], LatticePoint(1, 0)),
+        ([x] + [beta(trip, AffineSL2(s), x.star()) for s in ring_1], LatticePoint(2, -1)),
+    ]
+    for elems, expected in cases:
+        k = weak_mixing_witness(trip, elems)
+        assert k == expected and k != ORIGIN
+        assert _factorises(trip, elems, k)
+        for earlier in itertools.islice(spiral_points(), spiral_index(k)):
+            assert not _factorises(trip, elems, earlier)
 
 
 def _rho_oracle(t, g, x):

@@ -6,6 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tbshift import scalars
 from tbshift.abelian import AbGroup
 from tbshift.cocycle import BilinearCocycle, _bilinear_value
 from tbshift.scalars import Cyclotomic, Phase, cyclotomic_polynomial, euler_phi
@@ -252,6 +253,16 @@ def test_zero_is_canonical():
         _assert_canonical(zero)
         assert zero.is_zero and zero == 0 and not zero
     assert Cyclotomic(4, (Fraction(2, 6), Fraction(4, 6)))._den == 3
+
+
+def test_short_coefficient_list_is_refused_without_factoring(monkeypatch):
+    # phi(N) >= sqrt(N/2), so one coefficient cannot fit a 14-digit prime order
+    def no_factoring(n):
+        raise AssertionError("euler_phi called")
+
+    monkeypatch.setattr(scalars, "euler_phi", no_factoring)
+    with pytest.raises(ValueError, match="needs more than 1 coefficients"):
+        Cyclotomic(99999999999973, (1,))
 
 
 def test_cyclotomic_is_immutable():
