@@ -9,11 +9,20 @@ command, argument or choice, or an option of the wrong type) exits 2 with
 {"ok": false, "violation": "usage", "detail": "<message>"} on stdout and
 the usage text on stderr.  Output is deterministic: identical inputs give
 byte-identical JSON.
+
+`main` builds the argument parser on its first call and reuses it for
+every later call in the process, so callers that run many commands
+in-process pay for one build.  Importing this module builds nothing.  The
+command function is looked up by name (`cmd_<command>`) at each call, so
+a function replaced on the module after the parser exists is the one that
+runs.  `build_parser()` stays public: it is what a fresh process pays
+once, and the start-up measurement times it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -52,6 +61,8 @@ def _load_triplet(path: str) -> Triplet:
         raise SchemaError("$", f"{path} is not JSON: {exc}") from None
     except RecursionError:
         raise SchemaError("$", f"{path} nests too deeply to parse") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError("$", f"{path} is not UTF-8 text: {exc}") from None
     return triplet_from_json(raw)
 
 
@@ -221,44 +232,47 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a triplet file against all invariants")
     p.add_argument("path")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("centralizer", help="automorphisms commuting with the action")
     p.add_argument("path")
     p.add_argument("--bound", type=int, default=None)
-    p.set_defaults(func=cmd_centralizer)
 
     p = sub.add_parser("conjugate", help="decide conjugacy of two triplets")
     p.add_argument("path_a")
     p.add_argument("path_b")
     p.add_argument("--bound", type=int, default=None)
-    p.set_defaults(func=cmd_conjugate)
 
     p = sub.add_parser("factor", help="nondegeneracy (factoriality) of the cocycle")
     p.add_argument("path")
-    p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("bicharacter", help="print the star bicharacter matrix")
     p.add_argument("path")
-    p.set_defaults(func=cmd_bicharacter)
 
     p = sub.add_parser("malleability", help="run the tensor-square flow checks")
     p.add_argument("path")
     p.add_argument("--samples", type=int, default=10)
-    p.set_defaults(func=cmd_malleability)
 
     p = sub.add_parser("selftest", help="run the property suites")
     p.add_argument("--suite", default=None, choices=sorted(SUITES))
     p.add_argument("--q", type=int, default=3, help="modulus for the malleability suite")
-    p.set_defaults(func=cmd_selftest)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit code.
+
+    The parser is built on the first call and reused after it; the
+    command runs as `cmd_<command>`, looked up on this module at call time.
+    """
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except Exception as exc:  # SystemExit and KeyboardInterrupt pass through
         import traceback  # here, not at the top: it would add to every start-up
 

@@ -208,16 +208,23 @@ def test_malleability_rejects_samples_below_one(at_root, samples):
 
 
 @pytest.mark.parametrize(
+    "data, detail",
+    [(b"[" * 100_000, "nests too deeply"), (b"\xff\xfe{}", "is not UTF-8 text")],
+    ids=["deep", "not-utf8"],
+)
+@pytest.mark.parametrize(
     "command, violation",
     [(["validate"], "schema"), (["centralizer"], "invalid-input"), (["factor"], "invalid-input")],
 )
-def test_deeply_nested_file_is_invalid_input(tmp_path, command, violation):
-    path = tmp_path / "deep.json"
-    path.write_text("[" * 100_000, encoding="utf-8")
+def test_deeply_nested_file_is_invalid_input(tmp_path, command, violation, data, detail):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
     code, payload = _run(command + [str(path)])
     assert code == EXIT_INVALID
     assert payload["ok"] is False and payload["violation"] == violation
-    assert "nests too deeply" in payload["detail"]
+    assert detail in payload["detail"]
+    if violation == "schema":
+        assert payload["path"] == "$"
 
 
 def test_uncaught_exception_is_an_internal_error(monkeypatch, capsys):
@@ -234,6 +241,43 @@ def test_uncaught_exception_is_an_internal_error(monkeypatch, capsys):
         "detail": "RuntimeError: table out of step",
     }
     assert "Traceback" in captured.err
+
+
+def test_command_replaced_after_the_parser_is_built_is_the_one_run(at_root, monkeypatch, capsys):
+    assert main(["validate", "triplets/mod3_standard.json"]) == EXIT_OK
+
+    def broken(args):
+        raise RuntimeError("replaced later")
+
+    monkeypatch.setattr(cli, "cmd_factor", broken)
+    capsys.readouterr()
+    assert main(["factor", "triplets/mod3_standard.json"]) == EXIT_INTERNAL
+    assert json.loads(capsys.readouterr().out) == {
+        "ok": False,
+        "violation": "internal",
+        "detail": "RuntimeError: replaced later",
+    }
+
+
+def test_parser_is_built_once_per_process(at_root, monkeypatch, capsys):
+    path = "triplets/mod3_standard.json"
+    assert main(["validate", path]) == EXIT_OK
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    for argv in (["validate", path], ["factor", path], ["bicharacter", path],
+                 ["conjugate", path, path]):
+        assert main(argv) == EXIT_OK
+    with pytest.raises(SystemExit) as stop:
+        main(["factor"])
+    assert stop.value.code == EXIT_INVALID
+    capsys.readouterr()
+    assert built == []
 
 
 @pytest.mark.parametrize("exc", [KeyboardInterrupt(), SystemExit(7)])
@@ -255,18 +299,26 @@ def test_exit_and_interrupt_are_not_caught(monkeypatch, exc):
         (["centralizer"], "the following arguments are required: path"),
     ],
 )
-def test_usage_error_is_json(argv, detail, capsys):
-    with pytest.raises(SystemExit) as stop:
-        main(argv)
-    captured = capsys.readouterr()
-    assert stop.value.code == EXIT_INVALID
-    payload = json.loads(captured.out)
+def test_usage_error_is_json(at_root, argv, detail, capsys):
+    # after a command that succeeded, and twice: a reused parser keeps no state
+    assert main(["factor", "triplets/mod3_standard.json"]) == EXIT_OK
+    capsys.readouterr()
+    runs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == EXIT_INVALID
+        runs.append(capsys.readouterr())
+    assert runs[0] == runs[1]
+    payload = json.loads(runs[0].out)
     assert payload["ok"] is False and payload["violation"] == "usage"
     assert payload["detail"].startswith(detail)
-    assert captured.err.startswith("usage: tbshift")
+    assert runs[0].err.startswith("usage: tbshift")
 
 
-def test_help_is_not_a_usage_error(capsys):
+def test_help_is_not_a_usage_error(at_root, capsys):
+    assert main(["factor", "triplets/mod3_standard.json"]) == EXIT_OK
+    capsys.readouterr()
     with pytest.raises(SystemExit) as stop:
         main(["--help"])
     captured = capsys.readouterr()
