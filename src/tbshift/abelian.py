@@ -195,14 +195,6 @@ class AbHom:
             group, group, tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
         )
 
-    @staticmethod
-    def from_images(source: AbGroup, target: AbGroup, images: Sequence[AbElem]) -> "AbHom":
-        rows = tuple(
-            tuple(images[j].coords[i] for j in range(source.rank))
-            for i in range(target.rank)
-        )
-        return AbHom(source, target, rows)
-
 
 def is_isomorphism(f: AbHom) -> bool:
     """True iff f is bijective.
@@ -225,22 +217,21 @@ def is_isomorphism(f: AbHom) -> bool:
     return len([d for d in diag if d != 0]) == rb and all(d in (0, 1) for d in diag)
 
 
-def _image_candidates(target: AbGroup, order: int, bound: Optional[int]) -> Iterator[AbElem]:
-    """Target elements x with order*x = 0 (order 0 = free source generator)."""
+def _image_candidates(target: AbGroup, order: int, bound: Optional[int]) -> Iterator[tuple]:
+    """Coordinates of the target elements x with order*x = 0 (order 0 = free source generator)."""
     if order == 0:
         if not target.is_finite and bound is None:
             raise ValueError("a bound is required when free parts are present")
         free_range = range(-bound, bound + 1) if bound is not None else range(1)
         ranges = [free_range] * target.free_rank + [range(n) for n in target.torsion]
-        for coords in itertools.product(*ranges):
-            yield target.element(coords)
+        yield from itertools.product(*ranges)
     else:
         # free target coordinates must vanish; torsion coordinate c needs
         # n | order*c, i.e. c a multiple of n/gcd(order, n)
         steps = [n // gcd(order, n) for n in target.torsion]
         ranges = [range(0, n, s) for n, s in zip(target.torsion, steps)]
         for tors in itertools.product(*ranges):
-            yield target.element((0,) * target.free_rank + tors)
+            yield (0,) * target.free_rank + tors
 
 
 def enumerate_isomorphisms(
@@ -260,7 +251,7 @@ def enumerate_isomorphisms(
     orders = [source.generator_order(j) for j in range(source.rank)]
     pools = [list(_image_candidates(target, o, bound)) for o in orders]
     for images in itertools.product(*pools):
-        f = AbHom.from_images(source, target, list(images))
+        f = AbHom(source, target, tuple(zip(*images)))
         if is_isomorphism(f):
             found.append(f)
     return found, complete

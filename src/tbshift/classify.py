@@ -10,12 +10,14 @@ action is the automorphism group cut out by the same two conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
+from math import gcd, lcm
+from operator import mul
 from typing import Callable, Iterator, List, Optional, Sequence
 
 from .abelian import (
-    AbElem,
+    AbGroup,
     AbHom,
     Character,
     StructureReport,
@@ -25,7 +27,7 @@ from .abelian import (
     is_isomorphism,
 )
 from .algebra import AlgebraElement
-from .cocycle import BilinearCocycle, star_bicharacter, trivial_cocycle
+from .cocycle import BilinearCocycle, radical_rows, star_bicharacter, star_lift
 from .configs import Config, mu_hat
 from .dynamics import Triplet, beta
 from .lattice import (
@@ -40,7 +42,7 @@ from .lattice import (
     gcd2,
     spiral_index,
 )
-from .linalg import hermite_mod, order_mod
+from .linalg import hermite_mod, order_mod, snf_diagonal
 from .scalars import Cyclotomic, Phase
 
 
@@ -186,6 +188,7 @@ class ConjugacyReport:
     checks: dict
     complete: bool
     note: str = ""
+    decided_by: str = ""  # groups | invariants | search | lattice | bounded-search
 
 
 def _lattice_det_value(mu) -> Optional[Phase]:
@@ -199,89 +202,116 @@ def _lattice_det_value(mu) -> Optional[Phase]:
     return star_bicharacter(mu).value(gens[0], gens[1])
 
 
+def _integer_forms(ta: Triplet, tb: Triplet) -> tuple:
+    """(D, (A_a, c_a), (A_b, c_b)): both `star_lift`s and both chi^2 over one D.
+
+    On raw coordinates, s(x, y) = x^T A y / D and chi^2(x) = c . x / D.
+    """
+    (sa, da), (sb, db) = star_lift(ta.cocycle), star_lift(tb.cocycle)
+    xa, xb = ta.character.power(2).phases, tb.character.power(2).phases
+    d = lcm(da, db, *(p.den for p in xa + xb))
+
+    def lift(star: list, den: int, chi: tuple) -> tuple:
+        return [[a * (d // den) for a in row] for row in star], [p.num * (d // p.den) for p in chi]
+
+    return d, lift(sa, da, xa), lift(sb, db, xb)
+
+
+def _invariants(group: AbGroup, star: list, chi: list, d: int) -> tuple:
+    """(cocycle, character, joint) isomorphism invariants of one finite side.
+
+    An isomorphism meeting the cocycle condition maps radical R onto
+    radical, so it keeps the invariant factors of R (the cokernel of
+    g -> s(g, -) into dual(H), whose image is R's annihilator) and of H/R
+    (Z^r over the `radical_rows`).  One meeting the character condition
+    keeps the order of chi^2; one meeting both, that of chi^2 on R.
+    """
+    moduli = group.torsion
+    rows = radical_rows(star, d, group)
+    cokernel = [[a * n // d for a, n in zip(row, moduli)] for row in star]
+    cokernel += [[n if i == j else 0 for j in range(len(moduli))] for i, n in enumerate(moduli)]
+    cocycle = tuple(tuple(x for x in snf_diagonal(m) if x != 1) for m in (cokernel, rows))
+    on_radical = d // gcd(d, *(sum(map(mul, chi, row)) for row in rows))
+    return cocycle, d // gcd(d, *chi), on_radical
+
+
 def _matching_isomorphisms(
-    ta: Triplet, tb: Triplet, bound: Optional[int] = None
+    ta: Triplet, tb: Triplet, bound: Optional[int] = None, forms: Optional[tuple] = None
 ) -> Iterator[AbHom]:
     """Every isomorphism H_a -> H_b meeting both conditions, lazily.
 
-    Backtracks over generator images.  The pool of generator g_j holds the
-    `_image_candidates` of its order with chi_b^2(x) = chi_a^2(g_j).  A new
-    image x_j must satisfy sb(x_i, x_j) = sa(g_i, g_j) for every earlier
-    i; the star forms are alternating, so these pairs settle all of them.
-    Between finite groups x_j must also add a direct summand of order
-    ord(g_j) to the span of the earlier images, held as `hermite_mod`
-    rows: `order_mod(x_j, span)` = ord(g_j), as on each prefix of an
-    injective map.  This is tested first, so the cost of a search that
-    finds nothing is set by the pools, not by how degenerate the star
-    forms are.  The cut is exact: a full tuple spans a subgroup of order
-    |H_a| = |H_b| (callers check the groups are isomorphic), so only the
-    bounded free-part search checks its tuples with `is_isomorphism`.
-    Walking each pool in candidate order visits tuples in
-    `enumerate_isomorphisms` order, so the hits come out in that order
-    too.  `bound` limits the free matrix entries and is required when
-    free parts are present.
+    Backtracks over generator images as raw coordinates, comparing their
+    dot products with the integer rows of the `_integer_forms` (by default
+    the triplets') mod one denominator; no AbElem or Phase is built before
+    a hit.  The pool of generator g_j holds the `_image_candidates` of its
+    order with chi_b^2(x) = chi_a^2(g_j).  A new image x_j must satisfy
+    sb(x_i, x_j) = sa(g_i, g_j) for every earlier i; the star forms are
+    alternating, so these pairs settle all of them.  Between finite groups
+    x_j must also add a direct summand of order ord(g_j) to the span of
+    the earlier images, held as `hermite_mod` rows: `order_mod(x_j, span)`
+    = ord(g_j), as on each prefix of an injective map.  This is tested
+    first, so the cost of a search that finds nothing is set by the pools,
+    not by how degenerate the star forms are.  The cut is exact: a full
+    tuple spans a subgroup of order |H_a| = |H_b| (callers check the
+    groups are isomorphic), so only the bounded free-part search checks
+    its tuples with `is_isomorphism`.  Walking each pool in candidate
+    order visits tuples in `enumerate_isomorphisms` order, so the hits
+    come out in that order too.  `bound` limits the free matrix entries
+    and is required when free parts are present.
     """
     ga, gb = ta.group, tb.group
-    sa = star_bicharacter(ta.cocycle)
-    sb = star_bicharacter(tb.cocycle)
-    chi_a2 = ta.character.power(2)
-    chi_b2 = tb.character.power(2)
-    gens = ga.generators()
+    d, (star_a, chi_a), (star_b, chi_b) = forms or _integer_forms(ta, tb)
+    cols_b = list(zip(*star_b))
     pools = [
         [
             x
             for x in _image_candidates(gb, ga.generator_order(j), bound)
-            if chi_b2(x) == chi_a2(g)
+            if (sum(map(mul, chi_b, x)) - chi_a[j]) % d == 0
         ]
-        for j, g in enumerate(gens)
+        for j in range(ga.rank)
     ]
     finite = ga.is_finite and gb.is_finite
     moduli = gb.torsion
-    chosen: List[AbElem] = []
+    chosen: List[tuple] = []
+    pairings: List[list] = []  # x_i^T A_b for each chosen x_i
 
     def extend(j: int, span: list) -> Iterator[AbHom]:
-        if j == len(gens):
-            f = AbHom.from_images(ga, gb, chosen)
+        if j == ga.rank:
+            f = AbHom(ga, gb, tuple(zip(*chosen)))
             if finite or is_isomorphism(f):
                 yield f
             return
         order = ga.generator_order(j)
+        wanted = [star_a[i][j] for i in range(j)]
         for x in pools[j]:
-            if finite and order_mod(x.coords, span, moduli) != order:
+            if finite and order_mod(x, span, moduli) != order:
                 continue
-            if all(sb.value(chosen[i], x) == sa.value(gens[i], gens[j]) for i in range(j)):
+            if all((sum(map(mul, u, x)) - w) % d == 0 for u, w in zip(pairings, wanted)):
                 chosen.append(x)
-                if finite and j + 1 < len(gens):
-                    yield from extend(j + 1, hermite_mod(span + [x.coords], moduli))
+                pairings.append([sum(map(mul, x, col)) for col in cols_b])
+                if finite and j + 1 < ga.rank:
+                    yield from extend(j + 1, hermite_mod(span + [x], moduli))
                 else:
                     yield from extend(j + 1, span)
                 chosen.pop()
+                pairings.pop()
 
     return extend(0, hermite_mod([], moduli) if finite else [])
-
-
-def _separate_checks(ta: Triplet, tb: Triplet, bound: Optional[int]) -> dict:
-    """Whether some isomorphism meets each condition on its own.
-
-    The same search, with the other datum made trivial on both sides.
-    """
-    def found(a: Triplet, b: Triplet) -> bool:
-        return next(_matching_isomorphisms(a, b, bound), None) is not None
-
-    return {
-        "cocycle": found(replace(ta, character=Character.trivial(ta.group)),
-                         replace(tb, character=Character.trivial(tb.group))),
-        "character": found(replace(ta, cocycle=trivial_cocycle(ta.group)),
-                           replace(tb, cocycle=trivial_cocycle(tb.group))),
-    }
 
 
 def decide_conjugacy(ta: Triplet, tb: Triplet, bound: Optional[int] = None) -> ConjugacyReport:
     """Decide conjugacy of the two shift actions at the triplet level.
 
-    Finite groups are decided completely by the pruned isomorphism search:
-    the witness is the first isomorphism meeting both conditions, and a NO
-    reports whether each condition alone can be met.  The rank-two
+    Finite groups are decided completely.  The `_invariants` of the two
+    sides come first: the invariant factors of the star radical R and of
+    H/R for the cocycle condition, the order of chi^2 for the character
+    condition, and for both together also the order of chi^2 on R.  Any
+    isomorphism meeting a condition keeps its invariants, so where they
+    differ the condition fails and no search runs for it.  Otherwise the
+    pruned isomorphism search runs on the integer forms, built once per
+    call: the witness is its first hit, and a NO reports whether each
+    condition alone can be met (the same search with the other datum zero
+    on both sides).  The rank-two
     lattice case with bilinear cocycles has a complete closed form for the
     cocycle condition (pullback flips the star value by the determinant,
     so only +-v is reachable); it decides NO outright and YES whenever an
@@ -292,13 +322,7 @@ def decide_conjugacy(ta: Triplet, tb: Triplet, bound: Optional[int] = None) -> C
     ga, gb = ta.group, tb.group
     if not abstractly_isomorphic(ga, gb):
         return ConjugacyReport("NO", None, {"cocycle": False, "character": False}, True,
-                               "groups are not isomorphic")
-    if ga.is_finite and gb.is_finite:
-        phi = next(_matching_isomorphisms(ta, tb), None)
-        if phi is not None:
-            return ConjugacyReport("YES", phi, {"cocycle": True, "character": True}, True)
-        return ConjugacyReport("NO", None, _separate_checks(ta, tb, None), True)
-
+                               "groups are not isomorphic", "groups")
     va = _lattice_det_value(ta.cocycle)
     vb = _lattice_det_value(tb.cocycle)
     if va is not None and vb is not None:
@@ -307,27 +331,49 @@ def decide_conjugacy(ta: Triplet, tb: Triplet, bound: Optional[int] = None) -> C
         if va != vb and va != -vb:
             return ConjugacyReport(
                 "NO", None, {"cocycle": False, "character": False}, True,
-                "star values differ by more than a sign",
+                "star values differ by more than a sign", "lattice",
             )
         if va == vb and chi_a2.phases == chi_b2.phases:
             phi = AbHom.identity(ga)
-            return ConjugacyReport("YES", phi, {"cocycle": True, "character": True}, True)
+            return ConjugacyReport("YES", phi, {"cocycle": True, "character": True}, True,
+                                   decided_by="lattice")
         if va == -vb and chi_a2.is_trivial and chi_b2.is_trivial:
             phi = AbHom(ga, gb, ((1, 0), (0, -1)))
             c_ok, x_ok = check_conditions(ta, tb, phi)
             if c_ok and x_ok:
-                return ConjugacyReport("YES", phi, {"cocycle": True, "character": True}, True)
+                return ConjugacyReport("YES", phi, {"cocycle": True, "character": True}, True,
+                                       decided_by="lattice")
 
-    if bound is None:
+    finite = ga.is_finite
+    if not finite and bound is None:
         return ConjugacyReport(
             "UNKNOWN", None, {"cocycle": False, "character": False}, False,
-            "free parts present and no search bound given",
+            "free parts present and no search bound given", "bounded-search",
         )
-    phi = next(_matching_isomorphisms(ta, tb, bound), None)
-    if phi is not None:
-        return ConjugacyReport("YES", phi, {"cocycle": True, "character": True}, False)
-    return ConjugacyReport("UNKNOWN", None, _separate_checks(ta, tb, bound), False,
-                           f"no witness with entries bounded by {bound}")
+    forms = d, (star_a, chi_a), (star_b, chi_b) = _integer_forms(ta, tb)
+    inv_a = inv_b = (None,) * 3
+    if finite:
+        inv_a, inv_b = _invariants(ga, star_a, chi_a, d), _invariants(gb, star_b, chi_b, d)
+    how = "invariants" if inv_a != inv_b else "search" if finite else "bounded-search"
+    if how != "invariants":
+        phi = next(_matching_isomorphisms(ta, tb, bound, forms), None)
+        if phi is not None:
+            return ConjugacyReport("YES", phi, {"cocycle": True, "character": True}, finite,
+                                   decided_by=how)
+
+    def found(a: tuple, b: tuple) -> bool:
+        return next(_matching_isomorphisms(ta, tb, bound, (d, a, b)), None) is not None
+
+    none_a, none_b = [0] * ga.rank, [0] * gb.rank
+    checks = {
+        "cocycle": inv_a[0] == inv_b[0] and found((star_a, none_a), (star_b, none_b)),
+        "character": inv_a[1] == inv_b[1] and found(([none_a] * ga.rank, chi_a),
+                                                    ([none_b] * gb.rank, chi_b)),
+    }
+    if finite:
+        return ConjugacyReport("NO", None, checks, True, decided_by=how)
+    return ConjugacyReport("UNKNOWN", None, checks, False,
+                           f"no witness with entries bounded by {bound}", how)
 
 
 @dataclass(frozen=True)

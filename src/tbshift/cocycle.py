@@ -248,36 +248,51 @@ def coboundary_witness(mu1, mu2) -> Optional[dict]:
     return witness
 
 
-def degeneracy_witness(mu) -> Optional[AbElem]:
-    """A nonzero g whose star pairing against every h vanishes, or None.
+def star_lift(mu) -> tuple:
+    """(A, D): the star matrix as an antisymmetric integer matrix A over D.
 
-    The star matrix is lifted to an antisymmetric integer matrix A: the
-    stored phases in [0, 1) above the diagonal, negated below it, times
-    the lcm D of their denominators.  With a free part, A holds rational
-    tags for a dense parameter family, and the first integer kernel
-    vector of A^T with a nonzero free part is the witness.  Else the
-    witness lies in the torsion radical {g : sum_i g_i A_ij = 0 mod D for
-    all j}, whose preimage is the g-part of the integer kernel of
-    [A_t^T | D*I] (A_t: the torsion rows).  Of its `hermite_mod` rows,
-    the one of the last coordinate k with pivot below n_k is the first
-    nonzero radical element in `elements()` order; with no such k the
-    radical is trivial.
+    A is the stored phases in [0, 1) above the diagonal, negated below it,
+    times the lcm D of their denominators: s(g, h) = sum_ij g_i A_ij h_j / D.
     """
-    group = mu.group
     star = star_bicharacter(mu).matrix
-    r, f = group.rank, group.free_rank
     scale = lcm(*(p.den for row in star for p in row))
     upper = [[p.num * (scale // p.den) if i < j else 0 for j, p in enumerate(row)]
              for i, row in enumerate(star)]
-    transposed = [[upper[i][j] - upper[j][i] for i in range(r)] for j in range(r)]
+    return [[x - y for x, y in zip(row, col)] for row, col in zip(upper, zip(*upper))], scale
+
+
+def radical_rows(lift: list, scale: int, group: AbGroup) -> list:
+    """`hermite_mod` rows of the torsion radical {g : g^T A = 0 mod D} of (A, D).
+
+    Its preimage is the g-part of the integer kernel of [A_t^T | D*I]
+    (A_t: the torsion rows of A).
+    """
+    f, r = group.free_rank, group.rank
+    system = [list(col[f:]) + [scale if i == j else 0 for i in range(r)]
+              for j, col in enumerate(zip(*lift))]
+    return hermite_mod([vec[:r - f] for vec in integer_kernel_basis(system)], group.torsion)
+
+
+def degeneracy_witness(mu) -> Optional[AbElem]:
+    """A nonzero g whose star pairing against every h vanishes, or None.
+
+    The star matrix is lifted by `star_lift`.  With a free part, A holds
+    rational tags for a dense parameter family, and the first integer
+    kernel vector of A^T with a nonzero free part is the witness.  Else
+    the witness lies in the torsion radical.  Of its `radical_rows`, the
+    one of the last coordinate k with pivot below n_k is the first nonzero
+    radical element in `elements()` order; with no such k the radical is
+    trivial.
+    """
+    group = mu.group
+    lift, scale = star_lift(mu)
+    f = group.free_rank
     if f:
-        for vec in integer_kernel_basis(transposed):
+        for vec in integer_kernel_basis([list(col) for col in zip(*lift)]):
             if any(vec[:f]):
                 return group.element(vec)
-    system = [row[f:] + [scale if i == j else 0 for i in range(r)]
-              for j, row in enumerate(transposed)]
-    rows = hermite_mod([vec[:r - f] for vec in integer_kernel_basis(system)], group.torsion)
-    for k in reversed(range(r - f)):
+    rows = radical_rows(lift, scale, group)
+    for k in reversed(range(group.rank - f)):
         if rows[k][k] < group.torsion[k]:
             return group.element([0] * f + rows[k])
     return None

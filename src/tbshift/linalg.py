@@ -14,9 +14,10 @@ kept small.
 The one other step, `hermite_mod`, brings a subgroup of
 Z/n_1 + ... + Z/n_r to echelon rows with row operations only, and
 `order_mod` reads element orders modulo that subgroup off the rows.
-`cocycle.degeneracy_witness` puts a star form's radical in echelon
-form; `classify._matching_isomorphisms` keeps the span of its chosen
-images that way and cuts candidates with `order_mod`.
+`cocycle.radical_rows` puts a star form's radical in echelon form for
+`degeneracy_witness` and the conjugacy invariants;
+`classify._matching_isomorphisms` keeps the span of its chosen images
+that way and cuts candidates with `order_mod`.
 """
 
 from __future__ import annotations

@@ -95,6 +95,7 @@ def test_decide_identical_triplets(trip3):
 def test_decide_group_mismatch():
     report = decide_conjugacy(mod_q_triplet(3), mod_q_triplet(5))
     assert report.verdict == "NO" and report.complete
+    assert report.decided_by == "groups"
 
 
 def test_decide_character_square_separation(trip3):
@@ -124,6 +125,7 @@ def test_lattice_closed_form_separation():
     tc = lattice_det_triplet(Phase(15, 16))
     report2 = decide_conjugacy(ta, tc)
     assert report2.verdict == "YES" and report2.complete
+    assert report.decided_by == report2.decided_by == "lattice"
     report3 = decide_conjugacy(ta, ta)
     assert report3.verdict == "YES" and report3.witness == AbHom.identity(ta.group)
 
@@ -164,6 +166,7 @@ def test_lattice_unknown_without_bound():
     # with a bound the swap matrix is found
     report2 = decide_conjugacy(ta, tb, bound=1)
     assert report2.verdict == "YES"
+    assert report.decided_by == report2.decided_by == "bounded-search"
     assert check_conditions(ta, tb, report2.witness) == (True, True)
 
 
@@ -536,7 +539,7 @@ def _random_character(rng, group):
 
 def _pushforward(t, psi):
     """The triplet that psi^-1 maps t to: data pulled back through psi."""
-    g = t.group
+    g = psi.source
     images = [psi(e) for e in g.generators()]
     matrix = tuple(tuple(t.cocycle(x, y) for y in images) for x in images)
     return Triplet(g, BilinearCocycle(g, matrix), t.character.pullback(psi))
@@ -579,6 +582,79 @@ def test_search_matches_brute_oracle_finite():
         assert centralizer(ta).elements == expected
     assert verdicts[::2] == ["YES"] * len(FINITE_ORACLE_GROUPS)
     assert "NO" in verdicts
+
+
+def _assert_invariants_sound(ta, tb, isos):
+    """decide_conjugacy against the brute oracle and the invariants; returns its report."""
+    report = decide_conjugacy(ta, tb)
+    verdict, witness, checks = _brute_conjugacy(ta, tb, isos, True)
+    assert (report.verdict, report.witness, report.checks) == (verdict, witness, checks)
+    d, (star_a, chi_a), (star_b, chi_b) = classify._integer_forms(ta, tb)
+    inv_a = classify._invariants(ta.group, star_a, chi_a, d)
+    inv_b = classify._invariants(tb.group, star_b, chi_b, d)
+    for key, a, b in zip(("cocycle", "character"), inv_a, inv_b):
+        if a != b:
+            assert not checks[key]
+    assert report.decided_by == ("search" if inv_a == inv_b else "invariants")
+    return report
+
+
+def test_invariant_nos_match_brute_oracle():
+    # independent random data on each side: where the invariants of a
+    # condition differ, no isomorphism meets it, and a NO they decide has
+    # the verdict, witness and checks of the plain search
+    rng = random.Random(16)
+    branches = Counter()
+    for torsion in FINITE_ORACLE_GROUPS + [(2, 2, 4)]:
+        group = AbGroup(0, torsion)
+        isos, _ = enumerate_isomorphisms(group, group)
+        for _ in range(4):
+            ta, tb = (Triplet(group, _random_bilinear(rng, group), _random_character(rng, group))
+                      for _ in range(2))
+            branches[_assert_invariants_sound(ta, tb, isos).decided_by] += 1
+    assert branches["invariants"] >= 3 and branches["search"] >= 3
+    # chi^2 = (1/2, 0) and (0, 1/2) on Z/4 x Z/8 have the same order but
+    # lie in different automorphism orbits (the first is twice a character
+    # and no more, the second four times one), so only the search finds
+    # this NO
+    group = AbGroup(0, (4, 8))
+    ta, tb = (Triplet(group, trivial_cocycle(group), Character(group, phases))
+              for phases in ((Phase(1, 4), Phase.ZERO), (Phase.ZERO, Phase(1, 4))))
+    isos, _ = enumerate_isomorphisms(group, group)
+    report = _assert_invariants_sound(ta, tb, isos)
+    assert report.decided_by == "search"
+    assert report.checks == {"cocycle": True, "character": False}
+
+
+def test_integer_search_matches_phase_checks_on_mixed_denominators():
+    # star entries and chi^2 over different denominators share one D in
+    # the search; the table fixture takes the TableCocycle path
+    rng = random.Random(9)
+    pairs = []
+    for torsion, phases in (
+        ((2, 6), (Phase(1, 2), Phase(1, 6))),
+        ((2, 6), (Phase(1, 2), Phase(1, 3))),
+        ((4, 4), (Phase(1, 4), Phase(1, 2))),
+        ((4, 4), (Phase(3, 4), Phase(1, 4))),
+    ):
+        group = AbGroup(0, torsion)
+        isos, _ = enumerate_isomorphisms(group, group)
+        ta = Triplet(group, _random_bilinear(rng, group), Character(group, phases))
+        pairs.append((ta, _pushforward(ta, rng.choice(isos))))
+    # the same group presented with three and with two generators
+    ga, gb = AbGroup(0, (2, 2, 3)), AbGroup(0, (2, 6))
+    chi = Character(ga, (Phase(1, 2), Phase.ZERO, Phase(1, 3)))
+    ta = Triplet(ga, _random_bilinear(rng, ga), chi)
+    pairs.append((ta, _pushforward(ta, rng.choice(enumerate_isomorphisms(gb, ga)[0]))))
+    root = Path(__file__).resolve().parent.parent / "triplets"
+    table, standard = (triplet_from_json(json.loads((root / name).read_text("utf-8")))
+                       for name in ("mod3_table.json", "mod3_standard.json"))
+    pairs += [(table, standard), (standard, table)]
+    for ta, tb in pairs:
+        isos, _ = enumerate_isomorphisms(ta.group, tb.group)
+        expected = [phi for phi in isos if all(check_conditions(ta, tb, phi))]
+        assert expected
+        assert list(classify._matching_isomorphisms(ta, tb)) == expected
 
 
 def test_search_matches_brute_oracle_bounded():

@@ -127,6 +127,23 @@ def test_conjugate_on_order_211_squared_is_fast(tmp_path):
     assert payload["witness"] == {"matrix": [[0, 210], [1, 0]]}
 
 
+def test_conjugate_no_on_order_211_squared_is_fast(tmp_path):
+    # the star radicals (0 and all of H) differ, so the cocycle condition
+    # is settled without a search; the character search stops at its
+    # first hit
+    a = _write(tmp_path, "z211.json", (211, 211), [["0", "1/211"], ["0", "0"]])
+    b = _write(tmp_path, "z211_trivial.json", (211, 211), [["0", "0"], ["0", "0"]])
+    with deadline(3):
+        code, payload = _run(["conjugate", a, b])
+    assert code == EXIT_NO and payload == {
+        "checks": {"character": True, "cocycle": False},
+        "complete": True,
+        "note": "",
+        "verdict": "NO",
+        "witness": None,
+    }
+
+
 TABLE = Path(__file__).resolve().parent.parent / "triplets" / "mod3_table.json"
 
 
