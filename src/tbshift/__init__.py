@@ -16,8 +16,6 @@ from .abelian import (
     StructureReport,
     abstractly_isomorphic,
     dual_characters,
-    enumerate_automorphisms,
-    enumerate_isomorphisms,
     group_structure,
     is_isomorphism,
 )
@@ -25,7 +23,6 @@ from .algebra import (
     AlgebraElement,
     TensorElement,
     apply_diagonal_character,
-    malleability_flow,
     malleability_unitary,
 )
 from .classify import (
@@ -48,7 +45,6 @@ from .cocycle import (
     coboundary_witness,
     cohomologous,
     degeneracy_witness,
-    is_nondegenerate,
     star_bicharacter,
     to_table,
     trivial_cocycle,
@@ -58,22 +54,16 @@ from .dynamics import (
     Motion,
     Triplet,
     beta,
-    is_dual_fixed,
-    motion_identity,
     motion_mul,
     rho,
     verify_motion_relations,
     weak_mixing_witness,
 )
 from .families import (
-    det_form_cocycle,
-    lattice_det_triplet,
     mod_q_character,
     mod_q_cocycle,
     mod_q_group,
     mod_q_triplet,
-    product_triplet,
-    trivial_triplet,
 )
 from .lattice import (
     DELTA,
@@ -86,7 +76,6 @@ from .lattice import (
     LatticePoint,
     det2,
     gcd2,
-    named_elements,
     spiral_index,
     spiral_points,
 )

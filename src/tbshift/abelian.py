@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, lcm, prod
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from .linalg import snf_diagonal
 from .scalars import Phase
@@ -50,9 +50,6 @@ class AbGroup:
         if not self.is_finite:
             raise ValueError("infinite group has no order")
         return prod(self.torsion)
-
-    def exponent(self) -> int:
-        return lcm(*self.torsion)
 
     def reduce(self, coords: Sequence[int]) -> tuple:
         if len(coords) != self.rank:
@@ -94,11 +91,6 @@ class AbGroup:
         k = len(self.torsion)
         diag = [[self.torsion[i] if i == j else 0 for j in range(k)] for i in range(k)]
         return tuple(d for d in snf_diagonal(diag) if d != 1)
-
-    def direct_sum(self, other: "AbGroup") -> "AbGroup":
-        if self.free_rank or other.free_rank:
-            raise ValueError("direct_sum supports finite groups only")
-        return AbGroup(0, self.torsion + other.torsion)
 
 
 def abstractly_isomorphic(a: AbGroup, b: AbGroup) -> bool:
@@ -234,38 +226,6 @@ def _image_candidates(target: AbGroup, order: int, bound: Optional[int]) -> Iter
             yield (0,) * target.free_rank + tors
 
 
-def enumerate_isomorphisms(
-    source: AbGroup, target: AbGroup, bound: Optional[int] = None
-) -> tuple:
-    """All isomorphisms source -> target, with a completeness flag.
-
-    Complete when both groups are finite.  With free parts a bound on the
-    matrix entries is required and the listing is explicitly incomplete.
-    """
-    complete = source.is_finite and target.is_finite
-    if not abstractly_isomorphic(source, target):
-        return [], True
-    if not complete and bound is None:
-        raise ValueError("free parts present: pass an entry bound")
-    found = []
-    orders = [source.generator_order(j) for j in range(source.rank)]
-    pools = [list(_image_candidates(target, o, bound)) for o in orders]
-    for images in itertools.product(*pools):
-        f = AbHom(source, target, tuple(zip(*images)))
-        if is_isomorphism(f):
-            found.append(f)
-    return found, complete
-
-
-def enumerate_automorphisms(group: AbGroup) -> list:
-    """The full automorphism list of a finite group, in enumeration order."""
-    if not group.is_finite:
-        raise ValueError("automorphism enumeration needs a finite group")
-    autos, complete = enumerate_isomorphisms(group, group)
-    assert complete
-    return autos
-
-
 @dataclass(frozen=True)
 class Character:
     """Character of H given by its Phase value on each generator."""
@@ -324,28 +284,6 @@ def dual_characters(group: AbGroup) -> Iterator[Character]:
     pools = [[Phase(a, n) for a in range(n)] for n in group.torsion]
     for phases in itertools.product(*pools):
         yield Character(group, tuple(phases))
-
-
-def separating_characters(group: AbGroup, values: Iterable[AbElem]) -> list:
-    """A finite character family that separates the given elements from 0.
-
-    One character per generator (`rank` of them, not |H|): phase 1/n_j on
-    a torsion generator of order n_j, and on a free generator a phase of
-    order exceeding twice the largest coordinate magnitude that occurs,
-    so no occurring nonzero value can be missed.
-    """
-    biggest = 1
-    for v in values:
-        for c in v.coords[: group.free_rank]:
-            biggest = max(biggest, abs(c))
-    modulus = 2 * biggest + 1
-    family = []
-    for j in range(group.rank):
-        n = group.generator_order(j) or modulus
-        phases = [Phase.ZERO] * group.rank
-        phases[j] = Phase(1, n)
-        family.append(Character(group, tuple(phases)))
-    return family
 
 
 T = TypeVar("T")

@@ -155,12 +155,6 @@ class AlgebraElement(_TwistedGroupAlgebra):
     __mul__ = _TwistedGroupAlgebra.__mul__
     star = _TwistedGroupAlgebra.star
 
-    def restrict_zero_sum(self) -> "AlgebraElement":
-        """Conditional expectation: drop every non-zero-sum term."""
-        return AlgebraElement(
-            self.cocycle, {k: v for k, v in self.terms.items() if k.is_zero_sum}
-        )
-
     @property
     def is_zero_sum_supported(self) -> bool:
         return all(k.is_zero_sum for k in self.terms)
@@ -239,7 +233,7 @@ def malleability_unitary(mu) -> TensorElement:
 
 
 def _flow_scale(group) -> int:
-    """sqrt|H|, after the checks of every flow entry point in their order.
+    """sqrt|H|, after the order checks the flow needs, in their order.
 
     The flow is exact only when |H| is a perfect square (then 1/sqrt|H| is
     rational); every square base group (Z/q x Z/q and their products)
@@ -261,13 +255,6 @@ def _flow_scalars(t: Fraction) -> Tuple[Cyclotomic, Cyclotomic]:
     implements the flip of the two legs."""
     e = Cyclotomic.from_phase(Phase.from_fraction(Fraction(t) / 2))
     return (Cyclotomic.ONE + e) * Fraction(1, 2), (Cyclotomic.ONE - e) * Fraction(1, 2)
-
-
-def flow_unitary(mu, t: Fraction) -> TensorElement:
-    """W_t = P_1 + e^{i pi t} P_{-1} with P_{+-1} = (1 +- V/sqrt|H|)/2."""
-    s = _flow_scale(mu.group)
-    a, b = _flow_scalars(t)
-    return TensorElement.one(mu).scaled(a) + malleability_unitary(mu).scaled(b * Fraction(1, s))
 
 
 def _flip(x: TensorElement) -> TensorElement:
@@ -359,6 +346,9 @@ class _SwapKernel:
 
         S x = flip(x) S, as S is self-adjoint, S^2 = 1 and S x S = flip(x),
         so both cross terms share the one product with S on the right.
+        That is O(|x| |H|) term pairs against O(|x| |H|^2) for the product
+        W_t x W_t^*, which the tests keep as the oracle.  At integer t one
+        of a, b is zero and the flow is x or flip(x).
         """
         a, b = _flow_scalars(t)
         ac, bc = a.conjugate(), b.conjugate()
@@ -368,29 +358,6 @@ class _SwapKernel:
             return out
         r = Fraction(1, self.scale)
         return out + self.times_v(x.scaled(a * bc * r) + flip.scaled(b * ac * r))
-
-
-def malleability_flow(mu, t: Fraction, x: TensorElement) -> TensorElement:
-    """Conjugation Ad W_t(x) = W_t x W_t^* by the flow unitary at rational time t.
-
-    With W_t = a + b S and S u_g (x) u_h S = u_h (x) u_g,
-
-        Ad W_t(x) = |a|^2 x + |b|^2 flip(x) + (a conj(b) x + b conj(a) flip(x)) S,
-
-    where flip(x) swaps the two legs of each key and keeps its coefficient.
-    That is O(|x| |H|) term pairs against O(|x| |H|^2) for the product
-    W_t x W_t^*, which the tests keep as the oracle.  At integer t one of
-    a, b is zero and the flow is x or flip(x), returned after the checks
-    without building the swap kernel.  Raises for an element over another
-    base, then as _flow_scale does, then for a degenerate cocycle.
-    """
-    if x.cocycle != mu:
-        raise ValueError("element is not over the given base")
-    _flow_scale(mu.group)
-    _check_nondegenerate(mu)
-    if Fraction(t).denominator == 1:
-        return _flip(x) if t % 2 else x
-    return _SwapKernel(mu).flow(t, x)
 
 
 def apply_diagonal_character(c: Character, x):

@@ -255,9 +255,10 @@ def _matching_isomorphisms(
     tuple spans a subgroup of order |H_a| = |H_b| (callers check the
     groups are isomorphic), so only the bounded free-part search checks
     its tuples with `is_isomorphism`.  Walking each pool in candidate
-    order visits tuples in `enumerate_isomorphisms` order, so the hits
-    come out in that order too.  `bound` limits the free matrix entries
-    and is required when free parts are present.
+    order visits tuples in the lexicographic order of the product of the
+    `_image_candidates`, so the hits come out in that order too.  `bound`
+    limits the free matrix entries and is required when free parts are
+    present.
     """
     ga, gb = ta.group, tb.group
     d, (star_a, chi_a), (star_b, chi_b) = forms or _integer_forms(ta, tb)

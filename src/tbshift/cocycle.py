@@ -5,8 +5,9 @@ finite group; a BilinearCocycle stores an exponent matrix B and evaluates
 mu(g, h) = sum_ij g_i B_ij h_j, which covers infinite groups and every
 bilinear family used in practice.  The star bicharacter
 mu(g, h) - mu(h, g) classifies a cocycle up to coboundary; that fact is
-cross-checked at test scale by an independent linear-algebra witness
-solver rather than assumed.
+cross-checked at test scale rather than assumed: `coboundary_witness`
+builds a candidate b with mu1 - mu2 = b(g) + b(h) - b(g+h) by recursion
+along paths of generator steps, and the check of every equation decides.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from .abelian import AbElem, AbGroup
-from .linalg import hermite_mod, integer_kernel_basis, solve_congruence
+from .linalg import hermite_mod, integer_kernel_basis
 from .scalars import Phase
 
 
@@ -146,22 +147,6 @@ def coboundary_cocycle(group: AbGroup, b: dict) -> TableCocycle:
     return table_from_function(group, value)
 
 
-def bilinear_fit(mu) -> Optional[BilinearCocycle]:
-    """Bilinear form agreeing with a finite-group cocycle, if one exists."""
-    group = mu.group
-    gens = group.generators()
-    matrix = tuple(tuple(mu(gi, gj) for gj in gens) for gi in gens)
-    try:
-        fit = BilinearCocycle(group, matrix)
-    except CocycleError:
-        return None
-    for g in group.elements():
-        for h in group.elements():
-            if fit(g, h) != mu(g, h):
-                return None
-    return fit
-
-
 @dataclass(frozen=True)
 class Bicharacter:
     """Map (g, h) -> sum_ij g_i M_ij h_j, multiplicative in each slot."""
@@ -199,48 +184,45 @@ MAX_WITNESS_ORDER = 64
 def coboundary_witness(mu1, mu2) -> Optional[dict]:
     """A map b with mu1(g,h) - mu2(g,h) = b(g) + b(h) - b(g+h), or None.
 
-    Independent of the star-form criterion: the defining equations are
-    solved literally, as a linear congruence system over Z/M for a modulus
-    M large enough to carry any solution (lcm of the value denominators
-    times the group exponent).  For test-scale finite groups only.
+    Independent of the star-form criterion: b is built by path recursion,
+    then checked against all |H|^2 defining equations, and that check
+    decides the answer.  With nu = mu1 - mu2, the equation at (y, e_i)
+    reads b(y + e_i) = b(y) + b(e_i) - nu(y, e_i).  So b(0) = 0, and each
+    x != 0 takes its value from y = x - e_i, i the last nonzero coordinate
+    of x; y comes earlier in sorted-coords order.  Walking e_i n_i times
+    round to 0 gives n_i*b(e_i) = S_i, S_i = sum_{k<n_i} nu(k*e_i, e_i).
+    b(e_i) = S_i/n_i is one of the n_i solutions, and any one will do:
+    two solutions of the whole system differ by a character.  A symmetric
+    nu is necessary, so an asymmetric one is refused before the walk.  For
+    test-scale finite groups only.
     """
     group = mu1.group
     if group != mu2.group:
         raise CocycleError("group", "cocycles live on different groups")
     if not group.is_finite or group.order() > MAX_WITNESS_ORDER:
         raise CocycleError("scale", f"witness solver is limited to order <= {MAX_WITNESS_ORDER}")
-    elems = sorted(group.elements(), key=lambda e: e.coords)
-    nonzero = [e for e in elems if not e.is_zero]
-    index = {e: i for i, e in enumerate(nonzero)}
+    elems = list(group.elements())  # sorted-coords order
 
     def nu(g: AbElem, h: AbElem) -> Phase:
         return mu1(g, h) - mu2(g, h)
 
     # a coboundary is symmetric in (g, h); cheap necessary precheck
-    for g, h in itertools.combinations(nonzero, 2):
+    for g, h in itertools.combinations(elems[1:], 2):
         if nu(g, h) != nu(h, g):
             return None
 
-    rows = []
-    rhs_phases = []
-    for a, g in enumerate(nonzero):
-        for h in nonzero[a:]:
-            row = [0] * len(nonzero)
-            row[index[g]] += 1
-            row[index[h]] += 1
-            s = g + h
-            if not s.is_zero:
-                row[index[s]] -= 1
-            rows.append(row)
-            rhs_phases.append(nu(g, h))
-    modulus = lcm(*(p.den for p in rhs_phases)) * group.exponent()
-    rhs = [p.num * (modulus // p.den) for p in rhs_phases]
-    solution = solve_congruence(rows, rhs, modulus)
-    if solution is None:
-        return None
-    witness = {group.zero(): Phase.ZERO}
-    for e, i in index.items():
-        witness[e] = Phase(solution[i], modulus)
+    gens = group.generators()
+    step = []
+    for e, n in zip(gens, group.torsion):
+        s, x = Phase.ZERO, group.zero()
+        for _ in range(n):
+            s, x = s + nu(x, e), x + e
+        step.append(Phase(s.num, s.den * n))
+    witness = {elems[0]: Phase.ZERO}
+    for x in elems[1:]:
+        i = max(k for k, c in enumerate(x.coords) if c)
+        y = x - gens[i]
+        witness[x] = witness[y] + step[i] - nu(y, gens[i])
     for g in elems:
         for h in elems:
             if witness[g] + witness[h] - witness[g + h] != nu(g, h):
@@ -296,7 +278,3 @@ def degeneracy_witness(mu) -> Optional[AbElem]:
         if rows[k][k] < group.torsion[k]:
             return group.element([0] * f + rows[k])
     return None
-
-
-def is_nondegenerate(mu) -> bool:
-    return degeneracy_witness(mu) is None

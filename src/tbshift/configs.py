@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 from .abelian import AbElem, AbGroup
-from .lattice import E1, ORIGIN, AffineSL2, LatticePoint, spiral_index
+from .lattice import E1, ORIGIN, LatticePoint, spiral_index
 from .scalars import Phase
 
 
@@ -44,15 +44,6 @@ class Config:
         for point, coords in self.support:
             yield point, AbElem(self.group, coords)
 
-    def points(self) -> list:
-        return [point for point, _ in self.support]
-
-    def value_at(self, point: LatticePoint) -> AbElem:
-        for p, coords in self.support:
-            if p == point:
-                return AbElem(self.group, coords)
-        return self.group.zero()
-
     @property
     def is_zero(self) -> bool:
         return not self.support
@@ -82,20 +73,6 @@ class Config:
 
     def __sub__(self, other: "Config") -> "Config":
         return self + (-other)
-
-    def moved_by(self, move: AffineSL2) -> "Config":
-        """Relocate the support: the value at k moves to move(k).
-
-        move is a bijection of Z^2, so distinct points stay distinct and the
-        values need no reduction or merging, only a re-sort of the support.
-        """
-        act = move.act
-        return Config(self.group, tuple(sorted((act(p), c) for p, c in self.support)))
-
-    @property
-    def supported_on_axis(self) -> bool:
-        """True iff the support lies on D = {(n, 0)}."""
-        return all(p.r == 0 for p, _ in self.support)
 
     def mapped(self, f) -> "Config":
         """Apply a group hom to every value (the support does not move)."""
@@ -141,8 +118,3 @@ def mu_hat(mu, lam: Config, order_key: Callable[[LatticePoint], int] = spiral_in
         total = total + mu(prefix, value)
         prefix = prefix + value
     return total
-
-
-def row_major_key(point: LatticePoint) -> tuple:
-    """Alternative enumeration (by row, then column) for order-independence tests."""
-    return (point.r, point.q)

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .abelian import AbGroup, Character, separating_characters
-from .algebra import AlgebraElement, apply_diagonal_character
+from .abelian import AbGroup, Character
+from .algebra import AlgebraElement
 from .configs import Config
 from .lattice import (
     IDENTITY_MAT,
@@ -58,10 +58,6 @@ class Motion:
     @property
     def move(self) -> AffineSL2:
         return AffineSL2(self.shift, self.matrix)
-
-
-def motion_identity(t: Triplet) -> Motion:
-    return Motion(Character.trivial(t.group))
 
 
 def motion_mul(t: Triplet, a: Motion, b: Motion) -> Motion:
@@ -145,21 +141,6 @@ def verify_motion_relations(t: Triplet, samples: Sequence) -> RelationReport:
             report.ok = False
             report.counterexamples.append(("rotation", k, gamma))
     return report
-
-
-def is_dual_fixed(t: Triplet, x: AlgebraElement) -> bool:
-    """True iff x is fixed by the whole diagonal dual action.
-
-    A finite separating family suffices: one character per generator,
-    of order n_j on a torsion generator and of order exceeding twice any
-    coordinate that occurs in x on a free one, because only finitely many
-    values appear in a finite sum.
-    """
-    values = [value for cfg in x.terms for _, value in cfg.items()]
-    for c in separating_characters(t.group, values):
-        if apply_diagonal_character(c, x) != x:
-            return False
-    return True
 
 
 def weak_mixing_witness(t: Triplet, elems: Sequence[AlgebraElement]) -> LatticePoint:

@@ -1,9 +1,9 @@
-"""Ready-made triplets: the mod-q square families and lattice det forms."""
+"""Ready-made triplets: the mod-q square family."""
 
 from __future__ import annotations
 
 from .abelian import AbGroup, Character
-from .cocycle import BilinearCocycle, trivial_cocycle
+from .cocycle import BilinearCocycle
 from .dynamics import Triplet
 from .scalars import Phase
 
@@ -25,47 +25,3 @@ def mod_q_character(q: int) -> Character:
 
 def mod_q_triplet(q: int) -> Triplet:
     return Triplet(mod_q_group(q), mod_q_cocycle(q), mod_q_character(q))
-
-
-def det_form_cocycle(theta: Phase, group: AbGroup | None = None) -> BilinearCocycle:
-    """mu(g, h) = theta * det(g, h) on a rank-2 group (Z^2 by default)."""
-    group = group or AbGroup(2)
-    if group.rank != 2:
-        raise ValueError("the det form needs a rank-2 group")
-    z = Phase.ZERO
-    return BilinearCocycle(group, ((z, theta), (-theta, z)))
-
-
-def lattice_det_triplet(theta: Phase, character: Character | None = None) -> Triplet:
-    group = AbGroup(2)
-    return Triplet(group, det_form_cocycle(theta, group), character or Character.trivial(group))
-
-
-def product_triplet(*parts: Triplet) -> Triplet:
-    """Direct sum of base groups with block cocycle and concatenated character."""
-    if not parts:
-        raise ValueError("need at least one factor")
-    if not all(isinstance(t.cocycle, BilinearCocycle) for t in parts):
-        raise ValueError("block products are built from bilinear cocycles")
-    group = parts[0].group
-    for t in parts[1:]:
-        group = group.direct_sum(t.group)
-    z = Phase.ZERO
-    rank = group.rank
-    matrix = [[z] * rank for _ in range(rank)]
-    phases = []
-    offset = 0
-    for t in parts:
-        r = t.group.rank
-        gens = t.group.generators()
-        for i in range(r):
-            for j in range(r):
-                matrix[offset + i][offset + j] = t.cocycle(gens[i], gens[j])
-        phases.extend(t.character.phases)
-        offset += r
-    cocycle = BilinearCocycle(group, tuple(tuple(row) for row in matrix))
-    return Triplet(group, cocycle, Character(group, tuple(phases)))
-
-
-def trivial_triplet(group: AbGroup) -> Triplet:
-    return Triplet(group, trivial_cocycle(group), Character.trivial(group))

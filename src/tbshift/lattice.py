@@ -51,10 +51,6 @@ def mat_det(a: Mat2) -> int:
     return a[0][0] * a[1][1] - a[0][1] * a[1][0]
 
 
-def mat_inv_det1(a: Mat2) -> Mat2:
-    return ((a[1][1], -a[0][1]), (-a[1][0], a[0][0]))
-
-
 def mat_apply(a: Mat2, k: LatticePoint) -> LatticePoint:
     return LatticePoint(a[0][0] * k.q + a[0][1] * k.r, a[1][0] * k.q + a[1][1] * k.r)
 
@@ -84,17 +80,6 @@ class AffineSL2:
             mat_mul(self.matrix, other.matrix),
         )
 
-    def inverse(self) -> "AffineSL2":
-        inv = mat_inv_det1(self.matrix)
-        return AffineSL2(-mat_apply(inv, self.translation), inv)
-
-    def act(self, k: LatticePoint) -> LatticePoint:
-        return self.translation + mat_apply(self.matrix, k)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.translation == ORIGIN and self.matrix == IDENTITY_MAT
-
 
 IDENTITY = AffineSL2()
 
@@ -104,10 +89,6 @@ IDENTITY = AffineSL2()
 XI = AffineSL2(E1, ((-1, -1), (1, 0)))
 ETA = AffineSL2(ORIGIN, ((-1, 0), (0, -1)))
 DELTA = AffineSL2(ORIGIN, ((1, 1), (0, 1)))
-
-
-def named_elements() -> dict:
-    return {"e1": E1, "e2": E2, "xi": XI, "eta": ETA, "delta": DELTA}
 
 
 def spiral_index(k: LatticePoint) -> int:

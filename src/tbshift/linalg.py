@@ -5,11 +5,8 @@ integer matrix routine here, on the rows [a | right] stacked over
 `below`.  Row operations carry the columns right of a along (they come
 out as u*right); column operations turn an I_n below into v.  Each
 caller carries only what it reads: `smith_normal_form` I_m and I_n,
-`snf_diagonal` nothing, `solve_congruence` the column rhs and I_n,
-`integer_kernel_basis` I_n.  So the largest input, the 2,016 x 63
-system of `cocycle.coboundary_witness` at |H| = 64, carries one extra
-column, not a 2,016 x 2,016 u.  See `_eliminate` for how entries are
-kept small.
+`snf_diagonal` nothing, `integer_kernel_basis` I_n.  See `_eliminate`
+for how entries are kept small.
 
 The one other step, `hermite_mod`, brings a subgroup of
 Z/n_1 + ... + Z/n_r to echelon rows with row operations only, and
@@ -23,7 +20,7 @@ that way and cuts candidates with `order_mod`.
 from __future__ import annotations
 
 from math import gcd
-from typing import Optional, Sequence
+from typing import Sequence
 
 
 def identity_matrix(n: int) -> list:
@@ -91,7 +88,10 @@ def _eliminate(a: list, right: list, below: list) -> list:
 def smith_normal_form(a: list) -> tuple:
     """Return (d, u, v) with u*a*v = d, u and v unimodular, d diagonal.
 
-    d is in Smith normal form, as described in `_eliminate`.
+    d is in Smith normal form, as described in `_eliminate`.  Nothing in
+    the package needs u: the tests read the full (d, u, v) to check the
+    u*a*v = d contract of the one elimination, and this is the one caller
+    that carries a nonempty `right`.
     """
     m = len(a)
     n = len(a[0]) if m else 0
@@ -102,27 +102,6 @@ def smith_normal_form(a: list) -> tuple:
 def snf_diagonal(a: list) -> list:
     rows = _eliminate(a, [[]] * len(a), [])
     return [rows[i][i] for i in range(min(len(a), len(a[0]) if a else 0))]
-
-
-def solve_congruence(a: list, rhs: list, modulus: int) -> Optional[list]:
-    """One solution x of a*x == rhs (mod modulus), or None."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    rows = _eliminate(a, [[b] for b in rhs], identity_matrix(n))
-    z = [0] * n
-    for i in range(m):
-        di = rows[i][i] if i < n else 0
-        si = rows[i][n] % modulus
-        if di == 0:
-            if si != 0:
-                return None
-            continue
-        g = gcd(di, modulus)
-        if si % g != 0:
-            return None
-        red = modulus // g
-        z[i] = (si // g) * pow(di // g, -1, red) % red if red > 1 else 0
-    return [sum(x * y for x, y in zip(row, z)) % modulus for row in rows[m:]]
 
 
 def integer_kernel_basis(a: list) -> list:

@@ -163,7 +163,7 @@ def _random_bilinear(rng: random.Random, group: AbGroup) -> BilinearCocycle:
 
 
 def suite_cocycles(rng: random.Random, count: int = 12) -> dict:
-    """The star-form criterion against the literal coboundary-witness solver."""
+    """The star-form criterion against the path-recursion coboundary witness."""
     agreements = 0
     checked = 0
     for mu1, mu2 in witness_catalog(rng, count):

@@ -1,0 +1,290 @@
+"""Slow reference implementations, and the tools the tests share.
+
+Nothing in `tbshift` calls these.  The oracles solve each problem the
+literal way, so the tests can hold a fast path against them: the
+coboundary witness against `literal_coboundary_witness`, the pruned
+isomorphism search against `enumerate_isomorphisms` with
+`check_conditions`, and the swap-kernel flow against the product
+W_t x W_t^* with `flow_unitary`.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from math import gcd, lcm
+from typing import Iterable, Optional
+
+from tbshift.abelian import (
+    AbElem,
+    AbGroup,
+    AbHom,
+    Character,
+    _image_candidates,
+    abstractly_isomorphic,
+    is_isomorphism,
+)
+from tbshift.algebra import (
+    AlgebraElement,
+    TensorElement,
+    _check_nondegenerate,
+    _flip,
+    _flow_scalars,
+    _flow_scale,
+    _SwapKernel,
+    apply_diagonal_character,
+    malleability_unitary,
+)
+from tbshift.cocycle import BilinearCocycle, trivial_cocycle
+from tbshift.configs import Config
+from tbshift.dynamics import Triplet
+from tbshift.lattice import AffineSL2, LatticePoint, mat_apply
+from tbshift.linalg import _eliminate, identity_matrix
+from tbshift.scalars import Phase
+
+# -- the literal coboundary-witness solver ------------------------------------
+
+
+def solve_congruence(a: list, rhs: list, modulus: int) -> Optional[list]:
+    """One solution x of a*x == rhs (mod modulus), or None.
+
+    One elimination of [a | rhs] over I_n gives u*a*v = d and u*rhs; the
+    diagonal system d*z == u*rhs is solved entry by entry, and x = v*z.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    rows = _eliminate(a, [[b] for b in rhs], identity_matrix(n))
+    z = [0] * n
+    for i in range(m):
+        di = rows[i][i] if i < n else 0
+        si = rows[i][n] % modulus
+        if di == 0:
+            if si != 0:
+                return None
+            continue
+        g = gcd(di, modulus)
+        if si % g != 0:
+            return None
+        red = modulus // g
+        z[i] = (si // g) * pow(di // g, -1, red) % red if red > 1 else 0
+    return [sum(x * y for x, y in zip(row, z)) % modulus for row in rows[m:]]
+
+
+def literal_coboundary_witness(mu1, mu2) -> Optional[dict]:
+    """`coboundary_witness` by solving its defining equations literally.
+
+    The |H|(|H|-1)/2 x (|H|-1) system b(g) + b(h) - b(g+h) = nu(g, h) over
+    the nonzero g <= h is solved over Z/M, for a modulus M large enough to
+    carry any solution (the lcm of the value denominators times the group
+    exponent).
+    """
+    group = mu1.group
+    elems = list(group.elements())
+    nonzero = elems[1:]
+    index = {e: i for i, e in enumerate(nonzero)}
+
+    def nu(g: AbElem, h: AbElem) -> Phase:
+        return mu1(g, h) - mu2(g, h)
+
+    for g, h in itertools.combinations(nonzero, 2):
+        if nu(g, h) != nu(h, g):
+            return None
+    rows = []
+    rhs_phases = []
+    for a, g in enumerate(nonzero):
+        for h in nonzero[a:]:
+            row = [0] * len(nonzero)
+            row[index[g]] += 1
+            row[index[h]] += 1
+            s = g + h
+            if not s.is_zero:
+                row[index[s]] -= 1
+            rows.append(row)
+            rhs_phases.append(nu(g, h))
+    modulus = lcm(*(p.den for p in rhs_phases)) * lcm(*group.torsion)
+    rhs = [p.num * (modulus // p.den) for p in rhs_phases]
+    solution = solve_congruence(rows, rhs, modulus)
+    if solution is None:
+        return None
+    witness = {group.zero(): Phase.ZERO}
+    for e, i in index.items():
+        witness[e] = Phase(solution[i], modulus)
+    for g in elems:
+        for h in elems:
+            if witness[g] + witness[h] - witness[g + h] != nu(g, h):
+                return None
+    return witness
+
+
+# -- isomorphisms by enumeration ----------------------------------------------
+
+
+def enumerate_isomorphisms(
+    source: AbGroup, target: AbGroup, bound: Optional[int] = None
+) -> tuple:
+    """All isomorphisms source -> target, with a completeness flag.
+
+    Complete when both groups are finite.  With free parts a bound on the
+    matrix entries is required and the listing is explicitly incomplete.
+    """
+    complete = source.is_finite and target.is_finite
+    if not abstractly_isomorphic(source, target):
+        return [], True
+    if not complete and bound is None:
+        raise ValueError("free parts present: pass an entry bound")
+    found = []
+    orders = [source.generator_order(j) for j in range(source.rank)]
+    pools = [list(_image_candidates(target, o, bound)) for o in orders]
+    for images in itertools.product(*pools):
+        f = AbHom(source, target, tuple(zip(*images)))
+        if is_isomorphism(f):
+            found.append(f)
+    return found, complete
+
+
+def enumerate_automorphisms(group: AbGroup) -> list:
+    """The full automorphism list of a finite group, in enumeration order."""
+    if not group.is_finite:
+        raise ValueError("automorphism enumeration needs a finite group")
+    autos, complete = enumerate_isomorphisms(group, group)
+    assert complete
+    return autos
+
+
+# -- the flow -------------------------------------------------------------------
+
+
+def flow_unitary(mu, t: Fraction) -> TensorElement:
+    """W_t = P_1 + e^{i pi t} P_{-1} with P_{+-1} = (1 +- V/sqrt|H|)/2."""
+    s = _flow_scale(mu.group)
+    a, b = _flow_scalars(t)
+    return TensorElement.one(mu).scaled(a) + malleability_unitary(mu).scaled(b * Fraction(1, s))
+
+
+def malleability_flow(mu, t: Fraction, x: TensorElement) -> TensorElement:
+    """Ad W_t(x) through the swap kernel that `selftest.check_malleability` runs.
+
+    Raises for an element over another base, then as `_flow_scale` does,
+    then for a degenerate cocycle.  At integer t the flow is x or flip(x),
+    returned after the checks without building the kernel.
+    """
+    if x.cocycle != mu:
+        raise ValueError("element is not over the given base")
+    _flow_scale(mu.group)
+    _check_nondegenerate(mu)
+    if Fraction(t).denominator == 1:
+        return _flip(x) if t % 2 else x
+    return _SwapKernel(mu).flow(t, x)
+
+
+# -- the dual action ----------------------------------------------------------
+
+
+def separating_characters(group: AbGroup, values: Iterable[AbElem]) -> list:
+    """A finite character family that separates the given elements from 0.
+
+    One character per generator (`rank` of them, not |H|): phase 1/n_j on
+    a torsion generator of order n_j, and on a free generator a phase of
+    order exceeding twice the largest coordinate magnitude that occurs,
+    so no occurring nonzero value can be missed.
+    """
+    biggest = 1
+    for v in values:
+        for c in v.coords[: group.free_rank]:
+            biggest = max(biggest, abs(c))
+    modulus = 2 * biggest + 1
+    family = []
+    for j in range(group.rank):
+        n = group.generator_order(j) or modulus
+        phases = [Phase.ZERO] * group.rank
+        phases[j] = Phase(1, n)
+        family.append(Character(group, tuple(phases)))
+    return family
+
+
+def is_dual_fixed(t: Triplet, x: AlgebraElement) -> bool:
+    """True iff x is fixed by the whole diagonal dual action.
+
+    A finite separating family suffices, because only finitely many
+    values appear in a finite sum.
+    """
+    values = [value for cfg in x.terms for _, value in cfg.items()]
+    for c in separating_characters(t.group, values):
+        if apply_diagonal_character(c, x) != x:
+            return False
+    return True
+
+
+# -- triplets -------------------------------------------------------------------
+
+
+def det_form_cocycle(theta: Phase, group: AbGroup | None = None) -> BilinearCocycle:
+    """mu(g, h) = theta * det(g, h) on a rank-2 group (Z^2 by default)."""
+    group = group or AbGroup(2)
+    if group.rank != 2:
+        raise ValueError("the det form needs a rank-2 group")
+    z = Phase.ZERO
+    return BilinearCocycle(group, ((z, theta), (-theta, z)))
+
+
+def lattice_det_triplet(theta: Phase, character: Character | None = None) -> Triplet:
+    group = AbGroup(2)
+    return Triplet(group, det_form_cocycle(theta, group), character or Character.trivial(group))
+
+
+def product_triplet(*parts: Triplet) -> Triplet:
+    """Direct sum of base groups with block cocycle and concatenated character."""
+    if not parts:
+        raise ValueError("need at least one factor")
+    if not all(isinstance(t.cocycle, BilinearCocycle) for t in parts):
+        raise ValueError("block products are built from bilinear cocycles")
+    if not all(t.group.is_finite for t in parts):
+        raise ValueError("block products are built from finite groups")
+    group = AbGroup(0, sum((t.group.torsion for t in parts), ()))
+    z = Phase.ZERO
+    rank = group.rank
+    matrix = [[z] * rank for _ in range(rank)]
+    phases = []
+    offset = 0
+    for t in parts:
+        r = t.group.rank
+        gens = t.group.generators()
+        for i in range(r):
+            for j in range(r):
+                matrix[offset + i][offset + j] = t.cocycle(gens[i], gens[j])
+        phases.extend(t.character.phases)
+        offset += r
+    cocycle = BilinearCocycle(group, tuple(tuple(row) for row in matrix))
+    return Triplet(group, cocycle, Character(group, tuple(phases)))
+
+
+def trivial_triplet(group: AbGroup) -> Triplet:
+    return Triplet(group, trivial_cocycle(group), Character.trivial(group))
+
+
+# -- lattice moves --------------------------------------------------------------
+
+
+def act(move: AffineSL2, k: LatticePoint) -> LatticePoint:
+    """The image translation + matrix*k of a lattice point."""
+    return move.translation + mat_apply(move.matrix, k)
+
+
+def inverse(move: AffineSL2) -> AffineSL2:
+    (x, y), (z, w) = move.matrix
+    inv = ((w, -y), (-z, x))
+    return AffineSL2(-mat_apply(inv, move.translation), inv)
+
+
+def moved_by(cfg: Config, move: AffineSL2) -> Config:
+    """Relocate the support: the value at k moves to move(k).
+
+    move is a bijection of Z^2, so distinct points stay distinct and the
+    values need no reduction or merging, only a re-sort of the support.
+    """
+    return Config(cfg.group, tuple(sorted((act(move, p), c) for p, c in cfg.support)))
+
+
+def row_major_key(point: LatticePoint) -> tuple:
+    """Enumeration by row, then column: an order_key other than the spiral."""
+    return (point.r, point.q)

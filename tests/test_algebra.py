@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import deadline
+from oracles import flow_unitary, malleability_flow, product_triplet
 from tbshift import algebra
 from tbshift.abelian import AbGroup, Character, dual_characters
 from tbshift.algebra import (
@@ -11,8 +12,6 @@ from tbshift.algebra import (
     TensorElement,
     _SwapKernel,
     apply_diagonal_character,
-    flow_unitary,
-    malleability_flow,
     malleability_unitary,
 )
 from tbshift.cocycle import (
@@ -21,8 +20,8 @@ from tbshift.cocycle import (
     table_from_function,
     trivial_cocycle,
 )
-from tbshift.configs import Config, dipole, mu_tilde
-from tbshift.families import mod_q_cocycle, mod_q_group, mod_q_triplet, product_triplet
+from tbshift.configs import dipole, mu_tilde
+from tbshift.families import mod_q_cocycle, mod_q_group, mod_q_triplet
 from tbshift.scalars import Cyclotomic, Phase
 from tbshift.selftest import random_algebra_element, random_zero_sum_config
 
@@ -107,25 +106,6 @@ def test_trace_is_faithful(mu3, rng):
             continue
         value = (a.star() * a).trace()
         assert not value.is_zero
-
-
-def test_restrict_zero_sum(mu3):
-    g = mu3.group
-    lam = dipole(g.element((1, 0)))
-    unbalanced = Config.from_items(g, [((0, 0), g.element((1, 0)))])
-    x = AlgebraElement(
-        mu3,
-        {
-            lam: Cyclotomic.ONE,
-            unbalanced: Cyclotomic.from_phase(Phase(1, 3)),
-        },
-    )
-    cut = x.restrict_zero_sum()
-    assert cut == AlgebraElement.unit(mu3, lam)
-    assert x.restrict_zero_sum().is_zero_sum_supported
-    assert AlgebraElement.unit(mu3, lam).restrict_zero_sum() == AlgebraElement.unit(mu3, lam)
-    only_bad = AlgebraElement.unit(mu3, unbalanced)
-    assert only_bad.restrict_zero_sum().is_zero
 
 
 def test_tensor_basics(mu3, rng):

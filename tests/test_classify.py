@@ -8,15 +8,17 @@ from pathlib import Path
 
 import pytest
 
-from tbshift import classify
-from tbshift.abelian import (
-    AbGroup,
-    AbHom,
-    Character,
+from oracles import (
+    det_form_cocycle,
     enumerate_automorphisms,
     enumerate_isomorphisms,
-    is_isomorphism,
+    lattice_det_triplet,
+    product_triplet,
+    row_major_key,
+    trivial_triplet,
 )
+from tbshift import classify
+from tbshift.abelian import AbGroup, AbHom, Character, is_isomorphism
 from tbshift.algebra import AlgebraElement
 from tbshift.classify import (
     CANONICAL_MOVES,
@@ -29,15 +31,9 @@ from tbshift.classify import (
     verify_pi,
 )
 from tbshift.cocycle import BilinearCocycle, trivial_cocycle
-from tbshift.configs import dipole, row_major_key
+from tbshift.configs import dipole
 from tbshift.dynamics import Triplet, beta
-from tbshift.families import (
-    det_form_cocycle,
-    lattice_det_triplet,
-    mod_q_triplet,
-    product_triplet,
-    trivial_triplet,
-)
+from tbshift.families import mod_q_triplet
 from tbshift.lattice import AffineSL2, LatticePoint, spiral_index
 from tbshift.scalars import Phase
 from tbshift.serialize import triplet_from_json

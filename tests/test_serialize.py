@@ -1,13 +1,12 @@
-import ast
 import json
 from pathlib import Path
 
 import pytest
 
-from tbshift import cli, serialize
+from oracles import lattice_det_triplet
 from tbshift.abelian import AbGroup, AbHom, Character
 from tbshift.cocycle import to_table, trivial_cocycle
-from tbshift.families import lattice_det_triplet, mod_q_cocycle, mod_q_triplet
+from tbshift.families import mod_q_cocycle, mod_q_triplet
 from tbshift.scalars import Phase
 from tbshift.serialize import (
     SchemaError,
@@ -140,28 +139,3 @@ def test_triplet_error_paths():
         triplet_from_json(bad4)
     assert err.value.path == "$.cocycle.entries"
 
-
-def _module_tree(module):
-    return ast.parse(Path(module.__file__).read_text("utf-8"))
-
-
-def test_every_serialize_function_is_reached_from_the_cli():
-    # the roots: what cli imports, and triplet_from_json, which the
-    # benchmark reads its files with; then every function a reached one calls
-    tree = _module_tree(serialize)
-    public = {
-        node.name: node
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-    }
-    reached = {"triplet_from_json"}
-    for node in ast.walk(_module_tree(cli)):
-        if isinstance(node, ast.ImportFrom) and node.module == "serialize":
-            reached.update(alias.name for alias in node.names)
-    todo = [name for name in reached if name in public]
-    while todo:
-        for node in ast.walk(public[todo.pop()]):
-            if isinstance(node, ast.Name) and node.id in public and node.id not in reached:
-                reached.add(node.id)
-                todo.append(node.id)
-    assert sorted(set(public) - reached) == []

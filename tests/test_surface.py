@@ -1,0 +1,104 @@
+"""Only what the CLI, selftest and benchmark reach stays in `tbshift`."""
+
+import ast
+from pathlib import Path
+
+import tbshift
+
+SRC = Path(tbshift.__file__).resolve().parent
+BENCHMARK_API = SRC.parent.parent / "perfbench" / "api.py"
+
+# Public names that nothing reaches, each with the reason it stays.
+KEPT = {
+    "linalg.smith_normal_form": "the tests' only way to check the u*a*v = d "
+    "contract of the one elimination; `_eliminate` carries `right` for it",
+}
+
+
+class _Reads(ast.NodeVisitor):
+    """The names a piece of code reads; annotations are left out."""
+
+    def __init__(self):
+        self.names = set()
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self.names.add(node.id)
+
+    def visit_arg(self, node):
+        pass
+
+    def visit_FunctionDef(self, node):
+        for child in (*node.decorator_list, node.args, *node.body):
+            self.visit(child)
+
+    def visit_AnnAssign(self, node):
+        if node.value is not None:
+            self.visit(node.value)
+
+
+def _reads(node) -> set:
+    visitor = _Reads()
+    visitor.visit(node)
+    return visitor.names
+
+
+def _package():
+    """(bindings, imports, loose) of every module of the package.
+
+    bindings maps (module, name) to the top-level statements that bind the
+    name; imports maps (module, name) to what a `from .x import y` binds it
+    to; loose holds the other top-level statements, which run on import.
+    """
+    bindings, imports, loose = {}, {}, []
+    for path in sorted(SRC.glob("*.py")):
+        module = path.stem
+        for stmt in ast.parse(path.read_text("utf-8")).body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.level == 1:
+                for alias in stmt.names:
+                    imports[module, alias.asname or alias.name] = (stmt.module, alias.name)
+            elif isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                bindings[module, stmt.name] = [stmt]
+            elif isinstance(stmt, ast.Assign) and all(isinstance(t, ast.Name) for t in stmt.targets):
+                for target in stmt.targets:
+                    bindings.setdefault((module, target.id), []).append(stmt)
+            elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                bindings.setdefault((module, stmt.target.id), []).append(stmt)
+            else:
+                loose.append((module, stmt))
+    return bindings, imports, loose
+
+
+def test_every_public_name_is_reached_from_the_cli_selftest_or_benchmark():
+    # roots: all of cli and selftest, the import-time statements, the
+    # `tb.<name>` calls of the benchmark's API ops and triplet_from_json,
+    # with which the benchmark reads its triplets; then every binding a
+    # reached one reads, through the imports
+    bindings, imports, loose = _package()
+
+    def resolve(module, name):
+        while (module, name) in imports:
+            module, name = imports[module, name]
+        return (module, name) if (module, name) in bindings else None
+
+    roots = [key for key in bindings if key[0] in ("cli", "selftest")]
+    roots.append(("serialize", "triplet_from_json"))
+    for node in ast.walk(ast.parse(BENCHMARK_API.read_text("utf-8"))):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "tb":
+            roots.append(resolve("__init__", node.attr))
+    assert None not in roots
+    todo = roots + [resolve(module, name) for module, stmt in loose for name in _reads(stmt)]
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key is None or key in reached:
+            continue
+        reached.add(key)
+        todo += [resolve(key[0], name) for stmt in bindings[key] for name in _reads(stmt)]
+    public = {
+        f"{module}.{name}"
+        for (module, name), stmts in bindings.items()
+        if module != "__init__" and not name.startswith("_")
+        and isinstance(stmts[0], (ast.FunctionDef, ast.ClassDef))
+    }
+    assert public - {f"{module}.{name}" for module, name in reached} == set(KEPT)
