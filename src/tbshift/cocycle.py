@@ -153,7 +153,6 @@ class Bicharacter:
 
     group: AbGroup
     matrix: tuple
-    antisymmetric: bool = False
 
     value = _bilinear_value
 
@@ -168,7 +167,7 @@ def star_bicharacter(mu) -> Bicharacter:
     matrix = tuple(
         tuple(mu(gi, gj) - mu(gj, gi) for gj in gens) for gi in gens
     )
-    return Bicharacter(mu.group, matrix, antisymmetric=True)
+    return Bicharacter(mu.group, matrix)
 
 
 def cohomologous(mu1, mu2) -> bool:

@@ -107,51 +107,28 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _poly_mul(a: tuple, b: tuple) -> tuple:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)
-
-
-def _poly_divmod(num: tuple, den: tuple) -> tuple:
-    """Exact division of integer polynomials (used only when den is monic)."""
-    num_l = list(num)
-    dd = len(den) - 1
-    while len(den) > 1 and den[-1] == 0:
-        raise ValueError("denominator not normalized")
-    q = [0] * max(1, len(num_l) - dd)
-    for i in range(len(num_l) - 1, dd - 1, -1):
-        c = num_l[i]
-        if c == 0:
-            continue
-        q[i - dd] = c
-        for j, y in enumerate(den):
-            num_l[i - dd + j] -= c * y
-    while len(num_l) > 1 and num_l[-1] == 0:
-        num_l.pop()
-    return tuple(q), tuple(num_l)
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple:
     """Integer coefficients of Phi_n, low degree first.
 
-    Computed by dividing x^n - 1 by Phi_d over all proper divisors d of n.
+    Divides x^n - 1 exactly by Phi_d for each proper divisor d of n, by
+    synthetic division: Phi_d is monic, so after the pass over work the
+    top entries hold the quotient and the low deg Phi_d ones the remainder.
     """
-    if n == 1:
-        return (-1, 1)
-    num = tuple([-1] + [0] * (n - 1) + [1])
-    den: tuple = (1,)
+    work = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            den = _poly_mul(den, cyclotomic_polynomial(d))
-    q, r = _poly_divmod(num, den)
-    if any(r):
-        raise ArithmeticError(f"Phi_{n} division left a remainder")
-    return q
+            phi = cyclotomic_polynomial(d)
+            deg = len(phi) - 1
+            for i in range(len(work) - 1, deg - 1, -1):
+                c = work[i]
+                if c:
+                    for j, y in enumerate(phi[:deg]):
+                        work[i - deg + j] -= c * y
+            if any(work[:deg]):
+                raise ArithmeticError(f"Phi_{n} division left a remainder")
+            del work[:deg]
+    return tuple(work)
 
 
 @lru_cache(maxsize=None)

@@ -17,7 +17,7 @@ from oracles import (
     row_major_key,
     trivial_triplet,
 )
-from tbshift import classify
+from tbshift import classify, cocycle
 from tbshift.abelian import AbGroup, AbHom, Character, is_isomorphism
 from tbshift.algebra import AlgebraElement
 from tbshift.classify import (
@@ -30,7 +30,7 @@ from tbshift.classify import (
     decide_conjugacy,
     verify_pi,
 )
-from tbshift.cocycle import BilinearCocycle, trivial_cocycle
+from tbshift.cocycle import BilinearCocycle, star_bicharacter, trivial_cocycle
 from tbshift.configs import dipole
 from tbshift.dynamics import Triplet, beta
 from tbshift.families import mod_q_triplet
@@ -126,9 +126,25 @@ def test_lattice_closed_form_separation():
     assert report3.verdict == "YES" and report3.witness == AbHom.identity(ta.group)
 
 
+def _assert_lattice_closed_form_sound(ta, tb, isos):
+    """decide_conjugacy on a Z^2 pair against check_conditions and a bound-3 brute search."""
+    report = decide_conjugacy(ta, tb)
+    if report.verdict == "YES":
+        assert report.decided_by == "lattice" and report.complete
+        assert check_conditions(ta, tb, report.witness) == (True, True)
+    elif report.verdict == "NO":
+        assert report.decided_by == "lattice" and report.complete
+        assert _brute_conjugacy(ta, tb, isos, False)[0] != "YES"
+    else:
+        assert report.verdict == "UNKNOWN" and not report.complete
+        assert report.decided_by == "bounded-search"
+    return report
+
+
 def test_lattice_closed_form_vs_bounded_enumeration(rng):
-    # the closed form and a bound-3 search must agree on random phase pairs
-    isos, _ = enumerate_isomorphisms(AbGroup(2), AbGroup(2), 3)
+    # det forms with trivial characters: the closed form decides every pair
+    g = AbGroup(2)
+    isos, _ = enumerate_isomorphisms(g, g, 3)
     for i in range(50):
         theta_a = random_rational_phase(rng)
         pick = i % 3
@@ -140,14 +156,24 @@ def test_lattice_closed_form_vs_bounded_enumeration(rng):
             theta_b = random_rational_phase(rng)
         ta = lattice_det_triplet(theta_a)
         tb = lattice_det_triplet(theta_b)
-        fast = decide_conjugacy(ta, tb)
-        slow, _, _ = _brute_conjugacy(ta, tb, isos, False)
-        if fast.verdict == "YES":
-            assert slow == "YES"
-        elif fast.verdict == "NO":
-            assert slow != "YES"
-        else:
-            pytest.fail(f"closed form left {theta_a}, {theta_b} undecided")
+        report = _assert_lattice_closed_form_sound(ta, tb, isos)
+        assert report.verdict != "UNKNOWN", (theta_a, theta_b)
+    # any 2x2 bilinear cocycle, with characters whose squares are often
+    # zero (denominators 1 and 2): the second side shares the first's
+    # cocycle, transposes it (negating v) or draws its own
+    seen = set()
+    for i in range(60):
+        chi_a = Character(g, tuple(random_rational_phase(rng, 4) for _ in range(2)))
+        ta = Triplet(g, _random_form(rng, g), chi_a)
+        cocycle = (ta.cocycle, BilinearCocycle(g, tuple(zip(*ta.cocycle.matrix))),
+                   _random_form(rng, g))[i % 3]
+        chi_b = chi_a if i % 2 else Character(g, tuple(random_rational_phase(rng, 4)
+                                                       for _ in range(2)))
+        report = _assert_lattice_closed_form_sound(ta, Triplet(g, cocycle, chi_b), isos)
+        seen.add((report.verdict, report.witness))
+    reflection = AbHom(g, g, ((1, 0), (0, -1)))
+    assert seen >= {("YES", AbHom.identity(g)), ("YES", reflection), ("NO", None),
+                    ("UNKNOWN", None)}
 
 
 def test_lattice_unknown_without_bound():
@@ -489,6 +515,9 @@ def test_centralizer_lattice_cases():
     assert rep.verdict == "INFINITE" and "SL(2,Z)" in rep.note
     rep2 = centralizer(trivial_triplet(AbGroup(2)))
     assert rep2.verdict == "INFINITE" and "GL(2,Z)" in rep2.note
+    # star value 2 * 1/4 = 1/2 of order 2: det -1 keeps it too
+    rep5 = centralizer(lattice_det_triplet(Phase(1, 4)))
+    assert rep5.verdict == "INFINITE" and "GL(2,Z)" in rep5.note
     # nontrivial character: no closed form, bounded search only
     g = AbGroup(2)
     trip = Triplet(g, det_form_cocycle(Phase(1, 16), g), Character(g, (Phase(1, 5), Phase.ZERO)))
@@ -497,6 +526,30 @@ def test_centralizer_lattice_cases():
     rep4 = centralizer(trip, bound=1)
     assert rep4.verdict == "OK" and not rep4.complete
     assert AbHom.identity(g) in rep4.elements
+
+
+def test_bounded_lattice_pair_lifts_each_star_form_once(monkeypatch):
+    # equal star values, chi^2 of orders 5 and 3: the closed form leaves
+    # the pair open and the bound-2 search ends UNKNOWN.  One
+    # `_integer_forms` lifts each side's star form once for the whole call,
+    # and a centralizer lifts its one cocycle once.
+    calls = []
+
+    def counted(mu):
+        calls.append(mu)
+        return star_bicharacter(mu)
+
+    monkeypatch.setattr(cocycle, "star_bicharacter", counted)
+    monkeypatch.setattr(classify, "star_bicharacter", counted)
+    g = AbGroup(2)
+    ta, tb = (lattice_det_triplet(Phase(1, 16), Character(g, (phase, Phase.ZERO)))
+              for phase in (Phase(1, 5), Phase(1, 3)))
+    report = decide_conjugacy(ta, tb, bound=2)
+    assert report.verdict == "UNKNOWN" and report.decided_by == "bounded-search"
+    assert len(calls) == 2
+    calls.clear()
+    assert centralizer(ta, bound=2).verdict == "OK"
+    assert len(calls) == 1
 
 
 def _brute_conjugacy(ta, tb, isos, complete):

@@ -63,6 +63,10 @@ def test_cyclotomic_polynomial_values():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+    x = sympy.Symbol("x")
+    for n in range(1, 151):
+        expected = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(n) == tuple(map(int, expected)), n
 
 
 def test_euler_phi_values():

@@ -1,12 +1,14 @@
 """Only what the CLI, selftest and benchmark reach stays in `tbshift`."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import tbshift
 
 SRC = Path(tbshift.__file__).resolve().parent
 BENCHMARK_API = SRC.parent.parent / "perfbench" / "api.py"
+BENCHMARK_TRACE = SRC.parent.parent / "perfbench" / "trace.py"
 
 # Public names that nothing reaches, each with the reason it stays.
 KEPT = {
@@ -102,3 +104,19 @@ def test_every_public_name_is_reached_from_the_cli_selftest_or_benchmark():
         and isinstance(stmts[0], (ast.FunctionDef, ast.ClassDef))
     }
     assert public - {f"{module}.{name}" for module, name in reached} == set(KEPT)
+
+
+def test_every_method_the_tracer_pins_is_defined_on_its_class():
+    # the tracer reads each (module, class, attribute) of its METHODS table
+    # with cls.__dict__[attr], so a method deleted or moved to a base class
+    # would make every traced benchmark run raise KeyError
+    tree = ast.parse(BENCHMARK_TRACE.read_text("utf-8"))
+    (table,) = (stmt.value for stmt in tree.body if isinstance(stmt, ast.Assign)
+                and any(getattr(t, "id", None) == "METHODS" for t in stmt.targets))
+    pinned = ast.literal_eval(table)
+    assert pinned
+    missing = [
+        key for key in pinned
+        if key[2] not in vars(getattr(importlib.import_module(f"tbshift.{key[0]}"), key[1]))
+    ]
+    assert missing == []
