@@ -170,13 +170,13 @@ class AbHom:
         )
 
     def compose(self, other: "AbHom") -> "AbHom":
-        """self after other."""
+        """self after other: the product of the matrices."""
         if other.target != self.source:
             raise ValueError("homs do not compose")
-        cols = [self(other.column(j)).coords for j in range(other.source.rank)]
         rows = tuple(
-            tuple(cols[j][i] for j in range(other.source.rank))
-            for i in range(self.target.rank)
+            tuple(sum(a * col[j] for a, col in zip(row, other.matrix))
+                  for j in range(other.source.rank))
+            for row in self.matrix
         )
         return AbHom(other.source, self.target, rows)
 
@@ -210,20 +210,17 @@ def is_isomorphism(f: AbHom) -> bool:
 
 
 def _image_candidates(target: AbGroup, order: int, bound: Optional[int]) -> Iterator[tuple]:
-    """Coordinates of the target elements x with order*x = 0 (order 0 = free source generator)."""
-    if order == 0:
-        if not target.is_finite and bound is None:
-            raise ValueError("a bound is required when free parts are present")
-        free_range = range(-bound, bound + 1) if bound is not None else range(1)
-        ranges = [free_range] * target.free_rank + [range(n) for n in target.torsion]
-        yield from itertools.product(*ranges)
-    else:
-        # free target coordinates must vanish; torsion coordinate c needs
-        # n | order*c, i.e. c a multiple of n/gcd(order, n)
-        steps = [n // gcd(order, n) for n in target.torsion]
-        ranges = [range(0, n, s) for n, s in zip(target.torsion, steps)]
-        for tors in itertools.product(*ranges):
-            yield (0,) * target.free_rank + tors
+    """Coordinates of the target elements x with order*x = 0 (order 0 = free source generator).
+
+    A torsion coordinate c of order n needs n | order*c, so c runs over the
+    gcd(order, n) multiples of n/gcd(order, n); a free one runs over
+    [-bound, bound] for a free source generator and is 0 otherwise.
+    """
+    if order == 0 and not target.is_finite and bound is None:
+        raise ValueError("a bound is required when free parts are present")
+    free = range(-bound, bound + 1) if order == 0 and bound is not None else range(1)
+    ranges = [free] * target.free_rank + [range(0, n, n // gcd(order, n)) for n in target.torsion]
+    return itertools.product(*ranges)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,9 @@ y V with the swap unitary V on the right.  A private swap kernel
 tables of the finite group and of the twist, with int coefficient
 rotations in place of Cyclotomic products.  The generic product loop of
 the base class stays the reference the tests compare y V with, and the
-only product AlgebraElement uses.  The flow is bounded to
-|H| <= MAX_FLOW_ORDER, checked before anything of size |H| is built.
+only product AlgebraElement uses.  One guard bounds the flow to a finite
+H with |H| <= MAX_FLOW_ORDER before anything of size |H| is built; at
+integer times the flow only relabels the legs.
 """
 
 from __future__ import annotations
@@ -89,8 +90,6 @@ class _TwistedGroupAlgebra:
         return self + (-other)
 
     def scaled(self, c):
-        if isinstance(c, (int, Fraction)):
-            c = Cyclotomic.from_rational(c)
         return type(self)(self.cocycle, {k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other):
@@ -200,53 +199,36 @@ terms and the kernel's tables |H|^2 entries, so larger groups are refused
 before any of them is built."""
 
 
-def _check_flow_order(n: int) -> None:
+def _flow_order(group) -> int:
+    """|H|, after refusing an infinite group, then one above MAX_FLOW_ORDER."""
+    if not group.is_finite:
+        raise ValueError("the flow needs a finite group, got an infinite one")
+    n = group.order()
     if n > MAX_FLOW_ORDER:
         raise ValueError(f"the flow is limited to |H| <= {MAX_FLOW_ORDER}, got |H| = {n}")
-
-
-def _check_nondegenerate(mu) -> None:
-    witness = degeneracy_witness(mu)
-    if witness is not None:
-        raise ValueError(
-            f"cocycle is degenerate: {witness.coords} pairs trivially with everything"
-        )
+    return n
 
 
 def malleability_unitary(mu) -> TensorElement:
     """The scaled symmetric unitary V = sum_h u_h (x) u_h^*.
 
     V equals |H|^(1/2) times the unit-normalized element; keeping the
-    integer scaling avoids the square root in the scalar field.  Requires
-    a finite base group of order at most MAX_FLOW_ORDER and a
-    nondegenerate cocycle.
+    integer scaling avoids the square root in the scalar field.  Refuses
+    an infinite group, then |H| > MAX_FLOW_ORDER, then a degenerate
+    cocycle.  A finite H with a nondegenerate alternating (star) form is
+    K x K (Wall, 1963), so |H| is then a square and the flow exact.
     """
     group = mu.group
-    if not group.is_finite:
-        raise ValueError("the malleability unitary needs a finite group")
-    _check_flow_order(group.order())
-    _check_nondegenerate(mu)
+    _flow_order(group)
+    witness = degeneracy_witness(mu)
+    if witness is not None:
+        raise ValueError(
+            f"cocycle is degenerate: {witness.coords} pairs trivially with everything"
+        )
     terms: Dict[Tuple[AbElem, AbElem], Cyclotomic] = {}
     for h in group.elements():
         terms[(h, -h)] = Cyclotomic.from_phase(-mu(h, -h))
     return TensorElement(mu, terms)
-
-
-def _flow_scale(group) -> int:
-    """sqrt|H|, after the order checks the flow needs, in their order.
-
-    The flow is exact only when |H| is a perfect square (then 1/sqrt|H| is
-    rational); every square base group (Z/q x Z/q and their products)
-    qualifies.  Raises for an infinite group, then for a non-square
-    order, then for an order above MAX_FLOW_ORDER; the degenerate
-    cocycle is refused after these.
-    """
-    n = group.order()
-    s = isqrt(n)
-    if s * s != n:
-        raise ValueError("exact flow needs |H| to be a perfect square")
-    _check_flow_order(n)
-    return s
 
 
 def _flow_scalars(t: Fraction) -> Tuple[Cyclotomic, Cyclotomic]:
@@ -275,13 +257,14 @@ class _SwapKernel:
     multiple of N and of every coefficient order of y; each output
     coefficient is reduced mod Phi_L once.  No AbElem is added, no Phase
     is evaluated and no root of unity is rebased in the loop.  The generic
-    TensorElement product stays the reference.
+    TensorElement product stays the reference.  mu must pass the checks
+    of `malleability_unitary`, which make the scale sqrt|H| an integer.
     """
 
     def __init__(self, mu):
         group = mu.group
         self.mu = mu
-        self.scale = _flow_scale(group)
+        self.scale = isqrt(_flow_order(group))
         elems = list(group.elements())
         self.elems = elems
         self.index = {g.coords: i for i, g in enumerate(elems)}
@@ -348,14 +331,14 @@ class _SwapKernel:
         so both cross terms share the one product with S on the right.
         That is O(|x| |H|) term pairs against O(|x| |H|^2) for the product
         W_t x W_t^*, which the tests keep as the oracle.  At integer t one
-        of a, b is zero and the flow is x or flip(x).
+        of a, b is zero: the flow is x or flip(x), and computes no scalar.
         """
+        if Fraction(t).denominator == 1:
+            return _flip(x) if t % 2 else x
         a, b = _flow_scalars(t)
         ac, bc = a.conjugate(), b.conjugate()
         flip = _flip(x)
         out = x.scaled(a * ac) + flip.scaled(b * bc)
-        if a.is_zero or b.is_zero:
-            return out
         r = Fraction(1, self.scale)
         return out + self.times_v(x.scaled(a * bc * r) + flip.scaled(b * ac * r))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Callable, Iterator, List, Optional, Sequence
 
@@ -226,6 +226,26 @@ def _invariants(group: AbGroup, star: list, chi: list, d: int) -> tuple:
     return cocycle, d // gcd(d, *chi), on_radical
 
 
+MAX_CANDIDATES = 2**26
+"""Most candidate images the isomorphism search builds: at about 1 us and
+100 bytes each, 2^26 take a minute and 7 GB.  Larger searches are UNKNOWN."""
+
+
+def _unsearchable(ga: AbGroup, gb: AbGroup, bound: Optional[int]) -> str:
+    """Why the isomorphism search H_a -> H_b cannot run, or '' if it can:
+    free parts and no bound, or pools of over MAX_CANDIDATES candidates,
+    counted from the ranges of `_image_candidates` without building them."""
+    if not ga.is_finite and bound is None:
+        return "free parts present and no search bound given"
+    free = (2 * (bound or 0) + 1) ** gb.free_rank
+    orders = [ga.generator_order(j) for j in range(ga.rank)]
+    size = sum((1 if o else free) * prod(gcd(o, n) for n in gb.torsion) for o in orders)
+    if size <= MAX_CANDIDATES:
+        return ""
+    return (f"the isomorphism search would build {size} candidate images, "
+            f"more than its limit of {MAX_CANDIDATES}")
+
+
 def _matching_isomorphisms(
     ta: Triplet, tb: Triplet, bound: Optional[int] = None, forms: Optional[tuple] = None
 ) -> Iterator[AbHom]:
@@ -310,7 +330,8 @@ def decide_conjugacy(ta: Triplet, tb: Triplet, bound: Optional[int] = None) -> C
     met (the same search with the other datum zero on both sides).  Any
     other group with a free part, and a Z^2 pair the closed form leaves
     open, falls back to the same search over matrices with free entries
-    bounded by `bound`, and may return UNKNOWN.
+    bounded by `bound`.  A search `_unsearchable` refuses does not run:
+    the answer is UNKNOWN, or a NO by invariants whose open checks are None.
     """
     ga, gb = ta.group, tb.group
     if not abstractly_isomorphic(ga, gb):
@@ -333,22 +354,23 @@ def decide_conjugacy(ta: Triplet, tb: Triplet, bound: Optional[int] = None) -> C
                                    decided_by="lattice")
 
     finite = ga.is_finite
-    if not finite and bound is None:
-        return ConjugacyReport(
-            "UNKNOWN", None, {"cocycle": False, "character": False}, False,
-            "free parts present and no search bound given", "bounded-search",
-        )
     inv_a = inv_b = (None,) * 3
     if finite:
         inv_a, inv_b = _invariants(ga, star_a, chi_a, d), _invariants(gb, star_b, chi_b, d)
     how = "invariants" if inv_a != inv_b else "search" if finite else "bounded-search"
+    refusal = _unsearchable(ga, gb, bound)
+    if refusal and how != "invariants":
+        return ConjugacyReport("UNKNOWN", None, {"cocycle": False, "character": False}, False,
+                               refusal, how)
     if how != "invariants":
         phi = next(_matching_isomorphisms(ta, tb, bound, forms), None)
         if phi is not None:
             return ConjugacyReport("YES", phi, {"cocycle": True, "character": True}, finite,
                                    decided_by=how)
 
-    def found(a: tuple, b: tuple) -> bool:
+    def found(a: tuple, b: tuple) -> Optional[bool]:
+        if refusal:
+            return None
         return next(_matching_isomorphisms(ta, tb, bound, (d, a, b)), None) is not None
 
     none_a, none_b = [0] * ga.rank, [0] * gb.rank
@@ -358,7 +380,7 @@ def decide_conjugacy(ta: Triplet, tb: Triplet, bound: Optional[int] = None) -> C
                                                     ([none_b] * gb.rank, chi_b)),
     }
     if finite:
-        return ConjugacyReport("NO", None, checks, True, decided_by=how)
+        return ConjugacyReport("NO", None, checks, True, refusal, how)
     return ConjugacyReport("UNKNOWN", None, checks, False,
                            f"no witness with entries bounded by {bound}", how)
 
@@ -376,32 +398,29 @@ def centralizer(t: Triplet, bound: Optional[int] = None) -> CentralizerReport:
     """Automorphisms of H preserving the star bicharacter and squared character.
 
     The star form and chi^2 are lifted once, by `_integer_forms`, and every
-    search below runs on that lift.  Finite groups: every hit of the pruned
-    isomorphism search from H to itself, which is complete.  On H = Z^2
-    with chi^2 zero the centralizer is provably infinite: the star form of
-    any 2-cocycle there is v * det, so all of SL(2,Z) keeps it, and all of
-    GL(2,Z) when 2v = 0 (det -1 negates v).  Otherwise, when a bound is
-    given, the same search over matrices with free entries bounded by it,
-    explicitly incomplete.
+    search below runs on that lift.  On H = Z^2 with chi^2 zero the
+    centralizer is provably infinite: the star form of any 2-cocycle there
+    is v * det, so all of SL(2,Z) keeps it, and all of GL(2,Z) when 2v = 0
+    (det -1 negates v).  Else a search `_unsearchable` refuses is UNKNOWN.
+    Finite groups: every hit of the pruned isomorphism search from H to
+    itself, which is complete.  Otherwise the same search with free
+    entries bounded by `bound`, explicitly incomplete.
     """
     group = t.group
     forms = d, (star, chi), _ = _integer_forms(t, t)
-    if group.is_finite:
-        found = tuple(_matching_isomorphisms(t, t, forms=forms))
-        structure = group_structure(found, lambda a, b: a.compose(b))
-        return CentralizerReport("OK", found, structure, True)
-
     if group == AbGroup(2) and not any(chi):
         family = "GL(2,Z)" if 2 * star[0][1] % d == 0 else "SL(2,Z)"
         return CentralizerReport(
             "INFINITE", (), None, True,
             f"every automorphism in {family} preserves the data",
         )
-    if bound is None:
-        return CentralizerReport(
-            "UNKNOWN", (), None, False, "free parts present and no search bound given"
-        )
+    refusal = _unsearchable(group, group, bound)
+    if refusal:
+        return CentralizerReport("UNKNOWN", (), None, False, refusal)
+    found = tuple(_matching_isomorphisms(t, t, bound, forms))
+    if group.is_finite:
+        structure = group_structure(found, lambda a, b: a.compose(b))
+        return CentralizerReport("OK", found, structure, True)
     return CentralizerReport(
-        "OK", tuple(_matching_isomorphisms(t, t, bound, forms)), None, False,
-        f"bounded search with entries up to {bound}",
+        "OK", found, None, False, f"bounded search with entries up to {bound}"
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Optional
 
 from tbshift.abelian import (
@@ -27,10 +27,8 @@ from tbshift.abelian import (
 from tbshift.algebra import (
     AlgebraElement,
     TensorElement,
-    _check_nondegenerate,
     _flip,
     _flow_scalars,
-    _flow_scale,
     _SwapKernel,
     apply_diagonal_character,
     malleability_unitary,
@@ -156,22 +154,22 @@ def enumerate_automorphisms(group: AbGroup) -> list:
 
 def flow_unitary(mu, t: Fraction) -> TensorElement:
     """W_t = P_1 + e^{i pi t} P_{-1} with P_{+-1} = (1 +- V/sqrt|H|)/2."""
-    s = _flow_scale(mu.group)
+    v = malleability_unitary(mu)
     a, b = _flow_scalars(t)
-    return TensorElement.one(mu).scaled(a) + malleability_unitary(mu).scaled(b * Fraction(1, s))
+    return TensorElement.one(mu).scaled(a) + v.scaled(b * Fraction(1, isqrt(mu.group.order())))
 
 
 def malleability_flow(mu, t: Fraction, x: TensorElement) -> TensorElement:
     """Ad W_t(x) through the swap kernel that `selftest.check_malleability` runs.
 
-    Raises for an element over another base, then as `_flow_scale` does,
-    then for a degenerate cocycle.  At integer t the flow is x or flip(x),
-    returned after the checks without building the kernel.
+    Raises for an element over another base, then as `malleability_unitary`
+    does, so at every t.  The kernel returns x or flip(x) at integer t
+    without computing a scalar, but building it costs |H|^2 table
+    entries, so integer times are answered by relabelling here.
     """
     if x.cocycle != mu:
         raise ValueError("element is not over the given base")
-    _flow_scale(mu.group)
-    _check_nondegenerate(mu)
+    malleability_unitary(mu)
     if Fraction(t).denominator == 1:
         return _flip(x) if t % 2 else x
     return _SwapKernel(mu).flow(t, x)

@@ -7,6 +7,7 @@ from tbshift.abelian import (
     AbGroup,
     AbHom,
     Character,
+    _image_candidates,
     abstractly_isomorphic,
     dual_characters,
     group_structure,
@@ -42,6 +43,26 @@ def test_hom_apply_examples():
     assert shear(g33.element((1, 0))).coords == (1, 1)
     twice = shear.compose(shear)
     assert twice == AbHom(g33, g33, ((1, 0), (2, 1)))
+
+
+def test_compose_is_applying_one_hom_after_the_other(rng):
+    # the matrix product, with torsion rows of the inner map taken as
+    # representatives, against applying the two maps in turn
+    groups = [
+        AbGroup(0, (2, 4)), AbGroup(1, (6,)), AbGroup(2), AbGroup(0, (3, 9)), AbGroup(1, (2, 2)),
+    ]
+
+    def random_hom(source, target):
+        cols = [rng.choice(list(_image_candidates(target, source.generator_order(j), 3)))
+                for j in range(source.rank)]
+        return AbHom(source, target, tuple(zip(*cols)))
+
+    for a, b, c in itertools.product(groups, repeat=3):
+        inner, outer = random_hom(a, b), random_hom(b, c)
+        both = outer.compose(inner)
+        for _ in range(4):
+            x = a.element([rng.randint(-5, 5) for _ in range(a.rank)])
+            assert both(x) == outer(inner(x))
 
 
 def test_hom_rejects_incompatible_orders():

@@ -188,8 +188,9 @@ def test_flow_unitary_composition(mu3):
 
 
 def test_flow_needs_square_order():
-    mu = trivial_cocycle(AbGroup(0, (2, 3)))  # order 6, not a square
-    with pytest.raises(ValueError, match="square"):
+    # order 6 is not a square, so no cocycle on it is nondegenerate
+    mu = trivial_cocycle(AbGroup(0, (2, 3)))
+    with pytest.raises(ValueError, match="degenerate"):
         flow_unitary(mu, Fraction(1, 2))
 
 
@@ -294,7 +295,7 @@ def test_flow_matches_brute_conjugation(rng):
 def test_flow_errors_at_every_time(t):
     cases = [
         (trivial_cocycle(AbGroup(0, (2, 2))), "degenerate"),
-        (trivial_cocycle(AbGroup(0, (2, 3))), "square"),
+        (trivial_cocycle(AbGroup(0, (2, 3))), "degenerate"),
         (trivial_cocycle(AbGroup(2)), "infinite"),
     ]
     for mu, message in cases:
@@ -392,8 +393,13 @@ def test_flow_refuses_groups_above_the_bound(monkeypatch):
             build()
 
 
-def test_integer_time_flow_matches_the_kernel(rng):
-    # x at even t and flip(x) at odd t, without the kernel, against it
+def test_integer_time_flow_matches_the_kernel(rng, monkeypatch):
+    # x at even t and flip(x) at odd t, without the kernel, against it;
+    # both relabel, and neither computes the flow's scalars
+    def never(t):
+        raise AssertionError("integer times are flowed by relabelling")
+
+    monkeypatch.setattr(algebra, "_flow_scalars", never)
     bases = [mod_q_cocycle(2), mod_q_cocycle(3), _symplectic_z2p4(), _shifted_table_cocycle(rng)]
     for mu in bases:
         kernel = _SwapKernel(mu)

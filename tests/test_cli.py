@@ -111,6 +111,50 @@ def test_factor_on_a_huge_cyclic_group(tmp_path):
     assert _run(["factor", path]) == (EXIT_NO, {"nondegenerate": False, "witness_g": [1]})
 
 
+def _too_many(size):
+    return f"the isomorphism search would build {size} candidate images, more than its limit of {2 ** 26}"
+
+
+@pytest.mark.parametrize("exponent", [40, 70])
+def test_searches_on_a_huge_cyclic_group_are_unknown_up_front(tmp_path, exponent):
+    # Z/2^e: the pools would hold 2^e candidate images; they are counted
+    # from the torsion orders, not built
+    n = 2 ** exponent
+    path = _write(tmp_path, "z2.json", (n,), [["0"]])
+    chi = tmp_path / "z2_chi.json"
+    chi.write_text(Path(path).read_text("utf-8").replace('["0"]}', f'["1/{n}"]}}'), encoding="utf-8")
+    with deadline(1):
+        centralizer = _run(["centralizer", path])
+        same = _run(["conjugate", path, path])
+        # chi^2 of order 2^(e-1) against the trivial one: the invariants
+        # still answer NO; the cocycle check they leave open is null
+        other = _run(["conjugate", str(chi), path])
+    assert centralizer == (EXIT_UNKNOWN, {
+        "verdict": "UNKNOWN", "complete": False, "elements": [], "order": None,
+        "structure": None, "note": _too_many(n),
+    })
+    assert same == (EXIT_UNKNOWN, {
+        "verdict": "UNKNOWN", "witness": None, "checks": {"cocycle": False, "character": False},
+        "complete": False, "note": _too_many(n),
+    })
+    assert other == (EXIT_NO, {
+        "verdict": "NO", "witness": None, "checks": {"cocycle": None, "character": False},
+        "complete": True, "note": _too_many(n),
+    })
+
+
+def test_bounded_searches_in_a_huge_box_are_unknown_up_front(tmp_path):
+    # Z^3 with entries up to 10^4: each of the three pools would hold
+    # 20001^3 candidate images
+    path = _write(tmp_path, "z3.json", (), [["0", "1/2", "1/3"], ["0", "0", "1/5"], ["0", "0", "0"]], 3)
+    with deadline(1):
+        runs = [_run(["centralizer", path, "--bound", "10000"]),
+                _run(["conjugate", path, path, "--bound", "10000"])]
+    for code, payload in runs:
+        assert code == EXIT_UNKNOWN and payload["verdict"] == "UNKNOWN"
+        assert payload["complete"] is False and payload["note"] == _too_many(3 * 20001 ** 3)
+
+
 def test_factor_on_order_1009_squared_is_fast(tmp_path):
     path = _write(tmp_path, "z1009.json", (1009, 1009), [["0", "1/1009"], ["0", "0"]])
     with deadline(1):

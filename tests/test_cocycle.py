@@ -1,7 +1,7 @@
 import itertools
 import random
 from collections import Counter
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 import sympy
@@ -246,6 +246,22 @@ def test_echelon_witness_matches_the_torsion_loop():
         assert degeneracy_witness(mu) == brute
         found += brute is not None
     assert 0 < found < 1000
+
+
+def test_nondegenerate_forms_live_on_square_orders():
+    # a finite group with a nondegenerate alternating form is K x K (Wall,
+    # 1963), so |H| is a square; the exact flow's 1/sqrt|H| rests on this
+    rng = random.Random(1)
+    orders = (2, 3, 4, 5, 6, 8, 9)
+    groups = [AbGroup(0, tuple(rng.choice(orders) for _ in range(rng.randint(1, 4))))
+              for _ in range(3000)]
+    cocycles = [_random_bilinear(rng, group) for group in groups]
+    cocycles += [to_table(mu) for mu in cocycles[:300] if mu.group.order() <= 36]
+    nondegenerate = [mu for mu in cocycles if degeneracy_witness(mu) is None]
+    assert len(nondegenerate) > 50
+    assert any(isinstance(mu, TableCocycle) for mu in nondegenerate)
+    for mu in nondegenerate:
+        assert isqrt(mu.group.order()) ** 2 == mu.group.order()
 
 
 def test_degenerate_free_direction_is_found():
