@@ -7,7 +7,8 @@ coordinates reduced into [0, n_i).  Smith normal form gives invariant
 factors (of a presentation and of the finite groups that
 `group_structure` identifies) and decides whether a homomorphism is
 bijective; subgroups of finite groups are kept as `linalg.hermite_mod`
-echelon rows by their callers.
+echelon rows by their callers.  The candidate images of the isomorphism
+search are coordinate ranges of its own, `classify._pool_ranges`.
 """
 
 from __future__ import annotations
@@ -207,20 +208,6 @@ def is_isomorphism(f: AbHom) -> bool:
     mat = [[col[i] for col in cols] for i in range(rb)]
     diag = snf_diagonal(mat)
     return len([d for d in diag if d != 0]) == rb and all(d in (0, 1) for d in diag)
-
-
-def _image_candidates(target: AbGroup, order: int, bound: Optional[int]) -> Iterator[tuple]:
-    """Coordinates of the target elements x with order*x = 0 (order 0 = free source generator).
-
-    A torsion coordinate c of order n needs n | order*c, so c runs over the
-    gcd(order, n) multiples of n/gcd(order, n); a free one runs over
-    [-bound, bound] for a free source generator and is 0 otherwise.
-    """
-    if order == 0 and not target.is_finite and bound is None:
-        raise ValueError("a bound is required when free parts are present")
-    free = range(-bound, bound + 1) if order == 0 and bound is not None else range(1)
-    ranges = [free] * target.free_rank + [range(0, n, n // gcd(order, n)) for n in target.torsion]
-    return itertools.product(*ranges)
 
 
 @dataclass(frozen=True)

@@ -21,18 +21,21 @@ tables of the finite group and of the twist, with int coefficient
 rotations in place of Cyclotomic products.  The generic product loop of
 the base class stays the reference the tests compare y V with, and the
 only product AlgebraElement uses.  One guard bounds the flow to a finite
-H with |H| <= MAX_FLOW_ORDER before anything of size |H| is built; at
-integer times the flow only relabels the legs.
+H with |H| <= MAX_FLOW_ORDER before anything of size |H| is built, and
+raises FlowRefused otherwise; at integer times the flow only relabels
+the legs.  `check_malleability` runs the kernel's checks for both the
+`malleability` command and the selftest suite of that name.
 """
 
 from __future__ import annotations
 
 import operator
+import random
 from fractions import Fraction
 from math import isqrt, lcm
 from typing import Dict, Tuple
 
-from .abelian import AbElem, Character
+from .abelian import AbElem, Character, dual_characters
 from .cocycle import degeneracy_witness
 from .configs import Config, mu_tilde
 from .scalars import Cyclotomic, Phase, _make, _reduce
@@ -199,13 +202,17 @@ terms and the kernel's tables |H|^2 entries, so larger groups are refused
 before any of them is built."""
 
 
+class FlowRefused(ValueError):
+    """The flow is not run on this group: it is infinite, or above MAX_FLOW_ORDER."""
+
+
 def _flow_order(group) -> int:
     """|H|, after refusing an infinite group, then one above MAX_FLOW_ORDER."""
     if not group.is_finite:
-        raise ValueError("the flow needs a finite group, got an infinite one")
+        raise FlowRefused("the flow is only constructed for finite groups")
     n = group.order()
     if n > MAX_FLOW_ORDER:
-        raise ValueError(f"the flow is limited to |H| <= {MAX_FLOW_ORDER}, got |H| = {n}")
+        raise FlowRefused(f"the flow is only run for |H| <= {MAX_FLOW_ORDER}, got {n}")
     return n
 
 
@@ -213,10 +220,11 @@ def malleability_unitary(mu) -> TensorElement:
     """The scaled symmetric unitary V = sum_h u_h (x) u_h^*.
 
     V equals |H|^(1/2) times the unit-normalized element; keeping the
-    integer scaling avoids the square root in the scalar field.  Refuses
-    an infinite group, then |H| > MAX_FLOW_ORDER, then a degenerate
-    cocycle.  A finite H with a nondegenerate alternating (star) form is
-    K x K (Wall, 1963), so |H| is then a square and the flow exact.
+    integer scaling avoids the square root in the scalar field.  Raises
+    FlowRefused for an infinite group, then for |H| > MAX_FLOW_ORDER,
+    then a plain ValueError for a degenerate cocycle.  A finite H with a
+    nondegenerate alternating (star) form is K x K (Wall, 1963), so |H|
+    is then a square and the flow exact.
     """
     group = mu.group
     _flow_order(group)
@@ -341,6 +349,50 @@ class _SwapKernel:
         out = x.scaled(a * ac) + flip.scaled(b * bc)
         r = Fraction(1, self.scale)
         return out + self.times_v(x.scaled(a * bc * r) + flip.scaled(b * ac * r))
+
+
+def check_malleability(v: TensorElement, rng: random.Random, samples: int) -> dict:
+    """Checks of the swap unitary v and of the flow on its tensor square.
+
+    v is self-adjoint with v^2 = |H|, the flow at t = 1 is the flip, and on
+    `samples` basis elements drawn from rng the flows at t = 1/2 compose to
+    t = 1 and commute with a random diagonal character.  One swap kernel
+    built from v's cocycle runs every flow and the square, as v times the
+    kernel's own table-built V.  At t = 1 the closed form of the flow is
+    the flip by construction, so full_swap only checks that relabelling;
+    the tests compare the flow with the product W_t x W_t^*, and the
+    kernel's y V with the generic product.
+    """
+    mu, group = v.cocycle, v.group
+    kernel = _SwapKernel(mu)
+    zero = group.zero()
+    checks = {
+        "self_adjoint": v.star() == v,
+        "square": kernel.times_v(v) == TensorElement.one(mu).scaled(group.order()),
+        "full_swap": all(
+            kernel.flow(Fraction(1), TensorElement.unit(mu, g, zero))
+            == TensorElement.unit(mu, zero, g)
+            for g in group.elements()
+        ),
+    }
+    half = Fraction(1, 2)
+    chars = list(dual_characters(group))
+    ok_half, ok_char = True, True
+    for _ in range(samples):
+        g = group.element([rng.randrange(m) for m in group.torsion])
+        h = group.element([rng.randrange(m) for m in group.torsion])
+        x = TensorElement.unit(mu, g, h)
+        once = kernel.flow(half, x)
+        if kernel.flow(half, once) != kernel.flow(Fraction(1), x):
+            ok_half = False
+        c = rng.choice(chars)
+        if apply_diagonal_character(c, once) != kernel.flow(
+            half, apply_diagonal_character(c, x)
+        ):
+            ok_char = False
+    checks["half_composition"] = ok_half
+    checks["character_commutation"] = ok_char
+    return checks
 
 
 def apply_diagonal_character(c: Character, x):

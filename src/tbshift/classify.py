@@ -10,6 +10,7 @@ action is the automorphism group cut out by the same two conditions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm, prod
@@ -21,7 +22,6 @@ from .abelian import (
     AbHom,
     Character,
     StructureReport,
-    _image_candidates,
     abstractly_isomorphic,
     group_structure,
     is_isomorphism,
@@ -227,19 +227,36 @@ def _invariants(group: AbGroup, star: list, chi: list, d: int) -> tuple:
 
 
 MAX_CANDIDATES = 2**26
-"""Most candidate images the isomorphism search builds: at about 1 us and
-100 bytes each, 2^26 take a minute and 7 GB.  Larger searches are UNKNOWN."""
+"""Most candidate images one walk of all the search's pools may draw.  No
+pool is held, so this bounds time (about 1 us per candidate), not memory.
+Larger searches are UNKNOWN."""
+
+
+def _pool_ranges(ga: AbGroup, gb: AbGroup, bound: Optional[int]) -> list:
+    """For each generator g_j of H_a, the coordinate ranges whose product
+    is its pool: the x in H_b with ord(g_j)*x = 0 (order 0 for a free g_j).
+
+    A torsion coordinate of order n needs n | ord(g_j)*c, so c runs over
+    the gcd(ord(g_j), n) multiples of n/gcd(ord(g_j), n); a free one runs
+    over [-bound, bound] for a free g_j, which needs a bound, and is 0
+    otherwise.
+    """
+    out = []
+    for j in range(ga.rank):
+        order = ga.generator_order(j)
+        free = range(-bound, bound + 1) if order == 0 else range(1)
+        out.append([free] * gb.free_rank + [range(0, n, n // gcd(order, n)) for n in gb.torsion])
+    return out
 
 
 def _unsearchable(ga: AbGroup, gb: AbGroup, bound: Optional[int]) -> str:
     """Why the isomorphism search H_a -> H_b cannot run, or '' if it can:
-    free parts and no bound, or pools of over MAX_CANDIDATES candidates,
-    counted from the ranges of `_image_candidates` without building them."""
+    free parts and no bound, or pools of over MAX_CANDIDATES candidates in
+    all, counted from the `_pool_ranges` without walking them."""
     if not ga.is_finite and bound is None:
         return "free parts present and no search bound given"
-    free = (2 * (bound or 0) + 1) ** gb.free_rank
-    orders = [ga.generator_order(j) for j in range(ga.rank)]
-    size = sum((1 if o else free) * prod(gcd(o, n) for n in gb.torsion) for o in orders)
+    size = sum(prod((r.stop - r.start) // r.step for r in ranges)
+               for ranges in _pool_ranges(ga, gb, bound))
     if size <= MAX_CANDIDATES:
         return ""
     return (f"the isomorphism search would build {size} candidate images, "
@@ -254,34 +271,27 @@ def _matching_isomorphisms(
     Backtracks over generator images as raw coordinates, comparing their
     dot products with the integer rows of the `_integer_forms` (by default
     the triplets') mod one denominator; no AbElem or Phase is built before
-    a hit.  The pool of generator g_j holds the `_image_candidates` of its
-    order with chi_b^2(x) = chi_a^2(g_j).  A new image x_j must satisfy
-    sb(x_i, x_j) = sa(g_i, g_j) for every earlier i; the star forms are
-    alternating, so these pairs settle all of them.  Between finite groups
-    x_j must also add a direct summand of order ord(g_j) to the span of
-    the earlier images, held as `hermite_mod` rows: `order_mod(x_j, span)`
-    = ord(g_j), as on each prefix of an injective map.  This is tested
-    first, so the cost of a search that finds nothing is set by the pools,
-    not by how degenerate the star forms are.  The cut is exact: a full
-    tuple spans a subgroup of order |H_a| = |H_b| (callers check the
-    groups are isomorphic), so only the bounded free-part search checks
-    its tuples with `is_isomorphism`.  Walking each pool in candidate
-    order visits tuples in the lexicographic order of the product of the
-    `_image_candidates`, so the hits come out in that order too.  `bound`
-    limits the free matrix entries and is required when free parts are
-    present.
+    a hit.  At each node the pool of generator g_j is walked afresh as the
+    product of its `_pool_ranges`, and nothing of it is held: a candidate
+    x_j must first have chi_b^2(x_j) = chi_a^2(g_j).  Between finite
+    groups x_j must then add a direct summand of order ord(g_j) to the
+    span of the earlier images, held as `hermite_mod` rows:
+    `order_mod(x_j, span)` = ord(g_j), as on each prefix of an injective
+    map.  Last, sb(x_i, x_j) = sa(g_i, g_j) for every earlier i; the star
+    forms are alternating, so these pairs settle all of them.  The cost of
+    a search that finds nothing is thus set by the pools, not by how
+    degenerate the star forms are.  The span cut is exact: a full tuple
+    spans a subgroup of order |H_a| = |H_b| (callers check the groups are
+    isomorphic), so only the bounded free-part search checks its tuples
+    with `is_isomorphism`.  The tests commute and each pool is walked in
+    product order, so the hits come out in the lexicographic order of the
+    product of the pools.  `bound` limits the free matrix entries and is
+    required when free parts are present.
     """
     ga, gb = ta.group, tb.group
     d, (star_a, chi_a), (star_b, chi_b) = forms or _integer_forms(ta, tb)
     cols_b = list(zip(*star_b))
-    pools = [
-        [
-            x
-            for x in _image_candidates(gb, ga.generator_order(j), bound)
-            if (sum(map(mul, chi_b, x)) - chi_a[j]) % d == 0
-        ]
-        for j in range(ga.rank)
-    ]
+    ranges = _pool_ranges(ga, gb, bound)
     finite = ga.is_finite and gb.is_finite
     moduli = gb.torsion
     chosen: List[tuple] = []
@@ -295,7 +305,9 @@ def _matching_isomorphisms(
             return
         order = ga.generator_order(j)
         wanted = [star_a[i][j] for i in range(j)]
-        for x in pools[j]:
+        for x in itertools.product(*ranges[j]):
+            if (sum(map(mul, chi_b, x)) - chi_a[j]) % d:
+                continue
             if finite and order_mod(x, span, moduli) != order:
                 continue
             if all((sum(map(mul, u, x)) - w) % d == 0 for u, w in zip(pairings, wanted)):

@@ -28,11 +28,11 @@ import random
 import sys
 from typing import Optional
 
-from .algebra import MAX_FLOW_ORDER, malleability_unitary
+from .algebra import FlowRefused, check_malleability, malleability_unitary
 from .classify import centralizer, decide_conjugacy
 from .cocycle import CocycleError, degeneracy_witness, star_bicharacter
 from .dynamics import Triplet
-from .selftest import SUITES, check_malleability, run_suites
+from .selftest import SUITES, run_suites
 from .serialize import (
     SchemaError,
     element_to_json,
@@ -181,19 +181,11 @@ def cmd_malleability(args) -> int:
     triplet = _parse_or_exit(args.path)
     if triplet is None:
         return EXIT_INVALID
-    group = triplet.group
-    if not group.is_finite:
-        _emit({"ok": False, "detail": "the flow is only constructed for finite groups"})
-        return EXIT_UNKNOWN
-    n = group.order()
-    if n > MAX_FLOW_ORDER:
-        _emit({"ok": False, "detail": f"the flow is only run for |H| <= {MAX_FLOW_ORDER}, got {n}"})
-        return EXIT_UNKNOWN
     try:
         v = malleability_unitary(triplet.cocycle)
     except ValueError as exc:
         _emit({"ok": False, "detail": str(exc)})
-        return EXIT_NO
+        return EXIT_UNKNOWN if isinstance(exc, FlowRefused) else EXIT_NO
     checks = check_malleability(v, random.Random(5), args.samples)
     checks["square_is_order"] = checks.pop("square")
     payload = {"ok": all(checks.values()), **checks}

@@ -4,9 +4,10 @@ One Smith normal form elimination, `_eliminate`, does the work of every
 integer matrix routine here, on the rows [a | right] stacked over
 `below`.  Row operations carry the columns right of a along (they come
 out as u*right); column operations turn an I_n below into v.  Each
-caller carries only what it reads: `smith_normal_form` I_m and I_n,
-`snf_diagonal` nothing, `integer_kernel_basis` I_n.  See `_eliminate`
-for how entries are kept small.
+caller carries only what it reads: `snf_diagonal` nothing,
+`integer_kernel_basis` I_n.  The tests' full (d, u, v) form and their
+literal congruence solver carry the rest.  See `_eliminate` for how
+entries are kept small.
 
 The one other step, `hermite_mod`, brings a subgroup of
 Z/n_1 + ... + Z/n_r to echelon rows with row operations only, and
@@ -83,20 +84,6 @@ def _eliminate(a: list, right: list, below: list) -> list:
         if rows[t][t] < 0:
             rows[t] = [-x for x in rows[t]]
     return rows
-
-
-def smith_normal_form(a: list) -> tuple:
-    """Return (d, u, v) with u*a*v = d, u and v unimodular, d diagonal.
-
-    d is in Smith normal form, as described in `_eliminate`.  Nothing in
-    the package needs u: the tests read the full (d, u, v) to check the
-    u*a*v = d contract of the one elimination, and this is the one caller
-    that carries a nonempty `right`.
-    """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    rows = _eliminate(a, identity_matrix(m), identity_matrix(n))
-    return [row[:n] for row in rows[:m]], [row[n:] for row in rows[:m]], rows[m:]
 
 
 def snf_diagonal(a: list) -> list:

@@ -2,7 +2,9 @@
 
 Each suite re-derives one pillar of the library from scratch on randomized
 but seeded data and reports counts; the CLI turns the reports into JSON.
-Byte-identical output across runs is part of the contract.
+Byte-identical output across runs is part of the contract.  The
+malleability suite runs `algebra.check_malleability` on a mod-q triplet,
+the checks the `malleability` command runs on a triplet file.
 """
 
 from __future__ import annotations
@@ -14,14 +16,7 @@ from math import gcd
 from typing import Callable, Dict, List, Optional
 
 from .abelian import AbGroup, AbHom, Character, dual_characters
-from .algebra import (
-    MAX_FLOW_ORDER,
-    AlgebraElement,
-    TensorElement,
-    _SwapKernel,
-    apply_diagonal_character,
-    malleability_unitary,
-)
+from .algebra import MAX_FLOW_ORDER, AlgebraElement, check_malleability, malleability_unitary
 from .classify import build_pi, verify_pi
 from .cocycle import (
     BilinearCocycle,
@@ -229,50 +224,6 @@ def suite_intertwiner(rng: random.Random) -> dict:
         "verify_failures": len(good.failures),
         "mutation_detected": not broken.ok,
     }
-
-
-def check_malleability(v: TensorElement, rng: random.Random, samples: int) -> dict:
-    """Checks of the swap unitary v and of the flow on its tensor square.
-
-    v is self-adjoint with v^2 = |H|, the flow at t = 1 is the flip, and on
-    `samples` basis elements drawn from rng the flows at t = 1/2 compose to
-    t = 1 and commute with a random diagonal character.  One swap kernel
-    built from v's cocycle runs every flow and the square, as v times the
-    kernel's own table-built V.  At t = 1 the closed form of the flow is
-    the flip by construction, so full_swap only checks that relabelling;
-    the tests compare the flow with the product W_t x W_t^*, and the
-    kernel's y V with the generic product.
-    """
-    mu, group = v.cocycle, v.group
-    kernel = _SwapKernel(mu)
-    zero = group.zero()
-    checks = {
-        "self_adjoint": v.star() == v,
-        "square": kernel.times_v(v) == TensorElement.one(mu).scaled(group.order()),
-        "full_swap": all(
-            kernel.flow(Fraction(1), TensorElement.unit(mu, g, zero))
-            == TensorElement.unit(mu, zero, g)
-            for g in group.elements()
-        ),
-    }
-    half = Fraction(1, 2)
-    chars = list(dual_characters(group))
-    ok_half, ok_char = True, True
-    for _ in range(samples):
-        g = group.element([rng.randrange(m) for m in group.torsion])
-        h = group.element([rng.randrange(m) for m in group.torsion])
-        x = TensorElement.unit(mu, g, h)
-        once = kernel.flow(half, x)
-        if kernel.flow(half, once) != kernel.flow(Fraction(1), x):
-            ok_half = False
-        c = rng.choice(chars)
-        if apply_diagonal_character(c, once) != kernel.flow(
-            half, apply_diagonal_character(c, x)
-        ):
-            ok_char = False
-    checks["half_composition"] = ok_half
-    checks["character_commutation"] = ok_char
-    return checks
 
 
 def suite_malleability(rng: random.Random, q: int = 3) -> dict:

@@ -20,7 +20,6 @@ from tbshift.abelian import (
     AbGroup,
     AbHom,
     Character,
-    _image_candidates,
     abstractly_isomorphic,
     is_isomorphism,
 )
@@ -33,12 +32,29 @@ from tbshift.algebra import (
     apply_diagonal_character,
     malleability_unitary,
 )
+from tbshift.classify import _pool_ranges
 from tbshift.cocycle import BilinearCocycle, trivial_cocycle
 from tbshift.configs import Config
 from tbshift.dynamics import Triplet
 from tbshift.lattice import AffineSL2, LatticePoint, mat_apply
 from tbshift.linalg import _eliminate, identity_matrix
 from tbshift.scalars import Phase
+
+# -- the elimination's full contract ------------------------------------------
+
+
+def smith_normal_form(a: list) -> tuple:
+    """Return (d, u, v) with u*a*v = d, u and v unimodular, d diagonal.
+
+    d is in Smith normal form, as described in `linalg._eliminate`.
+    Nothing in `tbshift` needs u: the tests read the full (d, u, v) to
+    check the u*a*v = d contract of the one elimination.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    rows = _eliminate(a, identity_matrix(m), identity_matrix(n))
+    return [row[:n] for row in rows[:m]], [row[n:] for row in rows[:m]], rows[m:]
+
 
 # -- the literal coboundary-witness solver ------------------------------------
 
@@ -131,8 +147,7 @@ def enumerate_isomorphisms(
     if not complete and bound is None:
         raise ValueError("free parts present: pass an entry bound")
     found = []
-    orders = [source.generator_order(j) for j in range(source.rank)]
-    pools = [list(_image_candidates(target, o, bound)) for o in orders]
+    pools = [list(itertools.product(*ranges)) for ranges in _pool_ranges(source, target, bound)]
     for images in itertools.product(*pools):
         f = AbHom(source, target, tuple(zip(*images)))
         if is_isomorphism(f):
@@ -160,7 +175,7 @@ def flow_unitary(mu, t: Fraction) -> TensorElement:
 
 
 def malleability_flow(mu, t: Fraction, x: TensorElement) -> TensorElement:
-    """Ad W_t(x) through the swap kernel that `selftest.check_malleability` runs.
+    """Ad W_t(x) through the swap kernel that `algebra.check_malleability` runs.
 
     Raises for an element over another base, then as `malleability_unitary`
     does, so at every t.  The kernel returns x or flip(x) at integer t

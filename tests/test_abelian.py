@@ -7,12 +7,12 @@ from tbshift.abelian import (
     AbGroup,
     AbHom,
     Character,
-    _image_candidates,
     abstractly_isomorphic,
     dual_characters,
     group_structure,
     is_isomorphism,
 )
+from tbshift.classify import _pool_ranges
 from tbshift.scalars import Phase
 
 
@@ -53,8 +53,8 @@ def test_compose_is_applying_one_hom_after_the_other(rng):
     ]
 
     def random_hom(source, target):
-        cols = [rng.choice(list(_image_candidates(target, source.generator_order(j), 3)))
-                for j in range(source.rank)]
+        cols = [rng.choice(list(itertools.product(*ranges)))
+                for ranges in _pool_ranges(source, target, 3)]
         return AbHom(source, target, tuple(zip(*cols)))
 
     for a, b, c in itertools.product(groups, repeat=3):

@@ -296,7 +296,7 @@ def test_flow_errors_at_every_time(t):
     cases = [
         (trivial_cocycle(AbGroup(0, (2, 2))), "degenerate"),
         (trivial_cocycle(AbGroup(0, (2, 3))), "degenerate"),
-        (trivial_cocycle(AbGroup(2)), "infinite"),
+        (trivial_cocycle(AbGroup(2)), "finite groups"),
     ]
     for mu, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -389,7 +389,7 @@ def test_flow_refuses_groups_above_the_bound(monkeypatch):
         lambda: malleability_flow(mu, Fraction(1, 2), TensorElement.one(mu)),
         lambda: malleability_flow(mu, Fraction(1), TensorElement.one(mu)),
     ):
-        with pytest.raises(ValueError, match="limited to"):
+        with pytest.raises(ValueError, match="only run for"):
             build()
 
 

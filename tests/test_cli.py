@@ -155,6 +155,22 @@ def test_bounded_searches_in_a_huge_box_are_unknown_up_front(tmp_path):
         assert payload["complete"] is False and payload["note"] == _too_many(3 * 20001 ** 3)
 
 
+@pytest.mark.parametrize("torsion, witness", [
+    ((2 ** 22,), [[1]]),
+    ((2 ** 11, 2 ** 11), [[0, 1], [1, 0]]),
+])
+def test_a_yes_at_the_first_candidates_walks_no_whole_pool(tmp_path, torsion, witness):
+    # 2^22 candidate images for each generator, all with chi^2 = 0: the
+    # first one of full order (that adds a direct summand) is a hit, so
+    # a search that built each pool before its first node would run past
+    # the deadline
+    path = _write(tmp_path, "z2.json", torsion, [["0"] * len(torsion)] * len(torsion))
+    with deadline(1):
+        code, payload = _run(["conjugate", path, path])
+    assert code == EXIT_OK and payload["verdict"] == "YES" and payload["complete"] is True
+    assert payload["witness"] == {"matrix": witness}
+
+
 def test_factor_on_order_1009_squared_is_fast(tmp_path):
     path = _write(tmp_path, "z1009.json", (1009, 1009), [["0", "1/1009"], ["0", "0"]])
     with deadline(1):

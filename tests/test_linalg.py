@@ -10,13 +10,12 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from conftest import deadline
-from oracles import solve_congruence
+from oracles import smith_normal_form, solve_congruence
 from tbshift.abelian import AbGroup, AbHom, is_isomorphism
 from tbshift.linalg import (
     hermite_mod,
     integer_kernel_basis,
     order_mod,
-    smith_normal_form,
     snf_diagonal,
 )
 
