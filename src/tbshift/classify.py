@@ -227,9 +227,11 @@ def _invariants(group: AbGroup, star: list, chi: list, d: int) -> tuple:
 
 
 MAX_CANDIDATES = 2**26
-"""Most candidate images one walk of all the search's pools may draw.  No
-pool is held, so this bounds time (about 1 us per candidate), not memory.
-Larger searches are UNKNOWN."""
+"""Most candidate images one walk of each of the search's pools may draw,
+counted from the `_pool_ranges` before the search runs; larger searches
+are UNKNOWN.  Memory is not bounded by it: the pools after the first
+keep the candidates that pass the chi^2 test, and `itertools.product`
+copies each coordinate range into a tuple."""
 
 
 def _pool_ranges(ga: AbGroup, gb: AbGroup, bound: Optional[int]) -> list:
@@ -271,13 +273,15 @@ def _matching_isomorphisms(
     Backtracks over generator images as raw coordinates, comparing their
     dot products with the integer rows of the `_integer_forms` (by default
     the triplets') mod one denominator; no AbElem or Phase is built before
-    a hit.  At each node the pool of generator g_j is walked afresh as the
-    product of its `_pool_ranges`, and nothing of it is held: a candidate
-    x_j must first have chi_b^2(x_j) = chi_a^2(g_j).  Between finite
-    groups x_j must then add a direct summand of order ord(g_j) to the
-    span of the earlier images, held as `hermite_mod` rows:
-    `order_mod(x_j, span)` = ord(g_j), as on each prefix of an injective
-    map.  Last, sb(x_i, x_j) = sa(g_i, g_j) for every earlier i; the star
+    a hit.  The pool of generator g_j holds the x in the product of its
+    `_pool_ranges` with chi_b^2(x) = chi_a^2(g_j).  It is drawn lazily:
+    the first node at depth j keeps each candidate as it draws it, and
+    later nodes re-read what is kept before drawing more, so a YES at the
+    first candidates draws no whole pool.  Depth 0 is walked once and
+    keeps nothing.  Between finite groups a candidate x_j must add a
+    direct summand of order ord(g_j) to the span of the earlier images,
+    held as `hermite_mod` rows: `order_mod(x_j, span)` = ord(g_j), as on
+    each prefix of an injective map.  Last, sb(x_i, x_j) = sa(g_i, g_j) for every earlier i; the star
     forms are alternating, so these pairs settle all of them.  The cost of
     a search that finds nothing is thus set by the pools, not by how
     degenerate the star forms are.  The span cut is exact: a full tuple
@@ -296,6 +300,18 @@ def _matching_isomorphisms(
     moduli = gb.torsion
     chosen: List[tuple] = []
     pairings: List[list] = []  # x_i^T A_b for each chosen x_i
+    kept: List[list] = [[] for _ in range(ga.rank)]
+    sources: list = [None] * ga.rank
+
+    def pool(j: int) -> Iterator[tuple]:
+        yield from kept[j]
+        if sources[j] is None:
+            sources[j] = (x for x in itertools.product(*ranges[j])
+                          if (sum(map(mul, chi_b, x)) - chi_a[j]) % d == 0)
+        for x in sources[j]:
+            if j:
+                kept[j].append(x)
+            yield x
 
     def extend(j: int, span: list) -> Iterator[AbHom]:
         if j == ga.rank:
@@ -305,9 +321,7 @@ def _matching_isomorphisms(
             return
         order = ga.generator_order(j)
         wanted = [star_a[i][j] for i in range(j)]
-        for x in itertools.product(*ranges[j]):
-            if (sum(map(mul, chi_b, x)) - chi_a[j]) % d:
-                continue
+        for x in pool(j):
             if finite and order_mod(x, span, moduli) != order:
                 continue
             if all((sum(map(mul, u, x)) - w) % d == 0 for u, w in zip(pairings, wanted)):

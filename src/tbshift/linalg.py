@@ -5,9 +5,10 @@ integer matrix routine here, on the rows [a | right] stacked over
 `below`.  Row operations carry the columns right of a along (they come
 out as u*right); column operations turn an I_n below into v.  Each
 caller carries only what it reads: `snf_diagonal` nothing,
-`integer_kernel_basis` I_n.  The tests' full (d, u, v) form and their
-literal congruence solver carry the rest.  See `_eliminate` for how
-entries are kept small.
+`integer_kernel_basis` I_n.  No caller in the package carries a nonempty
+`right`; it is kept for the tests' oracles, the full (d, u, v) form and
+the literal congruence solver, which read u*right.  See `_eliminate` for
+how entries are kept small.
 
 The one other step, `hermite_mod`, brings a subgroup of
 Z/n_1 + ... + Z/n_r to echelon rows with row operations only, and

@@ -88,12 +88,12 @@ def test_factor_reports_no_zero_witness(tmp_path):
     assert _run(["factor", str(path)]) == (EXIT_OK, {"nondegenerate": True})
 
 
-def _write(tmp_path, name, torsion, matrix, free_rank=0):
+def _write(tmp_path, name, torsion, matrix, free_rank=0, phases=None):
     path = tmp_path / name
     triplet = {
         "group": {"free_rank": free_rank, "torsion": list(torsion)},
         "cocycle": {"kind": "bichar", "matrix": matrix},
-        "character": {"phases": ["0"] * (free_rank + len(torsion))},
+        "character": {"phases": phases or ["0"] * (free_rank + len(torsion))},
     }
     path.write_text(json.dumps(triplet), encoding="utf-8")
     return str(path)
@@ -169,6 +169,19 @@ def test_a_yes_at_the_first_candidates_walks_no_whole_pool(tmp_path, torsion, wi
         code, payload = _run(["conjugate", path, path])
     assert code == EXIT_OK and payload["verdict"] == "YES" and payload["complete"] is True
     assert payload["witness"] == {"matrix": witness}
+
+
+def test_centralizer_walks_the_chi_filtered_pool_at_every_node(tmp_path):
+    # chi^2 keeps 211 of the 211^2 candidate images of the second
+    # generator; each of the 211 nodes at that depth must walk only those,
+    # not the whole product (about 9.4M draws, seconds past the deadline)
+    path = _write(tmp_path, "z211chi.json", (211, 211), [["0", "1/211"], ["0", "0"]],
+                  phases=["1/211", "0"])
+    with deadline(2):
+        code, payload = _run(["centralizer", path])
+    assert code == EXIT_OK and payload["complete"] is True
+    assert payload["order"] == 211 and payload["structure"] == "Z/211"
+    assert payload["elements"] == [{"matrix": [[1, 0], [k, 1]]} for k in range(211)]
 
 
 def test_factor_on_order_1009_squared_is_fast(tmp_path):
