@@ -20,10 +20,10 @@ y V with the swap unitary V on the right.  A private swap kernel
 tables of the finite group and of the twist, with int coefficient
 rotations in place of Cyclotomic products.  The generic product loop of
 the base class stays the reference the tests compare y V with, and the
-only product AlgebraElement uses.  One guard bounds the flow to a finite
-H with |H| <= MAX_FLOW_ORDER before anything of size |H| is built, and
-raises FlowRefused otherwise; at integer times the flow only relabels
-the legs.  `check_malleability` runs the kernel's checks for both the
+only product AlgebraElement uses.  One guard, `flow_order`, bounds the
+flow to a finite H with |H| <= MAX_FLOW_ORDER before anything of size
+|H| is built, and raises FlowRefused otherwise; at integer times the
+flow only relabels the legs.  `check_malleability` runs the kernel's checks for both the
 `malleability` command and the selftest suite of that name.
 """
 
@@ -206,7 +206,7 @@ class FlowRefused(ValueError):
     """The flow is not run on this group: it is infinite, or above MAX_FLOW_ORDER."""
 
 
-def _flow_order(group) -> int:
+def flow_order(group) -> int:
     """|H|, after refusing an infinite group, then one above MAX_FLOW_ORDER."""
     if not group.is_finite:
         raise FlowRefused("the flow is only constructed for finite groups")
@@ -227,7 +227,7 @@ def malleability_unitary(mu) -> TensorElement:
     is then a square and the flow exact.
     """
     group = mu.group
-    _flow_order(group)
+    flow_order(group)
     witness = degeneracy_witness(mu)
     if witness is not None:
         raise ValueError(
@@ -272,7 +272,7 @@ class _SwapKernel:
     def __init__(self, mu):
         group = mu.group
         self.mu = mu
-        self.scale = isqrt(_flow_order(group))
+        self.scale = isqrt(flow_order(group))
         elems = list(group.elements())
         self.elems = elems
         self.index = {g.coords: i for i, g in enumerate(elems)}

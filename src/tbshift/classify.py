@@ -10,7 +10,6 @@ action is the automorphism group cut out by the same two conditions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm, prod
@@ -27,7 +26,7 @@ from .abelian import (
     is_isomorphism,
 )
 from .algebra import AlgebraElement
-from .cocycle import radical_rows, star_bicharacter, star_lift
+from .cocycle import radical_rows, star_bicharacter
 from .configs import Config, mu_hat
 from .dynamics import Triplet, beta
 from .lattice import (
@@ -49,26 +48,21 @@ from .scalars import Cyclotomic, Phase
 def check_conditions(ta: Triplet, tb: Triplet, phi: AbHom) -> tuple:
     """(cocycle condition, character condition) for a candidate isomorphism.
 
-    Cocycle condition: the star bicharacter of mu_a equals that of mu_b
-    pulled back through phi, tested on generator pairs (enough, by
-    bilinearity).  Character condition: doubled phases agree on generators.
+    Reads the `_integer_forms` as the search does, on the columns x_j of
+    phi (the images of the generators): the cocycle condition is
+    x_i^T A_b x_j = A_a[i][j] mod D for every generator pair (enough, by
+    bilinearity), the character condition c_b . x_j = c_a[j] mod D.
     """
     if phi.source != ta.group or phi.target != tb.group:
         raise ValueError("phi does not map between the triplets' groups")
     if not is_isomorphism(phi):
         raise ValueError("phi is not an isomorphism")
-    sa = star_bicharacter(ta.cocycle)
-    sb = star_bicharacter(tb.cocycle)
-    gens = ta.group.generators()
-    images = [phi(g) for g in gens]
-    cocycle_ok = all(
-        sa.value(gi, gj) == sb.value(fi, fj)
-        for gi, fi in zip(gens, images)
-        for gj, fj in zip(gens, images)
-    )
-    chi_a2 = ta.character.power(2)
-    chi_b2 = tb.character.power(2)
-    character_ok = all(chi_a2(g) == chi_b2(f) for g, f in zip(gens, images))
+    d, (star_a, chi_a), (star_b, chi_b) = _integer_forms(ta, tb)
+    images = list(zip(*phi.matrix))
+    pairings = [[sum(map(mul, x, col)) for col in zip(*star_b)] for x in images]
+    cocycle_ok = all((sum(map(mul, u, y)) - a) % d == 0
+                     for u, row in zip(pairings, star_a) for y, a in zip(images, row))
+    character_ok = all((sum(map(mul, chi_b, x)) - c) % d == 0 for x, c in zip(images, chi_a))
     return cocycle_ok, character_ok
 
 
@@ -192,20 +186,21 @@ class ConjugacyReport:
 
 
 def _integer_forms(ta: Triplet, tb: Triplet) -> tuple:
-    """(D, (A_a, c_a), (A_b, c_b)): both `star_lift`s and both chi^2 over one D.
+    """(D, (A_a, c_a), (A_b, c_b)): both star forms and both chi^2 over one D.
 
     On raw coordinates, s(x, y) = x^T A y / D and chi^2(x) = c . x / D.
-    A cocycle shared by both sides, as in a centralizer, is lifted once.
+    A cocycle shared by both sides, as in a centralizer, is read once.
     """
-    sa, da = star_lift(ta.cocycle)
-    sb, db = (sa, da) if tb.cocycle is ta.cocycle else star_lift(tb.cocycle)
+    sa = star_bicharacter(ta.cocycle)
+    sb = sa if tb.cocycle is ta.cocycle else star_bicharacter(tb.cocycle)
     xa, xb = ta.character.power(2).phases, tb.character.power(2).phases
-    d = lcm(da, db, *(p.den for p in xa + xb))
+    d = lcm(sa.den, sb.den, *(p.den for p in xa + xb))
 
-    def lift(star: list, den: int, chi: tuple) -> tuple:
-        return [[a * (d // den) for a in row] for row in star], [p.num * (d // p.den) for p in chi]
+    def lift(star, chi: tuple) -> tuple:
+        scale = d // star.den
+        return [[a * scale for a in row] for row in star.ints], [p.num * (d // p.den) for p in chi]
 
-    return d, lift(sa, da, xa), lift(sb, db, xb)
+    return d, lift(sa, xa), lift(sb, xb)
 
 
 def _invariants(group: AbGroup, star: list, chi: list, d: int) -> tuple:
@@ -229,9 +224,16 @@ def _invariants(group: AbGroup, star: list, chi: list, d: int) -> tuple:
 MAX_CANDIDATES = 2**26
 """Most candidate images one walk of each of the search's pools may draw,
 counted from the `_pool_ranges` before the search runs; larger searches
-are UNKNOWN.  Memory is not bounded by it: the pools after the first
-keep the candidates that pass the chi^2 test, and `itertools.product`
-copies each coordinate range into a tuple."""
+are UNKNOWN.  Memory is not bounded by it: the ranges are walked without
+being copied, but the pools of depth >= 1 keep every candidate that
+passes the chi^2 test."""
+
+
+def _product(ranges: list) -> Iterator[tuple]:
+    """itertools.product(*ranges), in its order, walking the ranges without copying them."""
+    if not ranges:
+        return iter([()])
+    return (prefix + (c,) for prefix in _product(ranges[:-1]) for c in ranges[-1])
 
 
 def _pool_ranges(ga: AbGroup, gb: AbGroup, bound: Optional[int]) -> list:
@@ -306,7 +308,7 @@ def _matching_isomorphisms(
     def pool(j: int) -> Iterator[tuple]:
         yield from kept[j]
         if sources[j] is None:
-            sources[j] = (x for x in itertools.product(*ranges[j])
+            sources[j] = (x for x in _product(ranges[j])
                           if (sum(map(mul, chi_b, x)) - chi_a[j]) % d == 0)
         for x in sources[j]:
             if j:

@@ -197,7 +197,7 @@ def cmd_selftest(args) -> int:
     names = [args.suite] if args.suite else None
     try:
         report = run_suites(names, q=args.q)
-    except ValueError as exc:  # a --q that names no group, such as 1 or 0
+    except ValueError as exc:  # a --q that names no group, or a group the flow refuses
         _emit({"ok": False, "detail": str(exc)})
         return EXIT_INVALID
     _emit(report)

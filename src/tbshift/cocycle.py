@@ -4,7 +4,8 @@ Two storage forms are supported.  A TableCocycle stores every value on a
 finite group; a BilinearCocycle stores an exponent matrix B and evaluates
 mu(g, h) = sum_ij g_i B_ij h_j, which covers infinite groups and every
 bilinear family used in practice.  The star bicharacter
-mu(g, h) - mu(h, g) classifies a cocycle up to coboundary; that fact is
+mu(g, h) - mu(h, g), one integer matrix over one denominator
+(`Bicharacter`), classifies a cocycle up to coboundary; that fact is
 cross-checked at test scale rather than assumed: `coboundary_witness`
 builds a candidate b with mu1 - mu2 = b(g) + b(h) - b(g+h) by recursion
 along paths of generator steps, and the check of every equation decides.
@@ -13,8 +14,9 @@ along paths of generator steps, and the check of every equation decides.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from math import gcd, lcm
+from dataclasses import dataclass, field
+from math import lcm
+from operator import mul
 from typing import Optional
 
 from .abelian import AbElem, AbGroup
@@ -29,21 +31,12 @@ class CocycleError(ValueError):
 
 
 def _bilinear_value(form, g: AbElem, h: AbElem) -> Phase:
-    """sum_ij g_i M_ij h_j over the Phase matrix M of a cocycle or bicharacter."""
-    num, den = 0, 1
-    for i, gi in enumerate(g.coords):
+    """g^T M h / D over the integer (M, D) of a cocycle or star form."""
+    num = 0
+    for gi, row in zip(g.coords, form.ints):
         if gi:
-            row = form.matrix[i]
-            for j, hj in enumerate(h.coords):
-                if hj:
-                    p = row[j]
-                    q = p.den
-                    if den % q:  # widen den to lcm(den, q)
-                        step = q // gcd(den, q)
-                        num *= step
-                        den *= step
-                    num += gi * p.num * hj * (den // q)
-    return Phase(num, den)
+            num += gi * sum(map(mul, row, h.coords))
+    return Phase(num, form.den)
 
 
 @dataclass(frozen=True)
@@ -58,17 +51,22 @@ class BilinearCocycle:
 
     group: AbGroup
     matrix: tuple  # rank x rank Phases
+    ints: tuple = field(init=False, repr=False, compare=False)  # B_ij * D
+    den: int = field(init=False, repr=False, compare=False)  # D: lcm of the denominators
 
     def __post_init__(self) -> None:
         r = self.group.rank
         rows = tuple(tuple(row) for row in self.matrix)
         if len(rows) != r or any(len(row) != r for row in rows):
             raise CocycleError("shape", f"matrix must be {r}x{r}")
-        object.__setattr__(self, "matrix", rows)
+        den = lcm(*(p.den for row in rows for p in row))
+        ints = tuple(tuple(p.num * (den // p.den) for p in row) for row in rows)
+        for name, value in (("matrix", rows), ("ints", ints), ("den", den)):
+            object.__setattr__(self, name, value)
         for i in range(r):
             for j in range(r):
                 for n in (self.group.generator_order(i), self.group.generator_order(j)):
-                    if n and not (rows[i][j] * n).is_zero:
+                    if n and n * ints[i][j] % den:
                         raise CocycleError(
                             "torsion", f"entry ({i},{j}) not killed by order {n}"
                         )
@@ -149,32 +147,45 @@ def coboundary_cocycle(group: AbGroup, b: dict) -> TableCocycle:
 
 @dataclass(frozen=True)
 class Bicharacter:
-    """Map (g, h) -> sum_ij g_i M_ij h_j, multiplicative in each slot."""
+    """The star form (g, h) -> g^T A h / D on raw coordinates.
+
+    A (`ints`) is an antisymmetric integer matrix, and D (`den`) is the lcm
+    of the denominators of the phases A_ij / D, so equal forms have equal
+    (A, D).  `matrix` renders those phases, for printing.
+    """
 
     group: AbGroup
-    matrix: tuple
+    ints: tuple  # rank x rank, antisymmetric
+    den: int
 
     value = _bilinear_value
 
+    @property
+    def matrix(self) -> tuple:
+        return tuple(tuple(Phase(a, self.den) for a in row) for row in self.ints)
+
 
 def star_bicharacter(mu) -> Bicharacter:
-    """The bicharacter (g, h) -> mu(g, h) - mu(h, g).
+    """The star form (g, h) -> mu(g, h) - mu(h, g) of either storage form.
 
-    Being a bicharacter, it is determined by its values on generator pairs,
-    so one matrix suffices for either storage form.
+    An alternating bicharacter is fixed by its values on the generator
+    pairs i < j, so mu is read only there.  A_ij is that phase in [0, 1)
+    times D, the lcm of their denominators, and A_ji = -A_ij.
     """
     gens = mu.group.generators()
-    matrix = tuple(
-        tuple(mu(gi, gj) - mu(gj, gi) for gj in gens) for gi in gens
-    )
-    return Bicharacter(mu.group, matrix)
+    star = [[mu(gi, gj) - mu(gj, gi) if i < j else Phase.ZERO for j, gj in enumerate(gens)]
+            for i, gi in enumerate(gens)]
+    den = lcm(*(p.den for row in star for p in row))
+    up = [[p.num * (den // p.den) for p in row] for row in star]
+    ints = tuple(tuple(x - y for x, y in zip(row, col)) for row, col in zip(up, zip(*up)))
+    return Bicharacter(mu.group, ints, den)
 
 
 def cohomologous(mu1, mu2) -> bool:
     """True iff the two cocycles differ by a coboundary (equal star forms)."""
     if mu1.group != mu2.group:
         raise CocycleError("group", "cocycles live on different groups")
-    return star_bicharacter(mu1).matrix == star_bicharacter(mu2).matrix
+    return star_bicharacter(mu1) == star_bicharacter(mu2)
 
 
 MAX_WITNESS_ORDER = 64
@@ -229,19 +240,6 @@ def coboundary_witness(mu1, mu2) -> Optional[dict]:
     return witness
 
 
-def star_lift(mu) -> tuple:
-    """(A, D): the star matrix as an antisymmetric integer matrix A over D.
-
-    A is the stored phases in [0, 1) above the diagonal, negated below it,
-    times the lcm D of their denominators: s(g, h) = sum_ij g_i A_ij h_j / D.
-    """
-    star = star_bicharacter(mu).matrix
-    scale = lcm(*(p.den for row in star for p in row))
-    upper = [[p.num * (scale // p.den) if i < j else 0 for j, p in enumerate(row)]
-             for i, row in enumerate(star)]
-    return [[x - y for x, y in zip(row, col)] for row, col in zip(upper, zip(*upper))], scale
-
-
 def radical_rows(lift: list, scale: int, group: AbGroup) -> list:
     """`hermite_mod` rows of the torsion radical {g : g^T A = 0 mod D} of (A, D).
 
@@ -257,22 +255,22 @@ def radical_rows(lift: list, scale: int, group: AbGroup) -> list:
 def degeneracy_witness(mu) -> Optional[AbElem]:
     """A nonzero g whose star pairing against every h vanishes, or None.
 
-    The star matrix is lifted by `star_lift`.  With a free part, A holds
-    rational tags for a dense parameter family, and the first integer
-    kernel vector of A^T with a nonzero free part is the witness.  Else
-    the witness lies in the torsion radical.  Of its `radical_rows`, the
-    one of the last coordinate k with pivot below n_k is the first nonzero
-    radical element in `elements()` order; with no such k the radical is
-    trivial.
+    It reads the integer star form (A, D) of `star_bicharacter`.  With a
+    free part, A holds rational tags for a dense parameter family, and the
+    first integer kernel vector of A^T with a nonzero free part is the
+    witness.  Else the witness lies in the torsion radical.  Of its
+    `radical_rows`, the one of the last coordinate k with pivot below n_k
+    is the first nonzero radical element in `elements()` order; with no
+    such k the radical is trivial.
     """
     group = mu.group
-    lift, scale = star_lift(mu)
+    star = star_bicharacter(mu)
     f = group.free_rank
     if f:
-        for vec in integer_kernel_basis([list(col) for col in zip(*lift)]):
+        for vec in integer_kernel_basis([list(col) for col in zip(*star.ints)]):
             if any(vec[:f]):
                 return group.element(vec)
-    rows = radical_rows(lift, scale, group)
+    rows = radical_rows(star.ints, star.den, group)
     for k in reversed(range(group.rank - f)):
         if rows[k][k] < group.torsion[k]:
             return group.element([0] * f + rows[k])

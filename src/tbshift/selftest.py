@@ -16,7 +16,7 @@ from math import gcd
 from typing import Callable, Dict, List, Optional
 
 from .abelian import AbGroup, AbHom, Character, dual_characters
-from .algebra import MAX_FLOW_ORDER, AlgebraElement, check_malleability, malleability_unitary
+from .algebra import AlgebraElement, check_malleability, flow_order, malleability_unitary
 from .classify import build_pi, verify_pi
 from .cocycle import (
     BilinearCocycle,
@@ -257,11 +257,9 @@ SUITES: Dict[str, Callable] = {
 def run_suites(names: Optional[List[str]] = None, q: int = 3) -> dict:
     chosen = names or sorted(SUITES)
     if "malleability" in chosen:
-        # refused before any suite runs: the flow needs |H| = q^2 terms,
-        # and a q such as 1 or 0 names no group
-        if q * q > MAX_FLOW_ORDER:
-            raise ValueError(f"q = {q} gives |H| = {q * q}, above the flow's limit {MAX_FLOW_ORDER}")
-        mod_q_group(q)
+        # refused before any suite runs: a q such as 1 or 0 names no
+        # group, and the flow refuses |H| = q^2 above its bound
+        flow_order(mod_q_group(q))
     report = {}
     for name in chosen:
         if name not in SUITES:

@@ -3,9 +3,10 @@
 Nothing in `tbshift` calls these.  The oracles solve each problem the
 literal way, so the tests can hold a fast path against them: the
 coboundary witness against `literal_coboundary_witness`, the pruned
-isomorphism search against `enumerate_isomorphisms` with
-`check_conditions`, and the swap-kernel flow against the product
-W_t x W_t^* with `flow_unitary`.
+isomorphism search and `check_conditions` against `enumerate_isomorphisms`
+with `phase_conditions`, the integer evaluation of bilinear cocycles
+against `phase_bilinear_value`, and the swap-kernel flow against the
+product W_t x W_t^* with `flow_unitary`.
 """
 
 from __future__ import annotations
@@ -128,6 +129,43 @@ def literal_coboundary_witness(mu1, mu2) -> Optional[dict]:
             if witness[g] + witness[h] - witness[g + h] != nu(g, h):
                 return None
     return witness
+
+
+# -- Phase evaluation of the forms -------------------------------------------
+
+
+def phase_bilinear_value(form, g: AbElem, h: AbElem) -> Phase:
+    """sum_ij g_i M_ij h_j over the Phase matrix M of a cocycle or star form,
+    widening one running denominator entry by entry."""
+    num, den = 0, 1
+    for i, gi in enumerate(g.coords):
+        if gi:
+            row = form.matrix[i]
+            for j, hj in enumerate(h.coords):
+                if hj:
+                    p = row[j]
+                    q = p.den
+                    if den % q:  # widen den to lcm(den, q)
+                        step = q // gcd(den, q)
+                        num *= step
+                        den *= step
+                    num += gi * p.num * hj * (den // q)
+    return Phase(num, den)
+
+
+def phase_conditions(ta: Triplet, tb: Triplet, phi: AbHom) -> tuple:
+    """`check_conditions` read off the cocycles and characters themselves:
+    mu(x, y) - mu(y, x) and 2 chi on the generators and their images."""
+    gens = ta.group.generators()
+    images = [phi(g) for g in gens]
+
+    def star(mu, x, y):
+        return mu(x, y) - mu(y, x)
+
+    cocycle_ok = all(star(ta.cocycle, gi, gj) == star(tb.cocycle, fi, fj)
+                     for gi, fi in zip(gens, images) for gj, fj in zip(gens, images))
+    character_ok = all(2 * ta.character(g) == 2 * tb.character(f) for g, f in zip(gens, images))
+    return cocycle_ok, character_ok
 
 
 # -- isomorphisms by enumeration ----------------------------------------------

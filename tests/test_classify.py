@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from collections import Counter
@@ -13,6 +14,7 @@ from oracles import (
     enumerate_automorphisms,
     enumerate_isomorphisms,
     lattice_det_triplet,
+    phase_conditions,
     product_triplet,
     row_major_key,
     trivial_triplet,
@@ -553,10 +555,10 @@ def test_bounded_lattice_pair_lifts_each_star_form_once(monkeypatch):
 
 
 def _brute_conjugacy(ta, tb, isos, complete):
-    """(verdict, witness, checks) from check_conditions on every isomorphism."""
+    """(verdict, witness, checks) from phase_conditions on every isomorphism."""
     seen = {"cocycle": False, "character": False}
     for phi in isos:
-        c_ok, x_ok = check_conditions(ta, tb, phi)
+        c_ok, x_ok = phase_conditions(ta, tb, phi)
         if c_ok and x_ok:
             return "YES", phi, {"cocycle": True, "character": True}
         seen["cocycle"] = seen["cocycle"] or c_ok
@@ -627,7 +629,7 @@ def test_search_matches_brute_oracle_finite():
         for pick in (0, 1 + index % 3):
             ta, tb = _oracle_pair(rng, group, isos, pick)
             verdicts.append(_assert_search_matches_brute(ta, tb, isos, None))
-        expected = tuple(phi for phi in isos if all(check_conditions(ta, ta, phi)))
+        expected = tuple(phi for phi in isos if all(phase_conditions(ta, ta, phi)))
         assert centralizer(ta).elements == expected
     assert verdicts[::2] == ["YES"] * len(FINITE_ORACLE_GROUPS)
     assert "NO" in verdicts
@@ -701,9 +703,41 @@ def test_integer_search_matches_phase_checks_on_mixed_denominators():
     pairs += [(table, standard), (standard, table)]
     for ta, tb in pairs:
         isos, _ = enumerate_isomorphisms(ta.group, tb.group)
-        expected = [phi for phi in isos if all(check_conditions(ta, tb, phi))]
+        expected = [phi for phi in isos if all(phase_conditions(ta, tb, phi))]
         assert expected
         assert list(classify._matching_isomorphisms(ta, tb)) == expected
+
+
+def test_check_conditions_matches_the_phase_oracle():
+    # the integer check against mu(x, y) - mu(y, x) and 2 chi on every
+    # isomorphism: random finite triplets with mixed denominators, the
+    # table fixture and bounded Z^2 pairs
+    rng = random.Random(12)
+    cases = []
+    for torsion, bound in (((2, 6), None), ((4, 4), None), ((2, 2, 3), None), ((3, 3), None),
+                           ((), 2), ((), 2), ((2,), 1)):
+        group = AbGroup(2 if bound else 0, torsion)
+        isos, _ = enumerate_isomorphisms(group, group, bound)
+        cases += [(*_oracle_pair(rng, group, isos, pick), isos) for pick in range(4)]
+    root = Path(__file__).resolve().parent.parent / "triplets"
+    table, standard = (triplet_from_json(json.loads((root / name).read_text("utf-8")))
+                       for name in ("mod3_table.json", "mod3_standard.json"))
+    isos, _ = enumerate_isomorphisms(table.group, table.group)
+    cases += [(table, standard, isos), (standard, table, isos), (table, table, isos)]
+    seen = Counter()
+    for ta, tb, isos in cases:
+        for phi in isos:
+            seen[check_conditions(ta, tb, phi)] += 1
+            assert check_conditions(ta, tb, phi) == phase_conditions(ta, tb, phi)
+    assert len(seen) == 4
+
+
+def test_product_walk_keeps_the_itertools_order():
+    rng = random.Random(7)
+    for _ in range(300):
+        ranges = [range(rng.randint(-4, 3), rng.randint(-3, 6), rng.randint(1, 3))
+                  for _ in range(rng.randint(0, 4))]
+        assert list(classify._product(ranges)) == list(itertools.product(*ranges))
 
 
 def test_search_matches_brute_oracle_bounded():
@@ -720,7 +754,7 @@ def test_search_matches_brute_oracle_bounded():
             if not group.torsion and ta.character.power(2) == tb.character.power(2):
                 continue
             verdicts.add(_assert_search_matches_brute(ta, tb, isos, 1))
-            expected = tuple(phi for phi in isos if all(check_conditions(ta, ta, phi)))
+            expected = tuple(phi for phi in isos if all(phase_conditions(ta, ta, phi)))
             rep = centralizer(ta, bound=1)
             assert rep.verdict == "OK" and rep.elements == expected
     assert verdicts == {"YES", "UNKNOWN"}

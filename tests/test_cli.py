@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -55,7 +56,7 @@ def test_selftest_refuses_modulus_above_the_flow_bound(suite):
     assert code == EXIT_INVALID
     assert payload == {
         "ok": False,
-        "detail": "q = 1000 gives |H| = 1000000, above the flow's limit 1024",
+        "detail": "the flow is only run for |H| <= 1024, got 1000000",
     }
 
 
@@ -169,6 +170,21 @@ def test_a_yes_at_the_first_candidates_walks_no_whole_pool(tmp_path, torsion, wi
         code, payload = _run(["conjugate", path, path])
     assert code == EXIT_OK and payload["verdict"] == "YES" and payload["complete"] is True
     assert payload["witness"] == {"matrix": witness}
+
+
+def test_a_yes_at_the_first_candidates_copies_no_coordinate_range(tmp_path):
+    # the pool of Z/2^22 walks one coordinate range of 2^22 entries; a walk
+    # that copied it into a tuple first (as itertools.product does) peaked
+    # at about 160 MiB here
+    path = _write(tmp_path, "z2.json", (2 ** 22,), [["0"]])
+    tracemalloc.start()
+    try:
+        code, payload = _run(["conjugate", path, path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK and payload["verdict"] == "YES"
+    assert peak < 8 * 2 ** 20
 
 
 def test_centralizer_walks_the_chi_filtered_pool_at_every_node(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from conftest import deadline
-from oracles import det_form_cocycle, literal_coboundary_witness
+from oracles import det_form_cocycle, literal_coboundary_witness, phase_bilinear_value
 from tbshift.abelian import AbGroup
 from tbshift.cocycle import (
     BilinearCocycle,
@@ -107,6 +107,31 @@ def test_star_bicharacter_antisymmetric_bilinear(rng):
         assert star.value(a + c, b) == star.value(a, b) + star.value(c, b)
         # agrees with the definition, not just the generator matrix
         assert star.value(a, b) == mu(a, b) - mu(b, a)
+    # table cocycles, free generators and an entry of 1/2: A is
+    # antisymmetric, and matrix[i][j] is mu(e_i, e_j) - mu(e_j, e_i)
+    z, half = Phase.ZERO, Phase(1, 2)
+    forms = [mu, to_table(mod_q_cocycle(3)), to_table(_random_bilinear(rng, AbGroup(0, (2, 6)))),
+             BilinearCocycle(AbGroup(1, (2,)), ((Phase(1, 3), half), (z, half))),
+             BilinearCocycle(AbGroup(2), ((z, half), (z, z)))]
+    forms += [random_mixed_cocycle(rng) for _ in range(40)]
+    for form in forms:
+        star, gens = star_bicharacter(form), form.group.generators()
+        assert star.ints == tuple(tuple(-a for a in col) for col in zip(*star.ints))
+        assert star.matrix == tuple(tuple(form(x, y) - form(y, x) for y in gens) for x in gens)
+        for _ in range(10):
+            a, b = (form.group.element([rng.randint(-9, 9) for _ in gens]) for _ in range(2))
+            assert star.value(a, b) == phase_bilinear_value(star, a, b) == form(a, b) - form(b, a)
+
+
+def test_bilinear_evaluation_matches_the_phase_oracle():
+    # mixed denominators, free and negative coordinates
+    rng = random.Random(21)
+    for _ in range(300):
+        mu = random_mixed_cocycle(rng)
+        for _ in range(5):
+            g, h = (mu.group.element([rng.randint(-30, 30) for _ in range(mu.group.rank)])
+                    for _ in range(2))
+            assert mu(g, h) == phase_bilinear_value(mu, g, h)
 
 
 def test_cohomologous_examples(rng):
