@@ -727,8 +727,9 @@ def test_check_conditions_matches_the_phase_oracle():
     seen = Counter()
     for ta, tb, isos in cases:
         for phi in isos:
-            seen[check_conditions(ta, tb, phi)] += 1
-            assert check_conditions(ta, tb, phi) == phase_conditions(ta, tb, phi)
+            got = check_conditions(ta, tb, phi)
+            assert got == phase_conditions(ta, tb, phi)
+            seen[got] += 1
     assert len(seen) == 4
 
 
