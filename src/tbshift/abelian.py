@@ -8,14 +8,16 @@ factors (of a presentation and of the finite groups that
 `group_structure` identifies) and decides whether a homomorphism is
 bijective; subgroups of finite groups are kept as `linalg.hermite_mod`
 echelon rows by their callers.  The candidate images of the isomorphism
-search are coordinate ranges of its own, `classify._pool_ranges`.
+search are coordinate ranges of its own, `classify._pool_ranges`.  A
+character is one integer row over one denominator, so a value is a dot product.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from .linalg import snf_diagonal
@@ -212,36 +214,34 @@ def is_isomorphism(f: AbHom) -> bool:
 
 @dataclass(frozen=True)
 class Character:
-    """Character of H given by its Phase value on each generator."""
+    """Character of H by its Phase on each generator, lifted at construction
+    as `BilinearCocycle` lifts B: chi(g) = c . g / D, c = `ints`, D = `den`."""
 
     group: AbGroup
     phases: tuple
+    ints: tuple = field(init=False, repr=False, compare=False)  # phase_j * D
+    den: int = field(init=False, repr=False, compare=False)  # D: lcm of the denominators
 
     def __post_init__(self) -> None:
         if len(self.phases) != self.group.rank:
             raise ValueError("one phase per generator is required")
-        for j, p in enumerate(self.phases):
+        den = lcm(*(p.den for p in self.phases))
+        ints = tuple(p.num * (den // p.den) for p in self.phases)
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "den", den)
+        for j, (p, c) in enumerate(zip(self.phases, ints)):
             n = self.group.generator_order(j)
-            if n and not (p * n).is_zero:
-                raise ValueError(
-                    f"phase {p} is not killed by the generator order {n}"
-                )
+            if n and n * c % den:
+                raise ValueError(f"phase {p} is not killed by the generator order {n}")
 
     @staticmethod
     def trivial(group: AbGroup) -> "Character":
         return Character(group, (Phase.ZERO,) * group.rank)
 
-    @property
-    def is_trivial(self) -> bool:
-        return all(p.is_zero for p in self.phases)
-
     def __call__(self, g: AbElem) -> Phase:
         if g.group != self.group:
             raise ValueError("element is not in the character's group")
-        total = Phase.ZERO
-        for c, p in zip(g.coords, self.phases):
-            total = total + p * c
-        return total
+        return Phase(sum(map(mul, self.ints, g.coords)), self.den)
 
     def __mul__(self, other: "Character") -> "Character":
         if self.group != other.group:
@@ -250,15 +250,6 @@ class Character:
 
     def power(self, d: int) -> "Character":
         return Character(self.group, tuple(p * d for p in self.phases))
-
-    def pullback(self, f: AbHom) -> "Character":
-        """The character g -> self(f(g)) on f's source."""
-        if f.target != self.group:
-            raise ValueError("hom does not land in the character's group")
-        return Character(
-            f.source,
-            tuple(self(f.column(j)) for j in range(f.source.rank)),
-        )
 
 
 def dual_characters(group: AbGroup) -> Iterator[Character]:

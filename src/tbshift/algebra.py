@@ -258,15 +258,15 @@ class _SwapKernel:
     Built once per cocycle and shared by every flow of one check.  The
     elements of H are numbered in the order of group.elements(), a mixed
     radix over the torsion orders.  Tables give the number of g + h and
-    the twist mu(g, h) as an exponent of zeta_N, N the lcm of the twist's
-    denominators; V's coefficient at u_h (x) u_{-h} is zeta_N to the
-    exponent -mu(h, -h).  A term pair of y V then costs lookups and one
-    rotation of int coefficients in the power basis of Q(zeta_L), L a
-    multiple of N and of every coefficient order of y; each output
-    coefficient is reduced mod Phi_L once.  No AbElem is added, no Phase
-    is evaluated and no root of unity is rebased in the loop.  The generic
-    TensorElement product stays the reference.  mu must pass the checks
-    of `malleability_unitary`, which make the scale sqrt|H| an integer.
+    the twist mu(g, h) as an exponent of zeta_N, N = `mu.den` (the lcm of
+    every value's denominator); V's coefficient at u_h (x) u_{-h} is
+    zeta_N to the exponent -mu(h, -h).  A term pair of y V then costs
+    lookups and one rotation of int coefficients in the power basis of
+    Q(zeta_L), L a multiple of N and of every coefficient order of y; each
+    output coefficient is reduced mod Phi_L once.  No AbElem is added, no
+    Phase is evaluated and no root of unity is rebased in the loop.  The
+    generic TensorElement product stays the reference.  mu must pass the
+    checks of `malleability_unitary`, which make the scale sqrt|H| an integer.
     """
 
     def __init__(self, mu):
@@ -285,17 +285,9 @@ class _SwapKernel:
                 for c1 in range(m)
             ]
         self.add = add
-        # one row of Phases at a time: the exponents rescale when the
-        # conductor grows
-        twist, n = [], 1
-        for g in elems:
-            phases = [mu(g, h) for h in elems]
-            wider = lcm(n, *{p.den for p in phases})
-            if wider != n:
-                twist = [[e * (wider // n) for e in row] for row in twist]
-                n = wider
-            twist.append([p.num * (n // p.den) for p in phases])
-        self.twist, self.conductor = twist, n
+        n = self.conductor = mu.den
+        twist = self.twist = [[p.num * (n // p.den) for p in (mu(g, h) for h in elems)]
+                              for g in elems]
         # V = sum_h zeta_N^(-mu(h, -h)) u_h (x) u_-h as (h, -h, exponent),
         # with -h read off the zero in row h of the addition table
         neg = [row.index(0) for row in add]

@@ -74,8 +74,8 @@ class PiPhi:
     the corrector times the normalized unitary of phi o lam, where the
     corrector is the +-1 character mismatch c(h) = chi_a(h) - chi_b(phi h)
     accumulated over the support with gcd(k) exponents.  The mismatch is
-    one character, computed once from its values on the generators, and
-    each lam is mapped through phi once per application.
+    one character, built once from its values on the generators; each lam
+    is mapped through phi once per application.
     """
 
     ta: Triplet
@@ -87,7 +87,9 @@ class PiPhi:
     @cached_property
     def mismatch(self) -> Character:
         """The character c = chi_a - chi_b o phi on H_a."""
-        return self.ta.character * self.tb.character.pullback(self.phi).power(-1)
+        chi_a, chi_b, phi = self.ta.character, self.tb.character, self.phi
+        return Character(chi_a.group, tuple(p - chi_b(phi.column(j))
+                                            for j, p in enumerate(chi_a.phases)))
 
     def corrector(self, lam: Config) -> Phase:
         """sum_k weight(k) c(lam(k)), as c of the weighted sum of the values."""
@@ -188,19 +190,21 @@ class ConjugacyReport:
 def _integer_forms(ta: Triplet, tb: Triplet) -> tuple:
     """(D, (A_a, c_a), (A_b, c_b)): both star forms and both chi^2 over one D.
 
-    On raw coordinates, s(x, y) = x^T A y / D and chi^2(x) = c . x / D.
+    On raw coordinates, s(x, y) = x^T A y / D and chi^2(x) = c . x / D, D
+    the lcm of the forms' and characters' `den` and c = 2 `ints` in [0, D),
+    so equal chi^2 give equal c; the rest reads mod D or scale-invariants.
     A cocycle shared by both sides, as in a centralizer, is read once.
     """
     sa = star_bicharacter(ta.cocycle)
     sb = sa if tb.cocycle is ta.cocycle else star_bicharacter(tb.cocycle)
-    xa, xb = ta.character.power(2).phases, tb.character.power(2).phases
-    d = lcm(sa.den, sb.den, *(p.den for p in xa + xb))
+    ca, cb = ta.character, tb.character
+    d = lcm(sa.den, sb.den, ca.den, cb.den)
 
-    def lift(star, chi: tuple) -> tuple:
-        scale = d // star.den
-        return [[a * scale for a in row] for row in star.ints], [p.num * (d // p.den) for p in chi]
+    def lift(star, chi: Character) -> tuple:
+        scale, twice = d // star.den, 2 * d // chi.den
+        return [[a * scale for a in row] for row in star.ints], [twice * c % d for c in chi.ints]
 
-    return d, lift(sa, xa), lift(sb, xb)
+    return d, lift(sa, ca), lift(sb, cb)
 
 
 def _invariants(group: AbGroup, star: list, chi: list, d: int) -> tuple:

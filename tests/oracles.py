@@ -5,8 +5,10 @@ literal way, so the tests can hold a fast path against them: the
 coboundary witness against `literal_coboundary_witness`, the pruned
 isomorphism search and `check_conditions` against `enumerate_isomorphisms`
 with `phase_conditions`, the integer evaluation of bilinear cocycles
-against `phase_bilinear_value`, and the swap-kernel flow against the
-product W_t x W_t^* with `flow_unitary`.
+against `phase_bilinear_value` and of characters against
+`phase_character_value`, `TableCocycle.validate`'s generator triples
+against the scan of all triples in `cocycle_identity_failure`, and the
+swap-kernel flow against the product W_t x W_t^* with `flow_unitary`.
 """
 
 from __future__ import annotations
@@ -151,6 +153,25 @@ def phase_bilinear_value(form, g: AbElem, h: AbElem) -> Phase:
                         den *= step
                     num += gi * p.num * hj * (den // q)
     return Phase(num, den)
+
+
+def phase_character_value(chi: Character, g: AbElem) -> Phase:
+    """chi(g) as the Phase sum of g_j * chi(e_j), the generator values."""
+    total = Phase.ZERO
+    for c, p in zip(g.coords, chi.phases):
+        total = total + p * c
+    return total
+
+
+def cocycle_identity_failure(mu) -> Optional[tuple]:
+    """The first (g, h, k), as coords, of all |H|^3 triples in elements()
+    order at which mu(g, h) + mu(g + h, k) != mu(h, k) + mu(g, h + k), or
+    None if mu is a 2-cocycle."""
+    elems = list(mu.group.elements())
+    for g, h, k in itertools.product(elems, repeat=3):
+        if mu(g, h) + mu(g + h, k) != mu(h, k) + mu(g, h + k):
+            return g.coords, h.coords, k.coords
+    return None
 
 
 def phase_conditions(ta: Triplet, tb: Triplet, phi: AbHom) -> tuple:

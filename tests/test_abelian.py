@@ -1,8 +1,15 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from oracles import enumerate_automorphisms, enumerate_isomorphisms, separating_characters
+from oracles import (
+    enumerate_automorphisms,
+    enumerate_isomorphisms,
+    phase_character_value,
+    separating_characters,
+)
 from tbshift.abelian import (
     AbGroup,
     AbHom,
@@ -195,6 +202,33 @@ def test_character_examples():
     assert chi(g33.element((1, 0))) == Phase(1, 3)
     assert chi(g33.zero()).is_zero
     assert chi(g33.element((0, 2))).is_zero
+
+
+@st.composite
+def characters_and_elements(draw):
+    """A character on a group with free and torsion parts, and an element.
+
+    Torsion generators of order n take phases k/d with d | n, free ones
+    any rational phase; free coordinates may be negative.
+    """
+    torsion = draw(st.lists(st.integers(2, 12), max_size=3))
+    group = AbGroup(draw(st.integers(0, 2)), tuple(torsion))
+    phases = []
+    for j in range(group.rank):
+        n = group.generator_order(j)
+        dens = [d for d in range(1, n + 1) if n % d == 0] if n else range(1, 31)
+        phases.append(Phase(draw(st.integers(-60, 60)), draw(st.sampled_from(dens))))
+    coords = draw(st.lists(st.integers(-100, 100), min_size=group.rank, max_size=group.rank))
+    return Character(group, tuple(phases)), group.element(coords)
+
+
+@given(characters_and_elements())
+def test_character_value_matches_phase_sum(pair):
+    chi, g = pair
+    assert chi(g) == phase_character_value(chi, g)
+    # the integer lift stays out of equality and hashing
+    twin = Character(chi.group, chi.phases)
+    assert twin == chi and hash(twin) == hash(chi)
 
 
 def test_character_validation():

@@ -126,6 +126,14 @@ def test_lattice_closed_form_separation():
     assert report.decided_by == report2.decided_by == "lattice"
     report3 = decide_conjugacy(ta, ta)
     assert report3.verdict == "YES" and report3.witness == AbHom.identity(ta.group)
+    # characters that differ by one of order 2 have equal chi^2, though
+    # 2 * 3/4 runs past a full turn: the identity, by the closed form
+    g = ta.group
+    td = lattice_det_triplet(Phase(1, 16), Character(g, (Phase(1, 4), Phase(1, 3))))
+    te = lattice_det_triplet(Phase(1, 16), Character(g, (Phase(3, 4), Phase(1, 3))))
+    report4 = decide_conjugacy(td, te)
+    assert report4.verdict == "YES" and report4.decided_by == "lattice" and report4.complete
+    assert report4.witness == AbHom.identity(g)
 
 
 def _assert_lattice_closed_form_sound(ta, tb, isos):
@@ -289,7 +297,7 @@ def test_mismatch_and_corrector_match_the_sitewise_formula(rng):
     ]
     for pi in cases:
         ga = pi.ta.group
-        assert not pi.mismatch.is_trivial
+        assert any(pi.mismatch.ints)
         for _ in range(100):
             coords = [rng.randint(-6, 6) for _ in range(ga.free_rank)]
             h = ga.element(coords + [rng.randrange(n) for n in ga.torsion])
@@ -520,6 +528,10 @@ def test_centralizer_lattice_cases():
     # star value 2 * 1/4 = 1/2 of order 2: det -1 keeps it too
     rep5 = centralizer(lattice_det_triplet(Phase(1, 4)))
     assert rep5.verdict == "INFINITE" and "GL(2,Z)" in rep5.note
+    # a character of order 2 squares to zero
+    half = Character(AbGroup(2), (Phase(1, 2), Phase(1, 2)))
+    rep6 = centralizer(lattice_det_triplet(Phase(1, 16), half))
+    assert rep6.verdict == "INFINITE" and "SL(2,Z)" in rep6.note
     # nontrivial character: no closed form, bounded search only
     g = AbGroup(2)
     trip = Triplet(g, det_form_cocycle(Phase(1, 16), g), Character(g, (Phase(1, 5), Phase.ZERO)))
@@ -593,7 +605,8 @@ def _pushforward(t, psi):
     g = psi.source
     images = [psi(e) for e in g.generators()]
     matrix = tuple(tuple(t.cocycle(x, y) for y in images) for x in images)
-    return Triplet(g, BilinearCocycle(g, matrix), t.character.pullback(psi))
+    chi = Character(g, tuple(t.character(x) for x in images))
+    return Triplet(g, BilinearCocycle(g, matrix), chi)
 
 
 def _oracle_pair(rng, group, isos, pick):

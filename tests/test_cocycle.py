@@ -1,3 +1,4 @@
+import ast
 import itertools
 import random
 from collections import Counter
@@ -5,9 +6,16 @@ from math import gcd, isqrt
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import deadline
-from oracles import det_form_cocycle, literal_coboundary_witness, phase_bilinear_value
+from oracles import (
+    cocycle_identity_failure,
+    det_form_cocycle,
+    literal_coboundary_witness,
+    phase_bilinear_value,
+)
 from tbshift.abelian import AbGroup
 from tbshift.cocycle import (
     BilinearCocycle,
@@ -18,6 +26,7 @@ from tbshift.cocycle import (
     cohomologous,
     degeneracy_witness,
     star_bicharacter,
+    table_from_function,
     to_table,
     trivial_cocycle,
 )
@@ -66,6 +75,45 @@ def test_table_validation_catches_violations():
     # e.g. at (1, 1, 2): mu(1,1) + mu(2,2) != mu(1,2) + mu(1,3)
     with pytest.raises(CocycleError, match="cocycle-identity"):
         TableCocycle(g, broken).validate()
+
+
+SMALL_GROUPS = [(2,), (3,), (4,), (5,), (6,), (7,), (8,), (2, 2), (2, 3), (2, 4), (4, 2),
+                (2, 2, 2)]
+
+
+@given(st.sampled_from(SMALL_GROUPS), st.integers(0, 2**32), st.integers(1, 11),
+       st.integers(2, 12))
+@settings(max_examples=80, deadline=None)
+def test_validate_on_generator_triples_matches_the_full_scan(torsion, seed, num, den):
+    # one perturbed entry off the normalization row and column may or may
+    # not break the identity (on Z/2 any mu(1, 1) is a cocycle), so the
+    # scan of all |H|^3 triples decides what validate must say
+    rng = random.Random(seed)
+    group = AbGroup(0, torsion)
+    mu = _random_bilinear(rng, group)
+    shift = coboundary_cocycle(group, random_phase_map(rng, group, 6))
+    entries = dict(table_from_function(group, lambda g, h: mu(g, h) + shift(g, h)).entries)
+    nonzero = [g.coords for g in group.elements() if not g.is_zero]
+    key = (rng.choice(nonzero), rng.choice(nonzero))
+    entries[key] = entries[key] + Phase(num, den)
+    table = TableCocycle(group, entries)
+    if cocycle_identity_failure(table) is None:
+        table.validate()
+        return
+    with pytest.raises(CocycleError, match="cocycle-identity") as caught:
+        table.validate()
+    # the reported triple fails, and its third entry is a generator
+    g, h, k = (group.element(c) for c in ast.literal_eval(str(caught.value).split("fails at ")[1]))
+    assert k in group.generators()
+    assert table(g, h) + table(g + h, k) != table(h, k) + table(g, h + k)
+
+
+def test_validate_runs_in_time_quadratic_in_the_group(rng):
+    # (Z/4)^3: the scan of all triples takes seconds, the 64^2 * 3
+    # generator triples a fraction of one
+    table = to_table(_random_bilinear(rng, AbGroup(0, (4, 4, 4))))
+    with deadline(1.5):
+        table.validate()
 
 
 def test_cocycle_identity_for_bilinear_samples(rng):

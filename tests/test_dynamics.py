@@ -310,7 +310,7 @@ def _nontrivial_character(rng, group):
             Phase(rng.randrange(n), n) if n else Phase(rng.randrange(12), 12)
             for n in (group.generator_order(j) for j in range(group.rank))
         ))
-        if not c.is_trivial:
+        if any(c.ints):
             return c
 
 
