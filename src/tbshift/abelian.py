@@ -28,6 +28,7 @@ from .scalars import Phase
 class AbGroup:
     free_rank: int
     torsion: tuple = ()
+    rank: int = field(init=False, repr=False, compare=False)  # free_rank + len(torsion)
 
     def __post_init__(self) -> None:
         if self.free_rank < 0:
@@ -36,10 +37,7 @@ class AbGroup:
         if any(n < 2 for n in tors):
             raise ValueError("torsion orders must be >= 2")
         object.__setattr__(self, "torsion", tors)
-
-    @property
-    def rank(self) -> int:
-        return self.free_rank + len(self.torsion)
+        object.__setattr__(self, "rank", self.free_rank + len(tors))
 
     @property
     def is_trivial(self) -> bool:
@@ -105,8 +103,13 @@ class AbElem:
     group: AbGroup
     coords: tuple
 
+    def __hash__(self) -> int:
+        # elements are keyed by their coordinates; equal elements have
+        # equal coordinates, so this agrees with the dataclass equality
+        return hash(self.coords)
+
     def _check(self, other: "AbElem") -> None:
-        if self.group != other.group:
+        if self.group is not other.group and self.group != other.group:
             raise ValueError("elements live in different groups")
 
     def __add__(self, other: "AbElem") -> "AbElem":

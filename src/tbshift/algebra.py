@@ -16,11 +16,16 @@ coefficients are pruned eagerly so equality is structural.
 
 The malleability flow on the tensor square needs one product per flow,
 y V with the swap unitary V on the right.  A private swap kernel
-(_SwapKernel), built once per check from the cocycle, computes it on
-tables of the finite group and of the twist, with int coefficient
-rotations in place of Cyclotomic products.  The generic product loop of
-the base class stays the reference the tests compare y V with, and the
-only product AlgebraElement uses.  One guard, `flow_order`, bounds the
+(_SwapKernel), built once per check from the cocycle, runs each flow at
+a non-integer t as one integer accumulation: the scalar parts of W_t
+(its four coefficients, computed once per t) are folded into the pair
+loop over tables of the finite group and of the twist, with int
+coefficient rotations in place of Cyclotomic products, and no
+intermediate element is built.  The twist table is the cocycle's own
+integer form (`exponent_table`; running sums for a bilinear cocycle), so
+building the kernel evaluates no value of mu.  The generic product loop
+of the base class stays the reference the tests compare y V with, and
+the only product AlgebraElement uses.  One guard, `flow_order`, bounds the
 flow to a finite H with |H| <= MAX_FLOW_ORDER before anything of size
 |H| is built, and raises FlowRefused otherwise; at integer times the
 flow only relabels the legs.  `check_malleability` runs the kernel's checks for both the
@@ -252,21 +257,38 @@ def _flip(x: TensorElement) -> TensorElement:
     return TensorElement(x.cocycle, {(k[1], k[0]): v for k, v in x.terms.items()})
 
 
+def _lift(c: Cyclotomic, order: int, den: int) -> list:
+    """The nonzero terms of c as (exponent of zeta_order, numerator over den)."""
+    sc, sd = order // c.order, den // c._den
+    return [(k * sc, a * sd) for k, a in enumerate(c._num) if a]
+
+
+def _times(cs: list, ss: list, order: int) -> list:
+    """The product of two `_lift`ed terms lists, mod x^order - 1."""
+    out: Dict[int, int] = {}
+    for p, a in cs:
+        for q, b in ss:
+            k = (p + q) % order
+            out[k] = out.get(k, 0) + a * b
+    return list(out.items())
+
+
 class _SwapKernel:
     """Right multiplication by the swap unitary V on tables, and the flow.
 
     Built once per cocycle and shared by every flow of one check.  The
     elements of H are numbered in the order of group.elements(), a mixed
     radix over the torsion orders.  Tables give the number of g + h and
-    the twist mu(g, h) as an exponent of zeta_N, N = `mu.den` (the lcm of
-    every value's denominator); V's coefficient at u_h (x) u_{-h} is
-    zeta_N to the exponent -mu(h, -h).  A term pair of y V then costs
-    lookups and one rotation of int coefficients in the power basis of
-    Q(zeta_L), L a multiple of N and of every coefficient order of y; each
-    output coefficient is reduced mod Phi_L once.  No AbElem is added, no
-    Phase is evaluated and no root of unity is rebased in the loop.  The
-    generic TensorElement product stays the reference.  mu must pass the
-    checks of `malleability_unitary`, which make the scale sqrt|H| an integer.
+    the twist mu(g, h) as an exponent of zeta_N, N = `mu.den`; the twist
+    is the cocycle's own integer table (`mu.exponent_table()`), so no
+    value of mu is evaluated.  V's coefficient at u_h (x) u_{-h} is zeta_N
+    to the exponent -mu(h, -h).  Coefficients are int vectors in the
+    power basis of Q(zeta_L) over one denominator, L a multiple of N and
+    of every coefficient order, and a term pair costs lookups and one
+    rotation.  `times_v` and `flow` share the one pair loop `_accumulate`,
+    which reduces each output coefficient mod Phi_L once.  The generic
+    TensorElement product stays the reference.  mu must pass the checks
+    of `malleability_unitary`, which make the scale sqrt|H| an integer.
     """
 
     def __init__(self, mu):
@@ -285,31 +307,39 @@ class _SwapKernel:
                 for c1 in range(m)
             ]
         self.add = add
-        n = self.conductor = mu.den
-        twist = self.twist = [[p.num * (n // p.den) for p in (mu(g, h) for h in elems)]
-                              for g in elems]
+        self.conductor = mu.den
+        twist = self.twist = mu.exponent_table()
         # V = sum_h zeta_N^(-mu(h, -h)) u_h (x) u_-h as (h, -h, exponent),
         # with -h read off the zero in row h of the addition table
         neg = [row.index(0) for row in add]
         self.v = [(h, nh, -twist[h][nh]) for h, nh in enumerate(neg)]
+        self.coefficients = {}  # t -> the flow's four coefficients at t
 
-    def times_v(self, y: TensorElement) -> TensorElement:
-        """y V, equal to the generic TensorElement product."""
-        if y.cocycle is not self.mu and y.cocycle != self.mu:
+    def _terms(self, x: TensorElement) -> list:
+        """(i, j, c) for each term c u(g_i, g_j) of x."""
+        if x.cocycle is not self.mu and x.cocycle != self.mu:
             raise ValueError("element is not over the kernel's base")
-        n, index = self.conductor, self.index
-        order = lcm(n, *{c.order for c in y.terms.values()})
-        den = lcm(*{c._den for c in y.terms.values()})
-        add, twist, step = self.add, self.twist, order // n
-        acc: Dict[Tuple[int, int], list] = {}
-        for (g, h), c in y.terms.items():
-            i, j = index[g.coords], index[h.coords]
-            sc, sd = order // c.order, den // c._den
-            cs = [(k * sc, a * sd) for k, a in enumerate(c._num) if a]
+        index = self.index
+        return [(index[g.coords], index[h.coords], c) for (g, h), c in x.terms.items()]
+
+    def _accumulate(self, jobs: list, order: int, den: int) -> TensorElement:
+        """The sum over jobs (i, j, cs, w) of (sum_{(p, a) in cs} a zeta^p) u(i, j) w.
+
+        w is V as (k, -k, exponent) triples, or the unit u(0, 0) as the
+        one triple (0, 0, 0): u(i, j) u(0, 0) = u(i, j), mu being
+        normalized, so a plain term is rotated by 0.  The numerators of cs
+        are over den and its exponents of zeta_order.  Each output key
+        gets one int vector mod x^order - 1, reduced mod Phi_order and made
+        a Cyclotomic once.
+        """
+        n = len(self.elems)
+        add, twist, step = self.add, self.twist, order // self.conductor
+        acc: Dict[int, list] = {}
+        for i, j, cs, w in jobs:
             add_i, add_j, tw_i, tw_j = add[i], add[j], twist[i], twist[j]
-            for k, nk, ev in self.v:
+            for k, nk, ev in w:
                 # u(i, j) u(k, -k) = zeta^(mu(i, k) + mu(j, -k)) u(i + k, j - k)
-                key = (add_i[k], add_j[nk])
+                key = add_i[k] * n + add_j[nk]
                 vec = acc.get(key)
                 if vec is None:
                     vec = acc[key] = [0] * order
@@ -318,11 +348,21 @@ class _SwapKernel:
                     vec[(p + e) % order] += a
         elems = self.elems
         out = {}
-        for (i, j), vec in acc.items():
+        for key, vec in acc.items():
             _reduce(vec, order)
             if any(vec):
+                i, j = divmod(key, n)
                 out[(elems[i], elems[j])] = _make(order, vec, den)
         return TensorElement(self.mu, out)
+
+    def times_v(self, y: TensorElement) -> TensorElement:
+        """y V, equal to the generic TensorElement product."""
+        terms = self._terms(y)
+        order = lcm(self.conductor, *{c.order for _, _, c in terms})
+        den = lcm(*{c._den for _, _, c in terms})
+        v = self.v
+        return self._accumulate([(i, j, _lift(c, order, den), v) for i, j, c in terms],
+                                order, den)
 
     def flow(self, t: Fraction, x: TensorElement) -> TensorElement:
         """Ad W_t(x) = |a|^2 x + |b|^2 flip(x) + (a conj(b) x + b conj(a) flip(x)) S.
@@ -330,17 +370,36 @@ class _SwapKernel:
         S x = flip(x) S, as S is self-adjoint, S^2 = 1 and S x S = flip(x),
         so both cross terms share the one product with S on the right.
         That is O(|x| |H|) term pairs against O(|x| |H|^2) for the product
-        W_t x W_t^*, which the tests keep as the oracle.  At integer t one
-        of a, b is zero: the flow is x or flip(x), and computes no scalar.
+        W_t x W_t^*, which the tests keep as the oracle.  The four
+        coefficients |a|^2, |b|^2, a conj(b)/sqrt|H| and b conj(a)/sqrt|H|
+        are computed once per t and kept.  Each term c u(i, j) of x puts
+        c|a|^2 at (i, j) and c|b|^2 at (j, i), and sends c a conj(b)/sqrt|H|
+        through V from (i, j) and c b conj(a)/sqrt|H| from (j, i), all in
+        one integer accumulation.  At integer t one of a, b is zero: the
+        flow is x or flip(x), and computes no scalar.
         """
-        if Fraction(t).denominator == 1:
-            return _flip(x) if t % 2 else x
-        a, b = _flow_scalars(t)
-        ac, bc = a.conjugate(), b.conjugate()
-        flip = _flip(x)
-        out = x.scaled(a * ac) + flip.scaled(b * bc)
-        r = Fraction(1, self.scale)
-        return out + self.times_v(x.scaled(a * bc * r) + flip.scaled(b * ac * r))
+        t = Fraction(t)
+        if t.denominator == 1:
+            return _flip(x) if t.numerator % 2 else x
+        terms = self._terms(x)
+        scalars = self.coefficients.get(t)
+        if scalars is None:
+            a, b = _flow_scalars(t)
+            ac, bc = a.conjugate(), b.conjugate()
+            r = Fraction(1, self.scale)
+            scalars = self.coefficients[t] = (a * ac, b * bc, a * bc * r, b * ac * r)
+        order = lcm(self.conductor, *{c.order for c in scalars},
+                    *{c.order for _, _, c in terms})
+        sden = lcm(*{c._den for c in scalars})
+        xden = lcm(*{c._den for _, _, c in terms})
+        aa, bb, ab, ba = (_lift(c, order, sden) for c in scalars)
+        one, v = [(0, 0, 0)], self.v
+        jobs = []
+        for i, j, c in terms:
+            cs = _lift(c, order, xden)
+            jobs += [(i, j, _times(cs, aa, order), one), (j, i, _times(cs, bb, order), one),
+                     (i, j, _times(cs, ab, order), v), (j, i, _times(cs, ba, order), v)]
+        return self._accumulate(jobs, order, xden * sden)
 
 
 def check_malleability(v: TensorElement, rng: random.Random, samples: int) -> dict:

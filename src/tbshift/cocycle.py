@@ -4,12 +4,13 @@ Two storage forms are supported.  A TableCocycle stores every value on a
 finite group; a BilinearCocycle stores an exponent matrix B and evaluates
 mu(g, h) = sum_ij g_i B_ij h_j, which covers infinite groups and every
 bilinear family used in practice; both state `den`, the lcm of their
-denominators.  The star bicharacter mu(g, h) - mu(h, g), one integer
-matrix over one denominator (`Bicharacter`), classifies a cocycle up to
-coboundary; that fact is cross-checked at test scale rather than
-assumed: `coboundary_witness` builds a candidate b with
-mu1 - mu2 = b(g) + b(h) - b(g+h) by recursion along paths of generator
-steps, and the check of every equation decides.
+denominators, and on a finite group their whole table over it
+(`exponent_table`), which the swap kernel reads.  The star bicharacter
+mu(g, h) - mu(h, g), one integer matrix over one denominator
+(`Bicharacter`), classifies a cocycle up to coboundary; that fact is
+cross-checked at test scale rather than assumed: `coboundary_witness`
+builds a candidate b with mu1 - mu2 = b(g) + b(h) - b(g+h) by recursion
+along paths of generator steps, and the check of every equation decides.
 """
 
 from __future__ import annotations
@@ -75,6 +76,24 @@ class BilinearCocycle:
 
     __call__ = _bilinear_value
 
+    def exponent_table(self) -> list:
+        """mu(g, h) * D in [0, D) for g, h of the finite group in `elements()` order.
+
+        Row g is linear in h, so it is built by running sums:
+        twist[g][h + e_k] = twist[g][h] + (g B)_k, by the mixed-radix
+        recursion in which `elements()` numbers H.
+        """
+        d, torsion, cols = self.den, self.group.torsion, list(zip(*self.ints))
+        table = []
+        for g in self.group.elements():
+            row = [0]
+            for m, col in zip(torsion, cols):
+                w = sum(map(mul, g.coords, col))
+                steps = [c * w % d for c in range(m)]
+                row = [(p + s) % d for p in row for s in steps]
+            table.append(row)
+        return table
+
     def validate(self) -> None:
         """Construction already enforces everything; Triplet.validate calls this."""
 
@@ -102,6 +121,12 @@ class TableCocycle:
     @cached_property
     def den(self) -> int:
         return lcm(*(p.den for p in self.entries.values()))
+
+    def exponent_table(self) -> list:
+        """mu(g, h) * D in [0, D) for g, h in `elements()` order, read off the entries."""
+        d, entries = self.den, self.entries
+        elems = [g.coords for g in self.group.elements()]
+        return [[p.num * (d // p.den) for p in [entries[g, h] for h in elems]] for g in elems]
 
     def validate(self) -> None:
         """Complete, normalized, and a 2-cocycle, checked on the |H|^2 * rank

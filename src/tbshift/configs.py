@@ -111,10 +111,11 @@ def mu_hat(mu, lam: Config, order_key: Callable[[LatticePoint], int] = spiral_in
     """
     if not lam.is_zero_sum:
         raise ValueError("telescoping phase needs a zero-sum configuration")
-    ordered = sorted(lam.items(), key=lambda item: order_key(item[0]))
+    group = lam.group
+    ordered = sorted(lam.support, key=lambda item: order_key(item[0]))
     total = Phase.ZERO
-    prefix = lam.group.zero()
-    for _, value in ordered:
-        total = total + mu(prefix, value)
-        prefix = prefix + value
+    prefix = [0] * group.rank  # the values so far, summed as ints
+    for _, coords in ordered:
+        total = total + mu(group.element(prefix), AbElem(group, coords))
+        prefix = [a + b for a, b in zip(prefix, coords)]
     return total

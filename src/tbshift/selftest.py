@@ -97,16 +97,22 @@ def suite_detgcd(rng: random.Random) -> dict:
         gk, gk0 = mat_apply(gamma, k), mat_apply(gamma, k0)
         if det2(k, k0) != det2(gk, gk0) or gcd2(k) != gcd2(gk):
             failures += 1
+    # gcd2 once per point: each window point k carries gcd2(k) and the
+    # index of k in the 25 x 25 table of gcd2 over [-12, 12]^2, which holds
+    # every sum k + k0 at the index sum less that of the origin
+    def index(q, r):
+        return (q + 12) * 25 + r + 12
+
+    gcds = [gcd2(LatticePoint(q, r)) for q in range(-12, 13) for r in range(-12, 13)]
+    window = [(LatticePoint(q, r), gcds[index(q, r)], index(q, r))
+              for q in range(-6, 7) for r in range(-6, 7)]
+    origin = index(0, 0)
     window_failures = 0
-    pairs = 0
-    for q1 in range(-6, 7):
-        for r1 in range(-6, 7):
-            for q2 in range(-6, 7):
-                for r2 in range(-6, 7):
-                    k, k0 = LatticePoint(q1, r1), LatticePoint(q2, r2)
-                    pairs += 1
-                    if (det2(k, k0) - gcd2(k) - gcd2(k0) + gcd2(k + k0)) % 2:
-                        window_failures += 1
+    for k, gk, ik in window:
+        for k0, gk0, ik0 in window:
+            if (det2(k, k0) - gk - gk0 + gcds[ik + ik0 - origin]) % 2:
+                window_failures += 1
+    pairs = len(window) ** 2
     return {
         "ok": failures == 0 and window_failures == 0,
         "invariance_failures": failures,

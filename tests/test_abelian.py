@@ -329,3 +329,18 @@ def test_group_structure_invariant_factors_against_order_statistics(rng):
         assert Counter(x.order() for x in model.elements()) == Counter(
             x.order() for x in shuffled
         )
+
+
+def test_elements_hash_by_coordinates_and_agree_with_equality():
+    g, same = AbGroup(1, (2, 6)), AbGroup(1, (2, 6))
+    assert g is not same and g == same and g.rank == same.rank == 3
+    assert repr(g) == "AbGroup(free_rank=1, torsion=(2, 6))"
+    x, y = g.element((4, 3, 7)), same.element((4, 1, 1))
+    assert x == y and hash(x) == hash(y) == hash((4, 1, 1))
+    assert (x + y).coords == (8, 0, 2)
+    assert {x: 1}[y] == 1
+    # same coordinates in another group: one hash, not equal, not addable
+    other = AbGroup(1, (2, 3)).element((4, 1, 1))
+    assert hash(other) == hash(x) and other != x
+    with pytest.raises(ValueError, match="different groups"):
+        x + other

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
 import oracles
+from conftest import deadline
 from oracles import flow_unitary, malleability_flow, product_triplet
 from tbshift import algebra
 from tbshift.abelian import AbGroup, Character, dual_characters
@@ -17,6 +19,7 @@ from tbshift.algebra import (
 )
 from tbshift.cocycle import (
     BilinearCocycle,
+    TableCocycle,
     coboundary_cocycle,
     table_from_function,
     trivial_cocycle,
@@ -287,6 +290,50 @@ def test_flow_matches_brute_conjugation(rng):
             w = flow_unitary(mu, t)
             x = _random_tensor_element(rng, mu)
             assert malleability_flow(mu, t, x) == w * x * w.star()
+    # coefficients in Q(zeta_5) and Q(zeta_8) over the mod-3 cocycle, so
+    # the kernel's order L is a proper multiple of its conductor N = 3
+    mu = mod_q_cocycle(3)
+    roots = [Cyclotomic.from_phase(Phase(1, 5)) * Fraction(2, 3),
+             Cyclotomic.from_phase(Phase(3, 8)) - Cyclotomic.from_phase(Phase(2, 5))]
+    for t in (Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)):
+        w = flow_unitary(mu, t)
+        x = _random_tensor_element(rng, mu, terms=4)
+        x = TensorElement(mu, {k: c * rng.choice(roots) for k, c in x.terms.items()})
+        assert malleability_flow(mu, t, x) == w * x * w.star()
+    # two flows at the same t on one kernel: the second reuses the
+    # coefficients the first computed; a third t gets its own
+    for mu in (mod_q_cocycle(2), _shifted_table_cocycle(rng)):
+        kernel = _SwapKernel(mu)
+        for t in (Fraction(2, 5), Fraction(2, 5), Fraction(1, 3)):
+            w = flow_unitary(mu, t)
+            x = _random_tensor_element(rng, mu, terms=2)
+            assert kernel.flow(t, x) == w * x * w.star()
+        assert list(kernel.coefficients) == [Fraction(2, 5), Fraction(1, 3)]
+    # a two-term x on the 225-element group
+    mu = product_triplet(mod_q_triplet(3), mod_q_triplet(5)).cocycle
+    g = mu.group
+    w = flow_unitary(mu, Fraction(1, 2))
+    x = TensorElement(mu, {
+        (g.element((1, 0, 2, 0)), g.element((0, 1, 0, 3))): Cyclotomic.from_phase(Phase(1, 3)),
+        (g.element((2, 2, 0, 4)), g.zero()): Cyclotomic.from_rational(Fraction(-3, 2)),
+    })
+    assert malleability_flow(mu, Fraction(1, 2), x) == w * x * w.star()
+
+
+def test_check_computes_the_flow_scalars_once_per_time(monkeypatch):
+    calls = []
+    scalars = algebra._flow_scalars
+
+    def counted(t):
+        calls.append(t)
+        return scalars(t)
+
+    monkeypatch.setattr(algebra, "_flow_scalars", counted)
+    trip = mod_q_triplet(3)
+    v = malleability_unitary(trip.cocycle)
+    checks = algebra.check_malleability(v, random.Random(3), 4)
+    assert all(checks.values())
+    assert calls == [Fraction(1, 2)]
 
 
 # at integer t the flow builds no kernel but keeps its checks and their order
@@ -356,6 +403,35 @@ def test_kernel_product_matches_generic_product(rng):
             assert kernel.times_v(x) == x * v
             # S x = flip(x) S, which the flow's single product rests on
             assert v * x == _flip(x) * v
+
+
+def test_kernel_build_evaluates_no_cocycle_value(rng, monkeypatch):
+    # the twist is each storage form's own integer table, not mu(g, h)
+    bases = [mod_q_cocycle(3), _symplectic_z2p4(), _shifted_table_cocycle(rng),
+             product_triplet(mod_q_triplet(3), mod_q_triplet(5)).cocycle]
+    tables = [[[mu(g, h) for h in mu.group.elements()] for g in mu.group.elements()]
+              for mu in bases]
+
+    def never(mu, g, h):
+        raise AssertionError("the swap kernel evaluated the cocycle")
+
+    monkeypatch.setattr(BilinearCocycle, "__call__", never)
+    monkeypatch.setattr(TableCocycle, "__call__", never)
+    for mu, values in zip(bases, tables):
+        kernel = _SwapKernel(mu)
+        assert [[Phase(e, kernel.conductor) for e in row] for row in kernel.twist] == values
+
+
+def test_kernel_on_the_largest_group_builds_within_its_deadline(rng):
+    # (Z/32)^2 at MAX_FLOW_ORDER: a table of 2^20 running sums
+    mu = mod_q_cocycle(32)
+    assert mu.group.order() == MAX_FLOW_ORDER
+    with deadline(2):
+        kernel = _SwapKernel(mu)
+    elems = kernel.elems
+    for _ in range(200):
+        i, j = rng.randrange(MAX_FLOW_ORDER), rng.randrange(MAX_FLOW_ORDER)
+        assert Phase(kernel.twist[i][j], kernel.conductor) == mu(elems[i], elems[j])
 
 
 def test_kernel_product_cancels_to_zero():

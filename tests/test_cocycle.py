@@ -423,3 +423,18 @@ def test_table_roundtrip_preserves_values():
         for h in mu.group.elements():
             assert table(g, h) == mu(g, h)
 
+
+
+@pytest.mark.parametrize("torsion", [(3,), (2, 4), (2, 2, 3), (4, 6), (5, 5)], ids=str)
+def test_exponent_table_matches_the_values(rng, torsion):
+    # both storage forms state mu(g, h) * den in [0, den), in elements() order
+    group = AbGroup(0, torsion)
+    bilinear = _random_bilinear(rng, group)
+    table = to_table(coboundary_cocycle(group, random_phase_map(rng, group)))
+    elems = list(group.elements())
+    for mu in (bilinear, table, to_table(bilinear)):
+        exps = mu.exponent_table()
+        assert len(exps) == len(elems) and all(len(row) == len(elems) for row in exps)
+        for g, row in zip(elems, exps):
+            for h, e in zip(elems, row):
+                assert 0 <= e < mu.den and Phase(e, mu.den) == mu(g, h)
