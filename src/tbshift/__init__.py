@@ -15,6 +15,7 @@ from .abelian import (
     Character,
     StructureReport,
     abstractly_isomorphic,
+    dual_character,
     dual_characters,
     group_structure,
     is_isomorphism,
@@ -49,7 +50,7 @@ from .cocycle import (
     to_table,
     trivial_cocycle,
 )
-from .configs import Config, dipole, mu_hat, mu_tilde
+from .configs import Config, dipole, mu_tilde, telescoped
 from .dynamics import (
     Motion,
     Triplet,

@@ -256,12 +256,21 @@ class Character:
 
 
 def dual_characters(group: AbGroup) -> Iterator[Character]:
-    """All |H| characters of a finite group."""
+    """All |H| characters of a finite group, in `dual_character` order."""
     if not group.is_finite:
         raise ValueError("the full dual is only enumerable for finite groups")
-    pools = [[Phase(a, n) for a in range(n)] for n in group.torsion]
-    for phases in itertools.product(*pools):
-        yield Character(group, tuple(phases))
+    return (dual_character(group, i) for i in range(group.order()))
+
+
+def dual_character(group: AbGroup, index: int) -> Character:
+    """The character with phase a_j / n_j on generator j, (a_j) the index-th
+    tuple of itertools.product(range(n_1), ..., range(n_r)): its digits in
+    the mixed radix of the torsion orders, the last one fastest."""
+    phases = []
+    for n in reversed(group.torsion):
+        index, a = divmod(index, n)
+        phases.append(Phase(a, n))
+    return Character(group, tuple(reversed(phases)))
 
 
 T = TypeVar("T")

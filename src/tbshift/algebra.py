@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Dict, Tuple
 
-from .abelian import AbElem, Character, dual_characters
+from .abelian import AbElem, Character, dual_character
 from .cocycle import degeneracy_witness
 from .configs import Config, mu_tilde
 from .scalars import Cyclotomic, Phase, _make, _reduce
@@ -427,7 +427,6 @@ def check_malleability(v: TensorElement, rng: random.Random, samples: int) -> di
         ),
     }
     half = Fraction(1, 2)
-    chars = list(dual_characters(group))
     ok_half, ok_char = True, True
     for _ in range(samples):
         g = group.element([rng.randrange(m) for m in group.torsion])
@@ -436,7 +435,8 @@ def check_malleability(v: TensorElement, rng: random.Random, samples: int) -> di
         once = kernel.flow(half, x)
         if kernel.flow(half, once) != kernel.flow(Fraction(1), x):
             ok_half = False
-        c = rng.choice(chars)
+        # the index a choice from the listed dual would draw, from the same stream
+        c = dual_character(group, rng.choice(range(group.order())))
         if apply_diagonal_character(c, once) != kernel.flow(
             half, apply_diagonal_character(c, x)
         ):

@@ -4,8 +4,9 @@ Whether two triplets (H, mu, chi) give conjugate shift actions reduces to
 group data: an isomorphism phi with (i) equal star bicharacters after
 pullback and (ii) equal squared characters after pullback.  Given such a
 phi, an explicit basis-to-basis intertwiner is built and can be verified
-directly (multiplicativity, star, equivariance).  The centralizer of one
-action is the automorphism group cut out by the same two conditions.
+directly (multiplicativity, star, equivariance); it maps each term on
+integer rows, its phase one int over one denominator.  The centralizer of
+one action is the automorphism group cut out by the same two conditions.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .abelian import (
 )
 from .algebra import AlgebraElement
 from .cocycle import radical_rows, star_bicharacter
-from .configs import Config, mu_hat
+from .configs import Config, telescoped
 from .dynamics import Triplet, beta
 from .lattice import (
     DELTA,
@@ -74,8 +75,13 @@ class PiPhi:
     the corrector times the normalized unitary of phi o lam, where the
     corrector is the +-1 character mismatch c(h) = chi_a(h) - chi_b(phi h)
     accumulated over the support with gcd(k) exponents.  The mismatch is
-    one character, built once from its values on the generators; each lam
-    is mapped through phi once per application.
+    one character, built once from its values on the generators.  A term's
+    values are mapped through phi's matrix and reduced once; the points
+    stay, so the image is already sorted.  The term's phase, mu^_a(lam)
+    plus the corrector minus mu^_b(phi lam), is one int over
+    D = lcm(mu_a.den, mu_b.den, c.den): the sites are sorted by `order_key`
+    once for both `telescoped` sums, and the corrector is c's int row
+    against the weighted raw values.
     """
 
     ta: Triplet
@@ -88,34 +94,31 @@ class PiPhi:
     def mismatch(self) -> Character:
         """The character c = chi_a - chi_b o phi on H_a."""
         chi_a, chi_b, phi = self.ta.character, self.tb.character, self.phi
+        if phi.source != chi_a.group or phi.target != chi_b.group:
+            raise ValueError("phi does not map between the triplets' groups")
         return Character(chi_a.group, tuple(p - chi_b(phi.column(j))
                                             for j, p in enumerate(chi_a.phases)))
-
-    def corrector(self, lam: Config) -> Phase:
-        """sum_k weight(k) c(lam(k)), as c of the weighted sum of the values."""
-        weighted = [0] * lam.group.rank
-        for point, coords in lam.support:
-            w = self.weight(point)
-            weighted = [s + w * c for s, c in zip(weighted, coords)]
-        return self.mismatch(lam.group.element(weighted))
-
-    def term_phase(self, lam: Config, image: Config) -> Phase:
-        """The phase of lam's term; image is lam mapped through phi."""
-        return (
-            mu_hat(self.ta.cocycle, lam, self.order_key)
-            + self.corrector(lam)
-            - mu_hat(self.tb.cocycle, image, self.order_key)
-        )
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         if x.cocycle != self.ta.cocycle:
             raise ValueError("element is not over the source triplet")
         if not x.is_zero_sum_supported:
             raise ValueError("the intertwiner acts on zero-sum-supported elements")
+        mu_a, mu_b, c = self.ta.cocycle, self.tb.cocycle, self.mismatch
+        d = lcm(mu_a.den, mu_b.den, c.den)
+        scale_a, scale_b, scale_c = d // mu_a.den, d // mu_b.den, d // c.den
+        weight, order_key, row = self.weight, self.order_key, c.ints
+        target, rows = self.phi.target, self.phi.matrix
+        reduce = target.reduce
         out: dict = {}
         for lam, coeff in x.terms.items():
-            key = lam.mapped(self.phi)
-            term = coeff * Cyclotomic.from_phase(self.term_phase(lam, key))
+            sites = [(p, v, reduce([sum(map(mul, r, v)) for r in rows])) for p, v in lam.support]
+            key = Config(target, tuple((p, w) for p, _, w in sites if any(w)))
+            sites.sort(key=lambda site: order_key(site[0]))
+            corrector = sum(weight(p) * sum(map(mul, row, v)) for p, v, _ in sites)
+            num = (scale_a * telescoped(mu_a, [v for _, v, _ in sites]) + scale_c * corrector
+                   - scale_b * telescoped(mu_b, [w for _, _, w in sites]))
+            term = coeff * Cyclotomic.from_phase(Phase(num, d))
             out[key] = out[key] + term if key in out else term
         return AlgebraElement(self.tb.cocycle, out)
 

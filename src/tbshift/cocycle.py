@@ -4,13 +4,15 @@ Two storage forms are supported.  A TableCocycle stores every value on a
 finite group; a BilinearCocycle stores an exponent matrix B and evaluates
 mu(g, h) = sum_ij g_i B_ij h_j, which covers infinite groups and every
 bilinear family used in practice; both state `den`, the lcm of their
-denominators, and on a finite group their whole table over it
-(`exponent_table`), which the swap kernel reads.  The star bicharacter
-mu(g, h) - mu(h, g), one integer matrix over one denominator
-(`Bicharacter`), classifies a cocycle up to coboundary; that fact is
-cross-checked at test scale rather than assumed: `coboundary_witness`
-builds a candidate b with mu1 - mu2 = b(g) + b(h) - b(g+h) by recursion
-along paths of generator steps, and the check of every equation decides.
+denominators, one value over it on coordinate tuples (`exponent`), which
+the configuration twists and the intertwiner sum, and on a finite group
+their whole table over it (`exponent_table`), which the swap kernel
+reads.  The star bicharacter mu(g, h) - mu(h, g), one integer matrix over
+one denominator (`Bicharacter`), classifies a cocycle up to coboundary;
+that fact is cross-checked at test scale rather than assumed:
+`coboundary_witness` builds a candidate b with mu1 - mu2 = b(g) + b(h) -
+b(g+h) by recursion along paths of generator steps, and the check of
+every equation decides.
 """
 
 from __future__ import annotations
@@ -33,13 +35,18 @@ class CocycleError(ValueError):
         super().__init__(f"{violation}: {detail}" if detail else violation)
 
 
+def _bilinear_exponent(form, g: tuple, h: tuple) -> int:
+    """g^T M h over the integer M of a cocycle or star form, on coordinate tuples."""
+    num = 0
+    for gi, row in zip(g, form.ints):
+        if gi:
+            num += gi * sum(map(mul, row, h))
+    return num
+
+
 def _bilinear_value(form, g: AbElem, h: AbElem) -> Phase:
     """g^T M h / D over the integer (M, D) of a cocycle or star form."""
-    num = 0
-    for gi, row in zip(g.coords, form.ints):
-        if gi:
-            num += gi * sum(map(mul, row, h.coords))
-    return Phase(num, form.den)
+    return Phase(_bilinear_exponent(form, g.coords, h.coords), form.den)
 
 
 @dataclass(frozen=True)
@@ -75,6 +82,9 @@ class BilinearCocycle:
                         )
 
     __call__ = _bilinear_value
+    # mu(g, h) * D on raw coordinates: reducing them mod torsion moves it by
+    # a multiple of D, as construction checks the torsion entries
+    exponent = _bilinear_exponent
 
     def exponent_table(self) -> list:
         """mu(g, h) * D in [0, D) for g, h of the finite group in `elements()` order.
@@ -121,6 +131,12 @@ class TableCocycle:
     @cached_property
     def den(self) -> int:
         return lcm(*(p.den for p in self.entries.values()))
+
+    def exponent(self, g: tuple, h: tuple) -> int:
+        """mu(g, h) * D for coordinate tuples, read at their reductions."""
+        reduce = self.group.reduce
+        p = self.entries[reduce(g), reduce(h)]
+        return p.num * (self.den // p.den)
 
     def exponent_table(self) -> list:
         """mu(g, h) * D in [0, D) for g, h in `elements()` order, read off the entries."""

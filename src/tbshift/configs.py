@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from operator import add
+from typing import Iterable
 
 from .abelian import AbElem, AbGroup
-from .lattice import E1, ORIGIN, LatticePoint, spiral_index
+from .lattice import E1, ORIGIN, LatticePoint
 from .scalars import Phase
 
 
@@ -40,10 +41,6 @@ class Config:
     def zero(group: AbGroup) -> "Config":
         return Config(group, ())
 
-    def items(self) -> Iterator[tuple]:
-        for point, coords in self.support:
-            yield point, AbElem(self.group, coords)
-
     @property
     def is_zero(self) -> bool:
         return not self.support
@@ -57,7 +54,7 @@ class Config:
 
     @cached_property
     def is_zero_sum(self) -> bool:
-        """Computed once per Config (the intertwiner, beta and mu_hat all ask)."""
+        """Computed once per Config (the intertwiner and beta both ask)."""
         return self.total().is_zero
 
     def __add__(self, other: "Config") -> "Config":
@@ -74,12 +71,6 @@ class Config:
     def __sub__(self, other: "Config") -> "Config":
         return self + (-other)
 
-    def mapped(self, f) -> "Config":
-        """Apply a group hom to every value (the support does not move)."""
-        return Config.from_items(
-            f.target, ((p, f(AbElem(self.group, c))) for p, c in self.support)
-        )
-
 
 def dipole(h: AbElem) -> Config:
     """The elementary zero-sum configuration: h at e1 and -h at the origin."""
@@ -89,33 +80,29 @@ def dipole(h: AbElem) -> Config:
 def mu_tilde(mu, c1: Config, c2: Config) -> Phase:
     """Sitewise cocycle pairing: sum over k of mu(c1(k), c2(k)).
 
-    This is itself a normalized 2-cocycle on the configuration group.
+    This is itself a normalized 2-cocycle on the configuration group.  The
+    shared sites are summed as ints by the cocycle's `exponent`, over its
+    `den`, so one Phase is built per call.
     """
     if c1.group != c2.group:
         raise ValueError("configs over different groups")
-    total = Phase.ZERO
-    d2 = dict(c2.support)
-    for p, v1 in c1.items():
-        if p in d2:
-            total = total + mu(v1, AbElem(c2.group, d2[p]))
-    return total
+    value, d2 = mu.exponent, dict(c2.support)
+    return Phase(sum(value(v1, d2[p]) for p, v1 in c1.support if p in d2), mu.den)
 
 
-def mu_hat(mu, lam: Config, order_key: Callable[[LatticePoint], int] = spiral_index) -> Phase:
-    """Ordered telescoping phase of a zero-sum configuration.
+def telescoped(mu, values: list) -> int:
+    """The telescoping sum of mu along the values, as an int over D = `mu.den`.
 
-    Equals the scalar relating the left-to-right product of the twisted
-    group-algebra unitaries of the values (taken in the fixed enumeration
-    of Z^2) to the identity.  The value depends on the enumeration unless
-    the cocycle is symmetric; the spiral order is the library-wide default.
+    That is mu(v_1 + ... + v_(i-1), v_i) * D summed over i, each term by
+    the cocycle's `exponent` on the int prefix.  Over the values of a
+    zero-sum configuration in the spiral order it is the phase mu^ that
+    relates the left-to-right product of their twisted unitaries to the
+    identity; the intertwiner sums it on both sides of each term.
     """
-    if not lam.is_zero_sum:
-        raise ValueError("telescoping phase needs a zero-sum configuration")
-    group = lam.group
-    ordered = sorted(lam.support, key=lambda item: order_key(item[0]))
-    total = Phase.ZERO
-    prefix = [0] * group.rank  # the values so far, summed as ints
-    for _, coords in ordered:
-        total = total + mu(group.element(prefix), AbElem(group, coords))
-        prefix = [a + b for a, b in zip(prefix, coords)]
+    if not values:
+        return 0
+    value, prefix, total = mu.exponent, values[0], 0  # the first term is mu(0, v_1) = 0
+    for coords in values[1:]:
+        total += value(prefix, coords)
+        prefix = tuple(map(add, prefix, coords))
     return total

@@ -10,6 +10,8 @@ matrices acting on zero-sum sums.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .abelian import AbGroup, Character
@@ -26,7 +28,7 @@ from .lattice import (
     mat_apply,
     spiral_points,
 )
-from .scalars import Cyclotomic
+from .scalars import Cyclotomic, Phase
 
 
 @dataclass(frozen=True)
@@ -74,29 +76,31 @@ def rho(t: Triplet, g: Motion, x: AlgebraElement) -> AlgebraElement:
     multiplies by chi(value at m)^det(k, m) over the support; rho(c)
     multiplies by c of the total content.  One pass per configuration maps
     each point p to gamma p, takes det(k, gamma p) and places the value at
-    k + gamma p, so the key Config is built once.  The det-weighted values
-    are summed as ints and chi is evaluated once on the sum (chi is a
-    homomorphism); a relocation keeps the total content, so it is read
-    from the original configuration.
+    k + gamma p, so the key Config is built once.  Each term's phase is one
+    int over D = lcm(chi.den, c.den), summed over the sites v as
+    det(k, gamma p) chi.ints . v + c.ints . v scaled to D: both characters
+    are homomorphisms, and a relocation keeps the content.
     """
     if x.group != t.group:
         raise ValueError("element is not over the triplet's group")
-    group, chi = t.group, t.character
+    chi, char = t.character, g.char
+    if char.group != t.group:
+        raise ValueError("element is not in the character's group")
     move = g.move  # checks that the matrix is in SL(2,Z)
-    k, gamma = move.translation, move.matrix
+    (kq, kr), ((g11, g12), (g21, g22)) = move.translation, move.matrix
+    d = lcm(chi.den, char.den)
+    chi_row = [c * (d // chi.den) for c in chi.ints]
+    char_row = [c * (d // char.den) for c in char.ints]
     out: dict = {}
     for cfg, coeff in x.terms.items():
-        weighted = [0] * group.rank
+        num = 0
         support = []
-        for point, coords in cfg.support:
-            moved = mat_apply(gamma, point)
-            d = det2(k, moved)
-            if d:
-                weighted = [w + d * c for w, c in zip(weighted, coords)]
-            support.append((k + moved, coords))
-        phase = chi(group.element(weighted)) + g.char(cfg.total())
-        key = Config(group, tuple(sorted(support)))
-        term = coeff * Cyclotomic.from_phase(phase)
+        for (q, r), v in cfg.support:
+            mq, mr = g11 * q + g12 * r, g21 * q + g22 * r
+            num += (kq * mr - kr * mq) * sum(map(mul, chi_row, v)) + sum(map(mul, char_row, v))
+            support.append((LatticePoint(kq + mq, kr + mr), v))
+        key = Config(t.group, tuple(sorted(support)))
+        term = coeff * Cyclotomic.from_phase(Phase(num, d))
         out[key] = out[key] + term if key in out else term
     return AlgebraElement(x.cocycle, out)
 

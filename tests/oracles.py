@@ -7,8 +7,11 @@ isomorphism search and `check_conditions` against `enumerate_isomorphisms`
 with `phase_conditions`, the integer evaluation of bilinear cocycles
 against `phase_bilinear_value` and of characters against
 `phase_character_value`, `TableCocycle.validate`'s generator triples
-against the scan of all triples in `cocycle_identity_failure`, and the
-swap-kernel flow against the product W_t x W_t^* with `flow_unitary`.
+against the scan of all triples in `cocycle_identity_failure`, the
+swap-kernel flow against the product W_t x W_t^* with `flow_unitary`, and
+the intertwiner's int terms and the int twists `configs.mu_tilde` and
+`configs.telescoped` against their Phase sums `phase_pi`, `mu_tilde` and
+`mu_hat`.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from tbshift.abelian import (
     AbElem,
@@ -39,9 +42,9 @@ from tbshift.classify import _pool_ranges
 from tbshift.cocycle import BilinearCocycle, trivial_cocycle
 from tbshift.configs import Config
 from tbshift.dynamics import Triplet
-from tbshift.lattice import AffineSL2, LatticePoint, mat_apply
+from tbshift.lattice import AffineSL2, LatticePoint, mat_apply, spiral_index
 from tbshift.linalg import _eliminate, identity_matrix
-from tbshift.scalars import Phase
+from tbshift.scalars import Cyclotomic, Phase
 
 # -- the elimination's full contract ------------------------------------------
 
@@ -249,6 +252,65 @@ def malleability_flow(mu, t: Fraction, x: TensorElement) -> TensorElement:
     return _SwapKernel(mu).flow(t, x)
 
 
+# -- configurations and the intertwiner, Phase by Phase --------------------------
+
+
+def config_items(cfg: Config) -> Iterator[tuple]:
+    """(point, value) for each site of cfg, the value an AbElem."""
+    return ((point, AbElem(cfg.group, coords)) for point, coords in cfg.support)
+
+
+def mapped(cfg: Config, f: AbHom) -> Config:
+    """Apply a group hom to every value (the support does not move)."""
+    return Config.from_items(f.target, ((p, f(v)) for p, v in config_items(cfg)))
+
+
+def mu_tilde(mu, c1: Config, c2: Config) -> Phase:
+    """`configs.mu_tilde` as a Phase sum of mu(c1(k), c2(k)) over the shared sites."""
+    total = Phase.ZERO
+    d2 = dict(c2.support)
+    for p, v1 in config_items(c1):
+        if p in d2:
+            total = total + mu(v1, AbElem(c2.group, d2[p]))
+    return total
+
+
+def mu_hat(mu, lam: Config, order_key=spiral_index) -> Phase:
+    """The ordered telescoping phase of a zero-sum configuration, Phase by
+    Phase: mu(prefix, v) over its values in order_key order, the prefix
+    their AbElem sum so far.  `configs.telescoped` is its int form."""
+    if not lam.is_zero_sum:
+        raise ValueError("telescoping phase needs a zero-sum configuration")
+    total, prefix = Phase.ZERO, lam.group.zero()
+    for _, value in sorted(config_items(lam), key=lambda item: order_key(item[0])):
+        total = total + mu(prefix, value)
+        prefix = prefix + value
+    return total
+
+
+def term_phase(pi, lam: Config, image: Config) -> Phase:
+    """The phase of lam's term under pi, image being lam mapped through phi:
+    mu^_a(lam) + the corrector - mu^_b(image), the corrector summed site by
+    site as weight(k) (chi_a(v) - chi_b(phi v))."""
+    corrector = Phase.ZERO
+    for point, value in config_items(lam):
+        mismatch = pi.ta.character(value) - pi.tb.character(pi.phi(value))
+        corrector = corrector + mismatch * pi.weight(point)
+    return (mu_hat(pi.ta.cocycle, lam, pi.order_key) + corrector
+            - mu_hat(pi.tb.cocycle, image, pi.order_key))
+
+
+def phase_pi(pi, x: AlgebraElement) -> AlgebraElement:
+    """`PiPhi.__call__` Phase by Phase: each term's configuration `mapped`
+    through phi, its phase by `term_phase`."""
+    out: dict = {}
+    for lam, coeff in x.terms.items():
+        key = mapped(lam, pi.phi)
+        term = coeff * Cyclotomic.from_phase(term_phase(pi, lam, key))
+        out[key] = out[key] + term if key in out else term
+    return AlgebraElement(pi.tb.cocycle, out)
+
+
 # -- the dual action ----------------------------------------------------------
 
 
@@ -280,7 +342,7 @@ def is_dual_fixed(t: Triplet, x: AlgebraElement) -> bool:
     A finite separating family suffices, because only finitely many
     values appear in a finite sum.
     """
-    values = [value for cfg in x.terms for _, value in cfg.items()]
+    values = [value for cfg in x.terms for _, value in config_items(cfg)]
     for c in separating_characters(t.group, values):
         if apply_diagonal_character(c, x) != x:
             return False

@@ -15,6 +15,7 @@ from tbshift.abelian import (
     AbHom,
     Character,
     abstractly_isomorphic,
+    dual_character,
     dual_characters,
     group_structure,
     is_isomorphism,
@@ -256,6 +257,18 @@ def test_dual_characters_count_and_separation():
     for x in g.elements():
         if not x.is_zero:
             assert any(not c(x).is_zero for c in chars)
+
+
+def test_dual_character_decodes_the_product_order():
+    # the index-th character against the index-th tuple of itertools.product
+    for torsion in [(2,), (5,), (2, 4), (3, 3), (2, 3, 4)]:
+        g = AbGroup(0, torsion)
+        listed = [Character(g, tuple(Phase(a, n) for a, n in zip(t, torsion)))
+                  for t in itertools.product(*(range(n) for n in torsion))]
+        assert [dual_character(g, i) for i in range(g.order())] == listed
+        assert list(dual_characters(g)) == listed
+    with pytest.raises(ValueError, match="finite"):
+        dual_characters(AbGroup(1, (2,)))
 
 
 def test_separating_characters_infinite_group():

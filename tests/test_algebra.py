@@ -22,6 +22,7 @@ from tbshift.cocycle import (
     TableCocycle,
     coboundary_cocycle,
     table_from_function,
+    to_table,
     trivial_cocycle,
 )
 from tbshift.configs import dipole, mu_tilde
@@ -334,6 +335,35 @@ def test_check_computes_the_flow_scalars_once_per_time(monkeypatch):
     checks = algebra.check_malleability(v, random.Random(3), 4)
     assert all(checks.values())
     assert calls == [Fraction(1, 2)]
+
+
+def test_check_malleability_draws_what_the_listed_dual_drew(monkeypatch):
+    # each sample's character is dual_character at rng.choice(range(|H|)),
+    # the draw rng.choice makes on the listed dual: the characters, the
+    # checks and the rng state afterwards are those of the list
+    for q, samples in ((2, 3), (3, 5), (4, 6), (5, 4)):
+        mu = to_table(mod_q_cocycle(q)) if q == 2 else mod_q_cocycle(q)
+        group, v = mu.group, malleability_unitary(mu)
+        listed = list(dual_characters(group))
+        drawn = []
+        apply = algebra.apply_diagonal_character
+        monkeypatch.setattr(algebra, "apply_diagonal_character",
+                            lambda c, x: drawn.append(c) or apply(c, x))
+        rng = random.Random(q)
+        checks = algebra.check_malleability(v, rng, samples)
+        monkeypatch.setattr(algebra, "dual_character", lambda g, i: listed[i])
+        from_list = random.Random(q)
+        assert algebra.check_malleability(v, from_list, samples) == checks
+        monkeypatch.undo()
+        assert rng.getstate() == from_list.getstate()
+        replay, expected = random.Random(q), []
+        for _ in range(samples):
+            for _ in range(2):
+                [replay.randrange(m) for m in group.torsion]
+            expected.append(replay.choice(listed))
+        assert drawn == [c for c in expected for _ in range(2)] * 2
+        assert rng.getstate() == replay.getstate()
+        assert all(checks.values())
 
 
 # at integer t the flow builds no kernel but keeps its checks and their order

@@ -14,7 +14,9 @@ from oracles import (
     enumerate_automorphisms,
     enumerate_isomorphisms,
     lattice_det_triplet,
+    mapped,
     phase_conditions,
+    phase_pi,
     product_triplet,
     row_major_key,
     trivial_triplet,
@@ -34,7 +36,7 @@ from tbshift.classify import (
 )
 from tbshift.cocycle import BilinearCocycle, star_bicharacter, trivial_cocycle
 from tbshift.configs import dipole
-from tbshift.dynamics import Triplet, beta
+from tbshift.dynamics import Motion, Triplet, beta, rho
 from tbshift.families import mod_q_triplet
 from tbshift.lattice import AffineSL2, LatticePoint, spiral_index
 from tbshift.scalars import Phase
@@ -228,7 +230,7 @@ def test_pi_maps_units_to_single_unimodular_terms(trip3, rng):
         lam = random_zero_sum_config(rng, trip3.group)
         image = pi(AlgebraElement.unit(trip3.cocycle, lam))
         (key, coeff), = image.terms.items()
-        assert key == lam.mapped(phi)
+        assert key == mapped(lam, phi)
         assert coeff * coeff.conjugate() == type(coeff).ONE
     a = random_algebra_element(rng, trip3.cocycle)
     assert pi(a).trace() == a.trace()
@@ -281,20 +283,56 @@ def test_corrupted_weight_breaks_equivariance(rng):
     assert any(kind == "equivariance" for kind, *_ in report.failures)
 
 
-def test_mismatch_and_corrector_match_the_sitewise_formula(rng):
-    # the precomputed character against chi_a(h) - chi_b(phi h), and the
-    # corrector against its sum over the sites
+def _pi_cases():
+    """PiPhi cases, conditions or not: the half shift on Z^2 (mismatch of
+    order two); Z^2 x Z/2 under a shear, bilinear forms whose denominators
+    10 and 14 differ from the mismatch's 12; Z/4 x Z/6 under a shear with
+    denominators 4, 3 and 6; (Z/3)^2 in table form, one table shifted by a
+    coboundary (denominators 15, 24 and 3); a table against a bilinear form."""
+    z = Phase.ZERO
     half_a, half_b = _half_shift_pair()
-    g = AbGroup(2, (2,))
-    mixed_a = Triplet(g, trivial_cocycle(g), Character(g, (Phase(1, 3), Phase(5, 12), Phase(1, 2))))
-    mixed_b = Triplet(g, trivial_cocycle(g), Character(g, (Phase(1, 4), Phase(2, 3), Phase(1, 2))))
+    free = AbGroup(2, (2,))
+    free_a = Triplet(free, BilinearCocycle(free, ((z, Phase(1, 5), z), (z, z, z), (z, z, Phase(1, 2)))),
+                     Character(free, (Phase(1, 3), Phase(5, 12), Phase(1, 2))))
+    free_b = Triplet(free, BilinearCocycle(free, ((Phase(1, 7), z, z), (z, z, Phase(1, 2)), (z, z, z))),
+                     Character(free, (Phase(1, 4), Phase(2, 3), Phase(1, 2))))
+    mixed = AbGroup(0, (4, 6))
+    mixed_a = Triplet(mixed, BilinearCocycle(mixed, ((Phase(1, 4), z), (z, z))),
+                      Character(mixed, (z, Phase(1, 6))))
+    mixed_b = Triplet(mixed, BilinearCocycle(mixed, ((z, z), (z, Phase(1, 3)))),
+                      Character.trivial(mixed))
     t3 = mod_q_triplet(3)
-    t3b = replace(t3, character=Character(t3.group, (Phase(2, 3), Phase(1, 3))))
-    cases = [
+    g3 = t3.group
+    shift = cocycle.coboundary_cocycle(g3, {x: Phase(x.coords[0] * x.coords[1] % 5, 5)
+                                            for x in g3.elements()})
+    table_a = replace(t3, cocycle=cocycle.table_from_function(
+        g3, lambda g, h: t3.cocycle(g, h) + Phase(h.coords[0] * g.coords[1], 3) + shift(g, h)))
+    eighths = cocycle.coboundary_cocycle(g3, {x: Phase(x.coords[0], 8) for x in g3.elements()})
+    table_b = Triplet(g3, cocycle.table_from_function(
+        g3, lambda g, h: t3.cocycle(h, g) + eighths(g, h)), Character(g3, (Phase(2, 3), Phase(1, 3))))
+    table_a.validate()
+    table_b.validate()
+    shear3 = AbHom(g3, g3, ((1, 0), (1, 1)))
+    return [
         PiPhi(half_a, half_b, AbHom.identity(half_a.group)),
-        PiPhi(mixed_a, mixed_b, AbHom(g, g, ((1, 1, 0), (0, 1, 0), (0, 1, 1)))),
-        PiPhi(t3, t3b, AbHom(t3.group, t3.group, ((1, 0), (1, 1)))),
+        PiPhi(free_a, free_b, AbHom(free, free, ((1, 1, 0), (0, 1, 0), (0, 1, 1)))),
+        PiPhi(mixed_a, mixed_b, AbHom(mixed, mixed, ((1, 0), (3, 1)))),
+        PiPhi(table_a, table_b, shear3),
+        PiPhi(table_a, replace(t3, character=Character(g3, (z, Phase(1, 3)))), shear3),
+        PiPhi(t3, replace(t3, character=Character(g3, (Phase(2, 3), Phase(1, 3)))), shear3),
     ]
+
+
+def test_mismatch_and_corrector_match_the_sitewise_formula(rng):
+    # the precomputed character against chi_a(h) - chi_b(phi h), and each
+    # integer term of pi (mapped values, both telescoping sums and the
+    # gcd-weighted corrector over one denominator) against the oracle that
+    # sums them Phase by Phase, the corrector site by site
+    cases = _pi_cases()
+    dens = [(pi.ta.cocycle.den, pi.tb.cocycle.den, pi.mismatch.den) for pi in cases]
+    assert (10, 14, 12) in dens and (4, 3, 6) in dens and (15, 24, 3) in dens
+    assert any(not pi.ta.group.is_finite for pi in cases)
+    assert any(isinstance(pi.tb.cocycle, cocycle.TableCocycle) for pi in cases)
     for pi in cases:
         ga = pi.ta.group
         assert any(pi.mismatch.ints)
@@ -302,13 +340,37 @@ def test_mismatch_and_corrector_match_the_sitewise_formula(rng):
             coords = [rng.randint(-6, 6) for _ in range(ga.free_rank)]
             h = ga.element(coords + [rng.randrange(n) for n in ga.torsion])
             assert pi.mismatch(h) == pi.ta.character(h) - pi.tb.character(pi.phi(h))
-        for _ in range(30):
-            lam = random_zero_sum_config(rng, ga, radius=3)
-            sitewise = Phase.ZERO
-            for point, value in lam.items():
-                mismatch = pi.ta.character(value) - pi.tb.character(pi.phi(value))
-                sitewise = sitewise + mismatch * pi.weight(point)
-            assert pi.corrector(lam) == sitewise
+        for variant in (pi, replace(pi, weight=lambda k: 1), replace(pi, order_key=row_major_key)):
+            for _ in range(30):
+                lam = random_zero_sum_config(rng, ga, radius=3)
+                unit = AlgebraElement.unit(pi.ta.cocycle, lam)
+                assert variant(unit) == phase_pi(variant, unit)
+            for _ in range(10):
+                x = random_algebra_element(rng, pi.ta.cocycle, terms=4, radius=1)
+                assert variant(x) == phase_pi(variant, x)
+
+
+def test_pi_evaluates_no_cocycle_value(monkeypatch, rng):
+    # the intertwiner, the twists of its products and rho run on the
+    # cocycles' integer `exponent`: with both __call__s refusing, they still
+    # give what they gave before
+    cases = [pi for pi in _pi_cases() if pi.ta.group.rank > 1]
+    runs = []
+    for pi in cases:
+        a = random_algebra_element(rng, pi.ta.cocycle)
+        b = random_algebra_element(rng, pi.ta.cocycle)
+        move = Motion(pi.ta.character, random_point(rng), random_sl2(rng))
+        runs.append((pi, a, b, move, (pi(a), a * b, rho(pi.ta, move, a))))
+
+    def refuse(self, g, h):
+        raise AssertionError("a cocycle value was evaluated")
+
+    monkeypatch.setattr(cocycle.BilinearCocycle, "__call__", refuse)
+    monkeypatch.setattr(cocycle.TableCocycle, "__call__", refuse)
+    for pi, a, b, move, before in runs:
+        assert (pi(a), a * b, rho(pi.ta, move, a)) == before
+        with pytest.raises(AssertionError, match="evaluated"):
+            pi.ta.cocycle(pi.ta.group.zero(), pi.ta.group.zero())
 
 
 def _verify_pi_one_check_at_a_time(pi, pairs, moves=CANONICAL_MOVES):

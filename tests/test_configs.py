@@ -1,11 +1,18 @@
 import pytest
 
-from oracles import act, moved_by, row_major_key
+import oracles
+from oracles import act, config_items, moved_by, mu_hat, row_major_key
 from tbshift.abelian import AbGroup
-from tbshift.cocycle import coboundary_cocycle, to_table, trivial_cocycle
-from tbshift.configs import Config, dipole, mu_hat, mu_tilde
+from tbshift.cocycle import (
+    BilinearCocycle,
+    coboundary_cocycle,
+    table_from_function,
+    to_table,
+    trivial_cocycle,
+)
+from tbshift.configs import Config, dipole, mu_tilde, telescoped
 from tbshift.families import mod_q_cocycle, mod_q_group
-from tbshift.lattice import E1, E2, ORIGIN, XI, DELTA, AffineSL2, LatticePoint
+from tbshift.lattice import E1, E2, ORIGIN, XI, DELTA, AffineSL2, LatticePoint, spiral_index
 from tbshift.scalars import Phase
 from tbshift.selftest import random_zero_sum_config
 
@@ -42,7 +49,7 @@ def test_dipole_shape():
     g = mod_q_group(3)
     h = g.element((1, 0))
     lam = dipole(h)
-    assert dict(lam.items()) == {E1: h, ORIGIN: -h}
+    assert dict(config_items(lam)) == {E1: h, ORIGIN: -h}
     assert lam.is_zero_sum
     assert dipole(g.zero()).is_zero
 
@@ -53,7 +60,7 @@ def test_affine_action_on_configs():
     lam = dipole(h)
     assert moved_by(lam, AffineSL2()) == lam
     moved = moved_by(lam, XI)
-    assert dict(moved.items()) == {E1: -h, E2: h}
+    assert dict(config_items(moved)) == {E1: -h, E2: h}
     assert moved.is_zero_sum
     assert moved_by(lam, DELTA) == lam  # supported on the fixed axis
 
@@ -96,6 +103,12 @@ def test_mu_tilde_is_a_cocycle(rng):
     assert mu_tilde(mu, zero, zero).is_zero
 
 
+def _telescoped_phase(mu, lam, order_key=spiral_index):
+    """`configs.telescoped` over lam's values in order_key order, as a Phase."""
+    ordered = sorted(lam.support, key=lambda item: order_key(item[0]))
+    return Phase(telescoped(mu, [coords for _, coords in ordered]), mu.den)
+
+
 def test_mu_hat_examples():
     mu = mod_q_cocycle(3)
     g = mu.group
@@ -107,6 +120,8 @@ def test_mu_hat_examples():
     # is mu(-h, h)
     h = g.element((1, 1))
     assert mu_hat(mu, dipole(h)) == mu(-h, h)
+    assert _telescoped_phase(mu, dipole(h)) == mu(-h, h)
+    assert telescoped(mu, []) == 0
     with pytest.raises(ValueError):
         mu_hat(mu, Config.from_items(g, [(E1, h)]))
 
@@ -116,11 +131,9 @@ def test_mu_hat_telescoping_matches_unitary_product(rng):
     # and compare the accumulated scalar with mu_hat
     mu = to_table(mod_q_cocycle(3))
     g = mu.group
-    from tbshift.lattice import spiral_index
-
     for _ in range(100):
         lam = random_zero_sum_config(rng, g)
-        ordered = sorted(lam.items(), key=lambda kv: spiral_index(kv[0]))
+        ordered = sorted(config_items(lam), key=lambda kv: spiral_index(kv[0]))
         acc_phase = Phase.ZERO
         acc_elem = g.zero()
         for _, value in ordered:
@@ -128,6 +141,7 @@ def test_mu_hat_telescoping_matches_unitary_product(rng):
             acc_elem = acc_elem + value
         assert acc_elem.is_zero
         assert mu_hat(mu, lam) == acc_phase
+        assert _telescoped_phase(mu, lam) == acc_phase
 
 
 def test_mu_hat_order_independent_for_symmetric_cocycles(rng):
@@ -140,6 +154,7 @@ def test_mu_hat_order_independent_for_symmetric_cocycles(rng):
     for _ in range(50):
         lam = random_zero_sum_config(rng, g)
         assert mu_hat(shift, lam) == mu_hat(shift, lam, order_key=row_major_key)
+        assert _telescoped_phase(shift, lam) == _telescoped_phase(shift, lam, row_major_key)
 
 
 def test_cocycle_correction_identity_for_cohomologous_pairs(rng):
@@ -164,15 +179,11 @@ def test_cocycle_correction_identity_for_cohomologous_pairs(rng):
             l1 = random_zero_sum_config(rng, g)
             l2 = random_zero_sum_config(rng, g)
 
-            def invariant(mu):
-                return (
-                    mu_tilde(mu, l1, l2)
-                    - mu_hat(mu, l1)
-                    - mu_hat(mu, l2)
-                    + mu_hat(mu, l1 + l2)
-                )
+            def invariant(mu, hat=mu_hat):
+                return mu_tilde(mu, l1, l2) - hat(mu, l1) - hat(mu, l2) + hat(mu, l1 + l2)
 
             assert invariant(base) == invariant(other)
+            assert invariant(base, _telescoped_phase) == invariant(other, _telescoped_phase)
 
 
 def _random_config(rng, g, zero_sum):
@@ -195,7 +206,7 @@ def test_total_and_zero_sum_match_a_fold_of_additions(rng):
         for i in range(200):
             lam = _random_config(rng, g, zero_sum=i % 2 == 0)
             fold = g.zero()
-            for _, value in lam.items():
+            for _, value in config_items(lam):
                 fold = fold + value
             assert lam.total() == fold
             assert lam.is_zero_sum == fold.is_zero
@@ -210,5 +221,43 @@ def test_moved_by_matches_a_relocation_through_from_items(rng):
             lam = _random_config(rng, g, zero_sum=False)
             move = AffineSL2(LatticePoint(rng.randint(-3, 3), rng.randint(-3, 3)),
                              random_sl2(rng))
-            relocated = Config.from_items(g, ((act(move, p), v) for p, v in lam.items()))
+            relocated = Config.from_items(g, ((act(move, p), v) for p, v in config_items(lam)))
             assert moved_by(lam, move) == relocated
+
+
+def _twist_cases():
+    """(group, cocycle) pairs: bilinear forms with mixed denominators on
+    groups with and without a free part, and tables, one of them shifted
+    by a coboundary so that it is not bilinear."""
+    z = Phase.ZERO
+    free = AbGroup(2, (2,))
+    mixed = AbGroup(0, (4, 6))
+    square = mod_q_group(3)
+    shift = coboundary_cocycle(square, {x: Phase(sum(x.coords) % 5, 5) for x in square.elements()})
+    return [
+        BilinearCocycle(free, ((Phase(1, 7), Phase(2, 5), z), (z, z, Phase(1, 2)),
+                               (Phase(1, 2), z, Phase(1, 2)))),
+        BilinearCocycle(mixed, ((Phase(1, 4), Phase(1, 2)), (z, Phase(5, 6)))),
+        mod_q_cocycle(3),
+        to_table(BilinearCocycle(mixed, ((Phase(3, 4), z), (Phase(1, 2), Phase(1, 3))))),
+        table_from_function(square, lambda g, h: mod_q_cocycle(3)(g, h) + shift(g, h)),
+    ]
+
+
+def test_int_twists_match_their_phase_sums(rng):
+    # mu_tilde and telescoped, summed as ints over den by the cocycle's
+    # `exponent`, against the Phase sums of the oracles, on raw and reduced
+    # values alike
+    for mu in _twist_cases():
+        g = mu.group
+        for i in range(60):
+            a, b = _random_config(rng, g, i % 2 == 0), _random_config(rng, g, i % 3 == 0)
+            assert mu_tilde(mu, a, b) == oracles.mu_tilde(mu, a, b)
+            assert mu_tilde(mu, a, a) == oracles.mu_tilde(mu, a, a)
+            lam = random_zero_sum_config(rng, g, radius=3)
+            for key in (spiral_index, row_major_key):
+                assert _telescoped_phase(mu, lam, key) == mu_hat(mu, lam, key)
+        for _ in range(30):
+            raw = [tuple(rng.randint(-9, 9) for _ in range(g.rank)) for _ in range(2)]
+            value = Phase(mu.exponent(*raw), mu.den)
+            assert value == mu(g.element(raw[0]), g.element(raw[1]))

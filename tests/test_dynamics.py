@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import act, inverse, is_dual_fixed, moved_by, trivial_triplet
+from oracles import act, config_items, inverse, is_dual_fixed, moved_by, trivial_triplet
 from tbshift.abelian import AbGroup, Character, dual_characters
 from tbshift.algebra import AlgebraElement, apply_diagonal_character
 from tbshift.configs import Config, dipole
@@ -285,7 +285,7 @@ def _rho_oracle(t, g, x):
     total is a fold of AbElem additions."""
 
     def relocate(cfg, move):
-        return Config.from_items(cfg.group, ((act(move, p), v) for p, v in cfg.items()))
+        return Config.from_items(cfg.group, ((act(move, p), v) for p, v in config_items(cfg)))
 
     rotate = AffineSL2(ORIGIN, g.matrix)
     translate = AffineSL2(g.shift)
@@ -294,7 +294,7 @@ def _rho_oracle(t, g, x):
         rotated = relocate(cfg, rotate)
         phase = Phase.ZERO
         total = t.group.zero()
-        for point, value in rotated.items():
+        for point, value in config_items(rotated):
             phase = phase + t.character(value) * det2(g.shift, point)
             total = total + value
         phase = phase + g.char(total)
@@ -304,10 +304,10 @@ def _rho_oracle(t, g, x):
     return AlgebraElement(x.cocycle, out)
 
 
-def _nontrivial_character(rng, group):
+def _nontrivial_character(rng, group, free_den=12):
     while True:
         c = Character(group, tuple(
-            Phase(rng.randrange(n), n) if n else Phase(rng.randrange(12), 12)
+            Phase(rng.randrange(n), n) if n else Phase(rng.randrange(free_den), free_den)
             for n in (group.generator_order(j) for j in range(group.rank))
         ))
         if any(c.ints):
@@ -329,13 +329,22 @@ def _random_element(rng, cocycle):
 
 
 def test_rho_matches_the_relocate_and_sum_oracle(rng):
-    for group in (AbGroup(0, (3, 3)), AbGroup(2), AbGroup(2, (2,))):
+    # chi and c over equal and over different denominators: rho sums both
+    # over their lcm
+    dens = set()
+    for group, chi_den, c_den in ((AbGroup(0, (3, 3)), 12, 12), (AbGroup(2), 12, 12),
+                                  (AbGroup(2, (2,)), 12, 12), (AbGroup(2), 4, 9),
+                                  (AbGroup(1, (2,)), 5, 3), (AbGroup(0, (4, 6)), 12, 12)):
         for _ in range(10):
-            t = Triplet(group, trivial_triplet(group).cocycle, _nontrivial_character(rng, group))
+            chi = _nontrivial_character(rng, group, chi_den)
+            t = Triplet(group, trivial_triplet(group).cocycle, chi)
             for _ in range(5):
-                g = Motion(_nontrivial_character(rng, group), random_point(rng), random_sl2(rng))
+                c = _nontrivial_character(rng, group, c_den)
+                dens.add(chi.den == c.den)
+                g = Motion(c, random_point(rng), random_sl2(rng))
                 x = _random_element(rng, t.cocycle)
                 assert rho(t, g, x) == _rho_oracle(t, g, x)
+    assert dens == {True, False}
 
 
 def test_rho_refuses_a_matrix_outside_sl2(trip, rng):
@@ -343,3 +352,9 @@ def test_rho_refuses_a_matrix_outside_sl2(trip, rng):
     g = Motion(Character.trivial(trip.group), E1, ((2, 0), (0, 1)))
     with pytest.raises(ValueError, match="determinant"):
         rho(trip, g, x)
+
+
+def test_rho_refuses_a_character_of_another_group(trip, rng):
+    x = random_algebra_element(rng, trip.cocycle)
+    with pytest.raises(ValueError, match="character's group"):
+        rho(trip, Motion(Character.trivial(AbGroup(0, (3,)))), x)
