@@ -11,25 +11,26 @@ subclasses state only the keys and the twist:
 * TensorElement: K is H x H, twisted by mu (+) mu (the tensor square
   carrying the malleability flow).
 
-Elements are finite formal sums with Cyclotomic coefficients.  Zero
-coefficients are pruned eagerly so equality is structural.
+Elements are finite formal sums with Cyclotomic coefficients, pruned of
+zeros so equality is structural.  A twist, like a diagonal character's
+value, is one int over one denominator, paid by one `Cyclotomic.rotated`.
 
 The malleability flow on the tensor square needs one product per flow,
 y V with the swap unitary V on the right.  A private swap kernel
 (_SwapKernel), built once per check from the cocycle, runs each flow at
-a non-integer t as one integer accumulation: the scalar parts of W_t
-(its four coefficients, computed once per t) are folded into the pair
+a non-integer t as one integer accumulation: W_t's four coefficients,
+read in closed form from t as exponent lists, are folded into the pair
 loop over tables of the finite group and of the twist, with int
 coefficient rotations in place of Cyclotomic products, and no
 intermediate element is built.  The twist table is the cocycle's own
 integer form (`exponent_table`; running sums for a bilinear cocycle), so
 building the kernel evaluates no value of mu.  The generic product loop
 of the base class stays the reference the tests compare y V with, and
-the only product AlgebraElement uses.  One guard, `flow_order`, bounds the
-flow to a finite H with |H| <= MAX_FLOW_ORDER before anything of size
-|H| is built, and raises FlowRefused otherwise; at integer times the
-flow only relabels the legs.  `check_malleability` runs the kernel's checks for both the
-`malleability` command and the selftest suite of that name.
+the only product AlgebraElement uses.  One guard, `flow_order`, bounds
+the flow to a finite H with |H| <= MAX_FLOW_ORDER before anything of
+size |H| is built, and raises FlowRefused otherwise; at integer times
+the flow only relabels the legs.  `check_malleability` runs the kernel's
+checks for both the `malleability` command and the selftest suite.
 """
 
 from __future__ import annotations
@@ -38,12 +39,12 @@ import operator
 import random
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Dict, Tuple
+from typing import Dict
 
 from .abelian import AbElem, Character, dual_character
 from .cocycle import degeneracy_witness
 from .configs import Config, mu_tilde
-from .scalars import Cyclotomic, Phase, _make, _reduce
+from .scalars import Cyclotomic, _make, _reduce
 
 
 class _TwistedGroupAlgebra:
@@ -51,8 +52,8 @@ class _TwistedGroupAlgebra:
 
     A subclass states the key group and the twist as static hooks:
     _zero_key(group), _add_keys(k1, k2), _neg_key(k), _twist(mu, k1, k2)
-    (the phase of u(k1) u(k2) against u(k1 + k2)) and _total(k) (the sum
-    in H of the group values the key places).
+    (the phase of u(k1) u(k2) against u(k1 + k2), an int over `mu.den`)
+    and _total(k) (the sum in H of the group values the key places).
     """
 
     __slots__ = ("cocycle", "terms")
@@ -110,7 +111,7 @@ class _TwistedGroupAlgebra:
             for k2, v2 in other.terms.items():
                 # u(k1) u(k2) = twist(k1, k2) u(k1 + k2)
                 key = add(k1, k2)
-                coeff = v1 * v2 * Cyclotomic.from_phase(twist(mu, k1, k2))
+                coeff = (v1 * v2).rotated(twist(mu, k1, k2), mu.den)
                 out[key] = out[key] + coeff if key in out else coeff
         return type(self)(self.cocycle, out)
 
@@ -122,7 +123,7 @@ class _TwistedGroupAlgebra:
         out: Dict[object, Cyclotomic] = {}
         for k, v in self.terms.items():
             nk = neg(k)
-            coeff = v.conjugate() * Cyclotomic.from_phase(-twist(mu, k, nk))
+            coeff = v.conjugate().rotated(-twist(mu, k, nk), mu.den)
             out[nk] = out[nk] + coeff if nk in out else coeff
         return type(self)(self.cocycle, out)
 
@@ -148,7 +149,7 @@ class AlgebraElement(_TwistedGroupAlgebra):
     _total = staticmethod(Config.total)
 
     @staticmethod
-    def _twist(mu, k1: Config, k2: Config) -> Phase:
+    def _twist(mu, k1: Config, k2: Config) -> int:
         # mu_tilde is looked up per call, so a rebinding of the module name
         # (as instrumentation does) reaches the product loop
         return mu_tilde(mu, k1, k2)
@@ -185,8 +186,8 @@ class TensorElement(_TwistedGroupAlgebra):
         return (-k[0], -k[1])
 
     @staticmethod
-    def _twist(mu, k1, k2) -> Phase:
-        return mu(k1[0], k2[0]) + mu(k1[1], k2[1])
+    def _twist(mu, k1, k2) -> int:
+        return mu.exponent(k1[0].coords, k2[0].coords) + mu.exponent(k1[1].coords, k2[1].coords)
 
     @staticmethod
     def _total(k) -> AbElem:
@@ -238,18 +239,8 @@ def malleability_unitary(mu) -> TensorElement:
         raise ValueError(
             f"cocycle is degenerate: {witness.coords} pairs trivially with everything"
         )
-    terms: Dict[Tuple[AbElem, AbElem], Cyclotomic] = {}
-    for h in group.elements():
-        terms[(h, -h)] = Cyclotomic.from_phase(-mu(h, -h))
-    return TensorElement(mu, terms)
-
-
-def _flow_scalars(t: Fraction) -> Tuple[Cyclotomic, Cyclotomic]:
-    """(a, b) with W_t = a + b S: a = (1 + e)/2, b = (1 - e)/2 for
-    e = e^{i pi t}, and S = V/sqrt|H|, the self-adjoint unitary that
-    implements the flip of the two legs."""
-    e = Cyclotomic.from_phase(Phase.from_fraction(Fraction(t) / 2))
-    return (Cyclotomic.ONE + e) * Fraction(1, 2), (Cyclotomic.ONE - e) * Fraction(1, 2)
+    v = {(h, -h): Cyclotomic.from_phase(-mu(h, -h)) for h in group.elements()}
+    return TensorElement(mu, v)
 
 
 def _flip(x: TensorElement) -> TensorElement:
@@ -286,9 +277,9 @@ class _SwapKernel:
     power basis of Q(zeta_L) over one denominator, L a multiple of N and
     of every coefficient order, and a term pair costs lookups and one
     rotation.  `times_v` and `flow` share the one pair loop `_accumulate`,
-    which reduces each output coefficient mod Phi_L once.  The generic
-    TensorElement product stays the reference.  mu must pass the checks
-    of `malleability_unitary`, which make the scale sqrt|H| an integer.
+    which reduces each output coefficient mod Phi_L once; nothing is kept
+    per t.  The generic TensorElement product stays the reference.  mu must
+    pass the checks of `malleability_unitary`, which make sqrt|H| an int.
     """
 
     def __init__(self, mu):
@@ -313,7 +304,6 @@ class _SwapKernel:
         # with -h read off the zero in row h of the addition table
         neg = [row.index(0) for row in add]
         self.v = [(h, nh, -twist[h][nh]) for h, nh in enumerate(neg)]
-        self.coefficients = {}  # t -> the flow's four coefficients at t
 
     def _terms(self, x: TensorElement) -> list:
         """(i, j, c) for each term c u(g_i, g_j) of x."""
@@ -367,39 +357,41 @@ class _SwapKernel:
     def flow(self, t: Fraction, x: TensorElement) -> TensorElement:
         """Ad W_t(x) = |a|^2 x + |b|^2 flip(x) + (a conj(b) x + b conj(a) flip(x)) S.
 
-        S x = flip(x) S, as S is self-adjoint, S^2 = 1 and S x S = flip(x),
-        so both cross terms share the one product with S on the right.
-        That is O(|x| |H|) term pairs against O(|x| |H|^2) for the product
-        W_t x W_t^*, which the tests keep as the oracle.  The four
-        coefficients |a|^2, |b|^2, a conj(b)/sqrt|H| and b conj(a)/sqrt|H|
-        are computed once per t and kept.  Each term c u(i, j) of x puts
-        c|a|^2 at (i, j) and c|b|^2 at (j, i), and sends c a conj(b)/sqrt|H|
-        through V from (i, j) and c b conj(a)/sqrt|H| from (j, i), all in
-        one integer accumulation.  At integer t one of a, b is zero: the
-        flow is x or flip(x), and computes no scalar.
+        W_t = a + b S, a = (1 + e)/2, b = (1 - e)/2, e = e^{i pi t} = zeta_q^k,
+        S = V/sqrt|H| the self-adjoint unitary that flips the legs: S x =
+        flip(x) S, so both cross terms share the one product with S on the
+        right, O(|x| |H|) term pairs against O(|x| |H|^2) for the oracle
+        W_t x W_t^*.  Over 4 sqrt|H|, reduced mod Phi_q: |a|^2 =
+        (2 + e + 1/e)/4, |b|^2 = (2 - e - 1/e)/4, a conj(b) = (e - 1/e)/4 =
+        -b conj(a).  Each term c u(i, j) of x puts c|a|^2 at (i, j) and
+        c|b|^2 at (j, i), and sends c a conj(b)/sqrt|H| through V from (i, j)
+        and c b conj(a)/sqrt|H| from (j, i), in one integer accumulation.
+        At integer t one of a, b is zero: the flow is x or flip(x).
         """
         t = Fraction(t)
         if t.denominator == 1:
             return _flip(x) if t.numerator % 2 else x
         terms = self._terms(x)
-        scalars = self.coefficients.get(t)
-        if scalars is None:
-            a, b = _flow_scalars(t)
-            ac, bc = a.conjugate(), b.conjugate()
-            r = Fraction(1, self.scale)
-            scalars = self.coefficients[t] = (a * ac, b * bc, a * bc * r, b * ac * r)
-        order = lcm(self.conductor, *{c.order for c in scalars},
-                    *{c.order for _, _, c in terms})
-        sden = lcm(*{c._den for c in scalars})
+        k, q = (t / 2).numerator, (t / 2).denominator  # e = zeta_q^k
+        order = lcm(self.conductor, q, *{c.order for _, _, c in terms})
         xden = lcm(*{c._den for _, _, c in terms})
-        aa, bb, ab, ba = (_lift(c, order, sden) for c in scalars)
+        s, step = self.scale, order // q
+
+        def lifted(c0: int, c1: int, c2: int) -> list:
+            # c0 + c1 e + c2/e reduced mod Phi_q, as exponents of zeta_order
+            vec = [0] * q
+            vec[0], vec[k % q], vec[-k % q] = c0, c1, c2
+            return [(p * step, a) for p, a in enumerate(_reduce(vec, q)) if a]
+
+        aa, bb, ab = lifted(2 * s, s, s), lifted(2 * s, -s, -s), lifted(0, 1, -1)
+        ba = [(p, -a) for p, a in ab]
         one, v = [(0, 0, 0)], self.v
         jobs = []
         for i, j, c in terms:
             cs = _lift(c, order, xden)
             jobs += [(i, j, _times(cs, aa, order), one), (j, i, _times(cs, bb, order), one),
                      (i, j, _times(cs, ab, order), v), (j, i, _times(cs, ba, order), v)]
-        return self._accumulate(jobs, order, xden * sden)
+        return self._accumulate(jobs, order, xden * 4 * s)
 
 
 def check_malleability(v: TensorElement, rng: random.Random, samples: int) -> dict:
@@ -447,8 +439,10 @@ def check_malleability(v: TensorElement, rng: random.Random, samples: int) -> di
 
 
 def apply_diagonal_character(c: Character, x):
-    """Scale each term by c evaluated on the total group content of its key."""
+    """Rotate each term by c (its int row over c.den) on its key's total."""
     if not isinstance(x, _TwistedGroupAlgebra):
         raise TypeError("expected an AlgebraElement or TensorElement")
-    terms = {k: v * Cyclotomic.from_phase(c(x._total(k))) for k, v in x.terms.items()}
+    row, den, total = c.ints, c.den, x._total
+    terms = {k: v.rotated(sum(map(operator.mul, row, total(k).coords)), den)
+             for k, v in x.terms.items()}
     return type(x)(x.cocycle, terms)

@@ -43,7 +43,6 @@ from .lattice import (
     spiral_index,
 )
 from .linalg import hermite_mod, order_mod, snf_diagonal
-from .scalars import Cyclotomic, Phase
 
 
 def check_conditions(ta: Triplet, tb: Triplet, phi: AbHom) -> tuple:
@@ -81,7 +80,7 @@ class PiPhi:
     plus the corrector minus mu^_b(phi lam), is one int over
     D = lcm(mu_a.den, mu_b.den, c.den): the sites are sorted by `order_key`
     once for both `telescoped` sums, and the corrector is c's int row
-    against the weighted raw values.
+    against the weighted raw values.  The term pays it by one rotation.
     """
 
     ta: Triplet
@@ -118,7 +117,7 @@ class PiPhi:
             corrector = sum(weight(p) * sum(map(mul, row, v)) for p, v, _ in sites)
             num = (scale_a * telescoped(mu_a, [v for _, v, _ in sites]) + scale_c * corrector
                    - scale_b * telescoped(mu_b, [w for _, _, w in sites]))
-            term = coeff * Cyclotomic.from_phase(Phase(num, d))
+            term = coeff.rotated(num, d)
             out[key] = out[key] + term if key in out else term
         return AlgebraElement(self.tb.cocycle, out)
 

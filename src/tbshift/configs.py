@@ -15,7 +15,6 @@ from typing import Iterable
 
 from .abelian import AbElem, AbGroup
 from .lattice import E1, ORIGIN, LatticePoint
-from .scalars import Phase
 
 
 @dataclass(frozen=True)
@@ -77,17 +76,17 @@ def dipole(h: AbElem) -> Config:
     return Config.from_items(h.group, [(E1, h), (ORIGIN, -h)])
 
 
-def mu_tilde(mu, c1: Config, c2: Config) -> Phase:
-    """Sitewise cocycle pairing: sum over k of mu(c1(k), c2(k)).
+def mu_tilde(mu, c1: Config, c2: Config) -> int:
+    """Sitewise cocycle pairing: sum over k of mu(c1(k), c2(k)), as an int
+    over D = `mu.den`, as `telescoped` gives its sum.
 
     This is itself a normalized 2-cocycle on the configuration group.  The
-    shared sites are summed as ints by the cocycle's `exponent`, over its
-    `den`, so one Phase is built per call.
+    shared sites are summed by the cocycle's `exponent`.
     """
     if c1.group != c2.group:
         raise ValueError("configs over different groups")
     value, d2 = mu.exponent, dict(c2.support)
-    return Phase(sum(value(v1, d2[p]) for p, v1 in c1.support if p in d2), mu.den)
+    return sum(value(v1, d2[p]) for p, v1 in c1.support if p in d2)
 
 
 def telescoped(mu, values: list) -> int:

@@ -28,7 +28,6 @@ from .lattice import (
     mat_apply,
     spiral_points,
 )
-from .scalars import Cyclotomic, Phase
 
 
 @dataclass(frozen=True)
@@ -57,10 +56,6 @@ class Motion:
     shift: LatticePoint = ORIGIN
     matrix: Mat2 = IDENTITY_MAT
 
-    @property
-    def move(self) -> AffineSL2:
-        return AffineSL2(self.shift, self.matrix)
-
 
 def motion_mul(t: Triplet, a: Motion, b: Motion) -> Motion:
     """(c1, k, g1)(c2, l, g2) = (c1 c2 chi^det(k, g1 l), k + g1 l, g1 g2)."""
@@ -74,35 +69,14 @@ def rho(t: Triplet, g: Motion, x: AlgebraElement) -> AlgebraElement:
 
     rho(gamma) relocates supports by the matrix; rho(k) shifts supports and
     multiplies by chi(value at m)^det(k, m) over the support; rho(c)
-    multiplies by c of the total content.  One pass per configuration maps
-    each point p to gamma p, takes det(k, gamma p) and places the value at
-    k + gamma p, so the key Config is built once.  Each term's phase is one
-    int over D = lcm(chi.den, c.den), summed over the sites v as
-    det(k, gamma p) chi.ints . v + c.ints . v scaled to D: both characters
-    are homomorphisms, and a relocation keeps the content.
+    multiplies by c of the total content.
     """
     if x.group != t.group:
         raise ValueError("element is not over the triplet's group")
-    chi, char = t.character, g.char
-    if char.group != t.group:
+    if g.char.group != t.group:
         raise ValueError("element is not in the character's group")
-    move = g.move  # checks that the matrix is in SL(2,Z)
-    (kq, kr), ((g11, g12), (g21, g22)) = move.translation, move.matrix
-    d = lcm(chi.den, char.den)
-    chi_row = [c * (d // chi.den) for c in chi.ints]
-    char_row = [c * (d // char.den) for c in char.ints]
-    out: dict = {}
-    for cfg, coeff in x.terms.items():
-        num = 0
-        support = []
-        for (q, r), v in cfg.support:
-            mq, mr = g11 * q + g12 * r, g21 * q + g22 * r
-            num += (kq * mr - kr * mq) * sum(map(mul, chi_row, v)) + sum(map(mul, char_row, v))
-            support.append((LatticePoint(kq + mq, kr + mr), v))
-        key = Config(t.group, tuple(sorted(support)))
-        term = coeff * Cyclotomic.from_phase(Phase(num, d))
-        out[key] = out[key] + term if key in out else term
-    return AlgebraElement(x.cocycle, out)
+    move = AffineSL2(g.shift, g.matrix)  # checks that the matrix is in SL(2,Z)
+    return _moved(t, g.char.ints, g.char.den, move, x)
 
 
 def beta(t: Triplet, move: AffineSL2, x: AlgebraElement) -> AlgebraElement:
@@ -112,7 +86,33 @@ def beta(t: Triplet, move: AffineSL2, x: AlgebraElement) -> AlgebraElement:
     """
     if not x.is_zero_sum_supported:
         raise ValueError("beta acts on zero-sum-supported elements only")
-    return rho(t, Motion(Character.trivial(t.group), move.translation, move.matrix), x)
+    if x.group != t.group:
+        raise ValueError("element is not over the triplet's group")
+    return _moved(t, (0,) * t.group.rank, 1, move, x)
+
+
+def _moved(t: Triplet, row: tuple, den: int, move: AffineSL2, x) -> AlgebraElement:
+    """rho of (c, move), c the int row over den, in one pass per configuration
+    that builds the key Config once.  A term's phase is one int over
+    D = lcm(chi.den, den): det(k, gamma p) chi.ints . v + row . v summed over
+    the sites v at p, both characters being homomorphisms; one rotation pays it."""
+    chi = t.character
+    (kq, kr), ((g11, g12), (g21, g22)) = move.translation, move.matrix
+    d = lcm(chi.den, den)
+    chi_row = [c * (d // chi.den) for c in chi.ints]
+    char_row = [c * (d // den) for c in row]
+    out: dict = {}
+    for cfg, coeff in x.terms.items():
+        num = 0
+        support = []
+        for (q, r), v in cfg.support:
+            mq, mr = g11 * q + g12 * r, g21 * q + g22 * r
+            num += (kq * mr - kr * mq) * sum(map(mul, chi_row, v)) + sum(map(mul, char_row, v))
+            support.append((LatticePoint(kq + mq, kr + mr), v))
+        key = Config(t.group, tuple(sorted(support)))
+        term = coeff.rotated(num, d)
+        out[key] = out[key] + term if key in out else term
+    return AlgebraElement(x.cocycle, out)
 
 
 @dataclass

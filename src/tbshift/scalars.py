@@ -215,12 +215,9 @@ class Cyclotomic:
         return _make(1, (f.numerator,), f.denominator)
 
     @staticmethod
-    @lru_cache(maxsize=1024)
     def from_phase(p: Phase) -> "Cyclotomic":
         """The root of unity zeta_den^num with order = den."""
-        work = [0] * (p.num + 1)
-        work[p.num] = 1
-        return _make(p.den, _reduce(work, p.den), 1)
+        return Cyclotomic.ONE.rotated(p.num, p.den)
 
     ZERO: ClassVar["Cyclotomic"]
     ONE: ClassVar["Cyclotomic"]
@@ -236,11 +233,21 @@ class Cyclotomic:
         """The same number expressed in Q(zeta_m); m must be a multiple of order."""
         if m % self.order != 0:
             raise ValueError(f"cannot rebase order {self.order} into Q(zeta_{m})")
-        if m == self.order:
-            return self
+        return self if m == self.order else self._spread(m, 0)
+
+    def rotated(self, k: int, n: int) -> "Cyclotomic":
+        """self * zeta_n^k, exactly as self * from_phase(Phase(k, n)): k/n is
+        reduced first, as an unreduced n would widen every later product."""
+        g = gcd(k, n)
+        m = lcm(self.order, n // g)
+        return self._spread(m, k // g * (m // (n // g)) % m)
+
+    def _spread(self, m: int, shift: int) -> "Cyclotomic":
+        """self in Q(zeta_m) times zeta_m^shift: one shift of the power
+        basis, reduced once mod Phi_m."""
         step = m // self.order
-        out = [0] * (len(self._num) * step)
-        out[::step] = self._num
+        out = [0] * ((len(self._num) - 1) * step + shift + 1)
+        out[shift::step] = self._num
         return _make(m, _reduce(out, m), self._den)
 
     def _common(self, other: "Cyclotomic") -> tuple:

@@ -33,7 +33,6 @@ from tbshift.algebra import (
     AlgebraElement,
     TensorElement,
     _flip,
-    _flow_scalars,
     _SwapKernel,
     apply_diagonal_character,
     malleability_unitary,
@@ -230,9 +229,15 @@ def enumerate_automorphisms(group: AbGroup) -> list:
 
 
 def flow_unitary(mu, t: Fraction) -> TensorElement:
-    """W_t = P_1 + e^{i pi t} P_{-1} with P_{+-1} = (1 +- V/sqrt|H|)/2."""
+    """W_t = P_1 + e^{i pi t} P_{-1} with P_{+-1} = (1 +- V/sqrt|H|)/2.
+
+    So W_t = a + b V/sqrt|H| with a = (1 + e)/2 and b = (1 - e)/2, each
+    built here by Cyclotomic sums from e = e^{i pi t}, independently of
+    the kernel's closed form.
+    """
     v = malleability_unitary(mu)
-    a, b = _flow_scalars(t)
+    e = Cyclotomic.from_phase(Phase.from_fraction(Fraction(t) / 2))
+    a, b = (Cyclotomic.ONE + e) * Fraction(1, 2), (Cyclotomic.ONE - e) * Fraction(1, 2)
     return TensorElement.one(mu).scaled(a) + v.scaled(b * Fraction(1, isqrt(mu.group.order())))
 
 

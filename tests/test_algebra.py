@@ -25,8 +25,9 @@ from tbshift.cocycle import (
     to_table,
     trivial_cocycle,
 )
-from tbshift.configs import dipole, mu_tilde
+from tbshift.configs import Config, dipole, mu_tilde
 from tbshift.families import mod_q_cocycle, mod_q_group, mod_q_triplet
+from tbshift.lattice import ORIGIN, LatticePoint
 from tbshift.scalars import Cyclotomic, Phase
 from tbshift.selftest import random_algebra_element, random_zero_sum_config
 
@@ -51,7 +52,7 @@ def test_single_pair_product(mu3):
     v = AlgebraElement.unit(mu3, -lam)
     prod = u * v
     assert prod == AlgebraElement.one(mu3).scaled(
-        Cyclotomic.from_phase(mu_tilde(mu3, lam, -lam))
+        Cyclotomic.from_phase(Phase(mu_tilde(mu3, lam, -lam), mu3.den))
     )
 
 
@@ -81,9 +82,8 @@ def test_star_examples(mu3, rng):
     lam = dipole(g.element((2, 1)))
     coeff = Cyclotomic.from_phase(Phase(1, 12))
     starred = AlgebraElement.unit(mu3, lam, coeff).star()
-    expected = AlgebraElement.unit(
-        mu3, -lam, coeff.conjugate() * Cyclotomic.from_phase(-mu_tilde(mu3, lam, -lam))
-    )
+    twist = Phase(mu_tilde(mu3, lam, -lam), mu3.den)
+    expected = AlgebraElement.unit(mu3, -lam, coeff.conjugate() * Cyclotomic.from_phase(-twist))
     assert starred == expected
 
 
@@ -217,6 +217,34 @@ def test_diagonal_character_action(mu3, rng):
     assert scaled == moved.scaled(Cyclotomic.from_phase(Phase(1, 3)))
 
 
+def test_diagonal_character_of_order_four_matches_its_phase_values(rng):
+    # c = (1/4, 0) on (Z/4)^2 takes the value 2/4, which c(total) reduces
+    # to 1/2: every term against v * from_phase(c(total)), on tensor keys
+    # and on configurations that are not zero-sum, so a rotation that
+    # paired a reduced numerator with c.den = 4 would fail here
+    mu = mod_q_cocycle(4)
+    g = mu.group
+    c = Character(g, (Phase(1, 4), Phase.ZERO))
+    elems = list(g.elements())
+    tensor = TensorElement(mu, {
+        (a, b): Cyclotomic.from_phase(Phase(rng.randrange(12), 12)) * Fraction(rng.randint(1, 3))
+        for a in elems for b in elems
+    })
+    configs = AlgebraElement(mu, {
+        Config.from_items(g, [(LatticePoint(i, 1), h), (ORIGIN, elems[i // 4])]):
+            Cyclotomic.from_phase(Phase(rng.randrange(5), 5))
+        for i, h in enumerate(elems)
+    })
+    for x in (tensor, configs):
+        totals = {c(x._total(k)) for k in x.terms}
+        assert Phase(1, 2) in totals and len(totals) == 4
+        out = apply_diagonal_character(c, x)
+        assert out.terms.keys() == x.terms.keys()
+        for k, v in x.terms.items():
+            want, got = v * Cyclotomic.from_phase(c(x._total(k))), out.terms[k]
+            assert (got.order, got._num, got._den) == (want.order, want._num, want._den)
+
+
 def test_flow_commutes_with_diagonal_characters(mu3, rng):
     g = mu3.group
     half = Fraction(1, 2)
@@ -301,15 +329,13 @@ def test_flow_matches_brute_conjugation(rng):
         x = _random_tensor_element(rng, mu, terms=4)
         x = TensorElement(mu, {k: c * rng.choice(roots) for k, c in x.terms.items()})
         assert malleability_flow(mu, t, x) == w * x * w.star()
-    # two flows at the same t on one kernel: the second reuses the
-    # coefficients the first computed; a third t gets its own
+    # several flows, at the same t and at another, on one kernel
     for mu in (mod_q_cocycle(2), _shifted_table_cocycle(rng)):
         kernel = _SwapKernel(mu)
         for t in (Fraction(2, 5), Fraction(2, 5), Fraction(1, 3)):
             w = flow_unitary(mu, t)
             x = _random_tensor_element(rng, mu, terms=2)
             assert kernel.flow(t, x) == w * x * w.star()
-        assert list(kernel.coefficients) == [Fraction(2, 5), Fraction(1, 3)]
     # a two-term x on the 225-element group
     mu = product_triplet(mod_q_triplet(3), mod_q_triplet(5)).cocycle
     g = mu.group
@@ -319,22 +345,6 @@ def test_flow_matches_brute_conjugation(rng):
         (g.element((2, 2, 0, 4)), g.zero()): Cyclotomic.from_rational(Fraction(-3, 2)),
     })
     assert malleability_flow(mu, Fraction(1, 2), x) == w * x * w.star()
-
-
-def test_check_computes_the_flow_scalars_once_per_time(monkeypatch):
-    calls = []
-    scalars = algebra._flow_scalars
-
-    def counted(t):
-        calls.append(t)
-        return scalars(t)
-
-    monkeypatch.setattr(algebra, "_flow_scalars", counted)
-    trip = mod_q_triplet(3)
-    v = malleability_unitary(trip.cocycle)
-    checks = algebra.check_malleability(v, random.Random(3), 4)
-    assert all(checks.values())
-    assert calls == [Fraction(1, 2)]
 
 
 def test_check_malleability_draws_what_the_listed_dual_drew(monkeypatch):
@@ -509,11 +519,11 @@ def test_flow_refuses_groups_above_the_bound(monkeypatch):
 
 def test_integer_time_flow_matches_the_kernel(rng, monkeypatch):
     # x at even t and flip(x) at odd t, without the kernel, against it;
-    # both relabel, and neither computes the flow's scalars
-    def never(t):
+    # both relabel, and neither runs the kernel's pair loop
+    def never(*args):
         raise AssertionError("integer times are flowed by relabelling")
 
-    monkeypatch.setattr(algebra, "_flow_scalars", never)
+    monkeypatch.setattr(_SwapKernel, "_accumulate", never)
     bases = [mod_q_cocycle(2), mod_q_cocycle(3), _symplectic_z2p4(), _shifted_table_cocycle(rng)]
     for mu in bases:
         kernel = _SwapKernel(mu)

@@ -229,6 +229,31 @@ def test_kernel_matches_sympy_in_one_field(n, rng):
         assert a * b == b * a
 
 
+# (k, n) pairs with k negative, zero and unreduced, and n not dividing each order
+ROTATIONS = [(0, 1), (0, 12), (1, 3), (-1, 3), (4, 12), (-4, 12), (7, 12), (2, 5), (-13, 60),
+             (25, 20), (3, 8), (-9, 6)]
+
+
+@pytest.mark.parametrize("order", [1, 3, 5, 12, 60])
+def test_rotated_is_the_product_with_a_root_of_unity(order, rng):
+    # rotated(k, n) against x * from_phase(Phase(k, n)): the same value with
+    # the same order, numerators and denominator, so k/n is reduced before
+    # the order is chosen; and against sympy, x lifted to Q(zeta_m) times
+    # x^(k m/n) reduced mod Phi_m
+    for _ in range(3):
+        x = Cyclotomic(order, _reduced(_random_raw(rng, order), order))
+        for k, n in ROTATIONS:
+            got, want = x.rotated(k, n), x * Cyclotomic.from_phase(Phase(k, n))
+            _assert_canonical(got)
+            assert got == want
+            assert (got.order, got._num, got._den) == (want.order, want._num, want._den)
+            m = lcm(order, n // gcd(k, n))
+            shifted = [Fraction(0)] * (k * m // n % m) + list(_lifted(x.coeffs, order, m))
+            assert got.coeffs == _reduced(shifted, m)
+    assert Cyclotomic.ONE.rotated(4, 12).order == 3
+    assert Cyclotomic.ZERO.rotated(1, 4) == 0
+
+
 @pytest.mark.parametrize("n, m", MIXED)
 def test_kernel_matches_sympy_across_orders(n, m, rng):
     big = lcm(n, m)

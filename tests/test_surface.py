@@ -136,3 +136,21 @@ def test_every_method_the_tracer_pins_is_defined_on_its_class():
         if key[2] not in vars(getattr(importlib.import_module(f"tbshift.{key[0]}"), key[1]))
     ]
     assert missing == []
+
+
+def test_every_module_level_import_is_read_by_its_module():
+    # a name a module imports and never reads is a stale import; the
+    # package's __init__ imports only to re-export
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text("utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)) and getattr(stmt, "module", "") != "__future__":
+                for alias in stmt.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.stem}.{name}")
+    assert unread == []
