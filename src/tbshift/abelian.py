@@ -3,13 +3,16 @@
 Groups are kept in the presentation they were given (free generators first,
 then torsion generators); isomorphism tests cope with equivalent
 presentations.  Elements are integer coordinate vectors with torsion
-coordinates reduced into [0, n_i).  Smith normal form gives invariant
-factors (of a presentation and of the finite groups that
-`group_structure` identifies) and decides whether a homomorphism is
-bijective; subgroups of finite groups are kept as `linalg.hermite_mod`
-echelon rows by their callers.  The candidate images of the isomorphism
-search are coordinate ranges of its own, `classify._pool_ranges`.  A
-character is one integer row over one denominator, so a value is a dot product.
+coordinates reduced into [0, n_i).  A finite group numbers its elements
+in `elements()` order, and `addition_table` adds by those numbers: the
+one numbering that table cocycles and the swap kernel read.  Smith
+normal form gives invariant factors (of a presentation and of the finite
+groups that `group_structure` identifies) and decides whether a
+homomorphism is bijective; subgroups of finite groups are kept as
+`linalg.hermite_mod` echelon rows by their callers.  The candidate images
+of the isomorphism search are coordinate ranges of its own,
+`classify._pool_ranges`.  A character is one integer row over one
+denominator, so a value is a dot product.
 """
 
 from __future__ import annotations
@@ -84,6 +87,18 @@ class AbGroup:
             raise ValueError("cannot enumerate an infinite group")
         for coords in itertools.product(*(range(n) for n in self.torsion)):
             yield AbElem(self, coords)
+
+    def addition_table(self) -> list:
+        """add[i][j] is the number of g_i + g_j, g_i the i-th of `elements()`:
+        (c_1, ..., c_r) is number (...(c_1 n_2 + c_2) n_3 + ...) + c_r, so
+        generator e_k is number prod(torsion[k+1:])."""
+        if not self.is_finite:
+            raise ValueError("cannot enumerate an infinite group")
+        add = [[0]]
+        for m in self.torsion:
+            add = [[p * m + (c1 + c2) % m for p in row for c2 in range(m)]
+                   for row in add for c1 in range(m)]
+        return add
 
     def invariant_factors(self) -> tuple:
         """Invariant factors of the torsion part (each divides the next)."""

@@ -239,7 +239,8 @@ def malleability_unitary(mu) -> TensorElement:
         raise ValueError(
             f"cocycle is degenerate: {witness.coords} pairs trivially with everything"
         )
-    v = {(h, -h): Cyclotomic.from_phase(-mu(h, -h)) for h in group.elements()}
+    v = {(h, -h): Cyclotomic.ONE.rotated(-mu.exponent(h.coords, (-h).coords), mu.den)
+         for h in group.elements()}
     return TensorElement(mu, v)
 
 
@@ -267,37 +268,28 @@ def _times(cs: list, ss: list, order: int) -> list:
 class _SwapKernel:
     """Right multiplication by the swap unitary V on tables, and the flow.
 
-    Built once per cocycle and shared by every flow of one check.  The
-    elements of H are numbered in the order of group.elements(), a mixed
-    radix over the torsion orders.  Tables give the number of g + h and
-    the twist mu(g, h) as an exponent of zeta_N, N = `mu.den`; the twist
-    is the cocycle's own integer table (`mu.exponent_table()`), so no
-    value of mu is evaluated.  V's coefficient at u_h (x) u_{-h} is zeta_N
-    to the exponent -mu(h, -h).  Coefficients are int vectors in the
-    power basis of Q(zeta_L) over one denominator, L a multiple of N and
-    of every coefficient order, and a term pair costs lookups and one
-    rotation.  `times_v` and `flow` share the one pair loop `_accumulate`,
-    which reduces each output coefficient mod Phi_L once; nothing is kept
-    per t.  The generic TensorElement product stays the reference.  mu must
-    pass the checks of `malleability_unitary`, which make sqrt|H| an int.
+    Built once per cocycle and shared by every flow of one check.  It
+    reads the group's and the cocycle's own tables, by the numbers of
+    group.elements(): the number of g + h (`group.addition_table()`) and
+    the twist mu(g, h) as an exponent of zeta_N, N = `mu.den`
+    (`mu.exponent_table()`), so no value of mu is evaluated.  V's
+    coefficient at u_h (x) u_{-h} is zeta_N to the exponent -mu(h, -h).
+    Coefficients are int vectors in the power basis of Q(zeta_L) over one
+    denominator, L a multiple of N and of every coefficient order, and a
+    term pair costs lookups and one rotation.  `times_v` and `flow` share
+    the one pair loop `_accumulate`, which reduces each output coefficient
+    mod Phi_L once; nothing is kept per t.  The generic TensorElement
+    product stays the reference.  mu must pass the checks of
+    `malleability_unitary`, which make sqrt|H| an int.
     """
 
     def __init__(self, mu):
         group = mu.group
         self.mu = mu
         self.scale = isqrt(flow_order(group))
-        elems = list(group.elements())
-        self.elems = elems
+        elems = self.elems = list(group.elements())
         self.index = {g.coords: i for i, g in enumerate(elems)}
-        add = [[0]]
-        for m in group.torsion:
-            # number (c_1, ..., c_r) as (...(c_1 m_2 + c_2) m_3 + ...) + c_r
-            add = [
-                [p * m + (c1 + c2) % m for p in row for c2 in range(m)]
-                for row in add
-                for c1 in range(m)
-            ]
-        self.add = add
+        add = self.add = group.addition_table()
         self.conductor = mu.den
         twist = self.twist = mu.exponent_table()
         # V = sum_h zeta_N^(-mu(h, -h)) u_h (x) u_-h as (h, -h, exponent),

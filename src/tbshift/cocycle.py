@@ -3,24 +3,26 @@
 Two storage forms are supported.  A TableCocycle stores every value on a
 finite group; a BilinearCocycle stores an exponent matrix B and evaluates
 mu(g, h) = sum_ij g_i B_ij h_j, which covers infinite groups and every
-bilinear family used in practice; both state `den`, the lcm of their
-denominators, one value over it on coordinate tuples (`exponent`), which
-the configuration twists and the intertwiner sum, and on a finite group
-their whole table over it (`exponent_table`), which the swap kernel
-reads.  The star bicharacter mu(g, h) - mu(h, g), one integer matrix over
-one denominator (`Bicharacter`), classifies a cocycle up to coboundary;
-that fact is cross-checked at test scale rather than assumed:
-`coboundary_witness` builds a candidate b with mu1 - mu2 = b(g) + b(h) -
-b(g+h) by recursion along paths of generator steps, and the check of
-every equation decides.
+bilinear family used in practice.  Both state `den`, the lcm of their
+denominators, one value over it on coordinate tuples (`exponent`), and on
+a finite group their whole table over it (`exponent_table`), indexed by
+the numbers of `AbGroup.elements()`, whose sums `addition_table` gives.
+Every consumer reads mu in these ints, never as a Phase: the star form
+and the configuration twists by `exponent`, table validation, the
+coboundary witness and the swap kernel by the two tables; the Phase
+`__call__` only builds tables (`to_table`).  The star bicharacter
+mu(g, h) - mu(h, g), one integer matrix over one denominator
+(`Bicharacter`), classifies a cocycle up to coboundary; that fact is
+cross-checked at test scale rather than assumed: `coboundary_witness`
+builds a candidate b with mu1 - mu2 = b(g) + b(h) - b(g+h) by recursion
+along paths of generator steps, and the check of every equation decides.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Optional
 
@@ -151,24 +153,25 @@ class TableCocycle:
         third factor c, each step by that case or the hypothesis, gives it
         everywhere, as u_0 is the unit and the generators span H as a monoid:
         (xy)(c e_i) = ((xy)c)e_i = (x(yc))e_i = x((yc)e_i) = x(y(c e_i)).
-        The first failing (g, h, e_i) in loop order is reported."""
-        g_all = list(self.group.elements())
-        for g in g_all:
-            for h in g_all:
-                if (g.coords, h.coords) not in self.entries:
-                    raise CocycleError("table", f"missing entry ({g.coords}, {h.coords})")
-        zero = self.group.zero()
-        for g in g_all:
-            if not self(g, zero).is_zero or not self(zero, g).is_zero:
-                raise CocycleError("normalization", f"value at ({g.coords}, 0) is not 1")
-        gens = self.group.generators()
-        for g in g_all:
-            for h in g_all:
-                gh = self(g, h)
+        The scans read the integer table by the numbers of H, and the first
+        failing (g, h, e_i) in loop order is reported."""
+        elems = [g.coords for g in self.group.elements()]
+        for g in elems:
+            for h in elems:
+                if (g, h) not in self.entries:
+                    raise CocycleError("table", f"missing entry ({g}, {h})")
+        mu, add, d = self.exponent_table(), self.group.addition_table(), self.den
+        for g, mu_g, mu_0g in zip(elems, mu, mu[0]):
+            if mu_g[0] or mu_0g:
+                raise CocycleError("normalization", f"value at ({g}, 0) is not 1")
+        gens = [prod(self.group.torsion[k + 1:]) for k in range(self.group.rank)]  # e_k's numbers
+        for g, mu_g, add_g in zip(elems, mu, add):
+            for h, (gh, s) in enumerate(zip(mu_g, add_g)):
+                mu_s, mu_h, add_h = mu[s], mu[h], add[h]
                 for k in gens:
-                    if gh + self(g + h, k) != self(h, k) + self(g, h + k):
+                    if (gh + mu_s[k] - mu_h[k] - mu_g[add_h[k]]) % d:
                         raise CocycleError("cocycle-identity",
-                                           f"fails at {(g.coords, h.coords, k.coords)}")
+                                           f"fails at {(g, elems[h], elems[k])}")
 
 
 def trivial_cocycle(group: AbGroup) -> BilinearCocycle:
@@ -222,16 +225,16 @@ def star_bicharacter(mu) -> Bicharacter:
     """The star form (g, h) -> mu(g, h) - mu(h, g) of either storage form.
 
     An alternating bicharacter is fixed by its values on the generator
-    pairs i < j, so mu is read only there.  A_ij is that phase in [0, 1)
-    times D, the lcm of their denominators, and A_ji = -A_ij.
+    pairs i < j, so mu is read only there, by `mu.exponent` over mu.den.
+    D = mu.den / g, g the gcd of it and those values, is the lcm of their
+    denominators; A_ij is the value in [0, 1) times D, and A_ji = -A_ij.
     """
-    gens = mu.group.generators()
-    star = [[mu(gi, gj) - mu(gj, gi) if i < j else Phase.ZERO for j, gj in enumerate(gens)]
-            for i, gi in enumerate(gens)]
-    den = lcm(*(p.den for row in star for p in row))
-    up = [[p.num * (den // p.den) for p in row] for row in star]
-    ints = tuple(tuple(x - y for x, y in zip(row, col)) for row, col in zip(up, zip(*up)))
-    return Bicharacter(mu.group, ints, den)
+    gens, d = [e.coords for e in mu.group.generators()], mu.den
+    up = [[(mu.exponent(x, y) - mu.exponent(y, x)) % d if i < j else 0
+           for j, y in enumerate(gens)] for i, x in enumerate(gens)]
+    g = gcd(d, *(a for row in up for a in row))
+    ints = tuple(tuple((x - y) // g for x, y in zip(row, col)) for row, col in zip(up, zip(*up)))
+    return Bicharacter(mu.group, ints, d // g)
 
 
 def cohomologous(mu1, mu2) -> bool:
@@ -255,8 +258,9 @@ def coboundary_witness(mu1, mu2) -> Optional[dict]:
     of x; y comes earlier in sorted-coords order.  Walking e_i n_i times
     round to 0 gives n_i*b(e_i) = S_i, S_i = sum_{k<n_i} nu(k*e_i, e_i).
     b(e_i) = S_i/n_i is one of the n_i solutions, and any one will do:
-    two solutions of the whole system differ by a character.  A symmetric
-    nu is necessary, so an asymmetric one is refused before the walk.  For
+    two solutions of the whole system differ by a character.  nu and b
+    are ints over m = lcm(mu1.den, mu2.den) * lcm(torsion), indexed by the
+    numbers of `elements()`; an asymmetric nu fails the check.  For
     test-scale finite groups only.
     """
     group = mu1.group
@@ -264,33 +268,22 @@ def coboundary_witness(mu1, mu2) -> Optional[dict]:
         raise CocycleError("group", "cocycles live on different groups")
     if not group.is_finite or group.order() > MAX_WITNESS_ORDER:
         raise CocycleError("scale", f"witness solver is limited to order <= {MAX_WITNESS_ORDER}")
-    elems = list(group.elements())  # sorted-coords order
-
-    def nu(g: AbElem, h: AbElem) -> Phase:
-        return mu1(g, h) - mu2(g, h)
-
-    # a coboundary is symmetric in (g, h); cheap necessary precheck
-    for g, h in itertools.combinations(elems[1:], 2):
-        if nu(g, h) != nu(h, g):
-            return None
-
-    gens = group.generators()
-    step = []
-    for e, n in zip(gens, group.torsion):
-        s, x = Phase.ZERO, group.zero()
-        for _ in range(n):
-            s, x = s + nu(x, e), x + e
-        step.append(Phase(s.num, s.den * n))
-    witness = {elems[0]: Phase.ZERO}
-    for x in elems[1:]:
-        i = max(k for k, c in enumerate(x.coords) if c)
+    m = lcm(mu1.den, mu2.den) * lcm(*group.torsion)
+    s1, s2 = m // mu1.den, m // mu2.den
+    nu = [[x * s1 - y * s2 for x, y in zip(row1, row2)]
+          for row1, row2 in zip(mu1.exponent_table(), mu2.exponent_table())]
+    elems, gens = list(group.elements()), [prod(group.torsion[k + 1:]) for k in range(group.rank)]
+    step = [sum(nu[c * e][e] for c in range(n)) % m // n for e, n in zip(gens, group.torsion)]
+    b = [0] * len(elems)
+    for x, g in enumerate(elems[1:], 1):
+        i = max(k for k, c in enumerate(g.coords) if c)
         y = x - gens[i]
-        witness[x] = witness[y] + step[i] - nu(y, gens[i])
-    for g in elems:
-        for h in elems:
-            if witness[g] + witness[h] - witness[g + h] != nu(g, h):
+        b[x] = (b[y] + step[i] - nu[y][gens[i]]) % m
+    for b_g, nu_g, add_g in zip(b, nu, group.addition_table()):
+        for b_h, v, s in zip(b, nu_g, add_g):
+            if (b_g + b_h - b[s] - v) % m:
                 return None
-    return witness
+    return {g: Phase(v, m) for g, v in zip(elems, b)}
 
 
 def radical_rows(lift: list, scale: int, group: AbGroup) -> list:

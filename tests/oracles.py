@@ -2,14 +2,16 @@
 
 Nothing in `tbshift` calls these.  The oracles solve each problem the
 literal way, so the tests can hold a fast path against them: the
-coboundary witness against `literal_coboundary_witness`, the pruned
-isomorphism search and `check_conditions` against `enumerate_isomorphisms`
-with `phase_conditions`, the integer evaluation of bilinear cocycles
-against `phase_bilinear_value` and of characters against
-`phase_character_value`, `TableCocycle.validate`'s generator triples
-against the scan of all triples in `cocycle_identity_failure`, the
-swap-kernel flow against the product W_t x W_t^* with `flow_unitary`, and
-the intertwiner's int terms and the int twists `configs.mu_tilde` and
+coboundary witness against `literal_coboundary_witness` and against its
+Phase walk `phase_coboundary_witness`, the pruned isomorphism search and
+`check_conditions` against `enumerate_isomorphisms` with
+`phase_conditions`, the integer evaluation of bilinear cocycles against
+`phase_bilinear_value` and of characters against `phase_character_value`,
+the star form against `phase_star_form`, `TableCocycle.validate`'s
+integer scans against their Phase form `phase_validate` and its generator
+triples against the scan of all triples in `cocycle_identity_failure`,
+the swap-kernel flow against the product W_t x W_t^* with `flow_unitary`,
+and the intertwiner's int terms and the int twists `configs.mu_tilde` and
 `configs.telescoped` against their Phase sums `phase_pi`, `mu_tilde` and
 `mu_hat`.
 """
@@ -38,7 +40,7 @@ from tbshift.algebra import (
     malleability_unitary,
 )
 from tbshift.classify import _pool_ranges
-from tbshift.cocycle import BilinearCocycle, trivial_cocycle
+from tbshift.cocycle import BilinearCocycle, CocycleError, trivial_cocycle
 from tbshift.configs import Config
 from tbshift.dynamics import Triplet
 from tbshift.lattice import AffineSL2, LatticePoint, mat_apply, spiral_index
@@ -135,6 +137,69 @@ def literal_coboundary_witness(mu1, mu2) -> Optional[dict]:
     return witness
 
 
+def phase_coboundary_witness(mu1, mu2) -> Optional[dict]:
+    """`coboundary_witness`'s path recursion, walked and checked in Phases.
+
+    nu = mu1 - mu2 is read value by value.  An asymmetric nu is refused
+    before the walk; b(e_i) is S_i/n_i, S_i = sum_{k<n_i} nu(k*e_i, e_i)
+    read in [0, 1); each other x takes b(x - e_i) + b(e_i) - nu(x - e_i,
+    e_i), i the last nonzero coordinate of x; and the |H|^2 equations
+    decide.
+    """
+    group = mu1.group
+    elems = list(group.elements())
+
+    def nu(g: AbElem, h: AbElem) -> Phase:
+        return mu1(g, h) - mu2(g, h)
+
+    for g, h in itertools.combinations(elems[1:], 2):
+        if nu(g, h) != nu(h, g):
+            return None
+    gens = group.generators()
+    step = []
+    for e, n in zip(gens, group.torsion):
+        s, x = Phase.ZERO, group.zero()
+        for _ in range(n):
+            s, x = s + nu(x, e), x + e
+        step.append(Phase(s.num, s.den * n))
+    witness = {elems[0]: Phase.ZERO}
+    for x in elems[1:]:
+        i = max(k for k, c in enumerate(x.coords) if c)
+        y = x - gens[i]
+        witness[x] = witness[y] + step[i] - nu(y, gens[i])
+    for g in elems:
+        for h in elems:
+            if witness[g] + witness[h] - witness[g + h] != nu(g, h):
+                return None
+    return witness
+
+
+# -- Phase validation of a table ------------------------------------------------
+
+
+def phase_validate(table) -> None:
+    """`TableCocycle.validate` read value by value: the missing-entry,
+    normalization and generator-triple scans, in its loop order and with
+    its messages, adding the Phases of the table's own `__call__`."""
+    g_all = list(table.group.elements())
+    for g in g_all:
+        for h in g_all:
+            if (g.coords, h.coords) not in table.entries:
+                raise CocycleError("table", f"missing entry ({g.coords}, {h.coords})")
+    zero = table.group.zero()
+    for g in g_all:
+        if not table(g, zero).is_zero or not table(zero, g).is_zero:
+            raise CocycleError("normalization", f"value at ({g.coords}, 0) is not 1")
+    gens = table.group.generators()
+    for g in g_all:
+        for h in g_all:
+            gh = table(g, h)
+            for k in gens:
+                if gh + table(g + h, k) != table(h, k) + table(g, h + k):
+                    raise CocycleError("cocycle-identity",
+                                       f"fails at {(g.coords, h.coords, k.coords)}")
+
+
 # -- Phase evaluation of the forms -------------------------------------------
 
 
@@ -155,6 +220,18 @@ def phase_bilinear_value(form, g: AbElem, h: AbElem) -> Phase:
                         den *= step
                     num += gi * p.num * hj * (den // q)
     return Phase(num, den)
+
+
+def phase_star_form(mu) -> tuple:
+    """The star form (A, D) from the Phases mu(e_i, e_j) - mu(e_j, e_i),
+    i < j: D is the lcm of their denominators, A_ij the phase times D and
+    A_ji = -A_ij."""
+    gens = mu.group.generators()
+    star = [[mu(x, y) - mu(y, x) if i < j else Phase.ZERO for j, y in enumerate(gens)]
+            for i, x in enumerate(gens)]
+    den = lcm(*(p.den for row in star for p in row))
+    up = [[p.num * (den // p.den) for p in row] for row in star]
+    return tuple(tuple(x - y for x, y in zip(row, col)) for row, col in zip(up, zip(*up))), den
 
 
 def phase_character_value(chi: Character, g: AbElem) -> Phase:

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given
@@ -30,6 +31,23 @@ def test_element_arithmetic_examples():
     z = AbGroup(1)
     assert (z.element((5,)) + (-z.element((5,)))).is_zero
     assert (-g33.element((1, 0))).coords == (2, 0)
+
+
+@pytest.mark.parametrize("torsion", [(2,), (3, 4), (2, 2, 2), (4, 6)], ids=str)
+def test_addition_table_numbers_the_elements_in_their_order(torsion):
+    # the one numbering of H that the table cocycle's checks, the witness
+    # and the swap kernel read: add[i][j] is the number of g_i + g_j, and
+    # e_k is number prod(torsion[k+1:])
+    group = AbGroup(0, torsion)
+    elems, add = list(group.elements()), group.addition_table()
+    assert len(add) == len(elems) and all(len(row) == len(elems) for row in add)
+    for g, row in zip(elems, add):
+        for h, s in zip(elems, row):
+            assert elems[s] == g + h
+    for k, e in enumerate(group.generators()):
+        assert elems[math.prod(torsion[k + 1:])] == e
+    with pytest.raises(ValueError):
+        AbGroup(1, torsion).addition_table()
 
 
 def test_group_invariants():

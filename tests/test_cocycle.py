@@ -15,8 +15,12 @@ from oracles import (
     det_form_cocycle,
     literal_coboundary_witness,
     phase_bilinear_value,
+    phase_coboundary_witness,
+    phase_star_form,
+    phase_validate,
 )
 from tbshift.abelian import AbGroup
+from tbshift.algebra import malleability_unitary
 from tbshift.cocycle import (
     BilinearCocycle,
     CocycleError,
@@ -31,7 +35,7 @@ from tbshift.cocycle import (
     trivial_cocycle,
 )
 from tbshift.families import mod_q_cocycle
-from tbshift.scalars import Phase
+from tbshift.scalars import Cyclotomic, Phase
 from tbshift.selftest import _random_bilinear, witness_catalog
 
 
@@ -108,12 +112,45 @@ def test_validate_on_generator_triples_matches_the_full_scan(torsion, seed, num,
     assert table(g, h) + table(g + h, k) != table(h, k) + table(g, h + k)
 
 
+def _outcome(check, *args):
+    """The message of the CocycleError that check(*args) raises, or None."""
+    try:
+        check(*args)
+    except CocycleError as error:
+        return str(error)
+    return None
+
+
+@given(st.sampled_from(SMALL_GROUPS), st.integers(0, 2**32),
+       st.sampled_from(["missing", "normalization", "perturbed"]), st.integers(1, 11),
+       st.integers(2, 12))
+@settings(max_examples=150, deadline=None)
+def test_validate_matches_the_phase_scans(torsion, seed, mutation, num, den):
+    # one entry missing, moved off the normalization row or column, or
+    # perturbed anywhere: the integer scans say what the Phase scans say,
+    # with the same message, so the first failure printed stays the same
+    rng = random.Random(seed)
+    group = AbGroup(0, torsion)
+    mu = _random_bilinear(rng, group)
+    shift = coboundary_cocycle(group, random_phase_map(rng, group, 8))
+    entries = dict(table_from_function(group, lambda g, h: mu(g, h) + shift(g, h)).entries)
+    g, zero = rng.choice(list(group.elements())).coords, group.zero().coords
+    key = rng.choice([(g, zero), (zero, g)]) if mutation == "normalization" else rng.choice(list(entries))
+    if mutation == "missing":
+        del entries[key]
+    else:
+        entries[key] = entries[key] + Phase(num, den)
+    table = TableCocycle(group, entries)
+    assert _outcome(table.validate) == _outcome(phase_validate, table)
+
+
 def test_validate_runs_in_time_quadratic_in_the_group(rng):
-    # (Z/4)^3: the scan of all triples takes seconds, the 64^2 * 3
-    # generator triples a fraction of one
-    table = to_table(_random_bilinear(rng, AbGroup(0, (4, 4, 4))))
-    with deadline(1.5):
-        table.validate()
+    # (Z/4)^3 and (Z/4)^4: the scan of all triples takes seconds, the
+    # |H|^2 * rank generator triples on the integer table a fraction of one
+    for torsion in ((4, 4, 4), (4, 4, 4, 4)):
+        table = to_table(_random_bilinear(rng, AbGroup(0, torsion)))
+        with deadline(1.5):
+            table.validate()
 
 
 def test_cocycle_identity_for_bilinear_samples(rng):
@@ -141,6 +178,17 @@ def test_star_bicharacter_examples():
     star_c = star_bicharacter(det_form_cocycle(theta))
     doubled = det_form_cocycle(theta + theta)
     assert star_c.matrix == doubled.matrix
+    # a den-24 table, mu3 plus a coboundary of den 8, keeps mu3's (A, 3)
+    shifted = _den_24_table(random.Random(24))
+    assert shifted.den == 24
+    assert (star_bicharacter(shifted).ints, star_bicharacter(shifted).den) == (star.ints, 3)
+
+
+def _den_24_table(rng):
+    """mod_q_cocycle(3) plus the coboundary of a den-8 phase map, as a table."""
+    mu = mod_q_cocycle(3)
+    shift = coboundary_cocycle(mu.group, random_phase_map(rng, mu.group, 8))
+    return table_from_function(mu.group, lambda g, h: mu(g, h) + shift(g, h))
 
 
 def test_star_bicharacter_antisymmetric_bilinear(rng):
@@ -223,6 +271,19 @@ def test_witness_oracle_agrees_with_star_criterion(rng):
     for mu1, mu2 in pairs:
         fast = cohomologous(mu1, mu2)
         assert fast == (coboundary_witness(mu1, mu2) is not None)
+
+
+def test_coboundary_witness_matches_the_phase_walk(rng):
+    # the same b, value for value and in the same order, as the cohom API
+    # prints it; the catalog shifts by den-8 coboundaries, den-3 forms too
+    pairs = witness_catalog(rng, 80)
+    found = Counter()
+    for mu1, mu2 in pairs:
+        witness, phase = coboundary_witness(mu1, mu2), phase_coboundary_witness(mu1, mu2)
+        assert witness == phase
+        assert witness is None or list(witness) == list(phase)
+        found[witness is not None, mu1.den == 3 and mu2.den == 24] += 1
+    assert all(found[yes, den_24] for yes in (True, False) for den_24 in (True, False))
 
 
 ORDER_64_SHAPES = [(8, 8), (4, 4, 4), (2, 4, 8), (2,) * 6]
@@ -438,3 +499,53 @@ def test_exponent_table_matches_the_values(rng, torsion):
         for g, row in zip(elems, exps):
             for h, e in zip(elems, row):
                 assert 0 <= e < mu.den and Phase(e, mu.den) == mu(g, h)
+
+
+def test_cocycle_consumers_evaluate_no_cocycle_value(rng, monkeypatch):
+    # every consumer reads the integer forms: its answers, taken from the
+    # Phase definitions first, hold with both __call__ methods raising
+    z, half = Phase.ZERO, Phase(1, 2)
+    symplectic = [[z] * 4 for _ in range(4)]
+    symplectic[0][1] = symplectic[2][3] = half
+    cocycles = [mod_q_cocycle(3), _den_24_table(rng),
+                to_table(BilinearCocycle(AbGroup(0, (2, 4)), ((z, half), (z, Phase(1, 4))))),
+                trivial_cocycle(AbGroup(0, (2, 4))), BilinearCocycle(AbGroup(0, (2,) * 4), symplectic),
+                BilinearCocycle(AbGroup(1, (2,)), ((Phase(1, 3), half), (z, half))),
+                det_form_cocycle(Phase(1, 16))]
+    finite = [mu for mu in cocycles if mu.group.is_finite]
+    stars = [phase_star_form(mu) for mu in cocycles]
+    pairs = [(finite[0], finite[1]), (finite[1], finite[0]), (finite[2], finite[3]),
+             (finite[0], to_table(trivial_cocycle(finite[0].group)))]
+    same = [phase_star_form(a) == phase_star_form(b) for a, b in pairs]
+    witnesses = [phase_coboundary_witness(a, b) for a, b in pairs]
+    degenerate = [
+        next((g for g in mu.group.elements() if not g.is_zero
+              and all((mu(g, h) - mu(h, g)).is_zero for h in mu.group.elements())), None)
+        for mu in finite
+    ]
+    unitaries = [None if w else {(h, -h): Cyclotomic.from_phase(-mu(h, -h)) for h in mu.group.elements()}
+                 for mu, w in zip(finite, degenerate)]
+    good = _den_24_table(rng)
+    tables = [good, TableCocycle(good.group, {**good.entries, ((1, 2), (0, 0)): Phase(1, 5)}),
+              TableCocycle(good.group, {**good.entries, ((1, 2), (2, 1)): Phase(1, 5)}),
+              TableCocycle(good.group, {k: v for k, v in good.entries.items() if k != ((2, 0), (0, 1))})]
+    messages = [_outcome(phase_validate, table) for table in tables]
+    assert messages[0] is None and all(messages[1:])
+    assert sum(w is None for w in witnesses) == 2 and sum(u is None for u in unitaries) == 2
+
+    def never(mu, g, h):
+        raise AssertionError("a consumer evaluated the cocycle")
+
+    monkeypatch.setattr(BilinearCocycle, "__call__", never)
+    monkeypatch.setattr(TableCocycle, "__call__", never)
+    assert [(s.ints, s.den) for s in map(star_bicharacter, cocycles)] == stars
+    assert [cohomologous(a, b) for a, b in pairs] == same
+    assert [coboundary_witness(a, b) for a, b in pairs] == witnesses
+    assert [degeneracy_witness(mu) for mu in finite] == degenerate
+    for mu, terms in zip(finite, unitaries):
+        if terms is None:
+            with pytest.raises(ValueError, match="degenerate"):
+                malleability_unitary(mu)
+        else:
+            assert malleability_unitary(mu).terms == terms
+    assert [_outcome(table.validate) for table in tables] == messages
