@@ -42,12 +42,10 @@ from .cocycle import (
     BilinearCocycle,
     CocycleError,
     TableCocycle,
-    coboundary_cocycle,
     coboundary_witness,
     cohomologous,
     degeneracy_witness,
     star_bicharacter,
-    to_table,
     trivial_cocycle,
 )
 from .configs import Config, dipole, mu_tilde, telescoped

@@ -22,7 +22,9 @@ a non-integer t as one integer accumulation: W_t's four coefficients,
 read in closed form from t as exponent lists, are folded into the pair
 loop over tables of the finite group and of the twist, with int
 coefficient rotations in place of Cyclotomic products, and no
-intermediate element is built.  The twist table is the cocycle's own
+intermediate element is built.  It reads coefficients as their public
+int form (`ints` over `den`) and makes each output coefficient once by
+the public constructor `Cyclotomic(order, ints, den)`.  The twist table is the cocycle's own
 integer form (`exponent_table`; running sums for a bilinear cocycle), so
 building the kernel evaluates no value of mu.  The generic product loop
 of the base class stays the reference the tests compare y V with, and
@@ -44,7 +46,7 @@ from typing import Dict
 from .abelian import AbElem, Character, dual_character
 from .cocycle import degeneracy_witness
 from .configs import Config, mu_tilde
-from .scalars import Cyclotomic, _make, _reduce
+from .scalars import Cyclotomic
 
 
 class _TwistedGroupAlgebra:
@@ -251,8 +253,8 @@ def _flip(x: TensorElement) -> TensorElement:
 
 def _lift(c: Cyclotomic, order: int, den: int) -> list:
     """The nonzero terms of c as (exponent of zeta_order, numerator over den)."""
-    sc, sd = order // c.order, den // c._den
-    return [(k * sc, a * sd) for k, a in enumerate(c._num) if a]
+    sc, sd = order // c.order, den // c.den
+    return [(k * sc, a * sd) for k, a in enumerate(c.ints) if a]
 
 
 def _times(cs: list, ss: list, order: int) -> list:
@@ -311,8 +313,8 @@ class _SwapKernel:
         one triple (0, 0, 0): u(i, j) u(0, 0) = u(i, j), mu being
         normalized, so a plain term is rotated by 0.  The numerators of cs
         are over den and its exponents of zeta_order.  Each output key
-        gets one int vector mod x^order - 1, reduced mod Phi_order and made
-        a Cyclotomic once.
+        gets one int vector mod x^order - 1, which the Cyclotomic
+        constructor reduces mod Phi_order once.
         """
         n = len(self.elems)
         add, twist, step = self.add, self.twist, order // self.conductor
@@ -331,17 +333,17 @@ class _SwapKernel:
         elems = self.elems
         out = {}
         for key, vec in acc.items():
-            _reduce(vec, order)
-            if any(vec):
+            c = Cyclotomic(order, vec, den)
+            if c:
                 i, j = divmod(key, n)
-                out[(elems[i], elems[j])] = _make(order, vec, den)
+                out[(elems[i], elems[j])] = c
         return TensorElement(self.mu, out)
 
     def times_v(self, y: TensorElement) -> TensorElement:
         """y V, equal to the generic TensorElement product."""
         terms = self._terms(y)
         order = lcm(self.conductor, *{c.order for _, _, c in terms})
-        den = lcm(*{c._den for _, _, c in terms})
+        den = lcm(*{c.den for _, _, c in terms})
         v = self.v
         return self._accumulate([(i, j, _lift(c, order, den), v) for i, j, c in terms],
                                 order, den)
@@ -366,14 +368,15 @@ class _SwapKernel:
         terms = self._terms(x)
         k, q = (t / 2).numerator, (t / 2).denominator  # e = zeta_q^k
         order = lcm(self.conductor, q, *{c.order for _, _, c in terms})
-        xden = lcm(*{c._den for _, _, c in terms})
-        s, step = self.scale, order // q
+        xden = lcm(*{c.den for _, _, c in terms})
+        s = self.scale
 
         def lifted(c0: int, c1: int, c2: int) -> list:
-            # c0 + c1 e + c2/e reduced mod Phi_q, as exponents of zeta_order
+            # c0 + c1 e + c2/e reduced mod Phi_q, as exponents of zeta_order;
+            # over den 1 no common factor is taken out
             vec = [0] * q
             vec[0], vec[k % q], vec[-k % q] = c0, c1, c2
-            return [(p * step, a) for p, a in enumerate(_reduce(vec, q)) if a]
+            return _lift(Cyclotomic(q, vec, 1), order, 1)
 
         aa, bb, ab = lifted(2 * s, s, s), lifted(2 * s, -s, -s), lifted(0, 1, -1)
         ba = [(p, -a) for p, a in ab]

@@ -274,14 +274,15 @@ def _unsearchable(ga: AbGroup, gb: AbGroup, bound: Optional[int]) -> str:
 
 
 def _matching_isomorphisms(
-    ta: Triplet, tb: Triplet, bound: Optional[int] = None, forms: Optional[tuple] = None
+    ga: AbGroup, gb: AbGroup, forms: tuple, bound: Optional[int] = None
 ) -> Iterator[AbHom]:
-    """Every isomorphism H_a -> H_b meeting both conditions, lazily.
+    """Every isomorphism ga -> gb meeting both conditions of `forms`, lazily.
 
-    Backtracks over generator images as raw coordinates, comparing their
-    dot products with the integer rows of the `_integer_forms` (by default
-    the triplets') mod one denominator; no AbElem or Phase is built before
-    a hit.  The pool of generator g_j holds the x in the product of its
+    forms is (D, (A_a, c_a), (A_b, c_b)), as `_integer_forms` lifts two
+    triplets: the search reads nothing else of them.  It backtracks over
+    generator images as raw coordinates, comparing their dot products
+    with those integer rows mod D; no AbElem or Phase is built before a
+    hit.  The pool of generator g_j holds the x in the product of its
     `_pool_ranges` with chi_b^2(x) = chi_a^2(g_j).  It is drawn lazily:
     the first node at depth j keeps each candidate as it draws it, and
     later nodes re-read what is kept before drawing more, so a YES at the
@@ -289,19 +290,19 @@ def _matching_isomorphisms(
     keeps nothing.  Between finite groups a candidate x_j must add a
     direct summand of order ord(g_j) to the span of the earlier images,
     held as `hermite_mod` rows: `order_mod(x_j, span)` = ord(g_j), as on
-    each prefix of an injective map.  Last, sb(x_i, x_j) = sa(g_i, g_j) for every earlier i; the star
-    forms are alternating, so these pairs settle all of them.  The cost of
-    a search that finds nothing is thus set by the pools, not by how
-    degenerate the star forms are.  The span cut is exact: a full tuple
-    spans a subgroup of order |H_a| = |H_b| (callers check the groups are
-    isomorphic), so only the bounded free-part search checks its tuples
-    with `is_isomorphism`.  The tests commute and each pool is walked in
-    product order, so the hits come out in the lexicographic order of the
-    product of the pools.  `bound` limits the free matrix entries and is
-    required when free parts are present.
+    each prefix of an injective map.  Last, sb(x_i, x_j) = sa(g_i, g_j)
+    for every earlier i; the star forms are alternating, so these pairs
+    settle all of them.  The cost of a search that finds nothing is thus
+    set by the pools, not by how degenerate the star forms are.  The span
+    cut is exact: a full tuple spans a subgroup of order |H_a| = |H_b|
+    (callers check the groups are isomorphic), so only the bounded
+    free-part search checks its tuples with `is_isomorphism`.  The tests
+    commute and each pool is walked in product order, so the hits come
+    out in the lexicographic order of the product of the pools.  `bound`
+    limits the free matrix entries and is required when free parts are
+    present.
     """
-    ga, gb = ta.group, tb.group
-    d, (star_a, chi_a), (star_b, chi_b) = forms or _integer_forms(ta, tb)
+    d, (star_a, chi_a), (star_b, chi_b) = forms
     cols_b = list(zip(*star_b))
     ranges = _pool_ranges(ga, gb, bound)
     finite = ga.is_finite and gb.is_finite
@@ -397,7 +398,7 @@ def decide_conjugacy(ta: Triplet, tb: Triplet, bound: Optional[int] = None) -> C
         return ConjugacyReport("UNKNOWN", None, {"cocycle": False, "character": False}, False,
                                refusal, how)
     if how != "invariants":
-        phi = next(_matching_isomorphisms(ta, tb, bound, forms), None)
+        phi = next(_matching_isomorphisms(ga, gb, forms, bound), None)
         if phi is not None:
             return ConjugacyReport("YES", phi, {"cocycle": True, "character": True}, finite,
                                    decided_by=how)
@@ -405,7 +406,7 @@ def decide_conjugacy(ta: Triplet, tb: Triplet, bound: Optional[int] = None) -> C
     def found(a: tuple, b: tuple) -> Optional[bool]:
         if refusal:
             return None
-        return next(_matching_isomorphisms(ta, tb, bound, (d, a, b)), None) is not None
+        return next(_matching_isomorphisms(ga, gb, (d, a, b), bound), None) is not None
 
     none_a, none_b = [0] * ga.rank, [0] * gb.rank
     checks = {
@@ -451,7 +452,7 @@ def centralizer(t: Triplet, bound: Optional[int] = None) -> CentralizerReport:
     refusal = _unsearchable(group, group, bound)
     if refusal:
         return CentralizerReport("UNKNOWN", (), None, False, refusal)
-    found = tuple(_matching_isomorphisms(t, t, bound, forms))
+    found = tuple(_matching_isomorphisms(group, group, forms, bound))
     if group.is_finite:
         structure = group_structure(found, lambda a, b: a.compose(b))
         return CentralizerReport("OK", found, structure, True)

@@ -9,13 +9,14 @@ a finite group their whole table over it (`exponent_table`), indexed by
 the numbers of `AbGroup.elements()`, whose sums `addition_table` gives.
 Every consumer reads mu in these ints, never as a Phase: the star form
 and the configuration twists by `exponent`, table validation, the
-coboundary witness and the swap kernel by the two tables; the Phase
-`__call__` only builds tables (`to_table`).  The star bicharacter
-mu(g, h) - mu(h, g), one integer matrix over one denominator
-(`Bicharacter`), classifies a cocycle up to coboundary; that fact is
-cross-checked at test scale rather than assumed: `coboundary_witness`
-builds a candidate b with mu1 - mu2 = b(g) + b(h) - b(g+h) by recursion
-along paths of generator steps, and the check of every equation decides.
+coboundary witness, the swap kernel and the selftest's catalog of pairs
+by the two tables; only the tests' reference tables read the Phase
+`__call__`.  The star bicharacter mu(g, h) - mu(h, g), one integer
+matrix over one denominator (`Bicharacter`), classifies a cocycle up to
+coboundary; that fact is cross-checked at test scale rather than
+assumed: `coboundary_witness` builds a candidate b with mu1 - mu2 =
+b(g) + b(h) - b(g+h) by recursion along paths of generator steps, and
+the check of every equation decides.
 """
 
 from __future__ import annotations
@@ -177,28 +178,6 @@ class TableCocycle:
 def trivial_cocycle(group: AbGroup) -> BilinearCocycle:
     r = group.rank
     return BilinearCocycle(group, tuple(tuple(Phase.ZERO for _ in range(r)) for _ in range(r)))
-
-
-def table_from_function(group: AbGroup, fn) -> TableCocycle:
-    elems = list(group.elements())
-    entries = {(g.coords, h.coords): fn(g, h) for g in elems for h in elems}
-    return TableCocycle(group, entries)
-
-
-def to_table(mu) -> TableCocycle:
-    return table_from_function(mu.group, lambda g, h: mu(g, h))
-
-
-def coboundary_cocycle(group: AbGroup, b: dict) -> TableCocycle:
-    """The coboundary (g, h) -> b(g) + b(h) - b(g+h) of a phase map b on G."""
-
-    def value(g: AbElem, h: AbElem) -> Phase:
-        return b[g] + b[h] - b[g + h]
-
-    if group.zero() not in b or not b[group.zero()].is_zero:
-        b = dict(b)
-        b[group.zero()] = Phase.ZERO
-    return table_from_function(group, value)
 
 
 @dataclass(frozen=True)

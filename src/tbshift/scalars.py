@@ -9,8 +9,11 @@ Both run on plain ints.  A Phase is a reduced pair of ints.  A Cyclotomic
 is a vector of int numerators over one common positive int denominator,
 the form GAP uses for cyclotomics (Breuer, "Integral bases for subfields
 of cyclotomic fields", AAECC 8, 1997); Phi_N is monic, so reducing a
-product modulo Phi_N never leaves the integers.  Fraction appears only at
-the edges: parsing, the public coeffs view and str().
+product modulo Phi_N never leaves the integers.  That int form is also
+the one public way in: Cyclotomic(N, ints, den) takes N int numerators
+of the powers of zeta_N over one denominator and reduces them once.
+Fraction appears only at the edges: parsing, a rational value or scale
+(from_rational, a product with a Fraction) and the coeffs view.
 """
 
 from __future__ import annotations
@@ -91,23 +94,6 @@ Phase.ZERO = Phase(0, 1)
 
 
 @lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    if n < 1:
-        raise ValueError("euler_phi needs n >= 1")
-    result = n
-    m, p = n, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple:
     """Integer coefficients of Phi_n, low degree first.
 
@@ -164,7 +150,7 @@ def _make(order: int, num, den: int) -> "Cyclotomic":
         den //= g
     x = object.__new__(Cyclotomic)
     _set_order(x, order)
-    _set_num(x, tuple(num))
+    _set_ints(x, tuple(num))
     _set_den(x, den)
     return x
 
@@ -172,29 +158,29 @@ def _make(order: int, num, den: int) -> "Cyclotomic":
 class Cyclotomic:
     """Exact element of Q(zeta_N) in canonical reduced form.
 
-    The number is sum_i (_num[i] / _den) z^i over the basis 1, z, ...,
-    z^{phi(N)-1} of Q(zeta_N), z = zeta_N = e^{2*pi*i/N}: a tuple of int
-    numerators over one positive int denominator, with the gcd of all of
-    them 1 (zero is (0, ...)/1).  That form is unique, so elements of one
-    order are equal iff their (_den, _num) agree; elements of different
-    orders are compared after rebasing to the lcm of the orders.  Products
-    and sums run on ints; reduction modulo the monic Phi_N stays integral.
-    coeffs gives the same coefficients as Fractions.  Instances are
-    immutable.
+    Cyclotomic(N, ints, den) is sum_k ints[k] z^k / den, z = zeta_N =
+    e^{2*pi*i/N}, for exactly N int numerators and an int den > 0.  It is
+    reduced once modulo Phi_N and stored over the basis 1, z, ...,
+    z^{phi(N)-1} of Q(zeta_N): the read-only `ints`, phi(N) numerators,
+    over `den`, with the gcd of all of them 1 (zero is (0, ...)/1).  That
+    form is unique, so elements of one order are equal iff their (den,
+    ints) agree; elements of different orders are compared after rebasing
+    to the lcm of the orders.  Products and sums run on ints; reduction
+    modulo the monic Phi_N stays integral.  coeffs gives the same
+    coefficients as Fractions.  Instances are immutable.
     """
 
-    __slots__ = ("order", "_num", "_den")
+    __slots__ = ("order", "ints", "den")
 
-    def __new__(cls, order: int, coeffs) -> "Cyclotomic":
-        # phi(N) >= sqrt(N/2): a list this short is wrong without factoring N
-        if 2 * len(coeffs) ** 2 < order:
-            raise ValueError(f"order {order} needs more than {len(coeffs)} coefficients")
-        want = euler_phi(order)
-        if len(coeffs) != want:
-            raise ValueError(f"order {order} needs {want} coefficients")
-        fracs = [Fraction(c) for c in coeffs]
-        den = lcm(*(f.denominator for f in fracs))
-        return _make(order, [f.numerator * (den // f.denominator) for f in fracs], den)
+    def __new__(cls, order: int, ints, den: int) -> "Cyclotomic":
+        # checked before Phi_N is built, which takes long for a large N
+        if order < 1:
+            raise ValueError(f"order must be positive, got {order}")
+        if len(ints) != order:
+            raise ValueError(f"order {order} takes {order} coefficients, got {len(ints)}")
+        if den < 1:
+            raise ValueError(f"denominator must be positive, got {den}")
+        return _make(order, _reduce(list(ints), order), den)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Cyclotomic is immutable: cannot set {name!r}")
@@ -204,7 +190,7 @@ class Cyclotomic:
 
     @property
     def coeffs(self) -> tuple:
-        return tuple(Fraction(c, self._den) for c in self._num)
+        return tuple(Fraction(c, self.den) for c in self.ints)
 
     def __repr__(self) -> str:
         return f"Cyclotomic(order={self.order}, coeffs={self.coeffs!r})"
@@ -212,7 +198,7 @@ class Cyclotomic:
     @staticmethod
     def from_rational(value) -> "Cyclotomic":
         f = Fraction(value)
-        return _make(1, (f.numerator,), f.denominator)
+        return Cyclotomic(1, (f.numerator,), f.denominator)
 
     @staticmethod
     def from_phase(p: Phase) -> "Cyclotomic":
@@ -224,7 +210,7 @@ class Cyclotomic:
 
     @property
     def is_zero(self) -> bool:
-        return not any(self._num)
+        return not any(self.ints)
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -246,9 +232,9 @@ class Cyclotomic:
         """self in Q(zeta_m) times zeta_m^shift: one shift of the power
         basis, reduced once mod Phi_m."""
         step = m // self.order
-        out = [0] * ((len(self._num) - 1) * step + shift + 1)
-        out[shift::step] = self._num
-        return _make(m, _reduce(out, m), self._den)
+        out = [0] * ((len(self.ints) - 1) * step + shift + 1)
+        out[shift::step] = self.ints
+        return _make(m, _reduce(out, m), self.den)
 
     def _common(self, other: "Cyclotomic") -> tuple:
         if self.order == other.order:
@@ -262,37 +248,37 @@ class Cyclotomic:
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         a, b, _ = self._common(other)
-        return a._den == b._den and a._num == b._num
+        return a.den == b.den and a.ints == b.ints
 
     def __add__(self, other: "Cyclotomic") -> "Cyclotomic":
         a, b, m = self._common(other)
-        den = lcm(a._den, b._den)
-        fa, fb = den // a._den, den // b._den
-        return _make(m, [x * fa + y * fb for x, y in zip(a._num, b._num)], den)
+        den = lcm(a.den, b.den)
+        fa, fb = den // a.den, den // b.den
+        return _make(m, [x * fa + y * fb for x, y in zip(a.ints, b.ints)], den)
 
     def __neg__(self) -> "Cyclotomic":
-        return _make(self.order, [-c for c in self._num], self._den)
+        return _make(self.order, [-c for c in self.ints], self.den)
 
     def __sub__(self, other: "Cyclotomic") -> "Cyclotomic":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return _make(self.order, [c * other for c in self._num], self._den)
+            return _make(self.order, [c * other for c in self.ints], self.den)
         if isinstance(other, Fraction):
             k = other.numerator
-            return _make(self.order, [c * k for c in self._num], self._den * other.denominator)
+            return _make(self.order, [c * k for c in self.ints], self.den * other.denominator)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         a, b, m = self._common(other)
-        bn = b._num
-        prod = [0] * (len(a._num) + len(bn) - 1)
-        for i, x in enumerate(a._num):
+        bn = b.ints
+        prod = [0] * (len(a.ints) + len(bn) - 1)
+        for i, x in enumerate(a.ints):
             if x:
                 for j, y in enumerate(bn, i):
                     if y:
                         prod[j] += x * y
-        return _make(m, _reduce(prod, m), a._den * b._den)
+        return _make(m, _reduce(prod, m), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -302,29 +288,14 @@ class Cyclotomic:
         if n == 1:
             return self
         out = [0] * n
-        for i, c in enumerate(self._num):
+        for i, c in enumerate(self.ints):
             out[-i % n] += c
-        return _make(n, _reduce(out, n), self._den)
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*z{self.order}")
-            else:
-                parts.append(f"{c}*z{self.order}^{i}")
-        return " + ".join(parts)
+        return Cyclotomic(n, out, self.den)
 
 
 _set_order = Cyclotomic.order.__set__
-_set_num = Cyclotomic._num.__set__
-_set_den = Cyclotomic._den.__set__
+_set_ints = Cyclotomic.ints.__set__
+_set_den = Cyclotomic.den.__set__
 
 Cyclotomic.ZERO = Cyclotomic.from_rational(0)
 Cyclotomic.ONE = Cyclotomic.from_rational(1)

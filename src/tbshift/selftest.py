@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Dict, List, Optional
 
 from .abelian import AbGroup, AbHom, Character, dual_characters
@@ -21,10 +21,8 @@ from .classify import build_pi, verify_pi
 from .cocycle import (
     BilinearCocycle,
     TableCocycle,
-    coboundary_cocycle,
     coboundary_witness,
     cohomologous,
-    to_table,
     trivial_cocycle,
 )
 from .configs import Config, dipole
@@ -124,7 +122,14 @@ def suite_detgcd(rng: random.Random) -> dict:
 def witness_catalog(rng: random.Random, count: int) -> list:
     """Pairs of cocycles over groups of order <= 16, mixing cohomologous
     (explicit coboundary shifts) and non-cohomologous (distinct bilinear
-    classes) cases, in table form."""
+    classes) cases, in table form.
+
+    The left side is a random bilinear cocycle's `exponent_table`; the
+    right one another's (or the same, or the trivial one) plus the
+    coboundary b(g) + b(h) - b(g + h) of a random b with values in
+    (1/8)Z/Z, b(0) = 0, as ints over m = lcm(8, den) added through the
+    group's `addition_table`.
+    """
     shapes = [(2, 2), (4,), (3,), (3, 3), (2, 4), (5,), (2, 2, 2), (13,)]
     pairs = []
     while len(pairs) < count:
@@ -137,18 +142,20 @@ def witness_catalog(rng: random.Random, count: int) -> list:
             other = _random_bilinear(rng, group)
         else:
             other = trivial_cocycle(group)
-        b = {
-            g: Phase(rng.randrange(8), 8) if not g.is_zero else Phase.ZERO
-            for g in group.elements()
-        }
-        shifted = coboundary_cocycle(group, b)
-        left = to_table(base)
-        right = to_table(other)
-        lifted = {
-            key: right.entries[key] + shifted.entries[key] for key in right.entries
-        }
-        pairs.append((left, TableCocycle(group, lifted)))
+        m = lcm(8, other.den)
+        s, c = m // other.den, m // 8
+        b = [0] + [c * rng.randrange(8) for _ in range(group.order() - 1)]
+        lifted = [[s * t + b_g + b_h - b[gh] for t, b_h, gh in zip(row, b, add_g)]
+                  for row, b_g, add_g in zip(other.exponent_table(), b, group.addition_table())]
+        pairs.append((_table(group, base.exponent_table(), base.den), _table(group, lifted, m)))
     return pairs
+
+
+def _table(group: AbGroup, rows: list, den: int) -> TableCocycle:
+    """The TableCocycle of the int table rows over den, by the numbers of `elements()`."""
+    elems = [g.coords for g in group.elements()]
+    return TableCocycle(group, {(g, h): Phase(v, den)
+                                for g, row in zip(elems, rows) for h, v in zip(elems, row)})
 
 
 def _random_bilinear(rng: random.Random, group: AbGroup) -> BilinearCocycle:

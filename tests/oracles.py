@@ -13,7 +13,9 @@ triples against the scan of all triples in `cocycle_identity_failure`,
 the swap-kernel flow against the product W_t x W_t^* with `flow_unitary`,
 and the intertwiner's int terms and the int twists `configs.mu_tilde` and
 `configs.telescoped` against their Phase sums `phase_pi`, `mu_tilde` and
-`mu_hat`.
+`mu_hat`.  Tables evaluated from mu (`to_table`, `table_from_function`,
+`coboundary_cocycle`) are the reference for the integer tables, as
+`phase_witness_catalog` is for `selftest.witness_catalog`.
 """
 
 from __future__ import annotations
@@ -40,12 +42,13 @@ from tbshift.algebra import (
     malleability_unitary,
 )
 from tbshift.classify import _pool_ranges
-from tbshift.cocycle import BilinearCocycle, CocycleError, trivial_cocycle
+from tbshift.cocycle import BilinearCocycle, CocycleError, TableCocycle, trivial_cocycle
 from tbshift.configs import Config
 from tbshift.dynamics import Triplet
 from tbshift.lattice import AffineSL2, LatticePoint, mat_apply, spiral_index
 from tbshift.linalg import _eliminate, identity_matrix
 from tbshift.scalars import Cyclotomic, Phase
+from tbshift.selftest import _random_bilinear
 
 # -- the elimination's full contract ------------------------------------------
 
@@ -172,6 +175,54 @@ def phase_coboundary_witness(mu1, mu2) -> Optional[dict]:
             if witness[g] + witness[h] - witness[g + h] != nu(g, h):
                 return None
     return witness
+
+
+# -- cocycle tables by evaluation ---------------------------------------------
+
+
+def table_from_function(group: AbGroup, fn) -> TableCocycle:
+    elems = list(group.elements())
+    entries = {(g.coords, h.coords): fn(g, h) for g in elems for h in elems}
+    return TableCocycle(group, entries)
+
+
+def to_table(mu) -> TableCocycle:
+    return table_from_function(mu.group, lambda g, h: mu(g, h))
+
+
+def coboundary_cocycle(group: AbGroup, b: dict) -> TableCocycle:
+    """The coboundary (g, h) -> b(g) + b(h) - b(g+h) of a phase map b on G."""
+
+    def value(g: AbElem, h: AbElem) -> Phase:
+        return b[g] + b[h] - b[g + h]
+
+    if group.zero() not in b or not b[group.zero()].is_zero:
+        b = dict(b)
+        b[group.zero()] = Phase.ZERO
+    return table_from_function(group, value)
+
+
+def phase_witness_catalog(rng, count: int) -> list:
+    """`selftest.witness_catalog` with the same draws, each table evaluated
+    from mu and each coboundary entry added as a Phase."""
+    shapes = [(2, 2), (4,), (3,), (3, 3), (2, 4), (5,), (2, 2, 2), (13,)]
+    pairs = []
+    while len(pairs) < count:
+        group = AbGroup(0, rng.choice(shapes))
+        base = _random_bilinear(rng, group)
+        pick = rng.randrange(3)
+        if pick == 0:
+            other = base
+        elif pick == 1:
+            other = _random_bilinear(rng, group)
+        else:
+            other = trivial_cocycle(group)
+        b = {g: Phase(rng.randrange(8), 8) if not g.is_zero else Phase.ZERO
+             for g in group.elements()}
+        shifted, right = coboundary_cocycle(group, b), to_table(other)
+        lifted = {key: right.entries[key] + shifted.entries[key] for key in right.entries}
+        pairs.append((to_table(base), TableCocycle(group, lifted)))
+    return pairs
 
 
 # -- Phase validation of a table ------------------------------------------------

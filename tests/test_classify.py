@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from oracles import (
     det_form_cocycle,
     enumerate_automorphisms,
@@ -303,12 +304,12 @@ def _pi_cases():
                       Character.trivial(mixed))
     t3 = mod_q_triplet(3)
     g3 = t3.group
-    shift = cocycle.coboundary_cocycle(g3, {x: Phase(x.coords[0] * x.coords[1] % 5, 5)
+    shift = oracles.coboundary_cocycle(g3, {x: Phase(x.coords[0] * x.coords[1] % 5, 5)
                                             for x in g3.elements()})
-    table_a = replace(t3, cocycle=cocycle.table_from_function(
+    table_a = replace(t3, cocycle=oracles.table_from_function(
         g3, lambda g, h: t3.cocycle(g, h) + Phase(h.coords[0] * g.coords[1], 3) + shift(g, h)))
-    eighths = cocycle.coboundary_cocycle(g3, {x: Phase(x.coords[0], 8) for x in g3.elements()})
-    table_b = Triplet(g3, cocycle.table_from_function(
+    eighths = oracles.coboundary_cocycle(g3, {x: Phase(x.coords[0], 8) for x in g3.elements()})
+    table_b = Triplet(g3, oracles.table_from_function(
         g3, lambda g, h: t3.cocycle(h, g) + eighths(g, h)), Character(g3, (Phase(2, 3), Phase(1, 3))))
     table_a.validate()
     table_b.validate()
@@ -780,7 +781,8 @@ def test_integer_search_matches_phase_checks_on_mixed_denominators():
         isos, _ = enumerate_isomorphisms(ta.group, tb.group)
         expected = [phi for phi in isos if all(phase_conditions(ta, tb, phi))]
         assert expected
-        assert list(classify._matching_isomorphisms(ta, tb)) == expected
+        forms = classify._integer_forms(ta, tb)
+        assert list(classify._matching_isomorphisms(ta.group, tb.group, forms)) == expected
 
 
 def test_check_conditions_matches_the_phase_oracle():
@@ -850,7 +852,8 @@ def test_finite_search_reaches_leaves_only_with_isomorphisms():
     report = decide_conjugacy(degenerate, standard)
     assert report.verdict == "NO" and report.checks == {"cocycle": False, "character": True}
     plain = [replace(t, cocycle=trivial_cocycle(group)) for t in (degenerate, standard)]
-    assert list(classify._matching_isomorphisms(degenerate, standard)) == []
-    assert list(classify._matching_isomorphisms(*plain)) == enumerate_automorphisms(group)
+    search = classify._matching_isomorphisms
+    assert list(search(group, group, classify._integer_forms(degenerate, standard))) == []
+    assert list(search(group, group, classify._integer_forms(*plain))) == enumerate_automorphisms(group)
     hits = centralizer(degenerate).elements
     assert hits and all(is_isomorphism(f) for f in hits)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import deadline
 from oracles import (
+    coboundary_cocycle,
     cocycle_identity_failure,
     det_form_cocycle,
     literal_coboundary_witness,
@@ -18,6 +19,9 @@ from oracles import (
     phase_coboundary_witness,
     phase_star_form,
     phase_validate,
+    phase_witness_catalog,
+    table_from_function,
+    to_table,
 )
 from tbshift.abelian import AbGroup
 from tbshift.algebra import malleability_unitary
@@ -25,13 +29,10 @@ from tbshift.cocycle import (
     BilinearCocycle,
     CocycleError,
     TableCocycle,
-    coboundary_cocycle,
     coboundary_witness,
     cohomologous,
     degeneracy_witness,
     star_bicharacter,
-    table_from_function,
-    to_table,
     trivial_cocycle,
 )
 from tbshift.families import mod_q_cocycle
@@ -271,6 +272,21 @@ def test_witness_oracle_agrees_with_star_criterion(rng):
     for mu1, mu2 in pairs:
         fast = cohomologous(mu1, mu2)
         assert fast == (coboundary_witness(mu1, mu2) is not None)
+
+
+def test_witness_catalog_matches_its_phase_built_form():
+    # the integer tables against tables evaluated from mu with Phase sums of
+    # the coboundary: from the same seed, the same entries in the same order
+    # pair for pair, and the same number of draws
+    for seed in range(10):
+        rng, phase_rng = random.Random(seed), random.Random(seed)
+        pairs, phase = witness_catalog(rng, 40), phase_witness_catalog(phase_rng, 40)
+        assert len(pairs) == len(phase) == 40
+        for got, want in zip(pairs, phase):
+            for table, reference in zip(got, want):
+                assert table.group == reference.group
+                assert list(table.entries.items()) == list(reference.entries.items())
+        assert rng.random() == phase_rng.random()
 
 
 def test_coboundary_witness_matches_the_phase_walk(rng):

@@ -1,15 +1,18 @@
 import pytest
 
 import oracles
-from oracles import act, config_items, moved_by, mu_hat, row_major_key
-from tbshift.abelian import AbGroup
-from tbshift.cocycle import (
-    BilinearCocycle,
+from oracles import (
+    act,
     coboundary_cocycle,
+    config_items,
+    moved_by,
+    mu_hat,
+    row_major_key,
     table_from_function,
     to_table,
-    trivial_cocycle,
 )
+from tbshift.abelian import AbGroup
+from tbshift.cocycle import BilinearCocycle, trivial_cocycle
 from tbshift.configs import Config, dipole, mu_tilde, telescoped
 from tbshift.families import mod_q_cocycle, mod_q_group
 from tbshift.lattice import E1, E2, ORIGIN, XI, DELTA, AffineSL2, LatticePoint, spiral_index

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from tbshift import scalars
 from tbshift.abelian import AbGroup
 from tbshift.cocycle import BilinearCocycle, _bilinear_value
-from tbshift.scalars import Cyclotomic, Phase, cyclotomic_polynomial, euler_phi
+from tbshift.scalars import Cyclotomic, Phase, cyclotomic_polynomial
 
 phases = st.builds(Phase, st.integers(-60, 60), st.integers(1, 24))
 
@@ -67,10 +67,6 @@ def test_cyclotomic_polynomial_values():
     for n in range(1, 151):
         expected = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
         assert cyclotomic_polynomial(n) == tuple(map(int, expected)), n
-
-
-def test_euler_phi_values():
-    assert [euler_phi(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
 
 
 def test_root_of_unity_examples():
@@ -186,13 +182,25 @@ def _random_raw(rng, n):
     return [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, 2 * n + 1))]
 
 
+def _degree(n):
+    """phi(n), the length of the power basis of Q(zeta_n)."""
+    return len(cyclotomic_polynomial(n)) - 1
+
+
 def _assert_canonical(x):
-    assert x._den > 0
-    assert len(x._num) == euler_phi(x.order)
-    assert gcd(x._den, *x._num) == 1
-    if not any(x._num):
-        assert x._den == 1
-    assert x.coeffs == tuple(Fraction(c, x._den) for c in x._num)
+    assert x.den > 0
+    assert len(x.ints) == _degree(x.order)
+    assert gcd(x.den, *x.ints) == 1
+    if not any(x.ints):
+        assert x.den == 1
+    assert x.coeffs == tuple(Fraction(c, x.den) for c in x.ints)
+
+
+def _cyc(n, coeffs):
+    """The Cyclotomic sum_i coeffs[i] zeta_n^i of at most n rational coefficients."""
+    den = lcm(*(Fraction(c).denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    return Cyclotomic(n, ints + [0] * (n - len(ints)), den)
 
 
 def _from_roots(raw, n):
@@ -208,7 +216,7 @@ def test_kernel_matches_sympy_in_one_field(n, rng):
     for _ in range(3):
         raw_a, raw_b = _random_raw(rng, n), _random_raw(rng, n)
         ra, rb = _reduced(raw_a, n), _reduced(raw_b, n)
-        a, b = Cyclotomic(n, ra), Cyclotomic(n, rb)
+        a, b = _cyc(n, ra), _cyc(n, rb)
         assert a.coeffs == ra
         assert _from_roots(raw_a, n) == a
         for got, want in [
@@ -220,12 +228,12 @@ def test_kernel_matches_sympy_in_one_field(n, rng):
             (a.conjugate(), _conjugated(ra, n)),
             (a.rebase(2 * n), _lifted(ra, n, 2 * n)),
             (a.rebase(3 * n), _lifted(ra, n, 3 * n)),
-            (a - a, tuple([Fraction(0)] * euler_phi(n))),
+            (a - a, tuple([Fraction(0)] * _degree(n))),
         ]:
             _assert_canonical(got)
             assert got.coeffs == want
         assert (a == b) == (ra == rb)
-        assert a == Cyclotomic(n, ra) and a.rebase(2 * n) == a and a == a.rebase(3 * n)
+        assert a == _cyc(n, ra) and a.rebase(2 * n) == a and a == a.rebase(3 * n)
         assert a * b == b * a
 
 
@@ -241,12 +249,12 @@ def test_rotated_is_the_product_with_a_root_of_unity(order, rng):
     # the order is chosen; and against sympy, x lifted to Q(zeta_m) times
     # x^(k m/n) reduced mod Phi_m
     for _ in range(3):
-        x = Cyclotomic(order, _reduced(_random_raw(rng, order), order))
+        x = _cyc(order, _reduced(_random_raw(rng, order), order))
         for k, n in ROTATIONS:
             got, want = x.rotated(k, n), x * Cyclotomic.from_phase(Phase(k, n))
             _assert_canonical(got)
             assert got == want
-            assert (got.order, got._num, got._den) == (want.order, want._num, want._den)
+            assert (got.order, got.ints, got.den) == (want.order, want.ints, want.den)
             m = lcm(order, n // gcd(k, n))
             shifted = [Fraction(0)] * (k * m // n % m) + list(_lifted(x.coeffs, order, m))
             assert got.coeffs == _reduced(shifted, m)
@@ -259,7 +267,7 @@ def test_kernel_matches_sympy_across_orders(n, m, rng):
     big = lcm(n, m)
     for _ in range(3):
         ra, rb = _reduced(_random_raw(rng, n), n), _reduced(_random_raw(rng, m), m)
-        a, b = Cyclotomic(n, ra), Cyclotomic(m, rb)
+        a, b = _cyc(n, ra), _cyc(m, rb)
         la, lb = _lifted(ra, n, big), _lifted(rb, m, big)
         for got, want in [
             (a + b, _reduced([x + y for x, y in zip(la, lb)], big)),
@@ -270,28 +278,60 @@ def test_kernel_matches_sympy_across_orders(n, m, rng):
             _assert_canonical(got)
             assert got.order == big and got.coeffs == want
         assert (a == b) == (la == lb)
-        assert a == Cyclotomic(big, la) and Cyclotomic(big, lb) == b
+        assert a == _cyc(big, la) and _cyc(big, lb) == b
     # equal numbers written in different fields
     assert Cyclotomic.from_phase(Phase(1, n)) == Cyclotomic.from_phase(Phase(big // n, big))
-    assert Cyclotomic.from_rational(Fraction(3, 4)) == Cyclotomic(m, _lifted((Fraction(3, 4),), 1, m))
+    assert Cyclotomic.from_rational(Fraction(3, 4)) == _cyc(m, _lifted((Fraction(3, 4),), 1, m))
 
 
 def test_zero_is_canonical():
     z12 = Cyclotomic.from_phase(Phase(1, 12))
-    for zero in [z12 - z12, z12 * 0, Cyclotomic(12, ("0", "0", "0", "0")), Cyclotomic.ZERO]:
+    # 1 + z^4 + z^8 is zero in Q(zeta_12), as Phi_3(z^4)
+    unreduced = Cyclotomic(12, (7, 0, 0, 0, 7, 0, 0, 0, 7, 0, 0, 0), 5)
+    for zero in [z12 - z12, z12 * 0, Cyclotomic(12, [0] * 12, 1), unreduced, Cyclotomic.ZERO]:
         _assert_canonical(zero)
         assert zero.is_zero and zero == 0 and not zero
-    assert Cyclotomic(4, (Fraction(2, 6), Fraction(4, 6)))._den == 3
+    assert Cyclotomic(4, (2, 4, 0, 0), 6).den == 3
 
 
 def test_short_coefficient_list_is_refused_without_factoring(monkeypatch):
-    # phi(N) >= sqrt(N/2), so one coefficient cannot fit a 14-digit prime order
+    # the length is held against the order before Phi_N is built, which
+    # for a 14-digit prime order would not finish
     def no_factoring(n):
-        raise AssertionError("euler_phi called")
+        raise AssertionError("cyclotomic_polynomial called")
 
-    monkeypatch.setattr(scalars, "euler_phi", no_factoring)
-    with pytest.raises(ValueError, match="needs more than 1 coefficients"):
-        Cyclotomic(99999999999973, (1,))
+    monkeypatch.setattr(scalars, "cyclotomic_polynomial", no_factoring)
+    with pytest.raises(ValueError, match="takes 99999999999973 coefficients, got 1"):
+        Cyclotomic(99999999999973, (1,), 1)
+
+
+@pytest.mark.parametrize("n", ORDERS)
+def test_constructor_reduces_unreduced_int_vectors(n, rng):
+    # Cyclotomic(n, ints, den) against sympy's reduction of the same
+    # length-n vector mod Phi_n over QQ, and against the sum of its roots
+    for _ in range(4):
+        ints = [rng.randint(-9, 9) for _ in range(n)]
+        den = rng.randint(1, 12)
+        raw = [Fraction(c, den) for c in ints]
+        x = Cyclotomic(n, ints, den)
+        _assert_canonical(x)
+        assert x.order == n and x.coeffs == _reduced(raw, n)
+        assert x == _from_roots(raw, n)
+        assert ints == [int(c * den) for c in raw]  # the input is left as it was
+        assert Cyclotomic(n, tuple(ints), den) == x
+
+
+def test_constructor_refuses_what_is_not_its_int_form():
+    with pytest.raises(ValueError, match="takes 4 coefficients, got 2"):
+        Cyclotomic(4, (1, 0), 1)
+    with pytest.raises(ValueError, match="order must be positive"):
+        Cyclotomic(0, (), 1)
+    for den in (0, -3):
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            Cyclotomic(3, (1, 0, 0), den)
+    for ints in ((Fraction(1, 2), 0), (0.5, 0), ("1", "0")):
+        with pytest.raises(TypeError):
+            Cyclotomic(2, ints, 1)
 
 
 def test_cyclotomic_is_immutable():
@@ -299,9 +339,9 @@ def test_cyclotomic_is_immutable():
     with pytest.raises(AttributeError):
         x.order = 10
     with pytest.raises(AttributeError):
-        x._num = (0, 0, 0, 0)
+        x.ints = (0, 0, 0, 0)
     with pytest.raises(AttributeError):
-        del x._den
+        del x.den
 
 
 def test_phase_normalization_matches_fraction():

@@ -3,9 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from oracles import lattice_det_triplet
+from oracles import lattice_det_triplet, to_table
 from tbshift.abelian import AbGroup, AbHom, Character
-from tbshift.cocycle import to_table, trivial_cocycle
+from tbshift.cocycle import trivial_cocycle
 from tbshift.families import mod_q_cocycle, mod_q_triplet
 from tbshift.scalars import Phase
 from tbshift.serialize import (

@@ -10,13 +10,6 @@ SRC = Path(tbshift.__file__).resolve().parent
 BENCHMARK_API = SRC.parent.parent / "perfbench" / "api.py"
 BENCHMARK_TRACE = SRC.parent.parent / "perfbench" / "trace.py"
 
-# Private names one module may import from another, each with the reason.
-PRIVATE_IMPORTS = {
-    ("algebra", "scalars", "_make"): "the swap kernel builds Cyclotomics from int vectors",
-    ("algebra", "scalars", "_reduce"): "the swap kernel builds Cyclotomics from int vectors",
-}
-
-
 class _Reads(ast.NodeVisitor):
     """The names a piece of code reads; annotations are left out."""
 
@@ -119,7 +112,35 @@ def test_no_module_imports_another_modules_private_name():
         for alias in node.names
         if alias.name.startswith("_")
     }
-    assert found == set(PRIVATE_IMPORTS)
+    assert found == set()
+
+
+def test_no_module_reads_a_private_attribute_it_does_not_define():
+    # obj._name on anything but self or cls reads another object's
+    # internals; it is allowed only where the module defines _name itself
+    # (a def, a class, an assigned name or a __slots__ entry), so no module
+    # reaches into the storage of another module's objects
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        defined = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__slots__"
+                                                      for t in node.targets):
+                defined.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+        found += [
+            f"{path.stem}:{node.lineno}: {ast.unparse(node)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+            and getattr(node.value, "id", None) not in ("self", "cls")
+            and node.attr not in defined
+        ]
+    assert found == []
 
 
 def test_every_method_the_tracer_pins_is_defined_on_its_class():
