@@ -3,9 +3,11 @@
 Groups are kept in the presentation they were given (free generators first,
 then torsion generators); isomorphism tests cope with equivalent
 presentations.  Elements are integer coordinate vectors with torsion
-coordinates reduced into [0, n_i).  A finite group numbers its elements
-in `elements()` order, and `addition_table` adds by those numbers: the
-one numbering that table cocycles and the swap kernel read.  Smith
+coordinates reduced into [0, n_i); a group's `orders` (n_i per torsion
+generator, 0 per free one) are what every reduction reads.  A finite
+group numbers its elements in `elements()` order, and `addition_table`
+adds by those numbers: the one numbering that table cocycles and the
+swap kernel read.  Smith
 normal form gives invariant factors (of a presentation and of the finite
 groups that `group_structure` identifies) and decides whether a
 homomorphism is bijective; subgroups of finite groups are kept as
@@ -32,6 +34,7 @@ class AbGroup:
     free_rank: int
     torsion: tuple = ()
     rank: int = field(init=False, repr=False, compare=False)  # free_rank + len(torsion)
+    orders: tuple = field(init=False, repr=False, compare=False)  # per generator, 0 if free
 
     def __post_init__(self) -> None:
         if self.free_rank < 0:
@@ -41,6 +44,7 @@ class AbGroup:
             raise ValueError("torsion orders must be >= 2")
         object.__setattr__(self, "torsion", tors)
         object.__setattr__(self, "rank", self.free_rank + len(tors))
+        object.__setattr__(self, "orders", (0,) * self.free_rank + tors)
 
     @property
     def is_trivial(self) -> bool:
@@ -58,11 +62,7 @@ class AbGroup:
     def reduce(self, coords: Sequence[int]) -> tuple:
         if len(coords) != self.rank:
             raise ValueError(f"expected {self.rank} coordinates, got {len(coords)}")
-        free = tuple(int(c) for c in coords[: self.free_rank])
-        tors = tuple(
-            int(c) % n for c, n in zip(coords[self.free_rank :], self.torsion)
-        )
-        return free + tors
+        return tuple([int(c) % n if n else int(c) for c, n in zip(coords, self.orders)])
 
     def element(self, coords: Sequence[int]) -> "AbElem":
         return AbElem(self, self.reduce(coords))
@@ -78,9 +78,7 @@ class AbGroup:
 
     def generator_order(self, j: int) -> int:
         """Order of the j-th generator (0 for a free generator)."""
-        if j < self.free_rank:
-            return 0
-        return self.torsion[j - self.free_rank]
+        return self.orders[j]
 
     def elements(self) -> Iterator["AbElem"]:
         if not self.is_finite:
@@ -260,11 +258,6 @@ class Character:
         if g.group != self.group:
             raise ValueError("element is not in the character's group")
         return Phase(sum(map(mul, self.ints, g.coords)), self.den)
-
-    def __mul__(self, other: "Character") -> "Character":
-        if self.group != other.group:
-            raise ValueError("characters live on different groups")
-        return Character(self.group, tuple(a + b for a, b in zip(self.phases, other.phases)))
 
     def power(self, d: int) -> "Character":
         return Character(self.group, tuple(p * d for p in self.phases))

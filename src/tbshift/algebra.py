@@ -12,8 +12,10 @@ subclasses state only the keys and the twist:
   carrying the malleability flow).
 
 Elements are finite formal sums with Cyclotomic coefficients, pruned of
-zeros so equality is structural.  A twist, like a diagonal character's
-value, is one int over one denominator, paid by one `Cyclotomic.rotated`.
+zeros (read on their `ints`) so equality is structural.  A twist, like a
+diagonal character's value, is one int over one denominator, paid by one
+`Cyclotomic.rotated`, which returns the coefficient itself when the twist
+is a whole turn.
 
 The malleability flow on the tensor square needs one product per flow,
 y V with the swap unitary V on the right.  A private swap kernel
@@ -62,7 +64,7 @@ class _TwistedGroupAlgebra:
 
     def __init__(self, cocycle, terms: Dict[object, Cyclotomic]):
         self.cocycle = cocycle
-        self.terms = {k: v for k, v in terms.items() if not v.is_zero}
+        self.terms = {k: v for k, v in terms.items() if any(v.ints)}
 
     @property
     def group(self):

@@ -43,6 +43,7 @@ from .lattice import (
     spiral_index,
 )
 from .linalg import hermite_mod, order_mod, snf_diagonal
+from .scalars import Phase
 
 
 def check_conditions(ta: Triplet, tb: Triplet, phi: AbHom) -> tuple:
@@ -74,13 +75,15 @@ class PiPhi:
     the corrector times the normalized unitary of phi o lam, where the
     corrector is the +-1 character mismatch c(h) = chi_a(h) - chi_b(phi h)
     accumulated over the support with gcd(k) exponents.  The mismatch is
-    one character, built once from its values on the generators.  A term's
-    values are mapped through phi's matrix and reduced once; the points
-    stay, so the image is already sorted.  The term's phase, mu^_a(lam)
-    plus the corrector minus mu^_b(phi lam), is one int over
-    D = lcm(mu_a.den, mu_b.den, c.den): the sites are sorted by `order_key`
-    once for both `telescoped` sums, and the corrector is c's int row
-    against the weighted raw values.  The term pays it by one rotation.
+    one character, built once from its values on the generators (chi_b's
+    int row against each column of phi).  A term's values are mapped
+    through phi's matrix and reduced once, inline, by the target's
+    `orders`; the points stay, so the image is already sorted and builds
+    the key Config directly.  The term's phase, mu^_a(lam) plus the
+    corrector minus mu^_b(phi lam), is one int over D = lcm(mu_a.den,
+    mu_b.den, c.den): the sites are sorted by `order_key` once for both
+    `telescoped` sums, and the corrector is c's int row against the
+    weighted raw values.  The term pays it by one rotation.
     """
 
     ta: Triplet
@@ -95,8 +98,9 @@ class PiPhi:
         chi_a, chi_b, phi = self.ta.character, self.tb.character, self.phi
         if phi.source != chi_a.group or phi.target != chi_b.group:
             raise ValueError("phi does not map between the triplets' groups")
-        return Character(chi_a.group, tuple(p - chi_b(phi.column(j))
-                                            for j, p in enumerate(chi_a.phases)))
+        columns = zip(*phi.matrix)
+        return Character(chi_a.group, tuple(p - Phase(sum(map(mul, chi_b.ints, x)), chi_b.den)
+                                            for p, x in zip(chi_a.phases, columns)))
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         if x.cocycle != self.ta.cocycle:
@@ -107,11 +111,13 @@ class PiPhi:
         d = lcm(mu_a.den, mu_b.den, c.den)
         scale_a, scale_b, scale_c = d // mu_a.den, d // mu_b.den, d // c.den
         weight, order_key, row = self.weight, self.order_key, c.ints
-        target, rows = self.phi.target, self.phi.matrix
-        reduce = target.reduce
+        target = self.phi.target
+        rows = list(zip(self.phi.matrix, target.orders))
         out: dict = {}
         for lam, coeff in x.terms.items():
-            sites = [(p, v, reduce([sum(map(mul, r, v)) for r in rows])) for p, v in lam.support]
+            sites = [(p, v, tuple([sum(map(mul, r, v)) % n if n else sum(map(mul, r, v))
+                                   for r, n in rows]))
+                     for p, v in lam.support]
             key = Config(target, tuple((p, w) for p, _, w in sites if any(w)))
             sites.sort(key=lambda site: order_key(site[0]))
             corrector = sum(weight(p) * sum(map(mul, row, v)) for p, v, _ in sites)
@@ -287,20 +293,19 @@ def _matching_isomorphisms(
     the first node at depth j keeps each candidate as it draws it, and
     later nodes re-read what is kept before drawing more, so a YES at the
     first candidates draws no whole pool.  Depth 0 is walked once and
-    keeps nothing.  Between finite groups a candidate x_j must add a
+    keeps nothing.  A candidate x_j must first meet sb(x_i, x_j) =
+    sa(g_i, g_j) for every earlier i; the star forms are alternating, so
+    these pairs settle all of them.  These dot products are cheaper than
+    the span cut, which runs last: between finite groups x_j must add a
     direct summand of order ord(g_j) to the span of the earlier images,
-    held as `hermite_mod` rows: `order_mod(x_j, span)` = ord(g_j), as on
-    each prefix of an injective map.  Last, sb(x_i, x_j) = sa(g_i, g_j)
-    for every earlier i; the star forms are alternating, so these pairs
-    settle all of them.  The cost of a search that finds nothing is thus
-    set by the pools, not by how degenerate the star forms are.  The span
-    cut is exact: a full tuple spans a subgroup of order |H_a| = |H_b|
-    (callers check the groups are isomorphic), so only the bounded
-    free-part search checks its tuples with `is_isomorphism`.  The tests
-    commute and each pool is walked in product order, so the hits come
-    out in the lexicographic order of the product of the pools.  `bound`
-    limits the free matrix entries and is required when free parts are
-    present.
+    held as `hermite_mod` rows, `order_mod(x_j, span)` = ord(g_j), as on
+    each prefix of an injective map.  The span cut is exact: a full tuple
+    spans a subgroup of order |H_a| = |H_b| (callers check the groups are
+    isomorphic), so only the bounded free-part search checks its tuples
+    with `is_isomorphism`.  The tests commute and each pool is walked in
+    product order, so the hits come out in the lexicographic order of the
+    product of the pools.  `bound` limits the free matrix entries and is
+    required when free parts are present.
     """
     d, (star_a, chi_a), (star_b, chi_b) = forms
     cols_b = list(zip(*star_b))
@@ -331,17 +336,18 @@ def _matching_isomorphisms(
         order = ga.generator_order(j)
         wanted = [star_a[i][j] for i in range(j)]
         for x in pool(j):
+            if not all((sum(map(mul, u, x)) - w) % d == 0 for u, w in zip(pairings, wanted)):
+                continue
             if finite and order_mod(x, span, moduli) != order:
                 continue
-            if all((sum(map(mul, u, x)) - w) % d == 0 for u, w in zip(pairings, wanted)):
-                chosen.append(x)
-                pairings.append([sum(map(mul, x, col)) for col in cols_b])
-                if finite and j + 1 < ga.rank:
-                    yield from extend(j + 1, hermite_mod(span + [x], moduli))
-                else:
-                    yield from extend(j + 1, span)
-                chosen.pop()
-                pairings.pop()
+            chosen.append(x)
+            pairings.append([sum(map(mul, x, col)) for col in cols_b])
+            if finite and j + 1 < ga.rank:
+                yield from extend(j + 1, hermite_mod(span + [x], moduli))
+            else:
+                yield from extend(j + 1, span)
+            chosen.pop()
+            pairings.pop()
 
     return extend(0, hermite_mod([], moduli) if finite else [])
 

@@ -2,8 +2,14 @@
 
 A Config is an element of the direct sum of copies of H indexed by Z^2;
 the zero-sum ones form the subgroup on which the restricted shift algebra
-lives.  Supports are stored sparsely in lexicographic (q, r) order so that
-equality, hashing and serialization are canonical.
+lives.  Supports are stored sparsely in lexicographic (q, r) order, with
+reduced coordinates and no zero values, so that equality, hashing and
+serialization are canonical.  The group operations read that canonical
+form directly: a sum merges the two sorted supports, adding coordinates
+mod the torsion orders only where sites coincide, and the zero-sum test
+sums the raw coordinates; neither builds a group element.  A Config's
+hash is computed once, as configurations are the keys of every shift
+algebra element.
 """
 
 from __future__ import annotations
@@ -44,6 +50,16 @@ class Config:
     def is_zero(self) -> bool:
         return not self.support
 
+    def __hash__(self) -> int:
+        # equal configs have equal supports, so this agrees with the
+        # dataclass equality; kept after the first call
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self.support)
+            object.__setattr__(self, "_hash", h)
+            return h
+
     def total(self) -> AbElem:
         """The sum in H of the values: coordinates summed as ints, reduced once."""
         support = self.support
@@ -53,19 +69,44 @@ class Config:
 
     @cached_property
     def is_zero_sum(self) -> bool:
-        """Computed once per Config (the intertwiner and beta both ask)."""
-        return self.total().is_zero
+        """Computed once per Config (the intertwiner and beta both ask): the
+        raw coordinate sums, zero on the free part and mod each torsion order."""
+        values = [coords for _, coords in self.support]
+        return not any([s % n if n else s
+                        for s, n in zip(map(sum, zip(*values)), self.group.orders)])
 
     def __add__(self, other: "Config") -> "Config":
-        if self.group != other.group:
+        """Merge the two sorted supports; where sites coincide the values
+        are added, mod the torsion orders, and a zero sum drops the site."""
+        group = self.group
+        if group is not other.group and group != other.group:
             raise ValueError("configs over different groups")
-        return Config.from_items(self.group, list(self.support) + list(other.support))
+        a, b, orders = self.support, other.support, group.orders
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (p, u), (q, v) = a[i], b[j]
+            if p < q:
+                out.append(a[i])
+                i += 1
+            elif q < p:
+                out.append(b[j])
+                j += 1
+            else:
+                s = tuple([c % n if n else c for c, n in zip(map(add, u, v), orders)])
+                if any(s):
+                    out.append((p, s))
+                i += 1
+                j += 1
+        out += a[i:]
+        out += b[j:]
+        return Config(group, tuple(out))
 
     def __neg__(self) -> "Config":
-        return Config(
-            self.group,
-            tuple((p, (-AbElem(self.group, c)).coords) for p, c in self.support),
-        )
+        orders = self.group.orders
+        return Config(self.group, tuple(
+            (p, tuple([-c % n if n else -c for c, n in zip(coords, orders)]))
+            for p, coords in self.support))
 
     def __sub__(self, other: "Config") -> "Config":
         return self + (-other)

@@ -28,6 +28,7 @@ from .lattice import (
     mat_apply,
     spiral_points,
 )
+from .scalars import Phase
 
 
 @dataclass(frozen=True)
@@ -58,10 +59,21 @@ class Motion:
 
 
 def motion_mul(t: Triplet, a: Motion, b: Motion) -> Motion:
-    """(c1, k, g1)(c2, l, g2) = (c1 c2 chi^det(k, g1 l), k + g1 l, g1 g2)."""
+    """(c1, k, g1)(c2, l, g2) = (c1 c2 chi^det(k, g1 l), k + g1 l, g1 g2).
+
+    The characters compose on their int rows: one Phase per generator,
+    c1 + c2 + det * chi over D, the lcm of the three `den`s.
+    """
+    c1, c2, chi = a.char, b.char, t.character
+    if c1.group != c2.group or chi.group != c1.group:
+        raise ValueError("characters live on different groups")
     moved = mat_apply(a.matrix, b.shift)
-    twist = t.character.power(det2(a.shift, moved))
-    return Motion(a.char * b.char * twist, a.shift + moved, mat_mul(a.matrix, b.matrix))
+    e = det2(a.shift, moved)
+    d = lcm(c1.den, c2.den, chi.den)
+    s1, s2, s3 = d // c1.den, d // c2.den, e * (d // chi.den)
+    char = Character(c1.group, tuple(Phase(x * s1 + y * s2 + z * s3, d)
+                                     for x, y, z in zip(c1.ints, c2.ints, chi.ints)))
+    return Motion(char, a.shift + moved, mat_mul(a.matrix, b.matrix))
 
 
 def rho(t: Triplet, g: Motion, x: AlgebraElement) -> AlgebraElement:

@@ -223,7 +223,11 @@ class Cyclotomic:
 
     def rotated(self, k: int, n: int) -> "Cyclotomic":
         """self * zeta_n^k, exactly as self * from_phase(Phase(k, n)): k/n is
-        reduced first, as an unreduced n would widen every later product."""
+        reduced first, as an unreduced n would widen every later product.
+        A trivial root (n | k) returns self, which is immutable and already
+        in canonical form."""
+        if k % n == 0:
+            return self
         g = gcd(k, n)
         m = lcm(self.order, n // g)
         return self._spread(m, k // g * (m // (n // g)) % m)
@@ -263,6 +267,11 @@ class Cyclotomic:
         return self + (-other)
 
     def __mul__(self, other):
+        """The product with an int, a Fraction or a Cyclotomic.  Two
+        Cyclotomics of different orders are not rebased first: both power
+        bases are spread into Q(zeta_m), m the lcm of the orders, inside the
+        one convolution (z_a^i z_b^j is z_m^(i sa + j sb)), and the product
+        is reduced once mod Phi_m."""
         if isinstance(other, int):
             return _make(self.order, [c * other for c in self.ints], self.den)
         if isinstance(other, Fraction):
@@ -270,15 +279,21 @@ class Cyclotomic:
             return _make(self.order, [c * k for c in self.ints], self.den * other.denominator)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        a, b, m = self._common(other)
-        bn = b.ints
-        prod = [0] * (len(a.ints) + len(bn) - 1)
-        for i, x in enumerate(a.ints):
+        oa, ob = self.order, other.order
+        m = oa if oa == ob else lcm(oa, ob)
+        sa, sb = m // oa, m // ob
+        bn = other.ints
+        if sb != 1:
+            spread = [0] * ((len(bn) - 1) * sb + 1)
+            spread[::sb] = bn
+            bn = spread
+        prod = [0] * ((len(self.ints) - 1) * sa + len(bn))
+        for i, x in enumerate(self.ints):
             if x:
-                for j, y in enumerate(bn, i):
+                for j, y in enumerate(bn, i * sa):
                     if y:
                         prod[j] += x * y
-        return _make(m, _reduce(prod, m), a.den * b.den)
+        return _make(m, _reduce(prod, m), self.den * other.den)
 
     __rmul__ = __mul__
 

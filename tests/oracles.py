@@ -15,7 +15,13 @@ and the intertwiner's int terms and the int twists `configs.mu_tilde` and
 `configs.telescoped` against their Phase sums `phase_pi`, `mu_tilde` and
 `mu_hat`.  Tables evaluated from mu (`to_table`, `table_from_function`,
 `coboundary_cocycle`) are the reference for the integer tables, as
-`phase_witness_catalog` is for `selftest.witness_catalog`.
+`phase_witness_catalog` is for `selftest.witness_catalog`.  The term-level
+operations that read canonical forms keep their old paths here: config
+sums and negations through `from_items` and AbElem arithmetic
+(`folded_sum`, `folded_negation`), Cyclotomic products through a rebase of
+both factors (`rebased_product`) and rotations as a fresh spread
+(`spread_rotation`), and `motion_mul` with Phase characters
+(`phase_motion_mul`).
 """
 
 from __future__ import annotations
@@ -44,8 +50,8 @@ from tbshift.algebra import (
 from tbshift.classify import _pool_ranges
 from tbshift.cocycle import BilinearCocycle, CocycleError, TableCocycle, trivial_cocycle
 from tbshift.configs import Config
-from tbshift.dynamics import Triplet
-from tbshift.lattice import AffineSL2, LatticePoint, mat_apply, spiral_index
+from tbshift.dynamics import Motion, Triplet
+from tbshift.lattice import AffineSL2, LatticePoint, det2, mat_apply, mat_mul, spiral_index
 from tbshift.linalg import _eliminate, identity_matrix
 from tbshift.scalars import Cyclotomic, Phase
 from tbshift.selftest import _random_bilinear
@@ -393,6 +399,18 @@ def config_items(cfg: Config) -> Iterator[tuple]:
     return ((point, AbElem(cfg.group, coords)) for point, coords in cfg.support)
 
 
+def folded_sum(c1: Config, c2: Config) -> Config:
+    """c1 + c2 through `Config.from_items`: every site of both supports
+    reduced again by `AbGroup.reduce`, coinciding sites added and reduced,
+    zero sites dropped and the rest sorted."""
+    return Config.from_items(c1.group, list(c1.support) + list(c2.support))
+
+
+def folded_negation(cfg: Config) -> Config:
+    """-cfg, each value negated as an AbElem."""
+    return Config(cfg.group, tuple((p, (-AbElem(cfg.group, c)).coords) for p, c in cfg.support))
+
+
 def mapped(cfg: Config, f: AbHom) -> Config:
     """Apply a group hom to every value (the support does not move)."""
     return Config.from_items(f.target, ((p, f(v)) for p, v in config_items(cfg)))
@@ -527,6 +545,51 @@ def product_triplet(*parts: Triplet) -> Triplet:
 
 def trivial_triplet(group: AbGroup) -> Triplet:
     return Triplet(group, trivial_cocycle(group), Character.trivial(group))
+
+
+# -- Cyclotomic products and rotations through a rebase ------------------------
+
+
+def _wrapped(order: int, coeffs: Iterable[tuple], den: int) -> Cyclotomic:
+    """sum c z^k / den over the (k, c), z = zeta_order, each power taken
+    mod order (z^order = 1) and the sum built by the public constructor."""
+    out = [0] * order
+    for k, c in coeffs:
+        out[k % order] += c
+    return Cyclotomic(order, out, den)
+
+
+def rebased_product(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
+    """a * b with both factors rebased to Q(zeta_m), m the lcm of the
+    orders, before one convolution of their phi(m) coefficients."""
+    m = lcm(a.order, b.order)
+    ra, rb = a.rebase(m), b.rebase(m)
+    return _wrapped(m, ((i + j, x * y) for i, x in enumerate(ra.ints)
+                        for j, y in enumerate(rb.ints)), ra.den * rb.den)
+
+
+def spread_rotation(x: Cyclotomic, k: int, n: int) -> Cyclotomic:
+    """x * zeta_n^k with k/n reduced: x spread into Q(zeta_m), m =
+    lcm(order, n'), and shifted by k' m / n', a new Cyclotomic even when
+    the root is 1."""
+    g = gcd(k, n)
+    k, n = k // g, n // g
+    m = lcm(x.order, n)
+    step, shift = m // x.order, k * (m // n)
+    return _wrapped(m, ((i * step + shift, c) for i, c in enumerate(x.ints)), x.den)
+
+
+# -- motions, character by character --------------------------------------------
+
+
+def phase_motion_mul(t: Triplet, a: Motion, b: Motion) -> Motion:
+    """`dynamics.motion_mul` with the characters composed Phase by Phase:
+    c1 + c2 + det(k, g1 l) chi on each generator."""
+    moved = mat_apply(a.matrix, b.shift)
+    e = det2(a.shift, moved)
+    char = Character(a.char.group, tuple(p + q + r * e for p, q, r in zip(
+        a.char.phases, b.char.phases, t.character.phases)))
+    return Motion(char, a.shift + moved, mat_mul(a.matrix, b.matrix))
 
 
 # -- lattice moves --------------------------------------------------------------

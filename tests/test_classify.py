@@ -374,6 +374,35 @@ def test_pi_evaluates_no_cocycle_value(monkeypatch, rng):
             pi.ta.cocycle(pi.ta.group.zero(), pi.ta.group.zero())
 
 
+def test_verify_pi_builds_no_group_element(monkeypatch):
+    # the term loop reads canonical coordinates: config sums and negations
+    # merge the sorted supports, the zero-sum test sums raw coordinates and
+    # pi reduces each mapped site inline.  With AbGroup.reduce and
+    # AbGroup.element refusing, verify_pi on the same prebuilt mod-3 pairs
+    # (a fresh copy, so no zero-sum test is cached) gives the same report
+    t = mod_q_triplet(3)
+    phis = [AbHom(t.group, t.group, m) for m in (((1, 0), (1, 1)), ((2, 0), (0, 2)))]
+
+    def pairs():
+        rng = random.Random(28)
+        return [(random_algebra_element(rng, t.cocycle, terms=3),
+                 random_algebra_element(rng, t.cocycle, terms=3)) for _ in range(12)]
+
+    before = [verify_pi(PiPhi(t, t, phi), pairs()) for phi in phis]
+    fresh = pairs()
+
+    def refuse(self, coords):
+        raise AssertionError("a group element was built")
+
+    monkeypatch.setattr(AbGroup, "reduce", refuse)
+    monkeypatch.setattr(AbGroup, "element", refuse)
+    after = [verify_pi(PiPhi(t, t, phi), fresh) for phi in phis]
+    assert [(r.ok, r.failures) for r in after] == [(r.ok, r.failures) for r in before]
+    assert [r.ok for r in after] == [True, False]
+    with pytest.raises(AssertionError, match="built"):
+        t.group.element((1, 0))
+
+
 def _verify_pi_one_check_at_a_time(pi, pairs, moves=CANONICAL_MOVES):
     """verify_pi with every check computing its own pi(a) and pi(b)."""
     report = VerifyReport(True)

@@ -269,3 +269,26 @@ def test_int_twists_match_their_phase_sums(rng):
             raw = [tuple(rng.randint(-9, 9) for _ in range(g.rank)) for _ in range(2)]
             value = Phase(mu.exponent(*raw), mu.den)
             assert value == mu(g.element(raw[0]), g.element(raw[1]))
+
+
+def test_merged_sums_match_the_from_items_fold(rng):
+    # the merge of two sorted supports against the old path, which sends
+    # every site back through from_items and AbGroup.reduce; on groups with
+    # free and torsion parts, with sites that coincide, cancel or not
+    for g in (AbGroup(2, (2,)), AbGroup(0, (3, 3)), AbGroup(0, (4, 6))):
+        for i in range(300):
+            a, b = _random_config(rng, g, i % 2 == 0), _random_config(rng, g, i % 3 == 0)
+            for got, want in [
+                (a + b, oracles.folded_sum(a, b)),
+                (b + a, oracles.folded_sum(b, a)),
+                (-a, oracles.folded_negation(a)),
+                (a - b, oracles.folded_sum(a, oracles.folded_negation(b))),
+                (a + (-a), Config.zero(g)),
+                (a + Config.zero(g), a),
+            ]:
+                assert got.support == want.support
+                assert got == want and hash(got) == hash(want)
+                assert got.is_zero_sum == want.total().is_zero
+    with pytest.raises(ValueError, match="different groups"):
+        Config.zero(AbGroup(0, (3, 3))) + Config.zero(AbGroup(0, (4, 6)))
+

@@ -3,9 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import act, config_items, inverse, is_dual_fixed, moved_by, trivial_triplet
+from oracles import (
+    act,
+    config_items,
+    inverse,
+    is_dual_fixed,
+    moved_by,
+    phase_motion_mul,
+    trivial_triplet,
+)
 from tbshift.abelian import AbGroup, Character, dual_characters
 from tbshift.algebra import AlgebraElement, apply_diagonal_character
+from tbshift.cocycle import trivial_cocycle
 from tbshift.configs import Config, dipole
 from tbshift.dynamics import (
     Motion,
@@ -78,6 +87,26 @@ def test_motion_associativity(trip, rng):
         assert motion_mul(trip, motion_mul(trip, a, b), c) == motion_mul(
             trip, a, motion_mul(trip, b, c)
         )
+
+
+def test_motion_mul_matches_phase_characters(rng):
+    # the int rows over the lcm of three denominators against Phase sums,
+    # on groups with free and torsion parts and characters of mixed orders
+    for g in (AbGroup(1, (4, 6)), AbGroup(2), AbGroup(0, (3, 3))):
+        def char():
+            return Character(g, tuple(
+                Phase(rng.randrange(n), n) if n else Phase(rng.randint(-9, 9), rng.randint(1, 12))
+                for n in (g.generator_order(j) for j in range(g.rank))))
+
+        for _ in range(60):
+            t = Triplet(g, trivial_cocycle(g), char())
+            a, b = (Motion(char(), random_point(rng), random_sl2(rng)) for _ in range(2))
+            got, want = motion_mul(t, a, b), phase_motion_mul(t, a, b)
+            assert got == want
+            assert (got.char.ints, got.char.den) == (want.char.ints, want.char.den)
+    other = Motion(Character.trivial(AbGroup(0, (3,))))
+    with pytest.raises(ValueError, match="different groups"):
+        motion_mul(mod_q_triplet(3), Motion(Character.trivial(mod_q_triplet(3).group)), other)
 
 
 def test_rho_identity(trip, rng):

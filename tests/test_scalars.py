@@ -6,6 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from tbshift import scalars
 from tbshift.abelian import AbGroup
 from tbshift.cocycle import BilinearCocycle, _bilinear_value
@@ -367,3 +368,32 @@ def test_bilinear_value_matches_fraction_sum(rng):
             Fraction(0),
         )
         assert _bilinear_value(mu, g, h) == Phase.from_fraction(total)
+
+
+@pytest.mark.parametrize("n, m", MIXED + [(4, 12), (12, 4), (1, 12), (5, 5)])
+def test_spread_product_matches_rebase_then_multiply(n, m, rng):
+    # one convolution of the spread power bases, reduced once, against both
+    # factors rebased to Q(zeta_lcm) first: the same canonical form
+    for _ in range(5):
+        a = _cyc(n, _reduced(_random_raw(rng, n), n))
+        b = _cyc(m, _reduced(_random_raw(rng, m), m))
+        for got, want in [(a * b, oracles.rebased_product(a, b)),
+                          (b * a, oracles.rebased_product(b, a))]:
+            _assert_canonical(got)
+            assert (got.order, got.ints, got.den) == (want.order, want.ints, want.den)
+
+
+@pytest.mark.parametrize("order", [1, 3, 4, 12, 60])
+def test_rotation_by_a_trivial_root_is_the_identity(order, rng):
+    # n | k: the result is the operand itself, with the order, numerators
+    # and denominator a fresh spread gives; any other root matches the
+    # spread too
+    for _ in range(3):
+        x = _cyc(order, _reduced(_random_raw(rng, order), order))
+        for k, n in [(0, 1), (0, 12), (12, 12), (-24, 12), (5, 1), (-7, 7)]:
+            want = oracles.spread_rotation(x, k, n)
+            assert x.rotated(k, n) is x
+            assert (x.order, x.ints, x.den) == (want.order, want.ints, want.den)
+        for k, n in ROTATIONS:
+            got, want = x.rotated(k, n), oracles.spread_rotation(x, k, n)
+            assert (got.order, got.ints, got.den) == (want.order, want.ints, want.den)
