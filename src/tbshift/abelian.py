@@ -14,7 +14,9 @@ homomorphism is bijective; subgroups of finite groups are kept as
 `linalg.hermite_mod` echelon rows by their callers.  The candidate images
 of the isomorphism search are coordinate ranges of its own,
 `classify._pool_ranges`.  A character is one integer row over one
-denominator, so a value is a dot product.
+denominator, in lowest terms, so a value is a dot product and equality is
+structural; a homomorphism checks its torsion columns on its integer
+matrix.  Neither builds a Phase or a group element.
 """
 
 from __future__ import annotations
@@ -166,20 +168,15 @@ class AbHom:
         ):
             raise ValueError("matrix shape does not match the groups")
         # canonical form: reduce rows that land on torsion target coordinates
-        fixed = []
-        for i, row in enumerate(rows):
-            n = self.target.generator_order(i)
-            fixed.append(tuple(x % n for x in row) if n else row)
-        object.__setattr__(self, "matrix", tuple(fixed))
-        for j in range(self.source.rank):
-            n = self.source.generator_order(j)
-            if n and not self.column(j).scaled(n).is_zero:
+        orders = self.target.orders
+        rows = tuple(tuple(x % m for x in row) if m else row for row, m in zip(rows, orders))
+        object.__setattr__(self, "matrix", rows)
+        # column j must be killed by n: n * x = 0 mod m on a torsion row, x = 0 on a free one
+        for j, n in enumerate(self.source.orders):
+            if n and any(n * row[j] % m if m else row[j] for row, m in zip(rows, orders)):
                 raise ValueError(
                     f"generator {j} of order {n} maps to an incompatible element"
                 )
-
-    def column(self, j: int) -> AbElem:
-        return self.target.element([row[j] for row in self.matrix])
 
     def __call__(self, g: AbElem) -> AbElem:
         if g.group != self.source:
@@ -230,29 +227,34 @@ def is_isomorphism(f: AbHom) -> bool:
 
 @dataclass(frozen=True)
 class Character:
-    """Character of H by its Phase on each generator, lifted at construction
-    as `BilinearCocycle` lifts B: chi(g) = c . g / D, c = `ints`, D = `den`."""
+    """Character chi(g) = c . g / D: the integer row c (`ints`) over D
+    (`den`), put in lowest terms (entries in [0, D), their gcd with D 1), so
+    equality and hashing are structural.  A torsion generator's order must
+    kill its entry, so a value does not depend on reducing coordinates.
+    """
 
     group: AbGroup
-    phases: tuple
-    ints: tuple = field(init=False, repr=False, compare=False)  # phase_j * D
-    den: int = field(init=False, repr=False, compare=False)  # D: lcm of the denominators
+    ints: tuple
+    den: int
 
     def __post_init__(self) -> None:
-        if len(self.phases) != self.group.rank:
+        if len(self.ints) != self.group.rank:
             raise ValueError("one phase per generator is required")
-        den = lcm(*(p.den for p in self.phases))
-        ints = tuple(p.num * (den // p.den) for p in self.phases)
+        den = self.den
+        if den < 1:
+            raise ValueError(f"denominator must be positive, got {den}")
+        ints = [c % den for c in self.ints]
+        g = gcd(den, *ints)
+        ints, den = tuple(c // g for c in ints), den // g
         object.__setattr__(self, "ints", ints)
         object.__setattr__(self, "den", den)
-        for j, (p, c) in enumerate(zip(self.phases, ints)):
-            n = self.group.generator_order(j)
+        for c, n in zip(ints, self.group.orders):
             if n and n * c % den:
-                raise ValueError(f"phase {p} is not killed by the generator order {n}")
+                raise ValueError(f"phase {Phase(c, den)} is not killed by the generator order {n}")
 
     @staticmethod
     def trivial(group: AbGroup) -> "Character":
-        return Character(group, (Phase.ZERO,) * group.rank)
+        return Character(group, (0,) * group.rank, 1)
 
     def __call__(self, g: AbElem) -> Phase:
         if g.group != self.group:
@@ -260,7 +262,7 @@ class Character:
         return Phase(sum(map(mul, self.ints, g.coords)), self.den)
 
     def power(self, d: int) -> "Character":
-        return Character(self.group, tuple(p * d for p in self.phases))
+        return Character(self.group, tuple(c * d for c in self.ints), self.den)
 
 
 def dual_characters(group: AbGroup) -> Iterator[Character]:
@@ -273,12 +275,14 @@ def dual_characters(group: AbGroup) -> Iterator[Character]:
 def dual_character(group: AbGroup, index: int) -> Character:
     """The character with phase a_j / n_j on generator j, (a_j) the index-th
     tuple of itertools.product(range(n_1), ..., range(n_r)): its digits in
-    the mixed radix of the torsion orders, the last one fastest."""
-    phases = []
+    the mixed radix of the torsion orders, the last one fastest.  The row
+    is a_j D / n_j over D, the lcm of the orders."""
+    d = lcm(*group.torsion)
+    ints = []
     for n in reversed(group.torsion):
         index, a = divmod(index, n)
-        phases.append(Phase(a, n))
-    return Character(group, tuple(reversed(phases)))
+        ints.append(a * (d // n))
+    return Character(group, tuple(reversed(ints)), d)
 
 
 T = TypeVar("T")

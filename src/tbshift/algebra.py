@@ -13,7 +13,8 @@ subclasses state only the keys and the twist:
 
 Elements are finite formal sums with Cyclotomic coefficients, pruned of
 zeros (read on their `ints`) so equality is structural.  A twist, like a
-diagonal character's value, is one int over one denominator, paid by one
+diagonal character's value on a tensor key (on the shift algebra that
+action is `dynamics.rho`), is one int over one denominator, paid by one
 `Cyclotomic.rotated`, which returns the coefficient itself when the twist
 is a whole turn.
 
@@ -55,9 +56,8 @@ class _TwistedGroupAlgebra:
     """Finite formal sum sum_k c(k) u(k) over a twisted group algebra.
 
     A subclass states the key group and the twist as static hooks:
-    _zero_key(group), _add_keys(k1, k2), _neg_key(k), _twist(mu, k1, k2)
-    (the phase of u(k1) u(k2) against u(k1 + k2), an int over `mu.den`)
-    and _total(k) (the sum in H of the group values the key places).
+    _zero_key(group), _add_keys(k1, k2), _neg_key(k) and _twist(mu, k1, k2)
+    (the phase of u(k1) u(k2) against u(k1 + k2), an int over `mu.den`).
     """
 
     __slots__ = ("cocycle", "terms")
@@ -150,7 +150,6 @@ class AlgebraElement(_TwistedGroupAlgebra):
     _zero_key = staticmethod(Config.zero)
     _add_keys = staticmethod(operator.add)
     _neg_key = staticmethod(operator.neg)
-    _total = staticmethod(Config.total)
 
     @staticmethod
     def _twist(mu, k1: Config, k2: Config) -> int:
@@ -192,10 +191,6 @@ class TensorElement(_TwistedGroupAlgebra):
     @staticmethod
     def _twist(mu, k1, k2) -> int:
         return mu.exponent(k1[0].coords, k2[0].coords) + mu.exponent(k1[1].coords, k2[1].coords)
-
-    @staticmethod
-    def _total(k) -> AbElem:
-        return k[0] + k[1]
 
     @staticmethod
     def unit(cocycle, g: AbElem, h: AbElem, coeff=Cyclotomic.ONE) -> "TensorElement":
@@ -435,11 +430,14 @@ def check_malleability(v: TensorElement, rng: random.Random, samples: int) -> di
     return checks
 
 
-def apply_diagonal_character(c: Character, x):
-    """Rotate each term by c (its int row over c.den) on its key's total."""
-    if not isinstance(x, _TwistedGroupAlgebra):
-        raise TypeError("expected an AlgebraElement or TensorElement")
-    row, den, total = c.ints, c.den, x._total
-    terms = {k: v.rotated(sum(map(operator.mul, row, total(k).coords)), den)
-             for k, v in x.terms.items()}
-    return type(x)(x.cocycle, terms)
+def apply_diagonal_character(c: Character, x: TensorElement) -> TensorElement:
+    """Rotate each term u_g (x) u_h by c(g + h): c's int row against the raw
+    coordinates of g and h, over c.den.  c kills the torsion orders, so the
+    sum needs no reduction.  On the shift algebra the same action is
+    `dynamics.rho` of the motion (c, identity)."""
+    if not isinstance(x, TensorElement):
+        raise TypeError("expected a TensorElement")
+    row, den, mul = c.ints, c.den, operator.mul
+    return TensorElement(x.cocycle, {
+        (g, h): v.rotated(sum(map(mul, row, g.coords)) + sum(map(mul, row, h.coords)), den)
+        for (g, h), v in x.terms.items()})

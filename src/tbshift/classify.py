@@ -43,7 +43,6 @@ from .lattice import (
     spiral_index,
 )
 from .linalg import hermite_mod, order_mod, snf_diagonal
-from .scalars import Phase
 
 
 def check_conditions(ta: Triplet, tb: Triplet, phi: AbHom) -> tuple:
@@ -98,9 +97,10 @@ class PiPhi:
         chi_a, chi_b, phi = self.ta.character, self.tb.character, self.phi
         if phi.source != chi_a.group or phi.target != chi_b.group:
             raise ValueError("phi does not map between the triplets' groups")
-        columns = zip(*phi.matrix)
-        return Character(chi_a.group, tuple(p - Phase(sum(map(mul, chi_b.ints, x)), chi_b.den)
-                                            for p, x in zip(chi_a.phases, columns)))
+        d = lcm(chi_a.den, chi_b.den)
+        sa, sb = d // chi_a.den, d // chi_b.den
+        return Character(chi_a.group, tuple(c * sa - sum(map(mul, chi_b.ints, x)) * sb
+                                            for c, x in zip(chi_a.ints, zip(*phi.matrix))), d)
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         if x.cocycle != self.ta.cocycle:

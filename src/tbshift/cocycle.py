@@ -1,27 +1,28 @@
 """Normalized scalar 2-cocycles on abelian groups and their invariants.
 
 Two storage forms are supported.  A TableCocycle stores every value on a
-finite group; a BilinearCocycle stores an exponent matrix B and evaluates
-mu(g, h) = sum_ij g_i B_ij h_j, which covers infinite groups and every
-bilinear family used in practice.  Both state `den`, the lcm of their
-denominators, one value over it on coordinate tuples (`exponent`), and on
-a finite group their whole table over it (`exponent_table`), indexed by
-the numbers of `AbGroup.elements()`, whose sums `addition_table` gives.
-Every consumer reads mu in these ints, never as a Phase: the star form
-and the configuration twists by `exponent`, table validation, the
-coboundary witness, the swap kernel and the selftest's catalog of pairs
-by the two tables; only the tests' reference tables read the Phase
-`__call__`.  The star bicharacter mu(g, h) - mu(h, g), one integer
-matrix over one denominator (`Bicharacter`), classifies a cocycle up to
-coboundary; that fact is cross-checked at test scale rather than
-assumed: `coboundary_witness` builds a candidate b with mu1 - mu2 =
-b(g) + b(h) - b(g+h) by recursion along paths of generator steps, and
-the check of every equation decides.
+finite group; a BilinearCocycle stores an integer matrix B over one
+denominator D, in lowest terms, and evaluates mu(g, h) = g^T B h / D,
+which covers infinite groups and every bilinear family used in practice.
+Both state `den`, the lcm of their denominators, one value over it on
+coordinate tuples (`exponent`), and on a finite group their whole table
+over it (`exponent_table`), indexed by the numbers of
+`AbGroup.elements()`, whose sums `addition_table` gives.  Every consumer
+reads mu in these ints, never as a Phase: the star form and the
+configuration twists by `exponent`, table validation, the coboundary
+witness, the swap kernel and the selftest's catalog of pairs by the two
+tables; only the tests' reference tables read the Phase `__call__`.  The
+star bicharacter mu(g, h) - mu(h, g), one integer matrix over one
+denominator (`Bicharacter`), classifies a cocycle up to coboundary; that
+fact is cross-checked at test scale rather than assumed:
+`coboundary_witness` builds a candidate b with
+mu1 - mu2 = b(g) + b(h) - b(g+h) by recursion along paths of generator
+steps, and the check of every equation decides.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm, prod
 from operator import mul
@@ -54,32 +55,35 @@ def _bilinear_value(form, g: AbElem, h: AbElem) -> Phase:
 
 @dataclass(frozen=True)
 class BilinearCocycle:
-    """Cocycle mu(g, h) = sum_ij g_i * B_ij * h_j with Phase entries B_ij.
-
-    Any bilinear exponent form is automatically a normalized 2-cocycle; the
-    constructor only has to check that entries touching torsion generators
-    are killed by the generator orders, so values are well defined on
+    """Cocycle mu(g, h) = g^T B h / D: the integer matrix B (`ints`) over D
+    (`den`), in lowest terms as `Character` puts its row.  Any bilinear
+    exponent form is a normalized 2-cocycle; entries touching a torsion
+    generator must be killed by its order, so values are well defined on
     reduced coordinates.
     """
 
     group: AbGroup
-    matrix: tuple  # rank x rank Phases
-    ints: tuple = field(init=False, repr=False, compare=False)  # B_ij * D
-    den: int = field(init=False, repr=False, compare=False)  # D: lcm of the denominators
+    ints: tuple  # rank x rank
+    den: int
 
     def __post_init__(self) -> None:
         r = self.group.rank
-        rows = tuple(tuple(row) for row in self.matrix)
+        rows = tuple(tuple(row) for row in self.ints)
         if len(rows) != r or any(len(row) != r for row in rows):
             raise CocycleError("shape", f"matrix must be {r}x{r}")
-        den = lcm(*(p.den for row in rows for p in row))
-        ints = tuple(tuple(p.num * (den // p.den) for p in row) for row in rows)
-        for name, value in (("matrix", rows), ("ints", ints), ("den", den)):
-            object.__setattr__(self, name, value)
-        for i in range(r):
-            for j in range(r):
-                for n in (self.group.generator_order(i), self.group.generator_order(j)):
-                    if n and n * ints[i][j] % den:
+        den = self.den
+        if den < 1:
+            raise CocycleError("denominator", f"must be positive, got {den}")
+        rows = [[x % den for x in row] for row in rows]
+        g = gcd(den, *(x for row in rows for x in row))
+        ints, den = tuple(tuple(x // g for x in row) for row in rows), den // g
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "den", den)
+        orders = self.group.orders
+        for i, row in enumerate(ints):
+            for j, x in enumerate(row):
+                for n in (orders[i], orders[j]):
+                    if n and n * x % den:
                         raise CocycleError(
                             "torsion", f"entry ({i},{j}) not killed by order {n}"
                         )
@@ -176,8 +180,7 @@ class TableCocycle:
 
 
 def trivial_cocycle(group: AbGroup) -> BilinearCocycle:
-    r = group.rank
-    return BilinearCocycle(group, tuple(tuple(Phase.ZERO for _ in range(r)) for _ in range(r)))
+    return BilinearCocycle(group, ((0,) * group.rank,) * group.rank, 1)
 
 
 @dataclass(frozen=True)

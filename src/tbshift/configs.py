@@ -60,13 +60,6 @@ class Config:
             object.__setattr__(self, "_hash", h)
             return h
 
-    def total(self) -> AbElem:
-        """The sum in H of the values: coordinates summed as ints, reduced once."""
-        support = self.support
-        return self.group.element(
-            [sum(coords[i] for _, coords in support) for i in range(self.group.rank)]
-        )
-
     @cached_property
     def is_zero_sum(self) -> bool:
         """Computed once per Config (the intertwiner and beta both ask): the

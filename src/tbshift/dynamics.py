@@ -2,9 +2,10 @@
 
 A Triplet (H, mu, chi) fixes the whole setup: the group of motions is the
 product of the dual of H, the lattice translations and SL(2,Z), with a
-chi-twisted multiplication law.  rho is its action on formal sums over
-lattice configurations; beta is the restriction to translations and
-matrices acting on zero-sum sums.
+chi-twisted multiplication law.  A Motion holds a character and an
+`AffineSL2`; products compose the moves and the characters' int rows.
+rho is its action on formal sums over lattice configurations; beta is the
+restriction to translations and matrices acting on zero-sum sums.
 """
 
 from __future__ import annotations
@@ -17,18 +18,7 @@ from typing import Sequence
 from .abelian import AbGroup, Character
 from .algebra import AlgebraElement
 from .configs import Config
-from .lattice import (
-    IDENTITY_MAT,
-    ORIGIN,
-    AffineSL2,
-    LatticePoint,
-    Mat2,
-    det2,
-    mat_mul,
-    mat_apply,
-    spiral_points,
-)
-from .scalars import Phase
+from .lattice import IDENTITY, ORIGIN, AffineSL2, LatticePoint, det2, mat_apply, spiral_points
 
 
 @dataclass(frozen=True)
@@ -51,29 +41,30 @@ class Triplet:
 
 @dataclass(frozen=True)
 class Motion:
-    """Element (c, k, gamma) of the extended motion group over a triplet."""
+    """Element (c, k, gamma) of the extended motion group over a triplet: the
+    character c and the move (k, gamma), an `AffineSL2` (built in SL(2,Z) only)."""
 
     char: Character
-    shift: LatticePoint = ORIGIN
-    matrix: Mat2 = IDENTITY_MAT
+    move: AffineSL2 = IDENTITY
 
 
 def motion_mul(t: Triplet, a: Motion, b: Motion) -> Motion:
     """(c1, k, g1)(c2, l, g2) = (c1 c2 chi^det(k, g1 l), k + g1 l, g1 g2).
 
-    The characters compose on their int rows: one Phase per generator,
-    c1 + c2 + det * chi over D, the lcm of the three `den`s.
+    The moves compose as `AffineSL2`s, and det(k, k + g1 l) = det(k, g1 l).
+    The characters compose on their int rows, c1 + c2 + det * chi over D,
+    the lcm of the three `den`s.
     """
     c1, c2, chi = a.char, b.char, t.character
     if c1.group != c2.group or chi.group != c1.group:
         raise ValueError("characters live on different groups")
-    moved = mat_apply(a.matrix, b.shift)
-    e = det2(a.shift, moved)
+    move = a.move * b.move
+    e = det2(a.move.translation, move.translation)
     d = lcm(c1.den, c2.den, chi.den)
     s1, s2, s3 = d // c1.den, d // c2.den, e * (d // chi.den)
-    char = Character(c1.group, tuple(Phase(x * s1 + y * s2 + z * s3, d)
-                                     for x, y, z in zip(c1.ints, c2.ints, chi.ints)))
-    return Motion(char, a.shift + moved, mat_mul(a.matrix, b.matrix))
+    char = Character(c1.group, tuple(x * s1 + y * s2 + z * s3
+                                     for x, y, z in zip(c1.ints, c2.ints, chi.ints)), d)
+    return Motion(char, move)
 
 
 def rho(t: Triplet, g: Motion, x: AlgebraElement) -> AlgebraElement:
@@ -87,8 +78,7 @@ def rho(t: Triplet, g: Motion, x: AlgebraElement) -> AlgebraElement:
         raise ValueError("element is not over the triplet's group")
     if g.char.group != t.group:
         raise ValueError("element is not in the character's group")
-    move = AffineSL2(g.shift, g.matrix)  # checks that the matrix is in SL(2,Z)
-    return _moved(t, g.char.ints, g.char.den, move, x)
+    return _moved(t, g.char.ints, g.char.den, g.move, x)
 
 
 def beta(t: Triplet, move: AffineSL2, x: AlgebraElement) -> AlgebraElement:
@@ -142,17 +132,15 @@ def verify_motion_relations(t: Triplet, samples: Sequence) -> RelationReport:
     report = RelationReport(True)
     triv = Character.trivial(t.group)
     for k, l, gamma, x in samples:
-        lhs = rho(t, Motion(triv, k), rho(t, Motion(triv, l), x))
-        rhs = rho(
-            t,
-            Motion(t.character.power(det2(k, l)), k + l),
-            x,
-        )
+        shift = Motion(triv, AffineSL2(k))
+        lhs = rho(t, shift, rho(t, Motion(triv, AffineSL2(l)), x))
+        rhs = rho(t, Motion(t.character.power(det2(k, l)), AffineSL2(k + l)), x)
         if lhs != rhs:
             report.ok = False
             report.counterexamples.append(("translation", k, l))
-        lhs2 = rho(t, Motion(triv, mat_apply(gamma, k)), rho(t, Motion(triv, ORIGIN, gamma), x))
-        rhs2 = rho(t, Motion(triv, ORIGIN, gamma), rho(t, Motion(triv, k), x))
+        turn = Motion(triv, AffineSL2(ORIGIN, gamma))
+        lhs2 = rho(t, Motion(triv, AffineSL2(mat_apply(gamma, k))), rho(t, turn, x))
+        rhs2 = rho(t, turn, rho(t, shift, x))
         if lhs2 != rhs2:
             report.ok = False
             report.counterexamples.append(("rotation", k, gamma))
@@ -172,7 +160,7 @@ def weak_mixing_witness(t: Triplet, elems: Sequence[AlgebraElement]) -> LatticeP
             raise ValueError("weak mixing witness applies to zero-sum-supported elements")
     traces = [a.trace() for a in elems]
     for k in spiral_points():
-        move = AffineSL2(k, IDENTITY_MAT)
+        move = AffineSL2(k)
         shifted = [beta(t, move, a) for a in elems]
         ok = True
         for (a, ta) in zip(elems, traces):

@@ -5,7 +5,6 @@ from __future__ import annotations
 from .abelian import AbGroup, Character
 from .cocycle import BilinearCocycle
 from .dynamics import Triplet
-from .scalars import Phase
 
 
 def mod_q_group(q: int) -> AbGroup:
@@ -14,13 +13,12 @@ def mod_q_group(q: int) -> AbGroup:
 
 def mod_q_cocycle(q: int) -> BilinearCocycle:
     """mu((s1,t1),(s2,t2)) = s1*t2 / q on (Z/q)^2."""
-    z = Phase.ZERO
-    return BilinearCocycle(mod_q_group(q), ((z, Phase(1, q)), (z, z)))
+    return BilinearCocycle(mod_q_group(q), ((0, 1), (0, 0)), q)
 
 
 def mod_q_character(q: int) -> Character:
     """chi((s1,t1)) = s1 / q."""
-    return Character(mod_q_group(q), (Phase(1, q), Phase.ZERO))
+    return Character(mod_q_group(q), (1, 0), q)
 
 
 def mod_q_triplet(q: int) -> Triplet:

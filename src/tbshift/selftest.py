@@ -30,6 +30,7 @@ from .dynamics import Motion, Triplet, motion_mul, verify_motion_relations, weak
 from .families import mod_q_group, mod_q_triplet
 from .lattice import (
     IDENTITY_MAT,
+    AffineSL2,
     LatticePoint,
     det2,
     gcd2,
@@ -159,15 +160,16 @@ def _table(group: AbGroup, rows: list, den: int) -> TableCocycle:
 
 
 def _random_bilinear(rng: random.Random, group: AbGroup) -> BilinearCocycle:
-    r = group.rank
+    # entry (i, j) is a/g for g = gcd(n_i, n_j) > 1, as a D/g over D = lcm(torsion)
+    d, orders = lcm(*group.torsion), group.orders
     rows = []
-    for i in range(r):
+    for m in orders:
         row = []
-        for j in range(r):
-            g = gcd(group.generator_order(i), group.generator_order(j))
-            row.append(Phase(rng.randrange(g), g) if g > 1 else Phase.ZERO)
+        for n in orders:
+            g = gcd(m, n)
+            row.append(rng.randrange(g) * (d // g) if g > 1 else 0)
         rows.append(tuple(row))
-    return BilinearCocycle(group, tuple(rows))
+    return BilinearCocycle(group, tuple(rows), d)
 
 
 def suite_cocycles(rng: random.Random, count: int = 12) -> dict:
@@ -190,7 +192,7 @@ def suite_actions(rng: random.Random) -> dict:
     assoc_failures = 0
     for _ in range(100):
         a, b, c = (
-            Motion(rng.choice(chars), random_point(rng), random_sl2(rng))
+            Motion(rng.choice(chars), AffineSL2(random_point(rng), random_sl2(rng)))
             for _ in range(3)
         )
         if motion_mul(t, motion_mul(t, a, b), c) != motion_mul(t, a, motion_mul(t, b, c)):
@@ -222,7 +224,7 @@ def suite_intertwiner(rng: random.Random) -> dict:
     # group of odd exponent cannot carry; use the lattice with a half shift
     lat = AbGroup(2)
     ta = Triplet(lat, trivial_cocycle(lat), Character.trivial(lat))
-    tb = Triplet(lat, trivial_cocycle(lat), Character(lat, (Phase(1, 2), Phase.ZERO)))
+    tb = Triplet(lat, trivial_cocycle(lat), Character(lat, (1, 0), 2))
     pi2 = build_pi(ta, tb, AbHom.identity(lat))
     mutated = replace(pi2, weight=lambda k: 1)
     probes = [

@@ -3,12 +3,15 @@
 The CLI reads triplet files (group, cocycle, character) and writes group
 elements (`factor`) and homomorphisms (`conjugate`, `centralizer`).
 Parsing is strict and every error carries the JSON path of the offending
-node, so a bad triplet file points at the exact field.
+node, so a bad triplet file points at the exact field.  A character's or a
+bilinear cocycle's phases become ints over the lcm of their denominators
+here, the one place where a Phase turns into an integer form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Any
 
 from .abelian import AbElem, AbGroup, AbHom, Character
@@ -48,6 +51,13 @@ def phase_from_json(obj: Any, path: str = "$") -> Phase:
         raise SchemaError(path, f"bad phase {text!r}: {exc}") from None
 
 
+def _lifted(rows: list) -> tuple:
+    """(int rows, D) for rows of parsed phases, D the lcm of their
+    denominators: the one place where a Phase becomes an int over D."""
+    den = lcm(*(p.den for row in rows for p in row))
+    return tuple(tuple(p.num * (den // p.den) for p in row) for row in rows), den
+
+
 # groups and their parts -----------------------------------------------
 
 def group_from_json(obj: Any, path: str = "$") -> AbGroup:
@@ -84,8 +94,9 @@ def character_from_json(group: AbGroup, obj: Any, path: str = "$") -> Character:
     parsed = [phase_from_json(p, f"{path}.phases[{i}]") for i, p in enumerate(phases)]
     if len(parsed) != group.rank:
         raise SchemaError(path + ".phases", f"expected {group.rank} phases, got {len(parsed)}")
+    (ints,), den = _lifted([parsed])
     try:
-        return Character(group, tuple(parsed))
+        return Character(group, ints, den)
     except ValueError as exc:
         raise SchemaError(path + ".phases", str(exc)) from None
 
@@ -106,7 +117,7 @@ def cocycle_from_json(group: AbGroup, obj: Any, path: str = "$"):
                 )
             )
         try:
-            return BilinearCocycle(group, tuple(rows))
+            return BilinearCocycle(group, *_lifted(rows))
         except ValueError as exc:
             raise SchemaError(path + ".matrix", str(exc)) from None
     if kind == "table":

@@ -21,7 +21,11 @@ sums and negations through `from_items` and AbElem arithmetic
 (`folded_sum`, `folded_negation`), Cyclotomic products through a rebase of
 both factors (`rebased_product`) and rotations as a fresh spread
 (`spread_rotation`), and `motion_mul` with Phase characters
-(`phase_motion_mul`).
+(`phase_motion_mul`).  The integer constructors keep the lifts they
+replaced: a character and a bilinear cocycle from Phases
+(`phase_character`, `phase_bilinear`) and `AbHom`'s column test on group
+elements (`elementwise_hom_matrix`); `config_total` folds a
+configuration's values by AbElem additions.
 """
 
 from __future__ import annotations
@@ -44,13 +48,12 @@ from tbshift.algebra import (
     TensorElement,
     _flip,
     _SwapKernel,
-    apply_diagonal_character,
     malleability_unitary,
 )
 from tbshift.classify import _pool_ranges
 from tbshift.cocycle import BilinearCocycle, CocycleError, TableCocycle, trivial_cocycle
 from tbshift.configs import Config
-from tbshift.dynamics import Motion, Triplet
+from tbshift.dynamics import Motion, Triplet, rho
 from tbshift.lattice import AffineSL2, LatticePoint, det2, mat_apply, mat_mul, spiral_index
 from tbshift.linalg import _eliminate, identity_matrix
 from tbshift.scalars import Cyclotomic, Phase
@@ -257,16 +260,86 @@ def phase_validate(table) -> None:
                                        f"fails at {(g.coords, h.coords, k.coords)}")
 
 
+# -- the Phase lifts of the integer forms --------------------------------------
+
+
+def phase_character(group: AbGroup, phases: Iterable[Phase]) -> Character:
+    """The character with the given Phase on each generator, by the lift
+    `Character` once made itself: one phase per generator, the row over D,
+    the lcm of the denominators, and each torsion phase checked against its
+    generator order (the message names the Phase) before
+    `Character(group, ints, D)` is built."""
+    phases = tuple(phases)
+    if len(phases) != group.rank:
+        raise ValueError("one phase per generator is required")
+    den = lcm(*(p.den for p in phases))
+    ints = tuple(p.num * (den // p.den) for p in phases)
+    for j, (p, c) in enumerate(zip(phases, ints)):
+        n = group.generator_order(j)
+        if n and n * c % den:
+            raise ValueError(f"phase {p} is not killed by the generator order {n}")
+    return Character(group, ints, den)
+
+
+def character_phases(chi: Character) -> tuple:
+    """chi's Phase on each generator."""
+    return tuple(Phase(c, chi.den) for c in chi.ints)
+
+
+def phase_matrix(form) -> tuple:
+    """The Phase matrix of a cocycle or star form: each int over its `den`."""
+    return tuple(tuple(Phase(a, form.den) for a in row) for row in form.ints)
+
+
+def phase_bilinear(group: AbGroup, matrix) -> BilinearCocycle:
+    """The bilinear cocycle of a rank x rank Phase matrix, by the lift
+    `BilinearCocycle` once made itself: the shape, the matrix over D, the
+    lcm of the denominators, and each entry touching a torsion generator
+    checked against its order, before `BilinearCocycle(group, ints, D)`."""
+    r = group.rank
+    rows = tuple(tuple(row) for row in matrix)
+    if len(rows) != r or any(len(row) != r for row in rows):
+        raise CocycleError("shape", f"matrix must be {r}x{r}")
+    den = lcm(*(p.den for row in rows for p in row))
+    ints = tuple(tuple(p.num * (den // p.den) for p in row) for row in rows)
+    for i in range(r):
+        for j in range(r):
+            for n in (group.generator_order(i), group.generator_order(j)):
+                if n and n * ints[i][j] % den:
+                    raise CocycleError("torsion", f"entry ({i},{j}) not killed by order {n}")
+    return BilinearCocycle(group, ints, den)
+
+
+def elementwise_hom_matrix(source: AbGroup, target: AbGroup, matrix) -> tuple:
+    """`AbHom`'s canonical matrix by the check it once made on group
+    elements: the shape, the rows on torsion target coordinates reduced,
+    and each torsion column built as an AbElem, scaled by its generator
+    order and tested for zero, with `AbHom`'s messages."""
+    rows = tuple(tuple(int(x) for x in row) for row in matrix)
+    if len(rows) != target.rank or any(len(row) != source.rank for row in rows):
+        raise ValueError("matrix shape does not match the groups")
+    fixed = []
+    for i, row in enumerate(rows):
+        n = target.generator_order(i)
+        fixed.append(tuple(x % n for x in row) if n else row)
+    for j in range(source.rank):
+        n = source.generator_order(j)
+        if n and not target.element([row[j] for row in fixed]).scaled(n).is_zero:
+            raise ValueError(f"generator {j} of order {n} maps to an incompatible element")
+    return tuple(fixed)
+
+
 # -- Phase evaluation of the forms -------------------------------------------
 
 
 def phase_bilinear_value(form, g: AbElem, h: AbElem) -> Phase:
-    """sum_ij g_i M_ij h_j over the Phase matrix M of a cocycle or star form,
-    widening one running denominator entry by entry."""
+    """sum_ij g_i M_ij h_j over the Phase matrix M of a cocycle or star form
+    (each entry its int over its `den`), widening one running denominator
+    entry by entry."""
     num, den = 0, 1
     for i, gi in enumerate(g.coords):
         if gi:
-            row = form.matrix[i]
+            row = phase_matrix(form)[i]
             for j, hj in enumerate(h.coords):
                 if hj:
                     p = row[j]
@@ -294,7 +367,7 @@ def phase_star_form(mu) -> tuple:
 def phase_character_value(chi: Character, g: AbElem) -> Phase:
     """chi(g) as the Phase sum of g_j * chi(e_j), the generator values."""
     total = Phase.ZERO
-    for c, p in zip(g.coords, chi.phases):
+    for c, p in zip(g.coords, character_phases(chi)):
         total = total + p * c
     return total
 
@@ -399,6 +472,14 @@ def config_items(cfg: Config) -> Iterator[tuple]:
     return ((point, AbElem(cfg.group, coords)) for point, coords in cfg.support)
 
 
+def config_total(cfg: Config) -> AbElem:
+    """The sum in H of cfg's values, a fold of AbElem additions."""
+    total = cfg.group.zero()
+    for _, value in config_items(cfg):
+        total = total + value
+    return total
+
+
 def folded_sum(c1: Config, c2: Config) -> Config:
     """c1 + c2 through `Config.from_items`: every site of both supports
     reduced again by `AbGroup.reduce`, coinciding sites added and reduced,
@@ -483,19 +564,20 @@ def separating_characters(group: AbGroup, values: Iterable[AbElem]) -> list:
         n = group.generator_order(j) or modulus
         phases = [Phase.ZERO] * group.rank
         phases[j] = Phase(1, n)
-        family.append(Character(group, tuple(phases)))
+        family.append(phase_character(group, phases))
     return family
 
 
 def is_dual_fixed(t: Triplet, x: AlgebraElement) -> bool:
-    """True iff x is fixed by the whole diagonal dual action.
+    """True iff x is fixed by the whole diagonal dual action, each
+    character c acting as `rho` of the motion (c, identity).
 
     A finite separating family suffices, because only finitely many
     values appear in a finite sum.
     """
     values = [value for cfg in x.terms for _, value in config_items(cfg)]
     for c in separating_characters(t.group, values):
-        if apply_diagonal_character(c, x) != x:
+        if rho(t, Motion(c), x) != x:
             return False
     return True
 
@@ -509,7 +591,7 @@ def det_form_cocycle(theta: Phase, group: AbGroup | None = None) -> BilinearCocy
     if group.rank != 2:
         raise ValueError("the det form needs a rank-2 group")
     z = Phase.ZERO
-    return BilinearCocycle(group, ((z, theta), (-theta, z)))
+    return phase_bilinear(group, ((z, theta), (-theta, z)))
 
 
 def lattice_det_triplet(theta: Phase, character: Character | None = None) -> Triplet:
@@ -537,10 +619,9 @@ def product_triplet(*parts: Triplet) -> Triplet:
         for i in range(r):
             for j in range(r):
                 matrix[offset + i][offset + j] = t.cocycle(gens[i], gens[j])
-        phases.extend(t.character.phases)
+        phases.extend(character_phases(t.character))
         offset += r
-    cocycle = BilinearCocycle(group, tuple(tuple(row) for row in matrix))
-    return Triplet(group, cocycle, Character(group, tuple(phases)))
+    return Triplet(group, phase_bilinear(group, matrix), phase_character(group, phases))
 
 
 def trivial_triplet(group: AbGroup) -> Triplet:
@@ -583,13 +664,15 @@ def spread_rotation(x: Cyclotomic, k: int, n: int) -> Cyclotomic:
 
 
 def phase_motion_mul(t: Triplet, a: Motion, b: Motion) -> Motion:
-    """`dynamics.motion_mul` with the characters composed Phase by Phase:
-    c1 + c2 + det(k, g1 l) chi on each generator."""
-    moved = mat_apply(a.matrix, b.shift)
-    e = det2(a.shift, moved)
-    char = Character(a.char.group, tuple(p + q + r * e for p, q, r in zip(
-        a.char.phases, b.char.phases, t.character.phases)))
-    return Motion(char, a.shift + moved, mat_mul(a.matrix, b.matrix))
+    """`dynamics.motion_mul` with the characters composed Phase by Phase,
+    c1 + c2 + det(k, g1 l) chi on each generator, and the moves by their
+    translations and matrices."""
+    (k, g1), (l, g2) = (a.move.translation, a.move.matrix), (b.move.translation, b.move.matrix)
+    moved = mat_apply(g1, l)
+    e = det2(k, moved)
+    char = phase_character(a.char.group, tuple(p + q + r * e for p, q, r in zip(
+        character_phases(a.char), character_phases(b.char), character_phases(t.character))))
+    return Motion(char, AffineSL2(k + moved, mat_mul(g1, g2)))
 
 
 # -- lattice moves --------------------------------------------------------------

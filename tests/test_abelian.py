@@ -1,13 +1,16 @@
 import itertools
 import math
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (
+    elementwise_hom_matrix,
     enumerate_automorphisms,
     enumerate_isomorphisms,
+    phase_character,
     phase_character_value,
     separating_characters,
 )
@@ -143,7 +146,8 @@ def test_image_count_matches_isomorphism(rng):
             except ValueError:
                 continue
             got = is_isomorphism(f)
-            brute = len(_brute_closure([f.column(j) for j in range(g.rank)])) == g.order()
+            columns = [g.element([row[j] for row in f.matrix]) for j in range(g.rank)]
+            brute = len(_brute_closure(columns)) == g.order()
             assert got == brute
             verdicts.add((torsion, got))
     assert len(verdicts) == 6  # each shape gives both verdicts
@@ -217,7 +221,7 @@ def test_equivalent_presentations_are_isomorphic():
 
 def test_character_examples():
     g33 = AbGroup(0, (3, 3))
-    chi = Character(g33, (Phase(1, 3), Phase.ZERO))
+    chi = phase_character(g33, (Phase(1, 3), Phase.ZERO))
     assert chi(g33.element((1, 0))) == Phase(1, 3)
     assert chi(g33.zero()).is_zero
     assert chi(g33.element((0, 2))).is_zero
@@ -238,34 +242,124 @@ def characters_and_elements(draw):
         dens = [d for d in range(1, n + 1) if n % d == 0] if n else range(1, 31)
         phases.append(Phase(draw(st.integers(-60, 60)), draw(st.sampled_from(dens))))
     coords = draw(st.lists(st.integers(-100, 100), min_size=group.rank, max_size=group.rank))
-    return Character(group, tuple(phases)), group.element(coords)
+    return phase_character(group, phases), group.element(coords)
 
 
 @given(characters_and_elements())
 def test_character_value_matches_phase_sum(pair):
     chi, g = pair
     assert chi(g) == phase_character_value(chi, g)
-    # the integer lift stays out of equality and hashing
-    twin = Character(chi.group, chi.phases)
+    # the canonical (ints, den) rebuilds an equal character with an equal hash
+    twin = Character(chi.group, chi.ints, chi.den)
     assert twin == chi and hash(twin) == hash(chi)
 
 
 def test_character_validation():
     g = AbGroup(0, (3,))
     with pytest.raises(ValueError):
-        Character(g, (Phase(1, 4),))
-    Character(g, (Phase(2, 3),))
+        Character(g, (1,), 4)
+    Character(g, (2,), 3)
     z = AbGroup(1)
-    Character(z, (Phase(1, 4),))  # free generators take any rational phase
+    Character(z, (1,), 4)  # free generators take any rational phase
 
 
 def test_character_is_homomorphism(rng):
     g = AbGroup(1, (4, 6))
-    chi = Character(g, (Phase(3, 7), Phase(1, 4), Phase(5, 6)))
+    chi = phase_character(g, (Phase(3, 7), Phase(1, 4), Phase(5, 6)))
     for _ in range(50):
         a = g.element([rng.randint(-9, 9) for _ in range(g.rank)])
         b = g.element([rng.randint(-9, 9) for _ in range(g.rank)])
         assert chi(a + b) == chi(a) + chi(b)
+
+
+MIXED_GROUPS = [AbGroup(2), AbGroup(1, (4, 6)), AbGroup(0, (3, 3)), AbGroup(2, (2,)),
+                AbGroup(0, (12,)), AbGroup(1, (2, 2, 3))]
+
+
+def _entry(rng, n, den):
+    """A numerator over den, unreduced and often negative: for a torsion
+    order n mostly one that n kills, sometimes one off it."""
+    if not n:
+        return rng.randint(-3 * den, 3 * den)
+    c = rng.randint(-9, 9) * (den // gcd(den, n))
+    return c + 1 if rng.random() < 0.15 else c
+
+
+def _same_refusal(build, oracle):
+    """build() and oracle() both refuse with the same type and message, or
+    both return; the second element is what each returned."""
+    try:
+        want = oracle()
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as err:
+            build()
+        assert str(err.value) == str(exc)
+        return None
+    return build(), want
+
+
+def test_character_int_form_matches_the_phase_lift(rng):
+    # unreduced, negative and common-factor rows over free and torsion
+    # generators: the int constructor against the Phase lift it replaced,
+    # as equal objects with equal hashes and (ints, den), or with the same
+    # refusal and message; a row of the wrong length is refused by both
+    built = refused = 0
+    for group in MIXED_GROUPS:
+        for _ in range(150):
+            den = rng.randint(1, 12) * rng.choice((1, 2, 6))
+            ints = [_entry(rng, n, den) for n in group.orders]
+            if rng.random() < 0.05:
+                ints.append(0)
+            k = rng.choice((1, 1, 3, 4))  # a common factor of the row and den
+            ints, den = tuple(c * k for c in ints), den * k
+            pair = _same_refusal(lambda: Character(group, ints, den),
+                                 lambda: phase_character(group, (Phase(c, den) for c in ints)))
+            if pair is None:
+                refused += 1
+                continue
+            got, want = pair
+            assert got == want and hash(got) == hash(want)
+            assert (got.ints, got.den) == (want.ints, want.den)
+            assert all(0 <= c < got.den for c in got.ints) and gcd(got.den, *got.ints) == 1
+            built += 1
+    assert built > 300 and refused > 100
+    for den in (0, -3):
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            Character(AbGroup(1), (1,), den)
+
+
+def _hom_entry(rng, n, m):
+    """An entry of row order m (0 if free) in a column of order n: any int
+    for a free column, else mostly one that n kills mod m (0 on a free
+    row), sometimes one off it."""
+    if not n:
+        return rng.randint(-20, 20)
+    c = rng.randint(-9, 9) * (m // gcd(n, m)) if m else 0
+    return c + 1 if rng.random() < 0.1 else c
+
+
+def test_hom_integer_check_matches_the_elementwise_check(rng):
+    # random matrices between groups with free and torsion parts, entries
+    # unreduced and negative: AbHom's column test on ints against the old
+    # test on group elements, the same canonical matrix or the same refusal
+    built = refused = 0
+    for source in MIXED_GROUPS:
+        for target in MIXED_GROUPS:
+            for _ in range(12):
+                matrix = [[_hom_entry(rng, n, m) for n in source.orders] for m in target.orders]
+                if rng.random() < 0.05:
+                    matrix = matrix[1:]
+                pair = _same_refusal(lambda: AbHom(source, target, matrix),
+                                     lambda: elementwise_hom_matrix(source, target, matrix))
+                if pair is None:
+                    refused += 1
+                    continue
+                got, want = pair
+                assert got.matrix == want
+                assert got == AbHom(source, target, want) and hash(got) == hash(
+                    AbHom(source, target, want))
+                built += 1
+    assert built > 200 and refused > 60
 
 
 def test_dual_characters_count_and_separation():
@@ -281,7 +375,7 @@ def test_dual_character_decodes_the_product_order():
     # the index-th character against the index-th tuple of itertools.product
     for torsion in [(2,), (5,), (2, 4), (3, 3), (2, 3, 4)]:
         g = AbGroup(0, torsion)
-        listed = [Character(g, tuple(Phase(a, n) for a, n in zip(t, torsion)))
+        listed = [phase_character(g, (Phase(a, n) for a, n in zip(t, torsion)))
                   for t in itertools.product(*(range(n) for n in torsion))]
         assert [dual_character(g, i) for i in range(g.order())] == listed
         assert list(dual_characters(g)) == listed

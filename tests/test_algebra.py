@@ -8,8 +8,11 @@ import oracles
 from conftest import deadline
 from oracles import (
     coboundary_cocycle,
+    config_total,
     flow_unitary,
     malleability_flow,
+    phase_bilinear,
+    phase_character,
     product_triplet,
     table_from_function,
     to_table,
@@ -26,6 +29,7 @@ from tbshift.algebra import (
 )
 from tbshift.cocycle import BilinearCocycle, TableCocycle, trivial_cocycle
 from tbshift.configs import Config, dipole, mu_tilde
+from tbshift.dynamics import Motion, rho
 from tbshift.families import mod_q_cocycle, mod_q_group, mod_q_triplet
 from tbshift.lattice import ORIGIN, LatticePoint
 from tbshift.scalars import Cyclotomic, Phase
@@ -200,7 +204,8 @@ def test_flow_needs_square_order():
 
 
 def test_diagonal_character_action(mu3, rng):
-    g = mu3.group
+    # on the shift algebra a diagonal character acts as rho of (c, identity)
+    g, t = mu3.group, mod_q_triplet(3)
     triv = Character.trivial(g)
     chars = list(dual_characters(g))
     v = malleability_unitary(mu3)
@@ -208,11 +213,11 @@ def test_diagonal_character_action(mu3, rng):
         assert apply_diagonal_character(c, v) == v  # every term has content h + (-h)
     for _ in range(10):
         x = random_algebra_element(rng, mu3)
-        assert apply_diagonal_character(triv, x) == x
+        assert rho(t, Motion(triv), x) == x
         for c in rng.sample(chars, 3):
-            assert apply_diagonal_character(c, x) == x  # zero-sum keys are fixed
+            assert rho(t, Motion(c), x) == x  # zero-sum keys are fixed
     moved = TensorElement.unit(mu3, g.element((1, 0)), g.zero())
-    c = Character(g, (Phase(1, 3), Phase.ZERO))
+    c = phase_character(g, (Phase(1, 3), Phase.ZERO))
     scaled = apply_diagonal_character(c, moved)
     assert scaled == moved.scaled(Cyclotomic.from_phase(Phase(1, 3)))
 
@@ -220,11 +225,12 @@ def test_diagonal_character_action(mu3, rng):
 def test_diagonal_character_of_order_four_matches_its_phase_values(rng):
     # c = (1/4, 0) on (Z/4)^2 takes the value 2/4, which c(total) reduces
     # to 1/2: every term against v * from_phase(c(total)), on tensor keys
-    # and on configurations that are not zero-sum, so a rotation that
-    # paired a reduced numerator with c.den = 4 would fail here
+    # by apply_diagonal_character and on configurations that are not
+    # zero-sum by rho of (c, identity), so a rotation that paired a reduced
+    # numerator with c.den = 4 would fail here
     mu = mod_q_cocycle(4)
-    g = mu.group
-    c = Character(g, (Phase(1, 4), Phase.ZERO))
+    g, t = mu.group, mod_q_triplet(4)
+    c = phase_character(g, (Phase(1, 4), Phase.ZERO))
     elems = list(g.elements())
     tensor = TensorElement(mu, {
         (a, b): Cyclotomic.from_phase(Phase(rng.randrange(12), 12)) * Fraction(rng.randint(1, 3))
@@ -235,13 +241,14 @@ def test_diagonal_character_of_order_four_matches_its_phase_values(rng):
             Cyclotomic.from_phase(Phase(rng.randrange(5), 5))
         for i, h in enumerate(elems)
     })
-    for x in (tensor, configs):
-        totals = {c(x._total(k)) for k in x.terms}
+    for x, total, act in ((tensor, lambda k: k[0] + k[1], apply_diagonal_character),
+                          (configs, config_total, lambda c, x: rho(t, Motion(c), x))):
+        totals = {c(total(k)) for k in x.terms}
         assert Phase(1, 2) in totals and len(totals) == 4
-        out = apply_diagonal_character(c, x)
+        out = act(c, x)
         assert out.terms.keys() == x.terms.keys()
         for k, v in x.terms.items():
-            want, got = v * Cyclotomic.from_phase(c(x._total(k))), out.terms[k]
+            want, got = v * Cyclotomic.from_phase(c(total(k))), out.terms[k]
             assert (got.order, got.ints, got.den) == (want.order, want.ints, want.den)
 
 
@@ -293,7 +300,7 @@ def _symplectic_z2p4():
     half, z = Phase(1, 2), Phase.ZERO
     matrix = [[z] * 4 for _ in range(4)]
     matrix[0][1] = matrix[2][3] = half
-    return BilinearCocycle(AbGroup(0, (2, 2, 2, 2)), matrix)
+    return phase_bilinear(AbGroup(0, (2, 2, 2, 2)), matrix)
 
 
 def _shifted_table_cocycle(rng):

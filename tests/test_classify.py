@@ -23,7 +23,7 @@ from oracles import (
     trivial_triplet,
 )
 from tbshift import classify, cocycle
-from tbshift.abelian import AbGroup, AbHom, Character, is_isomorphism
+from tbshift.abelian import AbGroup, AbHom, Character, dual_characters, is_isomorphism
 from tbshift.algebra import AlgebraElement
 from tbshift.classify import (
     CANONICAL_MOVES,
@@ -37,7 +37,7 @@ from tbshift.classify import (
 )
 from tbshift.cocycle import BilinearCocycle, star_bicharacter, trivial_cocycle
 from tbshift.configs import dipole
-from tbshift.dynamics import Motion, Triplet, beta, rho
+from tbshift.dynamics import Motion, Triplet, beta, motion_mul, rho
 from tbshift.families import mod_q_triplet
 from tbshift.lattice import AffineSL2, LatticePoint, spiral_index
 from tbshift.scalars import Phase
@@ -132,8 +132,8 @@ def test_lattice_closed_form_separation():
     # characters that differ by one of order 2 have equal chi^2, though
     # 2 * 3/4 runs past a full turn: the identity, by the closed form
     g = ta.group
-    td = lattice_det_triplet(Phase(1, 16), Character(g, (Phase(1, 4), Phase(1, 3))))
-    te = lattice_det_triplet(Phase(1, 16), Character(g, (Phase(3, 4), Phase(1, 3))))
+    td = lattice_det_triplet(Phase(1, 16), oracles.phase_character(g, (Phase(1, 4), Phase(1, 3))))
+    te = lattice_det_triplet(Phase(1, 16), oracles.phase_character(g, (Phase(3, 4), Phase(1, 3))))
     report4 = decide_conjugacy(td, te)
     assert report4.verdict == "YES" and report4.decided_by == "lattice" and report4.complete
     assert report4.witness == AbHom.identity(g)
@@ -176,11 +176,11 @@ def test_lattice_closed_form_vs_bounded_enumeration(rng):
     # cocycle, transposes it (negating v) or draws its own
     seen = set()
     for i in range(60):
-        chi_a = Character(g, tuple(random_rational_phase(rng, 4) for _ in range(2)))
+        chi_a = oracles.phase_character(g, tuple(random_rational_phase(rng, 4) for _ in range(2)))
         ta = Triplet(g, _random_form(rng, g), chi_a)
-        cocycle = (ta.cocycle, BilinearCocycle(g, tuple(zip(*ta.cocycle.matrix))),
+        cocycle = (ta.cocycle, BilinearCocycle(g, tuple(zip(*ta.cocycle.ints)), ta.cocycle.den),
                    _random_form(rng, g))[i % 3]
-        chi_b = chi_a if i % 2 else Character(g, tuple(random_rational_phase(rng, 4)
+        chi_b = chi_a if i % 2 else oracles.phase_character(g, tuple(random_rational_phase(rng, 4)
                                                        for _ in range(2)))
         report = _assert_lattice_closed_form_sound(ta, Triplet(g, cocycle, chi_b), isos)
         seen.add((report.verdict, report.witness))
@@ -193,9 +193,9 @@ def test_lattice_unknown_without_bound():
     # equal star values but different characters: the closed form cannot
     # settle it and no bound was given
     g = AbGroup(2)
-    chi = Character(g, (Phase(1, 5), Phase.ZERO))
+    chi = oracles.phase_character(g, (Phase(1, 5), Phase.ZERO))
     ta = Triplet(g, det_form_cocycle(Phase(1, 16), g), chi)
-    tb = Triplet(g, det_form_cocycle(Phase(1, 16), g), Character(g, (Phase.ZERO, Phase(1, 5))))
+    tb = Triplet(g, det_form_cocycle(Phase(1, 16), g), oracles.phase_character(g, (Phase.ZERO, Phase(1, 5))))
     report = decide_conjugacy(ta, tb)
     assert report.verdict == "UNKNOWN" and not report.complete
     # with a bound the swap matrix is found
@@ -263,7 +263,7 @@ def test_pi_phase_is_enumeration_independent(trip3, rng):
 def _half_shift_pair():
     lat = AbGroup(2)
     ta = Triplet(lat, trivial_cocycle(lat), Character.trivial(lat))
-    tb = Triplet(lat, trivial_cocycle(lat), Character(lat, (Phase(1, 2), Phase.ZERO)))
+    tb = Triplet(lat, trivial_cocycle(lat), oracles.phase_character(lat, (Phase(1, 2), Phase.ZERO)))
     return ta, tb
 
 
@@ -293,14 +293,14 @@ def _pi_cases():
     z = Phase.ZERO
     half_a, half_b = _half_shift_pair()
     free = AbGroup(2, (2,))
-    free_a = Triplet(free, BilinearCocycle(free, ((z, Phase(1, 5), z), (z, z, z), (z, z, Phase(1, 2)))),
-                     Character(free, (Phase(1, 3), Phase(5, 12), Phase(1, 2))))
-    free_b = Triplet(free, BilinearCocycle(free, ((Phase(1, 7), z, z), (z, z, Phase(1, 2)), (z, z, z))),
-                     Character(free, (Phase(1, 4), Phase(2, 3), Phase(1, 2))))
+    free_a = Triplet(free, oracles.phase_bilinear(free, ((z, Phase(1, 5), z), (z, z, z), (z, z, Phase(1, 2)))),
+                     oracles.phase_character(free, (Phase(1, 3), Phase(5, 12), Phase(1, 2))))
+    free_b = Triplet(free, oracles.phase_bilinear(free, ((Phase(1, 7), z, z), (z, z, Phase(1, 2)), (z, z, z))),
+                     oracles.phase_character(free, (Phase(1, 4), Phase(2, 3), Phase(1, 2))))
     mixed = AbGroup(0, (4, 6))
-    mixed_a = Triplet(mixed, BilinearCocycle(mixed, ((Phase(1, 4), z), (z, z))),
-                      Character(mixed, (z, Phase(1, 6))))
-    mixed_b = Triplet(mixed, BilinearCocycle(mixed, ((z, z), (z, Phase(1, 3)))),
+    mixed_a = Triplet(mixed, oracles.phase_bilinear(mixed, ((Phase(1, 4), z), (z, z))),
+                      oracles.phase_character(mixed, (z, Phase(1, 6))))
+    mixed_b = Triplet(mixed, oracles.phase_bilinear(mixed, ((z, z), (z, Phase(1, 3)))),
                       Character.trivial(mixed))
     t3 = mod_q_triplet(3)
     g3 = t3.group
@@ -310,7 +310,7 @@ def _pi_cases():
         g3, lambda g, h: t3.cocycle(g, h) + Phase(h.coords[0] * g.coords[1], 3) + shift(g, h)))
     eighths = oracles.coboundary_cocycle(g3, {x: Phase(x.coords[0], 8) for x in g3.elements()})
     table_b = Triplet(g3, oracles.table_from_function(
-        g3, lambda g, h: t3.cocycle(h, g) + eighths(g, h)), Character(g3, (Phase(2, 3), Phase(1, 3))))
+        g3, lambda g, h: t3.cocycle(h, g) + eighths(g, h)), oracles.phase_character(g3, (Phase(2, 3), Phase(1, 3))))
     table_a.validate()
     table_b.validate()
     shear3 = AbHom(g3, g3, ((1, 0), (1, 1)))
@@ -319,8 +319,8 @@ def _pi_cases():
         PiPhi(free_a, free_b, AbHom(free, free, ((1, 1, 0), (0, 1, 0), (0, 1, 1)))),
         PiPhi(mixed_a, mixed_b, AbHom(mixed, mixed, ((1, 0), (3, 1)))),
         PiPhi(table_a, table_b, shear3),
-        PiPhi(table_a, replace(t3, character=Character(g3, (z, Phase(1, 3)))), shear3),
-        PiPhi(t3, replace(t3, character=Character(g3, (Phase(2, 3), Phase(1, 3)))), shear3),
+        PiPhi(table_a, replace(t3, character=oracles.phase_character(g3, (z, Phase(1, 3)))), shear3),
+        PiPhi(t3, replace(t3, character=oracles.phase_character(g3, (Phase(2, 3), Phase(1, 3)))), shear3),
     ]
 
 
@@ -360,7 +360,7 @@ def test_pi_evaluates_no_cocycle_value(monkeypatch, rng):
     for pi in cases:
         a = random_algebra_element(rng, pi.ta.cocycle)
         b = random_algebra_element(rng, pi.ta.cocycle)
-        move = Motion(pi.ta.character, random_point(rng), random_sl2(rng))
+        move = Motion(pi.ta.character, AffineSL2(random_point(rng), random_sl2(rng)))
         runs.append((pi, a, b, move, (pi(a), a * b, rho(pi.ta, move, a))))
 
     def refuse(self, g, h):
@@ -401,6 +401,44 @@ def test_verify_pi_builds_no_group_element(monkeypatch):
     assert [r.ok for r in after] == [True, False]
     with pytest.raises(AssertionError, match="built"):
         t.group.element((1, 0))
+
+
+def test_integer_form_builders_make_no_phase_and_homs_no_group_element(monkeypatch):
+    # characters and cocycles are built from int rows: mod_q_triplet, the
+    # dual, power, motion_mul and PiPhi.mismatch give what they gave
+    # before with Phase.__post_init__ refusing, and AbHom checks its
+    # columns on the integer matrix with AbGroup.element refusing
+    shear = ((1, 0), (1, 1))
+
+    def characters():
+        t = mod_q_triplet(3)
+        chars = list(dual_characters(t.group))
+        a = Motion(chars[4].power(5), AffineSL2(LatticePoint(1, 2), ((1, 1), (0, 1))))
+        b = Motion(chars[7], AffineSL2(LatticePoint(-2, 1), ((0, -1), (1, 0))))
+        other = replace(t, character=chars[5])
+        return t, chars, motion_mul(t, a, b), PiPhi(t, other, AbHom(t.group, t.group, shear)).mismatch
+
+    homs = [(AbGroup(0, (3, 3)), AbGroup(0, (3, 3)), shear),
+            (AbGroup(1, (4, 6)), AbGroup(2, (2, 12)), ((3, 0, 0), (-1, 0, 0), (5, 1, 3), (7, 3, 2))),
+            (AbGroup(0, (2,)), AbGroup(1, (4,)), ((0,), (6,)))]
+
+    def matrices():
+        return [AbHom(s, t, m).matrix for s, t, m in homs] + [AbHom.identity(homs[1][0]).matrix]
+
+    before, canonical = characters(), matrices()
+
+    def refuse(self, *args):
+        raise AssertionError("a Phase or a group element was built")
+
+    monkeypatch.setattr(Phase, "__post_init__", refuse)
+    monkeypatch.setattr(AbGroup, "element", refuse)
+    assert characters() == before
+    assert matrices() == canonical
+    assert canonical[1] == ((3, 0, 0), (-1, 0, 0), (1, 1, 1), (7, 3, 2))
+    with pytest.raises(ValueError, match="generator 0 of order 2 maps to an incompatible"):
+        AbHom(AbGroup(0, (2,)), AbGroup(1, (4,)), ((0,), (1,)))
+    with pytest.raises(AssertionError, match="built"):
+        Phase(1, 3)
 
 
 def _verify_pi_one_check_at_a_time(pi, pairs, moves=CANONICAL_MOVES):
@@ -549,8 +587,8 @@ def _standard_symplectic_triplet(n, p, chi_first):
     for i in range(n):
         rows[2 * i][2 * i + 1] = Phase(1, p)
     phases = (chi_first,) + (Phase.ZERO,) * (2 * n - 1)
-    cocycle = BilinearCocycle(group, tuple(tuple(row) for row in rows))
-    return Triplet(group, cocycle, Character(group, phases))
+    cocycle = oracles.phase_bilinear(group, tuple(tuple(row) for row in rows))
+    return Triplet(group, cocycle, oracles.phase_character(group, phases))
 
 
 @pytest.mark.parametrize(
@@ -621,12 +659,12 @@ def test_centralizer_lattice_cases():
     rep5 = centralizer(lattice_det_triplet(Phase(1, 4)))
     assert rep5.verdict == "INFINITE" and "GL(2,Z)" in rep5.note
     # a character of order 2 squares to zero
-    half = Character(AbGroup(2), (Phase(1, 2), Phase(1, 2)))
+    half = oracles.phase_character(AbGroup(2), (Phase(1, 2), Phase(1, 2)))
     rep6 = centralizer(lattice_det_triplet(Phase(1, 16), half))
     assert rep6.verdict == "INFINITE" and "SL(2,Z)" in rep6.note
     # nontrivial character: no closed form, bounded search only
     g = AbGroup(2)
-    trip = Triplet(g, det_form_cocycle(Phase(1, 16), g), Character(g, (Phase(1, 5), Phase.ZERO)))
+    trip = Triplet(g, det_form_cocycle(Phase(1, 16), g), oracles.phase_character(g, (Phase(1, 5), Phase.ZERO)))
     rep3 = centralizer(trip)
     assert rep3.verdict == "UNKNOWN" and not rep3.complete
     rep4 = centralizer(trip, bound=1)
@@ -648,7 +686,7 @@ def test_bounded_lattice_pair_lifts_each_star_form_once(monkeypatch):
     monkeypatch.setattr(cocycle, "star_bicharacter", counted)
     monkeypatch.setattr(classify, "star_bicharacter", counted)
     g = AbGroup(2)
-    ta, tb = (lattice_det_triplet(Phase(1, 16), Character(g, (phase, Phase.ZERO)))
+    ta, tb = (lattice_det_triplet(Phase(1, 16), oracles.phase_character(g, (phase, Phase.ZERO)))
               for phase in (Phase(1, 5), Phase(1, 3)))
     report = decide_conjugacy(ta, tb, bound=2)
     assert report.verdict == "UNKNOWN" and report.decided_by == "bounded-search"
@@ -681,12 +719,12 @@ def _random_form(rng, group):
             n = gcd(group.generator_order(i), group.generator_order(j)) or rng.choice((4, 8, 16))
             row.append(Phase(rng.randrange(n), n))
         rows.append(tuple(row))
-    return BilinearCocycle(group, tuple(rows))
+    return oracles.phase_bilinear(group, tuple(rows))
 
 
 def _random_character(rng, group):
     # free generators get a phase of order 5, so chi^2 is nontrivial there
-    return Character(group, tuple(
+    return oracles.phase_character(group, tuple(
         Phase(rng.randrange(n), n) if n else Phase(rng.randrange(1, 5), 5)
         for n in (group.generator_order(j) for j in range(group.rank))
     ))
@@ -697,8 +735,8 @@ def _pushforward(t, psi):
     g = psi.source
     images = [psi(e) for e in g.generators()]
     matrix = tuple(tuple(t.cocycle(x, y) for y in images) for x in images)
-    chi = Character(g, tuple(t.character(x) for x in images))
-    return Triplet(g, BilinearCocycle(g, matrix), chi)
+    chi = oracles.phase_character(g, tuple(t.character(x) for x in images))
+    return Triplet(g, oracles.phase_bilinear(g, matrix), chi)
 
 
 def _oracle_pair(rng, group, isos, pick):
@@ -774,7 +812,7 @@ def test_invariant_nos_match_brute_oracle():
     # and no more, the second four times one), so only the search finds
     # this NO
     group = AbGroup(0, (4, 8))
-    ta, tb = (Triplet(group, trivial_cocycle(group), Character(group, phases))
+    ta, tb = (Triplet(group, trivial_cocycle(group), oracles.phase_character(group, phases))
               for phases in ((Phase(1, 4), Phase.ZERO), (Phase.ZERO, Phase(1, 4))))
     isos, _ = enumerate_isomorphisms(group, group)
     report = _assert_invariants_sound(ta, tb, isos)
@@ -795,11 +833,11 @@ def test_integer_search_matches_phase_checks_on_mixed_denominators():
     ):
         group = AbGroup(0, torsion)
         isos, _ = enumerate_isomorphisms(group, group)
-        ta = Triplet(group, _random_bilinear(rng, group), Character(group, phases))
+        ta = Triplet(group, _random_bilinear(rng, group), oracles.phase_character(group, phases))
         pairs.append((ta, _pushforward(ta, rng.choice(isos))))
     # the same group presented with three and with two generators
     ga, gb = AbGroup(0, (2, 2, 3)), AbGroup(0, (2, 6))
-    chi = Character(ga, (Phase(1, 2), Phase.ZERO, Phase(1, 3)))
+    chi = oracles.phase_character(ga, (Phase(1, 2), Phase.ZERO, Phase(1, 3)))
     ta = Triplet(ga, _random_bilinear(rng, ga), chi)
     pairs.append((ta, _pushforward(ta, rng.choice(enumerate_isomorphisms(gb, ga)[0]))))
     root = Path(__file__).resolve().parent.parent / "triplets"
@@ -874,9 +912,9 @@ def test_finite_search_reaches_leaves_only_with_isomorphisms():
     # tuples.  The finite search yields its leaves unchecked, so only the
     # span cut keeps them out; every hit is checked here, outside it.
     group = AbGroup(0, (4, 4))
-    degenerate = Triplet(group, BilinearCocycle(group, (
+    degenerate = Triplet(group, oracles.phase_bilinear(group, (
         (Phase.ZERO, Phase(1, 2)), (Phase.ZERO, Phase.ZERO))), Character.trivial(group))
-    standard = Triplet(group, BilinearCocycle(group, (
+    standard = Triplet(group, oracles.phase_bilinear(group, (
         (Phase.ZERO, Phase(1, 4)), (Phase.ZERO, Phase.ZERO))), Character.trivial(group))
     report = decide_conjugacy(degenerate, standard)
     assert report.verdict == "NO" and report.checks == {"cocycle": False, "character": True}

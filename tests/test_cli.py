@@ -100,6 +100,20 @@ def _write(tmp_path, name, torsion, matrix, free_rank=0, phases=None):
     return str(path)
 
 
+def test_validate_names_the_phase_a_torsion_order_does_not_kill(tmp_path):
+    # "4/12" and "1/2" become the ints (2, 3) over their lcm 6; the
+    # refusal names the first one as its reduced phase 1/3
+    path = _write(tmp_path, "chi.json", (2, 2), [["0", "0"], ["0", "0"]],
+                  phases=["4/12", "1/2"])
+    detail = "phase 1/3 is not killed by the generator order 2"
+    assert _run(["validate", path]) == (EXIT_INVALID, {
+        "ok": False,
+        "violation": "schema",
+        "detail": f"$.character.phases: {detail}",
+        "path": "$.character.phases",
+    })
+
+
 def test_factor_on_free_rank_three_finds_the_odd_rank_kernel(tmp_path):
     # every antisymmetric form of odd rank is singular; the antisymmetric
     # lift [[0, 15, 10], [-15, 0, 6], [-10, -6, 0]] / 30 has kernel (6, -10, 15)

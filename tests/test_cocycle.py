@@ -2,7 +2,7 @@ import ast
 import itertools
 import random
 from collections import Counter
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 import sympy
@@ -15,7 +15,9 @@ from oracles import (
     cocycle_identity_failure,
     det_form_cocycle,
     literal_coboundary_witness,
+    phase_bilinear,
     phase_bilinear_value,
+    phase_matrix,
     phase_coboundary_witness,
     phase_star_form,
     phase_validate,
@@ -62,8 +64,46 @@ def test_evaluation_examples():
 def test_bilinear_torsion_validation():
     g = AbGroup(0, (3,))
     with pytest.raises(CocycleError):
-        BilinearCocycle(g, ((Phase(1, 4),),))
-    BilinearCocycle(g, ((Phase(1, 3),),))
+        BilinearCocycle(g, ((1,),), 4)
+    BilinearCocycle(g, ((1,),), 3)
+
+
+def test_bilinear_int_form_matches_the_phase_lift(rng):
+    # unreduced, negative and common-factor matrices over free and torsion
+    # generators: the int constructor against the Phase lift it replaced,
+    # as equal objects with equal hashes and (ints, den), or with the same
+    # CocycleError; a matrix of the wrong shape is refused by both
+    groups = [AbGroup(2), AbGroup(1, (4, 6)), AbGroup(0, (3, 3)), AbGroup(2, (2,)),
+              AbGroup(0, (2, 4)), AbGroup(1, (2, 3))]
+    built = refused = 0
+    for group in groups:
+        orders = group.orders
+        for _ in range(120):
+            den = rng.randint(1, 12) * rng.choice((1, 2, 6))
+            step = [den // gcd(den, n) if n else 1 for n in orders]
+            ints = [[rng.randint(-9, 9) * lcm(a, b) + (rng.random() < 0.04) for b in step]
+                    for a in step]
+            if rng.random() < 0.05:
+                ints[-1] = ints[-1][1:]
+            k = rng.choice((1, 1, 3, 4))  # a common factor of the matrix and den
+            ints, den = [[x * k for x in row] for row in ints], den * k
+            try:
+                want = phase_bilinear(group, [[Phase(x, den) for x in row] for row in ints])
+            except CocycleError as exc:
+                with pytest.raises(CocycleError) as err:
+                    BilinearCocycle(group, ints, den)
+                assert (err.value.violation, str(err.value)) == (exc.violation, str(exc))
+                refused += 1
+                continue
+            got = BilinearCocycle(group, ints, den)
+            assert got == want and hash(got) == hash(want)
+            assert (got.ints, got.den) == (want.ints, want.den)
+            assert all(0 <= x < got.den for row in got.ints for x in row)
+            assert gcd(got.den, *(x for row in got.ints for x in row)) == 1
+            built += 1
+    assert built > 300 and refused > 100
+    with pytest.raises(CocycleError, match="denominator"):
+        BilinearCocycle(AbGroup(1), ((1,),), 0)
 
 
 def test_table_validation_catches_violations():
@@ -178,7 +218,7 @@ def test_star_bicharacter_examples():
     theta = Phase(1, 16)
     star_c = star_bicharacter(det_form_cocycle(theta))
     doubled = det_form_cocycle(theta + theta)
-    assert star_c.matrix == doubled.matrix
+    assert star_c.matrix == phase_matrix(doubled)
     # a den-24 table, mu3 plus a coboundary of den 8, keeps mu3's (A, 3)
     shifted = _den_24_table(random.Random(24))
     assert shifted.den == 24
@@ -208,8 +248,8 @@ def test_star_bicharacter_antisymmetric_bilinear(rng):
     # antisymmetric, and matrix[i][j] is mu(e_i, e_j) - mu(e_j, e_i)
     z, half = Phase.ZERO, Phase(1, 2)
     forms = [mu, to_table(mod_q_cocycle(3)), to_table(_random_bilinear(rng, AbGroup(0, (2, 6)))),
-             BilinearCocycle(AbGroup(1, (2,)), ((Phase(1, 3), half), (z, half))),
-             BilinearCocycle(AbGroup(2), ((z, half), (z, z)))]
+             phase_bilinear(AbGroup(1, (2,)), ((Phase(1, 3), half), (z, half))),
+             phase_bilinear(AbGroup(2), ((z, half), (z, z)))]
     forms += [random_mixed_cocycle(rng) for _ in range(40)]
     for form in forms:
         star, gens = star_bicharacter(form), form.group.generators()
@@ -417,7 +457,7 @@ def test_nondegenerate_forms_live_on_square_orders():
 def test_degenerate_free_direction_is_found():
     # a rank-one form on Z^2 pairs (0,1) trivially with everything
     z = Phase.ZERO
-    mu = BilinearCocycle(AbGroup(2), ((z, z), (z, Phase(1, 3))))
+    mu = phase_bilinear(AbGroup(2), ((z, z), (z, Phase(1, 3))))
     w = degeneracy_witness(mu)
     assert w is not None
     star = star_bicharacter(mu)
@@ -428,7 +468,7 @@ def test_degenerate_free_direction_is_found():
 def test_torsion_degeneracy_on_mixed_group():
     # free part pairs nondegenerately, torsion part carries nothing
     z = Phase.ZERO
-    mu = BilinearCocycle(
+    mu = phase_bilinear(
         AbGroup(2, (3,)),
         (
             (z, Phase(1, 5), z),
@@ -450,7 +490,7 @@ def random_mixed_cocycle(rng):
         n = gcd(a, b) or 12
         return Phase.ZERO if rng.random() < 0.5 else Phase(rng.randrange(n), n)
 
-    return BilinearCocycle(group, tuple(tuple(entry(a, b) for b in orders) for a in orders))
+    return phase_bilinear(group, tuple(tuple(entry(a, b) for b in orders) for a in orders))
 
 
 def test_mixed_degeneracy_witness_is_nonzero_and_degenerate():
@@ -524,9 +564,9 @@ def test_cocycle_consumers_evaluate_no_cocycle_value(rng, monkeypatch):
     symplectic = [[z] * 4 for _ in range(4)]
     symplectic[0][1] = symplectic[2][3] = half
     cocycles = [mod_q_cocycle(3), _den_24_table(rng),
-                to_table(BilinearCocycle(AbGroup(0, (2, 4)), ((z, half), (z, Phase(1, 4))))),
-                trivial_cocycle(AbGroup(0, (2, 4))), BilinearCocycle(AbGroup(0, (2,) * 4), symplectic),
-                BilinearCocycle(AbGroup(1, (2,)), ((Phase(1, 3), half), (z, half))),
+                to_table(phase_bilinear(AbGroup(0, (2, 4)), ((z, half), (z, Phase(1, 4))))),
+                trivial_cocycle(AbGroup(0, (2, 4))), phase_bilinear(AbGroup(0, (2,) * 4), symplectic),
+                phase_bilinear(AbGroup(1, (2,)), ((Phase(1, 3), half), (z, half))),
                 det_form_cocycle(Phase(1, 16))]
     finite = [mu for mu in cocycles if mu.group.is_finite]
     stars = [phase_star_form(mu) for mu in cocycles]

@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from oracles import lattice_det_triplet, to_table
-from tbshift.abelian import AbGroup, AbHom, Character
+from oracles import lattice_det_triplet, phase_character, to_table
+from tbshift.abelian import AbGroup, AbHom
 from tbshift.cocycle import trivial_cocycle
 from tbshift.families import mod_q_cocycle, mod_q_triplet
 from tbshift.scalars import Phase
@@ -39,7 +39,7 @@ def test_phase_roundtrip():
 def test_group_and_parts_roundtrip():
     g = AbGroup(1, (2, 6))
     assert group_from_json({"free_rank": 1, "torsion": [2, 6]}) == g
-    chi = Character(g, (Phase(1, 7), Phase(1, 2), Phase(5, 6)))
+    chi = phase_character(g, (Phase(1, 7), Phase(1, 2), Phase(5, 6)))
     assert character_from_json(g, {"phases": ["1/7", "1/2", "5/6"]}) == chi
     f = AbHom(g, g, ((1, 0, 0), (0, 1, 0), (0, 0, 5)))
     assert hom_to_json(f) == {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 5]]}
