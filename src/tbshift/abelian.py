@@ -22,31 +22,41 @@ matrix.  Neither builds a Phase or a group element.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from .linalg import snf_diagonal
-from .scalars import Phase
+from .scalars import Immutable, Phase
 
 
-@dataclass(frozen=True)
-class AbGroup:
-    free_rank: int
-    torsion: tuple = ()
-    rank: int = field(init=False, repr=False, compare=False)  # free_rank + len(torsion)
-    orders: tuple = field(init=False, repr=False, compare=False)  # per generator, 0 if free
+class AbGroup(Immutable):
+    """Z^free_rank + Z/torsion[0] + ...; `rank` and `orders` (per generator,
+    0 if free) are derived, and left out of equality, hashing and repr."""
 
-    def __post_init__(self) -> None:
-        if self.free_rank < 0:
+    __slots__ = ("free_rank", "torsion", "rank", "orders")
+
+    def __init__(self, free_rank: int, torsion: tuple = ()) -> None:
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        tors = tuple(int(n) for n in self.torsion)
+        tors = tuple(int(n) for n in torsion)
         if any(n < 2 for n in tors):
             raise ValueError("torsion orders must be >= 2")
-        object.__setattr__(self, "torsion", tors)
-        object.__setattr__(self, "rank", self.free_rank + len(tors))
-        object.__setattr__(self, "orders", (0,) * self.free_rank + tors)
+        _set_free_rank(self, free_rank)
+        _set_torsion(self, tors)
+        _set_rank(self, free_rank + len(tors))
+        _set_orders(self, (0,) * free_rank + tors)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.free_rank, self.torsion) == (other.free_rank, other.torsion)
+
+    def __hash__(self) -> int:
+        return hash((self.free_rank, self.torsion))
+
+    def __repr__(self) -> str:
+        return f"AbGroup(free_rank={self.free_rank!r}, torsion={self.torsion!r})"
 
     @property
     def is_trivial(self) -> bool:
@@ -109,19 +119,35 @@ class AbGroup:
         return tuple(d for d in snf_diagonal(diag) if d != 1)
 
 
+_set_free_rank = AbGroup.free_rank.__set__
+_set_torsion = AbGroup.torsion.__set__
+_set_rank = AbGroup.rank.__set__
+_set_orders = AbGroup.orders.__set__
+
+
 def abstractly_isomorphic(a: AbGroup, b: AbGroup) -> bool:
     return a.free_rank == b.free_rank and a.invariant_factors() == b.invariant_factors()
 
 
-@dataclass(frozen=True)
-class AbElem:
-    group: AbGroup
-    coords: tuple
+class AbElem(Immutable):
+    __slots__ = ("group", "coords")
+
+    def __init__(self, group: AbGroup, coords: tuple) -> None:
+        _set_elem_group(self, group)
+        _set_coords(self, coords)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.coords) == (other.group, other.coords)
 
     def __hash__(self) -> int:
         # elements are keyed by their coordinates; equal elements have
-        # equal coordinates, so this agrees with the dataclass equality
+        # equal coordinates, so this agrees with the equality above
         return hash(self.coords)
+
+    def __repr__(self) -> str:
+        return f"AbElem(group={self.group!r}, coords={self.coords!r})"
 
     def _check(self, other: "AbElem") -> None:
         if self.group is not other.group and self.group != other.group:
@@ -152,31 +178,45 @@ class AbElem:
         return lcm(*(n // gcd(n, c) for c, n in zip(self.coords[g.free_rank :], g.torsion)))
 
 
-@dataclass(frozen=True)
-class AbHom:
+_set_elem_group = AbElem.group.__set__
+_set_coords = AbElem.coords.__set__
+
+
+class AbHom(Immutable):
     """Homomorphism given by an integer matrix: column j = image of source
     generator j, written in target coordinates (rows)."""
 
-    source: AbGroup
-    target: AbGroup
-    matrix: tuple
+    __slots__ = ("source", "target", "matrix")
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in self.matrix)
-        if len(rows) != self.target.rank or any(
-            len(row) != self.source.rank for row in rows
+    def __init__(self, source: AbGroup, target: AbGroup, matrix: tuple) -> None:
+        rows = tuple(tuple(int(x) for x in row) for row in matrix)
+        if len(rows) != target.rank or any(
+            len(row) != source.rank for row in rows
         ):
             raise ValueError("matrix shape does not match the groups")
         # canonical form: reduce rows that land on torsion target coordinates
-        orders = self.target.orders
+        orders = target.orders
         rows = tuple(tuple(x % m for x in row) if m else row for row, m in zip(rows, orders))
-        object.__setattr__(self, "matrix", rows)
+        _set_source(self, source)
+        _set_target(self, target)
+        _set_matrix(self, rows)
         # column j must be killed by n: n * x = 0 mod m on a torsion row, x = 0 on a free one
-        for j, n in enumerate(self.source.orders):
+        for j, n in enumerate(source.orders):
             if n and any(n * row[j] % m if m else row[j] for row, m in zip(rows, orders)):
                 raise ValueError(
                     f"generator {j} of order {n} maps to an incompatible element"
                 )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source, self.target, self.matrix) == (other.source, other.target, other.matrix)
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, self.matrix))
+
+    def __repr__(self) -> str:
+        return f"AbHom(source={self.source!r}, target={self.target!r}, matrix={self.matrix!r})"
 
     def __call__(self, g: AbElem) -> AbElem:
         if g.group != self.source:
@@ -204,6 +244,11 @@ class AbHom:
         )
 
 
+_set_source = AbHom.source.__set__
+_set_target = AbHom.target.__set__
+_set_matrix = AbHom.matrix.__set__
+
+
 def is_isomorphism(f: AbHom) -> bool:
     """True iff f is bijective.
 
@@ -225,32 +270,40 @@ def is_isomorphism(f: AbHom) -> bool:
     return len([d for d in diag if d != 0]) == rb and all(d in (0, 1) for d in diag)
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(Immutable):
     """Character chi(g) = c . g / D: the integer row c (`ints`) over D
     (`den`), put in lowest terms (entries in [0, D), their gcd with D 1), so
     equality and hashing are structural.  A torsion generator's order must
     kill its entry, so a value does not depend on reducing coordinates.
     """
 
-    group: AbGroup
-    ints: tuple
-    den: int
+    __slots__ = ("group", "ints", "den")
 
-    def __post_init__(self) -> None:
-        if len(self.ints) != self.group.rank:
+    def __init__(self, group: AbGroup, ints: tuple, den: int) -> None:
+        if len(ints) != group.rank:
             raise ValueError("one phase per generator is required")
-        den = self.den
         if den < 1:
             raise ValueError(f"denominator must be positive, got {den}")
-        ints = [c % den for c in self.ints]
+        ints = [c % den for c in ints]
         g = gcd(den, *ints)
         ints, den = tuple(c // g for c in ints), den // g
-        object.__setattr__(self, "ints", ints)
-        object.__setattr__(self, "den", den)
-        for c, n in zip(ints, self.group.orders):
+        _set_char_group(self, group)
+        _set_char_ints(self, ints)
+        _set_char_den(self, den)
+        for c, n in zip(ints, group.orders):
             if n and n * c % den:
                 raise ValueError(f"phase {Phase(c, den)} is not killed by the generator order {n}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.ints, self.den) == (other.group, other.ints, other.den)
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.ints, self.den))
+
+    def __repr__(self) -> str:
+        return f"Character(group={self.group!r}, ints={self.ints!r}, den={self.den!r})"
 
     @staticmethod
     def trivial(group: AbGroup) -> "Character":
@@ -263,6 +316,11 @@ class Character:
 
     def power(self, d: int) -> "Character":
         return Character(self.group, tuple(c * d for c in self.ints), self.den)
+
+
+_set_char_group = Character.group.__set__
+_set_char_ints = Character.ints.__set__
+_set_char_den = Character.den.__set__
 
 
 def dual_characters(group: AbGroup) -> Iterator[Character]:
@@ -288,12 +346,29 @@ def dual_character(group: AbGroup, index: int) -> Character:
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    order: int
-    abelian: bool
-    invariant_factors: Optional[tuple]
-    noncommuting: Optional[tuple]
+class StructureReport(Immutable):
+    __slots__ = ("order", "abelian", "invariant_factors", "noncommuting")
+
+    def __init__(self, order: int, abelian: bool, invariant_factors: Optional[tuple],
+                 noncommuting: Optional[tuple]) -> None:
+        _set_order(self, order)
+        _set_abelian(self, abelian)
+        _set_invariant_factors(self, invariant_factors)
+        _set_noncommuting(self, noncommuting)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.order, self.abelian, self.invariant_factors, self.noncommuting)
+                == (other.order, other.abelian, other.invariant_factors, other.noncommuting))
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.abelian, self.invariant_factors, self.noncommuting))
+
+    def __repr__(self) -> str:
+        return (f"StructureReport(order={self.order!r}, abelian={self.abelian!r}, "
+                f"invariant_factors={self.invariant_factors!r}, "
+                f"noncommuting={self.noncommuting!r})")
 
     @property
     def description(self) -> str:
@@ -302,6 +377,12 @@ class StructureReport:
         if not self.invariant_factors:
             return "1"
         return " x ".join(f"Z/{n}" for n in self.invariant_factors)
+
+
+_set_order = StructureReport.order.__set__
+_set_abelian = StructureReport.abelian.__set__
+_set_invariant_factors = StructureReport.invariant_factors.__set__
+_set_noncommuting = StructureReport.noncommuting.__set__
 
 
 def group_structure(elements: Sequence[T], compose: Callable[[T, T], T]) -> StructureReport:

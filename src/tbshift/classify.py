@@ -11,8 +11,6 @@ one action is the automorphism group cut out by the same two conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Callable, Iterator, List, Optional, Sequence
@@ -43,6 +41,7 @@ from .lattice import (
     spiral_index,
 )
 from .linalg import hermite_mod, order_mod, snf_diagonal
+from .scalars import Immutable
 
 
 def check_conditions(ta: Triplet, tb: Triplet, phi: AbHom) -> tuple:
@@ -66,8 +65,7 @@ def check_conditions(ta: Triplet, tb: Triplet, phi: AbHom) -> tuple:
     return cocycle_ok, character_ok
 
 
-@dataclass(frozen=True)
-class PiPhi:
+class PiPhi(Immutable):
     """The basis intertwiner induced by phi.
 
     Sends the normalized basis unitary of a zero-sum configuration lam to
@@ -85,22 +83,47 @@ class PiPhi:
     weighted raw values.  The term pays it by one rotation.
     """
 
-    ta: Triplet
-    tb: Triplet
-    phi: AbHom
-    weight: Callable[[LatticePoint], int] = gcd2
-    order_key: Callable[[LatticePoint], object] = spiral_index
+    __slots__ = ("ta", "tb", "phi", "weight", "order_key", "_mismatch")
 
-    @cached_property
+    def __init__(self, ta: Triplet, tb: Triplet, phi: AbHom,
+                 weight: Callable[[LatticePoint], int] = gcd2,
+                 order_key: Callable[[LatticePoint], object] = spiral_index) -> None:
+        _set_ta(self, ta)
+        _set_tb(self, tb)
+        _set_phi(self, phi)
+        _set_weight(self, weight)
+        _set_order_key(self, order_key)
+        _set_mismatch(self, None)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.ta, self.tb, self.phi, self.weight, self.order_key)
+                == (other.ta, other.tb, other.phi, other.weight, other.order_key))
+
+    def __hash__(self) -> int:
+        return hash((self.ta, self.tb, self.phi, self.weight, self.order_key))
+
+    def __repr__(self) -> str:
+        return (f"PiPhi(ta={self.ta!r}, tb={self.tb!r}, phi={self.phi!r}, "
+                f"weight={self.weight!r}, order_key={self.order_key!r})")
+
+    @property
     def mismatch(self) -> Character:
-        """The character c = chi_a - chi_b o phi on H_a."""
-        chi_a, chi_b, phi = self.ta.character, self.tb.character, self.phi
-        if phi.source != chi_a.group or phi.target != chi_b.group:
-            raise ValueError("phi does not map between the triplets' groups")
-        d = lcm(chi_a.den, chi_b.den)
-        sa, sb = d // chi_a.den, d // chi_b.den
-        return Character(chi_a.group, tuple(c * sa - sum(map(mul, chi_b.ints, x)) * sb
-                                            for c, x in zip(chi_a.ints, zip(*phi.matrix))), d)
+        """The character c = chi_a - chi_b o phi on H_a, built on first read
+        and kept in `_mismatch` (None until then)."""
+        mismatch = self._mismatch
+        if mismatch is None:
+            chi_a, chi_b, phi = self.ta.character, self.tb.character, self.phi
+            if phi.source != chi_a.group or phi.target != chi_b.group:
+                raise ValueError("phi does not map between the triplets' groups")
+            d = lcm(chi_a.den, chi_b.den)
+            sa, sb = d // chi_a.den, d // chi_b.den
+            ints = tuple(c * sa - sum(map(mul, chi_b.ints, x)) * sb
+                         for c, x in zip(chi_a.ints, zip(*phi.matrix)))
+            mismatch = Character(chi_a.group, ints, d)
+            _set_mismatch(self, mismatch)
+        return mismatch
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         if x.cocycle != self.ta.cocycle:
@@ -128,6 +151,14 @@ class PiPhi:
         return AlgebraElement(self.tb.cocycle, out)
 
 
+_set_ta = PiPhi.ta.__set__
+_set_tb = PiPhi.tb.__set__
+_set_phi = PiPhi.phi.__set__
+_set_weight = PiPhi.weight.__set__
+_set_order_key = PiPhi.order_key.__set__
+_set_mismatch = PiPhi._mismatch.__set__
+
+
 def build_pi(ta: Triplet, tb: Triplet, phi: AbHom) -> PiPhi:
     cocycle_ok, character_ok = check_conditions(ta, tb, phi)
     if not (cocycle_ok and character_ok):
@@ -146,10 +177,20 @@ CANONICAL_MOVES = (
 )
 
 
-@dataclass
 class VerifyReport:
-    ok: bool
-    failures: list = field(default_factory=list)
+    __slots__ = ("ok", "failures")
+
+    def __init__(self, ok: bool, failures: Optional[list] = None) -> None:
+        self.ok = ok
+        self.failures = [] if failures is None else failures
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ok, self.failures) == (other.ok, other.failures)
+
+    def __repr__(self) -> str:
+        return f"VerifyReport(ok={self.ok!r}, failures={self.failures!r})"
 
 
 def verify_pi(
@@ -185,14 +226,44 @@ def verify_pi(
     return report
 
 
-@dataclass(frozen=True)
-class ConjugacyReport:
-    verdict: str  # YES | NO | UNKNOWN
-    witness: Optional[AbHom]
-    checks: dict
-    complete: bool
-    note: str = ""
-    decided_by: str = ""  # groups | invariants | search | lattice | bounded-search
+class ConjugacyReport(Immutable):
+    # verdict: YES | NO | UNKNOWN;
+    # decided_by: groups | invariants | search | lattice | bounded-search
+    __slots__ = ("verdict", "witness", "checks", "complete", "note", "decided_by")
+
+    def __init__(self, verdict: str, witness: Optional[AbHom], checks: dict, complete: bool,
+                 note: str = "", decided_by: str = "") -> None:
+        _set_verdict(self, verdict)
+        _set_witness(self, witness)
+        _set_checks(self, checks)
+        _set_complete(self, complete)
+        _set_note(self, note)
+        _set_decided_by(self, decided_by)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.verdict, self.witness, self.checks, self.complete, self.note,
+                 self.decided_by)
+                == (other.verdict, other.witness, other.checks, other.complete, other.note,
+                    other.decided_by))
+
+    def __hash__(self) -> int:
+        return hash((self.verdict, self.witness, self.checks, self.complete, self.note,
+                     self.decided_by))
+
+    def __repr__(self) -> str:
+        return (f"ConjugacyReport(verdict={self.verdict!r}, witness={self.witness!r}, "
+                f"checks={self.checks!r}, complete={self.complete!r}, note={self.note!r}, "
+                f"decided_by={self.decided_by!r})")
+
+
+_set_verdict = ConjugacyReport.verdict.__set__
+_set_witness = ConjugacyReport.witness.__set__
+_set_checks = ConjugacyReport.checks.__set__
+_set_complete = ConjugacyReport.complete.__set__
+_set_note = ConjugacyReport.note.__set__
+_set_decided_by = ConjugacyReport.decided_by.__set__
 
 
 def _integer_forms(ta: Triplet, tb: Triplet) -> tuple:
@@ -426,13 +497,38 @@ def decide_conjugacy(ta: Triplet, tb: Triplet, bound: Optional[int] = None) -> C
                            f"no witness with entries bounded by {bound}", how)
 
 
-@dataclass(frozen=True)
-class CentralizerReport:
-    verdict: str  # OK | UNKNOWN | INFINITE
-    elements: tuple
-    structure: Optional[StructureReport]
-    complete: bool
-    note: str = ""
+class CentralizerReport(Immutable):
+    # verdict: OK | UNKNOWN | INFINITE
+    __slots__ = ("verdict", "elements", "structure", "complete", "note")
+
+    def __init__(self, verdict: str, elements: tuple, structure: Optional[StructureReport],
+                 complete: bool, note: str = "") -> None:
+        _set_centralizer_verdict(self, verdict)
+        _set_elements(self, elements)
+        _set_structure(self, structure)
+        _set_centralizer_complete(self, complete)
+        _set_centralizer_note(self, note)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.verdict, self.elements, self.structure, self.complete, self.note)
+                == (other.verdict, other.elements, other.structure, other.complete, other.note))
+
+    def __hash__(self) -> int:
+        return hash((self.verdict, self.elements, self.structure, self.complete, self.note))
+
+    def __repr__(self) -> str:
+        return (f"CentralizerReport(verdict={self.verdict!r}, elements={self.elements!r}, "
+                f"structure={self.structure!r}, complete={self.complete!r}, "
+                f"note={self.note!r})")
+
+
+_set_centralizer_verdict = CentralizerReport.verdict.__set__
+_set_elements = CentralizerReport.elements.__set__
+_set_structure = CentralizerReport.structure.__set__
+_set_centralizer_complete = CentralizerReport.complete.__set__
+_set_centralizer_note = CentralizerReport.note.__set__
 
 
 def centralizer(t: Triplet, bound: Optional[int] = None) -> CentralizerReport:

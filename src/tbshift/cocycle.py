@@ -22,15 +22,13 @@ steps, and the check of every equation decides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Optional
 
 from .abelian import AbElem, AbGroup
 from .linalg import hermite_mod, integer_kernel_basis
-from .scalars import Phase
+from .scalars import Immutable, Phase
 
 
 class CocycleError(ValueError):
@@ -53,8 +51,7 @@ def _bilinear_value(form, g: AbElem, h: AbElem) -> Phase:
     return Phase(_bilinear_exponent(form, g.coords, h.coords), form.den)
 
 
-@dataclass(frozen=True)
-class BilinearCocycle:
+class BilinearCocycle(Immutable):
     """Cocycle mu(g, h) = g^T B h / D: the integer matrix B (`ints`) over D
     (`den`), in lowest terms as `Character` puts its row.  Any bilinear
     exponent form is a normalized 2-cocycle; entries touching a torsion
@@ -62,24 +59,22 @@ class BilinearCocycle:
     reduced coordinates.
     """
 
-    group: AbGroup
-    ints: tuple  # rank x rank
-    den: int
+    __slots__ = ("group", "ints", "den")  # ints: rank x rank
 
-    def __post_init__(self) -> None:
-        r = self.group.rank
-        rows = tuple(tuple(row) for row in self.ints)
+    def __init__(self, group: AbGroup, ints: tuple, den: int) -> None:
+        r = group.rank
+        rows = tuple(tuple(row) for row in ints)
         if len(rows) != r or any(len(row) != r for row in rows):
             raise CocycleError("shape", f"matrix must be {r}x{r}")
-        den = self.den
         if den < 1:
             raise CocycleError("denominator", f"must be positive, got {den}")
         rows = [[x % den for x in row] for row in rows]
         g = gcd(den, *(x for row in rows for x in row))
         ints, den = tuple(tuple(x // g for x in row) for row in rows), den // g
-        object.__setattr__(self, "ints", ints)
-        object.__setattr__(self, "den", den)
-        orders = self.group.orders
+        _set_bilinear_group(self, group)
+        _set_bilinear_ints(self, ints)
+        _set_bilinear_den(self, den)
+        orders = group.orders
         for i, row in enumerate(ints):
             for j, x in enumerate(row):
                 for n in (orders[i], orders[j]):
@@ -87,6 +82,17 @@ class BilinearCocycle:
                         raise CocycleError(
                             "torsion", f"entry ({i},{j}) not killed by order {n}"
                         )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.ints, self.den) == (other.group, other.ints, other.den)
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.ints, self.den))
+
+    def __repr__(self) -> str:
+        return f"BilinearCocycle(group={self.group!r}, ints={self.ints!r}, den={self.den!r})"
 
     __call__ = _bilinear_value
     # mu(g, h) * D on raw coordinates: reducing them mod torsion moves it by
@@ -115,17 +121,24 @@ class BilinearCocycle:
         """Construction already enforces everything; Triplet.validate calls this."""
 
 
-@dataclass(frozen=True, eq=False)
-class TableCocycle:
+_set_bilinear_group = BilinearCocycle.group.__set__
+_set_bilinear_ints = BilinearCocycle.ints.__set__
+_set_bilinear_den = BilinearCocycle.den.__set__
+
+
+class TableCocycle(Immutable):
     """Complete value table on a finite group.  `den`, the lcm of the
     entries' denominators, is computed on first use."""
 
-    group: AbGroup
-    entries: dict  # (coords, coords) -> Phase
+    # entries: (coords, coords) -> Phase; _den is None until first asked for
+    __slots__ = ("group", "entries", "_den")
 
-    def __post_init__(self) -> None:
-        if not self.group.is_finite:
+    def __init__(self, group: AbGroup, entries: dict) -> None:
+        if not group.is_finite:
             raise CocycleError("table", "table form needs a finite group")
+        _set_table_group(self, group)
+        _set_entries(self, entries)
+        _set_table_den(self, None)
 
     def __call__(self, g: AbElem, h: AbElem) -> Phase:
         return self.entries[(g.coords, h.coords)]
@@ -135,9 +148,16 @@ class TableCocycle:
             return NotImplemented
         return self.group == other.group and self.entries == other.entries
 
-    @cached_property
+    def __repr__(self) -> str:
+        return f"TableCocycle(group={self.group!r}, entries={self.entries!r})"
+
+    @property
     def den(self) -> int:
-        return lcm(*(p.den for p in self.entries.values()))
+        d = self._den
+        if d is None:
+            d = lcm(*(p.den for p in self.entries.values()))
+            _set_table_den(self, d)
+        return d
 
     def exponent(self, g: tuple, h: tuple) -> int:
         """mu(g, h) * D for coordinate tuples, read at their reductions."""
@@ -179,12 +199,16 @@ class TableCocycle:
                                            f"fails at {(g, elems[h], elems[k])}")
 
 
+_set_table_group = TableCocycle.group.__set__
+_set_entries = TableCocycle.entries.__set__
+_set_table_den = TableCocycle._den.__set__
+
+
 def trivial_cocycle(group: AbGroup) -> BilinearCocycle:
     return BilinearCocycle(group, ((0,) * group.rank,) * group.rank, 1)
 
 
-@dataclass(frozen=True)
-class Bicharacter:
+class Bicharacter(Immutable):
     """The star form (g, h) -> g^T A h / D on raw coordinates.
 
     A (`ints`) is an antisymmetric integer matrix, and D (`den`) is the lcm
@@ -192,15 +216,34 @@ class Bicharacter:
     (A, D).  `matrix` renders those phases, for printing.
     """
 
-    group: AbGroup
-    ints: tuple  # rank x rank, antisymmetric
-    den: int
+    __slots__ = ("group", "ints", "den")  # ints: rank x rank, antisymmetric
+
+    def __init__(self, group: AbGroup, ints: tuple, den: int) -> None:
+        _set_star_group(self, group)
+        _set_star_ints(self, ints)
+        _set_star_den(self, den)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.ints, self.den) == (other.group, other.ints, other.den)
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.ints, self.den))
+
+    def __repr__(self) -> str:
+        return f"Bicharacter(group={self.group!r}, ints={self.ints!r}, den={self.den!r})"
 
     value = _bilinear_value
 
     @property
     def matrix(self) -> tuple:
         return tuple(tuple(Phase(a, self.den) for a in row) for row in self.ints)
+
+
+_set_star_group = Bicharacter.group.__set__
+_set_star_ints = Bicharacter.ints.__set__
+_set_star_den = Bicharacter.den.__set__
 
 
 def star_bicharacter(mu) -> Bicharacter:

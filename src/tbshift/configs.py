@@ -8,25 +8,38 @@ serialization are canonical.  The group operations read that canonical
 form directly: a sum merges the two sorted supports, adding coordinates
 mod the torsion orders only where sites coincide, and the zero-sum test
 sums the raw coordinates; neither builds a group element.  A Config's
-hash is computed once, as configurations are the keys of every shift
-algebra element.
+hash and zero-sum test are each computed once and kept in a slot, as
+configurations are the keys of every shift algebra element.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from operator import add
 from typing import Iterable
 
 from .abelian import AbElem, AbGroup
 from .lattice import E1, ORIGIN, LatticePoint
+from .scalars import Immutable
 
 
-@dataclass(frozen=True)
-class Config:
-    group: AbGroup
-    support: tuple  # ((LatticePoint, coords), ...) lexicographic, no zero values
+class Config(Immutable):
+    # support: ((LatticePoint, coords), ...) lexicographic, no zero values;
+    # _hash and _is_zero_sum are None until first asked for
+    __slots__ = ("group", "support", "_hash", "_is_zero_sum")
+
+    def __init__(self, group: AbGroup, support: tuple) -> None:
+        _set_group(self, group)
+        _set_support(self, support)
+        _set_hash(self, None)
+        _set_is_zero_sum(self, None)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.support) == (other.group, other.support)
+
+    def __repr__(self) -> str:
+        return f"Config(group={self.group!r}, support={self.support!r})"
 
     @staticmethod
     def from_items(group: AbGroup, items: Iterable[tuple]) -> "Config":
@@ -51,22 +64,25 @@ class Config:
         return not self.support
 
     def __hash__(self) -> int:
-        # equal configs have equal supports, so this agrees with the
-        # dataclass equality; kept after the first call
-        try:
-            return self._hash
-        except AttributeError:
+        # equal configs have equal supports, so this agrees with __eq__;
+        # kept after the first call
+        h = self._hash
+        if h is None:
             h = hash(self.support)
-            object.__setattr__(self, "_hash", h)
-            return h
+            _set_hash(self, h)
+        return h
 
-    @cached_property
+    @property
     def is_zero_sum(self) -> bool:
         """Computed once per Config (the intertwiner and beta both ask): the
         raw coordinate sums, zero on the free part and mod each torsion order."""
-        values = [coords for _, coords in self.support]
-        return not any([s % n if n else s
-                        for s, n in zip(map(sum, zip(*values)), self.group.orders)])
+        z = self._is_zero_sum
+        if z is None:
+            values = [coords for _, coords in self.support]
+            z = not any([s % n if n else s
+                         for s, n in zip(map(sum, zip(*values)), self.group.orders)])
+            _set_is_zero_sum(self, z)
+        return z
 
     def __add__(self, other: "Config") -> "Config":
         """Merge the two sorted supports; where sites coincide the values
@@ -103,6 +119,12 @@ class Config:
 
     def __sub__(self, other: "Config") -> "Config":
         return self + (-other)
+
+
+_set_group = Config.group.__set__
+_set_support = Config.support.__set__
+_set_hash = Config._hash.__set__
+_set_is_zero_sum = Config._is_zero_sum.__set__
 
 
 def dipole(h: AbElem) -> Config:

@@ -5,29 +5,54 @@ product of the dual of H, the lattice translations and SL(2,Z), with a
 chi-twisted multiplication law.  A Motion holds a character and an
 `AffineSL2`; products compose the moves and the characters' int rows.
 rho is its action on formal sums over lattice configurations; beta is the
-restriction to translations and matrices acting on zero-sum sums.
+restriction to translations and matrices acting on zero-sum sums.  Both
+relocate each support in one pass; a pure translation keeps its order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import lcm
 from operator import mul
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .abelian import AbGroup, Character
 from .algebra import AlgebraElement
 from .configs import Config
-from .lattice import IDENTITY, ORIGIN, AffineSL2, LatticePoint, det2, mat_apply, spiral_points
+from .lattice import (
+    IDENTITY,
+    IDENTITY_MAT,
+    ORIGIN,
+    AffineSL2,
+    LatticePoint,
+    det2,
+    mat_apply,
+    spiral_points,
+)
+from .scalars import Immutable
 
 
-@dataclass(frozen=True)
-class Triplet:
+class Triplet(Immutable):
     """(H, mu, chi): a group, a normalized 2-cocycle and a character on it."""
 
-    group: AbGroup
-    cocycle: object
-    character: Character
+    __slots__ = ("group", "cocycle", "character")
+
+    def __init__(self, group: AbGroup, cocycle: object, character: Character) -> None:
+        _set_group(self, group)
+        _set_cocycle(self, cocycle)
+        _set_character(self, character)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.group, self.cocycle, self.character)
+                == (other.group, other.cocycle, other.character))
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.cocycle, self.character))
+
+    def __repr__(self) -> str:
+        return (f"Triplet(group={self.group!r}, cocycle={self.cocycle!r}, "
+                f"character={self.character!r})")
 
     def validate(self) -> None:
         if self.group.is_trivial:
@@ -39,13 +64,35 @@ class Triplet:
         self.cocycle.validate()
 
 
-@dataclass(frozen=True)
-class Motion:
+_set_group = Triplet.group.__set__
+_set_cocycle = Triplet.cocycle.__set__
+_set_character = Triplet.character.__set__
+
+
+class Motion(Immutable):
     """Element (c, k, gamma) of the extended motion group over a triplet: the
     character c and the move (k, gamma), an `AffineSL2` (built in SL(2,Z) only)."""
 
-    char: Character
-    move: AffineSL2 = IDENTITY
+    __slots__ = ("char", "move")
+
+    def __init__(self, char: Character, move: AffineSL2 = IDENTITY) -> None:
+        _set_char(self, char)
+        _set_move(self, move)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.char, self.move) == (other.char, other.move)
+
+    def __hash__(self) -> int:
+        return hash((self.char, self.move))
+
+    def __repr__(self) -> str:
+        return f"Motion(char={self.char!r}, move={self.move!r})"
+
+
+_set_char = Motion.char.__set__
+_set_move = Motion.move.__set__
 
 
 def motion_mul(t: Triplet, a: Motion, b: Motion) -> Motion:
@@ -97,9 +144,12 @@ def _moved(t: Triplet, row: tuple, den: int, move: AffineSL2, x) -> AlgebraEleme
     """rho of (c, move), c the int row over den, in one pass per configuration
     that builds the key Config once.  A term's phase is one int over
     D = lcm(chi.den, den): det(k, gamma p) chi.ints . v + row . v summed over
-    the sites v at p, both characters being homomorphisms; one rotation pays it."""
+    the sites v at p, both characters being homomorphisms; one rotation pays it.
+    A translation keeps the support's lexicographic order, so only a move with
+    a matrix sorts the relocated sites."""
     chi = t.character
     (kq, kr), ((g11, g12), (g21, g22)) = move.translation, move.matrix
+    turned = move.matrix != IDENTITY_MAT
     d = lcm(chi.den, den)
     chi_row = [c * (d // chi.den) for c in chi.ints]
     char_row = [c * (d // den) for c in row]
@@ -111,16 +161,26 @@ def _moved(t: Triplet, row: tuple, den: int, move: AffineSL2, x) -> AlgebraEleme
             mq, mr = g11 * q + g12 * r, g21 * q + g22 * r
             num += (kq * mr - kr * mq) * sum(map(mul, chi_row, v)) + sum(map(mul, char_row, v))
             support.append((LatticePoint(kq + mq, kr + mr), v))
-        key = Config(t.group, tuple(sorted(support)))
+        key = Config(t.group, tuple(sorted(support) if turned else support))
         term = coeff.rotated(num, d)
         out[key] = out[key] + term if key in out else term
     return AlgebraElement(x.cocycle, out)
 
 
-@dataclass
 class RelationReport:
-    ok: bool
-    counterexamples: list = field(default_factory=list)
+    __slots__ = ("ok", "counterexamples")
+
+    def __init__(self, ok: bool, counterexamples: Optional[list] = None) -> None:
+        self.ok = ok
+        self.counterexamples = [] if counterexamples is None else counterexamples
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ok, self.counterexamples) == (other.ok, other.counterexamples)
+
+    def __repr__(self) -> str:
+        return f"RelationReport(ok={self.ok!r}, counterexamples={self.counterexamples!r})"
 
 
 def verify_motion_relations(t: Triplet, samples: Sequence) -> RelationReport:

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
+
+from .scalars import Immutable
 
 
 class LatticePoint(NamedTuple):
@@ -58,20 +59,27 @@ def mat_apply(a: Mat2, k: LatticePoint) -> LatticePoint:
 IDENTITY_MAT: Mat2 = ((1, 0), (0, 1))
 
 
-@dataclass(frozen=True)
-class AffineSL2:
+class AffineSL2(Immutable):
     """Element (k, gamma) of Z^2 x| SL(2,Z), acting as k + gamma * point."""
 
-    translation: LatticePoint = ORIGIN
-    matrix: Mat2 = IDENTITY_MAT
+    __slots__ = ("translation", "matrix")
 
-    def __post_init__(self) -> None:
-        if mat_det(self.matrix) != 1:
-            raise ValueError(f"matrix {self.matrix} has determinant != 1")
-        object.__setattr__(self, "translation", LatticePoint(*self.translation))
-        object.__setattr__(
-            self, "matrix", tuple(tuple(int(x) for x in row) for row in self.matrix)
-        )
+    def __init__(self, translation: LatticePoint = ORIGIN, matrix: Mat2 = IDENTITY_MAT) -> None:
+        if mat_det(matrix) != 1:
+            raise ValueError(f"matrix {matrix} has determinant != 1")
+        _set_translation(self, LatticePoint(*translation))
+        _set_matrix(self, tuple(tuple(int(x) for x in row) for row in matrix))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.translation, self.matrix) == (other.translation, other.matrix)
+
+    def __hash__(self) -> int:
+        return hash((self.translation, self.matrix))
+
+    def __repr__(self) -> str:
+        return f"AffineSL2(translation={self.translation!r}, matrix={self.matrix!r})"
 
     def __mul__(self, other: "AffineSL2") -> "AffineSL2":
         # (k1, g1)(k2, g2) = (k1 + g1*k2, g1*g2)
@@ -80,6 +88,9 @@ class AffineSL2:
             mat_mul(self.matrix, other.matrix),
         )
 
+
+_set_translation = AffineSL2.translation.__set__
+_set_matrix = AffineSL2.matrix.__set__
 
 IDENTITY = AffineSL2()
 

@@ -14,19 +14,38 @@ the one public way in: Cyclotomic(N, ints, den) takes N int numerators
 of the powers of zeta_N over one denominator and reduces them once.
 Fraction appears only at the edges: parsing, a rational value or scale
 (from_rational, a product with a Fraction) and the coeffs view.
+
+`Immutable` is the base of the package's value types, these two among
+them: each is a plain class that lists its fields in `__slots__`, sets
+them once through the slot descriptors' setters, and writes its own
+`__init__`, `__eq__`, `__hash__` and `__repr__`, so importing the package
+loads no class-generating machinery.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from typing import ClassVar
 
 
-@dataclass(frozen=True)
-class Phase:
+class Immutable:
+    """Base of the package's value types.  A subclass lists its fields in
+    `__slots__` and sets each once, in construction, through the slot
+    descriptor's own setter (`_set_phase_den = Phase.den.__set__`); assignment and
+    deletion afterwards raise AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+class Phase(Immutable):
     """Element of Q/Z written p/q: the exponent of e^{2*pi*i*p/q}.
 
     Always stored reduced with 0 <= num < den (zero is 0/1).  Addition of
@@ -34,11 +53,14 @@ class Phase:
     denote.
     """
 
-    num: int
-    den: int = 1
+    __slots__ = ("num", "den")
 
-    def __post_init__(self) -> None:
-        n, d = self.num, self.den
+    def __init__(self, num: int, den: int = 1) -> None:
+        self.__post_init__(num, den)
+
+    def __post_init__(self, n: int, d: int) -> None:
+        # every Phase is reduced and stored here, so patching this one
+        # method shows whether a path builds a Phase at all
         if d == 0:
             raise ZeroDivisionError("phase denominator must be nonzero")
         if d < 0:
@@ -47,8 +69,19 @@ class Phase:
         if g != 1:
             n //= g
             d //= g
-        object.__setattr__(self, "num", n % d)
-        object.__setattr__(self, "den", d)
+        _set_phase_num(self, n % d)
+        _set_phase_den(self, d)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.num, self.den) == (other.num, other.den)
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
+
+    def __repr__(self) -> str:
+        return f"Phase(num={self.num!r}, den={self.den!r})"
 
     @staticmethod
     def from_fraction(f: Fraction) -> "Phase":
@@ -89,6 +122,9 @@ class Phase:
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
 
+
+_set_phase_num = Phase.num.__set__
+_set_phase_den = Phase.den.__set__
 
 Phase.ZERO = Phase(0, 1)
 
@@ -155,7 +191,7 @@ def _make(order: int, num, den: int) -> "Cyclotomic":
     return x
 
 
-class Cyclotomic:
+class Cyclotomic(Immutable):
     """Exact element of Q(zeta_N) in canonical reduced form.
 
     Cyclotomic(N, ints, den) is sum_k ints[k] z^k / den, z = zeta_N =
@@ -181,12 +217,6 @@ class Cyclotomic:
         if den < 1:
             raise ValueError(f"denominator must be positive, got {den}")
         return _make(order, _reduce(list(ints), order), den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Cyclotomic is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Cyclotomic is immutable: cannot delete {name!r}")
 
     @property
     def coeffs(self) -> tuple:

@@ -10,14 +10,13 @@ the checks the `malleability` command runs on a triplet file.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Dict, List, Optional
 
 from .abelian import AbGroup, AbHom, Character, dual_characters
 from .algebra import AlgebraElement, check_malleability, flow_order, malleability_unitary
-from .classify import build_pi, verify_pi
+from .classify import PiPhi, build_pi, verify_pi
 from .cocycle import (
     BilinearCocycle,
     TableCocycle,
@@ -226,7 +225,7 @@ def suite_intertwiner(rng: random.Random) -> dict:
     ta = Triplet(lat, trivial_cocycle(lat), Character.trivial(lat))
     tb = Triplet(lat, trivial_cocycle(lat), Character(lat, (1, 0), 2))
     pi2 = build_pi(ta, tb, AbHom.identity(lat))
-    mutated = replace(pi2, weight=lambda k: 1)
+    mutated = PiPhi(pi2.ta, pi2.tb, pi2.phi, weight=lambda k: 1)
     probes = [
         (AlgebraElement.unit(ta.cocycle, dipole(lat.element((1, 0)))),
          AlgebraElement.unit(ta.cocycle, dipole(lat.element((0, 1))))),

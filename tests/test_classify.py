@@ -2,7 +2,6 @@ import itertools
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -254,7 +253,7 @@ def test_verify_pi_passes_for_valid_witness(trip3, rng):
 def test_pi_phase_is_enumeration_independent(trip3, rng):
     phi = AbHom(trip3.group, trip3.group, ((1, 0), (1, 1)))
     pi = build_pi(trip3, trip3, phi)
-    alt = replace(pi, order_key=row_major_key)
+    alt = PiPhi(pi.ta, pi.tb, pi.phi, order_key=row_major_key)
     for _ in range(20):
         x = random_algebra_element(rng, trip3.cocycle)
         assert pi(x) == alt(x)
@@ -278,7 +277,7 @@ def test_corrupted_weight_breaks_equivariance(rng):
         (random_algebra_element(rng, ta.cocycle), random_algebra_element(rng, ta.cocycle)),
     ]
     assert verify_pi(pi, probes).ok
-    mutated = replace(pi, weight=lambda k: 1)
+    mutated = PiPhi(pi.ta, pi.tb, pi.phi, weight=lambda k: 1)
     report = verify_pi(mutated, probes)
     assert not report.ok
     assert any(kind == "equivariance" for kind, *_ in report.failures)
@@ -306,8 +305,9 @@ def _pi_cases():
     g3 = t3.group
     shift = oracles.coboundary_cocycle(g3, {x: Phase(x.coords[0] * x.coords[1] % 5, 5)
                                             for x in g3.elements()})
-    table_a = replace(t3, cocycle=oracles.table_from_function(
-        g3, lambda g, h: t3.cocycle(g, h) + Phase(h.coords[0] * g.coords[1], 3) + shift(g, h)))
+    table_a = Triplet(g3, oracles.table_from_function(
+        g3, lambda g, h: t3.cocycle(g, h) + Phase(h.coords[0] * g.coords[1], 3) + shift(g, h)),
+        t3.character)
     eighths = oracles.coboundary_cocycle(g3, {x: Phase(x.coords[0], 8) for x in g3.elements()})
     table_b = Triplet(g3, oracles.table_from_function(
         g3, lambda g, h: t3.cocycle(h, g) + eighths(g, h)), oracles.phase_character(g3, (Phase(2, 3), Phase(1, 3))))
@@ -319,8 +319,8 @@ def _pi_cases():
         PiPhi(free_a, free_b, AbHom(free, free, ((1, 1, 0), (0, 1, 0), (0, 1, 1)))),
         PiPhi(mixed_a, mixed_b, AbHom(mixed, mixed, ((1, 0), (3, 1)))),
         PiPhi(table_a, table_b, shear3),
-        PiPhi(table_a, replace(t3, character=oracles.phase_character(g3, (z, Phase(1, 3)))), shear3),
-        PiPhi(t3, replace(t3, character=oracles.phase_character(g3, (Phase(2, 3), Phase(1, 3)))), shear3),
+        PiPhi(table_a, Triplet(g3, t3.cocycle, oracles.phase_character(g3, (z, Phase(1, 3)))), shear3),
+        PiPhi(t3, Triplet(g3, t3.cocycle, oracles.phase_character(g3, (Phase(2, 3), Phase(1, 3)))), shear3),
     ]
 
 
@@ -341,7 +341,8 @@ def test_mismatch_and_corrector_match_the_sitewise_formula(rng):
             coords = [rng.randint(-6, 6) for _ in range(ga.free_rank)]
             h = ga.element(coords + [rng.randrange(n) for n in ga.torsion])
             assert pi.mismatch(h) == pi.ta.character(h) - pi.tb.character(pi.phi(h))
-        for variant in (pi, replace(pi, weight=lambda k: 1), replace(pi, order_key=row_major_key)):
+        for variant in (pi, PiPhi(pi.ta, pi.tb, pi.phi, weight=lambda k: 1),
+                        PiPhi(pi.ta, pi.tb, pi.phi, order_key=row_major_key)):
             for _ in range(30):
                 lam = random_zero_sum_config(rng, ga, radius=3)
                 unit = AlgebraElement.unit(pi.ta.cocycle, lam)
@@ -415,7 +416,7 @@ def test_integer_form_builders_make_no_phase_and_homs_no_group_element(monkeypat
         chars = list(dual_characters(t.group))
         a = Motion(chars[4].power(5), AffineSL2(LatticePoint(1, 2), ((1, 1), (0, 1))))
         b = Motion(chars[7], AffineSL2(LatticePoint(-2, 1), ((0, -1), (1, 0))))
-        other = replace(t, character=chars[5])
+        other = Triplet(t.group, t.cocycle, chars[5])
         return t, chars, motion_mul(t, a, b), PiPhi(t, other, AbHom(t.group, t.group, shear)).mismatch
 
     homs = [(AbGroup(0, (3, 3)), AbGroup(0, (3, 3)), shear),
@@ -465,12 +466,13 @@ def test_verify_pi_reports_what_one_check_at_a_time_reports(rng):
     t3 = mod_q_triplet(3)
     good = build_pi(t3, t3, AbHom(t3.group, t3.group, ((1, 0), (1, 1))))
     ta, tb = _half_shift_pair()
-    weightless = replace(build_pi(ta, tb, AbHom.identity(ta.group)), weight=lambda k: 1)
+    half = build_pi(ta, tb, AbHom.identity(ta.group))
+    weightless = PiPhi(half.ta, half.tb, half.phi, weight=lambda k: 1)
     # the phase is enumeration-independent while phi keeps the star form,
     # so a wrong order key shows only on a phi that does not: (1, 0; 0, 2)
     # doubles the mod-3 form
-    unkept = replace(good, phi=AbHom(t3.group, t3.group, ((1, 0), (0, 2))))
-    reversed_key = replace(unkept, order_key=lambda k: -spiral_index(k))
+    unkept = PiPhi(good.ta, good.tb, AbHom(t3.group, t3.group, ((1, 0), (0, 2))))
+    reversed_key = PiPhi(unkept.ta, unkept.tb, unkept.phi, order_key=lambda k: -spiral_index(k))
     t3_pairs = [
         (random_algebra_element(rng, t3.cocycle), random_algebra_element(rng, t3.cocycle))
         for _ in range(6)
@@ -484,7 +486,7 @@ def test_verify_pi_reports_what_one_check_at_a_time_reports(rng):
     ]
     cases = [
         (good, t3_pairs, True),
-        (replace(good, order_key=row_major_key), t3_pairs, True),
+        (PiPhi(good.ta, good.tb, good.phi, order_key=row_major_key), t3_pairs, True),
         (weightless, half_pairs, False),
         (unkept, t3_pairs, False),
         (reversed_key, t3_pairs, False),
@@ -918,7 +920,7 @@ def test_finite_search_reaches_leaves_only_with_isomorphisms():
         (Phase.ZERO, Phase(1, 4)), (Phase.ZERO, Phase.ZERO))), Character.trivial(group))
     report = decide_conjugacy(degenerate, standard)
     assert report.verdict == "NO" and report.checks == {"cocycle": False, "character": True}
-    plain = [replace(t, cocycle=trivial_cocycle(group)) for t in (degenerate, standard)]
+    plain = [Triplet(group, trivial_cocycle(group), t.character) for t in (degenerate, standard)]
     search = classify._matching_isomorphisms
     assert list(search(group, group, classify._integer_forms(degenerate, standard))) == []
     assert list(search(group, group, classify._integer_forms(*plain))) == enumerate_automorphisms(group)

@@ -377,6 +377,24 @@ def test_rho_matches_the_relocate_and_sum_oracle(rng):
     assert dens == {True, False}
 
 
+def test_translated_keys_are_the_canonical_configs(rng):
+    # a translation keeps the support's lexicographic order, so rho and
+    # beta build its keys without sorting: each key must equal from_items
+    # of the moved sites, with the same support tuple
+    for group in (AbGroup(0, (3, 3)), AbGroup(2), AbGroup(1, (2,))):
+        t = Triplet(group, trivial_triplet(group).cocycle, _nontrivial_character(rng, group))
+        for _ in range(20):
+            k = random_point(rng, 5)
+            x, z = _random_element(rng, t.cocycle), random_algebra_element(rng, t.cocycle)
+            c = _nontrivial_character(rng, group)
+            for image, source in ((rho(t, Motion(c, AffineSL2(k)), x), x),
+                                  (beta(t, AffineSL2(k), z), z)):
+                expected = [Config.from_items(group, [(p + k, v) for p, v in cfg.support])
+                            for cfg in source.terms]
+                assert list(image.terms) == expected
+                assert [key.support for key in image.terms] == [e.support for e in expected]
+
+
 def test_rho_refuses_a_matrix_outside_sl2(trip, rng):
     # the refusal comes where the motion's AffineSL2 is built
     x = random_algebra_element(rng, trip.cocycle)

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import tbshift
@@ -175,3 +178,27 @@ def test_every_module_level_import_is_read_by_its_module():
                     if name not in read:
                         unread.append(f"{path.stem}.{name}")
     assert unread == []
+
+
+def test_the_cli_starts_without_dataclasses_or_inspect():
+    # every CLI process pays for this import before its one question:
+    # `dataclasses` alone pulls in inspect, ast, dis and tokenize, so no
+    # module uses it, and the CLI still loads the whole package
+    code = "import sys, tbshift.cli; print(' '.join(sorted(sys.modules)))"
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert "dataclasses" not in out and "inspect" not in out
+    assert {m for m in out if m.split(".")[0] == "tbshift"} == {
+        "tbshift", "tbshift.abelian", "tbshift.algebra", "tbshift.classify", "tbshift.cli",
+        "tbshift.cocycle", "tbshift.configs", "tbshift.dynamics", "tbshift.families",
+        "tbshift.lattice", "tbshift.linalg", "tbshift.scalars", "tbshift.selftest",
+        "tbshift.serialize",
+    }
+    importing = [
+        path.stem for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text("utf-8")))
+        if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+    ]
+    assert importing == []
