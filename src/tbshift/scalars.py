@@ -33,8 +33,9 @@ from typing import ClassVar
 class Immutable:
     """Base of the package's value types.  A subclass lists its fields in
     `__slots__` and sets each once, in construction, through the slot
-    descriptor's own setter (`_set_phase_den = Phase.den.__set__`); assignment and
-    deletion afterwards raise AttributeError."""
+    descriptor's own setter (`_set_phase_den = Phase.den.__set__`).
+    Assignment and deletion afterwards raise AttributeError; copies and
+    pickles restore the slots through `__setstate__`."""
 
     __slots__ = ()
 
@@ -43,6 +44,11 @@ class Immutable:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __setstate__(self, state):
+        # copy and pickle restore the slots of a new instance here
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
 
 class Phase(Immutable):

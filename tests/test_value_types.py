@@ -1,5 +1,8 @@
 """The observable contract of the package's value and report types: repr,
-equality, hashing, immutability and keyword construction."""
+equality, hashing, immutability, copies and keyword construction."""
+
+import copy
+import pickle
 
 import pytest
 
@@ -124,3 +127,13 @@ def test_frozen_types_refuse_assignment(row):
     with pytest.raises(AttributeError):
         delattr(a, field)
     assert getattr(a, field) is before and repr(a) == text
+
+
+@pytest.mark.parametrize("row", range(len(TYPES)))
+def test_copies_and_pickles_are_equal(row):
+    make, text, _, cached = TYPES[row]
+    a = make()
+    if cached:
+        getattr(a, cached)
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(twin) is type(a) and twin == a and repr(twin) == text
