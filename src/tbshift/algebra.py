@@ -79,13 +79,15 @@ class _TwistedGroupAlgebra:
         return cls(cocycle, {cls._zero_key(cocycle.group): Cyclotomic.ONE})
 
     def _check(self, other) -> None:
-        if self.cocycle != other.cocycle:
+        if self.cocycle is not other.cocycle and self.cocycle != other.cocycle:
             raise ValueError("elements over different bases")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        if self.cocycle != other.cocycle or self.terms.keys() != other.terms.keys():
+        if self.cocycle is not other.cocycle and self.cocycle != other.cocycle:
+            return False
+        if self.terms.keys() != other.terms.keys():
             return False
         return all(other.terms[k] == v for k, v in self.terms.items())
 

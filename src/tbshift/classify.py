@@ -78,12 +78,19 @@ class PiPhi(Immutable):
     `orders`; the points stay, so the image is already sorted and builds
     the key Config directly.  The term's phase, mu^_a(lam) plus the
     corrector minus mu^_b(phi lam), is one int over D = lcm(mu_a.den,
-    mu_b.den, c.den): the sites are sorted by `order_key` once for both
-    `telescoped` sums, and the corrector is c's int row against the
-    weighted raw values.  The term pays it by one rotation.
+    mu_b.den, c.den): each site's `order_key` is computed once, the
+    decorated sites are sorted once for both `telescoped` sums, and the
+    corrector is c's int row against the weighted raw values (0, and no
+    weight read, for a trivial c).  The term pays it by one rotation.
+
+    The first call keeps what every call reads in `_constants` (None
+    until then): D, the three scales to it, c's int row (empty for a
+    trivial c) and the (row, order) pairs of phi's matrix and the target.
+    `weight` and `order_key` are read on each call, so they are not among
+    them.
     """
 
-    __slots__ = ("ta", "tb", "phi", "weight", "order_key", "_mismatch")
+    __slots__ = ("ta", "tb", "phi", "weight", "order_key", "_mismatch", "_constants")
 
     def __init__(self, ta: Triplet, tb: Triplet, phi: AbHom,
                  weight: Callable[[LatticePoint], int] = gcd2,
@@ -94,6 +101,7 @@ class PiPhi(Immutable):
         _set_weight(self, weight)
         _set_order_key(self, order_key)
         _set_mismatch(self, None)
+        _set_constants(self, None)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -126,29 +134,42 @@ class PiPhi(Immutable):
         return mismatch
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
-        if x.cocycle != self.ta.cocycle:
+        mu_a, mu_b = self.ta.cocycle, self.tb.cocycle
+        if x.cocycle is not mu_a and x.cocycle != mu_a:
             raise ValueError("element is not over the source triplet")
         if not x.is_zero_sum_supported:
             raise ValueError("the intertwiner acts on zero-sum-supported elements")
-        mu_a, mu_b, c = self.ta.cocycle, self.tb.cocycle, self.mismatch
-        d = lcm(mu_a.den, mu_b.den, c.den)
-        scale_a, scale_b, scale_c = d // mu_a.den, d // mu_b.den, d // c.den
-        weight, order_key, row = self.weight, self.order_key, c.ints
-        target = self.phi.target
-        rows = list(zip(self.phi.matrix, target.orders))
+        constants = self._constants
+        if constants is None:
+            c = self.mismatch
+            d = lcm(mu_a.den, mu_b.den, c.den)
+            # in lowest terms a trivial c has den 1 and ints all 0
+            constants = (d, d // mu_a.den, d // mu_b.den, d // c.den,
+                         c.ints if c.den > 1 else (),
+                         tuple(zip(self.phi.matrix, self.phi.target.orders)))
+            _set_constants(self, constants)
+        d, scale_a, scale_b, scale_c, row, rows = constants
+        weight, order_key, target = self.weight, self.order_key, self.phi.target
         out: dict = {}
         for lam, coeff in x.terms.items():
-            sites = [(p, v, tuple([sum(map(mul, r, v)) % n if n else sum(map(mul, r, v))
-                                   for r, n in rows]))
-                     for p, v in lam.support]
-            key = Config(target, tuple((p, w) for p, _, w in sites if any(w)))
-            sites.sort(key=lambda site: order_key(site[0]))
-            corrector = sum(weight(p) * sum(map(mul, row, v)) for p, v, _ in sites)
-            num = (scale_a * telescoped(mu_a, [v for _, v, _ in sites]) + scale_c * corrector
-                   - scale_b * telescoped(mu_b, [w for _, _, w in sites]))
+            image = []
+            sites = []
+            for p, v in lam.support:
+                w = tuple([sum(map(mul, r, v)) % n if n else sum(map(mul, r, v))
+                           for r, n in rows])
+                if any(w):
+                    image.append((p, w))
+                # p breaks ties of order_key in the support's own order
+                sites.append((order_key(p), p, v, w))
+            sites.sort()
+            num = (scale_a * telescoped(mu_a, [site[2] for site in sites])
+                   - scale_b * telescoped(mu_b, [site[3] for site in sites]))
+            if row:
+                num += scale_c * sum([weight(p) * sum(map(mul, row, v)) for p, v in lam.support])
+            key = Config(target, tuple(image))
             term = coeff.rotated(num, d)
             out[key] = out[key] + term if key in out else term
-        return AlgebraElement(self.tb.cocycle, out)
+        return AlgebraElement(mu_b, out)
 
 
 _set_ta = PiPhi.ta.__set__
@@ -157,6 +178,7 @@ _set_phi = PiPhi.phi.__set__
 _set_weight = PiPhi.weight.__set__
 _set_order_key = PiPhi.order_key.__set__
 _set_mismatch = PiPhi._mismatch.__set__
+_set_constants = PiPhi._constants.__set__
 
 
 def build_pi(ta: Triplet, tb: Triplet, phi: AbHom) -> PiPhi:

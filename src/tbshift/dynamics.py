@@ -103,7 +103,9 @@ def motion_mul(t: Triplet, a: Motion, b: Motion) -> Motion:
     the lcm of the three `den`s.
     """
     c1, c2, chi = a.char, b.char, t.character
-    if c1.group != c2.group or chi.group != c1.group:
+    group = c1.group
+    if ((c2.group is not group and c2.group != group)
+            or (chi.group is not group and chi.group != group)):
         raise ValueError("characters live on different groups")
     move = a.move * b.move
     e = det2(a.move.translation, move.translation)
@@ -121,11 +123,12 @@ def rho(t: Triplet, g: Motion, x: AlgebraElement) -> AlgebraElement:
     multiplies by chi(value at m)^det(k, m) over the support; rho(c)
     multiplies by c of the total content.
     """
-    if x.group != t.group:
+    group, char = t.group, g.char
+    if x.group is not group and x.group != group:
         raise ValueError("element is not over the triplet's group")
-    if g.char.group != t.group:
+    if char.group is not group and char.group != group:
         raise ValueError("element is not in the character's group")
-    return _moved(t, g.char.ints, g.char.den, g.move, x)
+    return _moved(t, char.ints, char.den, g.move, x)
 
 
 def beta(t: Triplet, move: AffineSL2, x: AlgebraElement) -> AlgebraElement:
@@ -135,9 +138,10 @@ def beta(t: Triplet, move: AffineSL2, x: AlgebraElement) -> AlgebraElement:
     """
     if not x.is_zero_sum_supported:
         raise ValueError("beta acts on zero-sum-supported elements only")
-    if x.group != t.group:
+    group = t.group
+    if x.group is not group and x.group != group:
         raise ValueError("element is not over the triplet's group")
-    return _moved(t, (0,) * t.group.rank, 1, move, x)
+    return _moved(t, (0,) * group.rank, 1, move, x)
 
 
 def _moved(t: Triplet, row: tuple, den: int, move: AffineSL2, x) -> AlgebraElement:
@@ -147,7 +151,7 @@ def _moved(t: Triplet, row: tuple, den: int, move: AffineSL2, x) -> AlgebraEleme
     the sites v at p, both characters being homomorphisms; one rotation pays it.
     A translation keeps the support's lexicographic order, so only a move with
     a matrix sorts the relocated sites."""
-    chi = t.character
+    chi, group = t.character, t.group
     (kq, kr), ((g11, g12), (g21, g22)) = move.translation, move.matrix
     turned = move.matrix != IDENTITY_MAT
     d = lcm(chi.den, den)
@@ -161,7 +165,7 @@ def _moved(t: Triplet, row: tuple, den: int, move: AffineSL2, x) -> AlgebraEleme
             mq, mr = g11 * q + g12 * r, g21 * q + g22 * r
             num += (kq * mr - kr * mq) * sum(map(mul, chi_row, v)) + sum(map(mul, char_row, v))
             support.append((LatticePoint(kq + mq, kr + mr), v))
-        key = Config(t.group, tuple(sorted(support) if turned else support))
+        key = Config(group, tuple(sorted(support) if turned else support))
         term = coeff.rotated(num, d)
         out[key] = out[key] + term if key in out else term
     return AlgebraElement(x.cocycle, out)

@@ -68,7 +68,7 @@ class AffineSL2(Immutable):
         if mat_det(matrix) != 1:
             raise ValueError(f"matrix {matrix} has determinant != 1")
         _set_translation(self, LatticePoint(*translation))
-        _set_matrix(self, tuple(tuple(int(x) for x in row) for row in matrix))
+        _set_matrix(self, tuple([tuple(map(int, row)) for row in matrix]))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -82,11 +82,15 @@ class AffineSL2(Immutable):
         return f"AffineSL2(translation={self.translation!r}, matrix={self.matrix!r})"
 
     def __mul__(self, other: "AffineSL2") -> "AffineSL2":
-        # (k1, g1)(k2, g2) = (k1 + g1*k2, g1*g2)
-        return AffineSL2(
-            self.translation + mat_apply(self.matrix, other.translation),
-            mat_mul(self.matrix, other.matrix),
-        )
+        # (k1, g1)(k2, g2) = (k1 + g1*k2, g1*g2), set through the slots: the
+        # product of two int SL(2,Z) matrices is one, so it skips the checks
+        (a, b), (c, d) = self.matrix
+        q, r = other.translation
+        product = object.__new__(AffineSL2)
+        _set_translation(product, LatticePoint(self.translation.q + a * q + b * r,
+                                               self.translation.r + c * q + d * r))
+        _set_matrix(product, mat_mul(self.matrix, other.matrix))
+        return product
 
 
 _set_translation = AffineSL2.translation.__set__

@@ -62,21 +62,16 @@ class Phase(Immutable):
     __slots__ = ("num", "den")
 
     def __init__(self, num: int, den: int = 1) -> None:
-        self.__post_init__(num, den)
-
-    def __post_init__(self, n: int, d: int) -> None:
-        # every Phase is reduced and stored here, so patching this one
-        # method shows whether a path builds a Phase at all
-        if d == 0:
+        if den == 0:
             raise ZeroDivisionError("phase denominator must be nonzero")
-        if d < 0:
-            n, d = -n, -d
-        g = gcd(n, d)
+        if den < 0:
+            num, den = -num, -den
+        g = gcd(num, den)
         if g != 1:
-            n //= g
-            d //= g
-        _set_phase_num(self, n % d)
-        _set_phase_den(self, d)
+            num //= g
+            den //= g
+        _set_phase_num(self, num % den)
+        _set_phase_den(self, den)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

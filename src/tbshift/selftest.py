@@ -10,7 +10,6 @@ the checks the `malleability` command runs on a triplet file.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Dict, List, Optional
 
@@ -56,33 +55,36 @@ def random_point(rng: random.Random, radius: int = 4) -> LatticePoint:
 
 
 def random_zero_sum_config(rng: random.Random, group: AbGroup, radius: int = 2) -> Config:
+    """One to three distinct random points, each but the last with random
+    int coordinates; the last gets minus their sum, so the raw coordinates
+    sum to zero.  `Config.from_items` reduces them and drops zero values."""
     points = []
     while len(points) < rng.randrange(1, 4):
         p = random_point(rng, radius)
         if p not in points:
             points.append(p)
     items = []
-    total = group.zero()
+    last = [0] * group.rank
     for p in points[:-1]:
         coords = [rng.randint(-2, 2) for _ in range(group.free_rank)]
         coords += [rng.randrange(n) for n in group.torsion]
-        value = group.element(coords)
-        items.append((p, value))
-        total = total + value
-    items.append((points[-1], -total))
+        items.append((p, coords))
+        last = [s - c for s, c in zip(last, coords)]
+    items.append((points[-1], last))
     return Config.from_items(group, items)
 
 
 def random_algebra_element(
     rng: random.Random, cocycle, terms: int = 2, radius: int = 2
 ) -> AlgebraElement:
+    """A sum of `terms` random zero-sum configurations, each with the
+    coefficient m zeta_12^k (k < 12, 1 <= m <= 3 drawn in that order) as
+    one rotation of 1 scaled by an int; a repeated configuration adds up."""
     out: dict = {}
     for _ in range(terms):
         cfg = random_zero_sum_config(rng, cocycle.group, radius)
-        coeff = Cyclotomic.from_phase(Phase(rng.randrange(12), 12)) * Fraction(
-            rng.randint(1, 3)
-        )
-        out[cfg] = out.get(cfg, Cyclotomic.ZERO) + coeff
+        coeff = Cyclotomic.ONE.rotated(rng.randrange(12), 12) * rng.randint(1, 3)
+        out[cfg] = out[cfg] + coeff if cfg in out else coeff
     return AlgebraElement(cocycle, out)
 
 
@@ -95,20 +97,20 @@ def suite_detgcd(rng: random.Random) -> dict:
         gk, gk0 = mat_apply(gamma, k), mat_apply(gamma, k0)
         if det2(k, k0) != det2(gk, gk0) or gcd2(k) != gcd2(gk):
             failures += 1
-    # gcd2 once per point: each window point k carries gcd2(k) and the
-    # index of k in the 25 x 25 table of gcd2 over [-12, 12]^2, which holds
-    # every sum k + k0 at the index sum less that of the origin
+    # gcd2 once per point: each window point k = (q, r) carries gcd2(k) and
+    # the index of k in the 25 x 25 table of gcd2 over [-12, 12]^2, which
+    # holds every sum k + k0 at the index sum less that of the origin; the
+    # pair loop reads det2(k, k0) = q r0 - r q0 on the plain ints
     def index(q, r):
         return (q + 12) * 25 + r + 12
 
     gcds = [gcd2(LatticePoint(q, r)) for q in range(-12, 13) for r in range(-12, 13)]
-    window = [(LatticePoint(q, r), gcds[index(q, r)], index(q, r))
-              for q in range(-6, 7) for r in range(-6, 7)]
+    window = [(q, r, gcds[index(q, r)], index(q, r)) for q in range(-6, 7) for r in range(-6, 7)]
     origin = index(0, 0)
     window_failures = 0
-    for k, gk, ik in window:
-        for k0, gk0, ik0 in window:
-            if (det2(k, k0) - gk - gk0 + gcds[ik + ik0 - origin]) % 2:
+    for q, r, gk, ik in window:
+        for q0, r0, gk0, ik0 in window:
+            if (q * r0 - r * q0 - gk - gk0 + gcds[ik + ik0 - origin]) % 2:
                 window_failures += 1
     pairs = len(window) ** 2
     return {

@@ -21,7 +21,9 @@ sums and negations through `from_items` and AbElem arithmetic
 (`folded_sum`, `folded_negation`), Cyclotomic products through a rebase of
 both factors (`rebased_product`) and rotations as a fresh spread
 (`spread_rotation`), and `motion_mul` with Phase characters
-(`phase_motion_mul`).  The integer constructors keep the lifts they
+(`phase_motion_mul`), and the selftest's random elements their AbElem
+sums and Phase coefficients (`abelem_zero_sum_config`,
+`phase_algebra_element`).  The integer constructors keep the lifts they
 replaced: a character and a bilinear cocycle from Phases
 (`phase_character`, `phase_bilinear`) and `AbHom`'s column test on group
 elements (`elementwise_hom_matrix`); `config_total` folds a
@@ -57,7 +59,7 @@ from tbshift.dynamics import Motion, Triplet, rho
 from tbshift.lattice import AffineSL2, LatticePoint, det2, mat_apply, mat_mul, spiral_index
 from tbshift.linalg import _eliminate, identity_matrix
 from tbshift.scalars import Cyclotomic, Phase
-from tbshift.selftest import _random_bilinear
+from tbshift.selftest import _random_bilinear, random_point
 
 # -- the elimination's full contract ------------------------------------------
 
@@ -530,6 +532,37 @@ def term_phase(pi, lam: Config, image: Config) -> Phase:
         corrector = corrector + mismatch * pi.weight(point)
     return (mu_hat(pi.ta.cocycle, lam, pi.order_key) + corrector
             - mu_hat(pi.tb.cocycle, image, pi.order_key))
+
+
+def abelem_zero_sum_config(rng, group: AbGroup, radius: int = 2) -> Config:
+    """`selftest.random_zero_sum_config` on group elements: the same draws,
+    the last value minus the AbElem sum of the others."""
+    points = []
+    while len(points) < rng.randrange(1, 4):
+        p = random_point(rng, radius)
+        if p not in points:
+            points.append(p)
+    items = []
+    total = group.zero()
+    for p in points[:-1]:
+        coords = [rng.randint(-2, 2) for _ in range(group.free_rank)]
+        coords += [rng.randrange(n) for n in group.torsion]
+        value = group.element(coords)
+        items.append((p, value))
+        total = total + value
+    items.append((points[-1], -total))
+    return Config.from_items(group, items)
+
+
+def phase_algebra_element(rng, cocycle, terms: int = 2, radius: int = 2) -> AlgebraElement:
+    """`selftest.random_algebra_element` with each coefficient the root of
+    a Phase times a Fraction, added to ZERO, over `abelem_zero_sum_config`."""
+    out: dict = {}
+    for _ in range(terms):
+        cfg = abelem_zero_sum_config(rng, cocycle.group, radius)
+        coeff = Cyclotomic.from_phase(Phase(rng.randrange(12), 12)) * Fraction(rng.randint(1, 3))
+        out[cfg] = out.get(cfg, Cyclotomic.ZERO) + coeff
+    return AlgebraElement(cocycle, out)
 
 
 def phase_pi(pi, x: AlgebraElement) -> AlgebraElement:

@@ -552,3 +552,20 @@ def test_integer_time_flow_builds_no_table_on_the_product_group(monkeypatch):
     for t in (-1, 0, 1, 2, 3):
         expected = _flip(x) if t % 2 else x
         assert malleability_flow(mu, Fraction(t), x) == expected
+
+
+@pytest.mark.parametrize("group", [AbGroup(0, (3, 3)), AbGroup(2), AbGroup(1, (2,))], ids=repr)
+def test_random_generators_match_their_abelem_and_phase_forms(group):
+    # the int generators give the same keys, in the same order, and the same
+    # coefficients field by field, and leave the Random in the same state
+    mu = trivial_cocycle(group)
+    for seed in range(60):
+        new, old = random.Random(seed), random.Random(seed)
+        assert random_zero_sum_config(new, group) == oracles.abelem_zero_sum_config(old, group)
+        assert new.getstate() == old.getstate()
+        x = random_algebra_element(new, mu, terms=4, radius=1)
+        y = oracles.phase_algebra_element(old, mu, terms=4, radius=1)
+        assert new.getstate() == old.getstate()
+        assert list(x.terms) == list(y.terms)
+        assert [(c.order, c.ints, c.den) for c in x.terms.values()] == [
+            (c.order, c.ints, c.den) for c in y.terms.values()]

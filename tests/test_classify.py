@@ -352,6 +352,44 @@ def test_mismatch_and_corrector_match_the_sitewise_formula(rng):
                 assert variant(x) == phase_pi(variant, x)
 
 
+def test_pi_on_a_non_injective_hom_merges_and_cancels_terms(rng):
+    # x2 on Z/4 + Z/2 sends many configurations to one image, so terms
+    # merge; built directly (no conditions), with and without a mismatch
+    g = AbGroup(0, (4, 2))
+    double = AbHom(g, g, ((2, 0), (0, 2)))
+    mu_a, mu_b = BilinearCocycle(g, ((1, 0), (0, 2)), 4), BilinearCocycle(g, ((0, 2), (0, 0)), 4)
+    ta = Triplet(g, mu_a, Character(g, (1, 2), 4))
+    for tb in (Triplet(g, mu_b, Character(g, (2, 0), 4)), Triplet(g, mu_b, Character.trivial(g))):
+        pi = PiPhi(ta, tb, double)
+        units = [AlgebraElement.unit(mu_a, dipole(g.element(h))) for h in ((1, 0), (3, 1))]
+        (k1, a1), = pi(units[0]).terms.items()
+        (k2, a2), = pi(units[1]).terms.items()
+        assert k1 == k2
+        # the second unit scaled so that its image cancels the first's
+        x = units[0] - units[1].scaled(a1 * a2.conjugate())
+        assert len(x.terms) == 2 and pi(x).terms == {} and phase_pi(pi, x).terms == {}
+        merged = 0
+        for _ in range(40):
+            x = random_algebra_element(rng, mu_a, terms=4, radius=1)
+            image = pi(x)
+            assert image == phase_pi(pi, x)
+            assert all(any(c.ints) for c in image.terms.values())
+            merged += len(image.terms) < len(x.terms)
+        assert merged
+
+
+def test_pi_reads_its_weight_on_every_call():
+    # the constants kept after the first call leave the weight out: two
+    # intertwiners that differ only in it still differ on their next calls
+    ta, tb = _half_shift_pair()
+    x = AlgebraElement.unit(ta.cocycle, dipole(ta.group.element((1, 0))))
+    by_gcd = PiPhi(ta, tb, AbHom.identity(ta.group))
+    flat = PiPhi(ta, tb, AbHom.identity(ta.group), weight=lambda k: 1)
+    first = by_gcd(x), flat(x)
+    assert first[0] != first[1]
+    assert (by_gcd(x), flat(x)) == first == (phase_pi(by_gcd, x), phase_pi(flat, x))
+
+
 def test_pi_evaluates_no_cocycle_value(monkeypatch, rng):
     # the intertwiner, the twists of its products and rho run on the
     # cocycles' integer `exponent`: with both __call__s refusing, they still
@@ -407,7 +445,7 @@ def test_verify_pi_builds_no_group_element(monkeypatch):
 def test_integer_form_builders_make_no_phase_and_homs_no_group_element(monkeypatch):
     # characters and cocycles are built from int rows: mod_q_triplet, the
     # dual, power, motion_mul and PiPhi.mismatch give what they gave
-    # before with Phase.__post_init__ refusing, and AbHom checks its
+    # before with Phase.__init__ refusing, and AbHom checks its
     # columns on the integer matrix with AbGroup.element refusing
     shear = ((1, 0), (1, 1))
 
@@ -431,7 +469,7 @@ def test_integer_form_builders_make_no_phase_and_homs_no_group_element(monkeypat
     def refuse(self, *args):
         raise AssertionError("a Phase or a group element was built")
 
-    monkeypatch.setattr(Phase, "__post_init__", refuse)
+    monkeypatch.setattr(Phase, "__init__", refuse)
     monkeypatch.setattr(AbGroup, "element", refuse)
     assert characters() == before
     assert matrices() == canonical

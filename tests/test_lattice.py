@@ -16,10 +16,11 @@ from tbshift.lattice import (
     det2,
     gcd2,
     mat_apply,
+    mat_mul,
     spiral_index,
     spiral_points,
 )
-from tbshift.selftest import random_sl2
+from tbshift.selftest import random_point, random_sl2
 
 
 def test_det2_examples():
@@ -63,6 +64,24 @@ def test_affine_group_laws(rng):
         assert act(a * b, k) == act(a, act(b, k))
         assert a * inverse(a) == IDENTITY
         assert inverse(a) * a == IDENTITY
+
+
+def test_affine_products_equal_the_checked_construction(rng):
+    # a product sets its slots without the constructor's checks: over random
+    # SL(2,Z) words it equals, and hashes as, the element the constructor
+    # builds from the composed entries, and holds plain int tuples
+    for _ in range(100):
+        product = checked = IDENTITY
+        for _ in range(rng.randrange(1, 8)):
+            move = AffineSL2(random_point(rng, 6), random_sl2(rng, 8))
+            product = product * move
+            checked = AffineSL2(checked.translation + mat_apply(checked.matrix, move.translation),
+                                mat_mul(checked.matrix, move.matrix))
+        assert product == checked and hash(product) == hash(checked)
+        assert type(product.translation) is LatticePoint and type(product.matrix) is tuple
+        entries = (*product.translation, *product.matrix[0], *product.matrix[1])
+        assert all(type(row) is tuple for row in product.matrix)
+        assert all(type(c) is int for c in entries)
 
 
 def test_affine_rejects_bad_determinant():
