@@ -23,7 +23,6 @@ from .abelian import (
 from .algebra import (
     AlgebraElement,
     TensorElement,
-    apply_diagonal_character,
     malleability_unitary,
 )
 from .classify import (

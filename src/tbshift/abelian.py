@@ -92,10 +92,14 @@ class AbGroup(Immutable):
         """Order of the j-th generator (0 for a free generator)."""
         return self.orders[j]
 
-    def elements(self) -> Iterator["AbElem"]:
+    def coordinates(self) -> Iterator[tuple]:
+        """The coordinate tuples of `elements()`, in its order, with no AbElem built."""
         if not self.is_finite:
             raise ValueError("cannot enumerate an infinite group")
-        for coords in itertools.product(*(range(n) for n in self.torsion)):
+        return itertools.product(*(range(n) for n in self.torsion))
+
+    def elements(self) -> Iterator["AbElem"]:
+        for coords in self.coordinates():
             yield AbElem(self, coords)
 
     def addition_table(self) -> list:

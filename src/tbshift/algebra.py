@@ -20,22 +20,23 @@ is a whole turn.
 
 The malleability flow on the tensor square needs one product per flow,
 y V with the swap unitary V on the right.  A private swap kernel
-(_SwapKernel), built once per check from the cocycle, runs each flow at
-a non-integer t as one integer accumulation: W_t's four coefficients,
-read in closed form from t as exponent lists, are folded into the pair
-loop over tables of the finite group and of the twist, with int
-coefficient rotations in place of Cyclotomic products, and no
-intermediate element is built.  It reads coefficients as their public
-int form (`ints` over `den`) and makes each output coefficient once by
-the public constructor `Cyclotomic(order, ints, den)`.  The twist table is the cocycle's own
-integer form (`exponent_table`; running sums for a bilinear cocycle), so
-building the kernel evaluates no value of mu.  The generic product loop
-of the base class stays the reference the tests compare y V with, and
-the only product AlgebraElement uses.  One guard, `flow_order`, bounds
-the flow to a finite H with |H| <= MAX_FLOW_ORDER before anything of
-size |H| is built, and raises FlowRefused otherwise; at integer times
-the flow only relabels the legs.  `check_malleability` runs the kernel's
-checks for both the `malleability` command and the selftest suite.
+(_SwapKernel), built once per check from the cocycle, runs the check on
+its integer index form {i*n + j: c}, the terms c u(g_i, g_j) numbered as
+`group.elements()` is, n = |H|: V is converted once, and no group element
+or TensorElement is built after that.  A flow at a non-integer t is one
+integer accumulation: W_t's four coefficients, read in closed form from t
+as exponent lists and kept per time, are folded into the pair loop over
+the group's addition table and the cocycle's own integer twist table
+(`exponent_table`, so no value of mu is evaluated), with int rotations in
+place of Cyclotomic products.  Coefficients are read as their public int
+form (`ints` over `den`), and each output one is made once by the public
+constructor `Cyclotomic(order, ints, den)`.  The generic product loop of
+the base class stays the reference the tests compare y V with, and the
+only product AlgebraElement uses.  One guard, `flow_order`, bounds the
+flow to a finite H with |H| <= MAX_FLOW_ORDER before anything of size |H|
+is built, and raises FlowRefused otherwise; at integer times the flow
+only relabels the legs.  `check_malleability` runs the kernel's checks
+for both the `malleability` command and the selftest suite.
 """
 
 from __future__ import annotations
@@ -240,14 +241,9 @@ def malleability_unitary(mu) -> TensorElement:
         raise ValueError(
             f"cocycle is degenerate: {witness.coords} pairs trivially with everything"
         )
-    v = {(h, -h): Cyclotomic.ONE.rotated(-mu.exponent(h.coords, (-h).coords), mu.den)
-         for h in group.elements()}
+    v = {(h, nh): Cyclotomic.ONE.rotated(-mu.exponent(h.coords, nh.coords), mu.den)
+         for h in group.elements() for nh in (-h,)}
     return TensorElement(mu, v)
-
-
-def _flip(x: TensorElement) -> TensorElement:
-    """Swap the two legs of each key, keeping its coefficient."""
-    return TensorElement(x.cocycle, {(k[1], k[0]): v for k, v in x.terms.items()})
 
 
 def _lift(c: Cyclotomic, order: int, den: int) -> list:
@@ -267,45 +263,70 @@ def _times(cs: list, ss: list, order: int) -> list:
 
 
 class _SwapKernel:
-    """Right multiplication by the swap unitary V on tables, and the flow.
+    """Right multiplication by the swap unitary V, the flow, the adjoint and
+    a diagonal character, on the index form.
 
-    Built once per cocycle and shared by every flow of one check.  It
-    reads the group's and the cocycle's own tables, by the numbers of
-    group.elements(): the number of g + h (`group.addition_table()`) and
-    the twist mu(g, h) as an exponent of zeta_N, N = `mu.den`
-    (`mu.exponent_table()`), so no value of mu is evaluated.  V's
-    coefficient at u_h (x) u_{-h} is zeta_N to the exponent -mu(h, -h).
+    Built once per cocycle and shared by every flow of one check.  An
+    element is the dict {i*n + j: c} of its terms c u(g_i, g_j), g_i the
+    i-th of group.elements() and n = |H|; `index_form` converts a
+    TensorElement.  The kernel reads the group's and the cocycle's own
+    tables by those numbers: the number of g + h (`addition_table()`) and
+    mu(g, h) as an exponent of zeta_N, N = `mu.den` (`exponent_table()`).
+    V's coefficient at u_h (x) u_{-h} is zeta_N^(-mu(h, -h)).
     Coefficients are int vectors in the power basis of Q(zeta_L) over one
     denominator, L a multiple of N and of every coefficient order, and a
     term pair costs lookups and one rotation.  `times_v` and `flow` share
     the one pair loop `_accumulate`, which reduces each output coefficient
-    mod Phi_L once; nothing is kept per t.  The generic TensorElement
-    product stays the reference.  mu must pass the checks of
-    `malleability_unitary`, which make sqrt|H| an int.
+    mod Phi_L once.  mu must pass the checks of `malleability_unitary`,
+    which make sqrt|H| an int.
     """
 
     def __init__(self, mu):
         group = mu.group
         self.mu = mu
-        self.scale = isqrt(flow_order(group))
-        elems = self.elems = list(group.elements())
-        self.index = {g.coords: i for i, g in enumerate(elems)}
+        n = self.n = flow_order(group)
+        self.scale = isqrt(n)
+        self.torsion = group.torsion
+        self.index = {coords: i for i, coords in enumerate(group.coordinates())}
         add = self.add = group.addition_table()
         self.conductor = mu.den
         twist = self.twist = mu.exponent_table()
-        # V = sum_h zeta_N^(-mu(h, -h)) u_h (x) u_-h as (h, -h, exponent),
-        # with -h read off the zero in row h of the addition table
-        neg = [row.index(0) for row in add]
+        # -h read off the zero in row h of the addition table
+        neg = self.neg = [row.index(0) for row in add]
+        # V = sum_h zeta_N^(-mu(h, -h)) u_h (x) u_-h as (h, -h, exponent)
         self.v = [(h, nh, -twist[h][nh]) for h, nh in enumerate(neg)]
+        self.coefficients: Dict[tuple, tuple] = {}
 
-    def _terms(self, x: TensorElement) -> list:
-        """(i, j, c) for each term c u(g_i, g_j) of x."""
+    def index_form(self, x: TensorElement) -> dict:
+        """{i*n + j: c} for each term c u(g_i, g_j) of x."""
         if x.cocycle is not self.mu and x.cocycle != self.mu:
             raise ValueError("element is not over the kernel's base")
-        index = self.index
-        return [(index[g.coords], index[h.coords], c) for (g, h), c in x.terms.items()]
+        index, n = self.index, self.n
+        return {index[g.coords] * n + index[h.coords]: c for (g, h), c in x.terms.items()}
 
-    def _accumulate(self, jobs: list, order: int, den: int) -> TensorElement:
+    def star(self, x: dict) -> dict:
+        """Adjoint: u(i, j)* = zeta_N^-(mu(i, -i) + mu(j, -j)) u(-i, -j),
+        coefficients conjugated; negation is a bijection, so keys stay apart."""
+        n, neg, twist, den = self.n, self.neg, self.twist, self.conductor
+        out = {}
+        for key, c in x.items():
+            i, j = divmod(key, n)
+            ni, nj = neg[i], neg[j]
+            out[ni * n + nj] = c.conjugate().rotated(-twist[i][ni] - twist[j][nj], den)
+        return out
+
+    def diagonal(self, c: Character, x: dict) -> dict:
+        """Rotate each term u(g_i, g_j) by c(g_i + g_j), c(g_i) being one int
+        over c.den per number i, built in the mixed-radix order of
+        `elements()`.  On the shift algebra the same action is `dynamics.rho`
+        of the motion (c, identity)."""
+        turns = [0]
+        for m, a in zip(self.torsion, c.ints):
+            turns = [p + a * b for p in turns for b in range(m)]
+        n, den = self.n, c.den
+        return {key: v.rotated(turns[key // n] + turns[key % n], den) for key, v in x.items()}
+
+    def _accumulate(self, jobs: list, order: int, den: int) -> dict:
         """The sum over jobs (i, j, cs, w) of (sum_{(p, a) in cs} a zeta^p) u(i, j) w.
 
         w is V as (k, -k, exponent) triples, or the unit u(0, 0) as the
@@ -313,9 +334,9 @@ class _SwapKernel:
         normalized, so a plain term is rotated by 0.  The numerators of cs
         are over den and its exponents of zeta_order.  Each output key
         gets one int vector mod x^order - 1, which the Cyclotomic
-        constructor reduces mod Phi_order once.
+        constructor reduces mod Phi_order once; zeros are dropped.
         """
-        n = len(self.elems)
+        n = self.n
         add, twist, step = self.add, self.twist, order // self.conductor
         acc: Dict[int, list] = {}
         for i, j, cs, w in jobs:
@@ -329,25 +350,40 @@ class _SwapKernel:
                 e = (tw_i[k] + tw_j[nk] + ev) * step
                 for p, a in cs:
                     vec[(p + e) % order] += a
-        elems = self.elems
         out = {}
         for key, vec in acc.items():
             c = Cyclotomic(order, vec, den)
-            if c:
-                i, j = divmod(key, n)
-                out[(elems[i], elems[j])] = c
-        return TensorElement(self.mu, out)
+            if any(c.ints):
+                out[key] = c
+        return out
 
-    def times_v(self, y: TensorElement) -> TensorElement:
+    def times_v(self, y: dict) -> dict:
         """y V, equal to the generic TensorElement product."""
-        terms = self._terms(y)
-        order = lcm(self.conductor, *{c.order for _, _, c in terms})
-        den = lcm(*{c.den for _, _, c in terms})
-        v = self.v
-        return self._accumulate([(i, j, _lift(c, order, den), v) for i, j, c in terms],
-                                order, den)
+        order = lcm(self.conductor, *{c.order for c in y.values()})
+        den = lcm(*{c.den for c in y.values()})
+        n, v = self.n, self.v
+        return self._accumulate(
+            [(*divmod(key, n), _lift(c, order, den), v) for key, c in y.items()], order, den)
 
-    def flow(self, t: Fraction, x: TensorElement) -> TensorElement:
+    def _w(self, k: int, q: int, order: int) -> tuple:
+        """4 sqrt|H| times (|a|^2, |b|^2, a conj(b), b conj(a)) at e = zeta_q^k,
+        reduced mod Phi_q, as exponents of zeta_order; kept per (k, q, order)."""
+        w = self.coefficients.get((k, q, order))
+        if w is None:
+            s = self.scale
+
+            def lifted(c0: int, c1: int, c2: int) -> list:
+                # c0 + c1 e + c2/e; over den 1 no common factor is taken out
+                vec = [0] * q
+                vec[0], vec[k % q], vec[-k % q] = c0, c1, c2
+                return _lift(Cyclotomic(q, vec, 1), order, 1)
+
+            ab = lifted(0, 1, -1)
+            w = self.coefficients[k, q, order] = (
+                lifted(2 * s, s, s), lifted(2 * s, -s, -s), ab, [(p, -a) for p, a in ab])
+        return w
+
+    def flow(self, t, x: dict) -> dict:
         """Ad W_t(x) = |a|^2 x + |b|^2 flip(x) + (a conj(b) x + b conj(a) flip(x)) S.
 
         W_t = a + b S, a = (1 + e)/2, b = (1 - e)/2, e = e^{i pi t} = zeta_q^k,
@@ -361,31 +397,22 @@ class _SwapKernel:
         and c b conj(a)/sqrt|H| from (j, i), in one integer accumulation.
         At integer t one of a, b is zero: the flow is x or flip(x).
         """
-        t = Fraction(t)
-        if t.denominator == 1:
-            return _flip(x) if t.numerator % 2 else x
-        terms = self._terms(x)
-        k, q = (t / 2).numerator, (t / 2).denominator  # e = zeta_q^k
-        order = lcm(self.conductor, q, *{c.order for _, _, c in terms})
-        xden = lcm(*{c.den for _, _, c in terms})
-        s = self.scale
-
-        def lifted(c0: int, c1: int, c2: int) -> list:
-            # c0 + c1 e + c2/e reduced mod Phi_q, as exponents of zeta_order;
-            # over den 1 no common factor is taken out
-            vec = [0] * q
-            vec[0], vec[k % q], vec[-k % q] = c0, c1, c2
-            return _lift(Cyclotomic(q, vec, 1), order, 1)
-
-        aa, bb, ab = lifted(2 * s, s, s), lifted(2 * s, -s, -s), lifted(0, 1, -1)
-        ba = [(p, -a) for p, a in ab]
+        p, r, n = t.numerator, t.denominator, self.n
+        if r == 1:  # x, or x with its legs swapped
+            return {key % n * n + key // n: c for key, c in x.items()} if p % 2 else x
+        # e = zeta_(2r)^p, in lowest terms
+        k, q = (p, 2 * r) if p % 2 else (p // 2, r)
+        order = lcm(self.conductor, q, *{c.order for c in x.values()})
+        xden = lcm(*{c.den for c in x.values()})
+        aa, bb, ab, ba = self._w(k, q, order)
         one, v = [(0, 0, 0)], self.v
         jobs = []
-        for i, j, c in terms:
+        for key, c in x.items():
+            i, j = divmod(key, n)
             cs = _lift(c, order, xden)
             jobs += [(i, j, _times(cs, aa, order), one), (j, i, _times(cs, bb, order), one),
                      (i, j, _times(cs, ab, order), v), (j, i, _times(cs, ba, order), v)]
-        return self._accumulate(jobs, order, xden * 4 * s)
+        return self._accumulate(jobs, order, xden * 4 * self.scale)
 
 
 def check_malleability(v: TensorElement, rng: random.Random, samples: int) -> dict:
@@ -393,53 +420,38 @@ def check_malleability(v: TensorElement, rng: random.Random, samples: int) -> di
 
     v is self-adjoint with v^2 = |H|, the flow at t = 1 is the flip, and on
     `samples` basis elements drawn from rng the flows at t = 1/2 compose to
-    t = 1 and commute with a random diagonal character.  One swap kernel
-    built from v's cocycle runs every flow and the square, as v times the
-    kernel's own table-built V.  At t = 1 the closed form of the flow is
-    the flip by construction, so full_swap only checks that relabelling;
-    the tests compare the flow with the product W_t x W_t^*, and the
-    kernel's y V with the generic product.
+    t = 1 and commute with a random diagonal character (g, h and the
+    character drawn as numbers of `elements()` and of the listed dual).
+    One swap kernel built from v's cocycle runs it all on its index form,
+    into which v is converted once; the square is v times the kernel's own
+    table-built V.  At t = 1 the closed form of the flow is the flip by
+    construction, so full_swap only checks that relabelling; the tests
+    compare the flow with the product W_t x W_t^*, and the kernel's y V
+    with the generic product.
     """
-    mu, group = v.cocycle, v.group
-    kernel = _SwapKernel(mu)
-    zero = group.zero()
+    group = v.group
+    kernel = _SwapKernel(v.cocycle)
+    n, torsion, one = kernel.n, group.torsion, Cyclotomic.ONE
+    half, whole = Fraction(1, 2), Fraction(1)
+    w = kernel.index_form(v)
     checks = {
-        "self_adjoint": v.star() == v,
-        "square": kernel.times_v(v) == TensorElement.one(mu).scaled(group.order()),
-        "full_swap": all(
-            kernel.flow(Fraction(1), TensorElement.unit(mu, g, zero))
-            == TensorElement.unit(mu, zero, g)
-            for g in group.elements()
-        ),
+        "self_adjoint": kernel.star(w) == w,
+        "square": kernel.times_v(w) == {0: Cyclotomic(1, (n,), 1)},
+        "full_swap": all(kernel.flow(whole, {g * n: one}) == {g: one} for g in range(n)),
     }
-    half = Fraction(1, 2)
     ok_half, ok_char = True, True
     for _ in range(samples):
-        g = group.element([rng.randrange(m) for m in group.torsion])
-        h = group.element([rng.randrange(m) for m in group.torsion])
-        x = TensorElement.unit(mu, g, h)
+        key = 0
+        for m in (*torsion, *torsion):
+            key = key * m + rng.randrange(m)  # g's coordinates, then h's: g * n + h
+        x = {key: one}
         once = kernel.flow(half, x)
-        if kernel.flow(half, once) != kernel.flow(Fraction(1), x):
+        if kernel.flow(half, once) != kernel.flow(whole, x):
             ok_half = False
         # the index a choice from the listed dual would draw, from the same stream
-        c = dual_character(group, rng.choice(range(group.order())))
-        if apply_diagonal_character(c, once) != kernel.flow(
-            half, apply_diagonal_character(c, x)
-        ):
+        c = dual_character(group, rng.choice(range(n)))
+        if kernel.diagonal(c, once) != kernel.flow(half, kernel.diagonal(c, x)):
             ok_char = False
     checks["half_composition"] = ok_half
     checks["character_commutation"] = ok_char
     return checks
-
-
-def apply_diagonal_character(c: Character, x: TensorElement) -> TensorElement:
-    """Rotate each term u_g (x) u_h by c(g + h): c's int row against the raw
-    coordinates of g and h, over c.den.  c kills the torsion orders, so the
-    sum needs no reduction.  On the shift algebra the same action is
-    `dynamics.rho` of the motion (c, identity)."""
-    if not isinstance(x, TensorElement):
-        raise TypeError("expected a TensorElement")
-    row, den, mul = c.ints, c.den, operator.mul
-    return TensorElement(x.cocycle, {
-        (g, h): v.rotated(sum(map(mul, row, g.coords)) + sum(map(mul, row, h.coords)), den)
-        for (g, h), v in x.terms.items()})

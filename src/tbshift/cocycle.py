@@ -108,10 +108,10 @@ class BilinearCocycle(Immutable):
         """
         d, torsion, cols = self.den, self.group.torsion, list(zip(*self.ints))
         table = []
-        for g in self.group.elements():
+        for g in self.group.coordinates():
             row = [0]
             for m, col in zip(torsion, cols):
-                w = sum(map(mul, g.coords, col))
+                w = sum(map(mul, g, col))
                 steps = [c * w % d for c in range(m)]
                 row = [(p + s) % d for p in row for s in steps]
             table.append(row)
@@ -168,7 +168,7 @@ class TableCocycle(Immutable):
     def exponent_table(self) -> list:
         """mu(g, h) * D in [0, D) for g, h in `elements()` order, read off the entries."""
         d, entries = self.den, self.entries
-        elems = [g.coords for g in self.group.elements()]
+        elems = list(self.group.coordinates())
         return [[p.num * (d // p.den) for p in [entries[g, h] for h in elems]] for g in elems]
 
     def validate(self) -> None:

@@ -11,7 +11,10 @@ the star form against `phase_star_form`, `TableCocycle.validate`'s
 integer scans against their Phase form `phase_validate` and its generator
 triples against the scan of all triples in `cocycle_identity_failure`,
 the swap-kernel flow against the product W_t x W_t^* with `flow_unitary`,
-and the intertwiner's int terms and the int twists `configs.mu_tilde` and
+`check_malleability` on the kernel's index form against its TensorElement
+route `tensor_check_malleability` (generic star and product, characters
+by `apply_diagonal_character`, the index form read back by
+`tensor_element`), and the intertwiner's int terms and the int twists `configs.mu_tilde` and
 `configs.telescoped` against their Phase sums `phase_pi`, `mu_tilde` and
 `mu_hat`.  Tables evaluated from mu (`to_table`, `table_from_function`,
 `coboundary_cocycle`) are the reference for the integer tables, as
@@ -35,6 +38,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Iterable, Iterator, Optional
 
 from tbshift.abelian import (
@@ -43,15 +47,10 @@ from tbshift.abelian import (
     AbHom,
     Character,
     abstractly_isomorphic,
+    dual_character,
     is_isomorphism,
 )
-from tbshift.algebra import (
-    AlgebraElement,
-    TensorElement,
-    _flip,
-    _SwapKernel,
-    malleability_unitary,
-)
+from tbshift.algebra import AlgebraElement, TensorElement, _SwapKernel, malleability_unitary
 from tbshift.classify import _pool_ranges
 from tbshift.cocycle import BilinearCocycle, CocycleError, TableCocycle, trivial_cocycle
 from tbshift.configs import Config
@@ -450,6 +449,31 @@ def flow_unitary(mu, t: Fraction) -> TensorElement:
     return TensorElement.one(mu).scaled(a) + v.scaled(b * Fraction(1, isqrt(mu.group.order())))
 
 
+def flip(x: TensorElement) -> TensorElement:
+    """Swap the two legs of each key, keeping its coefficient."""
+    return TensorElement(x.cocycle, {(k[1], k[0]): v for k, v in x.terms.items()})
+
+
+def tensor_element(mu, terms: dict) -> TensorElement:
+    """The TensorElement of the swap kernel's index form {i*n + j: c}."""
+    elems = list(mu.group.elements())
+    n = len(elems)
+    return TensorElement(mu, {(elems[k // n], elems[k % n]): c for k, c in terms.items()})
+
+
+def apply_diagonal_character(c: Character, x: TensorElement) -> TensorElement:
+    """Rotate each term u_g (x) u_h by c(g + h): c's int row against the raw
+    coordinates of g and h, over c.den.  c kills the torsion orders, so the
+    sum needs no reduction.  On the shift algebra the same action is
+    `dynamics.rho` of the motion (c, identity)."""
+    if not isinstance(x, TensorElement):
+        raise TypeError("expected a TensorElement")
+    row, den = c.ints, c.den
+    return TensorElement(x.cocycle, {
+        (g, h): v.rotated(sum(map(mul, row, g.coords)) + sum(map(mul, row, h.coords)), den)
+        for (g, h), v in x.terms.items()})
+
+
 def malleability_flow(mu, t: Fraction, x: TensorElement) -> TensorElement:
     """Ad W_t(x) through the swap kernel that `algebra.check_malleability` runs.
 
@@ -462,8 +486,44 @@ def malleability_flow(mu, t: Fraction, x: TensorElement) -> TensorElement:
         raise ValueError("element is not over the given base")
     malleability_unitary(mu)
     if Fraction(t).denominator == 1:
-        return _flip(x) if t % 2 else x
-    return _SwapKernel(mu).flow(t, x)
+        return flip(x) if t % 2 else x
+    kernel = _SwapKernel(mu)
+    return tensor_element(mu, kernel.flow(Fraction(t), kernel.index_form(x)))
+
+
+def tensor_check_malleability(v: TensorElement, rng, samples: int) -> dict:
+    """`algebra.check_malleability` on TensorElements: the generic star and
+    product, units u_g (x) u_h of drawn group elements, the flows through
+    `malleability_flow` and the characters through
+    `apply_diagonal_character`, with the same draws from rng in the same
+    order."""
+    mu, group = v.cocycle, v.group
+    zero, half = group.zero(), Fraction(1, 2)
+    checks = {
+        "self_adjoint": v.star() == v,
+        "square": v * v == TensorElement.one(mu).scaled(group.order()),
+        "full_swap": all(
+            malleability_flow(mu, 1, TensorElement.unit(mu, g, zero))
+            == TensorElement.unit(mu, zero, g)
+            for g in group.elements()
+        ),
+    }
+    ok_half, ok_char = True, True
+    for _ in range(samples):
+        g = group.element([rng.randrange(m) for m in group.torsion])
+        h = group.element([rng.randrange(m) for m in group.torsion])
+        x = TensorElement.unit(mu, g, h)
+        once = malleability_flow(mu, half, x)
+        if malleability_flow(mu, half, once) != malleability_flow(mu, 1, x):
+            ok_half = False
+        c = dual_character(group, rng.choice(range(group.order())))
+        if apply_diagonal_character(c, once) != malleability_flow(
+            mu, half, apply_diagonal_character(c, x)
+        ):
+            ok_char = False
+    checks["half_composition"] = ok_half
+    checks["character_commutation"] = ok_char
+    return checks
 
 
 # -- configurations and the intertwiner, Phase by Phase --------------------------

@@ -7,27 +7,30 @@ import pytest
 import oracles
 from conftest import deadline
 from oracles import (
+    apply_diagonal_character,
     coboundary_cocycle,
     config_total,
+    flip,
     flow_unitary,
     malleability_flow,
     phase_bilinear,
     phase_character,
     product_triplet,
     table_from_function,
+    tensor_check_malleability,
+    tensor_element,
     to_table,
 )
-from tbshift import algebra
-from tbshift.abelian import AbGroup, Character, dual_characters
+from tbshift import algebra, selftest
+from tbshift.abelian import AbElem, AbGroup, Character, dual_character, dual_characters
 from tbshift.algebra import (
     MAX_FLOW_ORDER,
     AlgebraElement,
     TensorElement,
     _SwapKernel,
-    apply_diagonal_character,
     malleability_unitary,
 )
-from tbshift.cocycle import BilinearCocycle, TableCocycle, trivial_cocycle
+from tbshift.cocycle import BilinearCocycle, TableCocycle, degeneracy_witness, trivial_cocycle
 from tbshift.configs import Config, dipole, mu_tilde
 from tbshift.dynamics import Motion, rho
 from tbshift.families import mod_q_cocycle, mod_q_group, mod_q_triplet
@@ -342,7 +345,7 @@ def test_flow_matches_brute_conjugation(rng):
         for t in (Fraction(2, 5), Fraction(2, 5), Fraction(1, 3)):
             w = flow_unitary(mu, t)
             x = _random_tensor_element(rng, mu, terms=2)
-            assert kernel.flow(t, x) == w * x * w.star()
+            assert _kernel_flow(kernel, t, x) == w * x * w.star()
     # a two-term x on the 225-element group
     mu = product_triplet(mod_q_triplet(3), mod_q_triplet(5)).cocycle
     g = mu.group
@@ -363,9 +366,8 @@ def test_check_malleability_draws_what_the_listed_dual_drew(monkeypatch):
         group, v = mu.group, malleability_unitary(mu)
         listed = list(dual_characters(group))
         drawn = []
-        apply = algebra.apply_diagonal_character
-        monkeypatch.setattr(algebra, "apply_diagonal_character",
-                            lambda c, x: drawn.append(c) or apply(c, x))
+        monkeypatch.setattr(algebra, "dual_character",
+                            lambda g, i: drawn.append(dual_character(g, i)) or drawn[-1])
         rng = random.Random(q)
         checks = algebra.check_malleability(v, rng, samples)
         monkeypatch.setattr(algebra, "dual_character", lambda g, i: listed[i])
@@ -378,9 +380,95 @@ def test_check_malleability_draws_what_the_listed_dual_drew(monkeypatch):
             for _ in range(2):
                 [replay.randrange(m) for m in group.torsion]
             expected.append(replay.choice(listed))
-        assert drawn == [c for c in expected for _ in range(2)] * 2
+        assert drawn == expected
         assert rng.getstate() == replay.getstate()
         assert all(checks.values())
+
+
+def _nondegenerate_bilinear(rng, torsion):
+    group = AbGroup(0, torsion)
+    while True:
+        mu = selftest._random_bilinear(rng, group)
+        if degeneracy_witness(mu) is None:
+            return mu
+
+
+def test_check_malleability_matches_its_tensor_element_route(rng):
+    # the index form against the TensorElement route it replaced: generic
+    # star and product, drawn group elements, oracle flows and characters;
+    # the same checks and the same Random state afterwards
+    bases = [_nondegenerate_bilinear(rng, torsion)
+             for torsion in ((2, 2), (3, 3), (4, 4), (2, 2, 2, 2), (2, 4, 2, 4), (6, 6))]
+    bases += [to_table(_nondegenerate_bilinear(rng, (4, 4))), _shifted_table_cocycle(rng),
+              to_table(_symplectic_z2p4())]
+    cases = [(mu, samples) for mu in bases for samples in range(1, 6)]
+    cases.append((product_triplet(mod_q_triplet(3), mod_q_triplet(5)).cocycle, 5))
+    for mu, samples in cases:
+        v = malleability_unitary(mu)
+        seed = rng.randrange(10**6)
+        new, old = random.Random(seed), random.Random(seed)
+        checks = algebra.check_malleability(v, new, samples)
+        assert checks == tensor_check_malleability(v, old, samples)
+        assert list(checks) == ["self_adjoint", "square", "full_swap", "half_composition",
+                                "character_commutation"]
+        assert all(checks.values())
+        assert new.getstate() == old.getstate()
+
+
+def test_check_malleability_fails_on_a_mutated_unitary(rng):
+    # one coefficient of v rotated, or one coefficient at a key off V's
+    # support u_h (x) u_-h: self_adjoint or square turns false, while the
+    # flow checks, which run on the kernel's own V, still pass
+    for mu in (mod_q_cocycle(2), mod_q_cocycle(3), _symplectic_z2p4(), _shifted_table_cocycle(rng)):
+        v, g = malleability_unitary(mu), mu.group
+        elems = list(g.elements())
+        mutants = [TensorElement(mu, {**v.terms, key: c.rotated(1, 3)})
+                   for key, c in v.terms.items()]
+        for _ in range(4):
+            a, b = rng.choice(elems), rng.choice(elems)
+            if a + b != g.zero():
+                mutants.append(TensorElement(mu, {**v.terms, (a, b): Cyclotomic.ONE}))
+        assert len(mutants) > len(v.terms)
+        for w in mutants:
+            checks = algebra.check_malleability(w, random.Random(1), 1)
+            assert not (checks["self_adjoint"] and checks["square"])
+            assert checks["full_swap"] and checks["half_composition"]
+            assert checks["character_commutation"]
+
+
+def test_check_malleability_builds_no_group_element_or_tensor_element(monkeypatch):
+    # once malleability_unitary has built v, the check runs on the
+    # kernel's index form alone
+    def refuse(self, *args):
+        raise AssertionError("a group element or a TensorElement was built")
+
+    for mu in (mod_q_cocycle(3), _symplectic_z2p4()):
+        v = malleability_unitary(mu)
+        with monkeypatch.context() as patch:
+            patch.setattr(AbElem, "__init__", refuse)
+            patch.setattr(TensorElement, "__init__", refuse)
+            checks = algebra.check_malleability(v, random.Random(3), 3)
+            with pytest.raises(AssertionError, match="built"):
+                mu.group.zero()
+        assert len(checks) == 5 and all(checks.values())
+
+
+def test_kernel_star_and_diagonal_match_the_tensor_element_forms(rng):
+    # the index-form adjoint against the generic star, and a character's
+    # int turns against apply_diagonal_character
+    for mu in (mod_q_cocycle(4), _symplectic_z2p4(), _shifted_table_cocycle(rng)):
+        kernel, group = _SwapKernel(mu), mu.group
+        chars = list(dual_characters(group))
+        for _ in range(10):
+            x = _mixed_tensor_element(rng, mu, rng.randint(1, 5))
+            index = kernel.index_form(x)
+            assert tensor_element(mu, index) == x
+            assert tensor_element(mu, kernel.star(index)) == x.star()
+            assert tensor_element(mu, kernel.flow(1, index)) == flip(x)
+            c = rng.choice(chars)
+            assert tensor_element(mu, kernel.diagonal(c, index)) == apply_diagonal_character(c, x)
+        with pytest.raises(ValueError, match="base"):
+            kernel.index_form(TensorElement.one(mod_q_cocycle(5)))
 
 
 # at integer t the flow builds no kernel but keeps its checks and their order
@@ -419,8 +507,12 @@ def _mixed_tensor_element(rng, mu, terms):
     return TensorElement(mu, out)
 
 
-def _flip(x):
-    return TensorElement(x.cocycle, {(k[1], k[0]): c for k, c in x.terms.items()})
+def _kernel_flow(kernel, t, x):
+    return tensor_element(kernel.mu, kernel.flow(t, kernel.index_form(x)))
+
+
+def _times_v(kernel, y):
+    return tensor_element(kernel.mu, kernel.times_v(kernel.index_form(y)))
 
 
 def test_kernel_product_matches_generic_product(rng):
@@ -443,13 +535,12 @@ def test_kernel_product_matches_generic_product(rng):
             for j, h in enumerate(elems):
                 assert Phase(kernel.twist[i][j], kernel.conductor) == mu(g, h)
         v = malleability_unitary(mu)
-        zero = TensorElement.zero(mu)
-        assert kernel.times_v(zero) == zero
+        assert kernel.times_v({}) == {}
         for _ in range(rounds):
             x = _mixed_tensor_element(rng, mu, rng.randint(1, 4))
-            assert kernel.times_v(x) == x * v
+            assert _times_v(kernel, x) == x * v
             # S x = flip(x) S, which the flow's single product rests on
-            assert v * x == _flip(x) * v
+            assert v * x == flip(x) * v
 
 
 def test_kernel_build_evaluates_no_cocycle_value(rng, monkeypatch):
@@ -475,7 +566,7 @@ def test_kernel_on_the_largest_group_builds_within_its_deadline(rng):
     assert mu.group.order() == MAX_FLOW_ORDER
     with deadline(2):
         kernel = _SwapKernel(mu)
-    elems = kernel.elems
+    elems = list(mu.group.elements())
     for _ in range(200):
         i, j = rng.randrange(MAX_FLOW_ORDER), rng.randrange(MAX_FLOW_ORDER)
         assert Phase(kernel.twist[i][j], kernel.conductor) == mu(elems[i], elems[j])
@@ -485,7 +576,7 @@ def test_kernel_product_cancels_to_zero():
     # V V = |H|: every key of the product but the zero key cancels
     for mu in (mod_q_cocycle(2), mod_q_cocycle(3), _symplectic_z2p4()):
         v = malleability_unitary(mu)
-        assert _SwapKernel(mu).times_v(v) == TensorElement.one(mu).scaled(mu.group.order())
+        assert _times_v(_SwapKernel(mu), v) == TensorElement.one(mu).scaled(mu.group.order())
     # one key cancels, the others stay: a u(p1, p2) + b u(q1, q2) with
     # p1 + p2 = q1 + q2 hits the key (p1 + k, p2 - k) of u(p1, p2) V at
     # u(q1, q2) u(l, -l), l = p1 + k - q1; b makes the two terms there cancel
@@ -504,7 +595,7 @@ def test_kernel_product_cancels_to_zero():
     y = TensorElement(mu, {(p1, p2): a, (q1, q2): b})
     product = y * malleability_unitary(mu)
     assert (p1 + k, p2 - k) not in product.terms and product.terms
-    assert _SwapKernel(mu).times_v(y) == product
+    assert _times_v(_SwapKernel(mu), y) == product
 
 
 def test_flow_refuses_groups_above_the_bound(monkeypatch):
@@ -536,8 +627,8 @@ def test_integer_time_flow_matches_the_kernel(rng, monkeypatch):
         kernel = _SwapKernel(mu)
         for t in (-1, 0, 1, 2, 3):
             x = _random_tensor_element(rng, mu)
-            assert malleability_flow(mu, Fraction(t), x) == kernel.flow(Fraction(t), x)
-            assert malleability_flow(mu, t, x) == kernel.flow(Fraction(t), x)
+            assert malleability_flow(mu, Fraction(t), x) == _kernel_flow(kernel, Fraction(t), x)
+            assert malleability_flow(mu, t, x) == _kernel_flow(kernel, t, x)
 
 
 def test_integer_time_flow_builds_no_table_on_the_product_group(monkeypatch):
@@ -550,7 +641,7 @@ def test_integer_time_flow_builds_no_table_on_the_product_group(monkeypatch):
     g = mu.group
     x = TensorElement.unit(mu, g.element((1, 0, 2, 0)), g.element((0, 1, 0, 3)))
     for t in (-1, 0, 1, 2, 3):
-        expected = _flip(x) if t % 2 else x
+        expected = flip(x) if t % 2 else x
         assert malleability_flow(mu, Fraction(t), x) == expected
 
 

@@ -75,6 +75,23 @@ def test_malleability_refuses_groups_above_the_flow_bound(tmp_path):
     assert payload == {"ok": False, "detail": "the flow is only run for |H| <= 1024, got 4096"}
 
 
+def test_malleability_on_z16_squared_finishes_within_its_deadline(tmp_path):
+    # a bound case no benchmark workload reaches: |H| = 256 at the default --samples
+    triplet = {
+        "group": {"free_rank": 0, "torsion": [16, 16]},
+        "cocycle": {"kind": "bichar", "matrix": [["0/1", "1/16"], ["0/1", "0/1"]]},
+        "character": {"phases": ["1/16", "0/1"]},
+    }
+    path = tmp_path / "mod16.json"
+    path.write_text(json.dumps(triplet), encoding="utf-8")
+    with deadline(5):
+        code, payload = _run(["malleability", str(path)])
+    assert code == EXIT_OK
+    assert payload == {"ok": True, "self_adjoint": True, "square_is_order": True,
+                       "full_swap": True, "half_composition": True,
+                       "character_commutation": True}
+
+
 def test_factor_reports_no_zero_witness(tmp_path):
     # the rational kernel of this star form is spanned by (0, -8, 3), which
     # is the zero element of Z x Z/4 x Z/3; no torsion element pairs trivially
