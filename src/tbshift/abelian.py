@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 from math import gcd, lcm, prod
-from operator import mul
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from .linalg import snf_diagonal
@@ -78,9 +77,6 @@ class AbGroup(Immutable):
 
     def element(self, coords: Sequence[int]) -> "AbElem":
         return AbElem(self, self.reduce(coords))
-
-    def zero(self) -> "AbElem":
-        return AbElem(self, (0,) * self.rank)
 
     def generators(self) -> list:
         return [
@@ -164,23 +160,6 @@ class AbElem(Immutable):
     def __neg__(self) -> "AbElem":
         return self.group.element([-a for a in self.coords])
 
-    def __sub__(self, other: "AbElem") -> "AbElem":
-        return self + (-other)
-
-    def scaled(self, n: int) -> "AbElem":
-        return self.group.element([n * a for a in self.coords])
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def order(self) -> int:
-        """Order of the element; 0 means infinite."""
-        g = self.group
-        if any(self.coords[: g.free_rank]):
-            return 0
-        return lcm(*(n // gcd(n, c) for c, n in zip(self.coords[g.free_rank :], g.torsion)))
-
 
 _set_elem_group = AbElem.group.__set__
 _set_coords = AbElem.coords.__set__
@@ -221,13 +200,6 @@ class AbHom(Immutable):
 
     def __repr__(self) -> str:
         return f"AbHom(source={self.source!r}, target={self.target!r}, matrix={self.matrix!r})"
-
-    def __call__(self, g: AbElem) -> AbElem:
-        if g.group != self.source:
-            raise ValueError("element is not in the source group")
-        return self.target.element(
-            [sum(row[j] * g.coords[j] for j in range(len(row))) for row in self.matrix]
-        )
 
     def compose(self, other: "AbHom") -> "AbHom":
         """self after other: the product of the matrices."""
@@ -312,11 +284,6 @@ class Character(Immutable):
     @staticmethod
     def trivial(group: AbGroup) -> "Character":
         return Character(group, (0,) * group.rank, 1)
-
-    def __call__(self, g: AbElem) -> Phase:
-        if g.group != self.group:
-            raise ValueError("element is not in the character's group")
-        return Phase(sum(map(mul, self.ints, g.coords)), self.den)
 
     def power(self, d: int) -> "Character":
         return Character(self.group, tuple(c * d for c in self.ints), self.den)

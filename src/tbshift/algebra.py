@@ -2,17 +2,18 @@
 
 A twisted group algebra over a group of keys K has basis unitaries u(k)
 with u(k1) u(k2) = e^{2 pi i twist(k1, k2)} u(k1 + k2), where the twist is
-a normalized 2-cocycle on K.  One private base class holds the arithmetic
-(sums, the product loop, adjoint, trace) for any key group; its two
-subclasses state only the keys and the twist:
+a normalized 2-cocycle on K.  One private base class holds the product
+loop, the adjoint and the trace for any key group; its two subclasses
+state only the keys and the twist:
 
 * AlgebraElement: K is the group of configurations, twisted by the
   sitewise pairing mu~ (the shift algebra);
 * TensorElement: K is H x H, twisted by mu (+) mu (the tensor square
   carrying the malleability flow).
 
-Elements are finite formal sums with Cyclotomic coefficients, pruned of
-zeros (read on their `ints`) so equality is structural.  A twist, like a
+An element is built from its terms {k: c(k)}, Cyclotomic coefficients
+pruned of zeros (read on their `ints`) so equality is structural; no
+path adds or scales elements, so neither class does.  A twist, like a
 diagonal character's value on a tensor key (on the shift algebra that
 action is `dynamics.rho`), is one int over one denominator, paid by one
 `Cyclotomic.rotated`, which returns the coefficient itself when the twist
@@ -54,11 +55,13 @@ from .scalars import Cyclotomic
 
 
 class _TwistedGroupAlgebra:
-    """Finite formal sum sum_k c(k) u(k) over a twisted group algebra.
+    """The element sum_k c(k) u(k) of a twisted group algebra, with its
+    product, adjoint and trace.
 
     A subclass states the key group and the twist as static hooks:
-    _zero_key(group), _add_keys(k1, k2), _neg_key(k) and _twist(mu, k1, k2)
-    (the phase of u(k1) u(k2) against u(k1 + k2), an int over `mu.den`).
+    _add_keys(k1, k2) and _twist(mu, k1, k2) (the phase of u(k1) u(k2)
+    against u(k1 + k2), an int over `mu.den`) for the product, _neg_key(k)
+    and _twist for the adjoint, and _zero_key(group) for the trace.
     """
 
     __slots__ = ("cocycle", "terms")
@@ -70,14 +73,6 @@ class _TwistedGroupAlgebra:
     @property
     def group(self):
         return self.cocycle.group
-
-    @classmethod
-    def zero(cls, cocycle):
-        return cls(cocycle, {})
-
-    @classmethod
-    def one(cls, cocycle):
-        return cls(cocycle, {cls._zero_key(cocycle.group): Cyclotomic.ONE})
 
     def _check(self, other) -> None:
         if self.cocycle is not other.cocycle and self.cocycle != other.cocycle:
@@ -92,25 +87,7 @@ class _TwistedGroupAlgebra:
             return False
         return all(other.terms[k] == v for k, v in self.terms.items())
 
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out[k] + v if k in out else v
-        return type(self)(self.cocycle, out)
-
-    def __neg__(self):
-        return type(self)(self.cocycle, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, c):
-        return type(self)(self.cocycle, {k: v * c for k, v in self.terms.items()})
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            return self.scaled(other)
         self._check(other)
         mu, add, twist = self.cocycle, self._add_keys, self._twist
         out: Dict[object, Cyclotomic] = {}
@@ -121,8 +98,6 @@ class _TwistedGroupAlgebra:
                 coeff = (v1 * v2).rotated(twist(mu, k1, k2), mu.den)
                 out[key] = out[key] + coeff if key in out else coeff
         return type(self)(self.cocycle, out)
-
-    __rmul__ = scaled
 
     def star(self):
         """Adjoint: u(k)* = conj(twist(k, -k)) u(-k), coefficients conjugated."""
@@ -137,10 +112,6 @@ class _TwistedGroupAlgebra:
     def trace(self) -> Cyclotomic:
         """Coefficient at the zero key."""
         return self.terms.get(self._zero_key(self.group), Cyclotomic.ZERO)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({len(self.terms)} terms)"
@@ -161,8 +132,8 @@ class AlgebraElement(_TwistedGroupAlgebra):
         return mu_tilde(mu, k1, k2)
 
     @staticmethod
-    def unit(cocycle, config: Config, coeff=Cyclotomic.ONE) -> "AlgebraElement":
-        return AlgebraElement(cocycle, {config: coeff})
+    def unit(cocycle, config: Config) -> "AlgebraElement":
+        return AlgebraElement(cocycle, {config: Cyclotomic.ONE})
 
     # bound again so that each class's own __dict__ holds them and
     # per-class instrumentation can replace them
@@ -181,7 +152,8 @@ class TensorElement(_TwistedGroupAlgebra):
 
     @staticmethod
     def _zero_key(group):
-        return (group.zero(), group.zero())
+        zero = AbElem(group, (0,) * group.rank)
+        return (zero, zero)
 
     @staticmethod
     def _add_keys(k1, k2):
@@ -194,10 +166,6 @@ class TensorElement(_TwistedGroupAlgebra):
     @staticmethod
     def _twist(mu, k1, k2) -> int:
         return mu.exponent(k1[0].coords, k2[0].coords) + mu.exponent(k1[1].coords, k2[1].coords)
-
-    @staticmethod
-    def unit(cocycle, g: AbElem, h: AbElem, coeff=Cyclotomic.ONE) -> "TensorElement":
-        return TensorElement(cocycle, {(g, h): coeff})
 
     # bound again, as in AlgebraElement
     __mul__ = _TwistedGroupAlgebra.__mul__

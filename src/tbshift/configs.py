@@ -59,10 +59,6 @@ class Config(Immutable):
     def zero(group: AbGroup) -> "Config":
         return Config(group, ())
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.support
-
     def __hash__(self) -> int:
         # equal configs have equal supports, so this agrees with __eq__;
         # kept after the first call
@@ -116,9 +112,6 @@ class Config(Immutable):
         return Config(self.group, tuple(
             (p, tuple([-c % n if n else -c for c, n in zip(coords, orders)]))
             for p, coords in self.support))
-
-    def __sub__(self, other: "Config") -> "Config":
-        return self + (-other)
 
 
 _set_group = Config.group.__set__

@@ -20,9 +20,6 @@ class LatticePoint(NamedTuple):
     def __add__(self, other: "LatticePoint") -> "LatticePoint":  # type: ignore[override]
         return LatticePoint(self.q + other.q, self.r + other.r)
 
-    def __neg__(self) -> "LatticePoint":
-        return LatticePoint(-self.q, -self.r)
-
 
 ORIGIN = LatticePoint(0, 0)
 E1 = LatticePoint(1, 0)

@@ -13,7 +13,7 @@ product modulo Phi_N never leaves the integers.  That int form is also
 the one public way in: Cyclotomic(N, ints, den) takes N int numerators
 of the powers of zeta_N over one denominator and reduces them once.
 Fraction appears only at the edges: parsing, a rational value or scale
-(from_rational, a product with a Fraction) and the coeffs view.
+(from_rational, a product with a Fraction) and the repr.
 
 `Immutable` is the base of the package's value types, these two among
 them: each is a plain class that lists its fields in `__slots__`, sets
@@ -93,10 +93,6 @@ class Phase(Immutable):
         return Phase.from_fraction(Fraction(text.strip()))
 
     ZERO: ClassVar["Phase"]
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num == 0
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, self.den)
@@ -203,7 +199,7 @@ class Cyclotomic(Immutable):
     form is unique, so elements of one order are equal iff their (den,
     ints) agree; elements of different orders are compared after rebasing
     to the lcm of the orders.  Products and sums run on ints; reduction
-    modulo the monic Phi_N stays integral.  coeffs gives the same
+    modulo the monic Phi_N stays integral.  The repr shows the
     coefficients as Fractions.  Instances are immutable.
     """
 
@@ -219,12 +215,9 @@ class Cyclotomic(Immutable):
             raise ValueError(f"denominator must be positive, got {den}")
         return _make(order, _reduce(list(ints), order), den)
 
-    @property
-    def coeffs(self) -> tuple:
-        return tuple(Fraction(c, self.den) for c in self.ints)
-
     def __repr__(self) -> str:
-        return f"Cyclotomic(order={self.order}, coeffs={self.coeffs!r})"
+        coeffs = tuple(Fraction(c, self.den) for c in self.ints)
+        return f"Cyclotomic(order={self.order}, coeffs={coeffs!r})"
 
     @staticmethod
     def from_rational(value) -> "Cyclotomic":
@@ -239,12 +232,8 @@ class Cyclotomic(Immutable):
     ZERO: ClassVar["Cyclotomic"]
     ONE: ClassVar["Cyclotomic"]
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.ints)
-
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return any(self.ints)
 
     def rebase(self, m: int) -> "Cyclotomic":
         """The same number expressed in Q(zeta_m); m must be a multiple of order."""

@@ -144,7 +144,16 @@ def cocycle_from_json(group: AbGroup, obj: Any, path: str = "$"):
 # triplet files ----------------------------------------------------------
 
 def triplet_from_json(obj: Any, path: str = "$") -> Triplet:
-    group = group_from_json(_need_key(obj, "group", path), path + ".group")
+    group_obj = _need_key(obj, "group", path)
+    # the character lists one phase per generator, so a free rank above the
+    # length of its list is refused before a group of that rank is built
+    free = group_obj.get("free_rank") if isinstance(group_obj, dict) else None
+    chi = obj.get("character")
+    phases = chi.get("phases") if isinstance(chi, dict) else None
+    if type(free) is int and isinstance(phases, list) and free > len(phases):
+        detail = f"free rank {free} exceeds the length {len(phases)} of the character's phases"
+        raise SchemaError(path + ".group.free_rank", detail)
+    group = group_from_json(group_obj, path + ".group")
     cocycle = cocycle_from_json(group, _need_key(obj, "cocycle", path), path + ".cocycle")
     character = character_from_json(group, _need_key(obj, "character", path), path + ".character")
     return Triplet(group, cocycle, character)

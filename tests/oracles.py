@@ -30,7 +30,12 @@ sums and Phase coefficients (`abelem_zero_sum_config`,
 replaced: a character and a bilinear cocycle from Phases
 (`phase_character`, `phase_bilinear`) and `AbHom`'s column test on group
 elements (`elementwise_hom_matrix`); `config_total` folds a
-configuration's values by AbElem additions.
+configuration's values by AbElem additions.  The arithmetic the value
+types no longer carry, since nothing in `tbshift` uses it, lives here:
+a group's zero (`group_zero`), a homomorphism applied to an element
+(`apply_hom`), an element's order (`element_order`), the unit of the
+tensor square (`tensor_one`) and sums and scalings of algebra elements
+(`combination`); a character's value is `phase_character_value`.
 """
 
 from __future__ import annotations
@@ -59,6 +64,49 @@ from tbshift.lattice import AffineSL2, LatticePoint, det2, mat_apply, mat_mul, s
 from tbshift.linalg import _eliminate, identity_matrix
 from tbshift.scalars import Cyclotomic, Phase
 from tbshift.selftest import _random_bilinear, random_point
+
+# -- the arithmetic the value types no longer carry -----------------------------
+
+
+def group_zero(group: AbGroup) -> AbElem:
+    """The zero of the group."""
+    return AbElem(group, (0,) * group.rank)
+
+
+def apply_hom(f: AbHom, g: AbElem) -> AbElem:
+    """f(g): f's matrix times g's coordinates, reduced in the target."""
+    if g.group != f.source:
+        raise ValueError("element is not in the source group")
+    return f.target.element([sum(map(mul, row, g.coords)) for row in f.matrix])
+
+
+def element_order(g: AbElem) -> int:
+    """Order of g; 0 means infinite."""
+    group = g.group
+    if any(g.coords[: group.free_rank]):
+        return 0
+    return lcm(*(n // gcd(n, c) for c, n in zip(g.coords[group.free_rank :], group.torsion)))
+
+
+def tensor_one(mu) -> TensorElement:
+    """The unit u_0 (x) u_0 of the tensor square."""
+    zero = group_zero(mu.group)
+    return TensorElement(mu, {(zero, zero): Cyclotomic.ONE})
+
+
+def combination(*terms):
+    """The formal sum of c x over the (c, x) pairs, elements of one class
+    over one base and c an int, a Fraction or a Cyclotomic."""
+    first = terms[0][1]
+    out = {}
+    for c, x in terms:
+        if type(x) is not type(first) or x.cocycle != first.cocycle:
+            raise ValueError("elements over different bases")
+        for k, v in x.terms.items():
+            v = v * c
+            out[k] = out[k] + v if k in out else v
+    return type(first)(first.cocycle, out)
+
 
 # -- the elimination's full contract ------------------------------------------
 
@@ -131,7 +179,7 @@ def literal_coboundary_witness(mu1, mu2) -> Optional[dict]:
             row[index[g]] += 1
             row[index[h]] += 1
             s = g + h
-            if not s.is_zero:
+            if any(s.coords):
                 row[index[s]] -= 1
             rows.append(row)
             rhs_phases.append(nu(g, h))
@@ -140,7 +188,7 @@ def literal_coboundary_witness(mu1, mu2) -> Optional[dict]:
     solution = solve_congruence(rows, rhs, modulus)
     if solution is None:
         return None
-    witness = {group.zero(): Phase.ZERO}
+    witness = {group_zero(group): Phase.ZERO}
     for e, i in index.items():
         witness[e] = Phase(solution[i], modulus)
     for g in elems:
@@ -171,14 +219,14 @@ def phase_coboundary_witness(mu1, mu2) -> Optional[dict]:
     gens = group.generators()
     step = []
     for e, n in zip(gens, group.torsion):
-        s, x = Phase.ZERO, group.zero()
+        s, x = Phase.ZERO, group_zero(group)
         for _ in range(n):
             s, x = s + nu(x, e), x + e
         step.append(Phase(s.num, s.den * n))
     witness = {elems[0]: Phase.ZERO}
     for x in elems[1:]:
         i = max(k for k, c in enumerate(x.coords) if c)
-        y = x - gens[i]
+        y = x + (-gens[i])
         witness[x] = witness[y] + step[i] - nu(y, gens[i])
     for g in elems:
         for h in elems:
@@ -206,9 +254,10 @@ def coboundary_cocycle(group: AbGroup, b: dict) -> TableCocycle:
     def value(g: AbElem, h: AbElem) -> Phase:
         return b[g] + b[h] - b[g + h]
 
-    if group.zero() not in b or not b[group.zero()].is_zero:
+    zero = group_zero(group)
+    if b.get(zero) != Phase.ZERO:
         b = dict(b)
-        b[group.zero()] = Phase.ZERO
+        b[zero] = Phase.ZERO
     return table_from_function(group, value)
 
 
@@ -227,7 +276,7 @@ def phase_witness_catalog(rng, count: int) -> list:
             other = _random_bilinear(rng, group)
         else:
             other = trivial_cocycle(group)
-        b = {g: Phase(rng.randrange(8), 8) if not g.is_zero else Phase.ZERO
+        b = {g: Phase(rng.randrange(8), 8) if any(g.coords) else Phase.ZERO
              for g in group.elements()}
         shifted, right = coboundary_cocycle(group, b), to_table(other)
         lifted = {key: right.entries[key] + shifted.entries[key] for key in right.entries}
@@ -247,9 +296,9 @@ def phase_validate(table) -> None:
         for h in g_all:
             if (g.coords, h.coords) not in table.entries:
                 raise CocycleError("table", f"missing entry ({g.coords}, {h.coords})")
-    zero = table.group.zero()
+    zero = group_zero(table.group)
     for g in g_all:
-        if not table(g, zero).is_zero or not table(zero, g).is_zero:
+        if table(g, zero) != Phase.ZERO or table(zero, g) != Phase.ZERO:
             raise CocycleError("normalization", f"value at ({g.coords}, 0) is not 1")
     gens = table.group.generators()
     for g in g_all:
@@ -314,8 +363,8 @@ def phase_bilinear(group: AbGroup, matrix) -> BilinearCocycle:
 def elementwise_hom_matrix(source: AbGroup, target: AbGroup, matrix) -> tuple:
     """`AbHom`'s canonical matrix by the check it once made on group
     elements: the shape, the rows on torsion target coordinates reduced,
-    and each torsion column built as an AbElem, scaled by its generator
-    order and tested for zero, with `AbHom`'s messages."""
+    and each torsion column, times its generator order, built as an AbElem
+    and tested for zero, with `AbHom`'s messages."""
     rows = tuple(tuple(int(x) for x in row) for row in matrix)
     if len(rows) != target.rank or any(len(row) != source.rank for row in rows):
         raise ValueError("matrix shape does not match the groups")
@@ -325,7 +374,7 @@ def elementwise_hom_matrix(source: AbGroup, target: AbGroup, matrix) -> tuple:
         fixed.append(tuple(x % n for x in row) if n else row)
     for j in range(source.rank):
         n = source.generator_order(j)
-        if n and not target.element([row[j] for row in fixed]).scaled(n).is_zero:
+        if n and any(target.element([n * row[j] for row in fixed]).coords):
             raise ValueError(f"generator {j} of order {n} maps to an incompatible element")
     return tuple(fixed)
 
@@ -388,14 +437,15 @@ def phase_conditions(ta: Triplet, tb: Triplet, phi: AbHom) -> tuple:
     """`check_conditions` read off the cocycles and characters themselves:
     mu(x, y) - mu(y, x) and 2 chi on the generators and their images."""
     gens = ta.group.generators()
-    images = [phi(g) for g in gens]
+    images = [apply_hom(phi, g) for g in gens]
 
     def star(mu, x, y):
         return mu(x, y) - mu(y, x)
 
     cocycle_ok = all(star(ta.cocycle, gi, gj) == star(tb.cocycle, fi, fj)
                      for gi, fi in zip(gens, images) for gj, fj in zip(gens, images))
-    character_ok = all(2 * ta.character(g) == 2 * tb.character(f) for g, f in zip(gens, images))
+    character_ok = all(2 * phase_character_value(ta.character, g)
+                       == 2 * phase_character_value(tb.character, f) for g, f in zip(gens, images))
     return cocycle_ok, character_ok
 
 
@@ -446,7 +496,7 @@ def flow_unitary(mu, t: Fraction) -> TensorElement:
     v = malleability_unitary(mu)
     e = Cyclotomic.from_phase(Phase.from_fraction(Fraction(t) / 2))
     a, b = (Cyclotomic.ONE + e) * Fraction(1, 2), (Cyclotomic.ONE - e) * Fraction(1, 2)
-    return TensorElement.one(mu).scaled(a) + v.scaled(b * Fraction(1, isqrt(mu.group.order())))
+    return combination((a, tensor_one(mu)), (b * Fraction(1, isqrt(mu.group.order())), v))
 
 
 def flip(x: TensorElement) -> TensorElement:
@@ -498,13 +548,13 @@ def tensor_check_malleability(v: TensorElement, rng, samples: int) -> dict:
     `apply_diagonal_character`, with the same draws from rng in the same
     order."""
     mu, group = v.cocycle, v.group
-    zero, half = group.zero(), Fraction(1, 2)
+    zero, half, one = group_zero(group), Fraction(1, 2), Cyclotomic.ONE
     checks = {
         "self_adjoint": v.star() == v,
-        "square": v * v == TensorElement.one(mu).scaled(group.order()),
+        "square": v * v == combination((group.order(), tensor_one(mu))),
         "full_swap": all(
-            malleability_flow(mu, 1, TensorElement.unit(mu, g, zero))
-            == TensorElement.unit(mu, zero, g)
+            malleability_flow(mu, 1, TensorElement(mu, {(g, zero): one}))
+            == TensorElement(mu, {(zero, g): one})
             for g in group.elements()
         ),
     }
@@ -512,7 +562,7 @@ def tensor_check_malleability(v: TensorElement, rng, samples: int) -> dict:
     for _ in range(samples):
         g = group.element([rng.randrange(m) for m in group.torsion])
         h = group.element([rng.randrange(m) for m in group.torsion])
-        x = TensorElement.unit(mu, g, h)
+        x = TensorElement(mu, {(g, h): one})
         once = malleability_flow(mu, half, x)
         if malleability_flow(mu, half, once) != malleability_flow(mu, 1, x):
             ok_half = False
@@ -536,7 +586,7 @@ def config_items(cfg: Config) -> Iterator[tuple]:
 
 def config_total(cfg: Config) -> AbElem:
     """The sum in H of cfg's values, a fold of AbElem additions."""
-    total = cfg.group.zero()
+    total = group_zero(cfg.group)
     for _, value in config_items(cfg):
         total = total + value
     return total
@@ -556,7 +606,7 @@ def folded_negation(cfg: Config) -> Config:
 
 def mapped(cfg: Config, f: AbHom) -> Config:
     """Apply a group hom to every value (the support does not move)."""
-    return Config.from_items(f.target, ((p, f(v)) for p, v in config_items(cfg)))
+    return Config.from_items(f.target, ((p, apply_hom(f, v)) for p, v in config_items(cfg)))
 
 
 def mu_tilde(mu, c1: Config, c2: Config) -> Phase:
@@ -575,7 +625,7 @@ def mu_hat(mu, lam: Config, order_key=spiral_index) -> Phase:
     their AbElem sum so far.  `configs.telescoped` is its int form."""
     if not lam.is_zero_sum:
         raise ValueError("telescoping phase needs a zero-sum configuration")
-    total, prefix = Phase.ZERO, lam.group.zero()
+    total, prefix = Phase.ZERO, group_zero(lam.group)
     for _, value in sorted(config_items(lam), key=lambda item: order_key(item[0])):
         total = total + mu(prefix, value)
         prefix = prefix + value
@@ -588,7 +638,8 @@ def term_phase(pi, lam: Config, image: Config) -> Phase:
     site as weight(k) (chi_a(v) - chi_b(phi v))."""
     corrector = Phase.ZERO
     for point, value in config_items(lam):
-        mismatch = pi.ta.character(value) - pi.tb.character(pi.phi(value))
+        mismatch = (phase_character_value(pi.ta.character, value)
+                    - phase_character_value(pi.tb.character, apply_hom(pi.phi, value)))
         corrector = corrector + mismatch * pi.weight(point)
     return (mu_hat(pi.ta.cocycle, lam, pi.order_key) + corrector
             - mu_hat(pi.tb.cocycle, image, pi.order_key))
@@ -603,7 +654,7 @@ def abelem_zero_sum_config(rng, group: AbGroup, radius: int = 2) -> Config:
         if p not in points:
             points.append(p)
     items = []
-    total = group.zero()
+    total = group_zero(group)
     for p in points[:-1]:
         coords = [rng.randint(-2, 2) for _ in range(group.free_rank)]
         coords += [rng.randrange(n) for n in group.torsion]
@@ -779,7 +830,8 @@ def act(move: AffineSL2, k: LatticePoint) -> LatticePoint:
 def inverse(move: AffineSL2) -> AffineSL2:
     (x, y), (z, w) = move.matrix
     inv = ((w, -y), (-z, x))
-    return AffineSL2(-mat_apply(inv, move.translation), inv)
+    q, r = mat_apply(inv, move.translation)
+    return AffineSL2(LatticePoint(-q, -r), inv)
 
 
 def moved_by(cfg: Config, move: AffineSL2) -> Config:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import deadline
-from tbshift import algebra, cli, selftest
+from tbshift import algebra, cli, selftest, serialize
 from tbshift.cli import EXIT_INTERNAL, EXIT_INVALID, EXIT_NO, EXIT_OK, EXIT_UNKNOWN, main
 
 
@@ -141,6 +141,25 @@ def test_factor_on_free_rank_three_finds_the_odd_rank_kernel(tmp_path):
 def test_factor_on_a_huge_cyclic_group(tmp_path):
     path = _write(tmp_path, "z2_70.json", (2 ** 70,), [["0"]])
     assert _run(["factor", path]) == (EXIT_NO, {"nondegenerate": False, "witness_g": [1]})
+
+
+@pytest.mark.parametrize("free_rank", [10 ** 20, 2 ** 31])
+def test_a_free_rank_above_the_phase_count_is_refused_before_the_group_is_built(
+        tmp_path, monkeypatch, free_rank):
+    # a group of this free rank would hold a tuple of free_rank zeros, which
+    # overflows at 10**20 and does not fit in memory at 2**31; the character
+    # lists one phase, so every command refuses the file without building it
+    def never(*args):
+        raise AssertionError("the group was built")
+
+    monkeypatch.setattr(serialize, "AbGroup", never)
+    path = _write(tmp_path, "huge.json", (), [["0"]], free_rank, phases=["0"])
+    detail = f"$.group.free_rank: free rank {free_rank} exceeds the length 1 of the character's phases"
+    assert _run(["validate", path]) == (EXIT_INVALID, {
+        "ok": False, "violation": "schema", "detail": detail, "path": "$.group.free_rank"})
+    for argv in (["factor", path], ["bicharacter", path], ["centralizer", path],
+                 ["malleability", path], ["conjugate", path, path]):
+        assert _run(argv) == (EXIT_INVALID, {"ok": False, "violation": "invalid-input", "detail": detail})
 
 
 def _too_many(size):

@@ -24,7 +24,7 @@ def test_addition_and_negation():
     g = mod_q_group(3)
     h = g.element((1, 0))
     lam = dipole(h)
-    assert (lam + (-lam)).is_zero
+    assert lam + (-lam) == Config.zero(g)
     # supports coinciding at {0, e1} add pointwise
     other = dipole(g.element((0, 1)))
     merged = lam + other
@@ -42,7 +42,7 @@ def test_zero_values_are_pruned_and_order_canonical():
         [
             (LatticePoint(2, 1), g.element((1, 0))),
             (LatticePoint(-1, 0), g.element((0, 2))),
-            (LatticePoint(0, 0), g.zero()),
+            (LatticePoint(0, 0), oracles.group_zero(g)),
         ],
     )
     assert [p for p, _ in cfg.support] == [LatticePoint(-1, 0), LatticePoint(2, 1)]
@@ -54,7 +54,7 @@ def test_dipole_shape():
     lam = dipole(h)
     assert dict(config_items(lam)) == {E1: h, ORIGIN: -h}
     assert lam.is_zero_sum
-    assert dipole(g.zero()).is_zero
+    assert dipole(oracles.group_zero(g)) == Config.zero(g)
 
 
 def test_affine_action_on_configs():
@@ -89,9 +89,9 @@ def test_mu_tilde_examples():
     mu = mod_q_cocycle(3)
     g = mu.group
     lam = dipole(g.element((1, 2)))
-    assert _tilde_phase(mu, lam, Config.zero(g)).is_zero
+    assert _tilde_phase(mu, lam, Config.zero(g)) == Phase.ZERO
     triv = trivial_cocycle(g)
-    assert _tilde_phase(triv, lam, lam).is_zero
+    assert _tilde_phase(triv, lam, lam) == Phase.ZERO
     l1, l2 = dipole(g.element((1, 0))), dipole(g.element((0, 1)))
     # two sites contribute: mu((1,0),(0,1)) at e1 and mu((2,0),(0,2)) at 0
     assert _tilde_phase(mu, l1, l2) == Phase(2, 3)
@@ -108,7 +108,7 @@ def test_mu_tilde_is_a_cocycle(rng):
         rhs = _tilde_phase(mu, b, c) + _tilde_phase(mu, a, b + c)
         assert lhs == rhs
     zero = Config.zero(g)
-    assert _tilde_phase(mu, zero, zero).is_zero
+    assert _tilde_phase(mu, zero, zero) == Phase.ZERO
 
 
 def _telescoped_phase(mu, lam, order_key=spiral_index):
@@ -120,10 +120,10 @@ def _telescoped_phase(mu, lam, order_key=spiral_index):
 def test_mu_hat_examples():
     mu = mod_q_cocycle(3)
     g = mu.group
-    assert mu_hat(mu, Config.zero(g)).is_zero
+    assert mu_hat(mu, Config.zero(g)) == Phase.ZERO
     triv = trivial_cocycle(g)
     lam = dipole(g.element((1, 1)))
-    assert mu_hat(triv, lam).is_zero
+    assert mu_hat(triv, lam) == Phase.ZERO
     # dipole of h: spiral order puts the origin first, so the single factor
     # is mu(-h, h)
     h = g.element((1, 1))
@@ -143,11 +143,11 @@ def test_mu_hat_telescoping_matches_unitary_product(rng):
         lam = random_zero_sum_config(rng, g)
         ordered = sorted(config_items(lam), key=lambda kv: spiral_index(kv[0]))
         acc_phase = Phase.ZERO
-        acc_elem = g.zero()
+        acc_elem = oracles.group_zero(g)
         for _, value in ordered:
             acc_phase = acc_phase + mu(acc_elem, value)
             acc_elem = acc_elem + value
-        assert acc_elem.is_zero
+        assert not any(acc_elem.coords)
         assert mu_hat(mu, lam) == acc_phase
         assert _telescoped_phase(mu, lam) == acc_phase
 
@@ -155,7 +155,7 @@ def test_mu_hat_telescoping_matches_unitary_product(rng):
 def test_mu_hat_order_independent_for_symmetric_cocycles(rng):
     g = mod_q_group(3)
     b = {
-        x: Phase(rng.randrange(8), 8) if not x.is_zero else Phase.ZERO
+        x: Phase(rng.randrange(8), 8) if any(x.coords) else Phase.ZERO
         for x in g.elements()
     }
     shift = coboundary_cocycle(g, b)
@@ -172,7 +172,7 @@ def test_cocycle_correction_identity_for_cohomologous_pairs(rng):
     base = mod_q_cocycle(3)
     for _ in range(4):
         b = {
-            x: Phase(rng.randrange(8), 8) if not x.is_zero else Phase.ZERO
+            x: Phase(rng.randrange(8), 8) if any(x.coords) else Phase.ZERO
             for x in g.elements()
         }
         shifted_entries = {
@@ -213,7 +213,7 @@ def test_total_and_zero_sum_match_a_fold_of_additions(rng):
     for g in groups:
         for i in range(200):
             lam = _random_config(rng, g, zero_sum=i % 2 == 0)
-            assert lam.is_zero_sum == oracles.config_total(lam).is_zero
+            assert lam.is_zero_sum != any(oracles.config_total(lam).coords)
     assert Config.zero(AbGroup(1, (4,))).is_zero_sum
 
 
@@ -278,13 +278,13 @@ def test_merged_sums_match_the_from_items_fold(rng):
                 (a + b, oracles.folded_sum(a, b)),
                 (b + a, oracles.folded_sum(b, a)),
                 (-a, oracles.folded_negation(a)),
-                (a - b, oracles.folded_sum(a, oracles.folded_negation(b))),
+                (a + (-b), oracles.folded_sum(a, oracles.folded_negation(b))),
                 (a + (-a), Config.zero(g)),
                 (a + Config.zero(g), a),
             ]:
                 assert got.support == want.support
                 assert got == want and hash(got) == hash(want)
-                assert got.is_zero_sum == oracles.config_total(want).is_zero
+                assert got.is_zero_sum != any(oracles.config_total(want).coords)
     with pytest.raises(ValueError, match="different groups"):
         Config.zero(AbGroup(0, (3, 3))) + Config.zero(AbGroup(0, (4, 6)))
 

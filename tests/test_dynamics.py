@@ -6,10 +6,12 @@ import pytest
 from oracles import (
     act,
     config_items,
+    group_zero,
     inverse,
     is_dual_fixed,
     moved_by,
     phase_character,
+    phase_character_value,
     phase_motion_mul,
     trivial_triplet,
 )
@@ -125,7 +127,7 @@ def test_rho_translation_example(trip):
     moved = rho(trip, Motion(Character.trivial(g), AffineSL2(E2)), x)
     (key, coeff), = moved.terms.items()
     assert key == Config.from_items(g, [(E2, -h), (LatticePoint(1, 1), h)])
-    assert coeff == Cyclotomic.from_phase(-trip.character(h))
+    assert coeff == Cyclotomic.from_phase(-phase_character_value(trip.character, h))
 
 
 def test_rho_matrix_part_has_no_phase(trip, rng):
@@ -252,7 +254,7 @@ def test_fixed_point_characterization_infinite():
 
 
 def test_weak_mixing_witness_trivial_case(trip):
-    elems = [AlgebraElement.one(trip.cocycle)]
+    elems = [AlgebraElement.unit(trip.cocycle, Config.zero(trip.group))]
     assert weak_mixing_witness(trip, elems) == ORIGIN
 
 
@@ -323,11 +325,11 @@ def _rho_oracle(t, g, x):
     for cfg, coeff in x.terms.items():
         rotated = relocate(cfg, rotate)
         phase = Phase.ZERO
-        total = t.group.zero()
+        total = group_zero(t.group)
         for point, value in config_items(rotated):
-            phase = phase + t.character(value) * det2(g.move.translation, point)
+            phase = phase + phase_character_value(t.character, value) * det2(g.move.translation, point)
             total = total + value
-        phase = phase + g.char(total)
+        phase = phase + phase_character_value(g.char, total)
         key = relocate(rotated, translate)
         term = coeff * Cyclotomic.from_phase(phase)
         out[key] = out[key] + term if key in out else term

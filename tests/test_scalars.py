@@ -15,6 +15,11 @@ from tbshift.scalars import Cyclotomic, Phase, cyclotomic_polynomial
 phases = st.builds(Phase, st.integers(-60, 60), st.integers(1, 24))
 
 
+def _coeffs(x):
+    """x's coefficients over the power basis of Q(zeta_order), as Fractions."""
+    return tuple(Fraction(c, x.den) for c in x.ints)
+
+
 def test_phase_add_examples():
     assert Phase(1, 3) + Phase(2, 3) == Phase.ZERO
     assert Phase(1, 2) + Phase(1, 3) == Phase(5, 6)
@@ -44,7 +49,7 @@ def test_phase_group_laws(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert a + b == b + a
     assert a + Phase.ZERO == a
-    assert (a + (-a)).is_zero
+    assert a + (-a) == Phase.ZERO
 
 
 @given(phases, st.integers(-10, 10))
@@ -72,19 +77,19 @@ def test_cyclotomic_polynomial_values():
 
 def test_root_of_unity_examples():
     one = Cyclotomic.from_phase(Phase.ZERO)
-    assert one.order == 1 and one.coeffs == (Fraction(1),)
+    assert one.order == 1 and _coeffs(one) == (Fraction(1),)
     minus = Cyclotomic.from_phase(Phase(1, 2))
-    assert minus.order == 2 and minus.coeffs == (Fraction(-1),)
+    assert minus.order == 2 and _coeffs(minus) == (Fraction(-1),)
     # zeta_3^2 reduces to -1 - zeta_3 modulo x^2 + x + 1
     z32 = Cyclotomic.from_phase(Phase(2, 3))
-    assert z32.coeffs == (Fraction(-1), Fraction(-1))
+    assert _coeffs(z32) == (Fraction(-1), Fraction(-1))
 
 
 def test_cyclotomic_ring_examples():
     z3 = Cyclotomic.from_phase(Phase(1, 3))
     z32 = Cyclotomic.from_phase(Phase(2, 3))
     assert z3 * z32 == Cyclotomic.ONE
-    assert (Cyclotomic.ONE + z3 + z32).is_zero
+    assert Cyclotomic.ONE + z3 + z32 == 0
     z5 = Cyclotomic.from_phase(Phase(1, 5))
     assert z5.conjugate() == Cyclotomic.from_phase(Phase(4, 5))
 
@@ -136,7 +141,7 @@ def test_scalar_multiplication():
     z4 = Cyclotomic.from_phase(Phase(1, 4))
     assert z4 * 2 == z4 + z4
     assert z4 * Fraction(1, 2) + z4 * Fraction(1, 2) == z4
-    assert (z4 * 0).is_zero
+    assert z4 * 0 == 0
 
 
 # -- the int kernel against sympy: an independent reduction mod Phi_N over QQ --
@@ -194,7 +199,6 @@ def _assert_canonical(x):
     assert gcd(x.den, *x.ints) == 1
     if not any(x.ints):
         assert x.den == 1
-    assert x.coeffs == tuple(Fraction(c, x.den) for c in x.ints)
 
 
 def _cyc(n, coeffs):
@@ -218,7 +222,7 @@ def test_kernel_matches_sympy_in_one_field(n, rng):
         raw_a, raw_b = _random_raw(rng, n), _random_raw(rng, n)
         ra, rb = _reduced(raw_a, n), _reduced(raw_b, n)
         a, b = _cyc(n, ra), _cyc(n, rb)
-        assert a.coeffs == ra
+        assert _coeffs(a) == ra
         assert _from_roots(raw_a, n) == a
         for got, want in [
             (a + b, _reduced([x + y for x, y in zip(ra, rb)], n)),
@@ -232,7 +236,7 @@ def test_kernel_matches_sympy_in_one_field(n, rng):
             (a - a, tuple([Fraction(0)] * _degree(n))),
         ]:
             _assert_canonical(got)
-            assert got.coeffs == want
+            assert _coeffs(got) == want
         assert (a == b) == (ra == rb)
         assert a == _cyc(n, ra) and a.rebase(2 * n) == a and a == a.rebase(3 * n)
         assert a * b == b * a
@@ -257,8 +261,8 @@ def test_rotated_is_the_product_with_a_root_of_unity(order, rng):
             assert got == want
             assert (got.order, got.ints, got.den) == (want.order, want.ints, want.den)
             m = lcm(order, n // gcd(k, n))
-            shifted = [Fraction(0)] * (k * m // n % m) + list(_lifted(x.coeffs, order, m))
-            assert got.coeffs == _reduced(shifted, m)
+            shifted = [Fraction(0)] * (k * m // n % m) + list(_lifted(_coeffs(x), order, m))
+            assert _coeffs(got) == _reduced(shifted, m)
     assert Cyclotomic.ONE.rotated(4, 12).order == 3
     assert Cyclotomic.ZERO.rotated(1, 4) == 0
 
@@ -277,7 +281,7 @@ def test_kernel_matches_sympy_across_orders(n, m, rng):
             (b * a, _reduced(_times(la, lb), big)),
         ]:
             _assert_canonical(got)
-            assert got.order == big and got.coeffs == want
+            assert got.order == big and _coeffs(got) == want
         assert (a == b) == (la == lb)
         assert a == _cyc(big, la) and _cyc(big, lb) == b
     # equal numbers written in different fields
@@ -291,7 +295,7 @@ def test_zero_is_canonical():
     unreduced = Cyclotomic(12, (7, 0, 0, 0, 7, 0, 0, 0, 7, 0, 0, 0), 5)
     for zero in [z12 - z12, z12 * 0, Cyclotomic(12, [0] * 12, 1), unreduced, Cyclotomic.ZERO]:
         _assert_canonical(zero)
-        assert zero.is_zero and zero == 0 and not zero
+        assert zero == 0 and not zero
     assert Cyclotomic(4, (2, 4, 0, 0), 6).den == 3
 
 
@@ -316,7 +320,7 @@ def test_constructor_reduces_unreduced_int_vectors(n, rng):
         raw = [Fraction(c, den) for c in ints]
         x = Cyclotomic(n, ints, den)
         _assert_canonical(x)
-        assert x.order == n and x.coeffs == _reduced(raw, n)
+        assert x.order == n and _coeffs(x) == _reduced(raw, n)
         assert x == _from_roots(raw, n)
         assert ints == [int(c * den) for c in raw]  # the input is left as it was
         assert Cyclotomic(n, tuple(ints), den) == x

@@ -1,7 +1,9 @@
 """Only what the CLI, selftest and benchmark reach stays in `tbshift`."""
 
 import ast
+import functools
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -10,8 +12,11 @@ from pathlib import Path
 import tbshift
 
 SRC = Path(tbshift.__file__).resolve().parent
-BENCHMARK_API = SRC.parent.parent / "perfbench" / "api.py"
-BENCHMARK_TRACE = SRC.parent.parent / "perfbench" / "trace.py"
+ROOT = SRC.parent.parent
+BENCHMARK_API = ROOT / "perfbench" / "api.py"
+BENCHMARK_TRACE = ROOT / "perfbench" / "trace.py"
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
+
 
 class _Reads(ast.NodeVisitor):
     """The names a piece of code reads; annotations are left out."""
@@ -146,20 +151,122 @@ def test_no_module_reads_a_private_attribute_it_does_not_define():
     assert found == []
 
 
+def _pinned() -> dict:
+    """The tracer's METHODS table, (module, class, attribute) -> group, read
+    from its source: the tracer is not imported."""
+    tree = ast.parse(BENCHMARK_TRACE.read_text("utf-8"))
+    (table,) = (stmt.value for stmt in tree.body if isinstance(stmt, ast.Assign)
+                and any(getattr(t, "id", None) == "METHODS" for t in stmt.targets))
+    return ast.literal_eval(table)
+
+
 def test_every_method_the_tracer_pins_is_defined_on_its_class():
     # the tracer reads each (module, class, attribute) of its METHODS table
     # with cls.__dict__[attr], so a method deleted or moved to a base class
     # would make every traced benchmark run raise KeyError
-    tree = ast.parse(BENCHMARK_TRACE.read_text("utf-8"))
-    (table,) = (stmt.value for stmt in tree.body if isinstance(stmt, ast.Assign)
-                and any(getattr(t, "id", None) == "METHODS" for t in stmt.targets))
-    pinned = ast.literal_eval(table)
+    pinned = _pinned()
     assert pinned
     missing = [
         key for key in pinned
         if key[2] not in vars(getattr(importlib.import_module(f"tbshift.{key[0]}"), key[1]))
     ]
     assert missing == []
+
+
+# Runs in a fresh interpreter, so that no cache another test filled (the
+# CLI's parser, the cyclotomic polynomials) hides a function from the hook.
+_PROBE = """
+import contextlib, io, json, os, sys
+import tbshift
+from tbshift.cli import main
+
+entered = set()
+
+def hook(frame, event, arg):
+    if event == "call":
+        entered.add((frame.f_code.co_filename, frame.f_code.co_qualname))
+
+sys.setprofile(hook)
+for argv in json.loads(sys.stdin.read()):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+sys.setprofile(None)
+package = os.path.dirname(tbshift.__file__)
+print(json.dumps(sorted([os.path.basename(file)[:-3], name] for file, name in entered
+                        if os.path.dirname(file) == package)))
+"""
+
+
+def _entered(argvs: list) -> set:
+    """(module, qualified name) of every function of the package that the
+    CLI enters over argvs, each run in-process by `main` under a profile
+    hook."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _PROBE], input=json.dumps(argvs), cwd=ROOT,
+                         env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                         text=True, check=True).stdout
+    return {tuple(key) for key in json.loads(out)}
+
+
+def _members():
+    """(module, qualified name, class or None, def) of every function
+    defined at module level or in a class body (nested classes too);
+    nested functions are their function's own business."""
+    found = []
+
+    def walk(name, path, body):
+        for stmt in body:
+            if isinstance(stmt, ast.FunctionDef):
+                module = importlib.import_module(f"tbshift.{name}")
+                cls = functools.reduce(getattr, path, module) if path else None
+                found.append((name, ".".join((*path, stmt.name)), cls, stmt))
+            elif isinstance(stmt, ast.ClassDef):
+                walk(name, (*path, stmt.name), stmt.body)
+
+    for file in sorted(SRC.glob("*.py")):
+        walk(file.stem, (), ast.parse(file.read_text("utf-8")).body)
+    return found
+
+
+def test_every_function_and_method_is_entered_by_the_cli_or_kept_by_rule():
+    # every golden argv (all of selftest among them), one usage error and one
+    # invalid input run under a profile hook, and each function of `src`,
+    # module-level or a class member, must be one of: entered by that run;
+    # a dunder (the type's contract: equality, hash, repr, operators);
+    # pinned by the tracer's METHODS (looked up on the class, so an alias
+    # such as cocycle's `_bilinear_value` counts); or a member read as
+    # `self.<name>`/`cls.<name>` by one kept on these grounds, from its own
+    # class, a base or a subclass
+    argvs = [case["argv"] for case in json.loads(GOLDEN.read_text("utf-8"))]
+    argvs += [["centralizer", "triplets/mod3_standard.json", "--bound", "abc"],
+              ["factor", "triplets/no_such_triplet.json"]]
+    entered = _entered(argvs)
+    pinned = set()
+    for module, cls, attr in _pinned():
+        member = vars(getattr(importlib.import_module(f"tbshift.{module}"), cls)).get(attr)
+        if member is not None:  # a static method's code is its function's
+            code = getattr(member, "__func__", member).__code__
+            pinned.add((Path(code.co_filename).stem, code.co_qualname))
+    kept = entered | pinned
+    todo, left = [], []
+    for member in _members():
+        module, name, _, node = member
+        dunder = node.name.startswith("__") and node.name.endswith("__")
+        (todo if (module, name) in kept or dunder else left).append(member)
+    while todo:
+        _, _, cls, node = todo.pop()
+        if cls is None:
+            continue
+        names = {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)
+                 and getattr(sub.value, "id", None) in ("self", "cls")}
+        reached = [m for m in left if m[2] is not None and m[3].name in names
+                   and (issubclass(m[2], cls) or issubclass(cls, m[2]))]
+        left = [m for m in left if m not in reached]
+        todo += reached
+    assert [f"{module}.{name}" for module, name, _, _ in left] == []
 
 
 def test_every_module_level_import_is_read_by_its_module():
