@@ -34,6 +34,7 @@ class AbGroup(Immutable):
     0 if free) are derived, and left out of equality, hashing and repr."""
 
     __slots__ = ("free_rank", "torsion", "rank", "orders")
+    _fields = ("free_rank", "torsion")
 
     def __init__(self, free_rank: int, torsion: tuple = ()) -> None:
         if free_rank < 0:
@@ -41,21 +42,10 @@ class AbGroup(Immutable):
         tors = tuple(int(n) for n in torsion)
         if any(n < 2 for n in tors):
             raise ValueError("torsion orders must be >= 2")
-        _set_free_rank(self, free_rank)
-        _set_torsion(self, tors)
-        _set_rank(self, free_rank + len(tors))
-        _set_orders(self, (0,) * free_rank + tors)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.free_rank, self.torsion) == (other.free_rank, other.torsion)
-
-    def __hash__(self) -> int:
-        return hash((self.free_rank, self.torsion))
-
-    def __repr__(self) -> str:
-        return f"AbGroup(free_rank={self.free_rank!r}, torsion={self.torsion!r})"
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", tors)
+        object.__setattr__(self, "rank", free_rank + len(tors))
+        object.__setattr__(self, "orders", (0,) * free_rank + tors)
 
     @property
     def is_trivial(self) -> bool:
@@ -119,12 +109,6 @@ class AbGroup(Immutable):
         return tuple(d for d in snf_diagonal(diag) if d != 1)
 
 
-_set_free_rank = AbGroup.free_rank.__set__
-_set_torsion = AbGroup.torsion.__set__
-_set_rank = AbGroup.rank.__set__
-_set_orders = AbGroup.orders.__set__
-
-
 def abstractly_isomorphic(a: AbGroup, b: AbGroup) -> bool:
     return a.free_rank == b.free_rank and a.invariant_factors() == b.invariant_factors()
 
@@ -133,21 +117,13 @@ class AbElem(Immutable):
     __slots__ = ("group", "coords")
 
     def __init__(self, group: AbGroup, coords: tuple) -> None:
-        _set_elem_group(self, group)
-        _set_coords(self, coords)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.group, self.coords) == (other.group, other.coords)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "coords", coords)
 
     def __hash__(self) -> int:
         # elements are keyed by their coordinates; equal elements have
-        # equal coordinates, so this agrees with the equality above
+        # equal coordinates, so this agrees with the derived equality
         return hash(self.coords)
-
-    def __repr__(self) -> str:
-        return f"AbElem(group={self.group!r}, coords={self.coords!r})"
 
     def _check(self, other: "AbElem") -> None:
         if self.group is not other.group and self.group != other.group:
@@ -159,10 +135,6 @@ class AbElem(Immutable):
 
     def __neg__(self) -> "AbElem":
         return self.group.element([-a for a in self.coords])
-
-
-_set_elem_group = AbElem.group.__set__
-_set_coords = AbElem.coords.__set__
 
 
 class AbHom(Immutable):
@@ -180,26 +152,15 @@ class AbHom(Immutable):
         # canonical form: reduce rows that land on torsion target coordinates
         orders = target.orders
         rows = tuple(tuple(x % m for x in row) if m else row for row, m in zip(rows, orders))
-        _set_source(self, source)
-        _set_target(self, target)
-        _set_matrix(self, rows)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "matrix", rows)
         # column j must be killed by n: n * x = 0 mod m on a torsion row, x = 0 on a free one
         for j, n in enumerate(source.orders):
             if n and any(n * row[j] % m if m else row[j] for row, m in zip(rows, orders)):
                 raise ValueError(
                     f"generator {j} of order {n} maps to an incompatible element"
                 )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.source, self.target, self.matrix) == (other.source, other.target, other.matrix)
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, self.matrix))
-
-    def __repr__(self) -> str:
-        return f"AbHom(source={self.source!r}, target={self.target!r}, matrix={self.matrix!r})"
 
     def compose(self, other: "AbHom") -> "AbHom":
         """self after other: the product of the matrices."""
@@ -218,11 +179,6 @@ class AbHom(Immutable):
         return AbHom(
             group, group, tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
         )
-
-
-_set_source = AbHom.source.__set__
-_set_target = AbHom.target.__set__
-_set_matrix = AbHom.matrix.__set__
 
 
 def is_isomorphism(f: AbHom) -> bool:
@@ -263,23 +219,12 @@ class Character(Immutable):
         ints = [c % den for c in ints]
         g = gcd(den, *ints)
         ints, den = tuple(c // g for c in ints), den // g
-        _set_char_group(self, group)
-        _set_char_ints(self, ints)
-        _set_char_den(self, den)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "den", den)
         for c, n in zip(ints, group.orders):
             if n and n * c % den:
                 raise ValueError(f"phase {Phase(c, den)} is not killed by the generator order {n}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.group, self.ints, self.den) == (other.group, other.ints, other.den)
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.ints, self.den))
-
-    def __repr__(self) -> str:
-        return f"Character(group={self.group!r}, ints={self.ints!r}, den={self.den!r})"
 
     @staticmethod
     def trivial(group: AbGroup) -> "Character":
@@ -287,11 +232,6 @@ class Character(Immutable):
 
     def power(self, d: int) -> "Character":
         return Character(self.group, tuple(c * d for c in self.ints), self.den)
-
-
-_set_char_group = Character.group.__set__
-_set_char_ints = Character.ints.__set__
-_set_char_den = Character.den.__set__
 
 
 def dual_characters(group: AbGroup) -> Iterator[Character]:
@@ -322,24 +262,10 @@ class StructureReport(Immutable):
 
     def __init__(self, order: int, abelian: bool, invariant_factors: Optional[tuple],
                  noncommuting: Optional[tuple]) -> None:
-        _set_order(self, order)
-        _set_abelian(self, abelian)
-        _set_invariant_factors(self, invariant_factors)
-        _set_noncommuting(self, noncommuting)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.order, self.abelian, self.invariant_factors, self.noncommuting)
-                == (other.order, other.abelian, other.invariant_factors, other.noncommuting))
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.abelian, self.invariant_factors, self.noncommuting))
-
-    def __repr__(self) -> str:
-        return (f"StructureReport(order={self.order!r}, abelian={self.abelian!r}, "
-                f"invariant_factors={self.invariant_factors!r}, "
-                f"noncommuting={self.noncommuting!r})")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "abelian", abelian)
+        object.__setattr__(self, "invariant_factors", invariant_factors)
+        object.__setattr__(self, "noncommuting", noncommuting)
 
     @property
     def description(self) -> str:
@@ -348,12 +274,6 @@ class StructureReport(Immutable):
         if not self.invariant_factors:
             return "1"
         return " x ".join(f"Z/{n}" for n in self.invariant_factors)
-
-
-_set_order = StructureReport.order.__set__
-_set_abelian = StructureReport.abelian.__set__
-_set_invariant_factors = StructureReport.invariant_factors.__set__
-_set_noncommuting = StructureReport.noncommuting.__set__
 
 
 def group_structure(elements: Sequence[T], compose: Callable[[T, T], T]) -> StructureReport:

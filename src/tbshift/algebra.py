@@ -3,11 +3,11 @@
 A twisted group algebra over a group of keys K has basis unitaries u(k)
 with u(k1) u(k2) = e^{2 pi i twist(k1, k2)} u(k1 + k2), where the twist is
 a normalized 2-cocycle on K.  One private base class holds the product
-loop, the adjoint and the trace for any key group; its two subclasses
-state only the keys and the twist:
+loop and the adjoint for any key group; its two subclasses state only
+the keys and the twist:
 
 * AlgebraElement: K is the group of configurations, twisted by the
-  sitewise pairing mu~ (the shift algebra);
+  sitewise pairing mu~ (the shift algebra), with the trace;
 * TensorElement: K is H x H, twisted by mu (+) mu (the tensor square
   carrying the malleability flow).
 
@@ -48,7 +48,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Dict
 
-from .abelian import AbElem, Character, dual_character
+from .abelian import Character, dual_character
 from .cocycle import degeneracy_witness
 from .configs import Config, mu_tilde
 from .scalars import Cyclotomic
@@ -56,12 +56,12 @@ from .scalars import Cyclotomic
 
 class _TwistedGroupAlgebra:
     """The element sum_k c(k) u(k) of a twisted group algebra, with its
-    product, adjoint and trace.
+    product and adjoint.
 
     A subclass states the key group and the twist as static hooks:
     _add_keys(k1, k2) and _twist(mu, k1, k2) (the phase of u(k1) u(k2)
-    against u(k1 + k2), an int over `mu.den`) for the product, _neg_key(k)
-    and _twist for the adjoint, and _zero_key(group) for the trace.
+    against u(k1 + k2), an int over `mu.den`) for the product, and
+    _neg_key(k) and _twist for the adjoint.
     """
 
     __slots__ = ("cocycle", "terms")
@@ -109,10 +109,6 @@ class _TwistedGroupAlgebra:
             out[nk] = out[nk] + coeff if nk in out else coeff
         return type(self)(self.cocycle, out)
 
-    def trace(self) -> Cyclotomic:
-        """Coefficient at the zero key."""
-        return self.terms.get(self._zero_key(self.group), Cyclotomic.ZERO)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({len(self.terms)} terms)"
 
@@ -121,7 +117,6 @@ class AlgebraElement(_TwistedGroupAlgebra):
     """Finite formal sum sum_lambda c(lambda) u(lambda) over a cocycle base."""
 
     __slots__ = ()
-    _zero_key = staticmethod(Config.zero)
     _add_keys = staticmethod(operator.add)
     _neg_key = staticmethod(operator.neg)
 
@@ -144,16 +139,15 @@ class AlgebraElement(_TwistedGroupAlgebra):
     def is_zero_sum_supported(self) -> bool:
         return all(k.is_zero_sum for k in self.terms)
 
+    def trace(self) -> Cyclotomic:
+        """Coefficient at the empty configuration."""
+        return self.terms.get(Config(self.group, ()), Cyclotomic.ZERO)
+
 
 class TensorElement(_TwistedGroupAlgebra):
     """Finite formal sum over pairs (g, g') of u_g (x) u_g' with one cocycle."""
 
     __slots__ = ()
-
-    @staticmethod
-    def _zero_key(group):
-        zero = AbElem(group, (0,) * group.rank)
-        return (zero, zero)
 
     @staticmethod
     def _add_keys(k1, k2):

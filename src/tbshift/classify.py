@@ -41,7 +41,7 @@ from .lattice import (
     spiral_index,
 )
 from .linalg import hermite_mod, order_mod, snf_diagonal
-from .scalars import Immutable
+from .scalars import Immutable, Record
 
 
 def check_conditions(ta: Triplet, tb: Triplet, phi: AbHom) -> tuple:
@@ -95,26 +95,13 @@ class PiPhi(Immutable):
     def __init__(self, ta: Triplet, tb: Triplet, phi: AbHom,
                  weight: Callable[[LatticePoint], int] = gcd2,
                  order_key: Callable[[LatticePoint], object] = spiral_index) -> None:
-        _set_ta(self, ta)
-        _set_tb(self, tb)
-        _set_phi(self, phi)
-        _set_weight(self, weight)
-        _set_order_key(self, order_key)
-        _set_mismatch(self, None)
-        _set_constants(self, None)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.ta, self.tb, self.phi, self.weight, self.order_key)
-                == (other.ta, other.tb, other.phi, other.weight, other.order_key))
-
-    def __hash__(self) -> int:
-        return hash((self.ta, self.tb, self.phi, self.weight, self.order_key))
-
-    def __repr__(self) -> str:
-        return (f"PiPhi(ta={self.ta!r}, tb={self.tb!r}, phi={self.phi!r}, "
-                f"weight={self.weight!r}, order_key={self.order_key!r})")
+        object.__setattr__(self, "ta", ta)
+        object.__setattr__(self, "tb", tb)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "order_key", order_key)
+        object.__setattr__(self, "_mismatch", None)
+        object.__setattr__(self, "_constants", None)
 
     @property
     def mismatch(self) -> Character:
@@ -130,7 +117,7 @@ class PiPhi(Immutable):
             ints = tuple(c * sa - sum(map(mul, chi_b.ints, x)) * sb
                          for c, x in zip(chi_a.ints, zip(*phi.matrix)))
             mismatch = Character(chi_a.group, ints, d)
-            _set_mismatch(self, mismatch)
+            object.__setattr__(self, "_mismatch", mismatch)
         return mismatch
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
@@ -147,7 +134,7 @@ class PiPhi(Immutable):
             constants = (d, d // mu_a.den, d // mu_b.den, d // c.den,
                          c.ints if c.den > 1 else (),
                          tuple(zip(self.phi.matrix, self.phi.target.orders)))
-            _set_constants(self, constants)
+            object.__setattr__(self, "_constants", constants)
         d, scale_a, scale_b, scale_c, row, rows = constants
         weight, order_key, target = self.weight, self.order_key, self.phi.target
         out: dict = {}
@@ -172,15 +159,6 @@ class PiPhi(Immutable):
         return AlgebraElement(mu_b, out)
 
 
-_set_ta = PiPhi.ta.__set__
-_set_tb = PiPhi.tb.__set__
-_set_phi = PiPhi.phi.__set__
-_set_weight = PiPhi.weight.__set__
-_set_order_key = PiPhi.order_key.__set__
-_set_mismatch = PiPhi._mismatch.__set__
-_set_constants = PiPhi._constants.__set__
-
-
 def build_pi(ta: Triplet, tb: Triplet, phi: AbHom) -> PiPhi:
     cocycle_ok, character_ok = check_conditions(ta, tb, phi)
     if not (cocycle_ok and character_ok):
@@ -199,20 +177,12 @@ CANONICAL_MOVES = (
 )
 
 
-class VerifyReport:
+class VerifyReport(Record):
     __slots__ = ("ok", "failures")
 
     def __init__(self, ok: bool, failures: Optional[list] = None) -> None:
         self.ok = ok
         self.failures = [] if failures is None else failures
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ok, self.failures) == (other.ok, other.failures)
-
-    def __repr__(self) -> str:
-        return f"VerifyReport(ok={self.ok!r}, failures={self.failures!r})"
 
 
 def verify_pi(
@@ -255,37 +225,12 @@ class ConjugacyReport(Immutable):
 
     def __init__(self, verdict: str, witness: Optional[AbHom], checks: dict, complete: bool,
                  note: str = "", decided_by: str = "") -> None:
-        _set_verdict(self, verdict)
-        _set_witness(self, witness)
-        _set_checks(self, checks)
-        _set_complete(self, complete)
-        _set_note(self, note)
-        _set_decided_by(self, decided_by)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.verdict, self.witness, self.checks, self.complete, self.note,
-                 self.decided_by)
-                == (other.verdict, other.witness, other.checks, other.complete, other.note,
-                    other.decided_by))
-
-    def __hash__(self) -> int:
-        return hash((self.verdict, self.witness, self.checks, self.complete, self.note,
-                     self.decided_by))
-
-    def __repr__(self) -> str:
-        return (f"ConjugacyReport(verdict={self.verdict!r}, witness={self.witness!r}, "
-                f"checks={self.checks!r}, complete={self.complete!r}, note={self.note!r}, "
-                f"decided_by={self.decided_by!r})")
-
-
-_set_verdict = ConjugacyReport.verdict.__set__
-_set_witness = ConjugacyReport.witness.__set__
-_set_checks = ConjugacyReport.checks.__set__
-_set_complete = ConjugacyReport.complete.__set__
-_set_note = ConjugacyReport.note.__set__
-_set_decided_by = ConjugacyReport.decided_by.__set__
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "complete", complete)
+        object.__setattr__(self, "note", note)
+        object.__setattr__(self, "decided_by", decided_by)
 
 
 def _integer_forms(ta: Triplet, tb: Triplet) -> tuple:
@@ -525,32 +470,11 @@ class CentralizerReport(Immutable):
 
     def __init__(self, verdict: str, elements: tuple, structure: Optional[StructureReport],
                  complete: bool, note: str = "") -> None:
-        _set_centralizer_verdict(self, verdict)
-        _set_elements(self, elements)
-        _set_structure(self, structure)
-        _set_centralizer_complete(self, complete)
-        _set_centralizer_note(self, note)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.verdict, self.elements, self.structure, self.complete, self.note)
-                == (other.verdict, other.elements, other.structure, other.complete, other.note))
-
-    def __hash__(self) -> int:
-        return hash((self.verdict, self.elements, self.structure, self.complete, self.note))
-
-    def __repr__(self) -> str:
-        return (f"CentralizerReport(verdict={self.verdict!r}, elements={self.elements!r}, "
-                f"structure={self.structure!r}, complete={self.complete!r}, "
-                f"note={self.note!r})")
-
-
-_set_centralizer_verdict = CentralizerReport.verdict.__set__
-_set_elements = CentralizerReport.elements.__set__
-_set_structure = CentralizerReport.structure.__set__
-_set_centralizer_complete = CentralizerReport.complete.__set__
-_set_centralizer_note = CentralizerReport.note.__set__
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "structure", structure)
+        object.__setattr__(self, "complete", complete)
+        object.__setattr__(self, "note", note)
 
 
 def centralizer(t: Triplet, bound: Optional[int] = None) -> CentralizerReport:

@@ -71,9 +71,9 @@ class BilinearCocycle(Immutable):
         rows = [[x % den for x in row] for row in rows]
         g = gcd(den, *(x for row in rows for x in row))
         ints, den = tuple(tuple(x // g for x in row) for row in rows), den // g
-        _set_bilinear_group(self, group)
-        _set_bilinear_ints(self, ints)
-        _set_bilinear_den(self, den)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "den", den)
         orders = group.orders
         for i, row in enumerate(ints):
             for j, x in enumerate(row):
@@ -82,17 +82,6 @@ class BilinearCocycle(Immutable):
                         raise CocycleError(
                             "torsion", f"entry ({i},{j}) not killed by order {n}"
                         )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.group, self.ints, self.den) == (other.group, other.ints, other.den)
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.ints, self.den))
-
-    def __repr__(self) -> str:
-        return f"BilinearCocycle(group={self.group!r}, ints={self.ints!r}, den={self.den!r})"
 
     __call__ = _bilinear_value
     # mu(g, h) * D on raw coordinates: reducing them mod torsion moves it by
@@ -121,11 +110,6 @@ class BilinearCocycle(Immutable):
         """Construction already enforces everything; Triplet.validate calls this."""
 
 
-_set_bilinear_group = BilinearCocycle.group.__set__
-_set_bilinear_ints = BilinearCocycle.ints.__set__
-_set_bilinear_den = BilinearCocycle.den.__set__
-
-
 class TableCocycle(Immutable):
     """Complete value table on a finite group.  `den`, the lcm of the
     entries' denominators, is computed on first use."""
@@ -136,27 +120,22 @@ class TableCocycle(Immutable):
     def __init__(self, group: AbGroup, entries: dict) -> None:
         if not group.is_finite:
             raise CocycleError("table", "table form needs a finite group")
-        _set_table_group(self, group)
-        _set_entries(self, entries)
-        _set_table_den(self, None)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_den", None)
+
+    # the entries are a dict, so a table is not hashed
+    __hash__ = None
 
     def __call__(self, g: AbElem, h: AbElem) -> Phase:
         return self.entries[(g.coords, h.coords)]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TableCocycle):
-            return NotImplemented
-        return self.group == other.group and self.entries == other.entries
-
-    def __repr__(self) -> str:
-        return f"TableCocycle(group={self.group!r}, entries={self.entries!r})"
 
     @property
     def den(self) -> int:
         d = self._den
         if d is None:
             d = lcm(*(p.den for p in self.entries.values()))
-            _set_table_den(self, d)
+            object.__setattr__(self, "_den", d)
         return d
 
     def exponent(self, g: tuple, h: tuple) -> int:
@@ -199,11 +178,6 @@ class TableCocycle(Immutable):
                                            f"fails at {(g, elems[h], elems[k])}")
 
 
-_set_table_group = TableCocycle.group.__set__
-_set_entries = TableCocycle.entries.__set__
-_set_table_den = TableCocycle._den.__set__
-
-
 def trivial_cocycle(group: AbGroup) -> BilinearCocycle:
     return BilinearCocycle(group, ((0,) * group.rank,) * group.rank, 1)
 
@@ -219,31 +193,15 @@ class Bicharacter(Immutable):
     __slots__ = ("group", "ints", "den")  # ints: rank x rank, antisymmetric
 
     def __init__(self, group: AbGroup, ints: tuple, den: int) -> None:
-        _set_star_group(self, group)
-        _set_star_ints(self, ints)
-        _set_star_den(self, den)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.group, self.ints, self.den) == (other.group, other.ints, other.den)
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.ints, self.den))
-
-    def __repr__(self) -> str:
-        return f"Bicharacter(group={self.group!r}, ints={self.ints!r}, den={self.den!r})"
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "den", den)
 
     value = _bilinear_value
 
     @property
     def matrix(self) -> tuple:
         return tuple(tuple(Phase(a, self.den) for a in row) for row in self.ints)
-
-
-_set_star_group = Bicharacter.group.__set__
-_set_star_ints = Bicharacter.ints.__set__
-_set_star_den = Bicharacter.den.__set__
 
 
 def star_bicharacter(mu) -> Bicharacter:

@@ -28,18 +28,10 @@ class Config(Immutable):
     __slots__ = ("group", "support", "_hash", "_is_zero_sum")
 
     def __init__(self, group: AbGroup, support: tuple) -> None:
-        _set_group(self, group)
-        _set_support(self, support)
-        _set_hash(self, None)
-        _set_is_zero_sum(self, None)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.group, self.support) == (other.group, other.support)
-
-    def __repr__(self) -> str:
-        return f"Config(group={self.group!r}, support={self.support!r})"
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_is_zero_sum", None)
 
     @staticmethod
     def from_items(group: AbGroup, items: Iterable[tuple]) -> "Config":
@@ -55,17 +47,13 @@ class Config(Immutable):
         )
         return Config(group, support)
 
-    @staticmethod
-    def zero(group: AbGroup) -> "Config":
-        return Config(group, ())
-
     def __hash__(self) -> int:
         # equal configs have equal supports, so this agrees with __eq__;
         # kept after the first call
         h = self._hash
         if h is None:
             h = hash(self.support)
-            _set_hash(self, h)
+            object.__setattr__(self, "_hash", h)
         return h
 
     @property
@@ -77,7 +65,7 @@ class Config(Immutable):
             values = [coords for _, coords in self.support]
             z = not any([s % n if n else s
                          for s, n in zip(map(sum, zip(*values)), self.group.orders)])
-            _set_is_zero_sum(self, z)
+            object.__setattr__(self, "_is_zero_sum", z)
         return z
 
     def __add__(self, other: "Config") -> "Config":
@@ -112,12 +100,6 @@ class Config(Immutable):
         return Config(self.group, tuple(
             (p, tuple([-c % n if n else -c for c, n in zip(coords, orders)]))
             for p, coords in self.support))
-
-
-_set_group = Config.group.__set__
-_set_support = Config.support.__set__
-_set_hash = Config._hash.__set__
-_set_is_zero_sum = Config._is_zero_sum.__set__
 
 
 def dipole(h: AbElem) -> Config:

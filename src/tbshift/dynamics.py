@@ -28,7 +28,7 @@ from .lattice import (
     mat_apply,
     spiral_points,
 )
-from .scalars import Immutable
+from .scalars import Immutable, Record
 
 
 class Triplet(Immutable):
@@ -37,22 +37,9 @@ class Triplet(Immutable):
     __slots__ = ("group", "cocycle", "character")
 
     def __init__(self, group: AbGroup, cocycle: object, character: Character) -> None:
-        _set_group(self, group)
-        _set_cocycle(self, cocycle)
-        _set_character(self, character)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.group, self.cocycle, self.character)
-                == (other.group, other.cocycle, other.character))
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.cocycle, self.character))
-
-    def __repr__(self) -> str:
-        return (f"Triplet(group={self.group!r}, cocycle={self.cocycle!r}, "
-                f"character={self.character!r})")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "cocycle", cocycle)
+        object.__setattr__(self, "character", character)
 
     def validate(self) -> None:
         if self.group.is_trivial:
@@ -64,11 +51,6 @@ class Triplet(Immutable):
         self.cocycle.validate()
 
 
-_set_group = Triplet.group.__set__
-_set_cocycle = Triplet.cocycle.__set__
-_set_character = Triplet.character.__set__
-
-
 class Motion(Immutable):
     """Element (c, k, gamma) of the extended motion group over a triplet: the
     character c and the move (k, gamma), an `AffineSL2` (built in SL(2,Z) only)."""
@@ -76,23 +58,8 @@ class Motion(Immutable):
     __slots__ = ("char", "move")
 
     def __init__(self, char: Character, move: AffineSL2 = IDENTITY) -> None:
-        _set_char(self, char)
-        _set_move(self, move)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.char, self.move) == (other.char, other.move)
-
-    def __hash__(self) -> int:
-        return hash((self.char, self.move))
-
-    def __repr__(self) -> str:
-        return f"Motion(char={self.char!r}, move={self.move!r})"
-
-
-_set_char = Motion.char.__set__
-_set_move = Motion.move.__set__
+        object.__setattr__(self, "char", char)
+        object.__setattr__(self, "move", move)
 
 
 def motion_mul(t: Triplet, a: Motion, b: Motion) -> Motion:
@@ -171,20 +138,12 @@ def _moved(t: Triplet, row: tuple, den: int, move: AffineSL2, x) -> AlgebraEleme
     return AlgebraElement(x.cocycle, out)
 
 
-class RelationReport:
+class RelationReport(Record):
     __slots__ = ("ok", "counterexamples")
 
     def __init__(self, ok: bool, counterexamples: Optional[list] = None) -> None:
         self.ok = ok
         self.counterexamples = [] if counterexamples is None else counterexamples
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ok, self.counterexamples) == (other.ok, other.counterexamples)
-
-    def __repr__(self) -> str:
-        return f"RelationReport(ok={self.ok!r}, counterexamples={self.counterexamples!r})"
 
 
 def verify_motion_relations(t: Triplet, samples: Sequence) -> RelationReport:

@@ -64,19 +64,8 @@ class AffineSL2(Immutable):
     def __init__(self, translation: LatticePoint = ORIGIN, matrix: Mat2 = IDENTITY_MAT) -> None:
         if mat_det(matrix) != 1:
             raise ValueError(f"matrix {matrix} has determinant != 1")
-        _set_translation(self, LatticePoint(*translation))
-        _set_matrix(self, tuple([tuple(map(int, row)) for row in matrix]))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.translation, self.matrix) == (other.translation, other.matrix)
-
-    def __hash__(self) -> int:
-        return hash((self.translation, self.matrix))
-
-    def __repr__(self) -> str:
-        return f"AffineSL2(translation={self.translation!r}, matrix={self.matrix!r})"
+        object.__setattr__(self, "translation", LatticePoint(*translation))
+        object.__setattr__(self, "matrix", tuple([tuple(map(int, row)) for row in matrix]))
 
     def __mul__(self, other: "AffineSL2") -> "AffineSL2":
         # (k1, g1)(k2, g2) = (k1 + g1*k2, g1*g2), set through the slots: the
@@ -84,14 +73,12 @@ class AffineSL2(Immutable):
         (a, b), (c, d) = self.matrix
         q, r = other.translation
         product = object.__new__(AffineSL2)
-        _set_translation(product, LatticePoint(self.translation.q + a * q + b * r,
-                                               self.translation.r + c * q + d * r))
-        _set_matrix(product, mat_mul(self.matrix, other.matrix))
+        object.__setattr__(product, "translation",
+                           LatticePoint(self.translation.q + a * q + b * r,
+                                        self.translation.r + c * q + d * r))
+        object.__setattr__(product, "matrix", mat_mul(self.matrix, other.matrix))
         return product
 
-
-_set_translation = AffineSL2.translation.__set__
-_set_matrix = AffineSL2.matrix.__set__
 
 IDENTITY = AffineSL2()
 

@@ -15,11 +15,12 @@ of the powers of zeta_N over one denominator and reduces them once.
 Fraction appears only at the edges: parsing, a rational value or scale
 (from_rational, a product with a Fraction) and the repr.
 
-`Immutable` is the base of the package's value types, these two among
-them: each is a plain class that lists its fields in `__slots__`, sets
-them once through the slot descriptors' setters, and writes its own
-`__init__`, `__eq__`, `__hash__` and `__repr__`, so importing the package
-loads no class-generating machinery.
+`Record` and its frozen subclass `Immutable` are the bases of the
+package's value and report types, these two among them.  Each is a plain
+class that lists its fields in `__slots__` and writes its own `__init__`;
+equality, the hash and the repr are derived once per class from its
+field list, so importing the package loads no class-generating machinery
+and runs no generated code.
 """
 
 from __future__ import annotations
@@ -27,17 +28,50 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import attrgetter
 from typing import ClassVar
 
 
-class Immutable:
-    """Base of the package's value types.  A subclass lists its fields in
-    `__slots__` and sets each once, in construction, through the slot
-    descriptor's own setter (`_set_phase_den = Phase.den.__set__`).
-    Assignment and deletion afterwards raise AttributeError; copies and
-    pickles restore the slots through `__setstate__`."""
+class Record:
+    """Base of the package's value and report types: equality and repr over
+    one field list.  `_fields` is the public names of the class's own
+    `__slots__` in order, unless the class names its own list, and
+    `__init_subclass__` makes its key, an `attrgetter` of those fields,
+    once per class.  Values are equal when their classes are the same and
+    their keys equal; the repr is Name(field=value, ...).  A Record is
+    mutable and unhashable: the report types that checks fill in."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls.__dict__.get("_fields") or tuple(
+            name for name in cls.__dict__.get("__slots__", ()) if not name.startswith("_"))
+        if fields:
+            cls._fields, cls._key = fields, attrgetter(*fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+
+class Immutable(Record):
+    """Base of the frozen value types: a Record hashed by its key (the
+    tuple of its fields).  `__init__` sets each slot once, by
+    `object.__setattr__(self, name, value)`; assignment and deletion
+    afterwards raise AttributeError, and copies and pickles restore the
+    slots through `__setstate__` by the same call."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
@@ -70,19 +104,8 @@ class Phase(Immutable):
         if g != 1:
             num //= g
             den //= g
-        _set_phase_num(self, num % den)
-        _set_phase_den(self, den)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.num, self.den) == (other.num, other.den)
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __repr__(self) -> str:
-        return f"Phase(num={self.num!r}, den={self.den!r})"
+        object.__setattr__(self, "num", num % den)
+        object.__setattr__(self, "den", den)
 
     @staticmethod
     def from_fraction(f: Fraction) -> "Phase":
@@ -119,9 +142,6 @@ class Phase(Immutable):
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
 
-
-_set_phase_num = Phase.num.__set__
-_set_phase_den = Phase.den.__set__
 
 Phase.ZERO = Phase(0, 1)
 
@@ -182,9 +202,9 @@ def _make(order: int, num, den: int) -> "Cyclotomic":
         num = [c // g for c in num]
         den //= g
     x = object.__new__(Cyclotomic)
-    _set_order(x, order)
-    _set_ints(x, tuple(num))
-    _set_den(x, den)
+    object.__setattr__(x, "order", order)
+    object.__setattr__(x, "ints", tuple(num))
+    object.__setattr__(x, "den", den)
     return x
 
 
@@ -327,10 +347,6 @@ class Cyclotomic(Immutable):
             out[-i % n] += c
         return Cyclotomic(n, out, self.den)
 
-
-_set_order = Cyclotomic.order.__set__
-_set_ints = Cyclotomic.ints.__set__
-_set_den = Cyclotomic.den.__set__
 
 Cyclotomic.ZERO = Cyclotomic.from_rational(0)
 Cyclotomic.ONE = Cyclotomic.from_rational(1)

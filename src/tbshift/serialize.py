@@ -143,16 +143,25 @@ def cocycle_from_json(group: AbGroup, obj: Any, path: str = "$"):
 
 # triplet files ----------------------------------------------------------
 
+MAX_FREE_RANK = 2 ** 20
+"""Largest free rank a triplet file may give: a valid triplet lists
+free_rank**2 matrix entries, 2**40 at this rank, and its group holds
+tuples of free_rank entries."""
+
+
 def triplet_from_json(obj: Any, path: str = "$") -> Triplet:
     group_obj = _need_key(obj, "group", path)
     # the character lists one phase per generator, so a free rank above the
-    # length of its list is refused before a group of that rank is built
+    # length of its list, or above MAX_FREE_RANK, is refused before a group
+    # of that rank is built
     free = group_obj.get("free_rank") if isinstance(group_obj, dict) else None
     chi = obj.get("character")
     phases = chi.get("phases") if isinstance(chi, dict) else None
     if type(free) is int and isinstance(phases, list) and free > len(phases):
         detail = f"free rank {free} exceeds the length {len(phases)} of the character's phases"
         raise SchemaError(path + ".group.free_rank", detail)
+    if type(free) is int and free > MAX_FREE_RANK:
+        raise SchemaError(path + ".group.free_rank", f"free rank {free} exceeds {MAX_FREE_RANK}")
     group = group_from_json(group_obj, path + ".group")
     cocycle = cocycle_from_json(group, _need_key(obj, "cocycle", path), path + ".cocycle")
     character = character_from_json(group, _need_key(obj, "character", path), path + ".character")

@@ -33,8 +33,8 @@ elements (`elementwise_hom_matrix`); `config_total` folds a
 configuration's values by AbElem additions.  The arithmetic the value
 types no longer carry, since nothing in `tbshift` uses it, lives here:
 a group's zero (`group_zero`), a homomorphism applied to an element
-(`apply_hom`), an element's order (`element_order`), the unit of the
-tensor square (`tensor_one`) and sums and scalings of algebra elements
+(`apply_hom`), an element's order (`element_order`), the unit and the
+trace of the tensor square (`tensor_one`, `tensor_trace`) and sums and scalings of algebra elements
 (`combination`); a character's value is `phase_character_value`.
 """
 
@@ -92,6 +92,12 @@ def tensor_one(mu) -> TensorElement:
     """The unit u_0 (x) u_0 of the tensor square."""
     zero = group_zero(mu.group)
     return TensorElement(mu, {(zero, zero): Cyclotomic.ONE})
+
+
+def tensor_trace(x: TensorElement) -> Cyclotomic:
+    """The trace of an element of the tensor square: its coefficient at (0, 0)."""
+    zero = group_zero(x.group)
+    return x.terms.get((zero, zero), Cyclotomic.ZERO)
 
 
 def combination(*terms):

@@ -148,18 +148,31 @@ def test_a_free_rank_above_the_phase_count_is_refused_before_the_group_is_built(
         tmp_path, monkeypatch, free_rank):
     # a group of this free rank would hold a tuple of free_rank zeros, which
     # overflows at 10**20 and does not fit in memory at 2**31; the character
-    # lists one phase, so every command refuses the file without building it
+    # lists one phase, or has no phase list and the rank is above
+    # MAX_FREE_RANK = 2**20, so every command refuses the file without
+    # building it
     def never(*args):
         raise AssertionError("the group was built")
 
     monkeypatch.setattr(serialize, "AbGroup", never)
     path = _write(tmp_path, "huge.json", (), [["0"]], free_rank, phases=["0"])
-    detail = f"$.group.free_rank: free rank {free_rank} exceeds the length 1 of the character's phases"
-    assert _run(["validate", path]) == (EXIT_INVALID, {
-        "ok": False, "violation": "schema", "detail": detail, "path": "$.group.free_rank"})
-    for argv in (["factor", path], ["bicharacter", path], ["centralizer", path],
-                 ["malleability", path], ["conjugate", path, path]):
-        assert _run(argv) == (EXIT_INVALID, {"ok": False, "violation": "invalid-input", "detail": detail})
+    triplet = json.loads(Path(path).read_text("utf-8"))
+    del triplet["character"]
+    missing = tmp_path / "no_character.json"
+    missing.write_text(json.dumps(triplet), encoding="utf-8")
+    triplet["character"] = {"phases": "0"}
+    no_list = tmp_path / "phases_not_a_list.json"
+    no_list.write_text(json.dumps(triplet), encoding="utf-8")
+    above = f"$.group.free_rank: free rank {free_rank} exceeds {2 ** 20}"
+    for path, detail in ((path, f"$.group.free_rank: free rank {free_rank} exceeds the length 1 "
+                                "of the character's phases"),
+                         (str(missing), above), (str(no_list), above)):
+        assert _run(["validate", path]) == (EXIT_INVALID, {
+            "ok": False, "violation": "schema", "detail": detail, "path": "$.group.free_rank"})
+        for argv in (["factor", path], ["bicharacter", path], ["centralizer", path],
+                     ["malleability", path], ["conjugate", path, path]):
+            assert _run(argv) == (EXIT_INVALID, {
+                "ok": False, "violation": "invalid-input", "detail": detail})
 
 
 def _too_many(size):

@@ -254,7 +254,7 @@ def test_fixed_point_characterization_infinite():
 
 
 def test_weak_mixing_witness_trivial_case(trip):
-    elems = [AlgebraElement.unit(trip.cocycle, Config.zero(trip.group))]
+    elems = [AlgebraElement.unit(trip.cocycle, Config(trip.group, ()))]
     assert weak_mixing_witness(trip, elems) == ORIGIN
 
 

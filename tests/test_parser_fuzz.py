@@ -1,0 +1,105 @@
+"""A bounded fuzz of the triplet parser: mutations of `triplets/*.json`.
+
+Each example takes one fixture triplet, may set its free rank (above
+2**63 among the values) and drop its character or its phase list, and
+applies one to three mutations: a node replaced by a value of another
+type or an extreme one (torsion orders above 2**63 among them), a list
+cut short or grown by one entry (the phases, the matrix rows, the table
+entries), or a key removed.  `triplet_from_json` must return a Triplet or raise SchemaError,
+within the deadline: any other exception would make the CLI exit 4.
+"""
+
+import copy
+import json
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import deadline
+from tbshift.dynamics import Triplet
+from tbshift.serialize import SchemaError, triplet_from_json
+
+TRIPLETS = {
+    path.name: json.loads(path.read_text("utf-8"))
+    for path in sorted((Path(__file__).resolve().parent.parent / "triplets").glob("*.json"))
+}
+
+INTS = st.one_of(
+    st.integers(-3, 8),
+    st.integers(-(2 ** 80), 2 ** 80),
+    st.sampled_from([2 ** 20, 2 ** 20 + 1, 2 ** 31, 2 ** 63 - 1, 2 ** 63, 2 ** 64, 10 ** 20]),
+)
+PHASES = st.one_of(
+    st.builds("{}/{}".format, st.integers(-40, 40), st.integers(-12, 12)),
+    st.builds("{}/{}".format, st.integers(2 ** 62, 2 ** 70), st.integers(2 ** 62, 2 ** 70)),
+    st.text(max_size=6),
+    st.sampled_from(["", "1/0", "0.5", "-0", " 1/3 ", "1e3", "1_0/3", "nan", "inf"]),
+)
+LEAVES = st.one_of(INTS, PHASES, st.booleans(), st.none(),
+                   st.floats(allow_nan=False, allow_infinity=False))
+VALUES = st.one_of(LEAVES, st.lists(LEAVES, max_size=3), st.lists(PHASES, max_size=4),
+                   st.dictionaries(st.sampled_from(["free_rank", "torsion", "phases", "kind"]),
+                                   LEAVES, max_size=2))
+# where a mutation lands: anywhere, or under one of the parts the parser
+# reads, so each is mutated often whatever the size of the table
+FOCUS = [(), ("group", "free_rank"), ("group", "torsion"), ("character",),
+         ("character", "phases"), ("cocycle", "matrix"), ("cocycle", "entries"),
+         ("cocycle", "kind")]
+
+
+def _nodes(obj, path=()):
+    yield path
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _nodes(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _nodes(value, path + (i,))
+
+
+def _mutate(data, obj):
+    focus = data.draw(st.sampled_from(FOCUS))
+    paths = [p for p in _nodes(obj) if p[:len(focus)] == focus] or list(_nodes(obj))
+    path = data.draw(st.sampled_from(paths))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    node = parent[path[-1]] if path else obj
+    kind = data.draw(st.sampled_from(["replace", "shorten", "extend", "drop"]))
+    if kind == "shorten" and isinstance(node, list) and node:
+        node.pop(data.draw(st.integers(0, len(node) - 1)))
+    elif kind == "extend" and isinstance(node, list):
+        extra = copy.deepcopy(data.draw(st.sampled_from(node))) if node else data.draw(VALUES)
+        node.append(extra)
+    elif kind == "drop" and isinstance(parent, dict) and path:
+        del parent[path[-1]]
+    elif path:
+        # an int or a phase string mostly becomes another of its kind
+        same = INTS if type(node) is int else PHASES if isinstance(node, str) else VALUES
+        parent[path[-1]] = data.draw(st.one_of(same, VALUES))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_a_mutated_triplet_file_is_a_triplet_or_a_schema_error(data):
+    obj = copy.deepcopy(TRIPLETS[data.draw(st.sampled_from(sorted(TRIPLETS)))])
+    # the parser bounds the free rank by the character's phase list, so
+    # both are drawn on their own before one to three mutations
+    free_rank = data.draw(st.none() | INTS)
+    if free_rank is not None:
+        obj["group"]["free_rank"] = free_rank
+    character = data.draw(st.sampled_from(["kept", "dropped", "phases not a list"]))
+    if character == "dropped":
+        del obj["character"]
+    elif character == "phases not a list":
+        obj["character"]["phases"] = data.draw(LEAVES)
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, obj)
+    with deadline(2):
+        try:
+            result = triplet_from_json(obj)
+        except SchemaError:
+            return
+    assert isinstance(result, Triplet)

@@ -1,18 +1,21 @@
 """The observable contract of the package's value and report types: repr,
 equality, hashing, immutability, copies and keyword construction."""
 
+import ast
 import copy
 import pickle
+from pathlib import Path
 
 import pytest
 
+import tbshift.cli  # noqa: F401  (defines every value type of the package)
 from tbshift.abelian import AbElem, AbGroup, AbHom, Character, StructureReport
 from tbshift.classify import CentralizerReport, ConjugacyReport, PiPhi, VerifyReport
 from tbshift.cocycle import Bicharacter, BilinearCocycle, TableCocycle
 from tbshift.configs import Config
 from tbshift.dynamics import Motion, RelationReport, Triplet
 from tbshift.lattice import AffineSL2, LatticePoint, gcd2, spiral_index
-from tbshift.scalars import Phase
+from tbshift.scalars import Cyclotomic, Immutable, Phase, Record
 
 Z2 = "AbGroup(free_rank=0, torsion=(2,))"
 HOM = f"AbHom(source={Z2}, target={Z2}, matrix=((1,),))"
@@ -20,6 +23,16 @@ CHAR = f"Character(group={Z2}, ints=(1,), den=2)"
 FORM = f"BilinearCocycle(group={Z2}, ints=((1,),), den=2)"
 TRIPLET = f"Triplet(group={Z2}, cocycle={FORM}, character={CHAR})"
 MOVE = "AffineSL2(translation=LatticePoint(q=1, r=2), matrix=((1, 1), (0, 1)))"
+
+# The tuples of plain values whose hashes the types above had when each
+# wrote its own __hash__ over its fields: a tuple's hash reads only the
+# hashes of its entries, so a plain key stands in for a value with that hash
+Z2_KEY = (0, (2,))
+HOM_KEY = (Z2_KEY, Z2_KEY, ((1,),))
+CHAR_KEY = (Z2_KEY, (1,), 2)
+FORM_KEY = (Z2_KEY, ((1,),), 2)
+TRIPLET_KEY = (Z2_KEY, FORM_KEY, CHAR_KEY)
+MOVE_KEY = ((1, 2), ((1, 1), (0, 1)))
 
 
 def z2():
@@ -40,45 +53,51 @@ def table():
 
 
 # (build a fresh instance, its repr, a field to assign, a cached view to
-# read first); one row per type, each a different class from the next
+# read first, its hash or None if it has none); one row per type, each a
+# different class from the next.  The hash is that of the coordinates for
+# AbElem, of the support for Config and of the repr's fields for the others
 TYPES = [
     (lambda: AbGroup(free_rank=1, torsion=(2, 6)),
-     "AbGroup(free_rank=1, torsion=(2, 6))", "torsion", None),
-    (lambda: AbElem(z2(), (1,)), f"AbElem(group={Z2}, coords=(1,))", "coords", None),
-    (lambda: AbHom(z2(), z2(), ((3,),)), HOM, "matrix", None),
-    (lambda: Character(z2(), (3,), 2), CHAR, "ints", None),
+     "AbGroup(free_rank=1, torsion=(2, 6))", "torsion", None, hash((1, (2, 6)))),
+    (lambda: AbElem(z2(), (1,)), f"AbElem(group={Z2}, coords=(1,))", "coords", None,
+     hash((1,))),
+    (lambda: AbHom(z2(), z2(), ((3,),)), HOM, "matrix", None, hash(HOM_KEY)),
+    (lambda: Character(z2(), (3,), 2), CHAR, "ints", None, hash(CHAR_KEY)),
     (lambda: StructureReport(order=2, abelian=True, invariant_factors=(2,), noncommuting=None),
      "StructureReport(order=2, abelian=True, invariant_factors=(2,), noncommuting=None)",
-     "order", None),
+     "order", None, hash((2, True, (2,), None))),
     (lambda: PiPhi(triplet(), triplet(), AbHom.identity(z2()), weight=gcd2, order_key=spiral_index),
      f"PiPhi(ta={TRIPLET}, tb={TRIPLET}, phi={HOM}, weight={gcd2!r}, "
-     f"order_key={spiral_index!r})", "weight", "mismatch"),
+     f"order_key={spiral_index!r})", "weight", "mismatch",
+     hash((TRIPLET_KEY, TRIPLET_KEY, HOM_KEY, gcd2, spiral_index))),
     (lambda: VerifyReport(ok=False, failures=[("trace", 1)]),
-     "VerifyReport(ok=False, failures=[('trace', 1)])", None, None),
+     "VerifyReport(ok=False, failures=[('trace', 1)])", None, None, None),
     (lambda: ConjugacyReport("YES", AbHom.identity(z2()), {"cocycle": True, "character": True},
                              True, decided_by="search"),
      f"ConjugacyReport(verdict='YES', witness={HOM}, checks={{'cocycle': True, 'character': "
-     "True}, complete=True, note='', decided_by='search')", "verdict", None),
+     "True}, complete=True, note='', decided_by='search')", "verdict", None, None),
     (lambda: CentralizerReport("OK", (AbHom.identity(z2()),), StructureReport(1, True, (), None),
                                True),
      f"CentralizerReport(verdict='OK', elements=({HOM},), structure=StructureReport(order=1, "
      "abelian=True, invariant_factors=(), noncommuting=None), complete=True, note='')",
-     "note", None),
-    (lambda: BilinearCocycle(z2(), ((2,),), 4), FORM, "den", None),
+     "note", None, hash(("OK", (HOM_KEY,), (1, True, (), None), True, ""))),
+    (lambda: BilinearCocycle(z2(), ((2,),), 4), FORM, "den", None, hash(FORM_KEY)),
     (table, f"TableCocycle(group={Z2}, entries={{((0,), (0,)): Phase(num=0, den=1), "
      "((0,), (1,)): Phase(num=0, den=1), ((1,), (0,)): Phase(num=0, den=1), "
-     "((1,), (1,)): Phase(num=1, den=2)})", "entries", "den"),
+     "((1,), (1,)): Phase(num=1, den=2)})", "entries", "den", None),
     (lambda: Bicharacter(z2(), ((0,),), 1), f"Bicharacter(group={Z2}, ints=((0,),), den=1)",
-     "ints", None),
-    (triplet, TRIPLET, "character", None),
+     "ints", None, hash((Z2_KEY, ((0,),), 1))),
+    (triplet, TRIPLET, "character", None, hash(TRIPLET_KEY)),
     (lambda: Motion(Character(z2(), (1,), 2), move=move()), f"Motion(char={CHAR}, move={MOVE})",
-     "move", None),
-    (lambda: RelationReport(ok=True), "RelationReport(ok=True, counterexamples=[])", None, None),
+     "move", None, hash((CHAR_KEY, MOVE_KEY))),
+    (lambda: RelationReport(ok=True), "RelationReport(ok=True, counterexamples=[])", None, None,
+     None),
     (lambda: Config(z2(), ((LatticePoint(0, 0), (1,)), (LatticePoint(1, 0), (1,)))),
      f"Config(group={Z2}, support=((LatticePoint(q=0, r=0), (1,)), "
-     "(LatticePoint(q=1, r=0), (1,))))", "support", "is_zero_sum"),
-    (move, MOVE, "translation", None),
-    (lambda: Phase(num=2, den=-6), "Phase(num=2, den=3)", "num", None),
+     "(LatticePoint(q=1, r=0), (1,))))", "support", "is_zero_sum",
+     hash((((0, 0), (1,)), ((1, 0), (1,))))),
+    (move, MOVE, "translation", None, hash(MOVE_KEY)),
+    (lambda: Phase(num=2, den=-6), "Phase(num=2, den=3)", "num", None, hash((2, 3))),
 ]
 UNHASHABLE = {VerifyReport, TableCocycle, RelationReport}
 
@@ -89,7 +108,7 @@ def test_every_value_type_has_a_row():
 
 @pytest.mark.parametrize("row", range(len(TYPES)))
 def test_repr_equality_and_hash(row):
-    make, text, _, cached = TYPES[row]
+    make, text, _, cached, expected = TYPES[row]
     a, b = make(), make()
     if cached:
         getattr(a, cached)  # a view kept after the first read shows in none of these
@@ -104,7 +123,7 @@ def test_repr_equality_and_hash(row):
         with pytest.raises(TypeError, match="dict"):
             hash(a)
     else:
-        assert hash(a) == hash(b)
+        assert hash(a) == hash(b) == expected
 
 
 @pytest.mark.parametrize("row", range(len(TYPES)))
@@ -116,7 +135,7 @@ def test_equality_against_another_class_is_false(row):
 
 @pytest.mark.parametrize("row", range(len(TYPES)))
 def test_frozen_types_refuse_assignment(row):
-    make, text, field, _ = TYPES[row]
+    make, text, field, _, _ = TYPES[row]
     a = make()
     if field is None:  # the two reports the checks fill in
         a.ok = not a.ok
@@ -131,9 +150,42 @@ def test_frozen_types_refuse_assignment(row):
 
 @pytest.mark.parametrize("row", range(len(TYPES)))
 def test_copies_and_pickles_are_equal(row):
-    make, text, _, cached = TYPES[row]
+    make, text, _, cached, _ = TYPES[row]
     a = make()
     if cached:
         getattr(a, cached)
     for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert type(twin) is type(a) and twin == a and repr(twin) == text
+
+
+# The only types whose equality, hash or repr is not the base's: AbElem
+# hashes its coordinates alone, Config keeps its hash after the first call,
+# a TableCocycle holds a dict and is not hashed, and a Cyclotomic compares
+# across orders and with numbers and shows Fractions (defining __eq__ sets
+# its __hash__ to None, as it was).
+OVERRIDES = {
+    "AbElem.__hash__", "Config.__hash__", "TableCocycle.__hash__",
+    "Cyclotomic.__eq__", "Cyclotomic.__hash__", "Cyclotomic.__repr__",
+}
+
+
+def test_the_base_alone_defines_equality_hashing_and_repr():
+    classes, todo = set(), [Record, *(type(make()) for make, *_ in TYPES), Cyclotomic]
+    while todo:
+        cls = todo.pop()
+        if cls not in classes:
+            classes.add(cls)
+            todo += cls.__subclasses__()
+    classes -= {Record, Immutable}
+    assert len(classes) == 19
+    own = {f"{cls.__name__}.{name}" for cls in classes
+           for name in ("__eq__", "__hash__", "__repr__") if name in vars(cls)}
+    assert own == OVERRIDES
+    assert TableCocycle.__hash__ is None and Cyclotomic.__hash__ is None
+    # every slot is set by object.__setattr__, so no module binds (or calls)
+    # a slot descriptor's own setter
+    src = Path(tbshift.cli.__file__).parent
+    setters = [f"{path.stem}:{node.lineno}" for path in sorted(src.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text("utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr == "__set__"]
+    assert setters == []
