@@ -29,6 +29,13 @@ from .linalg import snf_diagonal
 from .scalars import Immutable, Phase
 
 
+def lazy_product(ranges: Sequence[range]) -> Iterator[tuple]:
+    """itertools.product(*ranges), in its order, walking the ranges without copying them."""
+    if not ranges:
+        return iter([()])
+    return (prefix + (c,) for prefix in lazy_product(ranges[:-1]) for c in ranges[-1])
+
+
 class AbGroup(Immutable):
     """Z^free_rank + Z/torsion[0] + ...; `rank` and `orders` (per generator,
     0 if free) are derived, and left out of equality, hashing and repr."""
@@ -79,10 +86,11 @@ class AbGroup(Immutable):
         return self.orders[j]
 
     def coordinates(self) -> Iterator[tuple]:
-        """The coordinate tuples of `elements()`, in its order, with no AbElem built."""
+        """The coordinate tuples of `elements()`, in its order, with no AbElem
+        built and no range copied, so a huge group's first ones come at once."""
         if not self.is_finite:
             raise ValueError("cannot enumerate an infinite group")
-        return itertools.product(*(range(n) for n in self.torsion))
+        return lazy_product([range(n) for n in self.torsion])
 
     def elements(self) -> Iterator["AbElem"]:
         for coords in self.coordinates():

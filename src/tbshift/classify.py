@@ -23,6 +23,7 @@ from .abelian import (
     abstractly_isomorphic,
     group_structure,
     is_isomorphism,
+    lazy_product,
 )
 from .algebra import AlgebraElement
 from .cocycle import radical_rows, star_bicharacter
@@ -41,7 +42,7 @@ from .lattice import (
     spiral_index,
 )
 from .linalg import hermite_mod, order_mod, snf_diagonal
-from .scalars import Immutable, Record
+from .scalars import Immutable
 
 
 def check_conditions(ta: Triplet, tb: Triplet, phi: AbHom) -> tuple:
@@ -72,7 +73,7 @@ class PiPhi(Immutable):
     the corrector times the normalized unitary of phi o lam, where the
     corrector is the +-1 character mismatch c(h) = chi_a(h) - chi_b(phi h)
     accumulated over the support with gcd(k) exponents.  The mismatch is
-    one character, built once from its values on the generators (chi_b's
+    one character, built with pi from its values on the generators (chi_b's
     int row against each column of phi).  A term's values are mapped
     through phi's matrix and reduced once, inline, by the target's
     `orders`; the points stay, so the image is already sorted and builds
@@ -83,14 +84,14 @@ class PiPhi(Immutable):
     corrector is c's int row against the weighted raw values (0, and no
     weight read, for a trivial c).  The term pays it by one rotation.
 
-    The first call keeps what every call reads in `_constants` (None
-    until then): D, the three scales to it, c's int row (empty for a
-    trivial c) and the (row, order) pairs of phi's matrix and the target.
-    `weight` and `order_key` are read on each call, so they are not among
-    them.
+    `__init__` builds `mismatch` and keeps in `_constants` what every
+    call reads: D, the three scales to it, c's int row (empty for a
+    trivial c) and the (row, order) pairs of phi's matrix and the target;
+    `weight` and `order_key` are read on each call.  Neither is a field.
     """
 
-    __slots__ = ("ta", "tb", "phi", "weight", "order_key", "_mismatch", "_constants")
+    __slots__ = ("ta", "tb", "phi", "weight", "order_key", "mismatch", "_constants")
+    _fields = ("ta", "tb", "phi", "weight", "order_key")
 
     def __init__(self, ta: Triplet, tb: Triplet, phi: AbHom,
                  weight: Callable[[LatticePoint], int] = gcd2,
@@ -100,25 +101,19 @@ class PiPhi(Immutable):
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "order_key", order_key)
-        object.__setattr__(self, "_mismatch", None)
-        object.__setattr__(self, "_constants", None)
-
-    @property
-    def mismatch(self) -> Character:
-        """The character c = chi_a - chi_b o phi on H_a, built on first read
-        and kept in `_mismatch` (None until then)."""
-        mismatch = self._mismatch
-        if mismatch is None:
-            chi_a, chi_b, phi = self.ta.character, self.tb.character, self.phi
-            if phi.source != chi_a.group or phi.target != chi_b.group:
-                raise ValueError("phi does not map between the triplets' groups")
-            d = lcm(chi_a.den, chi_b.den)
-            sa, sb = d // chi_a.den, d // chi_b.den
-            ints = tuple(c * sa - sum(map(mul, chi_b.ints, x)) * sb
-                         for c, x in zip(chi_a.ints, zip(*phi.matrix)))
-            mismatch = Character(chi_a.group, ints, d)
-            object.__setattr__(self, "_mismatch", mismatch)
-        return mismatch
+        chi_a, chi_b = ta.character, tb.character
+        if phi.source != chi_a.group or phi.target != chi_b.group:
+            raise ValueError("phi does not map between the triplets' groups")
+        d = lcm(chi_a.den, chi_b.den)
+        sa, sb = d // chi_a.den, d // chi_b.den
+        c = Character(chi_a.group, tuple(a * sa - sum(map(mul, chi_b.ints, x)) * sb
+                                         for a, x in zip(chi_a.ints, zip(*phi.matrix))), d)
+        object.__setattr__(self, "mismatch", c)
+        d = lcm(ta.cocycle.den, tb.cocycle.den, c.den)
+        # in lowest terms a trivial c has den 1 and ints all 0
+        object.__setattr__(self, "_constants", (
+            d, d // ta.cocycle.den, d // tb.cocycle.den, d // c.den, c.ints if c.den > 1 else (),
+            tuple(zip(phi.matrix, phi.target.orders))))
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         mu_a, mu_b = self.ta.cocycle, self.tb.cocycle
@@ -126,16 +121,7 @@ class PiPhi(Immutable):
             raise ValueError("element is not over the source triplet")
         if not x.is_zero_sum_supported:
             raise ValueError("the intertwiner acts on zero-sum-supported elements")
-        constants = self._constants
-        if constants is None:
-            c = self.mismatch
-            d = lcm(mu_a.den, mu_b.den, c.den)
-            # in lowest terms a trivial c has den 1 and ints all 0
-            constants = (d, d // mu_a.den, d // mu_b.den, d // c.den,
-                         c.ints if c.den > 1 else (),
-                         tuple(zip(self.phi.matrix, self.phi.target.orders)))
-            object.__setattr__(self, "_constants", constants)
-        d, scale_a, scale_b, scale_c, row, rows = constants
+        d, scale_a, scale_b, scale_c, row, rows = self._constants
         weight, order_key, target = self.weight, self.order_key, self.phi.target
         out: dict = {}
         for lam, coeff in x.terms.items():
@@ -177,12 +163,12 @@ CANONICAL_MOVES = (
 )
 
 
-class VerifyReport(Record):
+class VerifyReport(Immutable):
     __slots__ = ("ok", "failures")
 
     def __init__(self, ok: bool, failures: Optional[list] = None) -> None:
-        self.ok = ok
-        self.failures = [] if failures is None else failures
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "failures", [] if failures is None else failures)
 
 
 def verify_pi(
@@ -196,26 +182,20 @@ def verify_pi(
     the checks and the order of the failures are those of one check at a
     time.
     """
-    report = VerifyReport(True)
+    failures = []
     for a, b in pairs:
         product = pi(a * b)
         pa = pi(a)
         if product != pa * pi(b):
-            report.ok = False
-            report.failures.append(("product", a, b))
+            failures.append(("product", a, b))
         if pi(a.star()) != pa.star():
-            report.ok = False
-            report.failures.append(("star", a))
+            failures.append(("star", a))
         if pa.trace() != a.trace():
-            report.ok = False
-            report.failures.append(("trace", a))
+            failures.append(("trace", a))
         for move in moves:
-            lhs = pi(beta(pi.ta, move, a))
-            rhs = beta(pi.tb, move, pa)
-            if lhs != rhs:
-                report.ok = False
-                report.failures.append(("equivariance", move, a))
-    return report
+            if pi(beta(pi.ta, move, a)) != beta(pi.tb, move, pa):
+                failures.append(("equivariance", move, a))
+    return VerifyReport(not failures, failures)
 
 
 class ConjugacyReport(Immutable):
@@ -277,13 +257,6 @@ counted from the `_pool_ranges` before the search runs; larger searches
 are UNKNOWN.  Memory is not bounded by it: the ranges are walked without
 being copied, but the pools of depth >= 1 keep every candidate that
 passes the chi^2 test."""
-
-
-def _product(ranges: list) -> Iterator[tuple]:
-    """itertools.product(*ranges), in its order, walking the ranges without copying them."""
-    if not ranges:
-        return iter([()])
-    return (prefix + (c,) for prefix in _product(ranges[:-1]) for c in ranges[-1])
 
 
 def _pool_ranges(ga: AbGroup, gb: AbGroup, bound: Optional[int]) -> list:
@@ -358,7 +331,7 @@ def _matching_isomorphisms(
     def pool(j: int) -> Iterator[tuple]:
         yield from kept[j]
         if sources[j] is None:
-            sources[j] = (x for x in _product(ranges[j])
+            sources[j] = (x for x in lazy_product(ranges[j])
                           if (sum(map(mul, chi_b, x)) - chi_a[j]) % d == 0)
         for x in sources[j]:
             if j:

@@ -112,31 +112,24 @@ class BilinearCocycle(Immutable):
 
 class TableCocycle(Immutable):
     """Complete value table on a finite group.  `den`, the lcm of the
-    entries' denominators, is computed on first use."""
+    entries' denominators, is computed when built and is not a field."""
 
-    # entries: (coords, coords) -> Phase; _den is None until first asked for
-    __slots__ = ("group", "entries", "_den")
+    # entries: (coords, coords) -> Phase
+    __slots__ = ("group", "entries", "den")
+    _fields = ("group", "entries")
 
     def __init__(self, group: AbGroup, entries: dict) -> None:
         if not group.is_finite:
             raise CocycleError("table", "table form needs a finite group")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_den", None)
+        object.__setattr__(self, "den", lcm(*(p.den for p in entries.values())))
 
     # the entries are a dict, so a table is not hashed
     __hash__ = None
 
     def __call__(self, g: AbElem, h: AbElem) -> Phase:
         return self.entries[(g.coords, h.coords)]
-
-    @property
-    def den(self) -> int:
-        d = self._den
-        if d is None:
-            d = lcm(*(p.den for p in self.entries.values()))
-            object.__setattr__(self, "_den", d)
-        return d
 
     def exponent(self, g: tuple, h: tuple) -> int:
         """mu(g, h) * D for coordinate tuples, read at their reductions."""
@@ -158,12 +151,15 @@ class TableCocycle(Immutable):
         everywhere, as u_0 is the unit and the generators span H as a monoid:
         (xy)(c e_i) = ((xy)c)e_i = (x(yc))e_i = x((yc)e_i) = x(y(c e_i)).
         The scans read the integer table by the numbers of H, and the first
-        failing (g, h, e_i) in loop order is reported."""
-        elems = [g.coords for g in self.group.elements()]
-        for g in elems:
-            for h in elems:
-                if (g, h) not in self.entries:
+        failing (g, h, e_i) in loop order is reported.  The pairs are walked
+        lazily, so a missing one turns up within len(entries) + 1 pairs
+        however large H is; once all are found, |H|^2 is at most that."""
+        coordinates, entries = self.group.coordinates, self.entries
+        for g in coordinates():
+            for h in coordinates():
+                if (g, h) not in entries:
                     raise CocycleError("table", f"missing entry ({g}, {h})")
+        elems = list(coordinates())
         mu, add, d = self.exponent_table(), self.group.addition_table(), self.den
         for g, mu_g, mu_0g in zip(elems, mu, mu[0]):
             if mu_g[0] or mu_0g:

@@ -8,8 +8,8 @@ serialization are canonical.  The group operations read that canonical
 form directly: a sum merges the two sorted supports, adding coordinates
 mod the torsion orders only where sites coincide, and the zero-sum test
 sums the raw coordinates; neither builds a group element.  A Config's
-hash and zero-sum test are each computed once and kept in a slot, as
-configurations are the keys of every shift algebra element.
+hash is computed when it is built and kept in a slot, as configurations
+are the keys of every shift algebra element.
 """
 
 from __future__ import annotations
@@ -23,15 +23,13 @@ from .scalars import Immutable
 
 
 class Config(Immutable):
-    # support: ((LatticePoint, coords), ...) lexicographic, no zero values;
-    # _hash and _is_zero_sum are None until first asked for
-    __slots__ = ("group", "support", "_hash", "_is_zero_sum")
+    # support: ((LatticePoint, coords), ...) lexicographic, no zero values
+    __slots__ = ("group", "support", "_hash")
 
     def __init__(self, group: AbGroup, support: tuple) -> None:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "support", support)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_is_zero_sum", None)
+        object.__setattr__(self, "_hash", hash(support))
 
     @staticmethod
     def from_items(group: AbGroup, items: Iterable[tuple]) -> "Config":
@@ -48,25 +46,15 @@ class Config(Immutable):
         return Config(group, support)
 
     def __hash__(self) -> int:
-        # equal configs have equal supports, so this agrees with __eq__;
-        # kept after the first call
-        h = self._hash
-        if h is None:
-            h = hash(self.support)
-            object.__setattr__(self, "_hash", h)
-        return h
+        return self._hash  # the support's: equal configs have equal supports
 
     @property
     def is_zero_sum(self) -> bool:
-        """Computed once per Config (the intertwiner and beta both ask): the
-        raw coordinate sums, zero on the free part and mod each torsion order."""
-        z = self._is_zero_sum
-        if z is None:
-            values = [coords for _, coords in self.support]
-            z = not any([s % n if n else s
-                         for s, n in zip(map(sum, zip(*values)), self.group.orders)])
-            object.__setattr__(self, "_is_zero_sum", z)
-        return z
+        """The raw coordinate sums, zero on the free part and mod each
+        torsion order; computed on each read."""
+        values = [coords for _, coords in self.support]
+        return not any([s % n if n else s
+                        for s, n in zip(map(sum, zip(*values)), self.group.orders)])
 
     def __add__(self, other: "Config") -> "Config":
         """Merge the two sorted supports; where sites coincide the values

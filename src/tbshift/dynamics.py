@@ -28,7 +28,7 @@ from .lattice import (
     mat_apply,
     spiral_points,
 )
-from .scalars import Immutable, Record
+from .scalars import Immutable
 
 
 class Triplet(Immutable):
@@ -138,12 +138,13 @@ def _moved(t: Triplet, row: tuple, den: int, move: AffineSL2, x) -> AlgebraEleme
     return AlgebraElement(x.cocycle, out)
 
 
-class RelationReport(Record):
+class RelationReport(Immutable):
     __slots__ = ("ok", "counterexamples")
 
     def __init__(self, ok: bool, counterexamples: Optional[list] = None) -> None:
-        self.ok = ok
-        self.counterexamples = [] if counterexamples is None else counterexamples
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "counterexamples",
+                           [] if counterexamples is None else counterexamples)
 
 
 def verify_motion_relations(t: Triplet, samples: Sequence) -> RelationReport:
@@ -152,22 +153,20 @@ def verify_motion_relations(t: Triplet, samples: Sequence) -> RelationReport:
     samples: iterable of (k, l, gamma, x) with k, l lattice points, gamma an
     SL(2,Z) matrix and x an AlgebraElement over the triplet.
     """
-    report = RelationReport(True)
+    counterexamples = []
     triv = Character.trivial(t.group)
     for k, l, gamma, x in samples:
         shift = Motion(triv, AffineSL2(k))
         lhs = rho(t, shift, rho(t, Motion(triv, AffineSL2(l)), x))
         rhs = rho(t, Motion(t.character.power(det2(k, l)), AffineSL2(k + l)), x)
         if lhs != rhs:
-            report.ok = False
-            report.counterexamples.append(("translation", k, l))
+            counterexamples.append(("translation", k, l))
         turn = Motion(triv, AffineSL2(ORIGIN, gamma))
         lhs2 = rho(t, Motion(triv, AffineSL2(mat_apply(gamma, k))), rho(t, turn, x))
         rhs2 = rho(t, turn, rho(t, shift, x))
         if lhs2 != rhs2:
-            report.ok = False
-            report.counterexamples.append(("rotation", k, gamma))
-    return report
+            counterexamples.append(("rotation", k, gamma))
+    return RelationReport(not counterexamples, counterexamples)
 
 
 def weak_mixing_witness(t: Triplet, elems: Sequence[AlgebraElement]) -> LatticePoint:

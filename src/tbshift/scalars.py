@@ -15,12 +15,12 @@ of the powers of zeta_N over one denominator and reduces them once.
 Fraction appears only at the edges: parsing, a rational value or scale
 (from_rational, a product with a Fraction) and the repr.
 
-`Record` and its frozen subclass `Immutable` are the bases of the
-package's value and report types, these two among them.  Each is a plain
-class that lists its fields in `__slots__` and writes its own `__init__`;
-equality, the hash and the repr are derived once per class from its
-field list, so importing the package loads no class-generating machinery
-and runs no generated code.
+`Immutable` is the one base of the package's value and report types,
+these two among them.  Each is a plain class that lists its slots in
+`__slots__` and writes its own `__init__`, which sets every slot, so a
+value is complete when built; equality, the hash and the repr are
+derived once per class from its field list, so importing the package
+loads no class-generating machinery and runs no generated code.
 """
 
 from __future__ import annotations
@@ -32,14 +32,15 @@ from operator import attrgetter
 from typing import ClassVar
 
 
-class Record:
-    """Base of the package's value and report types: equality and repr over
-    one field list.  `_fields` is the public names of the class's own
-    `__slots__` in order, unless the class names its own list, and
-    `__init_subclass__` makes its key, an `attrgetter` of those fields,
-    once per class.  Values are equal when their classes are the same and
-    their keys equal; the repr is Name(field=value, ...).  A Record is
-    mutable and unhashable: the report types that checks fill in."""
+class Immutable:
+    """Base of the package's value and report types: frozen, with equality,
+    hash and repr over `_fields`, the public names of the class's own
+    `__slots__` unless it names its own list to leave out derived views.
+    The key, an `attrgetter` of the fields, is made once per class; equal
+    values have the same class and equal keys, the hash is the key's, the
+    repr Name(field=value, ...).  `__init__` sets every slot once, by
+    `object.__setattr__(self, name, value)`, as `__setstate__` does for
+    copies and pickles; assignment and deletion raise AttributeError."""
 
     __slots__ = ()
 
@@ -56,22 +57,12 @@ class Record:
         key = self._key
         return key(self) == key(other)
 
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({shown})"
-
-
-class Immutable(Record):
-    """Base of the frozen value types: a Record hashed by its key (the
-    tuple of its fields).  `__init__` sets each slot once, by
-    `object.__setattr__(self, name, value)`; assignment and deletion
-    afterwards raise AttributeError, and copies and pickles restore the
-    slots through `__setstate__` by the same call."""
-
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash(self._key(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")

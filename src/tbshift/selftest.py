@@ -155,7 +155,7 @@ def witness_catalog(rng: random.Random, count: int) -> list:
 
 def _table(group: AbGroup, rows: list, den: int) -> TableCocycle:
     """The TableCocycle of the int table rows over den, by the numbers of `elements()`."""
-    elems = [g.coords for g in group.elements()]
+    elems = list(group.coordinates())
     return TableCocycle(group, {(g, h): Phase(v, den)
                                 for g, row in zip(elems, rows) for h, v in zip(elems, row)})
 

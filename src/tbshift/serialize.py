@@ -10,6 +10,7 @@ here, the one place where a Phase turns into an integer form.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 from typing import Any
@@ -43,9 +44,20 @@ def _need_key(obj: dict, key: str, path: str) -> Any:
 
 # phases ---------------------------------------------------------------
 
+MAX_PHASE_EXPONENT = 4300
+"""Largest |exponent| of a decimal phase string ("1e4300"), the digits `int`
+reads from a string by default: `Fraction` raises 10 to it in one step no
+signal interrupts, so a larger one is refused before `Fraction` sees it."""
+
+
 def phase_from_json(obj: Any, path: str = "$") -> Phase:
     text = _need(obj, str, path, 'a phase string "p/q"')
+    # the exponent as Fraction reads it: E in either case, a sign, digits
+    # with single underscores
+    exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
     try:
+        if exponent and abs(int(exponent[1])) > MAX_PHASE_EXPONENT:
+            raise ValueError(f"exponent beyond {MAX_PHASE_EXPONENT}")
         return Phase.from_fraction(Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(path, f"bad phase {text!r}: {exc}") from None

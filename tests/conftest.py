@@ -1,4 +1,5 @@
 import random
+import re
 import signal
 from contextlib import contextmanager
 
@@ -29,3 +30,20 @@ def deadline(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def fraction_guard(monkeypatch):
+    """Make serialize's Fraction fail the test on a text whose exponent is
+    beyond 4300, where the real one could run without limit."""
+    from tbshift import serialize
+
+    real = serialize.Fraction
+
+    def guarded(text):
+        exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*$", text, re.IGNORECASE)
+        if exponent and abs(int(exponent[1])) > 4300:
+            pytest.fail(f"Fraction({text!r}) was called")
+        return real(text)
+
+    monkeypatch.setattr(serialize, "Fraction", guarded)

@@ -131,6 +131,15 @@ def test_validate_names_the_phase_a_torsion_order_does_not_kill(tmp_path):
     })
 
 
+def test_a_phase_exponent_beyond_the_bound_is_invalid_input(tmp_path, fraction_guard):
+    path = _write(tmp_path, "exp.json", (2, 2), [["0", "0"], ["0", "0"]], phases=["1e5000", "0"])
+    detail = "$.character.phases[0]: bad phase '1e5000': exponent beyond 4300"
+    assert _run(["validate", path]) == (EXIT_INVALID, {
+        "ok": False, "violation": "schema", "detail": detail, "path": "$.character.phases[0]"})
+    assert _run(["factor", path]) == (EXIT_INVALID, {
+        "ok": False, "violation": "invalid-input", "detail": detail})
+
+
 def test_factor_on_free_rank_three_finds_the_odd_rank_kernel(tmp_path):
     # every antisymmetric form of odd rank is singular; the antisymmetric
     # lift [[0, 15, 10], [-15, 0, 6], [-10, -6, 0]] / 30 has kernel (6, -10, 15)
@@ -323,6 +332,21 @@ def test_validate_refuses_a_table_with_a_missing_entry(tmp_path):
         "violation": "table",
         "detail": "table: missing entry ((1, 1), (1, 1))",
     }
+
+
+@pytest.mark.parametrize("command", ["validate", "factor"])
+def test_a_table_over_a_huge_group_is_refused_at_its_first_missing_entry(tmp_path, command):
+    # the 81 entries of mod3_table.json over Z/(3*10**12) + Z/3: the scan
+    # meets the missing pair after ten pairs, without listing the group
+    triplet = json.loads(TABLE.read_text("utf-8"))
+    triplet["group"]["torsion"] = [3 * 10 ** 12, 3]
+    path = tmp_path / "huge_table.json"
+    path.write_text(json.dumps(triplet), encoding="utf-8")
+    with deadline(2):
+        code, payload = _run([command, str(path)])
+    assert code == EXIT_INVALID
+    assert payload == {"ok": False, "violation": "table" if command == "validate" else "invalid-input",
+                       "detail": "table: missing entry ((0, 0), (3, 0))"}
 
 
 def test_validate_refuses_a_table_that_breaks_the_cocycle_identity(tmp_path):

@@ -5,8 +5,11 @@ Each example takes one fixture triplet, may set its free rank (above
 applies one to three mutations: a node replaced by a value of another
 type or an extreme one (torsion orders above 2**63 among them), a list
 cut short or grown by one entry (the phases, the matrix rows, the table
-entries), or a key removed.  `triplet_from_json` must return a Triplet or raise SchemaError,
-within the deadline: any other exception would make the CLI exit 4.
+entries), or a key removed.  Phase strings include decimal exponents
+beyond `serialize.MAX_PHASE_EXPONENT`.  `triplet_from_json` must return a
+Triplet or raise SchemaError, and `Triplet.validate`, the gate of every
+CLI command, must then return or raise ValueError, both within the
+deadline: any other exception would make the CLI exit 4.
 """
 
 import copy
@@ -35,6 +38,9 @@ PHASES = st.one_of(
     st.builds("{}/{}".format, st.integers(2 ** 62, 2 ** 70), st.integers(2 ** 62, 2 ** 70)),
     st.text(max_size=6),
     st.sampled_from(["", "1/0", "0.5", "-0", " 1/3 ", "1e3", "1_0/3", "nan", "inf"]),
+    st.builds("{}e{}".format, st.sampled_from(["1", "-2.5", "0"]),
+              st.integers(-10 ** 12, 10 ** 12) | st.integers(4290, 4310)),
+    st.sampled_from(["1e4301", "1E-4301", "1e4_301", "1e+99999999999", "1e4300"]),
 )
 LEAVES = st.one_of(INTS, PHASES, st.booleans(), st.none(),
                    st.floats(allow_nan=False, allow_infinity=False))
@@ -81,9 +87,9 @@ def _mutate(data, obj):
 
 
 @settings(max_examples=400, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(st.data())
-def test_a_mutated_triplet_file_is_a_triplet_or_a_schema_error(data):
+def test_a_mutated_triplet_file_is_a_triplet_or_a_schema_error(fraction_guard, data):
     obj = copy.deepcopy(TRIPLETS[data.draw(st.sampled_from(sorted(TRIPLETS)))])
     # the parser bounds the free rank by the character's phase list, so
     # both are drawn on their own before one to three mutations
@@ -102,4 +108,8 @@ def test_a_mutated_triplet_file_is_a_triplet_or_a_schema_error(data):
             result = triplet_from_json(obj)
         except SchemaError:
             return
-    assert isinstance(result, Triplet)
+        assert isinstance(result, Triplet)
+        try:
+            result.validate()
+        except ValueError:  # CocycleError among them
+            pass

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from oracles import lattice_det_triplet, phase_character, to_table
+from tbshift import serialize
 from tbshift.abelian import AbGroup, AbHom
 from tbshift.cocycle import trivial_cocycle
 from tbshift.families import mod_q_cocycle, mod_q_triplet
@@ -34,6 +35,20 @@ def test_phase_roundtrip():
         phase_from_json("not-a-phase")
     with pytest.raises(SchemaError):
         phase_from_json(12)
+
+
+def test_a_phase_exponent_beyond_the_bound_is_refused_before_fraction(fraction_guard):
+    for text, phase in [("1e3", Phase.ZERO), ("1E+3", Phase.ZERO), ("-2.5e-2", Phase(39, 40)),
+                        ("1e1_0", Phase.ZERO), ("5e-1", Phase(1, 2)), ("1e4300", Phase.ZERO),
+                        (" 1e-4_300 ", Phase(1, 10 ** 4300))]:
+        assert phase_from_json(text) == phase
+    for text in ["1e4301", "1E+4301", "-2.5e-4301", "1e4_301", "3E99999999999999999999",
+                 " 1e1000000 ", "0e-5000"]:
+        with pytest.raises(SchemaError) as err:
+            phase_from_json(text, "$.phases[0]")
+        assert err.value.path == "$.phases[0]"
+        assert str(err.value) == f"$.phases[0]: bad phase {text!r}: exponent beyond 4300"
+    assert serialize.MAX_PHASE_EXPONENT == 4300
 
 
 def test_group_and_parts_roundtrip():

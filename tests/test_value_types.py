@@ -15,7 +15,7 @@ from tbshift.cocycle import Bicharacter, BilinearCocycle, TableCocycle
 from tbshift.configs import Config
 from tbshift.dynamics import Motion, RelationReport, Triplet
 from tbshift.lattice import AffineSL2, LatticePoint, gcd2, spiral_index
-from tbshift.scalars import Cyclotomic, Immutable, Phase, Record
+from tbshift.scalars import Cyclotomic, Immutable, Phase
 
 Z2 = "AbGroup(free_rank=0, torsion=(2,))"
 HOM = f"AbHom(source={Z2}, target={Z2}, matrix=((1,),))"
@@ -52,10 +52,11 @@ def table():
     return TableCocycle(z2(), entries)
 
 
-# (build a fresh instance, its repr, a field to assign, a cached view to
-# read first, its hash or None if it has none); one row per type, each a
-# different class from the next.  The hash is that of the coordinates for
-# AbElem, of the support for Config and of the repr's fields for the others
+# (build a fresh instance, its repr, a field to assign, a derived view
+# outside the fields to read first, its hash or None if it has none); one
+# row per type, each a different class from the next.  The hash is that of
+# the coordinates for AbElem, of the support for Config and of the repr's
+# fields for the others
 TYPES = [
     (lambda: AbGroup(free_rank=1, torsion=(2, 6)),
      "AbGroup(free_rank=1, torsion=(2, 6))", "torsion", None, hash((1, (2, 6)))),
@@ -71,7 +72,7 @@ TYPES = [
      f"order_key={spiral_index!r})", "weight", "mismatch",
      hash((TRIPLET_KEY, TRIPLET_KEY, HOM_KEY, gcd2, spiral_index))),
     (lambda: VerifyReport(ok=False, failures=[("trace", 1)]),
-     "VerifyReport(ok=False, failures=[('trace', 1)])", None, None, None),
+     "VerifyReport(ok=False, failures=[('trace', 1)])", "failures", None, None),
     (lambda: ConjugacyReport("YES", AbHom.identity(z2()), {"cocycle": True, "character": True},
                              True, decided_by="search"),
      f"ConjugacyReport(verdict='YES', witness={HOM}, checks={{'cocycle': True, 'character': "
@@ -90,7 +91,7 @@ TYPES = [
     (triplet, TRIPLET, "character", None, hash(TRIPLET_KEY)),
     (lambda: Motion(Character(z2(), (1,), 2), move=move()), f"Motion(char={CHAR}, move={MOVE})",
      "move", None, hash((CHAR_KEY, MOVE_KEY))),
-    (lambda: RelationReport(ok=True), "RelationReport(ok=True, counterexamples=[])", None, None,
+    (lambda: RelationReport(ok=True), "RelationReport(ok=True, counterexamples=[])", "ok", None,
      None),
     (lambda: Config(z2(), ((LatticePoint(0, 0), (1,)), (LatticePoint(1, 0), (1,)))),
      f"Config(group={Z2}, support=((LatticePoint(q=0, r=0), (1,)), "
@@ -99,7 +100,7 @@ TYPES = [
     (move, MOVE, "translation", None, hash(MOVE_KEY)),
     (lambda: Phase(num=2, den=-6), "Phase(num=2, den=3)", "num", None, hash((2, 3))),
 ]
-UNHASHABLE = {VerifyReport, TableCocycle, RelationReport}
+UNHASHABLE = {TableCocycle}
 
 
 def test_every_value_type_has_a_row():
@@ -108,22 +109,34 @@ def test_every_value_type_has_a_row():
 
 @pytest.mark.parametrize("row", range(len(TYPES)))
 def test_repr_equality_and_hash(row):
-    make, text, _, cached, expected = TYPES[row]
+    make, text, _, view, expected = TYPES[row]
     a, b = make(), make()
-    if cached:
-        getattr(a, cached)  # a view kept after the first read shows in none of these
+    if view:
+        getattr(a, view)  # a derived view shows in none of these
     assert a is not b
     assert repr(a) == repr(b) == text
     assert a == b and not a != b
     cls = type(a)
     if cls in UNHASHABLE:
         assert cls.__hash__ is None
-    elif cls is ConjugacyReport:
-        # hashed over its fields, and `checks` is a dict
-        with pytest.raises(TypeError, match="dict"):
+    elif cls in (ConjugacyReport, VerifyReport, RelationReport):
+        # hashed over their fields, and `checks` is a dict, the others' lists
+        with pytest.raises(TypeError, match="dict" if cls is ConjugacyReport else "list"):
             hash(a)
     else:
         assert hash(a) == hash(b) == expected
+
+
+@pytest.mark.parametrize("row", range(len(TYPES)))
+def test_every_slot_is_set_when_built(row):
+    # a value is complete when built: no slot is left unset, or None in a
+    # private slot, for a later read to fill in
+    a = TYPES[row][0]()
+    slots = [name for cls in type(a).__mro__ for name in vars(cls).get("__slots__", ())]
+    assert slots
+    unset = [name for name in slots if not hasattr(a, name)]
+    empty = [name for name in slots if name.startswith("_") and getattr(a, name, None) is None]
+    assert (unset, empty) == ([], [])
 
 
 @pytest.mark.parametrize("row", range(len(TYPES)))
@@ -137,9 +150,6 @@ def test_equality_against_another_class_is_false(row):
 def test_frozen_types_refuse_assignment(row):
     make, text, field, _, _ = TYPES[row]
     a = make()
-    if field is None:  # the two reports the checks fill in
-        a.ok = not a.ok
-        return
     before = getattr(a, field)
     with pytest.raises(AttributeError):
         setattr(a, field, None)
@@ -150,16 +160,16 @@ def test_frozen_types_refuse_assignment(row):
 
 @pytest.mark.parametrize("row", range(len(TYPES)))
 def test_copies_and_pickles_are_equal(row):
-    make, text, _, cached, _ = TYPES[row]
+    make, text, _, view, _ = TYPES[row]
     a = make()
-    if cached:
-        getattr(a, cached)
+    if view:
+        getattr(a, view)
     for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert type(twin) is type(a) and twin == a and repr(twin) == text
 
 
 # The only types whose equality, hash or repr is not the base's: AbElem
-# hashes its coordinates alone, Config keeps its hash after the first call,
+# hashes its coordinates alone, Config its support alone (computed when built),
 # a TableCocycle holds a dict and is not hashed, and a Cyclotomic compares
 # across orders and with numbers and shows Fractions (defining __eq__ sets
 # its __hash__ to None, as it was).
@@ -170,14 +180,14 @@ OVERRIDES = {
 
 
 def test_the_base_alone_defines_equality_hashing_and_repr():
-    classes, todo = set(), [Record, *(type(make()) for make, *_ in TYPES), Cyclotomic]
+    classes, todo = set(), [Immutable, *(type(make()) for make, *_ in TYPES), Cyclotomic]
     while todo:
         cls = todo.pop()
         if cls not in classes:
             classes.add(cls)
             todo += cls.__subclasses__()
-    classes -= {Record, Immutable}
-    assert len(classes) == 19
+    classes -= {Immutable}
+    assert len(classes) == 19 and all(issubclass(cls, Immutable) for cls in classes)
     own = {f"{cls.__name__}.{name}" for cls in classes
            for name in ("__eq__", "__hash__", "__repr__") if name in vars(cls)}
     assert own == OVERRIDES
