@@ -29,7 +29,6 @@ from .classify import (
     CentralizerReport,
     ConjugacyReport,
     PiPhi,
-    VerifyReport,
     build_pi,
     centralizer,
     check_conditions,
@@ -51,6 +50,7 @@ from .configs import Config, dipole, mu_tilde, telescoped
 from .dynamics import (
     Motion,
     Triplet,
+    VerifyReport,
     beta,
     motion_mul,
     rho,

@@ -28,7 +28,7 @@ from .abelian import (
 from .algebra import AlgebraElement
 from .cocycle import radical_rows, star_bicharacter
 from .configs import Config, telescoped
-from .dynamics import Triplet, beta
+from .dynamics import Triplet, VerifyReport, beta
 from .lattice import (
     DELTA,
     E1,
@@ -161,14 +161,6 @@ CANONICAL_MOVES = (
     XI,
     ETA,
 )
-
-
-class VerifyReport(Immutable):
-    __slots__ = ("ok", "failures")
-
-    def __init__(self, ok: bool, failures: Optional[list] = None) -> None:
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "failures", [] if failures is None else failures)
 
 
 def verify_pi(

@@ -1,10 +1,13 @@
 """Command-line surface: triplet files in, sorted JSON out.
 
 Exit codes: 0 success/YES, 1 NO (or a failed check), 2 invalid input,
-3 UNKNOWN, 4 internal error.  Exit 4 means a command raised an exception
-it does not report itself; stdout then holds
-{"ok": false, "violation": "internal", "detail": "<Type>: <message>"} and
-the traceback goes to stderr.  A usage error (a missing or unknown
+3 UNKNOWN, 4 internal error.  Each `cmd_<command>` returns (payload, exit
+code) and writes nothing; `main` alone writes stdout.  A command refuses
+input by raising `_Invalid`: exit 2 with
+{"ok": false, "violation": "invalid-input", "detail": "<message>"}.  Any
+other exception, one raised while serializing the payload too, exits 4
+with {"ok": false, "violation": "internal", "detail": "<Type>: <message>"}
+and the traceback on stderr.  A usage error (a missing or unknown
 command, argument or choice, or an option of the wrong type) exits 2 with
 {"ok": false, "violation": "usage", "detail": "<message>"} on stdout and
 the usage text on stderr.  Output is deterministic: identical inputs give
@@ -66,57 +69,45 @@ def _load_triplet(path: str) -> Triplet:
     return triplet_from_json(raw)
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple:
     try:
-        triplet = _load_triplet(args.path)
-        triplet.validate()
+        _load_triplet(args.path).validate()
     except SchemaError as exc:
-        _emit({"ok": False, "violation": "schema", "detail": str(exc), "path": exc.path})
-        return EXIT_INVALID
+        return ({"ok": False, "violation": "schema", "detail": str(exc), "path": exc.path},
+                EXIT_INVALID)
     except CocycleError as exc:
-        _emit({"ok": False, "violation": exc.violation, "detail": str(exc)})
-        return EXIT_INVALID
+        return {"ok": False, "violation": exc.violation, "detail": str(exc)}, EXIT_INVALID
     except ValueError as exc:
-        _emit({"ok": False, "violation": "invariant", "detail": str(exc)})
-        return EXIT_INVALID
-    _emit({"ok": True})
-    return EXIT_OK
+        return {"ok": False, "violation": "invariant", "detail": str(exc)}, EXIT_INVALID
+    return {"ok": True}, EXIT_OK
 
 
-def _invalid_input(detail: str) -> int:
-    _emit({"ok": False, "violation": "invalid-input", "detail": detail})
-    return EXIT_INVALID
+class _Invalid(Exception):
+    """Input a command refuses; `main` reports it as invalid input, exit 2."""
 
 
-def _parse_or_exit(path: str) -> Optional[Triplet]:
+def _triplet(path: str) -> Triplet:
     try:
         triplet = _load_triplet(path)
         triplet.validate()
-        return triplet
-    except (SchemaError, ValueError) as exc:
-        _invalid_input(str(exc))
-        return None
+    except ValueError as exc:  # SchemaError and CocycleError among them
+        raise _Invalid(str(exc)) from None
+    return triplet
 
 
-def _below_one(flag: str, value: Optional[int]) -> bool:
-    """Report a count option below 1 as invalid input; None means unset.
+def _at_least_one(flag: str, value: Optional[int]) -> None:
+    """Refuse a count option below 1; None means unset.
 
     A --bound below 1 leaves no nonzero free matrix entry, so no
     isomorphism; --samples below 1 checks nothing.
     """
-    if value is None or value >= 1:
-        return False
-    _invalid_input(f"{flag} must be at least 1, got {value}")
-    return True
+    if value is not None and value < 1:
+        raise _Invalid(f"{flag} must be at least 1, got {value}")
 
 
-def cmd_centralizer(args) -> int:
-    if _below_one("--bound", args.bound):
-        return EXIT_INVALID
-    triplet = _parse_or_exit(args.path)
-    if triplet is None:
-        return EXIT_INVALID
-    report = centralizer(triplet, bound=args.bound)
+def cmd_centralizer(args) -> tuple:
+    _at_least_one("--bound", args.bound)
+    report = centralizer(_triplet(args.path), bound=args.bound)
     payload = {
         "verdict": report.verdict,
         "complete": report.complete,
@@ -125,83 +116,60 @@ def cmd_centralizer(args) -> int:
         "structure": report.structure.description if report.structure else None,
         "note": report.note,
     }
-    _emit(payload)
-    return EXIT_OK if report.verdict in ("OK", "INFINITE") else EXIT_UNKNOWN
+    return payload, EXIT_OK if report.verdict in ("OK", "INFINITE") else EXIT_UNKNOWN
 
 
-def cmd_conjugate(args) -> int:
-    if _below_one("--bound", args.bound):
-        return EXIT_INVALID
-    ta = _parse_or_exit(args.path_a)
-    tb = None if ta is None else _parse_or_exit(args.path_b)
-    if tb is None:
-        return EXIT_INVALID
-    report = decide_conjugacy(ta, tb, bound=args.bound)
-    _emit(
-        {
-            "verdict": report.verdict,
-            "witness": hom_to_json(report.witness) if report.witness else None,
-            "checks": report.checks,
-            "complete": report.complete,
-            "note": report.note,
-        }
-    )
-    return {"YES": EXIT_OK, "NO": EXIT_NO}.get(report.verdict, EXIT_UNKNOWN)
+def cmd_conjugate(args) -> tuple:
+    _at_least_one("--bound", args.bound)
+    report = decide_conjugacy(_triplet(args.path_a), _triplet(args.path_b), bound=args.bound)
+    payload = {
+        "verdict": report.verdict,
+        "witness": hom_to_json(report.witness) if report.witness else None,
+        "checks": report.checks,
+        "complete": report.complete,
+        "note": report.note,
+    }
+    return payload, {"YES": EXIT_OK, "NO": EXIT_NO}.get(report.verdict, EXIT_UNKNOWN)
 
 
-def cmd_factor(args) -> int:
-    triplet = _parse_or_exit(args.path)
-    if triplet is None:
-        return EXIT_INVALID
-    witness = degeneracy_witness(triplet.cocycle)
+def cmd_factor(args) -> tuple:
+    witness = degeneracy_witness(_triplet(args.path).cocycle)
     payload = {"nondegenerate": witness is None}
     if witness is not None:
         payload["witness_g"] = element_to_json(witness)
-    _emit(payload)
-    return EXIT_OK if witness is None else EXIT_NO
+    return payload, EXIT_OK if witness is None else EXIT_NO
 
 
-def cmd_bicharacter(args) -> int:
-    triplet = _parse_or_exit(args.path)
-    if triplet is None:
-        return EXIT_INVALID
-    star = star_bicharacter(triplet.cocycle)
-    _emit(
-        {
-            "antisymmetric": True,  # mu(g, h) - mu(h, g) is alternating by construction
-            "matrix": [[str(p) for p in row] for row in star.matrix],
-        }
-    )
-    return EXIT_OK
+def cmd_bicharacter(args) -> tuple:
+    star = star_bicharacter(_triplet(args.path).cocycle)
+    payload = {
+        "antisymmetric": True,  # mu(g, h) - mu(h, g) is alternating by construction
+        "matrix": [[str(p) for p in row] for row in star.matrix],
+    }
+    return payload, EXIT_OK
 
 
-def cmd_malleability(args) -> int:
-    if _below_one("--samples", args.samples):
-        return EXIT_INVALID
-    triplet = _parse_or_exit(args.path)
-    if triplet is None:
-        return EXIT_INVALID
+def cmd_malleability(args) -> tuple:
+    _at_least_one("--samples", args.samples)
+    triplet = _triplet(args.path)
     try:
         v = malleability_unitary(triplet.cocycle)
     except ValueError as exc:
-        _emit({"ok": False, "detail": str(exc)})
-        return EXIT_UNKNOWN if isinstance(exc, FlowRefused) else EXIT_NO
+        code = EXIT_UNKNOWN if isinstance(exc, FlowRefused) else EXIT_NO
+        return {"ok": False, "detail": str(exc)}, code
     checks = check_malleability(v, random.Random(5), args.samples)
     checks["square_is_order"] = checks.pop("square")
     payload = {"ok": all(checks.values()), **checks}
-    _emit(payload)
-    return EXIT_OK if payload["ok"] else EXIT_NO
+    return payload, EXIT_OK if payload["ok"] else EXIT_NO
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args) -> tuple:
     names = [args.suite] if args.suite else None
     try:
         report = run_suites(names, q=args.q)
     except ValueError as exc:  # a --q that names no group, or a group the flow refuses
-        _emit({"ok": False, "detail": str(exc)})
-        return EXIT_INVALID
-    _emit(report)
-    return EXIT_OK if report["ok"] else EXIT_NO
+        return {"ok": False, "detail": str(exc)}, EXIT_INVALID
+    return report, EXIT_OK if report["ok"] else EXIT_NO
 
 
 class _Parser(argparse.ArgumentParser):
@@ -257,14 +225,20 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command and return its exit code.
+    """Run `cmd_<command>`, looked up on this module at call time, write
+    its payload, or the one its exception maps to, and return the exit code.
 
-    The parser is built on the first call and reused after it; the
-    command runs as `cmd_<command>`, looked up on this module at call time.
+    The parser is built on the first call and reused after it.
     """
     args = _parser().parse_args(argv)
     try:
-        return globals()[f"cmd_{args.command}"](args)
+        try:
+            payload, code = globals()[f"cmd_{args.command}"](args)
+        except _Invalid as exc:
+            payload = {"ok": False, "violation": "invalid-input", "detail": str(exc)}
+            code = EXIT_INVALID
+        _emit(payload)
+        return code
     except Exception as exc:  # SystemExit and KeyboardInterrupt pass through
         import traceback  # here, not at the top: it would add to every start-up
 

@@ -11,6 +11,7 @@ relocate each support in one pass; a pure translation keeps its order.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import lcm
 from operator import mul
 from typing import Optional, Sequence
@@ -138,60 +139,59 @@ def _moved(t: Triplet, row: tuple, den: int, move: AffineSL2, x) -> AlgebraEleme
     return AlgebraElement(x.cocycle, out)
 
 
-class RelationReport(Immutable):
-    __slots__ = ("ok", "counterexamples")
+class VerifyReport(Immutable):
+    """What a check found: ok, and its failures in the order it met them."""
 
-    def __init__(self, ok: bool, counterexamples: Optional[list] = None) -> None:
+    __slots__ = ("ok", "failures")
+
+    def __init__(self, ok: bool, failures: Optional[list] = None) -> None:
         object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "counterexamples",
-                           [] if counterexamples is None else counterexamples)
+        object.__setattr__(self, "failures", [] if failures is None else failures)
 
 
-def verify_motion_relations(t: Triplet, samples: Sequence) -> RelationReport:
+def verify_motion_relations(t: Triplet, samples: Sequence) -> VerifyReport:
     """Check the two composition identities of the lattice part of rho.
 
     samples: iterable of (k, l, gamma, x) with k, l lattice points, gamma an
     SL(2,Z) matrix and x an AlgebraElement over the triplet.
     """
-    counterexamples = []
+    failures = []
     triv = Character.trivial(t.group)
     for k, l, gamma, x in samples:
         shift = Motion(triv, AffineSL2(k))
         lhs = rho(t, shift, rho(t, Motion(triv, AffineSL2(l)), x))
         rhs = rho(t, Motion(t.character.power(det2(k, l)), AffineSL2(k + l)), x)
         if lhs != rhs:
-            counterexamples.append(("translation", k, l))
+            failures.append(("translation", k, l))
         turn = Motion(triv, AffineSL2(ORIGIN, gamma))
         lhs2 = rho(t, Motion(triv, AffineSL2(mat_apply(gamma, k))), rho(t, turn, x))
         rhs2 = rho(t, turn, rho(t, shift, x))
         if lhs2 != rhs2:
-            counterexamples.append(("rotation", k, gamma))
-    return RelationReport(not counterexamples, counterexamples)
+            failures.append(("rotation", k, gamma))
+    return VerifyReport(not failures, failures)
 
 
-def weak_mixing_witness(t: Triplet, elems: Sequence[AlgebraElement]) -> LatticePoint:
+def weak_mixing_witness(t: Triplet, elems: Sequence[AlgebraElement]) -> Optional[LatticePoint]:
     """First lattice point k (spiral order) with tr(a_i beta(k)(a_j)) =
-    tr(a_i) tr(a_j) holding exactly for all pairs.
+    tr(a_i) tr(a_j) holding exactly for all pairs, or None if none lies in
+    rings 0 to R + 1.
 
-    Such a k always exists for finitely supported elements: any shift that
-    moves every support of every a_j off every support of every a_i except
-    the zero term works.
+    R is the Chebyshev diameter of the union of the elements' supports (0
+    if it is empty).  A shift beyond ring R moves every support of every
+    a_j off every support of every a_i, so only the zero terms meet there:
+    the first witness lies in ring R + 1 or below, the first (2R + 3)^2
+    points of the spiral.
     """
     for elem in elems:
         if not elem.is_zero_sum_supported:
             raise ValueError("weak mixing witness applies to zero-sum-supported elements")
     traces = [a.trace() for a in elems]
-    for k in spiral_points():
+    sites = [p for a in elems for cfg in a.terms for p, _ in cfg.support]
+    reach = max((max(axis) - min(axis) for axis in zip(*sites)), default=0)
+    for k in islice(spiral_points(), (2 * reach + 3) ** 2):
         move = AffineSL2(k)
-        shifted = [beta(t, move, a) for a in elems]
-        ok = True
-        for (a, ta) in zip(elems, traces):
-            for (b, tb) in zip(shifted, traces):
-                if (a * b).trace() != ta * tb:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        shifted = [beta(t, move, b) for b in elems]
+        if all((a * b).trace() == ta * tb
+               for a, ta in zip(elems, traces) for b, tb in zip(shifted, traces)):
             return k
-    raise AssertionError("unreachable: a witness always exists")
+    return None

@@ -206,7 +206,7 @@ def suite_actions(rng: random.Random) -> dict:
     return {
         "ok": assoc_failures == 0 and relation.ok,
         "associativity_failures": assoc_failures,
-        "relation_failures": len(relation.counterexamples),
+        "relation_failures": len(relation.failures),
     }
 
 

@@ -1,5 +1,6 @@
 """Exit codes and JSON stdout of the CLI on invalid input."""
 
+import ast
 import contextlib
 import io
 import json
@@ -12,6 +13,7 @@ import pytest
 from conftest import deadline
 from tbshift import algebra, cli, selftest, serialize
 from tbshift.cli import EXIT_INTERNAL, EXIT_INVALID, EXIT_NO, EXIT_OK, EXIT_UNKNOWN, main
+from tbshift.scalars import Cyclotomic
 
 
 def _run(argv):
@@ -434,6 +436,51 @@ def test_uncaught_exception_is_an_internal_error(monkeypatch, capsys):
         "detail": "RuntimeError: table out of step",
     }
     assert "Traceback" in captured.err
+
+
+def test_a_payload_that_cannot_be_written_is_an_internal_error(at_root, monkeypatch, capsys):
+    # serialized inside the guard: stdout holds the internal-error JSON alone
+    monkeypatch.setattr(cli, "cmd_factor", lambda args: ({"witness_g": {1, 2}}, EXIT_NO))
+    code = main(["factor", "triplets/mod3_standard.json"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL
+    assert json.loads(captured.out) == {
+        "ok": False,
+        "violation": "internal",
+        "detail": "TypeError: Object of type set is not JSON serializable",
+    }
+    assert "Traceback" in captured.err
+
+
+def test_only_main_and_the_usage_error_write_stdout():
+    # every command returns its payload; `main` writes it, and `_Parser.error`
+    # the usage error argparse raises before any command runs
+    tree = ast.parse(Path(cli.__file__).read_text("utf-8"))
+    writers, stdout = [], []
+    for stmt in tree.body:
+        for fn in stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            name = fn.name if fn is stmt else f"{stmt.name}.{fn.name}"
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Name) and node.id in ("_emit", "print"):
+                    writers.append(name)
+                elif isinstance(node, ast.Attribute) and node.attr == "stdout":
+                    stdout.append(name)
+    assert sorted(writers) == ["_Parser.error", "main", "main"]
+    assert stdout == ["_emit"]
+
+
+def test_the_weakmixing_suite_fails_and_ends_with_a_wrong_trace(monkeypatch):
+    # a trace off by one leaves no shift that factorizes some of the suite's
+    # elements; the bounded search gives up on them instead of running on
+    trace = algebra.AlgebraElement.trace
+    monkeypatch.setattr(algebra.AlgebraElement, "trace",
+                        lambda self: trace(self) + Cyclotomic.ONE)
+    with deadline(5):
+        code, payload = _run(["selftest", "--suite", "weakmixing"])
+    assert code == EXIT_NO
+    assert payload == {"ok": False, "suites": {"weakmixing": {"ok": False, "witnesses": 2}}}
 
 
 def test_command_replaced_after_the_parser_is_built_is_the_one_run(at_root, monkeypatch, capsys):

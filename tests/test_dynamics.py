@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import deadline
 from oracles import (
     act,
     config_items,
@@ -174,7 +175,21 @@ def test_motion_relations(trip, rng):
             )
         )
     report = verify_motion_relations(trip, samples)
-    assert report.ok, report.counterexamples
+    assert report.ok, report.failures
+
+
+def test_motion_relations_see_the_character_on_terms_that_are_not_zero_sum(
+        trip, rng, monkeypatch):
+    # rho(c) multiplies by c of the total content, 0 on a zero-sum
+    # configuration, so only terms of other totals show chi^det(k, l)
+    samples = [(random_point(rng), random_point(rng), random_sl2(rng),
+                _random_element(rng, trip.cocycle)) for _ in range(30)]
+    assert verify_motion_relations(trip, samples).ok
+    # the right side built from the trivial character instead of chi^det(k, l)
+    monkeypatch.setattr(Character, "power", lambda self, n: Character.trivial(self.group))
+    report = verify_motion_relations(trip, samples)
+    assert not report.ok
+    assert {kind for kind, *_ in report.failures} == {"translation"}
 
 
 def test_relations_collapse_for_trivial_character(rng):
@@ -309,6 +324,31 @@ def test_weak_mixing_witness_away_from_the_origin(trip):
         assert _factorises(trip, elems, k)
         for earlier in itertools.islice(spiral_points(), spiral_index(k)):
             assert not _factorises(trip, elems, earlier)
+
+
+def test_weak_mixing_witness_is_the_first_of_a_brute_scan_to_ring_r_plus_one(trip, rng):
+    # R, the largest Chebyshev distance between two sites of the elements,
+    # bounds the first witness by ring R + 1; each (a, a*) pair fails at
+    # the origin, so the witness lies off it
+    for _ in range(6):
+        elems = [random_algebra_element(rng, trip.cocycle) for _ in range(rng.randrange(1, 3))]
+        elems += [a.star() for a in elems]
+        sites = [p for a in elems for cfg in a.terms for p, _ in cfg.support]
+        reach = max(max(abs(p.q - s.q), abs(p.r - s.r)) for p in sites for s in sites)
+        box = [LatticePoint(q, r) for q in range(-reach - 1, reach + 2)
+               for r in range(-reach - 1, reach + 2)]
+        first = next(k for k in sorted(box, key=spiral_index) if _factorises(trip, elems, k))
+        assert weak_mixing_witness(trip, elems) == first != ORIGIN
+
+
+def test_weak_mixing_witness_is_none_past_the_bound(trip, monkeypatch):
+    # with a trace that is off by one the unit never factorizes, tr(1 1) + 1
+    # = 2 against 2 * 2: the search ends after ring 1 instead of running on
+    trace = AlgebraElement.trace
+    monkeypatch.setattr(AlgebraElement, "trace", lambda self: trace(self) + Cyclotomic.ONE)
+    x = AlgebraElement.unit(trip.cocycle, Config(trip.group, ()))
+    with deadline(5):
+        assert weak_mixing_witness(trip, [x]) is None
 
 
 def _rho_oracle(t, g, x):

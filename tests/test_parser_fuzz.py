@@ -10,9 +10,19 @@ beyond `serialize.MAX_PHASE_EXPONENT`.  `triplet_from_json` must return a
 Triplet or raise SchemaError, and `Triplet.validate`, the gate of every
 CLI command, must then return or raise ValueError, both within the
 deadline: any other exception would make the CLI exit 4.
+
+A second fuzz keeps the file parseable: one to three of its phases (the
+character's, a matrix entry's or a table entry's) become another phase,
+or a torsion order another order in 2..12.  `validate`, `factor`,
+`bicharacter` and `malleability --samples 1` then run through `cli.main`,
+each under the deadline, and each must print one JSON object and exit 0,
+1, 2 or 3.  `centralizer` and `conjugate` are left out: their searches on
+a mutated (Z/3)^4 can run long.
 """
 
+import contextlib
 import copy
+import io
 import json
 from pathlib import Path
 
@@ -20,6 +30,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import deadline
+from tbshift.cli import main
 from tbshift.dynamics import Triplet
 from tbshift.serialize import SchemaError, triplet_from_json
 
@@ -113,3 +124,43 @@ def test_a_mutated_triplet_file_is_a_triplet_or_a_schema_error(fraction_guard, d
             result.validate()
         except ValueError:  # CocycleError among them
             pass
+
+
+# the parts of a file a parseable mutation may change: its phase strings
+# and its torsion orders
+PHASE_PARTS = [("character", "phases"), ("cocycle", "matrix"), ("cocycle", "entries")]
+SMALL_PHASES = st.builds("{}/{}".format, st.integers(-12, 12), st.integers(1, 12))
+COMMANDS = [["validate"], ["factor"], ["bicharacter"], ["malleability", "--samples", "1"]]
+
+
+def _mutate_keeping_it_parseable(data, obj):
+    spots = [path for path in _nodes(obj)
+             if path[:2] in PHASE_PARTS and isinstance(_at(obj, path), str)
+             or path[:2] == ("group", "torsion") and len(path) == 3]
+    path = data.draw(st.sampled_from(spots))
+    value = SMALL_PHASES if path[0] != "group" else st.integers(2, 12)
+    _at(obj, path[:-1])[path[-1]] = data.draw(value)
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_a_parseable_mutation_gets_json_and_a_documented_exit(tmp_path_factory, data):
+    obj = copy.deepcopy(TRIPLETS[data.draw(st.sampled_from(sorted(TRIPLETS)))])
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate_keeping_it_parseable(data, obj)
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    for command in COMMANDS:
+        out = io.StringIO()
+        with deadline(5), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main([command[0], str(path), *command[1:]])
+        assert isinstance(json.loads(out.getvalue()), dict), command
+        assert code in (0, 1, 2, 3), (command, out.getvalue())

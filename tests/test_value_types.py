@@ -13,7 +13,7 @@ from tbshift.abelian import AbElem, AbGroup, AbHom, Character, StructureReport
 from tbshift.classify import CentralizerReport, ConjugacyReport, PiPhi, VerifyReport
 from tbshift.cocycle import Bicharacter, BilinearCocycle, TableCocycle
 from tbshift.configs import Config
-from tbshift.dynamics import Motion, RelationReport, Triplet
+from tbshift.dynamics import Motion, Triplet
 from tbshift.lattice import AffineSL2, LatticePoint, gcd2, spiral_index
 from tbshift.scalars import Cyclotomic, Immutable, Phase
 
@@ -91,8 +91,6 @@ TYPES = [
     (triplet, TRIPLET, "character", None, hash(TRIPLET_KEY)),
     (lambda: Motion(Character(z2(), (1,), 2), move=move()), f"Motion(char={CHAR}, move={MOVE})",
      "move", None, hash((CHAR_KEY, MOVE_KEY))),
-    (lambda: RelationReport(ok=True), "RelationReport(ok=True, counterexamples=[])", "ok", None,
-     None),
     (lambda: Config(z2(), ((LatticePoint(0, 0), (1,)), (LatticePoint(1, 0), (1,)))),
      f"Config(group={Z2}, support=((LatticePoint(q=0, r=0), (1,)), "
      "(LatticePoint(q=1, r=0), (1,))))", "support", "is_zero_sum",
@@ -104,7 +102,7 @@ UNHASHABLE = {TableCocycle}
 
 
 def test_every_value_type_has_a_row():
-    assert len({type(make()) for make, *_ in TYPES}) == len(TYPES) == 18
+    assert len({type(make()) for make, *_ in TYPES}) == len(TYPES) == 17
 
 
 @pytest.mark.parametrize("row", range(len(TYPES)))
@@ -119,8 +117,8 @@ def test_repr_equality_and_hash(row):
     cls = type(a)
     if cls in UNHASHABLE:
         assert cls.__hash__ is None
-    elif cls in (ConjugacyReport, VerifyReport, RelationReport):
-        # hashed over their fields, and `checks` is a dict, the others' lists
+    elif cls in (ConjugacyReport, VerifyReport):
+        # hashed over their fields: `checks` is a dict, `failures` a list
         with pytest.raises(TypeError, match="dict" if cls is ConjugacyReport else "list"):
             hash(a)
     else:
@@ -187,7 +185,7 @@ def test_the_base_alone_defines_equality_hashing_and_repr():
             classes.add(cls)
             todo += cls.__subclasses__()
     classes -= {Immutable}
-    assert len(classes) == 19 and all(issubclass(cls, Immutable) for cls in classes)
+    assert len(classes) == 18 and all(issubclass(cls, Immutable) for cls in classes)
     own = {f"{cls.__name__}.{name}" for cls in classes
            for name in ("__eq__", "__hash__", "__repr__") if name in vars(cls)}
     assert own == OVERRIDES
