@@ -1,23 +1,19 @@
 """Exact twisted group-algebra arithmetic.
 
-A twisted group algebra over a group of keys K has basis unitaries u(k)
-with u(k1) u(k2) = e^{2 pi i twist(k1, k2)} u(k1 + k2), where the twist is
-a normalized 2-cocycle on K.  One private base class holds the product
-loop and the adjoint for any key group; its two subclasses state only
-the keys and the twist:
-
-* AlgebraElement: K is the group of configurations, twisted by the
-  sitewise pairing mu~ (the shift algebra), with the trace;
-* TensorElement: K is H x H, twisted by mu (+) mu (the tensor square
-  carrying the malleability flow).
-
+The shift algebra has basis unitaries u(k), k a configuration, with
+u(k1) u(k2) = e^{2 pi i mu~(k1, k2)} u(k1 + k2), mu~ the sitewise pairing
+`configs.mu_tilde`.  As mu~ is sitewise, the tensor square C_mu[H] (x)
+C_mu[H] that carries the malleability flow is the subalgebra on the two
+sites ORIGIN and E1: u_g (x) u_h is u of the configuration with g at
+ORIGIN and h at E1.  AlgebraElement holds the one product loop, adjoint
+and trace; TensorElement is that class under its own name, never equal
+to an AlgebraElement, so instrumentation can tell the two products apart.
 An element is built from its terms {k: c(k)}, Cyclotomic coefficients
 pruned of zeros (read on their `ints`) so equality is structural; no
-path adds or scales elements, so neither class does.  A twist, like a
-diagonal character's value on a tensor key (on the shift algebra that
-action is `dynamics.rho`), is one int over one denominator, paid by one
-`Cyclotomic.rotated`, which returns the coefficient itself when the twist
-is a whole turn.
+path adds or scales elements.  A twist, like a diagonal character's
+value on a key (`dynamics.rho`), is one int over one denominator, paid by
+one `Cyclotomic.rotated`, which returns the coefficient itself when the
+twist is a whole turn.
 
 The malleability flow on the tensor square needs one product per flow,
 y V with the swap unitary V on the right.  A private swap kernel
@@ -28,21 +24,17 @@ or TensorElement is built after that.  A flow at a non-integer t is one
 integer accumulation: W_t's four coefficients, read in closed form from t
 as exponent lists and kept per time, are folded into the pair loop over
 the group's addition table and the cocycle's own integer twist table
-(`exponent_table`, so no value of mu is evaluated), with int rotations in
-place of Cyclotomic products.  Coefficients are read as their public int
-form (`ints` over `den`), and each output one is made once by the public
-constructor `Cyclotomic(order, ints, den)`.  The generic product loop of
-the base class stays the reference the tests compare y V with, and the
-only product AlgebraElement uses.  One guard, `flow_order`, bounds the
-flow to a finite H with |H| <= MAX_FLOW_ORDER before anything of size |H|
-is built, and raises FlowRefused otherwise; at integer times the flow
-only relabels the legs.  `check_malleability` runs the kernel's checks
-for both the `malleability` command and the selftest suite.
+(`exponent_table`), with int rotations in place of Cyclotomic products;
+each output coefficient is made once by `Cyclotomic(order, ints, den)`.
+The generic product loop stays the reference the tests compare y V with.
+`flow_order` bounds the flow to a finite H with |H| <= MAX_FLOW_ORDER
+before anything of size |H| is built, and raises FlowRefused otherwise;
+at integer times the flow only relabels the legs.  `check_malleability`
+runs the kernel's checks for the `malleability` command and the selftest.
 """
 
 from __future__ import annotations
 
-import operator
 import random
 from fractions import Fraction
 from math import isqrt, lcm
@@ -51,24 +43,22 @@ from typing import Dict
 from .abelian import Character, dual_character
 from .cocycle import degeneracy_witness
 from .configs import Config, mu_tilde
+from .lattice import E1, ORIGIN
 from .scalars import Cyclotomic
 
 
-class _TwistedGroupAlgebra:
-    """The element sum_k c(k) u(k) of a twisted group algebra, with its
-    product and adjoint.
-
-    A subclass states the key group and the twist as static hooks:
-    _add_keys(k1, k2) and _twist(mu, k1, k2) (the phase of u(k1) u(k2)
-    against u(k1 + k2), an int over `mu.den`) for the product, and
-    _neg_key(k) and _twist for the adjoint.
-    """
+class AlgebraElement:
+    """The element sum_k c(k) u(k) of the shift algebra over a cocycle base."""
 
     __slots__ = ("cocycle", "terms")
 
-    def __init__(self, cocycle, terms: Dict[object, Cyclotomic]):
+    def __init__(self, cocycle, terms: Dict[Config, Cyclotomic]):
         self.cocycle = cocycle
         self.terms = {k: v for k, v in terms.items() if any(v.ints)}
+
+    @staticmethod
+    def unit(cocycle, config: Config) -> "AlgebraElement":
+        return AlgebraElement(cocycle, {config: Cyclotomic.ONE})
 
     @property
     def group(self):
@@ -79,7 +69,7 @@ class _TwistedGroupAlgebra:
             raise ValueError("elements over different bases")
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, type(self)):
+        if type(other) is not type(self):
             return NotImplemented
         if self.cocycle is not other.cocycle and self.cocycle != other.cocycle:
             return False
@@ -89,51 +79,29 @@ class _TwistedGroupAlgebra:
 
     def __mul__(self, other):
         self._check(other)
-        mu, add, twist = self.cocycle, self._add_keys, self._twist
-        out: Dict[object, Cyclotomic] = {}
+        mu = self.cocycle
+        out: Dict[Config, Cyclotomic] = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
-                # u(k1) u(k2) = twist(k1, k2) u(k1 + k2)
-                key = add(k1, k2)
-                coeff = (v1 * v2).rotated(twist(mu, k1, k2), mu.den)
+                # u(k1) u(k2) = mu~(k1, k2) u(k1 + k2); mu_tilde is read per
+                # call, so instrumentation's rebinding of it reaches this loop
+                key = k1 + k2
+                coeff = (v1 * v2).rotated(mu_tilde(mu, k1, k2), mu.den)
                 out[key] = out[key] + coeff if key in out else coeff
-        return type(self)(self.cocycle, out)
+        return type(self)(mu, out)
 
     def star(self):
-        """Adjoint: u(k)* = conj(twist(k, -k)) u(-k), coefficients conjugated."""
-        mu, neg, twist = self.cocycle, self._neg_key, self._twist
-        out: Dict[object, Cyclotomic] = {}
+        """Adjoint: u(k)* = conj(mu~(k, -k)) u(-k), coefficients conjugated;
+        negation is a bijection, so keys stay apart."""
+        mu = self.cocycle
+        out: Dict[Config, Cyclotomic] = {}
         for k, v in self.terms.items():
-            nk = neg(k)
-            coeff = v.conjugate().rotated(-twist(mu, k, nk), mu.den)
-            out[nk] = out[nk] + coeff if nk in out else coeff
-        return type(self)(self.cocycle, out)
+            nk = -k
+            out[nk] = v.conjugate().rotated(-mu_tilde(mu, k, nk), mu.den)
+        return type(self)(mu, out)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({len(self.terms)} terms)"
-
-
-class AlgebraElement(_TwistedGroupAlgebra):
-    """Finite formal sum sum_lambda c(lambda) u(lambda) over a cocycle base."""
-
-    __slots__ = ()
-    _add_keys = staticmethod(operator.add)
-    _neg_key = staticmethod(operator.neg)
-
-    @staticmethod
-    def _twist(mu, k1: Config, k2: Config) -> int:
-        # mu_tilde is looked up per call, so a rebinding of the module name
-        # (as instrumentation does) reaches the product loop
-        return mu_tilde(mu, k1, k2)
-
-    @staticmethod
-    def unit(cocycle, config: Config) -> "AlgebraElement":
-        return AlgebraElement(cocycle, {config: Cyclotomic.ONE})
-
-    # bound again so that each class's own __dict__ holds them and
-    # per-class instrumentation can replace them
-    __mul__ = _TwistedGroupAlgebra.__mul__
-    star = _TwistedGroupAlgebra.star
 
     @property
     def is_zero_sum_supported(self) -> bool:
@@ -144,26 +112,15 @@ class AlgebraElement(_TwistedGroupAlgebra):
         return self.terms.get(Config(self.group, ()), Cyclotomic.ZERO)
 
 
-class TensorElement(_TwistedGroupAlgebra):
-    """Finite formal sum over pairs (g, g') of u_g (x) u_g' with one cocycle."""
+class TensorElement(AlgebraElement):
+    """Finite formal sum of c(g, h) u_g (x) u_h, each key the configuration
+    with g at ORIGIN and h at E1 (an empty site is zero)."""
 
     __slots__ = ()
-
-    @staticmethod
-    def _add_keys(k1, k2):
-        return (k1[0] + k2[0], k1[1] + k2[1])
-
-    @staticmethod
-    def _neg_key(k):
-        return (-k[0], -k[1])
-
-    @staticmethod
-    def _twist(mu, k1, k2) -> int:
-        return mu.exponent(k1[0].coords, k2[0].coords) + mu.exponent(k1[1].coords, k2[1].coords)
-
-    # bound again, as in AlgebraElement
-    __mul__ = _TwistedGroupAlgebra.__mul__
-    star = _TwistedGroupAlgebra.star
+    # bound again so that this class's own __dict__ holds them and
+    # per-class instrumentation can replace them
+    __mul__ = AlgebraElement.__mul__
+    star = AlgebraElement.star
 
 
 MAX_FLOW_ORDER = 1024
@@ -189,12 +146,15 @@ def flow_order(group) -> int:
 def malleability_unitary(mu) -> TensorElement:
     """The scaled symmetric unitary V = sum_h u_h (x) u_h^*.
 
-    V equals |H|^(1/2) times the unit-normalized element; keeping the
-    integer scaling avoids the square root in the scalar field.  Raises
-    FlowRefused for an infinite group, then for |H| > MAX_FLOW_ORDER,
-    then a plain ValueError for a degenerate cocycle.  A finite H with a
-    nondegenerate alternating (star) form is K x K (Wall, 1963), so |H|
-    is then a square and the flow exact.
+    u_h^* is zeta_N^(-mu(h, -h)) u_{-h}, N = `mu.den`: V's key at h has h
+    at ORIGIN and -h at E1, both read on coordinates.  This V is built
+    without the swap kernel's tables, so `check_malleability` squares it
+    against them.  V is |H|^(1/2) times the unit-normalized element, an
+    integer scaling that avoids the square root in the scalar field.
+    Raises FlowRefused for an infinite group, then for |H| >
+    MAX_FLOW_ORDER, then a plain ValueError for a degenerate cocycle.  A
+    finite H with a nondegenerate alternating (star) form is K x K (Wall,
+    1963), so |H| is then a square and the flow exact.
     """
     group = mu.group
     flow_order(group)
@@ -203,8 +163,12 @@ def malleability_unitary(mu) -> TensorElement:
         raise ValueError(
             f"cocycle is degenerate: {witness.coords} pairs trivially with everything"
         )
-    v = {(h, nh): Cyclotomic.ONE.rotated(-mu.exponent(h.coords, nh.coords), mu.den)
-         for h in group.elements() for nh in (-h,)}
+    torsion, one, den = group.torsion, Cyclotomic.ONE, mu.den
+    v = {}
+    for h in group.coordinates():
+        nh = tuple([-c % m for c, m in zip(h, torsion)])
+        key = Config(group, ((ORIGIN, h), (E1, nh)) if any(h) else ())
+        v[key] = one.rotated(-mu.exponent(h, nh), den)
     return TensorElement(mu, v)
 
 
@@ -260,11 +224,23 @@ class _SwapKernel:
         self.coefficients: Dict[tuple, tuple] = {}
 
     def index_form(self, x: TensorElement) -> dict:
-        """{i*n + j: c} for each term c u(g_i, g_j) of x."""
+        """{i*n + j: c} for each term c u(g_i, g_j) of x, g_i read at ORIGIN
+        and g_j at E1 (zero for an empty site); any other site is refused."""
         if x.cocycle is not self.mu and x.cocycle != self.mu:
             raise ValueError("element is not over the kernel's base")
-        index, n = self.index, self.n
-        return {index[g.coords] * n + index[h.coords]: c for (g, h), c in x.terms.items()}
+        index, n, zero = self.index, self.n, (0,) * len(self.torsion)
+        out = {}
+        for key, c in x.terms.items():
+            g = h = zero
+            for point, coords in key.support:
+                if point == ORIGIN:
+                    g = coords
+                elif point == E1:
+                    h = coords
+                else:
+                    raise ValueError(f"{key} has a site off the origin and e1")
+            out[index[g] * n + index[h]] = c
+        return out
 
     def star(self, x: dict) -> dict:
         """Adjoint: u(i, j)* = zeta_N^-(mu(i, -i) + mu(j, -j)) u(-i, -j),

@@ -286,6 +286,8 @@ class Cyclotomic(Immutable):
         return a.den == b.den and a.ints == b.ints
 
     def __add__(self, other: "Cyclotomic") -> "Cyclotomic":
+        if not isinstance(other, Cyclotomic):
+            return NotImplemented
         a, b, m = self._common(other)
         den = lcm(a.den, b.den)
         fa, fb = den // a.den, den // b.den

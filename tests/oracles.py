@@ -35,7 +35,9 @@ types no longer carry, since nothing in `tbshift` uses it, lives here:
 a group's zero (`group_zero`), a homomorphism applied to an element
 (`apply_hom`), an element's order (`element_order`), the unit and the
 trace of the tensor square (`tensor_one`, `tensor_trace`) and sums and scalings of algebra elements
-(`combination`); a character's value is `phase_character_value`.
+(`combination`); a character's value is `phase_character_value`.  A key
+of the tensor square is the two-site configuration with g at ORIGIN and
+h at E1, built by `tensor_key` from AbElems and read back by `legs`.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from tbshift.classify import _pool_ranges
 from tbshift.cocycle import BilinearCocycle, CocycleError, TableCocycle, trivial_cocycle
 from tbshift.configs import Config
 from tbshift.dynamics import Motion, Triplet, rho
-from tbshift.lattice import AffineSL2, LatticePoint, det2, mat_apply, mat_mul, spiral_index
+from tbshift.lattice import E1, ORIGIN, AffineSL2, LatticePoint, det2, mat_apply, mat_mul, spiral_index
 from tbshift.linalg import _eliminate, identity_matrix
 from tbshift.scalars import Cyclotomic, Phase
 from tbshift.selftest import _random_bilinear, random_point
@@ -88,16 +90,30 @@ def element_order(g: AbElem) -> int:
     return lcm(*(n // gcd(n, c) for c, n in zip(g.coords[group.free_rank :], group.torsion)))
 
 
+def tensor_key(g: AbElem, h: AbElem) -> Config:
+    """The key of u_g (x) u_h: the configuration with g at ORIGIN and h at E1."""
+    return Config.from_items(g.group, [(ORIGIN, g), (E1, h)])
+
+
+def legs(key: Config) -> tuple:
+    """(g, h) of the tensor key of u_g (x) u_h, zero for an empty site."""
+    values = dict(config_items(key))
+    if not values.keys() <= {ORIGIN, E1}:
+        raise ValueError("not a tensor key: a site off the origin and e1")
+    zero = group_zero(key.group)
+    return values.get(ORIGIN, zero), values.get(E1, zero)
+
+
 def tensor_one(mu) -> TensorElement:
     """The unit u_0 (x) u_0 of the tensor square."""
     zero = group_zero(mu.group)
-    return TensorElement(mu, {(zero, zero): Cyclotomic.ONE})
+    return TensorElement(mu, {tensor_key(zero, zero): Cyclotomic.ONE})
 
 
 def tensor_trace(x: TensorElement) -> Cyclotomic:
     """The trace of an element of the tensor square: its coefficient at (0, 0)."""
     zero = group_zero(x.group)
-    return x.terms.get((zero, zero), Cyclotomic.ZERO)
+    return x.terms.get(tensor_key(zero, zero), Cyclotomic.ZERO)
 
 
 def combination(*terms):
@@ -507,14 +523,14 @@ def flow_unitary(mu, t: Fraction) -> TensorElement:
 
 def flip(x: TensorElement) -> TensorElement:
     """Swap the two legs of each key, keeping its coefficient."""
-    return TensorElement(x.cocycle, {(k[1], k[0]): v for k, v in x.terms.items()})
+    return TensorElement(x.cocycle, {tensor_key(*legs(k)[::-1]): v for k, v in x.terms.items()})
 
 
 def tensor_element(mu, terms: dict) -> TensorElement:
     """The TensorElement of the swap kernel's index form {i*n + j: c}."""
     elems = list(mu.group.elements())
     n = len(elems)
-    return TensorElement(mu, {(elems[k // n], elems[k % n]): c for k, c in terms.items()})
+    return TensorElement(mu, {tensor_key(elems[k // n], elems[k % n]): c for k, c in terms.items()})
 
 
 def apply_diagonal_character(c: Character, x: TensorElement) -> TensorElement:
@@ -525,9 +541,11 @@ def apply_diagonal_character(c: Character, x: TensorElement) -> TensorElement:
     if not isinstance(x, TensorElement):
         raise TypeError("expected a TensorElement")
     row, den = c.ints, c.den
-    return TensorElement(x.cocycle, {
-        (g, h): v.rotated(sum(map(mul, row, g.coords)) + sum(map(mul, row, h.coords)), den)
-        for (g, h), v in x.terms.items()})
+    out = {}
+    for key, v in x.terms.items():
+        g, h = legs(key)
+        out[key] = v.rotated(sum(map(mul, row, g.coords)) + sum(map(mul, row, h.coords)), den)
+    return TensorElement(x.cocycle, out)
 
 
 def malleability_flow(mu, t: Fraction, x: TensorElement) -> TensorElement:
@@ -559,8 +577,8 @@ def tensor_check_malleability(v: TensorElement, rng, samples: int) -> dict:
         "self_adjoint": v.star() == v,
         "square": v * v == combination((group.order(), tensor_one(mu))),
         "full_swap": all(
-            malleability_flow(mu, 1, TensorElement(mu, {(g, zero): one}))
-            == TensorElement(mu, {(zero, g): one})
+            malleability_flow(mu, 1, TensorElement(mu, {tensor_key(g, zero): one}))
+            == TensorElement(mu, {tensor_key(zero, g): one})
             for g in group.elements()
         ),
     }
@@ -568,7 +586,7 @@ def tensor_check_malleability(v: TensorElement, rng, samples: int) -> dict:
     for _ in range(samples):
         g = group.element([rng.randrange(m) for m in group.torsion])
         h = group.element([rng.randrange(m) for m in group.torsion])
-        x = TensorElement(mu, {(g, h): one})
+        x = TensorElement(mu, {tensor_key(g, h): one})
         once = malleability_flow(mu, half, x)
         if malleability_flow(mu, half, once) != malleability_flow(mu, 1, x):
             ok_half = False

@@ -22,6 +22,7 @@ from oracles import (
     table_from_function,
     tensor_check_malleability,
     tensor_element,
+    tensor_key,
     tensor_one,
     tensor_trace,
     to_table,
@@ -37,9 +38,9 @@ from tbshift.algebra import (
 )
 from tbshift.cocycle import BilinearCocycle, TableCocycle, degeneracy_witness, trivial_cocycle
 from tbshift.configs import Config, dipole, mu_tilde
-from tbshift.dynamics import Motion, rho
+from tbshift.dynamics import Motion, Triplet, rho
 from tbshift.families import mod_q_cocycle, mod_q_group, mod_q_triplet
-from tbshift.lattice import ORIGIN, LatticePoint
+from tbshift.lattice import E1, ORIGIN, LatticePoint
 from tbshift.scalars import Cyclotomic, Phase
 from tbshift.selftest import random_algebra_element, random_zero_sum_config
 
@@ -54,7 +55,7 @@ def _one(mu) -> AlgebraElement:
 
 
 def _unit(mu, g, h, coeff=Cyclotomic.ONE) -> TensorElement:
-    return TensorElement(mu, {(g, h): coeff})
+    return TensorElement(mu, {tensor_key(g, h): coeff})
 
 
 def test_unit_laws(mu3, rng):
@@ -154,6 +155,47 @@ def test_tensor_star_componentwise(mu3):
     assert x.star() == expected
 
 
+def test_two_site_product_and_star_keep_the_tensor_twist(rng):
+    # (u_a (x) u_b)(u_c (x) u_d) = zeta^(mu(a, c) + mu(b, d)) u_(a+c) (x) u_(b+d)
+    # and (x u_a (x) u_b)* = conj(x) zeta^-(mu(a, -a) + mu(b, -b)) u_-a (x) u_-b,
+    # mu read as Phases: the twist mu (+) mu of the tensor square, which the
+    # two-site configurations must give through mu~
+    for mu in (mod_q_cocycle(3), mod_q_cocycle(4), to_table(mod_q_cocycle(2))):
+        elems = list(mu.group.elements())
+        for _ in range(20):
+            a, b, c, d = (rng.choice(elems) for _ in range(4))
+            x = Cyclotomic.from_phase(Phase(rng.randrange(1, 12), 12))
+            product = _unit(mu, a, b) * _unit(mu, c, d)
+            assert product == _unit(mu, a + c, b + d, Cyclotomic.from_phase(mu(a, c) + mu(b, d)))
+            twist = Cyclotomic.from_phase(-(mu(a, -a) + mu(b, -b)))
+            assert _unit(mu, a, b, x).star() == _unit(mu, -a, -b, x.conjugate() * twist)
+
+
+def test_tensor_and_algebra_elements_never_compare_equal(mu3):
+    # one product for both, but equality stays within one class
+    g = mu3.group
+    terms = {tensor_key(g.element((1, 0)), g.element((0, 2))): Cyclotomic.ONE}
+    tensor, algebra_element = TensorElement(mu3, terms), AlgebraElement(mu3, terms)
+    assert tensor.terms == algebra_element.terms
+    assert tensor != algebra_element and algebra_element != tensor
+    assert type(tensor * tensor) is TensorElement and type(tensor.star()) is TensorElement
+    assert tensor * tensor != algebra_element * algebra_element
+
+
+def test_tensor_element_is_the_algebra_class_under_its_own_name():
+    # the tracer replaces TensorElement.__mul__ and star in the class's own
+    # __dict__, so they are bound there, as AlgebraElement's own functions,
+    # and nothing else is (Python 3.13 adds two more bookkeeping names)
+    bookkeeping = {"__module__", "__qualname__", "__doc__", "__slots__",
+                   "__firstlineno__", "__static_attributes__"}
+    assert set(vars(TensorElement)) - bookkeeping == {"__mul__", "star"}
+    assert TensorElement.__bases__ == (AlgebraElement,) and TensorElement.__slots__ == ()
+    assert vars(TensorElement)["__mul__"] is vars(AlgebraElement)["__mul__"]
+    assert vars(TensorElement)["star"] is vars(AlgebraElement)["star"]
+    assert AlgebraElement.__bases__ == (object,)
+    assert not hasattr(algebra, "_TwistedGroupAlgebra")
+
+
 def test_malleability_unitary_properties():
     for q in (3, 5):
         mu = mod_q_cocycle(q)
@@ -249,7 +291,8 @@ def test_diagonal_character_of_order_four_matches_its_phase_values(rng):
     c = phase_character(g, (Phase(1, 4), Phase.ZERO))
     elems = list(g.elements())
     tensor = TensorElement(mu, {
-        (a, b): Cyclotomic.from_phase(Phase(rng.randrange(12), 12)) * Fraction(rng.randint(1, 3))
+        tensor_key(a, b):
+            Cyclotomic.from_phase(Phase(rng.randrange(12), 12)) * Fraction(rng.randint(1, 3))
         for a in elems for b in elems
     })
     configs = AlgebraElement(mu, {
@@ -257,14 +300,15 @@ def test_diagonal_character_of_order_four_matches_its_phase_values(rng):
             Cyclotomic.from_phase(Phase(rng.randrange(5), 5))
         for i, h in enumerate(elems)
     })
-    for x, total, act in ((tensor, lambda k: k[0] + k[1], apply_diagonal_character),
-                          (configs, config_total, lambda c, x: rho(t, Motion(c), x))):
-        totals = {phase_character_value(c, total(k)) for k in x.terms}
+    for x, act in ((tensor, apply_diagonal_character),
+                   (configs, lambda c, x: rho(t, Motion(c), x))):
+        totals = {phase_character_value(c, config_total(k)) for k in x.terms}
         assert Phase(1, 2) in totals and len(totals) == 4
         out = act(c, x)
         assert out.terms.keys() == x.terms.keys()
         for k, v in x.terms.items():
-            want, got = v * Cyclotomic.from_phase(phase_character_value(c, total(k))), out.terms[k]
+            want = v * Cyclotomic.from_phase(phase_character_value(c, config_total(k)))
+            got = out.terms[k]
             assert (got.order, got.ints, got.den) == (want.order, want.ints, want.den)
 
 
@@ -305,7 +349,7 @@ def _random_tensor_element(rng, mu, terms=3):
     g = mu.group
     out = {}
     while len(out) < terms:
-        key = tuple(g.element([rng.randrange(m) for m in g.torsion]) for _ in range(2))
+        key = tensor_key(*(g.element([rng.randrange(m) for m in g.torsion]) for _ in range(2)))
         out[key] = Cyclotomic.from_phase(Phase(rng.randrange(4), 4)) * Fraction(
             rng.randrange(1, 5), rng.randrange(1, 4)
         )
@@ -364,8 +408,9 @@ def test_flow_matches_brute_conjugation(rng):
     g = mu.group
     w = flow_unitary(mu, Fraction(1, 2))
     x = TensorElement(mu, {
-        (g.element((1, 0, 2, 0)), g.element((0, 1, 0, 3))): Cyclotomic.from_phase(Phase(1, 3)),
-        (g.element((2, 2, 0, 4)), group_zero(g)): Cyclotomic.from_rational(Fraction(-3, 2)),
+        tensor_key(g.element((1, 0, 2, 0)), g.element((0, 1, 0, 3))):
+            Cyclotomic.from_phase(Phase(1, 3)),
+        tensor_key(g.element((2, 2, 0, 4)), group_zero(g)): Cyclotomic.from_rational(Fraction(-3, 2)),
     })
     assert malleability_flow(mu, Fraction(1, 2), x) == w * x * w.star()
 
@@ -440,7 +485,7 @@ def test_check_malleability_fails_on_a_mutated_unitary(rng):
         for _ in range(4):
             a, b = rng.choice(elems), rng.choice(elems)
             if a + b != group_zero(g):
-                mutants.append(TensorElement(mu, {**v.terms, (a, b): Cyclotomic.ONE}))
+                mutants.append(TensorElement(mu, {**v.terms, tensor_key(a, b): Cyclotomic.ONE}))
         assert len(mutants) > len(v.terms)
         for w in mutants:
             checks = algebra.check_malleability(w, random.Random(1), 1)
@@ -484,6 +529,34 @@ def test_kernel_star_and_diagonal_match_the_tensor_element_forms(rng):
             kernel.index_form(tensor_one(mod_q_cocycle(5)))
 
 
+def test_kernel_diagonal_is_rho_of_the_character_and_the_identity(rng):
+    # with configuration keys the same element is in both algebras: the
+    # kernel's diagonal character and rho of (c, identity) give the same terms
+    table = to_table(mod_q_cocycle(2))
+    triplets = [mod_q_triplet(3), mod_q_triplet(4),
+                Triplet(table.group, table, Character.trivial(table.group))]
+    for t in triplets:
+        mu = t.cocycle
+        kernel, chars = _SwapKernel(mu), list(dual_characters(t.group))
+        for _ in range(20):
+            x, c = _mixed_tensor_element(rng, mu, rng.randint(1, 5)), rng.choice(chars)
+            diagonal = tensor_element(mu, kernel.diagonal(c, kernel.index_form(x)))
+            assert diagonal.terms == rho(t, Motion(c), x).terms
+
+
+def test_index_form_refuses_a_site_off_the_two_sites(mu3):
+    g = mu3.group
+    kernel, h = _SwapKernel(mu3), g.element((1, 2))
+    for items in ([(LatticePoint(0, 1), h)], [(ORIGIN, h), (LatticePoint(2, 0), h)],
+                  [(ORIGIN, h), (E1, h), (LatticePoint(-1, 0), h)]):
+        x = TensorElement(mu3, {Config.from_items(g, items): Cyclotomic.ONE})
+        with pytest.raises(ValueError, match="off the origin and e1"):
+            kernel.index_form(x)
+    n = g.order()  # h = (1, 2) is element number 5
+    assert kernel.index_form(_unit(mu3, h, group_zero(g))) == {5 * n: Cyclotomic.ONE}
+    assert kernel.index_form(_unit(mu3, group_zero(g), h)) == {5: Cyclotomic.ONE}
+
+
 # at integer t the flow builds no kernel but keeps its checks and their order
 @pytest.mark.parametrize(
     "t", [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1), Fraction(2), 3]
@@ -515,7 +588,7 @@ def _mixed_tensor_element(rng, mu, terms):
     g = mu.group
     out = {}
     for _ in range(terms):
-        key = tuple(g.element([rng.randrange(m) for m in g.torsion]) for _ in range(2))
+        key = tensor_key(*(g.element([rng.randrange(m) for m in g.torsion]) for _ in range(2)))
         out[key] = rng.choice(MIXED)
     return TensorElement(mu, out)
 
@@ -605,9 +678,9 @@ def test_kernel_product_cancels_to_zero():
 
     a = MIXED[0]
     b = -(a * Cyclotomic.from_phase(phase(p1, p2, k) - phase(q1, q2, l)))
-    y = TensorElement(mu, {(p1, p2): a, (q1, q2): b})
+    y = TensorElement(mu, {tensor_key(p1, p2): a, tensor_key(q1, q2): b})
     product = y * malleability_unitary(mu)
-    assert (p1 + k, p2 + (-k)) not in product.terms and product.terms
+    assert tensor_key(p1 + k, p2 + (-k)) not in product.terms and product.terms
     assert _times_v(_SwapKernel(mu), y) == product
 
 

@@ -24,6 +24,7 @@ from oracles import (
     phase_validate,
     phase_witness_catalog,
     table_from_function,
+    tensor_key,
     to_table,
 )
 from tbshift.abelian import AbGroup
@@ -580,7 +581,8 @@ def test_cocycle_consumers_evaluate_no_cocycle_value(rng, monkeypatch):
               and all(mu(g, h) - mu(h, g) == Phase.ZERO for h in mu.group.elements())), None)
         for mu in finite
     ]
-    unitaries = [None if w else {(h, -h): Cyclotomic.from_phase(-mu(h, -h)) for h in mu.group.elements()}
+    unitaries = [None if w else {tensor_key(h, -h): Cyclotomic.from_phase(-mu(h, -h))
+                                 for h in mu.group.elements()}
                  for mu, w in zip(finite, degenerate)]
     good = _den_24_table(rng)
     tables = [good, TableCocycle(good.group, {**good.entries, ((1, 2), (0, 0)): Phase(1, 5)}),

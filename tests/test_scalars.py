@@ -144,6 +144,19 @@ def test_scalar_multiplication():
     assert z4 * 0 == 0
 
 
+def test_sums_with_a_number_are_refused_as_a_type_error():
+    # == compares with numbers and * scales by them, but no sum lifts one:
+    # the sum declines, and Python raises TypeError for the operator
+    z4 = Cyclotomic.from_phase(Phase(1, 4))
+    for number in (1, 0, Fraction(1, 2)):
+        for add in (lambda: z4 + number, lambda: z4 - number, lambda: number + z4,
+                    lambda: Cyclotomic.ONE + number, lambda: Cyclotomic.ONE - number):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                add()
+    assert Cyclotomic.ONE.__add__(1) is NotImplemented
+    assert "__add__" in vars(Cyclotomic)
+
+
 # -- the int kernel against sympy: an independent reduction mod Phi_N over QQ --
 
 ORDERS = list(range(1, 25)) + [60]
