@@ -16,7 +16,6 @@ from .abelian import (
     StructureReport,
     abstractly_isomorphic,
     dual_character,
-    dual_characters,
     group_structure,
     is_isomorphism,
 )

@@ -5,13 +5,13 @@ then torsion generators); isomorphism tests cope with equivalent
 presentations.  Elements are integer coordinate vectors with torsion
 coordinates reduced into [0, n_i); a group's `orders` (n_i per torsion
 generator, 0 per free one) are what every reduction reads.  A finite
-group numbers its elements in `elements()` order, and `addition_table`
-adds by those numbers: the one numbering that table cocycles and the
-swap kernel read.  Smith
-normal form gives invariant factors (of a presentation and of the finite
-groups that `group_structure` identifies) and decides whether a
-homomorphism is bijective; subgroups of finite groups are kept as
-`linalg.hermite_mod` echelon rows by their callers.  The candidate images
+group numbers its elements in `coordinates()` order, and
+`addition_table` adds by those numbers: the one numbering that table
+cocycles and the swap kernel read.  Smith normal form gives invariant
+factors (of a presentation and of the finite groups that
+`group_structure` identifies) and decides whether a homomorphism is
+bijective; subgroups of finite groups are kept as `linalg.hermite_mod`
+echelon rows by their callers.  The candidate images
 of the isomorphism search are coordinate ranges of its own,
 `classify._pool_ranges`.  A character is one integer row over one
 denominator, in lowest terms, so a value is a dot product and equality is
@@ -25,7 +25,7 @@ import itertools
 from math import gcd, lcm, prod
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
-from .linalg import snf_diagonal
+from .linalg import identity_matrix, snf_diagonal
 from .scalars import Immutable, Phase
 
 
@@ -75,29 +75,20 @@ class AbGroup(Immutable):
     def element(self, coords: Sequence[int]) -> "AbElem":
         return AbElem(self, self.reduce(coords))
 
-    def generators(self) -> list:
-        return [
-            AbElem(self, tuple(1 if i == j else 0 for i in range(self.rank)))
-            for j in range(self.rank)
-        ]
-
     def generator_order(self, j: int) -> int:
         """Order of the j-th generator (0 for a free generator)."""
         return self.orders[j]
 
     def coordinates(self) -> Iterator[tuple]:
-        """The coordinate tuples of `elements()`, in its order, with no AbElem
-        built and no range copied, so a huge group's first ones come at once."""
+        """A finite group's elements as coordinate tuples, in itertools.product
+        order (the last coordinate fastest), with no AbElem built and no
+        range copied, so a huge group's first ones come at once."""
         if not self.is_finite:
             raise ValueError("cannot enumerate an infinite group")
         return lazy_product([range(n) for n in self.torsion])
 
-    def elements(self) -> Iterator["AbElem"]:
-        for coords in self.coordinates():
-            yield AbElem(self, coords)
-
     def addition_table(self) -> list:
-        """add[i][j] is the number of g_i + g_j, g_i the i-th of `elements()`:
+        """add[i][j] is the number of g_i + g_j, g_i the i-th of `coordinates()`:
         (c_1, ..., c_r) is number (...(c_1 n_2 + c_2) n_3 + ...) + c_r, so
         generator e_k is number prod(torsion[k+1:])."""
         if not self.is_finite:
@@ -183,10 +174,7 @@ class AbHom(Immutable):
 
     @staticmethod
     def identity(group: AbGroup) -> "AbHom":
-        r = group.rank
-        return AbHom(
-            group, group, tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
-        )
+        return AbHom(group, group, identity_matrix(group.rank))
 
 
 def is_isomorphism(f: AbHom) -> bool:
@@ -240,13 +228,6 @@ class Character(Immutable):
 
     def power(self, d: int) -> "Character":
         return Character(self.group, tuple(c * d for c in self.ints), self.den)
-
-
-def dual_characters(group: AbGroup) -> Iterator[Character]:
-    """All |H| characters of a finite group, in `dual_character` order."""
-    if not group.is_finite:
-        raise ValueError("the full dual is only enumerable for finite groups")
-    return (dual_character(group, i) for i in range(group.order()))
 
 
 def dual_character(group: AbGroup, index: int) -> Character:

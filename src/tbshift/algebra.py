@@ -19,7 +19,7 @@ The malleability flow on the tensor square needs one product per flow,
 y V with the swap unitary V on the right.  A private swap kernel
 (_SwapKernel), built once per check from the cocycle, runs the check on
 its integer index form {i*n + j: c}, the terms c u(g_i, g_j) numbered as
-`group.elements()` is, n = |H|: V is converted once, and no group element
+`group.coordinates()` is, n = |H|: V is converted once, and no group element
 or TensorElement is built after that.  A flow at a non-integer t is one
 integer accumulation: W_t's four coefficients, read in closed form from t
 as exponent lists and kept per time, are folded into the pair loop over
@@ -78,6 +78,8 @@ class AlgebraElement:
         return all(other.terms[k] == v for k, v in self.terms.items())
 
     def __mul__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         self._check(other)
         mu = self.cocycle
         out: Dict[Config, Cyclotomic] = {}
@@ -194,7 +196,7 @@ class _SwapKernel:
 
     Built once per cocycle and shared by every flow of one check.  An
     element is the dict {i*n + j: c} of its terms c u(g_i, g_j), g_i the
-    i-th of group.elements() and n = |H|; `index_form` converts a
+    i-th of group.coordinates() and n = |H|; `index_form` converts a
     TensorElement.  The kernel reads the group's and the cocycle's own
     tables by those numbers: the number of g + h (`addition_table()`) and
     mu(g, h) as an exponent of zeta_N, N = `mu.den` (`exponent_table()`).
@@ -256,7 +258,7 @@ class _SwapKernel:
     def diagonal(self, c: Character, x: dict) -> dict:
         """Rotate each term u(g_i, g_j) by c(g_i + g_j), c(g_i) being one int
         over c.den per number i, built in the mixed-radix order of
-        `elements()`.  On the shift algebra the same action is `dynamics.rho`
+        `coordinates()`.  On the shift algebra the same action is `dynamics.rho`
         of the motion (c, identity)."""
         turns = [0]
         for m, a in zip(self.torsion, c.ints):
@@ -359,7 +361,7 @@ def check_malleability(v: TensorElement, rng: random.Random, samples: int) -> di
     v is self-adjoint with v^2 = |H|, the flow at t = 1 is the flip, and on
     `samples` basis elements drawn from rng the flows at t = 1/2 compose to
     t = 1 and commute with a random diagonal character (g, h and the
-    character drawn as numbers of `elements()` and of the listed dual).
+    character drawn as numbers of `coordinates()` and of the listed dual).
     One swap kernel built from v's cocycle runs it all on its index form,
     into which v is converted once; the square is v times the kernel's own
     table-built V.  At t = 1 the closed form of the flow is the flip by

@@ -79,7 +79,7 @@ class PiPhi(Immutable):
     `orders`; the points stay, so the image is already sorted and builds
     the key Config directly.  The term's phase, mu^_a(lam) plus the
     corrector minus mu^_b(phi lam), is one int over D = lcm(mu_a.den,
-    mu_b.den, c.den): each site's `order_key` is computed once, the
+    mu_b.den, c.den): each site's `spiral_index` is computed once, the
     decorated sites are sorted once for both `telescoped` sums, and the
     corrector is c's int row against the weighted raw values (0, and no
     weight read, for a trivial c).  The term pays it by one rotation.
@@ -87,20 +87,19 @@ class PiPhi(Immutable):
     `__init__` builds `mismatch` and keeps in `_constants` what every
     call reads: D, the three scales to it, c's int row (empty for a
     trivial c) and the (row, order) pairs of phi's matrix and the target;
-    `weight` and `order_key` are read on each call.  Neither is a field.
+    `weight` and the module's `spiral_index` are read on each call.
+    Neither `mismatch` nor `_constants` is a field.
     """
 
-    __slots__ = ("ta", "tb", "phi", "weight", "order_key", "mismatch", "_constants")
-    _fields = ("ta", "tb", "phi", "weight", "order_key")
+    __slots__ = ("ta", "tb", "phi", "weight", "mismatch", "_constants")
+    _fields = ("ta", "tb", "phi", "weight")
 
     def __init__(self, ta: Triplet, tb: Triplet, phi: AbHom,
-                 weight: Callable[[LatticePoint], int] = gcd2,
-                 order_key: Callable[[LatticePoint], object] = spiral_index) -> None:
+                 weight: Callable[[LatticePoint], int] = gcd2) -> None:
         object.__setattr__(self, "ta", ta)
         object.__setattr__(self, "tb", tb)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "order_key", order_key)
         chi_a, chi_b = ta.character, tb.character
         if phi.source != chi_a.group or phi.target != chi_b.group:
             raise ValueError("phi does not map between the triplets' groups")
@@ -122,7 +121,7 @@ class PiPhi(Immutable):
         if not x.is_zero_sum_supported:
             raise ValueError("the intertwiner acts on zero-sum-supported elements")
         d, scale_a, scale_b, scale_c, row, rows = self._constants
-        weight, order_key, target = self.weight, self.order_key, self.phi.target
+        weight, target = self.weight, self.phi.target
         out: dict = {}
         for lam, coeff in x.terms.items():
             image = []
@@ -132,11 +131,10 @@ class PiPhi(Immutable):
                            for r, n in rows])
                 if any(w):
                     image.append((p, w))
-                # p breaks ties of order_key in the support's own order
-                sites.append((order_key(p), p, v, w))
+                sites.append((spiral_index(p), v, w))
             sites.sort()
-            num = (scale_a * telescoped(mu_a, [site[2] for site in sites])
-                   - scale_b * telescoped(mu_b, [site[3] for site in sites]))
+            num = (scale_a * telescoped(mu_a, [site[1] for site in sites])
+                   - scale_b * telescoped(mu_b, [site[2] for site in sites]))
             if row:
                 num += scale_c * sum([weight(p) * sum(map(mul, row, v)) for p, v in lam.support])
             key = Config(target, tuple(image))

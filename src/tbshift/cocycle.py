@@ -7,7 +7,7 @@ which covers infinite groups and every bilinear family used in practice.
 Both state `den`, the lcm of their denominators, one value over it on
 coordinate tuples (`exponent`), and on a finite group their whole table
 over it (`exponent_table`), indexed by the numbers of
-`AbGroup.elements()`, whose sums `addition_table` gives.  Every consumer
+`AbGroup.coordinates()`, whose sums `addition_table` gives.  Every consumer
 reads mu in these ints, never as a Phase: the star form and the
 configuration twists by `exponent`, table validation, the coboundary
 witness, the swap kernel and the selftest's catalog of pairs by the two
@@ -27,7 +27,7 @@ from operator import mul
 from typing import Optional
 
 from .abelian import AbElem, AbGroup
-from .linalg import hermite_mod, integer_kernel_basis
+from .linalg import hermite_mod, identity_matrix, integer_kernel_basis
 from .scalars import Immutable, Phase
 
 
@@ -89,11 +89,11 @@ class BilinearCocycle(Immutable):
     exponent = _bilinear_exponent
 
     def exponent_table(self) -> list:
-        """mu(g, h) * D in [0, D) for g, h of the finite group in `elements()` order.
+        """mu(g, h) * D in [0, D) for g, h of the finite group in `coordinates()` order.
 
         Row g is linear in h, so it is built by running sums:
         twist[g][h + e_k] = twist[g][h] + (g B)_k, by the mixed-radix
-        recursion in which `elements()` numbers H.
+        recursion in which `coordinates()` numbers H.
         """
         d, torsion, cols = self.den, self.group.torsion, list(zip(*self.ints))
         table = []
@@ -138,7 +138,7 @@ class TableCocycle(Immutable):
         return p.num * (self.den // p.den)
 
     def exponent_table(self) -> list:
-        """mu(g, h) * D in [0, D) for g, h in `elements()` order, read off the entries."""
+        """mu(g, h) * D in [0, D) for g, h in `coordinates()` order, read off the entries."""
         d, entries = self.den, self.entries
         elems = list(self.group.coordinates())
         return [[p.num * (d // p.den) for p in [entries[g, h] for h in elems]] for g in elems]
@@ -208,7 +208,7 @@ def star_bicharacter(mu) -> Bicharacter:
     D = mu.den / g, g the gcd of it and those values, is the lcm of their
     denominators; A_ij is the value in [0, 1) times D, and A_ji = -A_ij.
     """
-    gens, d = [e.coords for e in mu.group.generators()], mu.den
+    gens, d = identity_matrix(mu.group.rank), mu.den
     up = [[(mu.exponent(x, y) - mu.exponent(y, x)) % d if i < j else 0
            for j, y in enumerate(gens)] for i, x in enumerate(gens)]
     g = gcd(d, *(a for row in up for a in row))
@@ -239,7 +239,7 @@ def coboundary_witness(mu1, mu2) -> Optional[dict]:
     b(e_i) = S_i/n_i is one of the n_i solutions, and any one will do:
     two solutions of the whole system differ by a character.  nu and b
     are ints over m = lcm(mu1.den, mu2.den) * lcm(torsion), indexed by the
-    numbers of `elements()`; an asymmetric nu fails the check.  For
+    numbers of `coordinates()`; an asymmetric nu fails the check.  For
     test-scale finite groups only.
     """
     group = mu1.group
@@ -251,18 +251,19 @@ def coboundary_witness(mu1, mu2) -> Optional[dict]:
     s1, s2 = m // mu1.den, m // mu2.den
     nu = [[x * s1 - y * s2 for x, y in zip(row1, row2)]
           for row1, row2 in zip(mu1.exponent_table(), mu2.exponent_table())]
-    elems, gens = list(group.elements()), [prod(group.torsion[k + 1:]) for k in range(group.rank)]
+    elems = list(group.coordinates())
+    gens = [prod(group.torsion[k + 1:]) for k in range(group.rank)]
     step = [sum(nu[c * e][e] for c in range(n)) % m // n for e, n in zip(gens, group.torsion)]
     b = [0] * len(elems)
     for x, g in enumerate(elems[1:], 1):
-        i = max(k for k, c in enumerate(g.coords) if c)
+        i = max(k for k, c in enumerate(g) if c)
         y = x - gens[i]
         b[x] = (b[y] + step[i] - nu[y][gens[i]]) % m
     for b_g, nu_g, add_g in zip(b, nu, group.addition_table()):
         for b_h, v, s in zip(b, nu_g, add_g):
             if (b_g + b_h - b[s] - v) % m:
                 return None
-    return {g: Phase(v, m) for g, v in zip(elems, b)}
+    return {AbElem(group, g): Phase(v, m) for g, v in zip(elems, b)}
 
 
 def radical_rows(lift: list, scale: int, group: AbGroup) -> list:
@@ -285,7 +286,7 @@ def degeneracy_witness(mu) -> Optional[AbElem]:
     first integer kernel vector of A^T with a nonzero free part is the
     witness.  Else the witness lies in the torsion radical.  Of its
     `radical_rows`, the one of the last coordinate k with pivot below n_k
-    is the first nonzero radical element in `elements()` order; with no
+    is the first nonzero radical element in `coordinates()` order; with no
     such k the radical is trivial.
     """
     group = mu.group

@@ -136,7 +136,7 @@ def _moved(t: Triplet, row: tuple, den: int, move: AffineSL2, x) -> AlgebraEleme
         key = Config(group, tuple(sorted(support) if turned else support))
         term = coeff.rotated(num, d)
         out[key] = out[key] + term if key in out else term
-    return AlgebraElement(x.cocycle, out)
+    return type(x)(x.cocycle, out)
 
 
 class VerifyReport(Immutable):

@@ -115,14 +115,9 @@ def spiral_index(k: LatticePoint) -> int:
 
 
 def spiral_points() -> Iterator[LatticePoint]:
-    """The enumeration of Z^2 in spiral_index order."""
-    yield ORIGIN
-    for ring in itertools.count(1):
-        for r in range(1 - ring, ring + 1):
-            yield LatticePoint(ring, r)
-        for q in range(ring - 1, -ring - 1, -1):
-            yield LatticePoint(q, ring)
-        for r in range(ring - 1, -ring - 1, -1):
-            yield LatticePoint(-ring, r)
-        for q in range(1 - ring, ring + 1):
-            yield LatticePoint(q, -ring)
+    """The enumeration of Z^2 in spiral_index order: rings 0, 1, 2, ...,
+    each ring's points sorted by their index."""
+    for ring in itertools.count():
+        span = range(-ring, ring + 1)
+        yield from sorted((LatticePoint(q, r) for q in span for r in span
+                           if max(abs(q), abs(r)) == ring), key=spiral_index)

@@ -13,7 +13,7 @@ import random
 from math import gcd, lcm
 from typing import Callable, Dict, List, Optional
 
-from .abelian import AbGroup, AbHom, Character, dual_characters
+from .abelian import AbGroup, AbHom, Character, dual_character
 from .algebra import AlgebraElement, check_malleability, flow_order, malleability_unitary
 from .classify import PiPhi, build_pi, verify_pi
 from .cocycle import (
@@ -154,7 +154,7 @@ def witness_catalog(rng: random.Random, count: int) -> list:
 
 
 def _table(group: AbGroup, rows: list, den: int) -> TableCocycle:
-    """The TableCocycle of the int table rows over den, by the numbers of `elements()`."""
+    """The TableCocycle of the int table rows over den, by the numbers of `coordinates()`."""
     elems = list(group.coordinates())
     return TableCocycle(group, {(g, h): Phase(v, den)
                                 for g, row in zip(elems, rows) for h, v in zip(elems, row)})
@@ -189,7 +189,7 @@ def suite_cocycles(rng: random.Random, count: int = 12) -> dict:
 def suite_actions(rng: random.Random) -> dict:
     """Motion-group associativity and the two composition laws of the action."""
     t = mod_q_triplet(3)
-    chars = list(dual_characters(t.group))
+    chars = [dual_character(t.group, i) for i in range(t.group.order())]
     assoc_failures = 0
     for _ in range(100):
         a, b, c = (

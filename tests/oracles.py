@@ -16,8 +16,9 @@ route `tensor_check_malleability` (generic star and product, characters
 by `apply_diagonal_character`, the index form read back by
 `tensor_element`), and the intertwiner's int terms and the int twists `configs.mu_tilde` and
 `configs.telescoped` against their Phase sums `phase_pi`, `mu_tilde` and
-`mu_hat`.  Tables evaluated from mu (`to_table`, `table_from_function`,
-`coboundary_cocycle`) are the reference for the integer tables, as
+`mu_hat`, and `spiral_points` and `spiral_index` against the
+edge-by-edge walk `spiral_walk`.  Tables evaluated from mu (`to_table`,
+`table_from_function`, `coboundary_cocycle`) are the reference for the integer tables, as
 `phase_witness_catalog` is for `selftest.witness_catalog`.  The term-level
 operations that read canonical forms keep their old paths here: config
 sums and negations through `from_items` and AbElem arithmetic
@@ -32,8 +33,10 @@ replaced: a character and a bilinear cocycle from Phases
 elements (`elementwise_hom_matrix`); `config_total` folds a
 configuration's values by AbElem additions.  The arithmetic the value
 types no longer carry, since nothing in `tbshift` uses it, lives here:
-a group's zero (`group_zero`), a homomorphism applied to an element
-(`apply_hom`), an element's order (`element_order`), the unit and the
+a finite group's AbElems in `coordinates()` order (`elements`), the
+generators (`generators`), the full dual in `dual_character` order
+(`dual_characters`), a group's zero (`group_zero`), a homomorphism
+applied to an element (`apply_hom`), an element's order (`element_order`), the unit and the
 trace of the tensor square (`tensor_one`, `tensor_trace`) and sums and scalings of algebra elements
 (`combination`); a character's value is `phase_character_value`.  A key
 of the tensor square is the two-site configuration with g at ORIGIN and
@@ -68,6 +71,21 @@ from tbshift.scalars import Cyclotomic, Phase
 from tbshift.selftest import _random_bilinear, random_point
 
 # -- the arithmetic the value types no longer carry -----------------------------
+
+
+def elements(group: AbGroup) -> list:
+    """The elements of a finite group as AbElems, in `coordinates()` order."""
+    return [AbElem(group, g) for g in group.coordinates()]
+
+
+def generators(group: AbGroup) -> list:
+    """The generators e_j as AbElems: the rows of the identity matrix."""
+    return [AbElem(group, tuple(row)) for row in identity_matrix(group.rank)]
+
+
+def dual_characters(group: AbGroup) -> list:
+    """All |H| characters of a finite group, in `dual_character` order."""
+    return [dual_character(group, i) for i in range(group.order())]
 
 
 def group_zero(group: AbGroup) -> AbElem:
@@ -183,7 +201,7 @@ def literal_coboundary_witness(mu1, mu2) -> Optional[dict]:
     exponent).
     """
     group = mu1.group
-    elems = list(group.elements())
+    elems = elements(group)
     nonzero = elems[1:]
     index = {e: i for i, e in enumerate(nonzero)}
 
@@ -230,7 +248,7 @@ def phase_coboundary_witness(mu1, mu2) -> Optional[dict]:
     decide.
     """
     group = mu1.group
-    elems = list(group.elements())
+    elems = elements(group)
 
     def nu(g: AbElem, h: AbElem) -> Phase:
         return mu1(g, h) - mu2(g, h)
@@ -238,7 +256,7 @@ def phase_coboundary_witness(mu1, mu2) -> Optional[dict]:
     for g, h in itertools.combinations(elems[1:], 2):
         if nu(g, h) != nu(h, g):
             return None
-    gens = group.generators()
+    gens = generators(group)
     step = []
     for e, n in zip(gens, group.torsion):
         s, x = Phase.ZERO, group_zero(group)
@@ -261,7 +279,7 @@ def phase_coboundary_witness(mu1, mu2) -> Optional[dict]:
 
 
 def table_from_function(group: AbGroup, fn) -> TableCocycle:
-    elems = list(group.elements())
+    elems = elements(group)
     entries = {(g.coords, h.coords): fn(g, h) for g in elems for h in elems}
     return TableCocycle(group, entries)
 
@@ -299,7 +317,7 @@ def phase_witness_catalog(rng, count: int) -> list:
         else:
             other = trivial_cocycle(group)
         b = {g: Phase(rng.randrange(8), 8) if any(g.coords) else Phase.ZERO
-             for g in group.elements()}
+             for g in elements(group)}
         shifted, right = coboundary_cocycle(group, b), to_table(other)
         lifted = {key: right.entries[key] + shifted.entries[key] for key in right.entries}
         pairs.append((to_table(base), TableCocycle(group, lifted)))
@@ -313,7 +331,7 @@ def phase_validate(table) -> None:
     """`TableCocycle.validate` read value by value: the missing-entry,
     normalization and generator-triple scans, in its loop order and with
     its messages, adding the Phases of the table's own `__call__`."""
-    g_all = list(table.group.elements())
+    g_all = elements(table.group)
     for g in g_all:
         for h in g_all:
             if (g.coords, h.coords) not in table.entries:
@@ -322,7 +340,7 @@ def phase_validate(table) -> None:
     for g in g_all:
         if table(g, zero) != Phase.ZERO or table(zero, g) != Phase.ZERO:
             raise CocycleError("normalization", f"value at ({g.coords}, 0) is not 1")
-    gens = table.group.generators()
+    gens = generators(table.group)
     for g in g_all:
         for h in g_all:
             gh = table(g, h)
@@ -428,7 +446,7 @@ def phase_star_form(mu) -> tuple:
     """The star form (A, D) from the Phases mu(e_i, e_j) - mu(e_j, e_i),
     i < j: D is the lcm of their denominators, A_ij the phase times D and
     A_ji = -A_ij."""
-    gens = mu.group.generators()
+    gens = generators(mu.group)
     star = [[mu(x, y) - mu(y, x) if i < j else Phase.ZERO for j, y in enumerate(gens)]
             for i, x in enumerate(gens)]
     den = lcm(*(p.den for row in star for p in row))
@@ -448,7 +466,7 @@ def cocycle_identity_failure(mu) -> Optional[tuple]:
     """The first (g, h, k), as coords, of all |H|^3 triples in elements()
     order at which mu(g, h) + mu(g + h, k) != mu(h, k) + mu(g, h + k), or
     None if mu is a 2-cocycle."""
-    elems = list(mu.group.elements())
+    elems = elements(mu.group)
     for g, h, k in itertools.product(elems, repeat=3):
         if mu(g, h) + mu(g + h, k) != mu(h, k) + mu(g, h + k):
             return g.coords, h.coords, k.coords
@@ -458,7 +476,7 @@ def cocycle_identity_failure(mu) -> Optional[tuple]:
 def phase_conditions(ta: Triplet, tb: Triplet, phi: AbHom) -> tuple:
     """`check_conditions` read off the cocycles and characters themselves:
     mu(x, y) - mu(y, x) and 2 chi on the generators and their images."""
-    gens = ta.group.generators()
+    gens = generators(ta.group)
     images = [apply_hom(phi, g) for g in gens]
 
     def star(mu, x, y):
@@ -528,7 +546,7 @@ def flip(x: TensorElement) -> TensorElement:
 
 def tensor_element(mu, terms: dict) -> TensorElement:
     """The TensorElement of the swap kernel's index form {i*n + j: c}."""
-    elems = list(mu.group.elements())
+    elems = elements(mu.group)
     n = len(elems)
     return TensorElement(mu, {tensor_key(elems[k // n], elems[k % n]): c for k, c in terms.items()})
 
@@ -579,7 +597,7 @@ def tensor_check_malleability(v: TensorElement, rng, samples: int) -> dict:
         "full_swap": all(
             malleability_flow(mu, 1, TensorElement(mu, {tensor_key(g, zero): one}))
             == TensorElement(mu, {tensor_key(zero, g): one})
-            for g in group.elements()
+            for g in elements(group)
         ),
     }
     ok_half, ok_char = True, True
@@ -656,17 +674,18 @@ def mu_hat(mu, lam: Config, order_key=spiral_index) -> Phase:
     return total
 
 
-def term_phase(pi, lam: Config, image: Config) -> Phase:
+def term_phase(pi, lam: Config, image: Config, order_key=spiral_index) -> Phase:
     """The phase of lam's term under pi, image being lam mapped through phi:
-    mu^_a(lam) + the corrector - mu^_b(image), the corrector summed site by
-    site as weight(k) (chi_a(v) - chi_b(phi v))."""
+    mu^_a(lam) + the corrector - mu^_b(image), both telescoped in order_key
+    order, the corrector summed site by site as weight(k) (chi_a(v) -
+    chi_b(phi v))."""
     corrector = Phase.ZERO
     for point, value in config_items(lam):
         mismatch = (phase_character_value(pi.ta.character, value)
                     - phase_character_value(pi.tb.character, apply_hom(pi.phi, value)))
         corrector = corrector + mismatch * pi.weight(point)
-    return (mu_hat(pi.ta.cocycle, lam, pi.order_key) + corrector
-            - mu_hat(pi.tb.cocycle, image, pi.order_key))
+    return (mu_hat(pi.ta.cocycle, lam, order_key) + corrector
+            - mu_hat(pi.tb.cocycle, image, order_key))
 
 
 def abelem_zero_sum_config(rng, group: AbGroup, radius: int = 2) -> Config:
@@ -700,13 +719,13 @@ def phase_algebra_element(rng, cocycle, terms: int = 2, radius: int = 2) -> Alge
     return AlgebraElement(cocycle, out)
 
 
-def phase_pi(pi, x: AlgebraElement) -> AlgebraElement:
-    """`PiPhi.__call__` Phase by Phase: each term's configuration `mapped`
-    through phi, its phase by `term_phase`."""
+def phase_pi(pi, x: AlgebraElement, order_key=spiral_index) -> AlgebraElement:
+    """`PiPhi.__call__` Phase by Phase, with the sites in order_key order:
+    each term's configuration `mapped` through phi, its phase by `term_phase`."""
     out: dict = {}
     for lam, coeff in x.terms.items():
         key = mapped(lam, pi.phi)
-        term = coeff * Cyclotomic.from_phase(term_phase(pi, lam, key))
+        term = coeff * Cyclotomic.from_phase(term_phase(pi, lam, key, order_key))
         out[key] = out[key] + term if key in out else term
     return AlgebraElement(pi.tb.cocycle, out)
 
@@ -783,7 +802,7 @@ def product_triplet(*parts: Triplet) -> Triplet:
     offset = 0
     for t in parts:
         r = t.group.rank
-        gens = t.group.generators()
+        gens = generators(t.group)
         for i in range(r):
             for j in range(r):
                 matrix[offset + i][offset + j] = t.cocycle(gens[i], gens[j])
@@ -870,3 +889,19 @@ def moved_by(cfg: Config, move: AffineSL2) -> Config:
 def row_major_key(point: LatticePoint) -> tuple:
     """Enumeration by row, then column: an order_key other than the spiral."""
     return (point.r, point.q)
+
+
+def spiral_walk() -> Iterator[LatticePoint]:
+    """The spiral enumeration of Z^2 walked edge by edge: ring R goes up the
+    east edge from (R, 1-R), then west along the north edge, down the west
+    edge and east along the south edge, with no `spiral_index` read."""
+    yield ORIGIN
+    for ring in itertools.count(1):
+        for r in range(1 - ring, ring + 1):
+            yield LatticePoint(ring, r)
+        for q in range(ring - 1, -ring - 1, -1):
+            yield LatticePoint(q, ring)
+        for r in range(ring - 1, -ring - 1, -1):
+            yield LatticePoint(-ring, r)
+        for q in range(1 - ring, ring + 1):
+            yield LatticePoint(q, -ring)

@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 
 from oracles import (
     apply_hom,
+    dual_characters,
     element_order,
+    elements,
     elementwise_hom_matrix,
     enumerate_automorphisms,
     enumerate_isomorphisms,
+    generators,
     group_zero,
     phase_character,
     phase_character_value,
@@ -24,7 +27,6 @@ from tbshift.abelian import (
     Character,
     abstractly_isomorphic,
     dual_character,
-    dual_characters,
     group_structure,
     is_isomorphism,
 )
@@ -46,12 +48,12 @@ def test_addition_table_numbers_the_elements_in_their_order(torsion):
     # and the swap kernel read: add[i][j] is the number of g_i + g_j, and
     # e_k is number prod(torsion[k+1:])
     group = AbGroup(0, torsion)
-    elems, add = list(group.elements()), group.addition_table()
+    elems, add = elements(group), group.addition_table()
     assert len(add) == len(elems) and all(len(row) == len(elems) for row in add)
     for g, row in zip(elems, add):
         for h, s in zip(elems, row):
             assert elems[s] == g + h
-    for k, e in enumerate(group.generators()):
+    for k, e in enumerate(generators(group)):
         assert elems[math.prod(torsion[k + 1:])] == e
     with pytest.raises(ValueError):
         AbGroup(1, torsion).addition_table()
@@ -142,7 +144,7 @@ def test_image_count_matches_isomorphism(rng):
     verdicts = set()
     for torsion in [(2, 4), (2, 2, 2), (3, 9)]:
         g = AbGroup(0, torsion)
-        elems = list(g.elements())
+        elems = elements(g)
         for _ in range(60):
             images = [rng.choice(elems) for _ in range(g.rank)]
             try:
@@ -168,7 +170,7 @@ def test_automorphisms_of_z2_z4_brute_force_oracle():
     # independent oracle: try every pair of generator images, keep the maps
     # that are well defined homomorphisms and bijective as functions
     g = AbGroup(0, (2, 4))
-    elems = list(g.elements())
+    elems = elements(g)
 
     def times(x, n):
         return g.element([n * c for c in x.coords])
@@ -378,9 +380,9 @@ def test_hom_integer_check_matches_the_elementwise_check(rng):
 
 def test_dual_characters_count_and_separation():
     g = AbGroup(0, (2, 4))
-    chars = list(dual_characters(g))
+    chars = dual_characters(g)
     assert len(chars) == 8
-    for x in g.elements():
+    for x in elements(g):
         if any(x.coords):
             assert any(_value(c, x) != Phase.ZERO for c in chars)
 
@@ -392,9 +394,9 @@ def test_dual_character_decodes_the_product_order():
         listed = [phase_character(g, (Phase(a, n) for a, n in zip(t, torsion)))
                   for t in itertools.product(*(range(n) for n in torsion))]
         assert [dual_character(g, i) for i in range(g.order())] == listed
-        assert list(dual_characters(g)) == listed
+        assert dual_characters(g) == listed
     with pytest.raises(ValueError, match="finite"):
-        dual_characters(AbGroup(1, (2,)))
+        AbGroup(1, (2,)).order()
 
 
 def test_separating_characters_infinite_group():
@@ -447,7 +449,7 @@ def test_group_structure_rejects_non_groups(elements, compose, message):
 def test_group_structure_invariant_factors_against_order_statistics(rng):
     # Z/2 x Z/4 modelled as translations acting on itself
     g = AbGroup(0, (2, 4))
-    elems = list(g.elements())
+    elems = elements(g)
     rep = group_structure(elems, lambda a, b: a + b)
     assert rep.invariant_factors == (2, 4)
     # order statistics oracle: counts of element orders must match Z/2 x Z/4
@@ -461,11 +463,11 @@ def test_group_structure_invariant_factors_against_order_statistics(rng):
     listed = [z4.element((c,)) for c in (0, 2, 1, 3)]
     assert group_structure(listed, lambda a, b: a + b).invariant_factors == (4,)
     for torsion in [(2, 4), (4, 6), (3, 9), (2, 2, 8)]:
-        shuffled = list(AbGroup(0, torsion).elements())
+        shuffled = elements(AbGroup(0, torsion))
         rng.shuffle(shuffled)
         rep = group_structure(shuffled, lambda a, b: a + b)
         model = AbGroup(0, rep.invariant_factors)
-        assert Counter(element_order(x) for x in model.elements()) == Counter(
+        assert Counter(element_order(x) for x in elements(model)) == Counter(
             element_order(x) for x in shuffled
         )
 

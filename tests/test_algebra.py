@@ -11,6 +11,8 @@ from oracles import (
     coboundary_cocycle,
     combination,
     config_total,
+    dual_characters,
+    elements,
     flip,
     flow_unitary,
     group_zero,
@@ -28,7 +30,7 @@ from oracles import (
     to_table,
 )
 from tbshift import algebra, selftest
-from tbshift.abelian import AbElem, AbGroup, Character, dual_character, dual_characters
+from tbshift.abelian import AbElem, AbGroup, Character, dual_character
 from tbshift.algebra import (
     MAX_FLOW_ORDER,
     AlgebraElement,
@@ -161,7 +163,7 @@ def test_two_site_product_and_star_keep_the_tensor_twist(rng):
     # mu read as Phases: the twist mu (+) mu of the tensor square, which the
     # two-site configurations must give through mu~
     for mu in (mod_q_cocycle(3), mod_q_cocycle(4), to_table(mod_q_cocycle(2))):
-        elems = list(mu.group.elements())
+        elems = elements(mu.group)
         for _ in range(20):
             a, b, c, d = (rng.choice(elems) for _ in range(4))
             x = Cyclotomic.from_phase(Phase(rng.randrange(1, 12), 12))
@@ -180,6 +182,15 @@ def test_tensor_and_algebra_elements_never_compare_equal(mu3):
     assert tensor != algebra_element and algebra_element != tensor
     assert type(tensor * tensor) is TensorElement and type(tensor.star()) is TensorElement
     assert tensor * tensor != algebra_element * algebra_element
+
+
+def test_products_across_the_two_classes_are_refused(mu3, rng):
+    # over one base, a product of a TensorElement and an AlgebraElement is
+    # refused both ways, as a TypeError, as their equality is
+    tensor, element = _random_tensor_element(rng, mu3), random_algebra_element(rng, mu3)
+    for a, b in ((tensor, element), (element, tensor)):
+        with pytest.raises(TypeError):
+            a * b
 
 
 def test_tensor_element_is_the_algebra_class_under_its_own_name():
@@ -221,7 +232,7 @@ def test_flow_time_zero_and_one(mu3, rng):
         hh = g.element((rng.randrange(3), rng.randrange(3)))
         x = _unit(mu3, gg, hh, Cyclotomic.from_phase(Phase(1, 5)))
         assert malleability_flow(mu3, Fraction(0), x) == x
-    for gg in g.elements():
+    for gg in elements(g):
         x = _unit(mu3, gg, group_zero(g))
         assert malleability_flow(mu3, Fraction(1), x) == _unit(
             mu3, group_zero(g), gg
@@ -265,7 +276,7 @@ def test_diagonal_character_action(mu3, rng):
     # on the shift algebra a diagonal character acts as rho of (c, identity)
     g, t = mu3.group, mod_q_triplet(3)
     triv = Character.trivial(g)
-    chars = list(dual_characters(g))
+    chars = dual_characters(g)
     v = malleability_unitary(mu3)
     for c in chars:
         assert apply_diagonal_character(c, v) == v  # every term has content h + (-h)
@@ -289,7 +300,7 @@ def test_diagonal_character_of_order_four_matches_its_phase_values(rng):
     mu = mod_q_cocycle(4)
     g, t = mu.group, mod_q_triplet(4)
     c = phase_character(g, (Phase(1, 4), Phase.ZERO))
-    elems = list(g.elements())
+    elems = elements(g)
     tensor = TensorElement(mu, {
         tensor_key(a, b):
             Cyclotomic.from_phase(Phase(rng.randrange(12), 12)) * Fraction(rng.randint(1, 3))
@@ -315,7 +326,7 @@ def test_diagonal_character_of_order_four_matches_its_phase_values(rng):
 def test_flow_commutes_with_diagonal_characters(mu3, rng):
     g = mu3.group
     half = Fraction(1, 2)
-    chars = list(dual_characters(g))
+    chars = dual_characters(g)
     for _ in range(5):
         x = _unit(
             mu3,
@@ -366,7 +377,7 @@ def _symplectic_z2p4():
 def _shifted_table_cocycle(rng):
     mu = mod_q_cocycle(3)
     g = mu.group
-    b = {h: Phase(rng.randrange(6), 6) for h in g.elements()}
+    b = {h: Phase(rng.randrange(6), 6) for h in elements(g)}
     shift = coboundary_cocycle(g, b)
     return table_from_function(g, lambda h, k: mu(h, k) + shift(h, k))
 
@@ -422,7 +433,7 @@ def test_check_malleability_draws_what_the_listed_dual_drew(monkeypatch):
     for q, samples in ((2, 3), (3, 5), (4, 6), (5, 4)):
         mu = to_table(mod_q_cocycle(q)) if q == 2 else mod_q_cocycle(q)
         group, v = mu.group, malleability_unitary(mu)
-        listed = list(dual_characters(group))
+        listed = dual_characters(group)
         drawn = []
         monkeypatch.setattr(algebra, "dual_character",
                             lambda g, i: drawn.append(dual_character(g, i)) or drawn[-1])
@@ -479,7 +490,7 @@ def test_check_malleability_fails_on_a_mutated_unitary(rng):
     # flow checks, which run on the kernel's own V, still pass
     for mu in (mod_q_cocycle(2), mod_q_cocycle(3), _symplectic_z2p4(), _shifted_table_cocycle(rng)):
         v, g = malleability_unitary(mu), mu.group
-        elems = list(g.elements())
+        elems = elements(g)
         mutants = [TensorElement(mu, {**v.terms, key: c.rotated(1, 3)})
                    for key, c in v.terms.items()]
         for _ in range(4):
@@ -516,7 +527,7 @@ def test_kernel_star_and_diagonal_match_the_tensor_element_forms(rng):
     # int turns against apply_diagonal_character
     for mu in (mod_q_cocycle(4), _symplectic_z2p4(), _shifted_table_cocycle(rng)):
         kernel, group = _SwapKernel(mu), mu.group
-        chars = list(dual_characters(group))
+        chars = dual_characters(group)
         for _ in range(10):
             x = _mixed_tensor_element(rng, mu, rng.randint(1, 5))
             index = kernel.index_form(x)
@@ -531,17 +542,18 @@ def test_kernel_star_and_diagonal_match_the_tensor_element_forms(rng):
 
 def test_kernel_diagonal_is_rho_of_the_character_and_the_identity(rng):
     # with configuration keys the same element is in both algebras: the
-    # kernel's diagonal character and rho of (c, identity) give the same terms
+    # kernel's diagonal character and rho of (c, identity) give the same
+    # TensorElement
     table = to_table(mod_q_cocycle(2))
     triplets = [mod_q_triplet(3), mod_q_triplet(4),
                 Triplet(table.group, table, Character.trivial(table.group))]
     for t in triplets:
         mu = t.cocycle
-        kernel, chars = _SwapKernel(mu), list(dual_characters(t.group))
+        kernel, chars = _SwapKernel(mu), dual_characters(t.group)
         for _ in range(20):
             x, c = _mixed_tensor_element(rng, mu, rng.randint(1, 5)), rng.choice(chars)
             diagonal = tensor_element(mu, kernel.diagonal(c, kernel.index_form(x)))
-            assert diagonal.terms == rho(t, Motion(c), x).terms
+            assert diagonal == rho(t, Motion(c), x)
 
 
 def test_index_form_refuses_a_site_off_the_two_sites(mu3):
@@ -613,7 +625,7 @@ def test_kernel_product_matches_generic_product(rng):
     ]
     for mu, rounds in bases:
         kernel = _SwapKernel(mu)
-        elems = list(mu.group.elements())
+        elems = elements(mu.group)
         # the conductor mu.den is the lcm of all the values' denominators,
         # and each twist exponent over it is the value itself
         assert kernel.conductor == lcm(*(mu(g, h).den for g in elems for h in elems))
@@ -633,7 +645,7 @@ def test_kernel_build_evaluates_no_cocycle_value(rng, monkeypatch):
     # the twist is each storage form's own integer table, not mu(g, h)
     bases = [mod_q_cocycle(3), _symplectic_z2p4(), _shifted_table_cocycle(rng),
              product_triplet(mod_q_triplet(3), mod_q_triplet(5)).cocycle]
-    tables = [[[mu(g, h) for h in mu.group.elements()] for g in mu.group.elements()]
+    tables = [[[mu(g, h) for h in elements(mu.group)] for g in elements(mu.group)]
               for mu in bases]
 
     def never(mu, g, h):
@@ -652,7 +664,7 @@ def test_kernel_on_the_largest_group_builds_within_its_deadline(rng):
     assert mu.group.order() == MAX_FLOW_ORDER
     with deadline(2):
         kernel = _SwapKernel(mu)
-    elems = list(mu.group.elements())
+    elems = elements(mu.group)
     for _ in range(200):
         i, j = rng.randrange(MAX_FLOW_ORDER), rng.randrange(MAX_FLOW_ORDER)
         assert Phase(kernel.twist[i][j], kernel.conductor) == mu(elems[i], elems[j])

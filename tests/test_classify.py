@@ -11,8 +11,11 @@ import pytest
 import oracles
 from oracles import (
     det_form_cocycle,
+    dual_characters,
+    elements,
     enumerate_automorphisms,
     enumerate_isomorphisms,
+    generators,
     lattice_det_triplet,
     mapped,
     phase_conditions,
@@ -26,7 +29,6 @@ from tbshift.abelian import (
     AbGroup,
     AbHom,
     Character,
-    dual_characters,
     is_isomorphism,
     lazy_product,
 )
@@ -257,13 +259,14 @@ def test_verify_pi_passes_for_valid_witness(trip3, rng):
     assert report.ok, report.failures[:3]
 
 
-def test_pi_phase_is_enumeration_independent(trip3, rng):
+def test_pi_phase_is_enumeration_independent(trip3, rng, monkeypatch):
     phi = AbHom(trip3.group, trip3.group, ((1, 0), (1, 1)))
     pi = build_pi(trip3, trip3, phi)
-    alt = PiPhi(pi.ta, pi.tb, pi.phi, order_key=row_major_key)
-    for _ in range(20):
-        x = random_algebra_element(rng, trip3.cocycle)
-        assert pi(x) == alt(x)
+    xs = [random_algebra_element(rng, trip3.cocycle) for _ in range(20)]
+    spiral = [pi(x) for x in xs]
+    monkeypatch.setattr(classify, "spiral_index", row_major_key)
+    for x, image in zip(xs, spiral):
+        assert image == pi(x)
 
 
 def _half_shift_pair():
@@ -311,11 +314,11 @@ def _pi_cases():
     t3 = mod_q_triplet(3)
     g3 = t3.group
     shift = oracles.coboundary_cocycle(g3, {x: Phase(x.coords[0] * x.coords[1] % 5, 5)
-                                            for x in g3.elements()})
+                                            for x in elements(g3)})
     table_a = Triplet(g3, oracles.table_from_function(
         g3, lambda g, h: t3.cocycle(g, h) + Phase(h.coords[0] * g.coords[1], 3) + shift(g, h)),
         t3.character)
-    eighths = oracles.coboundary_cocycle(g3, {x: Phase(x.coords[0], 8) for x in g3.elements()})
+    eighths = oracles.coboundary_cocycle(g3, {x: Phase(x.coords[0], 8) for x in elements(g3)})
     table_b = Triplet(g3, oracles.table_from_function(
         g3, lambda g, h: t3.cocycle(h, g) + eighths(g, h)), oracles.phase_character(g3, (Phase(2, 3), Phase(1, 3))))
     table_a.validate()
@@ -331,7 +334,7 @@ def _pi_cases():
     ]
 
 
-def test_mismatch_and_corrector_match_the_sitewise_formula(rng):
+def test_mismatch_and_corrector_match_the_sitewise_formula(rng, monkeypatch):
     # the precomputed character against chi_a(h) - chi_b(phi h), and each
     # integer term of pi (mapped values, both telescoping sums and the
     # gcd-weighted corrector over one denominator) against the oracle that
@@ -350,15 +353,17 @@ def test_mismatch_and_corrector_match_the_sitewise_formula(rng):
             value = oracles.phase_character_value
             assert value(pi.mismatch, h) == (
                 value(pi.ta.character, h) - value(pi.tb.character, oracles.apply_hom(pi.phi, h)))
-        for variant in (pi, PiPhi(pi.ta, pi.tb, pi.phi, weight=lambda k: 1),
-                        PiPhi(pi.ta, pi.tb, pi.phi, order_key=row_major_key)):
+        for variant, key in ((pi, spiral_index),
+                             (PiPhi(pi.ta, pi.tb, pi.phi, weight=lambda k: 1), spiral_index),
+                             (pi, row_major_key)):
+            monkeypatch.setattr(classify, "spiral_index", key)
             for _ in range(30):
                 lam = random_zero_sum_config(rng, ga, radius=3)
                 unit = AlgebraElement.unit(pi.ta.cocycle, lam)
-                assert variant(unit) == phase_pi(variant, unit)
+                assert variant(unit) == phase_pi(variant, unit, key)
             for _ in range(10):
                 x = random_algebra_element(rng, pi.ta.cocycle, terms=4, radius=1)
-                assert variant(x) == phase_pi(variant, x)
+                assert variant(x) == phase_pi(variant, x, key)
 
 
 def test_pi_on_a_non_injective_hom_merges_and_cancels_terms(rng):
@@ -460,7 +465,7 @@ def test_integer_form_builders_make_no_phase_and_homs_no_group_element(monkeypat
 
     def characters():
         t = mod_q_triplet(3)
-        chars = list(dual_characters(t.group))
+        chars = dual_characters(t.group)
         a = Motion(chars[4].power(5), AffineSL2(LatticePoint(1, 2), ((1, 1), (0, 1))))
         b = Motion(chars[7], AffineSL2(LatticePoint(-2, 1), ((0, -1), (1, 0))))
         other = Triplet(t.group, t.cocycle, chars[5])
@@ -505,7 +510,7 @@ def _verify_pi_one_check_at_a_time(pi, pairs, moves=CANONICAL_MOVES):
     return VerifyReport(not failures, failures)
 
 
-def test_verify_pi_reports_what_one_check_at_a_time_reports(rng):
+def test_verify_pi_reports_what_one_check_at_a_time_reports(rng, monkeypatch):
     t3 = mod_q_triplet(3)
     good = build_pi(t3, t3, AbHom(t3.group, t3.group, ((1, 0), (1, 1))))
     ta, tb = _half_shift_pair()
@@ -515,7 +520,10 @@ def test_verify_pi_reports_what_one_check_at_a_time_reports(rng):
     # so a wrong order key shows only on a phi that does not: (1, 0; 0, 2)
     # doubles the mod-3 form
     unkept = PiPhi(good.ta, good.tb, AbHom(t3.group, t3.group, ((1, 0), (0, 2))))
-    reversed_key = PiPhi(unkept.ta, unkept.tb, unkept.phi, order_key=lambda k: -spiral_index(k))
+
+    def reversed_key(k):
+        return -spiral_index(k)
+
     t3_pairs = [
         (random_algebra_element(rng, t3.cocycle), random_algebra_element(rng, t3.cocycle))
         for _ in range(6)
@@ -528,20 +536,23 @@ def test_verify_pi_reports_what_one_check_at_a_time_reports(rng):
         (random_algebra_element(rng, ta.cocycle), random_algebra_element(rng, ta.cocycle)),
     ]
     cases = [
-        (good, t3_pairs, True),
-        (PiPhi(good.ta, good.tb, good.phi, order_key=row_major_key), t3_pairs, True),
-        (weightless, half_pairs, False),
-        (unkept, t3_pairs, False),
-        (reversed_key, t3_pairs, False),
+        (good, spiral_index, t3_pairs, True),
+        (good, row_major_key, t3_pairs, True),
+        (weightless, spiral_index, half_pairs, False),
+        (unkept, spiral_index, t3_pairs, False),
+        (unkept, reversed_key, t3_pairs, False),
     ]
-    kinds = set()
-    for pi, pairs, ok in cases:
+    kinds, failures = set(), []
+    for pi, key, pairs, ok in cases:
+        monkeypatch.setattr(classify, "spiral_index", key)
         report = verify_pi(pi, pairs)
         oracle = _verify_pi_one_check_at_a_time(pi, pairs)
         assert report.ok == oracle.ok == ok
         assert report.failures == oracle.failures
         kinds.update(kind for kind, *_ in report.failures)
-    assert verify_pi(unkept, t3_pairs).failures != verify_pi(reversed_key, t3_pairs).failures
+        failures.append(report.failures)
+    # unkept in spiral order against unkept in reversed order
+    assert failures[3] != failures[4]
     assert kinds == {"product", "star", "equivariance"}
 
 
@@ -685,7 +696,7 @@ def test_centralizer_structure_against_element_orders():
         if structure.abelian:
             model = AbGroup(0, structure.invariant_factors)
             assert Counter(map(_hom_order, rep.elements)) == Counter(
-                oracles.element_order(x) for x in model.elements()
+                oracles.element_order(x) for x in elements(model)
             )
         else:
             x, y = structure.noncommuting
@@ -778,7 +789,7 @@ def _random_character(rng, group):
 def _pushforward(t, psi):
     """The triplet that psi^-1 maps t to: data pulled back through psi."""
     g = psi.source
-    images = [oracles.apply_hom(psi, e) for e in g.generators()]
+    images = [oracles.apply_hom(psi, e) for e in generators(g)]
     matrix = tuple(tuple(t.cocycle(x, y) for y in images) for x in images)
     chi = oracles.phase_character(g, tuple(oracles.phase_character_value(t.character, x)
                                            for x in images))

@@ -5,6 +5,7 @@ from oracles import (
     act,
     coboundary_cocycle,
     config_items,
+    elements,
     moved_by,
     mu_hat,
     row_major_key,
@@ -156,7 +157,7 @@ def test_mu_hat_order_independent_for_symmetric_cocycles(rng):
     g = mod_q_group(3)
     b = {
         x: Phase(rng.randrange(8), 8) if any(x.coords) else Phase.ZERO
-        for x in g.elements()
+        for x in elements(g)
     }
     shift = coboundary_cocycle(g, b)
     for _ in range(50):
@@ -173,7 +174,7 @@ def test_cocycle_correction_identity_for_cohomologous_pairs(rng):
     for _ in range(4):
         b = {
             x: Phase(rng.randrange(8), 8) if any(x.coords) else Phase.ZERO
-            for x in g.elements()
+            for x in elements(g)
         }
         shifted_entries = {
             key: to_table(base).entries[key] + coboundary_cocycle(g, b).entries[key]
@@ -237,7 +238,7 @@ def _twist_cases():
     free = AbGroup(2, (2,))
     mixed = AbGroup(0, (4, 6))
     square = mod_q_group(3)
-    shift = coboundary_cocycle(square, {x: Phase(sum(x.coords) % 5, 5) for x in square.elements()})
+    shift = coboundary_cocycle(square, {x: Phase(sum(x.coords) % 5, 5) for x in elements(square)})
     return [
         oracles.phase_bilinear(free, ((Phase(1, 7), Phase(2, 5), z), (z, z, Phase(1, 2)),
                                (Phase(1, 2), z, Phase(1, 2)))),

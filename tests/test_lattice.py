@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from oracles import act, inverse
+from oracles import act, inverse, spiral_walk
 from tbshift.lattice import (
     DELTA,
     E1,
@@ -127,6 +127,14 @@ def test_spiral_enumeration_prefix():
 def test_spiral_index_matches_enumeration():
     for i, p in enumerate(itertools.islice(spiral_points(), 200)):
         assert spiral_index(p) == i
+
+
+def test_spiral_points_and_index_match_the_edge_walk():
+    # rings 0 to 12, the walk reading no spiral_index
+    walk = list(itertools.islice(spiral_walk(), 25 ** 2))
+    assert max(max(abs(q), abs(r)) for q, r in walk) == 12
+    assert list(itertools.islice(spiral_points(), len(walk))) == walk
+    assert [spiral_index(p) for p in walk] == list(range(len(walk)))
 
 
 def test_identity_is_neutral():

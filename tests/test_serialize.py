@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import lattice_det_triplet, phase_character, to_table
+from oracles import elements, lattice_det_triplet, phase_character, to_table
 from tbshift import serialize
 from tbshift.abelian import AbGroup, AbHom
 from tbshift.cocycle import trivial_cocycle
@@ -99,8 +99,8 @@ def test_table_entry_given_twice_is_refused():
     group = mod_q_cocycle(3).group
     entries = []
     for mu, shift in ((mod_q_cocycle(3), 0), (trivial_cocycle(group), 3)):
-        for g in group.elements():
-            for h in group.elements():
+        for g in elements(group):
+            for h in elements(group):
                 coords = [c + shift for c in g.coords]
                 entries.append([coords, list(h.coords), str(mu(g, h))])
     data = _read("mod3_standard.json")

@@ -14,7 +14,7 @@ from tbshift.classify import CentralizerReport, ConjugacyReport, PiPhi, VerifyRe
 from tbshift.cocycle import Bicharacter, BilinearCocycle, TableCocycle
 from tbshift.configs import Config
 from tbshift.dynamics import Motion, Triplet
-from tbshift.lattice import AffineSL2, LatticePoint, gcd2, spiral_index
+from tbshift.lattice import AffineSL2, LatticePoint, gcd2
 from tbshift.scalars import Cyclotomic, Immutable, Phase
 
 Z2 = "AbGroup(free_rank=0, torsion=(2,))"
@@ -67,10 +67,9 @@ TYPES = [
     (lambda: StructureReport(order=2, abelian=True, invariant_factors=(2,), noncommuting=None),
      "StructureReport(order=2, abelian=True, invariant_factors=(2,), noncommuting=None)",
      "order", None, hash((2, True, (2,), None))),
-    (lambda: PiPhi(triplet(), triplet(), AbHom.identity(z2()), weight=gcd2, order_key=spiral_index),
-     f"PiPhi(ta={TRIPLET}, tb={TRIPLET}, phi={HOM}, weight={gcd2!r}, "
-     f"order_key={spiral_index!r})", "weight", "mismatch",
-     hash((TRIPLET_KEY, TRIPLET_KEY, HOM_KEY, gcd2, spiral_index))),
+    (lambda: PiPhi(triplet(), triplet(), AbHom.identity(z2()), weight=gcd2),
+     f"PiPhi(ta={TRIPLET}, tb={TRIPLET}, phi={HOM}, weight={gcd2!r})", "weight", "mismatch",
+     hash((TRIPLET_KEY, TRIPLET_KEY, HOM_KEY, gcd2))),
     (lambda: VerifyReport(ok=False, failures=[("trace", 1)]),
      "VerifyReport(ok=False, failures=[('trace', 1)])", "failures", None, None),
     (lambda: ConjugacyReport("YES", AbHom.identity(z2()), {"cocycle": True, "character": True},
