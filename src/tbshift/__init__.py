@@ -51,16 +51,14 @@ from .dynamics import (
     Triplet,
     VerifyReport,
     beta,
-    motion_mul,
-    rho,
-    verify_motion_relations,
-    weak_mixing_witness,
-)
-from .families import (
     mod_q_character,
     mod_q_cocycle,
     mod_q_group,
     mod_q_triplet,
+    motion_mul,
+    rho,
+    verify_motion_relations,
+    weak_mixing_witness,
 )
 from .lattice import (
     DELTA,

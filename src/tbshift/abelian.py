@@ -55,10 +55,6 @@ class AbGroup(Immutable):
         object.__setattr__(self, "orders", (0,) * free_rank + tors)
 
     @property
-    def is_trivial(self) -> bool:
-        return self.rank == 0
-
-    @property
     def is_finite(self) -> bool:
         return self.free_rank == 0
 
@@ -74,10 +70,6 @@ class AbGroup(Immutable):
 
     def element(self, coords: Sequence[int]) -> "AbElem":
         return AbElem(self, self.reduce(coords))
-
-    def generator_order(self, j: int) -> int:
-        """Order of the j-th generator (0 for a free generator)."""
-        return self.orders[j]
 
     def coordinates(self) -> Iterator[tuple]:
         """A finite group's elements as coordinate tuples, in itertools.product
@@ -190,7 +182,7 @@ def is_isomorphism(f: AbHom) -> bool:
     rb = f.target.rank
     cols = [[f.matrix[i][j] for i in range(rb)] for j in range(f.source.rank)]
     for i in range(rb):
-        n = f.target.generator_order(i)
+        n = f.target.orders[i]
         if n:
             cols.append([n if k == i else 0 for k in range(rb)])
     mat = [[col[i] for col in cols] for i in range(rb)]

@@ -73,9 +73,7 @@ class AlgebraElement:
             return NotImplemented
         if self.cocycle is not other.cocycle and self.cocycle != other.cocycle:
             return False
-        if self.terms.keys() != other.terms.keys():
-            return False
-        return all(other.terms[k] == v for k, v in self.terms.items())
+        return self.terms == other.terms
 
     def __mul__(self, other):
         if type(other) is not type(self):

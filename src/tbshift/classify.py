@@ -161,12 +161,9 @@ CANONICAL_MOVES = (
 )
 
 
-def verify_pi(
-    pi: PiPhi,
-    pairs: Sequence[tuple],
-    moves: Sequence[AffineSL2] = CANONICAL_MOVES,
-) -> VerifyReport:
-    """Exact checks that pi intertwines: products, star, trace, equivariance.
+def verify_pi(pi: PiPhi, pairs: Sequence[tuple]) -> VerifyReport:
+    """Exact checks that pi intertwines: products, star, trace, and
+    equivariance under each of `CANONICAL_MOVES`, read at call time.
 
     pi(a) and pi(b) are computed once per pair and shared by every check;
     the checks and the order of the failures are those of one check at a
@@ -182,7 +179,7 @@ def verify_pi(
             failures.append(("star", a))
         if pa.trace() != a.trace():
             failures.append(("trace", a))
-        for move in moves:
+        for move in CANONICAL_MOVES:
             if pi(beta(pi.ta, move, a)) != beta(pi.tb, move, pa):
                 failures.append(("equivariance", move, a))
     return VerifyReport(not failures, failures)
@@ -260,7 +257,7 @@ def _pool_ranges(ga: AbGroup, gb: AbGroup, bound: Optional[int]) -> list:
     """
     out = []
     for j in range(ga.rank):
-        order = ga.generator_order(j)
+        order = ga.orders[j]
         free = range(-bound, bound + 1) if order == 0 else range(1)
         out.append([free] * gb.free_rank + [range(0, n, n // gcd(order, n)) for n in gb.torsion])
     return out
@@ -334,7 +331,7 @@ def _matching_isomorphisms(
             if finite or is_isomorphism(f):
                 yield f
             return
-        order = ga.generator_order(j)
+        order = ga.orders[j]
         wanted = [star_a[i][j] for i in range(j)]
         for x in pool(j):
             if not all((sum(map(mul, u, x)) - w) % d == 0 for u, w in zip(pairings, wanted)):

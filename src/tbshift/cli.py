@@ -13,13 +13,13 @@ command, argument or choice, or an option of the wrong type) exits 2 with
 the usage text on stderr.  Output is deterministic: identical inputs give
 byte-identical JSON.
 
-`main` builds the argument parser on its first call and reuses it for
-every later call in the process, so callers that run many commands
-in-process pay for one build.  Importing this module builds nothing.  The
-command function is looked up by name (`cmd_<command>`) at each call, so
-a function replaced on the module after the parser exists is the one that
-runs.  `build_parser()` stays public: it is what a fresh process pays
-once, and the start-up measurement times it.
+`build_parser()` is cached: its first call builds the argument parser,
+and every later call in the process, `main`'s among them, returns that
+one, so callers that run many commands in-process pay for one build.
+Importing this module builds nothing; a fresh process pays for the one
+build that the start-up measurement times.  The command function is
+looked up by name (`cmd_<command>`) at each call, so a function replaced
+on the module after the parser exists is the one that runs.
 """
 
 from __future__ import annotations
@@ -60,12 +60,12 @@ def _load_triplet(path: str) -> Triplet:
             raw = json.load(fh)
     except OSError as exc:
         raise SchemaError("$", f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"{path} is not JSON: {exc}") from None
     except RecursionError:
         raise SchemaError("$", f"{path} nests too deeply to parse") from None
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError as exc:  # a ValueError too, so caught first
         raise SchemaError("$", f"{path} is not UTF-8 text: {exc}") from None
+    except ValueError as exc:  # JSONDecodeError, or an int too long to convert
+        raise SchemaError("$", f"{path} is not JSON: {exc}") from None
     return triplet_from_json(raw)
 
 
@@ -182,6 +182,7 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_INVALID)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="tbshift",
@@ -219,18 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()
-
-
 def main(argv=None) -> int:
     """Run `cmd_<command>`, looked up on this module at call time, write
     its payload, or the one its exception maps to, and return the exit code.
-
-    The parser is built on the first call and reused after it.
     """
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         try:
             payload, code = globals()[f"cmd_{args.command}"](args)

@@ -2,7 +2,9 @@
 
 A Triplet (H, mu, chi) fixes the whole setup: the group of motions is the
 product of the dual of H, the lattice translations and SL(2,Z), with a
-chi-twisted multiplication law.  A Motion holds a character and an
+chi-twisted multiplication law.  The mod-q square family is the standard
+example: H = (Z/q)^2, mu((s1,t1),(s2,t2)) = s1 t2 / q and chi(s, t) = s / q
+(`mod_q_triplet` and its parts).  A Motion holds a character and an
 `AffineSL2`; products compose the moves and the characters' int rows.
 rho is its action on formal sums over lattice configurations; beta is the
 restriction to translations and matrices acting on zero-sum sums.  Both
@@ -18,6 +20,7 @@ from typing import Optional, Sequence
 
 from .abelian import AbGroup, Character
 from .algebra import AlgebraElement
+from .cocycle import BilinearCocycle
 from .configs import Config
 from .lattice import (
     IDENTITY,
@@ -43,13 +46,31 @@ class Triplet(Immutable):
         object.__setattr__(self, "character", character)
 
     def validate(self) -> None:
-        if self.group.is_trivial:
+        if not self.group.rank:
             raise ValueError("the base group must be nontrivial")
         if self.cocycle.group != self.group:
             raise ValueError("cocycle is not over the base group")
         if self.character.group != self.group:
             raise ValueError("character is not over the base group")
         self.cocycle.validate()
+
+
+def mod_q_group(q: int) -> AbGroup:
+    return AbGroup(0, (q, q))
+
+
+def mod_q_cocycle(q: int) -> BilinearCocycle:
+    """mu((s1,t1),(s2,t2)) = s1*t2 / q on (Z/q)^2."""
+    return BilinearCocycle(mod_q_group(q), ((0, 1), (0, 0)), q)
+
+
+def mod_q_character(q: int) -> Character:
+    """chi((s1,t1)) = s1 / q."""
+    return Character(mod_q_group(q), (1, 0), q)
+
+
+def mod_q_triplet(q: int) -> Triplet:
+    return Triplet(mod_q_group(q), mod_q_cocycle(q), mod_q_character(q))
 
 
 class Motion(Immutable):

@@ -24,8 +24,15 @@ from .cocycle import (
     trivial_cocycle,
 )
 from .configs import Config, dipole
-from .dynamics import Motion, Triplet, motion_mul, verify_motion_relations, weak_mixing_witness
-from .families import mod_q_group, mod_q_triplet
+from .dynamics import (
+    Motion,
+    Triplet,
+    mod_q_group,
+    mod_q_triplet,
+    motion_mul,
+    verify_motion_relations,
+    weak_mixing_witness,
+)
 from .lattice import (
     IDENTITY_MAT,
     AffineSL2,

@@ -88,13 +88,14 @@ def element_to_json(e: AbElem) -> list:
     return list(e.coords)
 
 
-def element_from_json(group: AbGroup, obj: Any, path: str = "$") -> AbElem:
+def element_from_json(group: AbGroup, obj: Any, path: str = "$") -> tuple:
+    """The element's reduced coordinate tuple."""
     coords = _need(obj, list, path, "a coordinate list")
     if len(coords) != group.rank:
         raise SchemaError(path, f"expected {group.rank} coordinates, got {len(coords)}")
     for i, c in enumerate(coords):
         _need(c, int, f"{path}[{i}]", "an integer")
-    return group.element(coords)
+    return group.reduce(coords)
 
 
 def hom_to_json(f: AbHom) -> dict:
@@ -142,9 +143,9 @@ def cocycle_from_json(group: AbGroup, obj: Any, path: str = "$"):
                 raise SchemaError(here, "need exactly [g, h, phase]")
             g = element_from_json(group, entry[0], here + "[0]")
             h = element_from_json(group, entry[1], here + "[1]")
-            key = (g.coords, h.coords)
+            key = (g, h)
             if key in table:
-                raise SchemaError(here, f"second entry for ({g.coords}, {h.coords})")
+                raise SchemaError(here, f"second entry for ({g}, {h})")
             table[key] = phase_from_json(entry[2], here + "[2]")
         try:
             return TableCocycle(group, table)

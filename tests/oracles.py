@@ -365,7 +365,7 @@ def phase_character(group: AbGroup, phases: Iterable[Phase]) -> Character:
     den = lcm(*(p.den for p in phases))
     ints = tuple(p.num * (den // p.den) for p in phases)
     for j, (p, c) in enumerate(zip(phases, ints)):
-        n = group.generator_order(j)
+        n = group.orders[j]
         if n and n * c % den:
             raise ValueError(f"phase {p} is not killed by the generator order {n}")
     return Character(group, ints, den)
@@ -394,7 +394,7 @@ def phase_bilinear(group: AbGroup, matrix) -> BilinearCocycle:
     ints = tuple(tuple(p.num * (den // p.den) for p in row) for row in rows)
     for i in range(r):
         for j in range(r):
-            for n in (group.generator_order(i), group.generator_order(j)):
+            for n in (group.orders[i], group.orders[j]):
                 if n and n * ints[i][j] % den:
                     raise CocycleError("torsion", f"entry ({i},{j}) not killed by order {n}")
     return BilinearCocycle(group, ints, den)
@@ -410,10 +410,10 @@ def elementwise_hom_matrix(source: AbGroup, target: AbGroup, matrix) -> tuple:
         raise ValueError("matrix shape does not match the groups")
     fixed = []
     for i, row in enumerate(rows):
-        n = target.generator_order(i)
+        n = target.orders[i]
         fixed.append(tuple(x % n for x in row) if n else row)
     for j in range(source.rank):
-        n = source.generator_order(j)
+        n = source.orders[j]
         if n and any(target.element([n * row[j] for row in fixed]).coords):
             raise ValueError(f"generator {j} of order {n} maps to an incompatible element")
     return tuple(fixed)
@@ -748,7 +748,7 @@ def separating_characters(group: AbGroup, values: Iterable[AbElem]) -> list:
     modulus = 2 * biggest + 1
     family = []
     for j in range(group.rank):
-        n = group.generator_order(j) or modulus
+        n = group.orders[j] or modulus
         phases = [Phase.ZERO] * group.rank
         phases[j] = Phase(1, n)
         family.append(phase_character(group, phases))

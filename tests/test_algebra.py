@@ -40,8 +40,7 @@ from tbshift.algebra import (
 )
 from tbshift.cocycle import BilinearCocycle, TableCocycle, degeneracy_witness, trivial_cocycle
 from tbshift.configs import Config, dipole, mu_tilde
-from tbshift.dynamics import Motion, Triplet, rho
-from tbshift.families import mod_q_cocycle, mod_q_group, mod_q_triplet
+from tbshift.dynamics import Motion, Triplet, mod_q_cocycle, mod_q_group, mod_q_triplet, rho
 from tbshift.lattice import E1, ORIGIN, LatticePoint
 from tbshift.scalars import Cyclotomic, Phase
 from tbshift.selftest import random_algebra_element, random_zero_sum_config
@@ -182,6 +181,23 @@ def test_tensor_and_algebra_elements_never_compare_equal(mu3):
     assert tensor != algebra_element and algebra_element != tensor
     assert type(tensor * tensor) is TensorElement and type(tensor.star()) is TensorElement
     assert tensor * tensor != algebra_element * algebra_element
+
+
+def test_element_equality_compares_base_keys_and_coefficient_values(mu3):
+    g = mu3.group
+    a, b, c = (dipole(g.element(h)) for h in ((1, 0), (0, 2), (1, 1)))
+    third = Cyclotomic.from_phase(Phase(1, 3))
+    x = AlgebraElement(mu3, {a: Cyclotomic.ONE, b: third})
+    # a coefficient is a number, whatever order of root of unity it is written over
+    assert Cyclotomic.ONE.rebase(4).ints != Cyclotomic.ONE.ints
+    assert x == AlgebraElement(mu3, {a: Cyclotomic.ONE.rebase(4), b: third})
+    # the same terms over another base
+    assert x != AlgebraElement(trivial_cocycle(g), {a: Cyclotomic.ONE, b: third})
+    # a strict subset of the keys, and as many keys but not the same ones
+    for other in ({a: Cyclotomic.ONE}, {a: Cyclotomic.ONE, c: third}):
+        assert x != AlgebraElement(mu3, other) and AlgebraElement(mu3, other) != x
+    # one coefficient differs
+    assert x != AlgebraElement(mu3, {a: Cyclotomic.ONE, b: third * third})
 
 
 def test_products_across_the_two_classes_are_refused(mu3, rng):

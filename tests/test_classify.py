@@ -45,8 +45,7 @@ from tbshift.classify import (
 )
 from tbshift.cocycle import BilinearCocycle, star_bicharacter, trivial_cocycle
 from tbshift.configs import dipole
-from tbshift.dynamics import Motion, Triplet, beta, motion_mul, rho
-from tbshift.families import mod_q_triplet
+from tbshift.dynamics import Motion, Triplet, beta, mod_q_triplet, motion_mul, rho
 from tbshift.lattice import AffineSL2, LatticePoint, spiral_index
 from tbshift.scalars import Phase
 from tbshift.serialize import triplet_from_json
@@ -245,7 +244,7 @@ def test_pi_maps_units_to_single_unimodular_terms(trip3, rng):
     assert pi(a).trace() == a.trace()
 
 
-def test_verify_pi_passes_for_valid_witness(trip3, rng):
+def test_verify_pi_passes_for_valid_witness(trip3, rng, monkeypatch):
     phi = AbHom(trip3.group, trip3.group, ((1, 0), (1, 1)))
     pi = build_pi(trip3, trip3, phi)
     pairs = [
@@ -253,9 +252,8 @@ def test_verify_pi_passes_for_valid_witness(trip3, rng):
         for _ in range(25)
     ]
     extra_moves = [AffineSL2(random_point(rng), random_sl2(rng)) for _ in range(5)]
-    from tbshift.classify import CANONICAL_MOVES
-
-    report = verify_pi(pi, pairs, tuple(CANONICAL_MOVES) + tuple(extra_moves))
+    monkeypatch.setattr(classify, "CANONICAL_MOVES", CANONICAL_MOVES + tuple(extra_moves))
+    report = verify_pi(pi, pairs)
     assert report.ok, report.failures[:3]
 
 
@@ -772,7 +770,7 @@ def _random_form(rng, group):
     for i in range(group.rank):
         row = []
         for j in range(group.rank):
-            n = gcd(group.generator_order(i), group.generator_order(j)) or rng.choice((4, 8, 16))
+            n = gcd(group.orders[i], group.orders[j]) or rng.choice((4, 8, 16))
             row.append(Phase(rng.randrange(n), n))
         rows.append(tuple(row))
     return oracles.phase_bilinear(group, tuple(rows))
@@ -782,7 +780,7 @@ def _random_character(rng, group):
     # free generators get a phase of order 5, so chi^2 is nontrivial there
     return oracles.phase_character(group, tuple(
         Phase(rng.randrange(n), n) if n else Phase(rng.randrange(1, 5), 5)
-        for n in (group.generator_order(j) for j in range(group.rank))
+        for n in group.orders
     ))
 
 

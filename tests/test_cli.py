@@ -404,8 +404,13 @@ def test_malleability_rejects_samples_below_one(at_root, samples):
 
 @pytest.mark.parametrize(
     "data, detail",
-    [(b"[" * 100_000, "nests too deeply"), (b"\xff\xfe{}", "is not UTF-8 text")],
-    ids=["deep", "not-utf8"],
+    [
+        (b"[" * 100_000, "nests too deeply"),
+        (b"\xff\xfe{}", "is not UTF-8 text"),
+        # json refuses an int of more than 4,300 digits with a plain ValueError
+        (b'{"group": {"free_rank": 0, "torsion": [' + b"7" * 5000 + b"]}}", "is not JSON"),
+    ],
+    ids=["deep", "not-utf8", "too-long-int"],
 )
 @pytest.mark.parametrize(
     "command, violation",

@@ -41,7 +41,7 @@ from tbshift.cocycle import (
     star_bicharacter,
     trivial_cocycle,
 )
-from tbshift.families import mod_q_cocycle
+from tbshift.dynamics import mod_q_cocycle
 from tbshift.scalars import Cyclotomic, Phase
 from tbshift.selftest import _random_bilinear, witness_catalog
 
@@ -488,7 +488,7 @@ def test_torsion_degeneracy_on_mixed_group():
 def random_mixed_cocycle(rng):
     """A sparse bilinear cocycle on Z^r x (up to two of Z/2, Z/3, Z/4, Z/6), r in 1..4."""
     group = AbGroup(rng.randint(1, 4), tuple(rng.choice((2, 3, 4, 6)) for _ in range(rng.randint(0, 2))))
-    orders = [group.generator_order(i) for i in range(group.rank)]
+    orders = group.orders
 
     def entry(a, b):
         n = gcd(a, b) or 12

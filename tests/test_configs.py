@@ -15,7 +15,7 @@ from oracles import (
 from tbshift.abelian import AbGroup
 from tbshift.cocycle import trivial_cocycle
 from tbshift.configs import Config, dipole, mu_tilde, telescoped
-from tbshift.families import mod_q_cocycle, mod_q_group
+from tbshift.dynamics import mod_q_cocycle, mod_q_group
 from tbshift.lattice import E1, E2, ORIGIN, XI, DELTA, AffineSL2, LatticePoint, spiral_index
 from tbshift.scalars import Phase
 from tbshift.selftest import random_zero_sum_config

@@ -25,12 +25,13 @@ from tbshift.dynamics import (
     Motion,
     Triplet,
     beta,
+    mod_q_cocycle,
+    mod_q_triplet,
     motion_mul,
     rho,
     verify_motion_relations,
     weak_mixing_witness,
 )
-from tbshift.families import mod_q_triplet
 from tbshift.lattice import (
     DELTA,
     E1,
@@ -101,7 +102,7 @@ def test_motion_mul_matches_phase_characters(rng):
         def char():
             return phase_character(g, (
                 Phase(rng.randrange(n), n) if n else Phase(rng.randint(-9, 9), rng.randint(1, 12))
-                for n in (g.generator_order(j) for j in range(g.rank))))
+                for n in g.orders))
 
         for _ in range(60):
             t = Triplet(g, trivial_cocycle(g), char())
@@ -195,8 +196,6 @@ def test_motion_relations_see_the_character_on_terms_that_are_not_zero_sum(
 
 def test_relations_collapse_for_trivial_character(rng):
     g = AbGroup(0, (3, 3))
-    from tbshift.families import mod_q_cocycle
-
     trip = Triplet(g, mod_q_cocycle(3), Character.trivial(g))
     x = random_algebra_element(rng, trip.cocycle)
     k, l = LatticePoint(2, -1), LatticePoint(0, 3)
@@ -381,7 +380,7 @@ def _nontrivial_character(rng, group, free_den=12):
     while True:
         c = phase_character(group, (
             Phase(rng.randrange(n), n) if n else Phase(rng.randrange(free_den), free_den)
-            for n in (group.generator_order(j) for j in range(group.rank))
+            for n in group.orders
         ))
         if any(c.ints):
             return c

@@ -7,7 +7,7 @@ from oracles import elements, lattice_det_triplet, phase_character, to_table
 from tbshift import serialize
 from tbshift.abelian import AbGroup, AbHom
 from tbshift.cocycle import trivial_cocycle
-from tbshift.families import mod_q_cocycle, mod_q_triplet
+from tbshift.dynamics import mod_q_cocycle, mod_q_triplet
 from tbshift.scalars import Phase
 from tbshift.serialize import (
     SchemaError,
