@@ -5,8 +5,9 @@ then torsion generators); isomorphism tests cope with equivalent
 presentations.  Elements are integer coordinate vectors with torsion
 coordinates reduced into [0, n_i); a group's `orders` (n_i per torsion
 generator, 0 per free one) are what every reduction reads.  A finite
-group numbers its elements in `coordinates()` order, and
-`addition_table` adds by those numbers: the one numbering that table
+group numbers its elements in `coordinates()` order; `addition_table`
+adds by those numbers, and `values` lists a linear form on them by
+mixed-radix running sums: the one numbering that the twist tables, table
 cocycles and the swap kernel read.  Smith normal form gives invariant
 factors (of a presentation and of the finite groups that
 `group_structure` identifies) and decides whether a homomorphism is
@@ -22,6 +23,7 @@ matrix.  Neither builds a Phase or a group element.
 from __future__ import annotations
 
 import itertools
+import operator
 from math import gcd, lcm, prod
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
@@ -46,7 +48,7 @@ class AbGroup(Immutable):
     def __init__(self, free_rank: int, torsion: tuple = ()) -> None:
         if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        tors = tuple(int(n) for n in torsion)
+        tors = tuple(map(operator.index, torsion))
         if any(n < 2 for n in tors):
             raise ValueError("torsion orders must be >= 2")
         object.__setattr__(self, "free_rank", free_rank)
@@ -66,7 +68,7 @@ class AbGroup(Immutable):
     def reduce(self, coords: Sequence[int]) -> tuple:
         if len(coords) != self.rank:
             raise ValueError(f"expected {self.rank} coordinates, got {len(coords)}")
-        return tuple([int(c) % n if n else int(c) for c, n in zip(coords, self.orders)])
+        return tuple([c % n if n else c for c, n in zip(map(operator.index, coords), self.orders)])
 
     def element(self, coords: Sequence[int]) -> "AbElem":
         return AbElem(self, self.reduce(coords))
@@ -78,6 +80,17 @@ class AbGroup(Immutable):
         if not self.is_finite:
             raise ValueError("cannot enumerate an infinite group")
         return lazy_product([range(n) for n in self.torsion])
+
+    def values(self, row: Sequence[int], d: int) -> list:
+        """row . g mod d for each g, in `coordinates()` order: the mixed-radix
+        running sums, each digit's steps made once mod d, the last one fastest."""
+        if not self.is_finite:
+            raise ValueError("cannot enumerate an infinite group")
+        out = [0]
+        for n, a in zip(self.torsion, row):
+            steps = [c * a % d for c in range(n)]
+            out = [(p + s) % d for p in out for s in steps]
+        return out
 
     def addition_table(self) -> list:
         """add[i][j] is the number of g_i + g_j, g_i the i-th of `coordinates()`:
@@ -93,8 +106,6 @@ class AbGroup(Immutable):
 
     def invariant_factors(self) -> tuple:
         """Invariant factors of the torsion part (each divides the next)."""
-        if not self.torsion:
-            return ()
         k = len(self.torsion)
         diag = [[self.torsion[i] if i == j else 0 for j in range(k)] for i in range(k)]
         return tuple(d for d in snf_diagonal(diag) if d != 1)
@@ -135,7 +146,7 @@ class AbHom(Immutable):
     __slots__ = ("source", "target", "matrix")
 
     def __init__(self, source: AbGroup, target: AbGroup, matrix: tuple) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in matrix)
+        rows = tuple(tuple(map(operator.index, row)) for row in matrix)
         if len(rows) != target.rank or any(
             len(row) != source.rank for row in rows
         ):
@@ -179,15 +190,11 @@ def is_isomorphism(f: AbHom) -> bool:
     """
     if not abstractly_isomorphic(f.source, f.target):
         return False
-    rb = f.target.rank
-    cols = [[f.matrix[i][j] for i in range(rb)] for j in range(f.source.rank)]
-    for i in range(rb):
-        n = f.target.orders[i]
-        if n:
-            cols.append([n if k == i else 0 for k in range(rb)])
-    mat = [[col[i] for col in cols] for i in range(rb)]
+    orders = f.target.orders
+    mat = [[*row, *(n if k == i else 0 for k, n in enumerate(orders) if n)]
+           for i, row in enumerate(f.matrix)]
     diag = snf_diagonal(mat)
-    return len([d for d in diag if d != 0]) == rb and all(d in (0, 1) for d in diag)
+    return len([d for d in diag if d != 0]) == len(orders) and all(d in (0, 1) for d in diag)
 
 
 class Character(Immutable):
@@ -241,10 +248,10 @@ T = TypeVar("T")
 class StructureReport(Immutable):
     __slots__ = ("order", "abelian", "invariant_factors", "noncommuting")
 
-    def __init__(self, order: int, abelian: bool, invariant_factors: Optional[tuple],
+    def __init__(self, order: int, invariant_factors: Optional[tuple],
                  noncommuting: Optional[tuple]) -> None:
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "abelian", abelian)
+        object.__setattr__(self, "abelian", noncommuting is None)
         object.__setattr__(self, "invariant_factors", invariant_factors)
         object.__setattr__(self, "noncommuting", noncommuting)
 
@@ -311,10 +318,10 @@ def group_structure(elements: Sequence[T], compose: Callable[[T, T], T]) -> Stru
             frontier = nxt
     for x, y in itertools.combinations(gens, 2):
         if compose(x, y) != compose(y, x):
-            return StructureReport(n, False, None, (x, y))
+            return StructureReport(n, None, (x, y))
     k = len(gens)
     rows = [
         [-c for c in word] + [0] * (j - len(word)) + [m] + [0] * (k - j - 1)
         for j, (m, word) in enumerate(relations)
     ]
-    return StructureReport(n, True, tuple(d for d in snf_diagonal(rows) if d != 1), None)
+    return StructureReport(n, tuple(d for d in snf_diagonal(rows) if d != 1), None)

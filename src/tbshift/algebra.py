@@ -212,7 +212,7 @@ class _SwapKernel:
         self.mu = mu
         n = self.n = flow_order(group)
         self.scale = isqrt(n)
-        self.torsion = group.torsion
+        self.group = group
         self.index = {coords: i for i, coords in enumerate(group.coordinates())}
         add = self.add = group.addition_table()
         self.conductor = mu.den
@@ -228,7 +228,7 @@ class _SwapKernel:
         and g_j at E1 (zero for an empty site); any other site is refused."""
         if x.cocycle is not self.mu and x.cocycle != self.mu:
             raise ValueError("element is not over the kernel's base")
-        index, n, zero = self.index, self.n, (0,) * len(self.torsion)
+        index, n, zero = self.index, self.n, (0,) * self.group.rank
         out = {}
         for key, c in x.terms.items():
             g = h = zero
@@ -255,12 +255,9 @@ class _SwapKernel:
 
     def diagonal(self, c: Character, x: dict) -> dict:
         """Rotate each term u(g_i, g_j) by c(g_i + g_j), c(g_i) being one int
-        over c.den per number i, built in the mixed-radix order of
-        `coordinates()`.  On the shift algebra the same action is `dynamics.rho`
-        of the motion (c, identity)."""
-        turns = [0]
-        for m, a in zip(self.torsion, c.ints):
-            turns = [p + a * b for p in turns for b in range(m)]
+        over c.den per number i (`AbGroup.values`).  On the shift algebra
+        the same action is `dynamics.rho` of the motion (c, identity)."""
+        turns = self.group.values(c.ints, c.den)
         n, den = self.n, c.den
         return {key: v.rotated(turns[key // n] + turns[key % n], den) for key, v in x.items()}
 
@@ -358,8 +355,8 @@ def check_malleability(v: TensorElement, rng: random.Random, samples: int) -> di
 
     v is self-adjoint with v^2 = |H|, the flow at t = 1 is the flip, and on
     `samples` basis elements drawn from rng the flows at t = 1/2 compose to
-    t = 1 and commute with a random diagonal character (g, h and the
-    character drawn as numbers of `coordinates()` and of the listed dual).
+    t = 1 and commute with a random diagonal character (g's coordinates drawn,
+    then h's, keyed by their numbers; the character's number in the listed dual).
     One swap kernel built from v's cocycle runs it all on its index form,
     into which v is converted once; the square is v times the kernel's own
     table-built V.  At t = 1 the closed form of the flow is the flip by
@@ -369,7 +366,7 @@ def check_malleability(v: TensorElement, rng: random.Random, samples: int) -> di
     """
     group = v.group
     kernel = _SwapKernel(v.cocycle)
-    n, torsion, one = kernel.n, group.torsion, Cyclotomic.ONE
+    n, index, torsion, one = kernel.n, kernel.index, group.torsion, Cyclotomic.ONE
     half, whole = Fraction(1, 2), Fraction(1)
     w = kernel.index_form(v)
     checks = {
@@ -379,10 +376,8 @@ def check_malleability(v: TensorElement, rng: random.Random, samples: int) -> di
     }
     ok_half, ok_char = True, True
     for _ in range(samples):
-        key = 0
-        for m in (*torsion, *torsion):
-            key = key * m + rng.randrange(m)  # g's coordinates, then h's: g * n + h
-        x = {key: one}
+        g, h = (tuple([rng.randrange(m) for m in torsion]) for _ in range(2))
+        x = {index[g] * n + index[h]: one}
         once = kernel.flow(half, x)
         if kernel.flow(half, once) != kernel.flow(whole, x):
             ok_half = False

@@ -182,7 +182,7 @@ def verify_pi(pi: PiPhi, pairs: Sequence[tuple]) -> VerifyReport:
         for move in CANONICAL_MOVES:
             if pi(beta(pi.ta, move, a)) != beta(pi.tb, move, pa):
                 failures.append(("equivariance", move, a))
-    return VerifyReport(not failures, failures)
+    return VerifyReport(failures)
 
 
 class ConjugacyReport(Immutable):

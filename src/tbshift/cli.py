@@ -166,7 +166,7 @@ def cmd_malleability(args) -> tuple:
 def cmd_selftest(args) -> tuple:
     names = [args.suite] if args.suite else None
     try:
-        report = run_suites(names, q=args.q)
+        report = run_suites(names, args.q)
     except ValueError as exc:  # a --q that names no group, or a group the flow refuses
         return {"ok": False, "detail": str(exc)}, EXIT_INVALID
     return report, EXIT_OK if report["ok"] else EXIT_NO

@@ -91,20 +91,12 @@ class BilinearCocycle(Immutable):
     def exponent_table(self) -> list:
         """mu(g, h) * D in [0, D) for g, h of the finite group in `coordinates()` order.
 
-        Row g is linear in h, so it is built by running sums:
-        twist[g][h + e_k] = twist[g][h] + (g B)_k, by the mixed-radix
-        recursion in which `coordinates()` numbers H.
+        Row g is the linear form h -> (g B) . h, so `AbGroup.values` lists
+        it in H's own numbering.
         """
-        d, torsion, cols = self.den, self.group.torsion, list(zip(*self.ints))
-        table = []
-        for g in self.group.coordinates():
-            row = [0]
-            for m, col in zip(torsion, cols):
-                w = sum(map(mul, g, col))
-                steps = [c * w % d for c in range(m)]
-                row = [(p + s) % d for p in row for s in steps]
-            table.append(row)
-        return table
+        d, group, cols = self.den, self.group, list(zip(*self.ints))
+        return [group.values([sum(map(mul, g, col)) for col in cols], d)
+                for g in group.coordinates()]
 
     def validate(self) -> None:
         """Construction already enforces everything; Triplet.validate calls this."""

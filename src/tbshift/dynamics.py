@@ -161,13 +161,13 @@ def _moved(t: Triplet, row: tuple, den: int, move: AffineSL2, x) -> AlgebraEleme
 
 
 class VerifyReport(Immutable):
-    """What a check found: ok, and its failures in the order it met them."""
+    """What a check found: its failures in the order it met them; ok if none."""
 
     __slots__ = ("ok", "failures")
 
-    def __init__(self, ok: bool, failures: Optional[list] = None) -> None:
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "failures", [] if failures is None else failures)
+    def __init__(self, failures: list) -> None:
+        object.__setattr__(self, "ok", not failures)
+        object.__setattr__(self, "failures", failures)
 
 
 def verify_motion_relations(t: Triplet, samples: Sequence) -> VerifyReport:
@@ -189,7 +189,7 @@ def verify_motion_relations(t: Triplet, samples: Sequence) -> VerifyReport:
         rhs2 = rho(t, turn, rho(t, shift, x))
         if lhs2 != rhs2:
             failures.append(("rotation", k, gamma))
-    return VerifyReport(not failures, failures)
+    return VerifyReport(failures)
 
 
 def weak_mixing_witness(t: Triplet, elems: Sequence[AlgebraElement]) -> Optional[LatticePoint]:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import index
 from typing import Iterator, NamedTuple
 
 from .scalars import Immutable
@@ -64,8 +65,8 @@ class AffineSL2(Immutable):
     def __init__(self, translation: LatticePoint = ORIGIN, matrix: Mat2 = IDENTITY_MAT) -> None:
         if mat_det(matrix) != 1:
             raise ValueError(f"matrix {matrix} has determinant != 1")
-        object.__setattr__(self, "translation", LatticePoint(*translation))
-        object.__setattr__(self, "matrix", tuple([tuple(map(int, row)) for row in matrix]))
+        object.__setattr__(self, "translation", LatticePoint(*map(index, translation)))
+        object.__setattr__(self, "matrix", tuple([tuple(map(index, row)) for row in matrix]))
 
     def __mul__(self, other: "AffineSL2") -> "AffineSL2":
         # (k1, g1)(k2, g2) = (k1 + g1*k2, g1*g2), set through the slots: the

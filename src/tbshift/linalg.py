@@ -22,6 +22,7 @@ that way and cuts candidates with `order_mod`.
 from __future__ import annotations
 
 from math import gcd
+from operator import index
 from typing import Sequence
 
 
@@ -50,7 +51,7 @@ def _eliminate(a: list, right: list, below: list) -> list:
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    rows = [[*map(int, row), *extra] for row, extra in zip(a, right)] + below
+    rows = [[*map(index, row), *extra] for row, extra in zip(a, right)] + below
     for t in range(min(m, n)):
         pivot = min(((abs(x), i, j) for i in range(t, m)
                      for j, x in enumerate(rows[i][t:n], t) if x), default=None)

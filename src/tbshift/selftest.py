@@ -180,11 +180,11 @@ def _random_bilinear(rng: random.Random, group: AbGroup) -> BilinearCocycle:
     return BilinearCocycle(group, tuple(rows), d)
 
 
-def suite_cocycles(rng: random.Random, count: int = 12) -> dict:
+def suite_cocycles(rng: random.Random) -> dict:
     """The star-form criterion against the path-recursion coboundary witness."""
     agreements = 0
     checked = 0
-    for mu1, mu2 in witness_catalog(rng, count):
+    for mu1, mu2 in witness_catalog(rng, 12):
         checked += 1
         fast = cohomologous(mu1, mu2)
         witness = coboundary_witness(mu1, mu2)
@@ -249,7 +249,7 @@ def suite_intertwiner(rng: random.Random) -> dict:
     }
 
 
-def suite_malleability(rng: random.Random, q: int = 3) -> dict:
+def suite_malleability(rng: random.Random, q: int) -> dict:
     """The swap unitary and the rational-time flow on the tensor square."""
     checks = check_malleability(malleability_unitary(mod_q_triplet(q).cocycle), rng, 5)
     return {"ok": all(checks.values()), **checks}
@@ -277,7 +277,7 @@ SUITES: Dict[str, Callable] = {
 }
 
 
-def run_suites(names: Optional[List[str]] = None, q: int = 3) -> dict:
+def run_suites(names: Optional[List[str]], q: int) -> dict:
     chosen = names or sorted(SUITES)
     if "malleability" in chosen:
         # refused before any suite runs: a q such as 1 or 0 names no

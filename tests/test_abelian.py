@@ -59,6 +59,40 @@ def test_addition_table_numbers_the_elements_in_their_order(torsion):
         AbGroup(1, torsion).addition_table()
 
 
+@pytest.mark.parametrize("torsion", [(3,), (2, 4), (2, 2, 3), (4, 6), (5, 5)], ids=str)
+def test_values_are_the_row_dotted_with_each_element(torsion, rng):
+    # the running sums that the twist table and the kernel's diagonal read
+    group = AbGroup(0, torsion)
+    for _ in range(25):
+        row = [rng.randrange(-60, 60) for _ in torsion]
+        d = rng.randrange(1, 40)
+        assert group.values(row, d) == [sum(map(mul, row, g)) % d for g in group.coordinates()]
+
+
+def test_values_refuse_an_infinite_group():
+    with pytest.raises(ValueError, match="infinite"):
+        AbGroup(1, (2,)).values([1, 1], 2)
+
+
+@pytest.mark.parametrize("torsion", [(2.5, 3), ("3",), (3, 3.0)], ids=str)
+def test_group_refuses_non_integer_orders(torsion):
+    with pytest.raises(TypeError):
+        AbGroup(0, torsion)
+
+
+@pytest.mark.parametrize("coords", [(1.9, 2), (1, "2")], ids=str)
+def test_reduce_refuses_non_integer_coordinates(coords):
+    with pytest.raises(TypeError):
+        AbGroup(0, (3, 3)).reduce(coords)
+    with pytest.raises(TypeError):
+        AbGroup(2).reduce(coords)
+
+
+def test_hom_refuses_non_integer_entries():
+    with pytest.raises(TypeError):
+        AbHom(AbGroup(0, (3,)), AbGroup(0, (3,)), ((1.99,),))
+
+
 def test_group_invariants():
     g = AbGroup(1, (2, 6))
     assert g.rank == 3
@@ -424,6 +458,15 @@ def test_group_structure_examples():
     assert rep48.order == 48 and not rep48.abelian
     x, y = rep48.noncommuting
     assert x.compose(y) != y.compose(x)
+
+
+def test_structure_report_is_abelian_iff_it_names_no_noncommuting_pair():
+    g33 = AbGroup(0, (3, 3))
+    unipotents = [AbHom(g33, g33, ((1, 0), (t, 1))) for t in range(3)]
+    reports = [group_structure(elems, lambda a, b: a.compose(b))
+               for elems in (unipotents, enumerate_automorphisms(g33))]
+    assert [rep.abelian for rep in reports] == [True, False]
+    assert all(rep.abelian == (rep.noncommuting is None) for rep in reports)
 
 
 def test_group_structure_rejects_non_closed():

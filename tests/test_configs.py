@@ -49,6 +49,11 @@ def test_zero_values_are_pruned_and_order_canonical():
     assert [p for p, _ in cfg.support] == [LatticePoint(-1, 0), LatticePoint(2, 1)]
 
 
+def test_from_items_refuses_a_non_integer_value():
+    with pytest.raises(TypeError):
+        Config.from_items(AbGroup(0, (5,)), [((0, 0), (2.7,))])
+
+
 def test_dipole_shape():
     g = mod_q_group(3)
     h = g.element((1, 0))

@@ -24,6 +24,7 @@ from tbshift.configs import Config, dipole
 from tbshift.dynamics import (
     Motion,
     Triplet,
+    VerifyReport,
     beta,
     mod_q_cocycle,
     mod_q_triplet,
@@ -192,6 +193,11 @@ def test_motion_relations_see_the_character_on_terms_that_are_not_zero_sum(
     report = verify_motion_relations(trip, samples)
     assert not report.ok
     assert {kind for kind, *_ in report.failures} == {"translation"}
+
+
+def test_verify_report_is_ok_iff_it_lists_no_failure():
+    assert VerifyReport([]).ok
+    assert not VerifyReport([("trace", 1)]).ok
 
 
 def test_relations_collapse_for_trivial_character(rng):

@@ -29,6 +29,14 @@ def test_det2_examples():
     assert det2(LatticePoint(1, 0), LatticePoint(0, 0)) == 0
 
 
+@pytest.mark.parametrize("translation, matrix",
+                         [((0.5, 0), IDENTITY.matrix), ((0, 0), ((1.0, 0), (0, 1)))],
+                         ids=["translation", "matrix"])
+def test_affine_sl2_refuses_non_integers(translation, matrix):
+    with pytest.raises(TypeError):
+        AffineSL2(translation, matrix)
+
+
 def test_gcd2_examples():
     assert gcd2(LatticePoint(0, 0)) == 0
     assert gcd2(LatticePoint(2, 4)) == 2

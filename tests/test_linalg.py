@@ -100,6 +100,11 @@ def test_snf_edge_shapes(a, diag):
     assert check_snf(a) == diag
 
 
+def test_snf_refuses_non_integer_entries():
+    with pytest.raises(TypeError):
+        snf_diagonal([[1.5, 0], [0, 2]])
+
+
 # Inputs on which naive integer elimination grows entries to thousands of
 # digits and gives no answer within minutes.  Each must finish well inside
 # the deadline.

@@ -287,6 +287,31 @@ def test_every_module_level_import_is_read_by_its_module():
     assert unread == []
 
 
+def test_only_the_text_readers_convert_with_int():
+    # int() truncates 2.5 to 2 and parses "3", so a constructor that
+    # converts with it takes a non-integer silently; the package converts
+    # with operator.index, which refuses both.  serialize (a phase
+    # exponent's digit string) and cli (argparse's type=int) read text.
+    # Annotations and isinstance checks only name the type.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem in ("cli", "serialize"):
+            continue
+        tree = ast.parse(path.read_text("utf-8"))
+        named = []
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.arg, ast.AnnAssign)):
+                named.append(node.annotation)
+            elif isinstance(node, ast.FunctionDef):
+                named.append(node.returns)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                named.append(node.args[1])
+        allowed = {id(sub) for node in named if node is not None for sub in ast.walk(node)}
+        found += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == "int" and id(node) not in allowed]
+    assert found == []
+
+
 def test_the_cli_starts_without_dataclasses_or_inspect():
     # every CLI process pays for this import before its one question:
     # `dataclasses` alone pulls in inspect, ast, dis and tokenize, so no

@@ -64,19 +64,19 @@ TYPES = [
      hash((1,))),
     (lambda: AbHom(z2(), z2(), ((3,),)), HOM, "matrix", None, hash(HOM_KEY)),
     (lambda: Character(z2(), (3,), 2), CHAR, "ints", None, hash(CHAR_KEY)),
-    (lambda: StructureReport(order=2, abelian=True, invariant_factors=(2,), noncommuting=None),
+    (lambda: StructureReport(order=2, invariant_factors=(2,), noncommuting=None),
      "StructureReport(order=2, abelian=True, invariant_factors=(2,), noncommuting=None)",
      "order", None, hash((2, True, (2,), None))),
     (lambda: PiPhi(triplet(), triplet(), AbHom.identity(z2()), weight=gcd2),
      f"PiPhi(ta={TRIPLET}, tb={TRIPLET}, phi={HOM}, weight={gcd2!r})", "weight", "mismatch",
      hash((TRIPLET_KEY, TRIPLET_KEY, HOM_KEY, gcd2))),
-    (lambda: VerifyReport(ok=False, failures=[("trace", 1)]),
+    (lambda: VerifyReport(failures=[("trace", 1)]),
      "VerifyReport(ok=False, failures=[('trace', 1)])", "failures", None, None),
     (lambda: ConjugacyReport("YES", AbHom.identity(z2()), {"cocycle": True, "character": True},
                              True, decided_by="search"),
      f"ConjugacyReport(verdict='YES', witness={HOM}, checks={{'cocycle': True, 'character': "
      "True}, complete=True, note='', decided_by='search')", "verdict", None, None),
-    (lambda: CentralizerReport("OK", (AbHom.identity(z2()),), StructureReport(1, True, (), None),
+    (lambda: CentralizerReport("OK", (AbHom.identity(z2()),), StructureReport(1, (), None),
                                True),
      f"CentralizerReport(verdict='OK', elements=({HOM},), structure=StructureReport(order=1, "
      "abelian=True, invariant_factors=(), noncommuting=None), complete=True, note='')",
