@@ -86,6 +86,8 @@ class AbGroup(Immutable):
         running sums, each digit's steps made once mod d, the last one fastest."""
         if not self.is_finite:
             raise ValueError("cannot enumerate an infinite group")
+        if len(row) != self.rank:
+            raise ValueError(f"expected {self.rank} coordinates, got {len(row)}")
         out = [0]
         for n, a in zip(self.torsion, row):
             steps = [c * a % d for c in range(n)]
@@ -128,7 +130,7 @@ class AbElem(Immutable):
         return hash(self.coords)
 
     def _check(self, other: "AbElem") -> None:
-        if self.group is not other.group and self.group != other.group:
+        if self.group != other.group:
             raise ValueError("elements live in different groups")
 
     def __add__(self, other: "AbElem") -> "AbElem":
@@ -233,7 +235,9 @@ def dual_character(group: AbGroup, index: int) -> Character:
     """The character with phase a_j / n_j on generator j, (a_j) the index-th
     tuple of itertools.product(range(n_1), ..., range(n_r)): its digits in
     the mixed radix of the torsion orders, the last one fastest.  The row
-    is a_j D / n_j over D, the lcm of the orders."""
+    is a_j D / n_j over D, the lcm of the orders, for 0 <= index < |H|."""
+    if not 0 <= index < group.order():
+        raise ValueError(f"character index {index} is outside range({group.order()})")
     d = lcm(*group.torsion)
     ints = []
     for n in reversed(group.torsion):

@@ -60,20 +60,14 @@ class AlgebraElement:
     def unit(cocycle, config: Config) -> "AlgebraElement":
         return AlgebraElement(cocycle, {config: Cyclotomic.ONE})
 
-    @property
-    def group(self):
-        return self.cocycle.group
-
     def _check(self, other) -> None:
-        if self.cocycle is not other.cocycle and self.cocycle != other.cocycle:
+        if self.cocycle != other.cocycle:
             raise ValueError("elements over different bases")
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        if self.cocycle is not other.cocycle and self.cocycle != other.cocycle:
-            return False
-        return self.terms == other.terms
+        return self.cocycle == other.cocycle and self.terms == other.terms
 
     def __mul__(self, other):
         if type(other) is not type(self):
@@ -109,7 +103,7 @@ class AlgebraElement:
 
     def trace(self) -> Cyclotomic:
         """Coefficient at the empty configuration."""
-        return self.terms.get(Config(self.group, ()), Cyclotomic.ZERO)
+        return self.terms.get(Config(self.cocycle.group, ()), Cyclotomic.ZERO)
 
 
 class TensorElement(AlgebraElement):
@@ -195,9 +189,9 @@ class _SwapKernel:
     Built once per cocycle and shared by every flow of one check.  An
     element is the dict {i*n + j: c} of its terms c u(g_i, g_j), g_i the
     i-th of group.coordinates() and n = |H|; `index_form` converts a
-    TensorElement.  The kernel reads the group's and the cocycle's own
-    tables by those numbers: the number of g + h (`addition_table()`) and
-    mu(g, h) as an exponent of zeta_N, N = `mu.den` (`exponent_table()`).
+    TensorElement.  It reads H and N = `mu.den` off `mu`, keeping no copy, and
+    their tables by those numbers: the number of g + h (`addition_table()`)
+    and mu(g, h) as an exponent of zeta_N (`exponent_table()`).
     V's coefficient at u_h (x) u_{-h} is zeta_N^(-mu(h, -h)).
     Coefficients are int vectors in the power basis of Q(zeta_L) over one
     denominator, L a multiple of N and of every coefficient order, and a
@@ -212,10 +206,8 @@ class _SwapKernel:
         self.mu = mu
         n = self.n = flow_order(group)
         self.scale = isqrt(n)
-        self.group = group
         self.index = {coords: i for i, coords in enumerate(group.coordinates())}
         add = self.add = group.addition_table()
-        self.conductor = mu.den
         twist = self.twist = mu.exponent_table()
         # -h read off the zero in row h of the addition table
         neg = self.neg = [row.index(0) for row in add]
@@ -226,9 +218,9 @@ class _SwapKernel:
     def index_form(self, x: TensorElement) -> dict:
         """{i*n + j: c} for each term c u(g_i, g_j) of x, g_i read at ORIGIN
         and g_j at E1 (zero for an empty site); any other site is refused."""
-        if x.cocycle is not self.mu and x.cocycle != self.mu:
+        if x.cocycle != self.mu:
             raise ValueError("element is not over the kernel's base")
-        index, n, zero = self.index, self.n, (0,) * self.group.rank
+        index, n, zero = self.index, self.n, (0,) * self.mu.group.rank
         out = {}
         for key, c in x.terms.items():
             g = h = zero
@@ -245,7 +237,7 @@ class _SwapKernel:
     def star(self, x: dict) -> dict:
         """Adjoint: u(i, j)* = zeta_N^-(mu(i, -i) + mu(j, -j)) u(-i, -j),
         coefficients conjugated; negation is a bijection, so keys stay apart."""
-        n, neg, twist, den = self.n, self.neg, self.twist, self.conductor
+        n, neg, twist, den = self.n, self.neg, self.twist, self.mu.den
         out = {}
         for key, c in x.items():
             i, j = divmod(key, n)
@@ -257,7 +249,7 @@ class _SwapKernel:
         """Rotate each term u(g_i, g_j) by c(g_i + g_j), c(g_i) being one int
         over c.den per number i (`AbGroup.values`).  On the shift algebra
         the same action is `dynamics.rho` of the motion (c, identity)."""
-        turns = self.group.values(c.ints, c.den)
+        turns = self.mu.group.values(c.ints, c.den)
         n, den = self.n, c.den
         return {key: v.rotated(turns[key // n] + turns[key % n], den) for key, v in x.items()}
 
@@ -272,7 +264,7 @@ class _SwapKernel:
         constructor reduces mod Phi_order once; zeros are dropped.
         """
         n = self.n
-        add, twist, step = self.add, self.twist, order // self.conductor
+        add, twist, step = self.add, self.twist, order // self.mu.den
         acc: Dict[int, list] = {}
         for i, j, cs, w in jobs:
             add_i, add_j, tw_i, tw_j = add[i], add[j], twist[i], twist[j]
@@ -294,7 +286,7 @@ class _SwapKernel:
 
     def times_v(self, y: dict) -> dict:
         """y V, equal to the generic TensorElement product."""
-        order = lcm(self.conductor, *{c.order for c in y.values()})
+        order = lcm(self.mu.den, *{c.order for c in y.values()})
         den = lcm(*{c.den for c in y.values()})
         n, v = self.n, self.v
         return self._accumulate(
@@ -337,7 +329,7 @@ class _SwapKernel:
             return {key % n * n + key // n: c for key, c in x.items()} if p % 2 else x
         # e = zeta_(2r)^p, in lowest terms
         k, q = (p, 2 * r) if p % 2 else (p // 2, r)
-        order = lcm(self.conductor, q, *{c.order for c in x.values()})
+        order = lcm(self.mu.den, q, *{c.order for c in x.values()})
         xden = lcm(*{c.den for c in x.values()})
         aa, bb, ab, ba = self._w(k, q, order)
         one, v = [(0, 0, 0)], self.v
@@ -364,7 +356,7 @@ def check_malleability(v: TensorElement, rng: random.Random, samples: int) -> di
     compare the flow with the product W_t x W_t^*, and the kernel's y V
     with the generic product.
     """
-    group = v.group
+    group = v.cocycle.group
     kernel = _SwapKernel(v.cocycle)
     n, index, torsion, one = kernel.n, kernel.index, group.torsion, Cyclotomic.ONE
     half, whole = Fraction(1, 2), Fraction(1)
@@ -381,8 +373,7 @@ def check_malleability(v: TensorElement, rng: random.Random, samples: int) -> di
         once = kernel.flow(half, x)
         if kernel.flow(half, once) != kernel.flow(whole, x):
             ok_half = False
-        # the index a choice from the listed dual would draw, from the same stream
-        c = dual_character(group, rng.choice(range(n)))
+        c = dual_character(group, rng.randrange(n))
         if kernel.diagonal(c, once) != kernel.flow(half, kernel.diagonal(c, x)):
             ok_char = False
     checks["half_composition"] = ok_half

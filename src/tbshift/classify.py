@@ -116,7 +116,7 @@ class PiPhi(Immutable):
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         mu_a, mu_b = self.ta.cocycle, self.tb.cocycle
-        if x.cocycle is not mu_a and x.cocycle != mu_a:
+        if x.cocycle != mu_a:
             raise ValueError("element is not over the source triplet")
         if not x.is_zero_sum_supported:
             raise ValueError("the intertwiner acts on zero-sum-supported elements")

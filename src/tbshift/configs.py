@@ -14,7 +14,7 @@ are the keys of every shift algebra element.
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, index
 from typing import Iterable
 
 from .abelian import AbElem, AbGroup
@@ -35,7 +35,7 @@ class Config(Immutable):
     def from_items(group: AbGroup, items: Iterable[tuple]) -> "Config":
         acc: dict = {}
         for point, value in items:
-            point = LatticePoint(*point)
+            point = LatticePoint(*map(index, point))
             coords = value.coords if isinstance(value, AbElem) else group.reduce(value)
             if point in acc:
                 coords = group.reduce([a + b for a, b in zip(acc[point], coords)])
@@ -60,7 +60,7 @@ class Config(Immutable):
         """Merge the two sorted supports; where sites coincide the values
         are added, mod the torsion orders, and a zero sum drops the site."""
         group = self.group
-        if group is not other.group and group != other.group:
+        if group != other.group:
             raise ValueError("configs over different groups")
         a, b, orders = self.support, other.support, group.orders
         out = []

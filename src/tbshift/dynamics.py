@@ -92,9 +92,7 @@ def motion_mul(t: Triplet, a: Motion, b: Motion) -> Motion:
     the lcm of the three `den`s.
     """
     c1, c2, chi = a.char, b.char, t.character
-    group = c1.group
-    if ((c2.group is not group and c2.group != group)
-            or (chi.group is not group and chi.group != group)):
+    if not c1.group == c2.group == chi.group:
         raise ValueError("characters live on different groups")
     move = a.move * b.move
     e = det2(a.move.translation, move.translation)
@@ -113,9 +111,9 @@ def rho(t: Triplet, g: Motion, x: AlgebraElement) -> AlgebraElement:
     multiplies by c of the total content.
     """
     group, char = t.group, g.char
-    if x.group is not group and x.group != group:
+    if x.cocycle.group != group:
         raise ValueError("element is not over the triplet's group")
-    if char.group is not group and char.group != group:
+    if char.group != group:
         raise ValueError("element is not in the character's group")
     return _moved(t, char.ints, char.den, g.move, x)
 
@@ -128,7 +126,7 @@ def beta(t: Triplet, move: AffineSL2, x: AlgebraElement) -> AlgebraElement:
     if not x.is_zero_sum_supported:
         raise ValueError("beta acts on zero-sum-supported elements only")
     group = t.group
-    if x.group is not group and x.group != group:
+    if x.cocycle.group != group:
         raise ValueError("element is not over the triplet's group")
     return _moved(t, (0,) * group.rank, 1, move, x)
 

@@ -18,9 +18,9 @@ Fraction appears only at the edges: parsing, a rational value or scale
 `Immutable` is the one base of the package's value and report types,
 these two among them.  Each is a plain class that lists its slots in
 `__slots__` and writes its own `__init__`, which sets every slot, so a
-value is complete when built; equality, the hash and the repr are
-derived once per class from its field list, so importing the package
-loads no class-generating machinery and runs no generated code.
+value is complete when built; equality, identity first, the hash and the
+repr are derived once per class from its field list, so importing the
+package loads no class-generating machinery and runs no generated code.
 """
 
 from __future__ import annotations
@@ -36,11 +36,11 @@ class Immutable:
     """Base of the package's value and report types: frozen, with equality,
     hash and repr over `_fields`, the public names of the class's own
     `__slots__` unless it names its own list to leave out derived views.
-    The key, an `attrgetter` of the fields, is made once per class; equal
-    values have the same class and equal keys, the hash is the key's, the
-    repr Name(field=value, ...).  `__init__` sets every slot once, by
-    `object.__setattr__(self, name, value)`, as `__setstate__` does for
-    copies and pickles; assignment and deletion raise AttributeError."""
+    The key, an `attrgetter` of the fields, is made once per class; a value is
+    equal to itself first, then to one of its class with equal keys; the hash
+    is the key's, the repr Name(field=value, ...).  `__init__` sets every slot
+    once, by `object.__setattr__(self, name, value)`, as `__setstate__` does
+    for copies and pickles; assignment and deletion raise AttributeError."""
 
     __slots__ = ()
 
@@ -52,6 +52,8 @@ class Immutable:
             cls._fields, cls._key = fields, attrgetter(*fields)
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         key = self._key

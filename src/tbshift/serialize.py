@@ -63,6 +63,12 @@ def phase_from_json(obj: Any, path: str = "$") -> Phase:
         raise SchemaError(path, f"bad phase {text!r}: {exc}") from None
 
 
+def _phases(obj: Any, path: str, what: str) -> tuple:
+    """Entry i of the JSON list obj (else not `what`) as a phase read at path[i]."""
+    return tuple(phase_from_json(p, f"{path}[{i}]")
+                 for i, p in enumerate(_need(obj, list, path, what)))
+
+
 def _lifted(rows: list) -> tuple:
     """(int rows, D) for rows of parsed phases, D the lcm of their
     denominators: the one place where a Phase becomes an int over D."""
@@ -103,8 +109,7 @@ def hom_to_json(f: AbHom) -> dict:
 
 
 def character_from_json(group: AbGroup, obj: Any, path: str = "$") -> Character:
-    phases = _need(_need_key(obj, "phases", path), list, path + ".phases", "a list")
-    parsed = [phase_from_json(p, f"{path}.phases[{i}]") for i, p in enumerate(phases)]
+    parsed = _phases(_need_key(obj, "phases", path), path + ".phases", "a list")
     if len(parsed) != group.rank:
         raise SchemaError(path + ".phases", f"expected {group.rank} phases, got {len(parsed)}")
     (ints,), den = _lifted([parsed])
@@ -120,15 +125,7 @@ def cocycle_from_json(group: AbGroup, obj: Any, path: str = "$"):
     kind = _need(_need_key(obj, "kind", path), str, path + ".kind", "a string")
     if kind == "bichar":
         matrix = _need(_need_key(obj, "matrix", path), list, path + ".matrix", "a matrix")
-        rows = []
-        for i, row in enumerate(matrix):
-            _need(row, list, f"{path}.matrix[{i}]", "a row")
-            rows.append(
-                tuple(
-                    phase_from_json(p, f"{path}.matrix[{i}][{j}]")
-                    for j, p in enumerate(row)
-                )
-            )
+        rows = [_phases(row, f"{path}.matrix[{i}]", "a row") for i, row in enumerate(matrix)]
         try:
             return BilinearCocycle(group, *_lifted(rows))
         except ValueError as exc:

@@ -130,7 +130,7 @@ def tensor_one(mu) -> TensorElement:
 
 def tensor_trace(x: TensorElement) -> Cyclotomic:
     """The trace of an element of the tensor square: its coefficient at (0, 0)."""
-    zero = group_zero(x.group)
+    zero = group_zero(x.cocycle.group)
     return x.terms.get(tensor_key(zero, zero), Cyclotomic.ZERO)
 
 
@@ -589,7 +589,7 @@ def tensor_check_malleability(v: TensorElement, rng, samples: int) -> dict:
     `malleability_flow` and the characters through
     `apply_diagonal_character`, with the same draws from rng in the same
     order."""
-    mu, group = v.cocycle, v.group
+    mu, group = v.cocycle, v.cocycle.group
     zero, half, one = group_zero(group), Fraction(1, 2), Cyclotomic.ONE
     checks = {
         "self_adjoint": v.star() == v,

@@ -74,6 +74,13 @@ def test_values_refuse_an_infinite_group():
         AbGroup(1, (2,)).values([1, 1], 2)
 
 
+@pytest.mark.parametrize("row", [[1], [1, 2, 0], []], ids=str)
+def test_values_refuse_a_row_of_the_wrong_length(row):
+    # zip would cut the sums short: [1] gave three values for a group of order 9
+    with pytest.raises(ValueError, match="expected 2 coordinates"):
+        AbGroup(0, (3, 3)).values(row, 3)
+
+
 @pytest.mark.parametrize("torsion", [(2.5, 3), ("3",), (3, 3.0)], ids=str)
 def test_group_refuses_non_integer_orders(torsion):
     with pytest.raises(TypeError):
@@ -431,6 +438,13 @@ def test_dual_character_decodes_the_product_order():
         assert len(set(listed)) == g.order()
     with pytest.raises(ValueError, match="finite"):
         AbGroup(1, (2,)).order()
+
+
+@pytest.mark.parametrize("index", [9, 10, -1, -9], ids=str)
+def test_dual_character_refuses_an_index_outside_the_dual(index):
+    # 9 wrapped to the trivial character and -1 to number 8's (2, 2)/3
+    with pytest.raises(ValueError, match=r"outside range\(9\)"):
+        dual_character(AbGroup(0, (3, 3)), index)
 
 
 def test_separating_characters_infinite_group():

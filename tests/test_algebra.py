@@ -644,10 +644,10 @@ def test_kernel_product_matches_generic_product(rng):
         elems = elements(mu.group)
         # the conductor mu.den is the lcm of all the values' denominators,
         # and each twist exponent over it is the value itself
-        assert kernel.conductor == lcm(*(mu(g, h).den for g in elems for h in elems))
+        assert kernel.mu.den == lcm(*(mu(g, h).den for g in elems for h in elems))
         for i, g in enumerate(elems):
             for j, h in enumerate(elems):
-                assert Phase(kernel.twist[i][j], kernel.conductor) == mu(g, h)
+                assert Phase(kernel.twist[i][j], kernel.mu.den) == mu(g, h)
         v = malleability_unitary(mu)
         assert kernel.times_v({}) == {}
         for _ in range(rounds):
@@ -671,7 +671,7 @@ def test_kernel_build_evaluates_no_cocycle_value(rng, monkeypatch):
     monkeypatch.setattr(TableCocycle, "__call__", never)
     for mu, values in zip(bases, tables):
         kernel = _SwapKernel(mu)
-        assert [[Phase(e, kernel.conductor) for e in row] for row in kernel.twist] == values
+        assert [[Phase(e, kernel.mu.den) for e in row] for row in kernel.twist] == values
 
 
 def test_kernel_on_the_largest_group_builds_within_its_deadline(rng):
@@ -683,7 +683,7 @@ def test_kernel_on_the_largest_group_builds_within_its_deadline(rng):
     elems = elements(mu.group)
     for _ in range(200):
         i, j = rng.randrange(MAX_FLOW_ORDER), rng.randrange(MAX_FLOW_ORDER)
-        assert Phase(kernel.twist[i][j], kernel.conductor) == mu(elems[i], elems[j])
+        assert Phase(kernel.twist[i][j], kernel.mu.den) == mu(elems[i], elems[j])
 
 
 def test_kernel_product_cancels_to_zero():

@@ -54,6 +54,12 @@ def test_from_items_refuses_a_non_integer_value():
         Config.from_items(AbGroup(0, (5,)), [((0, 0), (2.7,))])
 
 
+@pytest.mark.parametrize("site", [(0.5, 0), ("1", 0)], ids=str)
+def test_from_items_refuses_a_non_integer_site(site):
+    with pytest.raises(TypeError):
+        Config.from_items(AbGroup(0, (5,)), [(site, (1,))])
+
+
 def test_dipole_shape():
     g = mod_q_group(3)
     h = g.element((1, 0))

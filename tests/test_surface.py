@@ -312,6 +312,28 @@ def test_only_the_text_readers_convert_with_int():
     assert found == []
 
 
+def _compared(node: ast.BoolOp, op: type) -> set:
+    return {(ast.unparse(c.left), ast.unparse(c.comparators[0])) for c in node.values
+            if isinstance(c, ast.Compare) and len(c.ops) == 1 and isinstance(c.ops[0], op)}
+
+
+def test_no_guard_restates_the_identity_answer_of_equality():
+    # Immutable.__eq__ answers True for the object itself before it reads
+    # a field, so `a is not b and a != b` says no more than `a != b`
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        found += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And)
+                  and _compared(node, ast.IsNot) & _compared(node, ast.NotEq)]
+    assert found == []
+    # and the base keeps the shortcut that the plain `!=` relies on
+    tree = ast.parse((SRC / "scalars.py").read_text("utf-8"))
+    base = next(node for node in tree.body if getattr(node, "name", None) == "Immutable")
+    eq = next(node for node in base.body if getattr(node, "name", None) == "__eq__")
+    assert ast.unparse(eq.body[0]) == "if other is self:\n    return True"
+
+
 def test_the_cli_starts_without_dataclasses_or_inspect():
     # every CLI process pays for this import before its one question:
     # `dataclasses` alone pulls in inspect, ast, dis and tokenize, so no

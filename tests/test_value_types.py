@@ -125,6 +125,22 @@ def test_repr_equality_and_hash(row):
 
 
 @pytest.mark.parametrize("row", range(len(TYPES)))
+def test_a_value_equals_itself_with_no_field_compared(row, monkeypatch):
+    # the base answers identity first, so a caller's `a != b` costs no
+    # field comparison when both name one object
+    a = TYPES[row][0]()
+    cls = type(a)
+    assert cls.__eq__ is Immutable.__eq__
+
+    def refuse(value):
+        raise AssertionError(f"{cls.__name__} compared its fields with itself")
+
+    monkeypatch.setattr(cls, "_key", staticmethod(refuse))
+    assert a == a
+    assert not (a != a)
+
+
+@pytest.mark.parametrize("row", range(len(TYPES)))
 def test_every_slot_is_set_when_built(row):
     # a value is complete when built: no slot is left unset, or None in a
     # private slot, for a later read to fill in
