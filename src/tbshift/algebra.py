@@ -8,12 +8,12 @@ sites ORIGIN and E1: u_g (x) u_h is u of the configuration with g at
 ORIGIN and h at E1.  AlgebraElement holds the one product loop, adjoint
 and trace; TensorElement is that class under its own name, never equal
 to an AlgebraElement, so instrumentation can tell the two products apart.
-An element is built from its terms {k: c(k)}, Cyclotomic coefficients
-pruned of zeros (read on their `ints`) so equality is structural; no
-path adds or scales elements.  A twist, like a diagonal character's
-value on a key (`dynamics.rho`), is one int over one denominator, paid by
-one `Cyclotomic.rotated`, which returns the coefficient itself when the
-twist is a whole turn.
+An element, a frozen `scalars.Immutable`, holds its terms {k: c(k)} with
+zero coefficients pruned, so the base's equality over (cocycle, terms) is
+structural; repr, copies and pickles are the base's, and the hash refuses
+the terms dict.  No path adds or scales elements.  A twist (a diagonal
+character's value on a key, `dynamics.rho`) is one int over one den, paid
+by one `Cyclotomic.rotated`, the coefficient itself at a whole turn.
 
 The malleability flow on the tensor square needs one product per flow,
 y V with the swap unitary V on the right.  A private swap kernel
@@ -44,17 +44,17 @@ from .abelian import Character, dual_character
 from .cocycle import degeneracy_witness
 from .configs import Config, mu_tilde
 from .lattice import E1, ORIGIN
-from .scalars import Cyclotomic
+from .scalars import Cyclotomic, Immutable
 
 
-class AlgebraElement:
-    """The element sum_k c(k) u(k) of the shift algebra over a cocycle base."""
+class AlgebraElement(Immutable):
+    """The frozen value sum_k c(k) u(k) of the shift algebra over a cocycle base."""
 
     __slots__ = ("cocycle", "terms")
 
     def __init__(self, cocycle, terms: Dict[Config, Cyclotomic]):
-        self.cocycle = cocycle
-        self.terms = {k: v for k, v in terms.items() if any(v.ints)}
+        object.__setattr__(self, "cocycle", cocycle)
+        object.__setattr__(self, "terms", {k: v for k, v in terms.items() if any(v.ints)})
 
     @staticmethod
     def unit(cocycle, config: Config) -> "AlgebraElement":
@@ -63,11 +63,6 @@ class AlgebraElement:
     def _check(self, other) -> None:
         if self.cocycle != other.cocycle:
             raise ValueError("elements over different bases")
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.cocycle == other.cocycle and self.terms == other.terms
 
     def __mul__(self, other):
         if type(other) is not type(self):
@@ -93,9 +88,6 @@ class AlgebraElement:
             nk = -k
             out[nk] = v.conjugate().rotated(-mu_tilde(mu, k, nk), mu.den)
         return type(self)(mu, out)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({len(self.terms)} terms)"
 
     @property
     def is_zero_sum_supported(self) -> bool:

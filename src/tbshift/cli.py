@@ -49,6 +49,9 @@ EXIT_INVALID = 2
 EXIT_UNKNOWN = 3
 EXIT_INTERNAL = 4
 
+# ten times the --samples default; a sample costs about 1.1 s at |H| = 1024
+MAX_SAMPLES = 100
+
 
 def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -151,6 +154,8 @@ def cmd_bicharacter(args) -> tuple:
 
 def cmd_malleability(args) -> tuple:
     _at_least_one("--samples", args.samples)
+    if args.samples > MAX_SAMPLES:
+        raise _Invalid(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
     triplet = _triplet(args.path)
     try:
         v = malleability_unitary(triplet.cocycle)

@@ -36,6 +36,8 @@ class Config(Immutable):
         acc: dict = {}
         for point, value in items:
             point = LatticePoint(*map(index, point))
+            if isinstance(value, AbElem) and value.group != group:
+                raise ValueError("config value from another group")
             coords = value.coords if isinstance(value, AbElem) else group.reduce(value)
             if point in acc:
                 coords = group.reduce([a + b for a, b in zip(acc[point], coords)])

@@ -213,7 +213,8 @@ class Cyclotomic(Immutable):
     ints) agree; elements of different orders are compared after rebasing
     to the lcm of the orders.  Products and sums run on ints; reduction
     modulo the monic Phi_N stays integral.  The repr shows the
-    coefficients as Fractions.  Instances are immutable.
+    coefficients as Fractions.  Instances are immutable; copies and
+    pickles rebuild the stored form by `_make`, with no reduction.
     """
 
     __slots__ = ("order", "ints", "den")
@@ -231,6 +232,10 @@ class Cyclotomic(Immutable):
     def __repr__(self) -> str:
         coeffs = tuple(Fraction(c, self.den) for c in self.ints)
         return f"Cyclotomic(order={self.order}, coeffs={coeffs!r})"
+
+    def __reduce__(self):
+        # __new__ takes the N numerators, the stored form only phi(N)
+        return _make, (self.order, self.ints, self.den)
 
     @staticmethod
     def from_rational(value) -> "Cyclotomic":

@@ -42,7 +42,7 @@ from tbshift.cocycle import BilinearCocycle, TableCocycle, degeneracy_witness, t
 from tbshift.configs import Config, dipole, mu_tilde
 from tbshift.dynamics import Motion, Triplet, mod_q_cocycle, mod_q_group, mod_q_triplet, rho
 from tbshift.lattice import E1, ORIGIN, LatticePoint
-from tbshift.scalars import Cyclotomic, Phase
+from tbshift.scalars import Cyclotomic, Immutable, Phase
 from tbshift.selftest import random_algebra_element, random_zero_sum_config
 
 
@@ -212,14 +212,15 @@ def test_products_across_the_two_classes_are_refused(mu3, rng):
 def test_tensor_element_is_the_algebra_class_under_its_own_name():
     # the tracer replaces TensorElement.__mul__ and star in the class's own
     # __dict__, so they are bound there, as AlgebraElement's own functions,
-    # and nothing else is (Python 3.13 adds two more bookkeeping names)
+    # and nothing else is (Python 3.13 adds two more bookkeeping names, and
+    # copyreg caches `__slotnames__` on the class at its first copy or pickle)
     bookkeeping = {"__module__", "__qualname__", "__doc__", "__slots__",
-                   "__firstlineno__", "__static_attributes__"}
+                   "__firstlineno__", "__static_attributes__", "__slotnames__"}
     assert set(vars(TensorElement)) - bookkeeping == {"__mul__", "star"}
     assert TensorElement.__bases__ == (AlgebraElement,) and TensorElement.__slots__ == ()
     assert vars(TensorElement)["__mul__"] is vars(AlgebraElement)["__mul__"]
     assert vars(TensorElement)["star"] is vars(AlgebraElement)["star"]
-    assert AlgebraElement.__bases__ == (object,)
+    assert AlgebraElement.__bases__ == (Immutable,)
     assert not hasattr(algebra, "_TwistedGroupAlgebra")
 
 

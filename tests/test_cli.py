@@ -394,9 +394,11 @@ def test_bound_below_one_is_invalid_input(at_root, command, bound):
     }
 
 
-@pytest.mark.parametrize("samples", ["0", "-5"])
+@pytest.mark.parametrize("samples", ["0", "-5", "101", "1000000000000"])
 def test_malleability_rejects_samples_below_one(at_root, samples):
-    code, payload = _run(["malleability", "triplets/mod3_standard.json", "--samples", samples])
+    # and above MAX_SAMPLES, refused before any sample runs
+    with deadline(5):
+        code, payload = _run(["malleability", "triplets/mod3_standard.json", "--samples", samples])
     assert code == EXIT_INVALID
     assert payload["ok"] is False and payload["violation"] == "invalid-input"
     assert "--samples" in payload["detail"]

@@ -60,6 +60,16 @@ def test_from_items_refuses_a_non_integer_site(site):
         Config.from_items(AbGroup(0, (5,)), [(site, (1,))])
 
 
+def test_from_items_refuses_an_element_of_another_group():
+    z3 = AbGroup(0, (3,))
+    for value in (AbGroup(0, (5,)).element((4,)), AbGroup(0, (3, 3)).element((1, 2))):
+        with pytest.raises(ValueError, match="group"):
+            Config.from_items(z3, [(ORIGIN, value)])
+    # an element of the configuration's own group is taken as it is
+    assert Config.from_items(z3, [(ORIGIN, z3.element((4,)))]) == Config.from_items(
+        z3, [(ORIGIN, (1,))])
+
+
 def test_dipole_shape():
     g = mod_q_group(3)
     h = g.element((1, 0))

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -360,6 +362,17 @@ def test_cyclotomic_is_immutable():
         x.ints = (0, 0, 0, 0)
     with pytest.raises(AttributeError):
         del x.den
+
+
+def test_cyclotomic_copies_and_pickles_keep_its_stored_form():
+    # __new__ takes N numerators, so a copy or pickle cannot rebuild a value
+    # by calling the class with no arguments
+    values = (Cyclotomic.ZERO, Cyclotomic.ONE, Cyclotomic.ONE.rotated(1, 3),
+              Cyclotomic(12, range(12), 7))
+    for x in values:
+        for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(twin) is Cyclotomic and twin == x
+            assert (twin.order, twin.ints, twin.den) == (x.order, x.ints, x.den)
 
 
 def test_phase_normalization_matches_fraction():

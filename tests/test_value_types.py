@@ -3,18 +3,21 @@ equality, hashing, immutability, copies and keyword construction."""
 
 import ast
 import copy
+import importlib
 import pickle
+import pkgutil
 from pathlib import Path
 
 import pytest
 
 import tbshift.cli  # noqa: F401  (defines every value type of the package)
 from tbshift.abelian import AbElem, AbGroup, AbHom, Character, StructureReport
+from tbshift.algebra import AlgebraElement, TensorElement
 from tbshift.classify import CentralizerReport, ConjugacyReport, PiPhi, VerifyReport
 from tbshift.cocycle import Bicharacter, BilinearCocycle, TableCocycle
 from tbshift.configs import Config
 from tbshift.dynamics import Motion, Triplet
-from tbshift.lattice import AffineSL2, LatticePoint, gcd2
+from tbshift.lattice import E1, ORIGIN, AffineSL2, LatticePoint, gcd2
 from tbshift.scalars import Cyclotomic, Immutable, Phase
 
 Z2 = "AbGroup(free_rank=0, torsion=(2,))"
@@ -23,6 +26,11 @@ CHAR = f"Character(group={Z2}, ints=(1,), den=2)"
 FORM = f"BilinearCocycle(group={Z2}, ints=((1,),), den=2)"
 TRIPLET = f"Triplet(group={Z2}, cocycle={FORM}, character={CHAR})"
 MOVE = "AffineSL2(translation=LatticePoint(q=1, r=2), matrix=((1, 1), (0, 1)))"
+SITE = f"Config(group={Z2}, support=((LatticePoint(q=0, r=0), (1,)),))"
+PAIR = (f"Config(group={Z2}, support=((LatticePoint(q=0, r=0), (1,)), "
+        "(LatticePoint(q=1, r=0), (1,))))")
+ONE = "Cyclotomic(order=1, coeffs=(Fraction(1, 1),))"
+ROOT = "Cyclotomic(order=4, coeffs=(Fraction(0, 1), Fraction(1, 1)))"
 
 # The tuples of plain values whose hashes the types above had when each
 # wrote its own __hash__ over its fields: a tuple's hash reads only the
@@ -45,6 +53,22 @@ def triplet():
 
 def move():
     return AffineSL2(translation=LatticePoint(1, 2), matrix=((1, 1), (0, 1)))
+
+
+def site(*values):
+    # g at ORIGIN, then h at E1: a key of the shift algebra or its tensor square
+    return Config.from_items(z2(), zip((ORIGIN, E1), values))
+
+
+def algebra_element():
+    return AlgebraElement(triplet().cocycle, {site((1,)): Cyclotomic.ONE})
+
+
+def tensor_element():
+    # the zero coefficient is pruned when built
+    terms = {site((1,)): Cyclotomic.ONE, site((1,), (1,)): Cyclotomic.ONE.rotated(1, 4),
+             site((0,), (1,)): Cyclotomic.ZERO}
+    return TensorElement(triplet().cocycle, terms)
 
 
 def table():
@@ -96,12 +120,16 @@ TYPES = [
      hash((((0, 0), (1,)), ((1, 0), (1,))))),
     (move, MOVE, "translation", None, hash(MOVE_KEY)),
     (lambda: Phase(num=2, den=-6), "Phase(num=2, den=3)", "num", None, hash((2, 3))),
+    (algebra_element, f"AlgebraElement(cocycle={FORM}, terms={{{SITE}: {ONE}}})", "terms", None,
+     None),
+    (tensor_element, f"TensorElement(cocycle={FORM}, terms={{{SITE}: {ONE}, {PAIR}: {ROOT}}})",
+     "cocycle", None, None),
 ]
 UNHASHABLE = {TableCocycle}
 
 
 def test_every_value_type_has_a_row():
-    assert len({type(make()) for make, *_ in TYPES}) == len(TYPES) == 17
+    assert len({type(make()) for make, *_ in TYPES}) == len(TYPES) == 19
 
 
 @pytest.mark.parametrize("row", range(len(TYPES)))
@@ -116,9 +144,9 @@ def test_repr_equality_and_hash(row):
     cls = type(a)
     if cls in UNHASHABLE:
         assert cls.__hash__ is None
-    elif cls in (ConjugacyReport, VerifyReport):
-        # hashed over their fields: `checks` is a dict, `failures` a list
-        with pytest.raises(TypeError, match="dict" if cls is ConjugacyReport else "list"):
+    elif cls in (ConjugacyReport, VerifyReport, AlgebraElement, TensorElement):
+        # hashed over their fields: `checks` and `terms` are dicts, `failures` a list
+        with pytest.raises(TypeError, match="list" if cls is VerifyReport else "dict"):
             hash(a)
     else:
         assert hash(a) == hash(b) == expected
@@ -200,7 +228,7 @@ def test_the_base_alone_defines_equality_hashing_and_repr():
             classes.add(cls)
             todo += cls.__subclasses__()
     classes -= {Immutable}
-    assert len(classes) == 18 and all(issubclass(cls, Immutable) for cls in classes)
+    assert len(classes) == 20 and all(issubclass(cls, Immutable) for cls in classes)
     own = {f"{cls.__name__}.{name}" for cls in classes
            for name in ("__eq__", "__hash__", "__repr__") if name in vars(cls)}
     assert own == OVERRIDES
@@ -212,3 +240,22 @@ def test_the_base_alone_defines_equality_hashing_and_repr():
                for node in ast.walk(ast.parse(path.read_text("utf-8")))
                if isinstance(node, ast.Attribute) and node.attr == "__set__"]
     assert setters == []
+
+
+def test_no_class_outside_the_base_defines_equality_or_hashing():
+    # a class of the package that compares or hashes by its own methods
+    # beside Immutable would be a second value model, with its own repr,
+    # copies and assignment rules; classes nested in a class count too
+    modules = [importlib.import_module(f"tbshift.{info.name}")
+               for info in pkgutil.iter_modules(tbshift.__path__)]
+    classes, todo = [], [vars(module) for module in modules]
+    while todo:
+        for value in todo.pop().values():
+            ours = isinstance(value, type) and value.__module__.startswith("tbshift.")
+            if ours and value not in classes:
+                classes.append(value)
+                todo.append(vars(value))
+    assert AlgebraElement in classes and LatticePoint in classes
+    own = [cls.__qualname__ for cls in classes if not issubclass(cls, Immutable)
+           and {"__eq__", "__hash__"} & set(vars(cls))]
+    assert own == []
