@@ -8,12 +8,12 @@ generator, 0 per free one) are what every reduction reads.  A finite
 group numbers its elements in `coordinates()` order; `addition_table`
 adds by those numbers, and `values` lists a linear form on them by
 mixed-radix running sums: the one numbering that the twist tables, table
-cocycles and the swap kernel read.  Smith normal form gives invariant
-factors (of a presentation and of the finite groups that
-`group_structure` identifies) and decides whether a homomorphism is
-bijective; subgroups of finite groups are kept as `linalg.hermite_mod`
-echelon rows by their callers.  The candidate images
-of the isomorphism search are coordinate ranges of its own,
+cocycles and the swap kernel read.  A presentation's invariant factors
+come from a gcd/lcm pass over its torsion orders; Smith normal form gives
+those of the finite groups that `group_structure` identifies and decides
+whether a homomorphism is bijective; subgroups of finite groups are kept
+as `linalg.hermite_mod` echelon rows by their callers.  The candidate
+images of the isomorphism search are coordinate ranges of its own,
 `classify._pool_ranges`.  A character is one integer row over one
 denominator, in lowest terms, so a value is a dot product and equality is
 structural; a homomorphism checks its torsion columns on its integer
@@ -107,10 +107,18 @@ class AbGroup(Immutable):
         return add
 
     def invariant_factors(self) -> tuple:
-        """Invariant factors of the torsion part (each divides the next)."""
-        k = len(self.torsion)
-        diag = [[self.torsion[i] if i == j else 0 for j in range(k)] for i in range(k)]
-        return tuple(d for d in snf_diagonal(diag) if d != 1)
+        """Invariant factors of the torsion part (each divides the next).
+
+        (a_i, a_j) <- (gcd, lcm) for i < j: on each prime's exponents that
+        is a compare-exchange, keeping the multiset, so the pass sorts every
+        prime's exponents at once and leaves a divisibility chain whose
+        product is the order, the Smith form of diag(torsion), ones dropped.
+        """
+        a = list(self.torsion)
+        for i in range(len(a)):
+            for j in range(i + 1, len(a)):
+                a[i], a[j] = gcd(a[i], a[j]), lcm(a[i], a[j])
+        return tuple(x for x in a if x != 1)
 
 
 def abstractly_isomorphic(a: AbGroup, b: AbGroup) -> bool:

@@ -53,6 +53,11 @@ class AlgebraElement(Immutable):
     __slots__ = ("cocycle", "terms")
 
     def __init__(self, cocycle, terms: Dict[Config, Cyclotomic]):
+        group = cocycle.group
+        for k in terms:
+            # `not ==` calls the base's __eq__ once; `!=` reaches it through object.__ne__
+            if not k.group == group:
+                raise ValueError("configuration over another group than the cocycle's")
         object.__setattr__(self, "cocycle", cocycle)
         object.__setattr__(self, "terms", {k: v for k, v in terms.items() if any(v.ints)})
 

@@ -26,7 +26,7 @@ from .abelian import (
     lazy_product,
 )
 from .algebra import AlgebraElement
-from .cocycle import radical_rows, star_bicharacter
+from .cocycle import star_bicharacter, star_blocks
 from .configs import Config, telescoped
 from .dynamics import Triplet, VerifyReport, beta
 from .lattice import (
@@ -223,18 +223,18 @@ def _integer_forms(ta: Triplet, tb: Triplet) -> tuple:
 def _invariants(group: AbGroup, star: list, chi: list, d: int) -> tuple:
     """(cocycle, character, joint) isomorphism invariants of one finite side.
 
-    An isomorphism meeting the cocycle condition maps radical R onto
-    radical, so it keeps the invariant factors of R (the cokernel of
-    g -> s(g, -) into dual(H), whose image is R's annihilator) and of H/R
-    (Z^r over the `radical_rows`).  One meeting the character condition
-    keeps the order of chi^2; one meeting both, that of chi^2 on R.
+    An isomorphism meeting the cocycle condition maps the image I of
+    g -> s(g, -) in dual(H) onto image and the radical R onto radical, so
+    it keeps the invariant factors of dual(H)/I (the map's cokernel, dual
+    to R as I is R's annihilator) and of H/R.  Each is `snf_diagonal` of
+    an r x r block of `star_blocks`: its rows span the preimage of I (of
+    R) in Z^r, every n_k e_k among it, so Z^r over them is dual(H)/I
+    (H/R).  One meeting the character condition keeps the order of
+    chi^2; one meeting both, that of chi^2 on R.
     """
-    moduli = group.torsion
-    rows = radical_rows(star, d, group)
-    cokernel = [[a * n // d for a, n in zip(row, moduli)] for row in star]
-    cokernel += [[n if i == j else 0 for j in range(len(moduli))] for i, n in enumerate(moduli)]
-    cocycle = tuple(tuple(x for x in snf_diagonal(m) if x != 1) for m in (cokernel, rows))
-    on_radical = d // gcd(d, *(sum(map(mul, chi, row)) for row in rows))
+    image, radical = star_blocks(star, d, group)
+    cocycle = tuple(tuple(x for x in snf_diagonal(rows) if x != 1) for rows in (image, radical))
+    on_radical = d // gcd(d, *(sum(map(mul, chi, row)) for row in radical))
     return cocycle, d // gcd(d, *chi), on_radical
 
 

@@ -258,16 +258,26 @@ def coboundary_witness(mu1, mu2) -> Optional[dict]:
     return {AbElem(group, g): Phase(v, m) for g, v in zip(elems, b)}
 
 
-def radical_rows(lift: list, scale: int, group: AbGroup) -> list:
-    """`hermite_mod` rows of the torsion radical {g : g^T A = 0 mod D} of (A, D).
+def star_blocks(ints: list, den: int, group: AbGroup) -> tuple:
+    """(I, R): `hermite_mod` rows of the image I of the star map
+    g -> s(g, -) on the torsion subgroup, and of its kernel R there.
 
-    Its preimage is the g-part of the integer kernel of [A_t^T | D*I]
-    (A_t: the torsion rows of A).
+    (A, D) = (`ints`, `den`) is a star form well defined on H.  Column j
+    of s(g, -) is read mod m_j = n_j, or mod D for a free generator, so
+    s(e_i, e_j) = A_ij / D is the integer A_ij * m_j / D there.  One
+    `hermite_mod` runs over the graph {(s(g, -), g)} of the map in
+    Z/m + torsion, with no integer kernel: torsion generator i gives its
+    star row so scaled, followed by e_i.  The first rank echelon rows, cut
+    to the first rank columns, are I (the graph's projection); the rows
+    past them, cut to the last columns, are the graph's elements (0, g),
+    that is R.  A pivot m_k (n_k) marks a zero row, as in `hermite_mod`.
     """
-    f, r = group.free_rank, group.rank
-    system = [list(col[f:]) + [scale if i == j else 0 for i in range(r)]
-              for j, col in enumerate(zip(*lift))]
-    return hermite_mod([vec[:r - f] for vec in integer_kernel_basis(system)], group.torsion)
+    r, torsion = group.rank, group.torsion
+    moduli = [n or den for n in group.orders]
+    graph = [[a * m // den for a, m in zip(row, moduli)] + e
+             for row, e in zip(ints[group.free_rank:], identity_matrix(len(torsion)))]
+    rows = hermite_mod(graph, moduli + list(torsion))
+    return [row[:r] for row in rows[:r]], [row[r:] for row in rows[r:]]
 
 
 def degeneracy_witness(mu) -> Optional[AbElem]:
@@ -276,10 +286,12 @@ def degeneracy_witness(mu) -> Optional[AbElem]:
     It reads the integer star form (A, D) of `star_bicharacter`.  With a
     free part, A holds rational tags for a dense parameter family, and the
     first integer kernel vector of A^T with a nonzero free part is the
-    witness.  Else the witness lies in the torsion radical.  Of its
-    `radical_rows`, the one of the last coordinate k with pivot below n_k
-    is the first nonzero radical element in `coordinates()` order; with no
-    such k the radical is trivial.
+    witness; that is the one integer kernel taken.  Else the witness lies
+    in the torsion radical R of `star_blocks`.  Row k of R is the one
+    element of R that vanishes before coordinate k and has the pivot
+    there, so the row of the last k with pivot below n_k is the first
+    nonzero element of R in `coordinates()` order (every later row is
+    zero); with no such k, R is trivial.
     """
     group = mu.group
     star = star_bicharacter(mu)
@@ -288,8 +300,8 @@ def degeneracy_witness(mu) -> Optional[AbElem]:
         for vec in integer_kernel_basis([list(col) for col in zip(*star.ints)]):
             if any(vec[:f]):
                 return group.element(vec)
-    rows = radical_rows(star.ints, star.den, group)
+    _, radical = star_blocks(star.ints, star.den, group)
     for k in reversed(range(group.rank - f)):
-        if rows[k][k] < group.torsion[k]:
-            return group.element([0] * f + rows[k])
+        if radical[k][k] < group.torsion[k]:
+            return group.element([0] * f + radical[k])
     return None

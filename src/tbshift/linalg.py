@@ -5,15 +5,20 @@ integer matrix routine here, on the rows [a | right] stacked over
 `below`.  Row operations carry the columns right of a along (they come
 out as u*right); column operations turn an I_n below into v.  Each
 caller carries only what it reads: `snf_diagonal` nothing,
-`integer_kernel_basis` I_n.  No caller in the package carries a nonempty
-`right`; it is kept for the tests' oracles, the full (d, u, v) form and
-the literal congruence solver, which read u*right.  See `_eliminate` for
-how entries are kept small.
+`integer_kernel_basis` I_n.  `snf_diagonal` reads the invariant factors
+of a homomorphism's cokernel (`abelian.is_isomorphism`), of a listed
+group (`abelian.group_structure`) and of the star map's Hermite blocks
+(`classify._invariants`); `integer_kernel_basis` is read only by
+`cocycle.degeneracy_witness` on a group with a free part.  No caller in
+the package carries a nonempty `right`; it is kept for the tests'
+oracles, the full (d, u, v) form and the literal congruence solver,
+which read u*right.  See `_eliminate` for how entries are kept small.
 
 The one other step, `hermite_mod`, brings a subgroup of
 Z/n_1 + ... + Z/n_r to echelon rows with row operations only, and
 `order_mod` reads element orders modulo that subgroup off the rows.
-`cocycle.radical_rows` puts a star form's radical in echelon form for
+`cocycle.star_blocks` runs it once over the graph of a star map, whose
+echelon rows hold the map's image and its radical, for
 `degeneracy_witness` and the conjugacy invariants;
 `classify._matching_isomorphisms` keeps the span of its chosen images
 that way and cuts candidates with `order_mod`.

@@ -50,12 +50,28 @@ reads from a string by default: `Fraction` raises 10 to it in one step no
 signal interrupts, so a larger one is refused before `Fraction` sees it."""
 
 
+_PLAIN_PHASE = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
+
+
 def phase_from_json(obj: Any, path: str = "$") -> Phase:
+    """The phase a JSON string p/q (or p) names.
+
+    The plain form, an optional minus, ASCII digits and a denominator with
+    a nonzero digit, is read by `int` straight into a Phase.  Any other
+    text is `Fraction`'s: a plus sign, spaces, underscores, decimals,
+    exponents, other digits and a zero denominator, after the exponent
+    guard.  Both reads sit in one `try`, so a refusal (`int`'s digit limit
+    among them) is the same SchemaError on either path.
+    """
     text = _need(obj, str, path, 'a phase string "p/q"')
-    # the exponent as Fraction reads it: E in either case, a sign, digits
-    # with single underscores
-    exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
+    plain = _PLAIN_PHASE.fullmatch(text)
     try:
+        if plain:
+            num, den = plain.groups()
+            return Phase(int(num), int(den or 1))
+        # the exponent as Fraction reads it: E in either case, a sign,
+        # digits with single underscores
+        exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
         if exponent and abs(int(exponent[1])) > MAX_PHASE_EXPONENT:
             raise ValueError(f"exponent beyond {MAX_PHASE_EXPONENT}")
         return Phase.from_fraction(Fraction(text))

@@ -17,7 +17,14 @@ by `apply_diagonal_character`, the index form read back by
 `tensor_element`), and the intertwiner's int terms and the int twists `configs.mu_tilde` and
 `configs.telescoped` against their Phase sums `phase_pi`, `mu_tilde` and
 `mu_hat`, and `spiral_points` and `spiral_index` against the
-edge-by-edge walk `spiral_walk`.  Tables evaluated from mu (`to_table`,
+edge-by-edge walk `spiral_walk`.  The star map's one Hermite pass
+(`cocycle.star_blocks`) is held against the routes it replaced: the
+radical from an integer kernel (`kernel_radical_rows`, read by
+`kernel_degeneracy_witness`) and the conjugacy invariants from the
+Smith form of the 2r x r cokernel (`cokernel_invariants`); the gcd pass
+of `invariant_factors` against the Smith form of diag(torsion)
+(`snf_invariant_factors`), and the plain phase reader against the
+`Fraction` route of every text (`fraction_phase_from_json`).  Tables evaluated from mu (`to_table`,
 `table_from_function`, `coboundary_cocycle`) are the reference for the integer tables, as
 `phase_witness_catalog` is for `selftest.witness_catalog`.  The term-level
 operations that read canonical forms keep their old paths here: config
@@ -46,6 +53,7 @@ h at E1, built by `tensor_key` from AbElems and read back by `legs`.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
@@ -62,12 +70,13 @@ from tbshift.abelian import (
 )
 from tbshift.algebra import AlgebraElement, TensorElement, _SwapKernel, malleability_unitary
 from tbshift.classify import _pool_ranges
-from tbshift.cocycle import BilinearCocycle, CocycleError, TableCocycle, trivial_cocycle
+from tbshift.cocycle import BilinearCocycle, CocycleError, TableCocycle, star_bicharacter, trivial_cocycle
 from tbshift.configs import Config
 from tbshift.dynamics import Motion, Triplet, rho
 from tbshift.lattice import E1, ORIGIN, AffineSL2, LatticePoint, det2, mat_apply, mat_mul, spiral_index
-from tbshift.linalg import _eliminate, identity_matrix
+from tbshift.linalg import _eliminate, hermite_mod, identity_matrix, integer_kernel_basis, snf_diagonal
 from tbshift.scalars import Cyclotomic, Phase
+from tbshift.serialize import MAX_PHASE_EXPONENT, SchemaError
 from tbshift.selftest import _random_bilinear, random_point
 
 # -- the arithmetic the value types no longer carry -----------------------------
@@ -162,6 +171,71 @@ def smith_normal_form(a: list) -> tuple:
     n = len(a[0]) if m else 0
     rows = _eliminate(a, identity_matrix(m), identity_matrix(n))
     return [row[:n] for row in rows[:m]], [row[n:] for row in rows[:m]], rows[m:]
+
+
+# -- the integer-kernel and Smith routes of the star map -----------------------
+
+
+def kernel_radical_rows(lift: list, scale: int, group: AbGroup) -> list:
+    """`hermite_mod` rows of the torsion radical {g : g^T A = 0 mod D} of (A, D).
+
+    Its preimage is the g-part of the integer kernel of [A_t^T | D*I]
+    (A_t: the torsion rows of A); `cocycle.star_blocks` reads it off one
+    Hermite pass over the graph of the star map instead.
+    """
+    f, r = group.free_rank, group.rank
+    system = [list(col[f:]) + [scale if i == j else 0 for i in range(r)]
+              for j, col in enumerate(zip(*lift))]
+    return hermite_mod([vec[:r - f] for vec in integer_kernel_basis(system)], group.torsion)
+
+
+def kernel_degeneracy_witness(mu) -> Optional[AbElem]:
+    """`degeneracy_witness` with its torsion radical from `kernel_radical_rows`."""
+    group, star, f = mu.group, star_bicharacter(mu), mu.group.free_rank
+    if f:
+        for vec in integer_kernel_basis([list(col) for col in zip(*star.ints)]):
+            if any(vec[:f]):
+                return group.element(vec)
+    rows = kernel_radical_rows(star.ints, star.den, group)
+    for k in reversed(range(group.rank - f)):
+        if rows[k][k] < group.torsion[k]:
+            return group.element([0] * f + rows[k])
+    return None
+
+
+def cokernel_invariants(group: AbGroup, star: list, chi: list, d: int) -> tuple:
+    """`classify._invariants` by Smith forms: the 2r x r presentation of the
+    cokernel of g -> s(g, -) into dual(H) (the scaled star rows over the
+    n_k e_k), and H over the `kernel_radical_rows`."""
+    moduli = group.torsion
+    rows = kernel_radical_rows(star, d, group)
+    cokernel = [[a * n // d for a, n in zip(row, moduli)] for row in star]
+    cokernel += [[n if i == j else 0 for j in range(len(moduli))] for i, n in enumerate(moduli)]
+    cocycle = tuple(tuple(x for x in snf_diagonal(m) if x != 1) for m in (cokernel, rows))
+    on_radical = d // gcd(d, *(sum(map(mul, chi, row)) for row in rows))
+    return cocycle, d // gcd(d, *chi), on_radical
+
+
+def snf_invariant_factors(group: AbGroup) -> tuple:
+    """`AbGroup.invariant_factors` as the Smith form of diag(torsion), ones dropped."""
+    k = len(group.torsion)
+    diag = [[group.torsion[i] if i == j else 0 for j in range(k)] for i in range(k)]
+    return tuple(d for d in snf_diagonal(diag) if d != 1)
+
+
+# -- the phase reader's Fraction route ------------------------------------------
+
+
+def fraction_phase_from_json(text: str, path: str = "$") -> Phase:
+    """`serialize.phase_from_json` on a string with every text read by
+    `Fraction`, after the same exponent guard."""
+    exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
+    try:
+        if exponent and abs(int(exponent[1])) > MAX_PHASE_EXPONENT:
+            raise ValueError(f"exponent beyond {MAX_PHASE_EXPONENT}")
+        return Phase.from_fraction(Fraction(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(path, f"bad phase {text!r}: {exc}") from None
 
 
 # -- the literal coboundary-witness solver ------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from math import gcd
 from operator import mul
 
@@ -20,6 +21,7 @@ from oracles import (
     phase_character,
     phase_character_value,
     separating_characters,
+    snf_invariant_factors,
 )
 from tbshift.abelian import (
     AbGroup,
@@ -109,6 +111,23 @@ def test_group_invariants():
         AbGroup(0, (1,))
     with pytest.raises(ValueError):
         AbGroup(-1)
+
+
+def test_invariant_factors_match_the_smith_form_of_the_diagonal():
+    # the gcd/lcm pass against the Smith form of diag(torsion), on tuples
+    # of composite and prime orders, some large, with free ranks 0..2
+    rng = random.Random(44)
+    orders = (2, 3, 4, 6, 8, 9, 12, 16, 18, 25, 27, 30, 36, 60, 64, 2 ** 61 - 1, 10 ** 18)
+    for _ in range(4000):
+        torsion = tuple(rng.choice(orders) if rng.random() < 0.7 else rng.randint(2, 10 ** 6)
+                        for _ in range(rng.randint(0, 6)))
+        group = AbGroup(rng.randint(0, 2), torsion)
+        factors = group.invariant_factors()
+        assert factors == snf_invariant_factors(group)
+        assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    assert AbGroup(0, (2, 6)).invariant_factors() == AbGroup(0, (2, 2, 3)).invariant_factors() == (2, 6)
+    assert abstractly_isomorphic(AbGroup(0, (2, 6)), AbGroup(0, (2, 2, 3)))
+    assert not abstractly_isomorphic(AbGroup(0, (2, 6)), AbGroup(0, (4, 3)))
 
 
 def test_hom_apply_examples():

@@ -209,6 +209,20 @@ def test_products_across_the_two_classes_are_refused(mu3, rng):
             a * b
 
 
+def test_an_element_refuses_a_key_over_another_group():
+    # a Z/5 configuration under the (Z/3)^2 twist: its square would read
+    # the twist on Z/5 coordinates, so the element is not built
+    key = Config.from_items(AbGroup(0, (5,)), [(ORIGIN, (1,))])
+    for cls in (AlgebraElement, TensorElement):
+        with pytest.raises(ValueError, match="another group"):
+            cls(mod_q_cocycle(3), {key: Cyclotomic.ONE})
+        with pytest.raises(ValueError, match="another group"):
+            cls(mod_q_cocycle(3), {key: Cyclotomic.ZERO})
+    # an equal group built apart is the cocycle's group
+    same = Config.from_items(AbGroup(0, (3, 3)), [(ORIGIN, (1, 0))])
+    assert AlgebraElement(mod_q_cocycle(3), {same: Cyclotomic.ONE}).terms == {same: Cyclotomic.ONE}
+
+
 def test_tensor_element_is_the_algebra_class_under_its_own_name():
     # the tracer replaces TensorElement.__mul__ and star in the class's own
     # __dict__, so they are bound there, as AlgebraElement's own functions,

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import oracles
+from conftest import deadline
 from oracles import (
     det_form_cocycle,
     dual_characters,
@@ -43,7 +44,7 @@ from tbshift.classify import (
     decide_conjugacy,
     verify_pi,
 )
-from tbshift.cocycle import BilinearCocycle, star_bicharacter, trivial_cocycle
+from tbshift.cocycle import BilinearCocycle, degeneracy_witness, star_bicharacter, trivial_cocycle
 from tbshift.configs import dipole
 from tbshift.dynamics import Motion, Triplet, beta, mod_q_triplet, motion_mul, rho
 from tbshift.lattice import AffineSL2, LatticePoint, spiral_index
@@ -873,6 +874,52 @@ def test_invariant_nos_match_brute_oracle():
     report = _assert_invariants_sound(ta, tb, isos)
     assert report.decided_by == "search"
     assert report.checks == {"cocycle": True, "character": False}
+
+
+def test_invariants_match_the_smith_cokernel_route():
+    # the image and radical blocks of one Hermite pass give the invariants
+    # of the Smith forms of the 2r x r cokernel and of the integer-kernel
+    # radical, on random finite groups with composite orders
+    rng = random.Random(44)
+    decided = Counter()
+    for _ in range(1500):
+        group = AbGroup(0, tuple(rng.choice((2, 3, 4, 6, 8, 9, 12)) for _ in range(rng.randint(1, 4))))
+        t = Triplet(group, _random_bilinear(rng, group), _random_character(rng, group))
+        d, (star, chi), _ = classify._integer_forms(t, t)
+        invariants = classify._invariants(group, star, chi, d)
+        assert invariants == oracles.cokernel_invariants(group, star, chi, d)
+        decided[bool(invariants[0][0]), bool(invariants[0][1])] += 1
+    assert len(decided) >= 3
+    # Z/2 x Z/6 against Z/2 x Z/2 x Z/3: a pullback keeps every invariant
+    # across the two presentations
+    ga, gb = AbGroup(0, (2, 2, 3)), AbGroup(0, (2, 6))
+    isos = enumerate_isomorphisms(gb, ga)[0]
+    for _ in range(20):
+        ta = Triplet(ga, _random_bilinear(rng, ga), _random_character(rng, ga))
+        tb = _pushforward(ta, rng.choice(isos))
+        d, (star_a, chi_a), (star_b, chi_b) = classify._integer_forms(ta, tb)
+        inv_a = classify._invariants(ga, star_a, chi_a, d)
+        assert inv_a == classify._invariants(gb, star_b, chi_b, d)
+        assert inv_a == oracles.cokernel_invariants(ga, star_a, chi_a, d)
+        assert inv_a == oracles.cokernel_invariants(gb, star_b, chi_b, d)
+
+
+def test_rank_forty_invariants_witness_and_conjugate_keep_their_deadlines():
+    # (Z/2)^40 with a random star form: the one Hermite pass runs over 80
+    # columns, and the search that follows is refused as too large
+    rng = random.Random(40)
+    group = AbGroup(0, (2,) * 40)
+    t = Triplet(group, _random_bilinear(rng, group), _random_character(rng, group))
+    d, (star, chi), _ = classify._integer_forms(t, t)
+    with deadline(1):
+        invariants = classify._invariants(group, star, chi, d)
+    with deadline(1):
+        witness = degeneracy_witness(t.cocycle)
+    with deadline(2):
+        report = decide_conjugacy(t, t)
+    assert report.verdict == "UNKNOWN" and report.decided_by == "search"
+    assert invariants == oracles.cokernel_invariants(group, star, chi, d)
+    assert witness == oracles.kernel_degeneracy_witness(t.cocycle)
 
 
 def test_integer_search_matches_phase_checks_on_mixed_denominators():

@@ -17,6 +17,8 @@ from oracles import (
     elements,
     generators,
     group_zero,
+    kernel_degeneracy_witness,
+    kernel_radical_rows,
     literal_coboundary_witness,
     phase_bilinear,
     phase_bilinear_value,
@@ -39,6 +41,7 @@ from tbshift.cocycle import (
     cohomologous,
     degeneracy_witness,
     star_bicharacter,
+    star_blocks,
     trivial_cocycle,
 )
 from tbshift.dynamics import mod_q_cocycle
@@ -524,6 +527,47 @@ def test_mixed_degeneracy_witness_is_nonzero_and_degenerate():
         assert any(w.coords[:group.free_rank]) == free_direction
         free_found += free_direction
     assert free_found
+
+
+def random_composite_cocycle(rng):
+    """A bilinear cocycle on Z^f x (up to four cyclic factors of orders up
+    to 12, composite ones among them), f in 0..2, rank at least 1, with
+    rational tags on the free pairs; finite ones of order <= 24 as tables."""
+    group = AbGroup(0)
+    while not group.rank:
+        group = AbGroup(rng.randint(0, 2),
+                        tuple(rng.choice((2, 3, 4, 6, 8, 9, 12)) for _ in range(rng.randint(0, 4))))
+    orders = group.orders
+
+    def entry(a, b):
+        n = gcd(a, b) or 12
+        return Phase.ZERO if rng.random() < 0.4 else Phase(rng.randrange(n), n)
+
+    mu = phase_bilinear(group, tuple(tuple(entry(a, b) for b in orders) for a in orders))
+    if group.is_finite and group.order() <= 24 and rng.random() < 0.3:
+        return to_table(mu)
+    return mu
+
+
+def test_star_blocks_radical_matches_the_integer_kernel_route():
+    # the radical of one Hermite pass over the graph of the star map has
+    # the pivots of the integer-kernel radical, and the witness read off it
+    # is the old route's, free parts included
+    rng = random.Random(44)
+    free_ranks, kinds, found = Counter(), Counter(), 0
+    for _ in range(1500):
+        mu = random_composite_cocycle(rng)
+        group, star = mu.group, star_bicharacter(mu)
+        _, radical = star_blocks(star.ints, star.den, group)
+        old = kernel_radical_rows(star.ints, star.den, group)
+        assert [row[k] for k, row in enumerate(radical)] == [row[k] for k, row in enumerate(old)]
+        witness = degeneracy_witness(mu)
+        assert witness == kernel_degeneracy_witness(mu)
+        free_ranks[group.free_rank] += 1
+        kinds[type(mu).__name__] += 1
+        found += witness is not None
+    assert set(free_ranks) == {0, 1, 2} and set(kinds) == {"BilinearCocycle", "TableCocycle"}
+    assert 0 < found < 1500
 
 
 @pytest.mark.parametrize("shape", ORDER_64_SHAPES, ids=_shape_id)

@@ -18,6 +18,10 @@ or a torsion order another order in 2..12.  `validate`, `factor`,
 each under the deadline, and each must print one JSON object and exit 0,
 1, 2 or 3.  `centralizer` and `conjugate` are left out: their searches on
 a mutated (Z/3)^4 can run long.
+
+A third test holds `phase_from_json`, which reads the plain form p/q with
+`int`, against `Fraction`'s reading of every text: the same Phase, or a
+SchemaError of the same text, never another exception.
 """
 
 import contextlib
@@ -26,13 +30,15 @@ import io
 import json
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import deadline
+from oracles import fraction_phase_from_json
 from tbshift.cli import main
 from tbshift.dynamics import Triplet
-from tbshift.serialize import SchemaError, triplet_from_json
+from tbshift.serialize import SchemaError, phase_from_json, triplet_from_json
 
 TRIPLETS = {
     path.name: json.loads(path.read_text("utf-8"))
@@ -124,6 +130,55 @@ def test_a_mutated_triplet_file_is_a_triplet_or_a_schema_error(fraction_guard, d
             result.validate()
         except ValueError:  # CocycleError among them
             pass
+
+
+# texts the plain-form reader must read as `Fraction` does, or refuse with
+# the same SchemaError: int's 4300-digit limit on either side of the slash,
+# zero denominators, and the forms only Fraction reads
+NAMED_PHASES = {
+    "numerator-of-4301-digits": "1" * 4301 + "/3",
+    "negative-numerator-of-5000-digits": "-" + "7" * 5000,
+    "denominator-of-4301-digits": "1/" + "9" * 4301,
+    "zero-denominator": "1/0",
+    "two-digit-zero-denominator": "1/00",
+    "plus-sign": "+1/2",
+    "leading-space": " 1/2",
+    "underscore": "1_0/3",
+    "arabic-indic-digits": "\u0661/\u0662",
+    "negative-denominator": "1/-2",
+    "leading-zeros": "-007/010",
+    "trailing-newline": "1/2\n",
+}
+PHASE_TEXTS = st.one_of(
+    st.sampled_from(sorted(NAMED_PHASES.values())),
+    st.builds("{}/{}".format, st.integers(-10 ** 30, 10 ** 30), st.integers(-20, 10 ** 30)),
+    st.from_regex(r"-?[0-9]{1,5}(/[0-9]{1,5})?", fullmatch=True),
+    st.text(alphabet="-+/0123456789_. eE\u0661\u0662", max_size=8),
+    PHASES,
+)
+
+
+def _read(reader, text):
+    """The phase `reader` reads from text, or the text of its SchemaError;
+    any other exception propagates and fails the test."""
+    try:
+        return reader(text, "$.phase")
+    except SchemaError as exc:
+        return f"SchemaError: {exc}"
+
+
+@pytest.mark.parametrize("text", NAMED_PHASES.values(), ids=NAMED_PHASES.keys())
+def test_a_named_phase_text_reads_as_fraction_reads_it(text):
+    with deadline(2):
+        assert _read(phase_from_json, text) == _read(fraction_phase_from_json, text)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(PHASE_TEXTS)
+def test_a_phase_text_reads_as_its_fraction_or_the_same_refusal(fraction_guard, text):
+    with deadline(2):
+        assert _read(phase_from_json, text) == _read(fraction_phase_from_json, text)
 
 
 # the parts of a file a parseable mutation may change: its phase strings
