@@ -4,8 +4,8 @@ Triplets (H, mu, chi) -- a countable abelian group, a normalized scalar
 2-cocycle and a character -- determine a lattice shift action on a twisted
 group algebra.  This package does every computation about them exactly:
 cocycle cohomology, conjugacy of the actions, centralizers, factoriality
-of the base algebra, and the rational-time malleability flow on the
-tensor square.
+of the base algebra, and the malleability flow on the tensor square at
+the two times its checks use, t = 1/2 and t = 1.
 """
 
 from .abelian import (

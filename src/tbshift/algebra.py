@@ -20,23 +20,21 @@ y V with the swap unitary V on the right.  A private swap kernel
 (_SwapKernel), built once per check from the cocycle, runs the check on
 its integer index form {i*n + j: c}, the terms c u(g_i, g_j) numbered as
 `group.coordinates()` is, n = |H|: V is converted once, and no group element
-or TensorElement is built after that.  A flow at a non-integer t is one
-integer accumulation: W_t's four coefficients, read in closed form from t
-as exponent lists and kept per time, are folded into the pair loop over
-the group's addition table and the cocycle's own integer twist table
-(`exponent_table`), with int rotations in place of Cyclotomic products;
-each output coefficient is made once by `Cyclotomic(order, ints, den)`.
-The generic product loop stays the reference the tests compare y V with.
-`flow_order` bounds the flow to a finite H with |H| <= MAX_FLOW_ORDER
-before anything of size |H| is built, and raises FlowRefused otherwise;
-at integer times the flow only relabels the legs.  `check_malleability`
-runs the kernel's checks for the `malleability` command and the selftest.
+or TensorElement is built after that.  The checks run the flow at two
+times only: at t = 1 it relabels the legs, and at t = 1/2 it is one
+integer accumulation, Ad W's coefficients 1/2 and +-i/2 folded into the
+pair loop over the group's addition table and the cocycle's own integer
+twist table (`exponent_table`), with int rotations in place of Cyclotomic
+products; each output coefficient is made once by `Cyclotomic(order,
+ints, den)`.  `flow_order` bounds the flow to a finite H with |H| <=
+MAX_FLOW_ORDER before anything of size |H| is built, and raises
+FlowRefused otherwise.  `check_malleability` runs the kernel's checks for
+the `malleability` command and the selftest.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import isqrt, lcm
 from typing import Dict
 
@@ -55,8 +53,7 @@ class AlgebraElement(Immutable):
     def __init__(self, cocycle, terms: Dict[Config, Cyclotomic]):
         group = cocycle.group
         for k in terms:
-            # `not ==` calls the base's __eq__ once; `!=` reaches it through object.__ne__
-            if not k.group == group:
+            if k.group != group:
                 raise ValueError("configuration over another group than the cocycle's")
         object.__setattr__(self, "cocycle", cocycle)
         object.__setattr__(self, "terms", {k: v for k, v in terms.items() if any(v.ints)})
@@ -169,19 +166,9 @@ def _lift(c: Cyclotomic, order: int, den: int) -> list:
     return [(k * sc, a * sd) for k, a in enumerate(c.ints) if a]
 
 
-def _times(cs: list, ss: list, order: int) -> list:
-    """The product of two `_lift`ed terms lists, mod x^order - 1."""
-    out: Dict[int, int] = {}
-    for p, a in cs:
-        for q, b in ss:
-            k = (p + q) % order
-            out[k] = out.get(k, 0) + a * b
-    return list(out.items())
-
-
 class _SwapKernel:
-    """Right multiplication by the swap unitary V, the flow, the adjoint and
-    a diagonal character, on the index form.
+    """Right multiplication by the swap unitary V, the flow at t = 1/2 and
+    t = 1, the adjoint and a diagonal character, on the index form.
 
     Built once per cocycle and shared by every flow of one check.  An
     element is the dict {i*n + j: c} of its terms c u(g_i, g_j), g_i the
@@ -192,7 +179,7 @@ class _SwapKernel:
     V's coefficient at u_h (x) u_{-h} is zeta_N^(-mu(h, -h)).
     Coefficients are int vectors in the power basis of Q(zeta_L) over one
     denominator, L a multiple of N and of every coefficient order, and a
-    term pair costs lookups and one rotation.  `times_v` and `flow` share
+    term pair costs lookups and one rotation.  `times_v` and `half` share
     the one pair loop `_accumulate`, which reduces each output coefficient
     mod Phi_L once.  mu must pass the checks of `malleability_unitary`,
     which make sqrt|H| an int.
@@ -210,7 +197,6 @@ class _SwapKernel:
         neg = self.neg = [row.index(0) for row in add]
         # V = sum_h zeta_N^(-mu(h, -h)) u_h (x) u_-h as (h, -h, exponent)
         self.v = [(h, nh, -twist[h][nh]) for h, nh in enumerate(neg)]
-        self.coefficients: Dict[tuple, tuple] = {}
 
     def index_form(self, x: TensorElement) -> dict:
         """{i*n + j: c} for each term c u(g_i, g_j) of x, g_i read at ORIGIN
@@ -289,54 +275,32 @@ class _SwapKernel:
         return self._accumulate(
             [(*divmod(key, n), _lift(c, order, den), v) for key, c in y.items()], order, den)
 
-    def _w(self, k: int, q: int, order: int) -> tuple:
-        """4 sqrt|H| times (|a|^2, |b|^2, a conj(b), b conj(a)) at e = zeta_q^k,
-        reduced mod Phi_q, as exponents of zeta_order; kept per (k, q, order)."""
-        w = self.coefficients.get((k, q, order))
-        if w is None:
-            s = self.scale
+    def flip(self, x: dict) -> dict:
+        """The flow at t = 1: each term c u(i, j) moved to (j, i)."""
+        n = self.n
+        return {key % n * n + key // n: c for key, c in x.items()}
 
-            def lifted(c0: int, c1: int, c2: int) -> list:
-                # c0 + c1 e + c2/e; over den 1 no common factor is taken out
-                vec = [0] * q
-                vec[0], vec[k % q], vec[-k % q] = c0, c1, c2
-                return _lift(Cyclotomic(q, vec, 1), order, 1)
+    def half(self, x: dict) -> dict:
+        """Ad W(x) = (x + flip(x))/2 + i (x - flip(x)) S/2, the flow at t = 1/2.
 
-            ab = lifted(0, 1, -1)
-            w = self.coefficients[k, q, order] = (
-                lifted(2 * s, s, s), lifted(2 * s, -s, -s), ab, [(p, -a) for p, a in ab])
-        return w
-
-    def flow(self, t, x: dict) -> dict:
-        """Ad W_t(x) = |a|^2 x + |b|^2 flip(x) + (a conj(b) x + b conj(a) flip(x)) S.
-
-        W_t = a + b S, a = (1 + e)/2, b = (1 - e)/2, e = e^{i pi t} = zeta_q^k,
-        S = V/sqrt|H| the self-adjoint unitary that flips the legs: S x =
-        flip(x) S, so both cross terms share the one product with S on the
-        right, O(|x| |H|) term pairs against O(|x| |H|^2) for the oracle
-        W_t x W_t^*.  Over 4 sqrt|H|, reduced mod Phi_q: |a|^2 =
-        (2 + e + 1/e)/4, |b|^2 = (2 - e - 1/e)/4, a conj(b) = (e - 1/e)/4 =
-        -b conj(a).  Each term c u(i, j) of x puts c|a|^2 at (i, j) and
-        c|b|^2 at (j, i), and sends c a conj(b)/sqrt|H| through V from (i, j)
-        and c b conj(a)/sqrt|H| from (j, i), in one integer accumulation.
-        At integer t one of a, b is zero: the flow is x or flip(x).
+        W = (1 + i)/2 + (1 - i)/2 S, S = V/sqrt|H| the self-adjoint unitary
+        with S x = flip(x) S, so both cross terms share one product with S on
+        the right: O(|x| |H|) term pairs against O(|x| |H|^2) for the oracle
+        W x W^*.  Over 2 sqrt|H| times x's denominator, a term c u(i, j) puts
+        c sqrt|H| at (i, j) and at (j, i), and sends i c through V from (i, j)
+        and -i c from (j, i).
         """
-        p, r, n = t.numerator, t.denominator, self.n
-        if r == 1:  # x, or x with its legs swapped
-            return {key % n * n + key // n: c for key, c in x.items()} if p % 2 else x
-        # e = zeta_(2r)^p, in lowest terms
-        k, q = (p, 2 * r) if p % 2 else (p // 2, r)
-        order = lcm(self.mu.den, q, *{c.order for c in x.values()})
+        order = lcm(self.mu.den, 4, *{c.order for c in x.values()})
         xden = lcm(*{c.den for c in x.values()})
-        aa, bb, ab, ba = self._w(k, q, order)
-        one, v = [(0, 0, 0)], self.v
+        n, s, quarter, one, v = self.n, self.scale, order // 4, [(0, 0, 0)], self.v
         jobs = []
         for key, c in x.items():
             i, j = divmod(key, n)
             cs = _lift(c, order, xden)
-            jobs += [(i, j, _times(cs, aa, order), one), (j, i, _times(cs, bb, order), one),
-                     (i, j, _times(cs, ab, order), v), (j, i, _times(cs, ba, order), v)]
-        return self._accumulate(jobs, order, xden * 4 * self.scale)
+            plain, turned = [(p, a * s) for p, a in cs], [(p + quarter, a) for p, a in cs]
+            jobs += [(i, j, plain, one), (j, i, plain, one), (i, j, turned, v),
+                     (j, i, [(p, -a) for p, a in turned], v)]
+        return self._accumulate(jobs, order, 2 * s * xden)
 
 
 def check_malleability(v: TensorElement, rng: random.Random, samples: int) -> dict:
@@ -348,30 +312,27 @@ def check_malleability(v: TensorElement, rng: random.Random, samples: int) -> di
     then h's, keyed by their numbers; the character's number in the listed dual).
     One swap kernel built from v's cocycle runs it all on its index form,
     into which v is converted once; the square is v times the kernel's own
-    table-built V.  At t = 1 the closed form of the flow is the flip by
-    construction, so full_swap only checks that relabelling; the tests
-    compare the flow with the product W_t x W_t^*, and the kernel's y V
-    with the generic product.
+    table-built V.  The flow at t = 1 is the relabelling `flip`; the tests
+    hold `half` against W x W^* and y V against the generic product.
     """
     group = v.cocycle.group
     kernel = _SwapKernel(v.cocycle)
     n, index, torsion, one = kernel.n, kernel.index, group.torsion, Cyclotomic.ONE
-    half, whole = Fraction(1, 2), Fraction(1)
     w = kernel.index_form(v)
     checks = {
         "self_adjoint": kernel.star(w) == w,
         "square": kernel.times_v(w) == {0: Cyclotomic(1, (n,), 1)},
-        "full_swap": all(kernel.flow(whole, {g * n: one}) == {g: one} for g in range(n)),
+        "full_swap": all(kernel.flip({g * n: one}) == {g: one} for g in range(n)),
     }
     ok_half, ok_char = True, True
     for _ in range(samples):
         g, h = (tuple([rng.randrange(m) for m in torsion]) for _ in range(2))
         x = {index[g] * n + index[h]: one}
-        once = kernel.flow(half, x)
-        if kernel.flow(half, once) != kernel.flow(whole, x):
+        once = kernel.half(x)
+        if kernel.half(once) != kernel.flip(x):
             ok_half = False
         c = dual_character(group, rng.randrange(n))
-        if kernel.diagonal(c, once) != kernel.flow(half, kernel.diagonal(c, x)):
+        if kernel.diagonal(c, once) != kernel.half(kernel.diagonal(c, x)):
             ok_char = False
     checks["half_composition"] = ok_half
     checks["character_commutation"] = ok_char

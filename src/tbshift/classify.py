@@ -462,7 +462,7 @@ def centralizer(t: Triplet, bound: Optional[int] = None) -> CentralizerReport:
         return CentralizerReport("UNKNOWN", (), None, False, refusal)
     found = tuple(_matching_isomorphisms(group, group, forms, bound))
     if group.is_finite:
-        structure = group_structure(found, lambda a, b: a.compose(b))
+        structure = group_structure(found, AbHom.compose)
         return CentralizerReport("OK", found, structure, True)
     return CentralizerReport(
         "OK", found, None, False, f"bounded search with entries up to {bound}"

@@ -49,7 +49,7 @@ EXIT_INVALID = 2
 EXIT_UNKNOWN = 3
 EXIT_INTERNAL = 4
 
-# ten times the --samples default; a sample costs about 1.1 s at |H| = 1024
+# ten times the --samples default; a sample costs about 0.6 s at |H| = 1024
 MAX_SAMPLES = 100
 
 

@@ -37,7 +37,8 @@ class Immutable:
     hash and repr over `_fields`, the public names of the class's own
     `__slots__` unless it names its own list to leave out derived views.
     The key, an `attrgetter` of the fields, is made once per class; a value is
-    equal to itself first, then to one of its class with equal keys; the hash
+    equal to itself first, then to one of its class with equal keys; `!=`
+    is False for itself, else the negation of the class's own `__eq__`; the hash
     is the key's, the repr Name(field=value, ...).  `__init__` sets every slot
     once, by `object.__setattr__(self, name, value)`, as `__setstate__` does
     for copies and pickles; assignment and deletion raise AttributeError."""
@@ -58,6 +59,12 @@ class Immutable:
             return NotImplemented
         key = self._key
         return key(self) == key(other)
+
+    def __ne__(self, other: object) -> bool:
+        if other is self:
+            return False
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
     def __hash__(self) -> int:
         return hash(self._key(self))

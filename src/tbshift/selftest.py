@@ -4,7 +4,8 @@ Each suite re-derives one pillar of the library from scratch on randomized
 but seeded data and reports counts; the CLI turns the reports into JSON.
 Byte-identical output across runs is part of the contract.  The
 malleability suite runs `algebra.check_malleability` on a mod-q triplet,
-the checks the `malleability` command runs on a triplet file.
+the checks the `malleability` command runs on a triplet file, which flow
+only at t = 1/2 and t = 1.
 """
 
 from __future__ import annotations
@@ -250,7 +251,7 @@ def suite_intertwiner(rng: random.Random) -> dict:
 
 
 def suite_malleability(rng: random.Random, q: int) -> dict:
-    """The swap unitary and the rational-time flow on the tensor square."""
+    """The swap unitary and the flow at t = 1/2 and t = 1 on the tensor square."""
     checks = check_malleability(malleability_unitary(mod_q_triplet(q).cocycle), rng, 5)
     return {"ok": all(checks.values()), **checks}
 

@@ -10,7 +10,8 @@ Phase walk `phase_coboundary_witness`, the pruned isomorphism search and
 the star form against `phase_star_form`, `TableCocycle.validate`'s
 integer scans against their Phase form `phase_validate` and its generator
 triples against the scan of all triples in `cocycle_identity_failure`,
-the swap-kernel flow against the product W_t x W_t^* with `flow_unitary`,
+the swap kernel's flow at t = 1/2 (`half`, read through `malleability_flow`)
+against the product W_t x W_t^* with `flow_unitary`,
 `check_malleability` on the kernel's index form against its TensorElement
 route `tensor_check_malleability` (generic star and product, characters
 by `apply_diagonal_character`, the index form read back by
@@ -641,20 +642,26 @@ def apply_diagonal_character(c: Character, x: TensorElement) -> TensorElement:
 
 
 def malleability_flow(mu, t: Fraction, x: TensorElement) -> TensorElement:
-    """Ad W_t(x) through the swap kernel that `algebra.check_malleability` runs.
+    """Ad W_t(x) at an integer t or at t = 1/2, the times the checks use.
 
-    Raises for an element over another base, then as `malleability_unitary`
-    does, so at every t.  The kernel returns x or flip(x) at integer t
-    without computing a scalar, but building it costs |H|^2 table
-    entries, so integer times are answered by relabelling here.
+    Any other t is refused with ValueError: the kernel has no flow there,
+    and only `flow_unitary` would be left to compare with itself.  Then
+    raises for an element over another base, and as `malleability_unitary`
+    does, so at every time.  At t = 1/2 this is the swap kernel's `half`,
+    which `algebra.check_malleability` runs; building the kernel costs
+    |H|^2 table entries, so integer times are answered by relabelling
+    here: x at even t, flip(x) at odd t.
     """
+    t = Fraction(t)
+    if t.denominator != 1 and t != Fraction(1, 2):
+        raise ValueError(f"the flow is only computed at integer times and at 1/2, got {t}")
     if x.cocycle != mu:
         raise ValueError("element is not over the given base")
     malleability_unitary(mu)
-    if Fraction(t).denominator == 1:
+    if t.denominator == 1:
         return flip(x) if t % 2 else x
     kernel = _SwapKernel(mu)
-    return tensor_element(mu, kernel.flow(Fraction(t), kernel.index_form(x)))
+    return tensor_element(mu, kernel.half(kernel.index_form(x)))
 
 
 def tensor_check_malleability(v: TensorElement, rng, samples: int) -> dict:

@@ -320,18 +320,25 @@ def _compared(node: ast.BoolOp, op: type) -> set:
 def test_no_guard_restates_the_identity_answer_of_equality():
     # Immutable.__eq__ answers True for the object itself before it reads
     # a field, so `a is not b and a != b` says no more than `a != b`
-    found = []
+    # and none spells `a != b` as `not a == b`: the base's __ne__ answers it
+    found, negated = [], []
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text("utf-8"))
-        found += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+        nodes = list(ast.walk(ast.parse(path.read_text("utf-8"))))
+        found += [f"{path.stem}:{node.lineno}" for node in nodes
                   if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And)
                   and _compared(node, ast.IsNot) & _compared(node, ast.NotEq)]
-    assert found == []
-    # and the base keeps the shortcut that the plain `!=` relies on
+        negated += [f"{path.stem}:{node.lineno}" for node in nodes
+                    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not)
+                    and isinstance(node.operand, ast.Compare) and len(node.operand.ops) == 1
+                    and isinstance(node.operand.ops[0], ast.Eq)]
+    assert (found, negated) == ([], [])
+    # and the base keeps the shortcuts that the plain `==` and `!=` rely on
     tree = ast.parse((SRC / "scalars.py").read_text("utf-8"))
     base = next(node for node in tree.body if getattr(node, "name", None) == "Immutable")
-    eq = next(node for node in base.body if getattr(node, "name", None) == "__eq__")
+    eq, ne = (next(node for node in base.body if getattr(node, "name", None) == name)
+              for name in ("__eq__", "__ne__"))
     assert ast.unparse(eq.body[0]) == "if other is self:\n    return True"
+    assert ast.unparse(ne.body[0]) == "if other is self:\n    return False"
 
 
 def test_the_cli_starts_without_dataclasses_or_inspect():

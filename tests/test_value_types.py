@@ -6,6 +6,7 @@ import copy
 import importlib
 import pickle
 import pkgutil
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -158,7 +159,7 @@ def test_a_value_equals_itself_with_no_field_compared(row, monkeypatch):
     # field comparison when both name one object
     a = TYPES[row][0]()
     cls = type(a)
-    assert cls.__eq__ is Immutable.__eq__
+    assert cls.__eq__ is Immutable.__eq__ and cls.__ne__ is Immutable.__ne__
 
     def refuse(value):
         raise AssertionError(f"{cls.__name__} compared its fields with itself")
@@ -184,7 +185,20 @@ def test_every_slot_is_set_when_built(row):
 def test_equality_against_another_class_is_false(row):
     a, other = TYPES[row][0](), TYPES[(row + 1) % len(TYPES)][0]()
     assert type(a).__eq__(a, other) is NotImplemented
+    assert type(a).__ne__(a, other) is NotImplemented
     assert not a == other and a != other
+
+
+def test_not_equal_negates_the_cyclotomic_equality():
+    # the base's __ne__ negates the class's own __eq__, so a Cyclotomic is
+    # equal across orders and to a number for != as for ==
+    one, i = Cyclotomic.ONE, Cyclotomic.from_phase(Phase(1, 4))
+    for a, b in ((one, one.rebase(4)), (i, i.rebase(12)), (one, 1), (1, one),
+                 (Cyclotomic.from_rational(Fraction(1, 2)), Fraction(1, 2))):
+        assert a == b and not a != b
+    for a, b in ((i, one.rebase(4)), (one, 2), (2, one), (i, Phase(1, 4)), (Phase(1, 4), i)):
+        assert a != b and not a == b
+    assert Cyclotomic.__ne__(i, Phase(1, 4)) is NotImplemented
 
 
 @pytest.mark.parametrize("row", range(len(TYPES)))
@@ -230,7 +244,7 @@ def test_the_base_alone_defines_equality_hashing_and_repr():
     classes -= {Immutable}
     assert len(classes) == 20 and all(issubclass(cls, Immutable) for cls in classes)
     own = {f"{cls.__name__}.{name}" for cls in classes
-           for name in ("__eq__", "__hash__", "__repr__") if name in vars(cls)}
+           for name in ("__eq__", "__ne__", "__hash__", "__repr__") if name in vars(cls)}
     assert own == OVERRIDES
     assert TableCocycle.__hash__ is None and Cyclotomic.__hash__ is None
     # every slot is set by object.__setattr__, so no module binds (or calls)
@@ -257,5 +271,5 @@ def test_no_class_outside_the_base_defines_equality_or_hashing():
                 todo.append(vars(value))
     assert AlgebraElement in classes and LatticePoint in classes
     own = [cls.__qualname__ for cls in classes if not issubclass(cls, Immutable)
-           and {"__eq__", "__hash__"} & set(vars(cls))]
+           and {"__eq__", "__ne__", "__hash__"} & set(vars(cls))]
     assert own == []
