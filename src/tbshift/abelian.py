@@ -2,10 +2,11 @@
 
 Groups are kept in the presentation they were given (free generators first,
 then torsion generators); isomorphism tests cope with equivalent
-presentations.  Elements are integer coordinate vectors with torsion
-coordinates reduced into [0, n_i); a group's `orders` (n_i per torsion
-generator, 0 per free one) are what every reduction reads.  A finite
-group numbers its elements in `coordinates()` order; `addition_table`
+presentations.  An element is its reduced coordinate tuple, the torsion
+coordinates in [0, n_i); a group's `orders` (n_i per torsion generator, 0
+per free one) are what every reduction reads.  `AbElem`, a group with
+such a tuple, only keys the map `cocycle.coboundary_witness` returns.
+A finite group numbers its elements in `coordinates()` order; `addition_table`
 adds by those numbers, and `values` lists a linear form on them by
 mixed-radix running sums: the one numbering that the twist tables, table
 cocycles and the swap kernel read.  A presentation's invariant factors
@@ -17,7 +18,7 @@ images of the isomorphism search are coordinate ranges of its own,
 `classify._pool_ranges`.  A character is one integer row over one
 denominator, in lowest terms, so a value is a dot product and equality is
 structural; a homomorphism checks its torsion columns on its integer
-matrix.  Neither builds a Phase or a group element.
+matrix.  Neither builds a Phase.
 """
 
 from __future__ import annotations
@@ -70,13 +71,10 @@ class AbGroup(Immutable):
             raise ValueError(f"expected {self.rank} coordinates, got {len(coords)}")
         return tuple([c % n if n else c for c, n in zip(map(operator.index, coords), self.orders)])
 
-    def element(self, coords: Sequence[int]) -> "AbElem":
-        return AbElem(self, self.reduce(coords))
-
     def coordinates(self) -> Iterator[tuple]:
         """A finite group's elements as coordinate tuples, in itertools.product
-        order (the last coordinate fastest), with no AbElem built and no
-        range copied, so a huge group's first ones come at once."""
+        order (the last coordinate fastest), with no range copied, so a
+        huge group's first ones come at once."""
         if not self.is_finite:
             raise ValueError("cannot enumerate an infinite group")
         return lazy_product([range(n) for n in self.torsion])
@@ -136,17 +134,6 @@ class AbElem(Immutable):
         # elements are keyed by their coordinates; equal elements have
         # equal coordinates, so this agrees with the derived equality
         return hash(self.coords)
-
-    def _check(self, other: "AbElem") -> None:
-        if self.group != other.group:
-            raise ValueError("elements live in different groups")
-
-    def __add__(self, other: "AbElem") -> "AbElem":
-        self._check(other)
-        return self.group.element([a + b for a, b in zip(self.coords, other.coords)])
-
-    def __neg__(self) -> "AbElem":
-        return self.group.element([-a for a in self.coords])
 
 
 class AbHom(Immutable):

@@ -149,7 +149,7 @@ def malleability_unitary(mu) -> TensorElement:
     witness = degeneracy_witness(mu)
     if witness is not None:
         raise ValueError(
-            f"cocycle is degenerate: {witness.coords} pairs trivially with everything"
+            f"cocycle is degenerate: {witness} pairs trivially with everything"
         )
     torsion, one, den = group.torsion, Cyclotomic.ONE, mu.den
     v = {}

@@ -285,8 +285,8 @@ def _matching_isomorphisms(
     forms is (D, (A_a, c_a), (A_b, c_b)), as `_integer_forms` lifts two
     triplets: the search reads nothing else of them.  It backtracks over
     generator images as raw coordinates, comparing their dot products
-    with those integer rows mod D; no AbElem or Phase is built before a
-    hit.  The pool of generator g_j holds the x in the product of its
+    with those integer rows mod D; no Phase is built before a hit.  The
+    pool of generator g_j holds the x in the product of its
     `_pool_ranges` with chi_b^2(x) = chi_a^2(g_j).  It is drawn lazily:
     the first node at depth j keeps each candidate as it draws it, and
     later nodes re-read what is kept before drawing more, so a YES at the

@@ -36,12 +36,7 @@ from .classify import centralizer, decide_conjugacy
 from .cocycle import CocycleError, degeneracy_witness, star_bicharacter
 from .dynamics import Triplet
 from .selftest import SUITES, run_suites
-from .serialize import (
-    SchemaError,
-    element_to_json,
-    hom_to_json,
-    triplet_from_json,
-)
+from .serialize import SchemaError, hom_to_json, triplet_from_json
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -139,7 +134,7 @@ def cmd_factor(args) -> tuple:
     witness = degeneracy_witness(_triplet(args.path).cocycle)
     payload = {"nondegenerate": witness is None}
     if witness is not None:
-        payload["witness_g"] = element_to_json(witness)
+        payload["witness_g"] = list(witness)
     return payload, EXIT_OK if witness is None else EXIT_NO
 
 

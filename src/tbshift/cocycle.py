@@ -11,13 +11,15 @@ over it (`exponent_table`), indexed by the numbers of
 reads mu in these ints, never as a Phase: the star form and the
 configuration twists by `exponent`, table validation, the coboundary
 witness, the swap kernel and the selftest's catalog of pairs by the two
-tables; only the tests' reference tables read the Phase `__call__`.  The
-star bicharacter mu(g, h) - mu(h, g), one integer matrix over one
-denominator (`Bicharacter`), classifies a cocycle up to coboundary; that
-fact is cross-checked at test scale rather than assumed:
-`coboundary_witness` builds a candidate b with
+tables; only the tests' reference tables read the Phase `__call__`, on
+coordinate tuples too.  The star bicharacter mu(g, h) - mu(h, g), one
+integer matrix over one denominator (`Bicharacter`), classifies a cocycle
+up to coboundary; that fact is cross-checked at test scale rather than
+assumed: `coboundary_witness` builds a candidate b with
 mu1 - mu2 = b(g) + b(h) - b(g+h) by recursion along paths of generator
-steps, and the check of every equation decides.
+steps, and the check of every equation decides.  Its b is keyed by
+`AbElem`s; every other element here, `degeneracy_witness`'s among them,
+is a reduced coordinate tuple.
 """
 
 from __future__ import annotations
@@ -46,9 +48,9 @@ def _bilinear_exponent(form, g: tuple, h: tuple) -> int:
     return num
 
 
-def _bilinear_value(form, g: AbElem, h: AbElem) -> Phase:
+def _bilinear_value(form, g: tuple, h: tuple) -> Phase:
     """g^T M h / D over the integer (M, D) of a cocycle or star form."""
-    return Phase(_bilinear_exponent(form, g.coords, h.coords), form.den)
+    return Phase(_bilinear_exponent(form, g, h), form.den)
 
 
 class BilinearCocycle(Immutable):
@@ -120,8 +122,10 @@ class TableCocycle(Immutable):
     # the entries are a dict, so a table is not hashed
     __hash__ = None
 
-    def __call__(self, g: AbElem, h: AbElem) -> Phase:
-        return self.entries[(g.coords, h.coords)]
+    def __call__(self, g: tuple, h: tuple) -> Phase:
+        """mu(g, h) for coordinate tuples, read at their reductions."""
+        reduce = self.group.reduce
+        return self.entries[reduce(g), reduce(h)]
 
     def exponent(self, g: tuple, h: tuple) -> int:
         """mu(g, h) * D for coordinate tuples, read at their reductions."""
@@ -280,8 +284,9 @@ def star_blocks(ints: list, den: int, group: AbGroup) -> tuple:
     return [row[:r] for row in rows[:r]], [row[r:] for row in rows[r:]]
 
 
-def degeneracy_witness(mu) -> Optional[AbElem]:
-    """A nonzero g whose star pairing against every h vanishes, or None.
+def degeneracy_witness(mu) -> Optional[tuple]:
+    """The coordinates of a nonzero g whose star pairing against every h
+    vanishes, or None.
 
     It reads the integer star form (A, D) of `star_bicharacter`.  With a
     free part, A holds rational tags for a dense parameter family, and the
@@ -299,9 +304,9 @@ def degeneracy_witness(mu) -> Optional[AbElem]:
     if f:
         for vec in integer_kernel_basis([list(col) for col in zip(*star.ints)]):
             if any(vec[:f]):
-                return group.element(vec)
+                return group.reduce(vec)
     _, radical = star_blocks(star.ints, star.den, group)
     for k in reversed(range(group.rank - f)):
         if radical[k][k] < group.torsion[k]:
-            return group.element([0] * f + radical[k])
+            return group.reduce([0] * f + radical[k])
     return None

@@ -3,21 +3,22 @@
 A Config is an element of the direct sum of copies of H indexed by Z^2;
 the zero-sum ones form the subgroup on which the restricted shift algebra
 lives.  Supports are stored sparsely in lexicographic (q, r) order, with
-reduced coordinates and no zero values, so that equality, hashing and
-serialization are canonical.  The group operations read that canonical
-form directly: a sum merges the two sorted supports, adding coordinates
-mod the torsion orders only where sites coincide, and the zero-sum test
-sums the raw coordinates; neither builds a group element.  A Config's
-hash is computed when it is built and kept in a slot, as configurations
-are the keys of every shift algebra element.
+reduced coordinate tuples and no zero values, so that equality, hashing
+and serialization are canonical; `from_items` reduces the coordinate
+sequences it is given.  The group operations read that canonical form
+directly: a sum merges the two sorted supports, adding coordinates mod
+the torsion orders only where sites coincide, and the zero-sum test sums
+the raw coordinates.  A Config's hash is computed when it is built and
+kept in a slot, as configurations are the keys of every shift algebra
+element.
 """
 
 from __future__ import annotations
 
 from operator import add, index
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .abelian import AbElem, AbGroup
+from .abelian import AbGroup
 from .lattice import E1, ORIGIN, LatticePoint
 from .scalars import Immutable
 
@@ -36,9 +37,7 @@ class Config(Immutable):
         acc: dict = {}
         for point, value in items:
             point = LatticePoint(*map(index, point))
-            if isinstance(value, AbElem) and value.group != group:
-                raise ValueError("config value from another group")
-            coords = value.coords if isinstance(value, AbElem) else group.reduce(value)
+            coords = group.reduce(value)
             if point in acc:
                 coords = group.reduce([a + b for a, b in zip(acc[point], coords)])
             acc[point] = coords
@@ -92,9 +91,10 @@ class Config(Immutable):
             for p, coords in self.support))
 
 
-def dipole(h: AbElem) -> Config:
-    """The elementary zero-sum configuration: h at e1 and -h at the origin."""
-    return Config.from_items(h.group, [(E1, h), (ORIGIN, -h)])
+def dipole(group: AbGroup, coords: Sequence[int]) -> Config:
+    """The elementary zero-sum configuration: h at e1 and -h at the origin,
+    h the element of group with the given coordinates."""
+    return Config.from_items(group, [(E1, coords), (ORIGIN, [-c for c in coords])])
 
 
 def mu_tilde(mu, c1: Config, c2: Config) -> int:

@@ -206,9 +206,16 @@ def suite_actions(rng: random.Random) -> dict:
         )
         if motion_mul(t, motion_mul(t, a, b), c) != motion_mul(t, a, motion_mul(t, b, c)):
             assoc_failures += 1
+    # one sample in five is a unit at one site with a nonzero value: rho(c)
+    # multiplies by c of the total content, which is 0 on the others
+    nonzero = list(t.group.coordinates())[1:]
     samples = []
-    for _ in range(50):
-        x = random_algebra_element(rng, t.cocycle)
+    for i in range(50):
+        if i % 5 == 4:
+            site = (random_point(rng, 2), rng.choice(nonzero))
+            x = AlgebraElement.unit(t.cocycle, Config(t.group, (site,)))
+        else:
+            x = random_algebra_element(rng, t.cocycle)
         samples.append((random_point(rng), random_point(rng), random_sl2(rng), x))
     relation = verify_motion_relations(t, samples)
     return {
@@ -237,8 +244,8 @@ def suite_intertwiner(rng: random.Random) -> dict:
     pi2 = build_pi(ta, tb, AbHom.identity(lat))
     mutated = PiPhi(pi2.ta, pi2.tb, pi2.phi, weight=lambda k: 1)
     probes = [
-        (AlgebraElement.unit(ta.cocycle, dipole(lat.element((1, 0)))),
-         AlgebraElement.unit(ta.cocycle, dipole(lat.element((0, 1))))),
+        (AlgebraElement.unit(ta.cocycle, dipole(lat, (1, 0))),
+         AlgebraElement.unit(ta.cocycle, dipole(lat, (0, 1)))),
         (random_algebra_element(rng, ta.cocycle), random_algebra_element(rng, ta.cocycle)),
     ]
     clean = verify_pi(pi2, probes)

@@ -1,7 +1,8 @@
 """JSON schemas for the values the CLI reads and writes.
 
-The CLI reads triplet files (group, cocycle, character) and writes group
-elements (`factor`) and homomorphisms (`conjugate`, `centralizer`).
+The CLI reads triplet files (group, cocycle, character) and writes
+homomorphisms (`conjugate`, `centralizer`); an element, such as
+`factor`'s witness, is written as its coordinate list.
 Parsing is strict and every error carries the JSON path of the offending
 node, so a bad triplet file points at the exact field.  A character's or a
 bilinear cocycle's phases become ints over the lcm of their denominators
@@ -15,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Any
 
-from .abelian import AbElem, AbGroup, AbHom, Character
+from .abelian import AbGroup, AbHom, Character
 from .cocycle import BilinearCocycle, TableCocycle
 from .dynamics import Triplet
 from .scalars import Phase
@@ -104,10 +105,6 @@ def group_from_json(obj: Any, path: str = "$") -> AbGroup:
     if free < 0:
         raise SchemaError(path + ".free_rank", "must be nonnegative")
     return AbGroup(free, tuple(torsion))
-
-
-def element_to_json(e: AbElem) -> list:
-    return list(e.coords)
 
 
 def element_from_json(group: AbGroup, obj: Any, path: str = "$") -> tuple:

@@ -26,7 +26,8 @@ Smith form of the 2r x r cokernel (`cokernel_invariants`); the gcd pass
 of `invariant_factors` against the Smith form of diag(torsion)
 (`snf_invariant_factors`), and the plain phase reader against the
 `Fraction` route of every text (`fraction_phase_from_json`).  Tables evaluated from mu (`to_table`,
-`table_from_function`, `coboundary_cocycle`) are the reference for the integer tables, as
+`table_from_function`, `coboundary_cocycle`, each on coordinate tuples, as
+the cocycles' own `__call__` is) are the reference for the integer tables, as
 `phase_witness_catalog` is for `selftest.witness_catalog`.  The term-level
 operations that read canonical forms keep their old paths here: config
 sums and negations through `from_items` and AbElem arithmetic
@@ -41,7 +42,9 @@ replaced: a character and a bilinear cocycle from Phases
 elements (`elementwise_hom_matrix`); `config_total` folds a
 configuration's values by AbElem additions.  The arithmetic the value
 types no longer carry, since nothing in `tbshift` uses it, lives here:
-a finite group's AbElems in `coordinates()` order (`elements`), the
+the AbElem of a coordinate sequence (`element`), the sum and the negative
+of AbElems (`element_sum`, `element_neg`), a finite group's AbElems in
+`coordinates()` order (`elements`), the
 generators (`generators`), the full dual in `dual_character` order
 (`dual_characters`), a group's zero (`group_zero`), a homomorphism
 applied to an element (`apply_hom`), an element's order (`element_order`), the unit and the
@@ -103,11 +106,28 @@ def group_zero(group: AbGroup) -> AbElem:
     return AbElem(group, (0,) * group.rank)
 
 
+def element(group: AbGroup, coords) -> AbElem:
+    """The element of group with the given coordinates, reduced."""
+    return AbElem(group, group.reduce(coords))
+
+
+def element_sum(g: AbElem, h: AbElem) -> AbElem:
+    """g + h, for elements of one group."""
+    if g.group != h.group:
+        raise ValueError("elements live in different groups")
+    return element(g.group, [a + b for a, b in zip(g.coords, h.coords)])
+
+
+def element_neg(g: AbElem) -> AbElem:
+    """-g."""
+    return element(g.group, [-a for a in g.coords])
+
+
 def apply_hom(f: AbHom, g: AbElem) -> AbElem:
     """f(g): f's matrix times g's coordinates, reduced in the target."""
     if g.group != f.source:
         raise ValueError("element is not in the source group")
-    return f.target.element([sum(map(mul, row, g.coords)) for row in f.matrix])
+    return element(f.target, [sum(map(mul, row, g.coords)) for row in f.matrix])
 
 
 def element_order(g: AbElem) -> int:
@@ -120,7 +140,7 @@ def element_order(g: AbElem) -> int:
 
 def tensor_key(g: AbElem, h: AbElem) -> Config:
     """The key of u_g (x) u_h: the configuration with g at ORIGIN and h at E1."""
-    return Config.from_items(g.group, [(ORIGIN, g), (E1, h)])
+    return Config.from_items(g.group, [(ORIGIN, g.coords), (E1, h.coords)])
 
 
 def legs(key: Config) -> tuple:
@@ -190,17 +210,17 @@ def kernel_radical_rows(lift: list, scale: int, group: AbGroup) -> list:
     return hermite_mod([vec[:r - f] for vec in integer_kernel_basis(system)], group.torsion)
 
 
-def kernel_degeneracy_witness(mu) -> Optional[AbElem]:
+def kernel_degeneracy_witness(mu) -> Optional[tuple]:
     """`degeneracy_witness` with its torsion radical from `kernel_radical_rows`."""
     group, star, f = mu.group, star_bicharacter(mu), mu.group.free_rank
     if f:
         for vec in integer_kernel_basis([list(col) for col in zip(*star.ints)]):
             if any(vec[:f]):
-                return group.element(vec)
+                return group.reduce(vec)
     rows = kernel_radical_rows(star.ints, star.den, group)
     for k in reversed(range(group.rank - f)):
         if rows[k][k] < group.torsion[k]:
-            return group.element([0] * f + rows[k])
+            return group.reduce([0] * f + rows[k])
     return None
 
 
@@ -281,7 +301,7 @@ def literal_coboundary_witness(mu1, mu2) -> Optional[dict]:
     index = {e: i for i, e in enumerate(nonzero)}
 
     def nu(g: AbElem, h: AbElem) -> Phase:
-        return mu1(g, h) - mu2(g, h)
+        return mu1(g.coords, h.coords) - mu2(g.coords, h.coords)
 
     for g, h in itertools.combinations(nonzero, 2):
         if nu(g, h) != nu(h, g):
@@ -293,7 +313,7 @@ def literal_coboundary_witness(mu1, mu2) -> Optional[dict]:
             row = [0] * len(nonzero)
             row[index[g]] += 1
             row[index[h]] += 1
-            s = g + h
+            s = element_sum(g, h)
             if any(s.coords):
                 row[index[s]] -= 1
             rows.append(row)
@@ -308,7 +328,7 @@ def literal_coboundary_witness(mu1, mu2) -> Optional[dict]:
         witness[e] = Phase(solution[i], modulus)
     for g in elems:
         for h in elems:
-            if witness[g] + witness[h] - witness[g + h] != nu(g, h):
+            if witness[g] + witness[h] - witness[element_sum(g, h)] != nu(g, h):
                 return None
     return witness
 
@@ -326,7 +346,7 @@ def phase_coboundary_witness(mu1, mu2) -> Optional[dict]:
     elems = elements(group)
 
     def nu(g: AbElem, h: AbElem) -> Phase:
-        return mu1(g, h) - mu2(g, h)
+        return mu1(g.coords, h.coords) - mu2(g.coords, h.coords)
 
     for g, h in itertools.combinations(elems[1:], 2):
         if nu(g, h) != nu(h, g):
@@ -336,16 +356,16 @@ def phase_coboundary_witness(mu1, mu2) -> Optional[dict]:
     for e, n in zip(gens, group.torsion):
         s, x = Phase.ZERO, group_zero(group)
         for _ in range(n):
-            s, x = s + nu(x, e), x + e
+            s, x = s + nu(x, e), element_sum(x, e)
         step.append(Phase(s.num, s.den * n))
     witness = {elems[0]: Phase.ZERO}
     for x in elems[1:]:
         i = max(k for k, c in enumerate(x.coords) if c)
-        y = x + (-gens[i])
+        y = element_sum(x, element_neg(gens[i]))
         witness[x] = witness[y] + step[i] - nu(y, gens[i])
     for g in elems:
         for h in elems:
-            if witness[g] + witness[h] - witness[g + h] != nu(g, h):
+            if witness[g] + witness[h] - witness[element_sum(g, h)] != nu(g, h):
                 return None
     return witness
 
@@ -354,22 +374,23 @@ def phase_coboundary_witness(mu1, mu2) -> Optional[dict]:
 
 
 def table_from_function(group: AbGroup, fn) -> TableCocycle:
-    elems = elements(group)
-    entries = {(g.coords, h.coords): fn(g, h) for g in elems for h in elems}
-    return TableCocycle(group, entries)
+    """The table of fn on every pair of coordinate tuples."""
+    elems = list(group.coordinates())
+    return TableCocycle(group, {(g, h): fn(g, h) for g in elems for h in elems})
 
 
 def to_table(mu) -> TableCocycle:
-    return table_from_function(mu.group, lambda g, h: mu(g, h))
+    return table_from_function(mu.group, mu)
 
 
 def coboundary_cocycle(group: AbGroup, b: dict) -> TableCocycle:
-    """The coboundary (g, h) -> b(g) + b(h) - b(g+h) of a phase map b on G."""
+    """The coboundary (g, h) -> b(g) + b(h) - b(g+h) of a phase map b on
+    G's coordinate tuples."""
 
-    def value(g: AbElem, h: AbElem) -> Phase:
-        return b[g] + b[h] - b[g + h]
+    def value(g: tuple, h: tuple) -> Phase:
+        return b[g] + b[h] - b[group.reduce([x + y for x, y in zip(g, h)])]
 
-    zero = group_zero(group)
+    zero = (0,) * group.rank
     if b.get(zero) != Phase.ZERO:
         b = dict(b)
         b[zero] = Phase.ZERO
@@ -391,8 +412,8 @@ def phase_witness_catalog(rng, count: int) -> list:
             other = _random_bilinear(rng, group)
         else:
             other = trivial_cocycle(group)
-        b = {g: Phase(rng.randrange(8), 8) if any(g.coords) else Phase.ZERO
-             for g in elements(group)}
+        b = {g: Phase(rng.randrange(8), 8) if any(g) else Phase.ZERO
+             for g in group.coordinates()}
         shifted, right = coboundary_cocycle(group, b), to_table(other)
         lifted = {key: right.entries[key] + shifted.entries[key] for key in right.entries}
         pairs.append((to_table(base), TableCocycle(group, lifted)))
@@ -412,15 +433,16 @@ def phase_validate(table) -> None:
             if (g.coords, h.coords) not in table.entries:
                 raise CocycleError("table", f"missing entry ({g.coords}, {h.coords})")
     zero = group_zero(table.group)
-    for g in g_all:
-        if table(g, zero) != Phase.ZERO or table(zero, g) != Phase.ZERO:
-            raise CocycleError("normalization", f"value at ({g.coords}, 0) is not 1")
+    for g in (x.coords for x in g_all):
+        if table(g, zero.coords) != Phase.ZERO or table(zero.coords, g) != Phase.ZERO:
+            raise CocycleError("normalization", f"value at ({g}, 0) is not 1")
     gens = generators(table.group)
     for g in g_all:
         for h in g_all:
-            gh = table(g, h)
+            gh = table(g.coords, h.coords)
             for k in gens:
-                if gh + table(g + h, k) != table(h, k) + table(g, h + k):
+                if (gh + table(element_sum(g, h).coords, k.coords)
+                        != table(h.coords, k.coords) + table(g.coords, element_sum(h, k).coords)):
                     raise CocycleError("cocycle-identity",
                                        f"fails at {(g.coords, h.coords, k.coords)}")
 
@@ -489,7 +511,7 @@ def elementwise_hom_matrix(source: AbGroup, target: AbGroup, matrix) -> tuple:
         fixed.append(tuple(x % n for x in row) if n else row)
     for j in range(source.rank):
         n = source.orders[j]
-        if n and any(target.element([n * row[j] for row in fixed]).coords):
+        if n and any(element(target, [n * row[j] for row in fixed]).coords):
             raise ValueError(f"generator {j} of order {n} maps to an incompatible element")
     return tuple(fixed)
 
@@ -497,15 +519,15 @@ def elementwise_hom_matrix(source: AbGroup, target: AbGroup, matrix) -> tuple:
 # -- Phase evaluation of the forms -------------------------------------------
 
 
-def phase_bilinear_value(form, g: AbElem, h: AbElem) -> Phase:
+def phase_bilinear_value(form, g: tuple, h: tuple) -> Phase:
     """sum_ij g_i M_ij h_j over the Phase matrix M of a cocycle or star form
     (each entry its int over its `den`), widening one running denominator
     entry by entry."""
     num, den = 0, 1
-    for i, gi in enumerate(g.coords):
+    for i, gi in enumerate(g):
         if gi:
             row = phase_matrix(form)[i]
-            for j, hj in enumerate(h.coords):
+            for j, hj in enumerate(h):
                 if hj:
                     p = row[j]
                     q = p.den
@@ -522,7 +544,8 @@ def phase_star_form(mu) -> tuple:
     i < j: D is the lcm of their denominators, A_ij the phase times D and
     A_ji = -A_ij."""
     gens = generators(mu.group)
-    star = [[mu(x, y) - mu(y, x) if i < j else Phase.ZERO for j, y in enumerate(gens)]
+    star = [[mu(x.coords, y.coords) - mu(y.coords, x.coords) if i < j else Phase.ZERO
+             for j, y in enumerate(gens)]
             for i, x in enumerate(gens)]
     den = lcm(*(p.den for row in star for p in row))
     up = [[p.num * (den // p.den) for p in row] for row in star]
@@ -543,7 +566,9 @@ def cocycle_identity_failure(mu) -> Optional[tuple]:
     None if mu is a 2-cocycle."""
     elems = elements(mu.group)
     for g, h, k in itertools.product(elems, repeat=3):
-        if mu(g, h) + mu(g + h, k) != mu(h, k) + mu(g, h + k):
+        gh, hk = element_sum(g, h), element_sum(h, k)
+        if (mu(g.coords, h.coords) + mu(gh.coords, k.coords)
+                != mu(h.coords, k.coords) + mu(g.coords, hk.coords)):
             return g.coords, h.coords, k.coords
     return None
 
@@ -555,7 +580,7 @@ def phase_conditions(ta: Triplet, tb: Triplet, phi: AbHom) -> tuple:
     images = [apply_hom(phi, g) for g in gens]
 
     def star(mu, x, y):
-        return mu(x, y) - mu(y, x)
+        return mu(x.coords, y.coords) - mu(y.coords, x.coords)
 
     cocycle_ok = all(star(ta.cocycle, gi, gj) == star(tb.cocycle, fi, fj)
                      for gi, fi in zip(gens, images) for gj, fj in zip(gens, images))
@@ -683,8 +708,8 @@ def tensor_check_malleability(v: TensorElement, rng, samples: int) -> dict:
     }
     ok_half, ok_char = True, True
     for _ in range(samples):
-        g = group.element([rng.randrange(m) for m in group.torsion])
-        h = group.element([rng.randrange(m) for m in group.torsion])
+        g = element(group, [rng.randrange(m) for m in group.torsion])
+        h = element(group, [rng.randrange(m) for m in group.torsion])
         x = TensorElement(mu, {tensor_key(g, h): one})
         once = malleability_flow(mu, half, x)
         if malleability_flow(mu, half, once) != malleability_flow(mu, 1, x):
@@ -711,7 +736,7 @@ def config_total(cfg: Config) -> AbElem:
     """The sum in H of cfg's values, a fold of AbElem additions."""
     total = group_zero(cfg.group)
     for _, value in config_items(cfg):
-        total = total + value
+        total = element_sum(total, value)
     return total
 
 
@@ -724,12 +749,13 @@ def folded_sum(c1: Config, c2: Config) -> Config:
 
 def folded_negation(cfg: Config) -> Config:
     """-cfg, each value negated as an AbElem."""
-    return Config(cfg.group, tuple((p, (-AbElem(cfg.group, c)).coords) for p, c in cfg.support))
+    return Config(cfg.group, tuple((p, element_neg(AbElem(cfg.group, c)).coords)
+                                   for p, c in cfg.support))
 
 
 def mapped(cfg: Config, f: AbHom) -> Config:
     """Apply a group hom to every value (the support does not move)."""
-    return Config.from_items(f.target, ((p, apply_hom(f, v)) for p, v in config_items(cfg)))
+    return Config.from_items(f.target, ((p, apply_hom(f, v).coords) for p, v in config_items(cfg)))
 
 
 def mu_tilde(mu, c1: Config, c2: Config) -> Phase:
@@ -738,7 +764,7 @@ def mu_tilde(mu, c1: Config, c2: Config) -> Phase:
     d2 = dict(c2.support)
     for p, v1 in config_items(c1):
         if p in d2:
-            total = total + mu(v1, AbElem(c2.group, d2[p]))
+            total = total + mu(v1.coords, d2[p])
     return total
 
 
@@ -750,8 +776,8 @@ def mu_hat(mu, lam: Config, order_key=spiral_index) -> Phase:
         raise ValueError("telescoping phase needs a zero-sum configuration")
     total, prefix = Phase.ZERO, group_zero(lam.group)
     for _, value in sorted(config_items(lam), key=lambda item: order_key(item[0])):
-        total = total + mu(prefix, value)
-        prefix = prefix + value
+        total = total + mu(prefix.coords, value.coords)
+        prefix = element_sum(prefix, value)
     return total
 
 
@@ -782,10 +808,10 @@ def abelem_zero_sum_config(rng, group: AbGroup, radius: int = 2) -> Config:
     for p in points[:-1]:
         coords = [rng.randint(-2, 2) for _ in range(group.free_rank)]
         coords += [rng.randrange(n) for n in group.torsion]
-        value = group.element(coords)
-        items.append((p, value))
-        total = total + value
-    items.append((points[-1], -total))
+        value = element(group, coords)
+        items.append((p, value.coords))
+        total = element_sum(total, value)
+    items.append((points[-1], element_neg(total).coords))
     return Config.from_items(group, items)
 
 
@@ -886,7 +912,7 @@ def product_triplet(*parts: Triplet) -> Triplet:
         gens = generators(t.group)
         for i in range(r):
             for j in range(r):
-                matrix[offset + i][offset + j] = t.cocycle(gens[i], gens[j])
+                matrix[offset + i][offset + j] = t.cocycle(gens[i].coords, gens[j].coords)
         phases.extend(character_phases(t.character))
         offset += r
     return Triplet(group, phase_bilinear(group, matrix), phase_character(group, phases))

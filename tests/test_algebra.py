@@ -12,6 +12,9 @@ from oracles import (
     combination,
     config_total,
     dual_characters,
+    element,
+    element_neg,
+    element_sum,
     elements,
     flip,
     flow_unitary,
@@ -69,7 +72,7 @@ def test_unit_laws(mu3, rng):
 
 def test_single_pair_product(mu3):
     g = mu3.group
-    lam = dipole(g.element((1, 2)))
+    lam = dipole(g, (1, 2))
     u = AlgebraElement.unit(mu3, lam)
     v = AlgebraElement.unit(mu3, -lam)
     prod = u * v
@@ -101,7 +104,7 @@ def test_star_examples(mu3, rng):
         a = random_algebra_element(rng, mu3)
         assert a.star().star() == a
     g = mu3.group
-    lam = dipole(g.element((2, 1)))
+    lam = dipole(g, (2, 1))
     coeff = Cyclotomic.from_phase(Phase(1, 12))
     starred = AlgebraElement(mu3, {lam: coeff}).star()
     twist = Phase(mu_tilde(mu3, lam, -lam), mu3.den)
@@ -118,7 +121,7 @@ def test_star_antimultiplicative(mu3, rng):
 
 def test_trace_examples(mu3, rng):
     assert _one(mu3).trace() == Cyclotomic.ONE
-    lam = dipole(mu3.group.element((1, 0)))
+    lam = dipole(mu3.group, (1, 0))
     assert AlgebraElement.unit(mu3, lam).trace() == 0
     for _ in range(50):
         a = random_algebra_element(rng, mu3)
@@ -137,7 +140,7 @@ def test_trace_is_faithful(mu3, rng):
 
 def test_tensor_basics(mu3, rng):
     g = mu3.group
-    a, b = g.element((1, 0)), g.element((0, 2))
+    a, b = element(g, (1, 0)), element(g, (0, 2))
     left = _unit(mu3, a, group_zero(g))
     right = _unit(mu3, group_zero(g), b)
     assert left * right == _unit(mu3, a, b)
@@ -149,10 +152,11 @@ def test_tensor_basics(mu3, rng):
 
 def test_tensor_star_componentwise(mu3):
     g = mu3.group
-    a = g.element((1, 2))
-    x = _unit(mu3, a, -a, Cyclotomic.from_phase(-mu3(a, -a)))
+    a = element(g, (1, 2))
+    minus_a = element_neg(a)
+    x = _unit(mu3, a, minus_a, Cyclotomic.from_phase(-mu3(a.coords, minus_a.coords)))
     # star of u_a (x) u_a^* is u_a^* (x) u_a
-    expected = _unit(mu3, -a, a, Cyclotomic.from_phase(-mu3(a, -a)))
+    expected = _unit(mu3, minus_a, a, Cyclotomic.from_phase(-mu3(a.coords, minus_a.coords)))
     assert x.star() == expected
 
 
@@ -167,15 +171,17 @@ def test_two_site_product_and_star_keep_the_tensor_twist(rng):
             a, b, c, d = (rng.choice(elems) for _ in range(4))
             x = Cyclotomic.from_phase(Phase(rng.randrange(1, 12), 12))
             product = _unit(mu, a, b) * _unit(mu, c, d)
-            assert product == _unit(mu, a + c, b + d, Cyclotomic.from_phase(mu(a, c) + mu(b, d)))
-            twist = Cyclotomic.from_phase(-(mu(a, -a) + mu(b, -b)))
-            assert _unit(mu, a, b, x).star() == _unit(mu, -a, -b, x.conjugate() * twist)
+            assert product == _unit(mu, element_sum(a, c), element_sum(b, d),
+                                    Cyclotomic.from_phase(mu(a.coords, c.coords) + mu(b.coords, d.coords)))
+            minus_a, minus_b = element_neg(a), element_neg(b)
+            twist = Cyclotomic.from_phase(-(mu(a.coords, minus_a.coords) + mu(b.coords, minus_b.coords)))
+            assert _unit(mu, a, b, x).star() == _unit(mu, minus_a, minus_b, x.conjugate() * twist)
 
 
 def test_tensor_and_algebra_elements_never_compare_equal(mu3):
     # one product for both, but equality stays within one class
     g = mu3.group
-    terms = {tensor_key(g.element((1, 0)), g.element((0, 2))): Cyclotomic.ONE}
+    terms = {tensor_key(element(g, (1, 0)), element(g, (0, 2))): Cyclotomic.ONE}
     tensor, algebra_element = TensorElement(mu3, terms), AlgebraElement(mu3, terms)
     assert tensor.terms == algebra_element.terms
     assert tensor != algebra_element and algebra_element != tensor
@@ -185,7 +191,7 @@ def test_tensor_and_algebra_elements_never_compare_equal(mu3):
 
 def test_element_equality_compares_base_keys_and_coefficient_values(mu3):
     g = mu3.group
-    a, b, c = (dipole(g.element(h)) for h in ((1, 0), (0, 2), (1, 1)))
+    a, b, c = (dipole(g, h) for h in ((1, 0), (0, 2), (1, 1)))
     third = Cyclotomic.from_phase(Phase(1, 3))
     x = AlgebraElement(mu3, {a: Cyclotomic.ONE, b: third})
     # a coefficient is a number, whatever order of root of unity it is written over
@@ -259,8 +265,8 @@ def test_malleability_rejects_degenerate():
 def test_flow_time_zero_and_one(mu3, rng):
     g = mu3.group
     for _ in range(10):
-        gg = g.element((rng.randrange(3), rng.randrange(3)))
-        hh = g.element((rng.randrange(3), rng.randrange(3)))
+        gg = element(g, (rng.randrange(3), rng.randrange(3)))
+        hh = element(g, (rng.randrange(3), rng.randrange(3)))
         x = _unit(mu3, gg, hh, Cyclotomic.from_phase(Phase(1, 5)))
         assert malleability_flow(mu3, Fraction(0), x) == x
     for gg in elements(g):
@@ -274,13 +280,13 @@ def test_flow_composition_and_automorphism(mu3, rng):
     g = mu3.group
     half = Fraction(1, 2)
     for _ in range(5):
-        gg = g.element((rng.randrange(3), rng.randrange(3)))
-        hh = g.element((rng.randrange(3), rng.randrange(3)))
+        gg = element(g, (rng.randrange(3), rng.randrange(3)))
+        hh = element(g, (rng.randrange(3), rng.randrange(3)))
         x = _unit(mu3, gg, hh)
         y = _unit(
             mu3,
-            g.element((rng.randrange(3), rng.randrange(3))),
-            g.element((rng.randrange(3), rng.randrange(3))),
+            element(g, (rng.randrange(3), rng.randrange(3))),
+            element(g, (rng.randrange(3), rng.randrange(3))),
         )
         once = malleability_flow(mu3, half, x)
         assert malleability_flow(mu3, half, once) == malleability_flow(mu3, Fraction(1), x)
@@ -316,7 +322,7 @@ def test_diagonal_character_action(mu3, rng):
         assert rho(t, Motion(triv), x) == x
         for c in rng.sample(chars, 3):
             assert rho(t, Motion(c), x) == x  # zero-sum keys are fixed
-    moved = _unit(mu3, g.element((1, 0)), group_zero(g))
+    moved = _unit(mu3, element(g, (1, 0)), group_zero(g))
     c = phase_character(g, (Phase(1, 3), Phase.ZERO))
     scaled = apply_diagonal_character(c, moved)
     assert scaled == combination((Cyclotomic.from_phase(Phase(1, 3)), moved))
@@ -338,7 +344,7 @@ def test_diagonal_character_of_order_four_matches_its_phase_values(rng):
         for a in elems for b in elems
     })
     configs = AlgebraElement(mu, {
-        Config.from_items(g, [(LatticePoint(i, 1), h), (ORIGIN, elems[i // 4])]):
+        Config.from_items(g, [(LatticePoint(i, 1), h.coords), (ORIGIN, elems[i // 4].coords)]):
             Cyclotomic.from_phase(Phase(rng.randrange(5), 5))
         for i, h in enumerate(elems)
     })
@@ -361,8 +367,8 @@ def test_flow_commutes_with_diagonal_characters(mu3, rng):
     for _ in range(5):
         x = _unit(
             mu3,
-            g.element((rng.randrange(3), rng.randrange(3))),
-            g.element((rng.randrange(3), rng.randrange(3))),
+            element(g, (rng.randrange(3), rng.randrange(3))),
+            element(g, (rng.randrange(3), rng.randrange(3))),
         )
         for c in rng.sample(chars, 4):
             assert apply_diagonal_character(c, malleability_flow(mu3, half, x)) == (
@@ -375,15 +381,15 @@ def test_flow_on_product_group():
     trip = product_triplet(mod_q_triplet(3), mod_q_triplet(5))
     mu = trip.cocycle
     g = trip.group
-    x = _unit(mu, g.element((1, 0, 2, 0)), group_zero(g))
+    x = _unit(mu, element(g, (1, 0, 2, 0)), group_zero(g))
     assert malleability_flow(mu, Fraction(1), x) == _unit(
-        mu, group_zero(g), g.element((1, 0, 2, 0))
+        mu, group_zero(g), element(g, (1, 0, 2, 0))
     )
     # t = 1 only sees the flip; t = 1/2 against the brute product also
     # checks the two cross terms
     half = Fraction(1, 2)
     w = flow_unitary(mu, half)
-    x = _unit(mu, g.element((1, 0, 2, 0)), g.element((0, 1, 0, 3)))
+    x = _unit(mu, element(g, (1, 0, 2, 0)), element(g, (0, 1, 0, 3)))
     assert malleability_flow(mu, half, x) == w * x * w.star()
 
 
@@ -391,7 +397,7 @@ def _random_tensor_element(rng, mu, terms=3):
     g = mu.group
     out = {}
     while len(out) < terms:
-        key = tensor_key(*(g.element([rng.randrange(m) for m in g.torsion]) for _ in range(2)))
+        key = tensor_key(*(element(g, [rng.randrange(m) for m in g.torsion]) for _ in range(2)))
         out[key] = Cyclotomic.from_phase(Phase(rng.randrange(4), 4)) * Fraction(
             rng.randrange(1, 5), rng.randrange(1, 4)
         )
@@ -408,7 +414,7 @@ def _symplectic_z2p4():
 def _shifted_table_cocycle(rng):
     mu = mod_q_cocycle(3)
     g = mu.group
-    b = {h: Phase(rng.randrange(6), 6) for h in elements(g)}
+    b = {h: Phase(rng.randrange(6), 6) for h in g.coordinates()}
     shift = coboundary_cocycle(g, b)
     return table_from_function(g, lambda h, k: mu(h, k) + shift(h, k))
 
@@ -448,9 +454,9 @@ def test_flow_matches_brute_conjugation(rng):
     g = mu.group
     w = flow_unitary(mu, Fraction(1, 2))
     x = TensorElement(mu, {
-        tensor_key(g.element((1, 0, 2, 0)), g.element((0, 1, 0, 3))):
+        tensor_key(element(g, (1, 0, 2, 0)), element(g, (0, 1, 0, 3))):
             Cyclotomic.from_phase(Phase(1, 3)),
-        tensor_key(g.element((2, 2, 0, 4)), group_zero(g)): Cyclotomic.from_rational(Fraction(-3, 2)),
+        tensor_key(element(g, (2, 2, 0, 4)), group_zero(g)): Cyclotomic.from_rational(Fraction(-3, 2)),
     })
     assert malleability_flow(mu, Fraction(1, 2), x) == w * x * w.star()
 
@@ -547,7 +553,7 @@ def test_check_malleability_fails_on_a_mutated_unitary(rng):
                    for key, c in v.terms.items()]
         for _ in range(4):
             a, b = rng.choice(elems), rng.choice(elems)
-            if a + b != group_zero(g):
+            if element_sum(a, b) != group_zero(g):
                 mutants.append(TensorElement(mu, {**v.terms, tensor_key(a, b): Cyclotomic.ONE}))
         assert len(mutants) > len(v.terms)
         for w in mutants:
@@ -610,13 +616,13 @@ def test_kernel_diagonal_is_rho_of_the_character_and_the_identity(rng):
 
 def test_index_form_refuses_a_site_off_the_two_sites(mu3):
     g = mu3.group
-    kernel, h = _SwapKernel(mu3), g.element((1, 2))
+    kernel, h = _SwapKernel(mu3), (1, 2)
     for items in ([(LatticePoint(0, 1), h)], [(ORIGIN, h), (LatticePoint(2, 0), h)],
                   [(ORIGIN, h), (E1, h), (LatticePoint(-1, 0), h)]):
         x = TensorElement(mu3, {Config.from_items(g, items): Cyclotomic.ONE})
         with pytest.raises(ValueError, match="off the origin and e1"):
             kernel.index_form(x)
-    n = g.order()  # h = (1, 2) is element number 5
+    n, h = g.order(), element(g, h)  # h = (1, 2) is element number 5
     assert kernel.index_form(_unit(mu3, h, group_zero(g))) == {5 * n: Cyclotomic.ONE}
     assert kernel.index_form(_unit(mu3, group_zero(g), h)) == {5: Cyclotomic.ONE}
 
@@ -652,7 +658,7 @@ def _mixed_tensor_element(rng, mu, terms):
     g = mu.group
     out = {}
     for _ in range(terms):
-        key = tensor_key(*(g.element([rng.randrange(m) for m in g.torsion]) for _ in range(2)))
+        key = tensor_key(*(element(g, [rng.randrange(m) for m in g.torsion]) for _ in range(2)))
         out[key] = rng.choice(MIXED)
     return TensorElement(mu, out)
 
@@ -677,7 +683,7 @@ def test_kernel_product_matches_generic_product(rng):
     ]
     for mu, rounds in bases:
         kernel = _SwapKernel(mu)
-        elems = elements(mu.group)
+        elems = list(mu.group.coordinates())
         # the conductor mu.den is the lcm of all the values' denominators,
         # and each twist exponent over it is the value itself
         assert kernel.mu.den == lcm(*(mu(g, h).den for g in elems for h in elems))
@@ -697,7 +703,7 @@ def test_kernel_build_evaluates_no_cocycle_value(rng, monkeypatch):
     # the twist is each storage form's own integer table, not mu(g, h)
     bases = [mod_q_cocycle(3), _symplectic_z2p4(), _shifted_table_cocycle(rng),
              product_triplet(mod_q_triplet(3), mod_q_triplet(5)).cocycle]
-    tables = [[[mu(g, h) for h in elements(mu.group)] for g in elements(mu.group)]
+    tables = [[[mu(g, h) for h in mu.group.coordinates()] for g in mu.group.coordinates()]
               for mu in bases]
 
     def never(mu, g, h):
@@ -716,7 +722,7 @@ def test_kernel_on_the_largest_group_builds_within_its_deadline(rng):
     assert mu.group.order() == MAX_FLOW_ORDER
     with deadline(2):
         kernel = _SwapKernel(mu)
-    elems = elements(mu.group)
+    elems = list(mu.group.coordinates())
     for _ in range(200):
         i, j = rng.randrange(MAX_FLOW_ORDER), rng.randrange(MAX_FLOW_ORDER)
         assert Phase(kernel.twist[i][j], kernel.mu.den) == mu(elems[i], elems[j])
@@ -732,19 +738,21 @@ def test_kernel_product_cancels_to_zero():
     # u(q1, q2) u(l, -l), l = p1 + k - q1; b makes the two terms there cancel
     mu = mod_q_cocycle(3)
     g = mu.group
-    p1, p2, q1, q2 = (g.element(c) for c in ((1, 0), (0, 1), (2, 2), (2, 2)))
-    k = g.element((1, 2))
-    l = p1 + k + (-q1)
+    p1, p2, q1, q2 = (element(g, c) for c in ((1, 0), (0, 1), (2, 2), (2, 2)))
+    k = element(g, (1, 2))
+    l = element_sum(element_sum(p1, k), element_neg(q1))
 
     def phase(h1, h2, m):
         # u(h1, h2) u(m, -m) with V's coefficient at (m, -m)
-        return mu(h1, m) + mu(h2, -m) - mu(m, -m)
+        minus_m = element_neg(m).coords
+        return mu(h1.coords, m.coords) + mu(h2.coords, minus_m) - mu(m.coords, minus_m)
 
     a = MIXED[0]
     b = -(a * Cyclotomic.from_phase(phase(p1, p2, k) - phase(q1, q2, l)))
     y = TensorElement(mu, {tensor_key(p1, p2): a, tensor_key(q1, q2): b})
     product = y * malleability_unitary(mu)
-    assert tensor_key(p1 + k, p2 + (-k)) not in product.terms and product.terms
+    assert tensor_key(element_sum(p1, k), element_sum(p2, element_neg(k))) not in product.terms
+    assert product.terms
     assert _times_v(_SwapKernel(mu), y) == product
 
 
@@ -790,7 +798,7 @@ def test_integer_time_flow_builds_no_table_on_the_product_group(monkeypatch):
     monkeypatch.setattr(oracles, "_SwapKernel", no_kernel)
     mu = product_triplet(mod_q_triplet(3), mod_q_triplet(5)).cocycle
     g = mu.group
-    x = _unit(mu, g.element((1, 0, 2, 0)), g.element((0, 1, 0, 3)))
+    x = _unit(mu, element(g, (1, 0, 2, 0)), element(g, (0, 1, 0, 3)))
     for t in (-1, 0, 1, 2, 3):
         expected = flip(x) if t % 2 else x
         assert malleability_flow(mu, Fraction(t), x) == expected

@@ -3,7 +3,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -13,6 +13,7 @@ from conftest import deadline
 from oracles import (
     det_form_cocycle,
     dual_characters,
+    element,
     elements,
     enumerate_automorphisms,
     enumerate_isomorphisms,
@@ -27,9 +28,11 @@ from oracles import (
 )
 from tbshift import classify, cocycle
 from tbshift.abelian import (
+    AbElem,
     AbGroup,
     AbHom,
     Character,
+    dual_character,
     is_isomorphism,
     lazy_product,
 )
@@ -216,9 +219,7 @@ def test_lattice_unknown_without_bound():
 def test_build_pi_identity_fixes_units(trip3, rng):
     pi = build_pi(trip3, trip3, AbHom.identity(trip3.group))
     for _ in range(10):
-        lam = dipole(
-            trip3.group.element((rng.randrange(3), rng.randrange(3)))
-        )
+        lam = dipole(trip3.group, (rng.randrange(3), rng.randrange(3)))
         x = AlgebraElement.unit(trip3.cocycle, lam)
         assert pi(x) == x
 
@@ -280,8 +281,8 @@ def test_corrupted_weight_breaks_equivariance(rng):
     pi = build_pi(ta, tb, AbHom.identity(ta.group))
     probes = [
         (
-            AlgebraElement.unit(ta.cocycle, dipole(ta.group.element((1, 0)))),
-            AlgebraElement.unit(ta.cocycle, dipole(ta.group.element((0, 1)))),
+            AlgebraElement.unit(ta.cocycle, dipole(ta.group, (1, 0))),
+            AlgebraElement.unit(ta.cocycle, dipole(ta.group, (0, 1))),
         ),
         (random_algebra_element(rng, ta.cocycle), random_algebra_element(rng, ta.cocycle)),
     ]
@@ -312,12 +313,11 @@ def _pi_cases():
                       Character.trivial(mixed))
     t3 = mod_q_triplet(3)
     g3 = t3.group
-    shift = oracles.coboundary_cocycle(g3, {x: Phase(x.coords[0] * x.coords[1] % 5, 5)
-                                            for x in elements(g3)})
+    shift = oracles.coboundary_cocycle(g3, {x: Phase(x[0] * x[1] % 5, 5) for x in g3.coordinates()})
     table_a = Triplet(g3, oracles.table_from_function(
-        g3, lambda g, h: t3.cocycle(g, h) + Phase(h.coords[0] * g.coords[1], 3) + shift(g, h)),
+        g3, lambda g, h: t3.cocycle(g, h) + Phase(h[0] * g[1], 3) + shift(g, h)),
         t3.character)
-    eighths = oracles.coboundary_cocycle(g3, {x: Phase(x.coords[0], 8) for x in elements(g3)})
+    eighths = oracles.coboundary_cocycle(g3, {x: Phase(x[0], 8) for x in g3.coordinates()})
     table_b = Triplet(g3, oracles.table_from_function(
         g3, lambda g, h: t3.cocycle(h, g) + eighths(g, h)), oracles.phase_character(g3, (Phase(2, 3), Phase(1, 3))))
     table_a.validate()
@@ -348,7 +348,7 @@ def test_mismatch_and_corrector_match_the_sitewise_formula(rng, monkeypatch):
         assert any(pi.mismatch.ints)
         for _ in range(100):
             coords = [rng.randint(-6, 6) for _ in range(ga.free_rank)]
-            h = ga.element(coords + [rng.randrange(n) for n in ga.torsion])
+            h = element(ga, coords + [rng.randrange(n) for n in ga.torsion])
             value = oracles.phase_character_value
             assert value(pi.mismatch, h) == (
                 value(pi.ta.character, h) - value(pi.tb.character, oracles.apply_hom(pi.phi, h)))
@@ -365,6 +365,49 @@ def test_mismatch_and_corrector_match_the_sitewise_formula(rng, monkeypatch):
                 assert variant(x) == phase_pi(variant, x, key)
 
 
+def test_mismatch_scales_a_character_whose_denominator_divides_the_other():
+    # chi_a = 1/3 and chi_b = 5/6 on Z/6: chi_a's row is scaled to the
+    # common denominator 6 before chi_b's is subtracted, 2/6 - 5/6 = 1/2;
+    # dividing it instead gives 0/6 - 5/6 = 1/6, and pi then fails
+    g = AbGroup(0, (6,))
+    mu = trivial_cocycle(g)
+    pi = PiPhi(Triplet(g, mu, Character(g, (1,), 3)), Triplet(g, mu, Character(g, (5,), 6)),
+               AbHom.identity(g))
+    assert (pi.mismatch.ints, pi.mismatch.den) == ((1,), 2)
+    rng = random.Random(1)
+    pairs = [(random_algebra_element(rng, mu), random_algebra_element(rng, mu)) for _ in range(20)]
+    assert verify_pi(pi, pairs).ok
+
+
+def test_mismatch_matches_the_phase_values_on_mixed_denominators():
+    # chi_b o phi = chi_a - c for a random c of order at most two, so pi
+    # intertwines, with denominators that differ and so are scaled to
+    # their lcm: the mismatch is c, chi_a(e_j) - chi_b(phi e_j) read as
+    # Phases, and pi passes its checks on seeded random pairs
+    rng = random.Random(19)
+    groups = [AbGroup(0, (6,)), AbGroup(0, (12,)), AbGroup(0, (2, 6)), AbGroup(0, (4, 6))]
+    seen = 0
+    while seen < 24:
+        g = rng.choice(groups)
+        chi_a, c = (dual_character(g, rng.randrange(g.order())) for _ in range(2))
+        sign = rng.choice((1, -1))  # phi is the identity or the negation
+        d = lcm(chi_a.den, c.den)
+        chi_b = Character(g, tuple(sign * (a * (d // chi_a.den) - x * (d // c.den))
+                                   for a, x in zip(chi_a.ints, c.ints)), d)
+        if c.den > 2 or chi_a.den == chi_b.den:
+            continue
+        seen += 1
+        mu = trivial_cocycle(g)
+        phi = AbHom(g, g, tuple(tuple(sign * x for x in row) for row in AbHom.identity(g).matrix))
+        pi = PiPhi(Triplet(g, mu, chi_a), Triplet(g, mu, chi_b), phi)
+        assert pi.mismatch == c
+        value = oracles.phase_character_value
+        for e in generators(g):
+            assert value(pi.mismatch, e) == value(chi_a, e) - value(chi_b, oracles.apply_hom(phi, e))
+        pairs = [(random_algebra_element(rng, mu), random_algebra_element(rng, mu)) for _ in range(4)]
+        assert verify_pi(pi, pairs).ok
+
+
 def test_pi_on_a_non_injective_hom_merges_and_cancels_terms(rng):
     # x2 on Z/4 + Z/2 sends many configurations to one image, so terms
     # merge; built directly (no conditions), with and without a mismatch
@@ -374,7 +417,7 @@ def test_pi_on_a_non_injective_hom_merges_and_cancels_terms(rng):
     ta = Triplet(g, mu_a, Character(g, (1, 2), 4))
     for tb in (Triplet(g, mu_b, Character(g, (2, 0), 4)), Triplet(g, mu_b, Character.trivial(g))):
         pi = PiPhi(ta, tb, double)
-        units = [AlgebraElement.unit(mu_a, dipole(g.element(h))) for h in ((1, 0), (3, 1))]
+        units = [AlgebraElement.unit(mu_a, dipole(g, h)) for h in ((1, 0), (3, 1))]
         (k1, a1), = pi(units[0]).terms.items()
         (k2, a2), = pi(units[1]).terms.items()
         assert k1 == k2
@@ -395,7 +438,7 @@ def test_pi_reads_its_weight_on_every_call():
     # the constants built with the intertwiner leave the weight out: two
     # intertwiners that differ only in it still differ on their next calls
     ta, tb = _half_shift_pair()
-    x = AlgebraElement.unit(ta.cocycle, dipole(ta.group.element((1, 0))))
+    x = AlgebraElement.unit(ta.cocycle, dipole(ta.group, (1, 0)))
     by_gcd = PiPhi(ta, tb, AbHom.identity(ta.group))
     flat = PiPhi(ta, tb, AbHom.identity(ta.group), weight=lambda k: 1)
     first = by_gcd(x), flat(x)
@@ -423,14 +466,15 @@ def test_pi_evaluates_no_cocycle_value(monkeypatch, rng):
     for pi, a, b, move, before in runs:
         assert (pi(a), a * b, rho(pi.ta, move, a)) == before
         with pytest.raises(AssertionError, match="evaluated"):
-            pi.ta.cocycle(oracles.group_zero(pi.ta.group), oracles.group_zero(pi.ta.group))
+            zero = oracles.group_zero(pi.ta.group).coords
+            pi.ta.cocycle(zero, zero)
 
 
 def test_verify_pi_builds_no_group_element(monkeypatch):
     # the term loop reads canonical coordinates: config sums and negations
     # merge the sorted supports, the zero-sum test sums raw coordinates and
     # pi reduces each mapped site inline.  With AbGroup.reduce and
-    # AbGroup.element refusing, verify_pi on the same prebuilt mod-3 pairs
+    # AbElem.__init__ refusing, verify_pi on the same prebuilt mod-3 pairs
     # (a fresh copy) gives the same report
     t = mod_q_triplet(3)
     phis = [AbHom(t.group, t.group, m) for m in (((1, 0), (1, 1)), ((2, 0), (0, 2)))]
@@ -443,23 +487,23 @@ def test_verify_pi_builds_no_group_element(monkeypatch):
     before = [verify_pi(PiPhi(t, t, phi), pairs()) for phi in phis]
     fresh = pairs()
 
-    def refuse(self, coords):
+    def refuse(self, *args):
         raise AssertionError("a group element was built")
 
     monkeypatch.setattr(AbGroup, "reduce", refuse)
-    monkeypatch.setattr(AbGroup, "element", refuse)
+    monkeypatch.setattr(AbElem, "__init__", refuse)
     after = [verify_pi(PiPhi(t, t, phi), fresh) for phi in phis]
     assert [(r.ok, r.failures) for r in after] == [(r.ok, r.failures) for r in before]
     assert [r.ok for r in after] == [True, False]
     with pytest.raises(AssertionError, match="built"):
-        t.group.element((1, 0))
+        element(t.group, (1, 0))
 
 
 def test_integer_form_builders_make_no_phase_and_homs_no_group_element(monkeypatch):
     # characters and cocycles are built from int rows: mod_q_triplet, the
     # dual, power, motion_mul and PiPhi.mismatch give what they gave
     # before with Phase.__init__ refusing, and AbHom checks its
-    # columns on the integer matrix with AbGroup.element refusing
+    # columns on the integer matrix with AbElem.__init__ refusing
     shear = ((1, 0), (1, 1))
 
     def characters():
@@ -483,7 +527,7 @@ def test_integer_form_builders_make_no_phase_and_homs_no_group_element(monkeypat
         raise AssertionError("a Phase or a group element was built")
 
     monkeypatch.setattr(Phase, "__init__", refuse)
-    monkeypatch.setattr(AbGroup, "element", refuse)
+    monkeypatch.setattr(AbElem, "__init__", refuse)
     assert characters() == before
     assert matrices() == canonical
     assert canonical[1] == ((3, 0, 0), (-1, 0, 0), (1, 1, 1), (7, 3, 2))
@@ -529,8 +573,8 @@ def test_verify_pi_reports_what_one_check_at_a_time_reports(rng, monkeypatch):
     ]
     half_pairs = [
         (
-            AlgebraElement.unit(ta.cocycle, dipole(ta.group.element((1, 0)))),
-            AlgebraElement.unit(ta.cocycle, dipole(ta.group.element((0, 1)))),
+            AlgebraElement.unit(ta.cocycle, dipole(ta.group, (1, 0))),
+            AlgebraElement.unit(ta.cocycle, dipole(ta.group, (0, 1))),
         ),
         (random_algebra_element(rng, ta.cocycle), random_algebra_element(rng, ta.cocycle)),
     ]
@@ -789,7 +833,7 @@ def _pushforward(t, psi):
     """The triplet that psi^-1 maps t to: data pulled back through psi."""
     g = psi.source
     images = [oracles.apply_hom(psi, e) for e in generators(g)]
-    matrix = tuple(tuple(t.cocycle(x, y) for y in images) for x in images)
+    matrix = tuple(tuple(t.cocycle(x.coords, y.coords) for y in images) for x in images)
     chi = oracles.phase_character(g, tuple(oracles.phase_character_value(t.character, x)
                                            for x in images))
     return Triplet(g, oracles.phase_bilinear(g, matrix), chi)

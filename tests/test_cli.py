@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from conftest import deadline
-from tbshift import algebra, cli, selftest, serialize
+from tbshift import algebra, cli, dynamics, selftest, serialize
+from tbshift.abelian import Character
 from tbshift.cli import EXIT_INTERNAL, EXIT_INVALID, EXIT_NO, EXIT_OK, EXIT_UNKNOWN, main
 from tbshift.scalars import Cyclotomic
 
@@ -488,6 +489,19 @@ def test_the_weakmixing_suite_fails_and_ends_with_a_wrong_trace(monkeypatch):
         code, payload = _run(["selftest", "--suite", "weakmixing"])
     assert code == EXIT_NO
     assert payload == {"ok": False, "suites": {"weakmixing": {"ok": False, "witnesses": 2}}}
+
+
+def test_the_actions_suite_fails_on_a_rho_that_drops_the_character(monkeypatch):
+    # rho(c) multiplies by c of the total content, which is 0 on a zero-sum
+    # configuration: the suite's units at one nonzero site see the loss
+    rho = dynamics.rho
+    monkeypatch.setattr(dynamics, "rho", lambda t, g, x: rho(
+        t, dynamics.Motion(Character.trivial(t.group), g.move), x))
+    with deadline(5):
+        code, payload = _run(["selftest", "--suite", "actions"])
+    assert code == EXIT_NO
+    assert payload == {"ok": False, "suites": {"actions": {
+        "ok": False, "associativity_failures": 0, "relation_failures": 4}}}
 
 
 def test_command_replaced_after_the_parser_is_built_is_the_one_run(at_root, monkeypatch, capsys):

@@ -3,6 +3,7 @@ import itertools
 import random
 from collections import Counter
 from math import gcd, isqrt, lcm
+from operator import add
 
 import pytest
 import sympy
@@ -14,9 +15,10 @@ from oracles import (
     coboundary_cocycle,
     cocycle_identity_failure,
     det_form_cocycle,
+    element_neg,
+    element_sum,
     elements,
     generators,
-    group_zero,
     kernel_degeneracy_witness,
     kernel_radical_rows,
     literal_coboundary_witness,
@@ -50,22 +52,24 @@ from tbshift.selftest import _random_bilinear, witness_catalog
 
 
 def random_phase_map(rng, group, den=8):
-    out = {group_zero(group): Phase.ZERO}
-    for g in elements(group):
-        if any(g.coords):
-            out[g] = Phase(rng.randrange(den), den)
-    return out
+    return {g: Phase(rng.randrange(den), den) if any(g) else Phase.ZERO
+            for g in group.coordinates()}
+
+
+def _sum(g: tuple, h: tuple) -> tuple:
+    """The raw coordinate sum: both cocycle forms read it at its reduction."""
+    return tuple(map(add, g, h))
 
 
 def test_evaluation_examples():
     mu3 = mod_q_cocycle(3)
     g = mu3.group
-    assert mu3(g.element((1, 0)), g.element((0, 1))) == Phase(1, 3)
-    assert mu3(g.element((2, 1)), group_zero(g)) == Phase.ZERO
+    assert mu3((1, 0), (0, 1)) == Phase(1, 3)
+    assert mu3((2, 1), (0, 0)) == Phase.ZERO
     theta = Phase(1, 16)
     muc = det_form_cocycle(theta)
     z2 = muc.group
-    assert muc(z2.element((0, 1)), z2.element((1, 0))) == Phase(15, 16)
+    assert muc((0, 1), (1, 0)) == Phase(15, 16)
 
 
 def test_bilinear_torsion_validation():
@@ -155,9 +159,9 @@ def test_validate_on_generator_triples_matches_the_full_scan(torsion, seed, num,
     with pytest.raises(CocycleError, match="cocycle-identity") as caught:
         table.validate()
     # the reported triple fails, and its third entry is a generator
-    g, h, k = (group.element(c) for c in ast.literal_eval(str(caught.value).split("fails at ")[1]))
-    assert k in generators(group)
-    assert table(g, h) + table(g + h, k) != table(h, k) + table(g, h + k)
+    g, h, k = ast.literal_eval(str(caught.value).split("fails at ")[1])
+    assert k in [e.coords for e in generators(group)]
+    assert table(g, h) + table(_sum(g, h), k) != table(h, k) + table(g, _sum(h, k))
 
 
 def _outcome(check, *args):
@@ -205,10 +209,8 @@ def test_cocycle_identity_for_bilinear_samples(rng):
     mu = mod_q_cocycle(5)
     g = mu.group
     for _ in range(1000):
-        a = g.element((rng.randrange(5), rng.randrange(5)))
-        b = g.element((rng.randrange(5), rng.randrange(5)))
-        c = g.element((rng.randrange(5), rng.randrange(5)))
-        assert mu(a, b) + mu(a + b, c) == mu(b, c) + mu(a, b + c)
+        a, b, c = ((rng.randrange(5), rng.randrange(5)) for _ in range(3))
+        assert mu(a, b) + mu(_sum(a, b), c) == mu(b, c) + mu(a, _sum(b, c))
 
 
 def test_star_bicharacter_examples():
@@ -220,8 +222,8 @@ def test_star_bicharacter_examples():
     mu3 = mod_q_cocycle(3)
     g = mu3.group
     star = star_bicharacter(mu3)
-    assert star.value(g.element((1, 0)), g.element((0, 1))) == Phase(1, 3)
-    assert star.value(g.element((0, 1)), g.element((1, 0))) == Phase(2, 3)
+    assert star.value((1, 0), (0, 1)) == Phase(1, 3)
+    assert star.value((0, 1), (1, 0)) == Phase(2, 3)
     theta = Phase(1, 16)
     star_c = star_bicharacter(det_form_cocycle(theta))
     doubled = det_form_cocycle(theta + theta)
@@ -244,11 +246,9 @@ def test_star_bicharacter_antisymmetric_bilinear(rng):
     g = mu.group
     star = star_bicharacter(mu)
     for _ in range(100):
-        a = g.element((rng.randrange(7), rng.randrange(7)))
-        b = g.element((rng.randrange(7), rng.randrange(7)))
-        c = g.element((rng.randrange(7), rng.randrange(7)))
+        a, b, c = ((rng.randrange(7), rng.randrange(7)) for _ in range(3))
         assert star.value(a, b) == -star.value(b, a)
-        assert star.value(a + c, b) == star.value(a, b) + star.value(c, b)
+        assert star.value(_sum(a, c), b) == star.value(a, b) + star.value(c, b)
         # agrees with the definition, not just the generator matrix
         assert star.value(a, b) == mu(a, b) - mu(b, a)
     # table cocycles, free generators and an entry of 1/2: A is
@@ -261,9 +261,10 @@ def test_star_bicharacter_antisymmetric_bilinear(rng):
     for form in forms:
         star, gens = star_bicharacter(form), generators(form.group)
         assert star.ints == tuple(tuple(-a for a in col) for col in zip(*star.ints))
+        gens = [e.coords for e in gens]
         assert star.matrix == tuple(tuple(form(x, y) - form(y, x) for y in gens) for x in gens)
         for _ in range(10):
-            a, b = (form.group.element([rng.randint(-9, 9) for _ in gens]) for _ in range(2))
+            a, b = (form.group.reduce([rng.randint(-9, 9) for _ in gens]) for _ in range(2))
             assert star.value(a, b) == phase_bilinear_value(star, a, b) == form(a, b) - form(b, a)
 
 
@@ -273,7 +274,7 @@ def test_bilinear_evaluation_matches_the_phase_oracle():
     for _ in range(300):
         mu = random_mixed_cocycle(rng)
         for _ in range(5):
-            g, h = (mu.group.element([rng.randint(-30, 30) for _ in range(mu.group.rank)])
+            g, h = (mu.group.reduce([rng.randint(-30, 30) for _ in range(mu.group.rank)])
                     for _ in range(2))
             assert mu(g, h) == phase_bilinear_value(mu, g, h)
 
@@ -301,8 +302,8 @@ def test_coboundary_witness_examples(rng):
     # the witness satisfies the identity pointwise (it need not equal b0)
     for x in elements(g):
         for y in elements(g):
-            nu = triv(x, y) - shifted(x, y)
-            assert witness[x] + witness[y] - witness[x + y] == nu
+            nu = triv(x.coords, y.coords) - shifted(x.coords, y.coords)
+            assert witness[x] + witness[y] - witness[element_sum(x, y)] == nu
 
     mu3 = mod_q_cocycle(3)
     assert coboundary_witness(to_table(mu3), to_table(trivial_cocycle(mu3.group))) is None
@@ -359,7 +360,8 @@ def _shape_id(shape):
 def _solves(b, mu1, mu2):
     """b(g) + b(h) - b(g+h) = mu1(g, h) - mu2(g, h) for every pair."""
     elems = elements(mu1.group)
-    return all(b[g] + b[h] - b[g + h] == mu1(g, h) - mu2(g, h) for g in elems for h in elems)
+    return all(b[g] + b[h] - b[element_sum(g, h)] == mu1(g.coords, h.coords) - mu2(g.coords, h.coords)
+               for g in elems for h in elems)
 
 
 def test_coboundary_witness_matches_the_literal_solver(rng):
@@ -392,7 +394,7 @@ def test_nondegeneracy_examples():
         assert degeneracy_witness(mod_q_cocycle(q)) is None
     assert degeneracy_witness(det_form_cocycle(Phase(1, 16))) is None
     witness = degeneracy_witness(trivial_cocycle(AbGroup(0, (3,))))
-    assert witness is not None and any(witness.coords)
+    assert witness is not None and any(witness)
 
 
 def test_degeneracy_witness_vanishes_against_generators():
@@ -401,7 +403,7 @@ def test_degeneracy_witness_vanishes_against_generators():
     star = star_bicharacter(mu)
     assert w is not None
     for e in generators(mu.group):
-        assert star.value(w, e) == Phase.ZERO
+        assert star.value(w, e.coords) == Phase.ZERO
 
 
 def test_finite_degeneracy_witness_is_first_in_element_order(rng):
@@ -413,9 +415,9 @@ def test_finite_degeneracy_witness_is_first_in_element_order(rng):
     found = 0
     for mu in cocycles:
         star = star_bicharacter(mu)
-        elems = elements(mu.group)
+        elems = list(mu.group.coordinates())
         brute = next(
-            (g for g in elems if any(g.coords) and all(star.value(g, h) == Phase.ZERO for h in elems)),
+            (g for g in elems if any(g) and all(star.value(g, h) == Phase.ZERO for h in elems)),
             None,
         )
         assert degeneracy_witness(mu) == brute
@@ -427,10 +429,9 @@ def torsion_loop_witness(mu):
     """The exhaustive oracle: the first nonzero torsion element, in
     elements() order, whose star pairing vanishes against every generator."""
     group, star = mu.group, star_bicharacter(mu)
-    torsion = (group.element((0,) * group.free_rank + t)
-               for t in itertools.product(*(range(n) for n in group.torsion)))
-    return next((g for g in torsion if any(g.coords)
-                 and all(star.value(g, e) == Phase.ZERO for e in generators(group))), None)
+    torsion = ((0,) * group.free_rank + t for t in itertools.product(*(range(n) for n in group.torsion)))
+    return next((g for g in torsion if any(g)
+                 and all(star.value(g, e.coords) == Phase.ZERO for e in generators(group))), None)
 
 
 def test_echelon_witness_matches_the_torsion_loop():
@@ -469,7 +470,7 @@ def test_degenerate_free_direction_is_found():
     assert w is not None
     star = star_bicharacter(mu)
     for e in generators(mu.group):
-        assert star.value(w, e) == Phase.ZERO
+        assert star.value(w, e.coords) == Phase.ZERO
 
 
 def test_torsion_degeneracy_on_mixed_group():
@@ -485,7 +486,7 @@ def test_torsion_degeneracy_on_mixed_group():
     )
     w = degeneracy_witness(mu)
     assert w is not None
-    assert w.coords[:2] == (0, 0) and w.coords[2] != 0
+    assert w[:2] == (0, 0) and w[2] != 0
 
 
 def random_mixed_cocycle(rng):
@@ -517,14 +518,14 @@ def test_mixed_degeneracy_witness_is_nonzero_and_degenerate():
         transposed = sympy.Matrix(group.rank, group.rank, lambda i, j: lift(j, i))
         free_direction = any(any(vec[:group.free_rank]) for vec in transposed.nullspace())
         w = degeneracy_witness(mu)
-        if w is None or not any(w.coords[:group.free_rank]):
+        if w is None or not any(w[:group.free_rank]):
             assert w == torsion_loop_witness(mu)
         if w is None:
             assert not free_direction
             continue
-        assert any(w.coords)
-        assert all(star.value(w, e) == Phase.ZERO for e in generators(group))
-        assert any(w.coords[:group.free_rank]) == free_direction
+        assert any(w)
+        assert all(star.value(w, e.coords) == Phase.ZERO for e in generators(group))
+        assert any(w[:group.free_rank]) == free_direction
         free_found += free_direction
     assert free_found
 
@@ -584,8 +585,8 @@ def test_table_roundtrip_preserves_values():
     mu = mod_q_cocycle(3)
     table = to_table(mu)
     table.validate()
-    for g in elements(mu.group):
-        for h in elements(mu.group):
+    for g in mu.group.coordinates():
+        for h in mu.group.coordinates():
             assert table(g, h) == mu(g, h)
 
 
@@ -596,7 +597,7 @@ def test_exponent_table_matches_the_values(rng, torsion):
     group = AbGroup(0, torsion)
     bilinear = _random_bilinear(rng, group)
     table = to_table(coboundary_cocycle(group, random_phase_map(rng, group)))
-    elems = elements(group)
+    elems = list(group.coordinates())
     for mu in (bilinear, table, to_table(bilinear)):
         exps = mu.exponent_table()
         assert len(exps) == len(elems) and all(len(row) == len(elems) for row in exps)
@@ -623,12 +624,12 @@ def test_cocycle_consumers_evaluate_no_cocycle_value(rng, monkeypatch):
     same = [phase_star_form(a) == phase_star_form(b) for a, b in pairs]
     witnesses = [phase_coboundary_witness(a, b) for a, b in pairs]
     degenerate = [
-        next((g for g in elements(mu.group) if any(g.coords)
-              and all(mu(g, h) - mu(h, g) == Phase.ZERO for h in elements(mu.group))), None)
+        next((g for g in mu.group.coordinates() if any(g)
+              and all(mu(g, h) - mu(h, g) == Phase.ZERO for h in mu.group.coordinates())), None)
         for mu in finite
     ]
-    unitaries = [None if w else {tensor_key(h, -h): Cyclotomic.from_phase(-mu(h, -h))
-                                 for h in elements(mu.group)}
+    unitaries = [None if w else {tensor_key(h, element_neg(h)): Cyclotomic.from_phase(
+                     -mu(h.coords, element_neg(h).coords)) for h in elements(mu.group)}
                  for mu, w in zip(finite, degenerate)]
     good = _den_24_table(rng)
     tables = [good, TableCocycle(good.group, {**good.entries, ((1, 2), (0, 0)): Phase(1, 5)}),

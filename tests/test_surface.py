@@ -269,6 +269,27 @@ def test_every_function_and_method_is_entered_by_the_cli_or_kept_by_rule():
     assert [f"{module}.{name}" for module, name, _, _ in left] == []
 
 
+def test_a_group_element_is_its_coordinate_tuple():
+    # an element is its reduced coordinate tuple everywhere but in the map
+    # coboundary_witness returns, keyed by AbElems (the benchmark's
+    # cohomology op reads their `coords`): that is the one AbElem built,
+    # and the class carries no arithmetic of its own
+    def builds(node):
+        return sum(isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "AbElem"
+                   for sub in ast.walk(node))
+
+    total = sum(builds(ast.parse(path.read_text("utf-8"))) for path in SRC.glob("*.py"))
+    builders = [f"{module}.{name}" for module, name, _, node in _members() if builds(node)]
+    assert (builders, total) == (["cocycle.coboundary_witness"], 1)
+    tree = ast.parse((SRC / "abelian.py").read_text("utf-8"))
+    body = next(node for node in tree.body if getattr(node, "name", None) == "AbElem").body
+    assert [ast.unparse(node).split("\n")[0] for node in body] == [
+        "__slots__ = ('group', 'coords')",
+        "def __init__(self, group: AbGroup, coords: tuple) -> None:",
+        "def __hash__(self) -> int:",
+    ]
+
+
 def test_every_module_level_import_is_read_by_its_module():
     # a name a module imports and never reads is a stale import; the
     # package's __init__ imports only to re-export
