@@ -161,17 +161,6 @@ class AbHom(Immutable):
                     f"generator {j} of order {n} maps to an incompatible element"
                 )
 
-    def compose(self, other: "AbHom") -> "AbHom":
-        """self after other: the product of the matrices."""
-        if other.target != self.source:
-            raise ValueError("homs do not compose")
-        rows = tuple(
-            tuple(sum(a * col[j] for a, col in zip(row, other.matrix))
-                  for j in range(other.source.rank))
-            for row in self.matrix
-        )
-        return AbHom(other.source, self.target, rows)
-
     @staticmethod
     def identity(group: AbGroup) -> "AbHom":
         return AbHom(group, group, identity_matrix(group.rank))

@@ -446,8 +446,11 @@ def centralizer(t: Triplet, bound: Optional[int] = None) -> CentralizerReport:
     is v * det, so all of SL(2,Z) keeps it, and all of GL(2,Z) when 2v = 0
     (det -1 negates v).  Else a search `_unsearchable` refuses is UNKNOWN.
     Finite groups: every hit of the pruned isomorphism search from H to
-    itself, which is complete.  Otherwise the same search with free
-    entries bounded by `bound`, explicitly incomplete.
+    itself, which is complete.  The listing is a group, so `group_structure`
+    composes inside it: the product of two matrices, each row reduced mod
+    its torsion order, is looked up among the listed matrices, and no
+    other `AbHom` is built.  Otherwise the same search with free entries
+    bounded by `bound`, explicitly incomplete.
     """
     group = t.group
     forms = d, (star, chi), _ = _integer_forms(t, t)
@@ -462,8 +465,14 @@ def centralizer(t: Triplet, bound: Optional[int] = None) -> CentralizerReport:
         return CentralizerReport("UNKNOWN", (), None, False, refusal)
     found = tuple(_matching_isomorphisms(group, group, forms, bound))
     if group.is_finite:
-        structure = group_structure(found, AbHom.compose)
-        return CentralizerReport("OK", found, structure, True)
+        listed = {f.matrix: f for f in found}
+
+        def compose(f: AbHom, g: AbHom) -> AbHom:
+            cols = list(zip(*g.matrix))
+            return listed[tuple(tuple(sum(map(mul, row, col)) % n for col in cols)
+                                for row, n in zip(f.matrix, group.torsion))]
+
+        return CentralizerReport("OK", found, group_structure(found, compose), True)
     return CentralizerReport(
         "OK", found, None, False, f"bounded search with entries up to {bound}"
     )

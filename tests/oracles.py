@@ -47,7 +47,8 @@ of AbElems (`element_sum`, `element_neg`), a finite group's AbElems in
 `coordinates()` order (`elements`), the
 generators (`generators`), the full dual in `dual_character` order
 (`dual_characters`), a group's zero (`group_zero`), a homomorphism
-applied to an element (`apply_hom`), an element's order (`element_order`), the unit and the
+applied to an element (`apply_hom`), the composite of two
+homomorphisms (`compose`), an element's order (`element_order`), the unit and the
 trace of the tensor square (`tensor_one`, `tensor_trace`) and sums and scalings of algebra elements
 (`combination`); a character's value is `phase_character_value`.  A key
 of the tensor square is the two-site configuration with g at ORIGIN and
@@ -128,6 +129,15 @@ def apply_hom(f: AbHom, g: AbElem) -> AbElem:
     if g.group != f.source:
         raise ValueError("element is not in the source group")
     return element(f.target, [sum(map(mul, row, g.coords)) for row in f.matrix])
+
+
+def compose(f: AbHom, g: AbHom) -> AbHom:
+    """f after g: column j is f(g(e_j)), e_j the j-th generator of g's source."""
+    if g.target != f.source:
+        raise ValueError("homs do not compose")
+    cols = [apply_hom(f, apply_hom(g, e)).coords for e in generators(g.source)]
+    return AbHom(g.source, f.target, tuple(tuple(col[i] for col in cols)
+                                           for i in range(f.target.rank)))
 
 
 def element_order(g: AbElem) -> int:

@@ -43,7 +43,7 @@ from tbshift.algebra import (
 )
 from tbshift.cocycle import BilinearCocycle, TableCocycle, degeneracy_witness, trivial_cocycle
 from tbshift.configs import Config, dipole, mu_tilde
-from tbshift.dynamics import Motion, Triplet, mod_q_cocycle, mod_q_group, mod_q_triplet, rho
+from tbshift.dynamics import Motion, Triplet, mod_q_cocycle, mod_q_triplet, rho
 from tbshift.lattice import E1, ORIGIN, LatticePoint
 from tbshift.scalars import Cyclotomic, Immutable, Phase
 from tbshift.selftest import random_algebra_element, random_zero_sum_config

@@ -2,8 +2,7 @@ import itertools
 import json
 import random
 from collections import Counter
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from pathlib import Path
 
 import pytest
@@ -33,6 +32,7 @@ from tbshift.abelian import (
     AbHom,
     Character,
     dual_character,
+    group_structure,
     is_isomorphism,
     lazy_product,
 )
@@ -96,6 +96,22 @@ def test_check_conditions_rejects_non_isomorphism(trip3):
     bad = AbHom(trip3.group, trip3.group, ((1, 0), (0, 0)))
     with pytest.raises(ValueError, match="isomorphism"):
         check_conditions(trip3, trip3, bad)
+
+
+@pytest.mark.parametrize("wrong", ["source", "target"])
+def test_a_hom_off_one_triplet_group_is_refused(trip3, wrong):
+    # phi is (Z/9)^2 -> (Z/3)^2 or (Z/3)^2 -> (Z/9)^2: one side alone is
+    # off the triplets' group, so each guard must test both sides
+    g99 = AbGroup(0, (9, 9))
+    if wrong == "source":
+        phi = AbHom(g99, trip3.group, ((1, 0), (0, 1)))
+    else:
+        phi = AbHom(trip3.group, g99, ((3, 0), (0, 3)))
+    message = "phi does not map between the triplets' groups"
+    with pytest.raises(ValueError, match=message):
+        check_conditions(trip3, trip3, phi)
+    with pytest.raises(ValueError, match=message):
+        PiPhi(trip3, trip3, phi)
 
 
 def test_decide_identical_triplets(trip3):
@@ -639,8 +655,8 @@ def test_centralizer_is_closed(trip3):
     assert ident in pool
     for f in pool:
         for g in pool:
-            assert f.compose(g) in pool
-        assert any(f.compose(g) == ident for g in pool)
+            assert oracles.compose(f, g) in pool
+        assert any(oracles.compose(f, g) == ident for g in pool)
 
 
 def test_centralizer_orbit_consistency(trip3):
@@ -654,7 +670,7 @@ def test_centralizer_orbit_consistency(trip3):
     for phi in outside[:10]:
         base = check_conditions(trip3, trip3, phi)
         for c in rep.elements:
-            assert check_conditions(trip3, trip3, phi.compose(c)) == base
+            assert check_conditions(trip3, trip3, oracles.compose(phi, c)) == base
 
 
 def test_centralizer_trivial_data():
@@ -713,7 +729,7 @@ def _hom_order(f):
     ident = AbHom.identity(f.source)
     k, power = 1, f
     while power != ident:
-        power, k = power.compose(f), k + 1
+        power, k = oracles.compose(power, f), k + 1
     return k
 
 
@@ -744,7 +760,42 @@ def test_centralizer_structure_against_element_orders():
         else:
             x, y = structure.noncommuting
             assert x in rep.elements and y in rep.elements
-            assert x.compose(y) != y.compose(x)
+            assert oracles.compose(x, y) != oracles.compose(y, x)
+    assert kinds == {True, False}
+
+
+@pytest.mark.parametrize("t", [mod_q_triplet(3), trivial_triplet(AbGroup(0, (4, 4)))],
+                         ids=["mod3", "Z4xZ4-trivial"])
+def test_centralizer_builds_one_hom_per_listed_element(t, monkeypatch):
+    # the structure composes inside the listing, so the search's hits are
+    # the only AbHoms built (|C| = 3, and 96 with a nonabelian C)
+    built = []
+    real = AbHom.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(AbHom, "__init__", counted)
+    rep = centralizer(t)
+    assert len(built) == len(rep.elements) == rep.structure.order
+
+
+def test_centralizer_structure_matches_the_oracle_composition():
+    # random finite bilinear triplets of order <= 64: the structure read
+    # by composing inside the listing is the one oracles.compose gives
+    rng = random.Random(47)
+    kinds = set()
+    with deadline(20):
+        for _ in range(40):
+            torsion = tuple(rng.choice((2, 3, 4, 5, 6, 8)) for _ in range(rng.randint(1, 3)))
+            if prod(torsion) > 64:
+                continue
+            group = AbGroup(0, torsion)
+            rep = centralizer(Triplet(group, _random_bilinear(rng, group),
+                                      _random_character(rng, group)))
+            assert rep.structure == group_structure(rep.elements, oracles.compose)
+            kinds.add(rep.structure.abelian)
     assert kinds == {True, False}
 
 

@@ -491,6 +491,17 @@ def test_the_weakmixing_suite_fails_and_ends_with_a_wrong_trace(monkeypatch):
     assert payload == {"ok": False, "suites": {"weakmixing": {"ok": False, "witnesses": 2}}}
 
 
+def test_the_weakmixing_suite_fails_on_a_beta_that_ignores_the_move(monkeypatch):
+    # every other case appends a* to its first element a, and tr(a a*) is
+    # not tr(a) tr(a*) for a non-scalar a: its witness is off the origin,
+    # so a shift that moves nothing finds none for those four cases
+    monkeypatch.setattr(dynamics, "beta", lambda t, move, x: x)
+    with deadline(5):
+        code, payload = _run(["selftest", "--suite", "weakmixing"])
+    assert code == EXIT_NO
+    assert payload == {"ok": False, "suites": {"weakmixing": {"ok": False, "witnesses": 4}}}
+
+
 def test_the_actions_suite_fails_on_a_rho_that_drops_the_character(monkeypatch):
     # rho(c) multiplies by c of the total content, which is 0 on a zero-sum
     # configuration: the suite's units at one nonzero site see the loss

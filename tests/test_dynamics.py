@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction
 
 import pytest
 
@@ -40,7 +39,6 @@ from tbshift.lattice import (
     DELTA,
     E1,
     E2,
-    ETA,
     ORIGIN,
     XI,
     AffineSL2,

@@ -291,15 +291,22 @@ def test_a_group_element_is_its_coordinate_tuple():
 
 
 def test_every_module_level_import_is_read_by_its_module():
-    # a name a module imports and never reads is a stale import; the
-    # package's __init__ imports only to re-export
+    # a name a module of the package or of the tests imports and never
+    # reads is a stale import; the package's __init__ imports only to
+    # re-export, and a test import marked `# noqa: F401` runs for its
+    # side effect
     unread = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.stem == "__init__":
+    tests = Path(__file__).resolve().parent
+    for path in [*sorted(SRC.glob("*.py")), *sorted(tests.glob("*.py"))]:
+        if path == SRC / "__init__.py":
             continue
-        tree = ast.parse(path.read_text("utf-8"))
+        text = path.read_text("utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text)
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for stmt in tree.body:
+            if "# noqa: F401" in "\n".join(lines[stmt.lineno - 1 : stmt.end_lineno]):
+                continue
             if isinstance(stmt, (ast.Import, ast.ImportFrom)) and getattr(stmt, "module", "") != "__future__":
                 for alias in stmt.names:
                     name = alias.asname or alias.name.split(".")[0]
