@@ -51,12 +51,17 @@ class AlgebraElement(Immutable):
     __slots__ = ("cocycle", "terms")
 
     def __init__(self, cocycle, terms: Dict[Config, Cyclotomic]):
+        """Keeps the nonzero terms, after refusing (ValueError) a key over
+        another group than the cocycle's, in one loop over the terms."""
         group = cocycle.group
-        for k in terms:
+        kept = {}
+        for k, v in terms.items():
             if k.group != group:
                 raise ValueError("configuration over another group than the cocycle's")
+            if any(v.ints):
+                kept[k] = v
         object.__setattr__(self, "cocycle", cocycle)
-        object.__setattr__(self, "terms", {k: v for k, v in terms.items() if any(v.ints)})
+        object.__setattr__(self, "terms", kept)
 
     @staticmethod
     def unit(cocycle, config: Config) -> "AlgebraElement":
@@ -88,7 +93,7 @@ class AlgebraElement(Immutable):
         out: Dict[Config, Cyclotomic] = {}
         for k, v in self.terms.items():
             nk = -k
-            out[nk] = v.conjugate().rotated(-mu_tilde(mu, k, nk), mu.den)
+            out[nk] = v.conjugate(-mu_tilde(mu, k, nk), mu.den)
         return type(self)(mu, out)
 
     @property
@@ -225,7 +230,7 @@ class _SwapKernel:
         for key, c in x.items():
             i, j = divmod(key, n)
             ni, nj = neg[i], neg[j]
-            out[ni * n + nj] = c.conjugate().rotated(-twist[i][ni] - twist[j][nj], den)
+            out[ni * n + nj] = c.conjugate(-twist[i][ni] - twist[j][nj], den)
         return out
 
     def diagonal(self, c: Character, x: dict) -> dict:

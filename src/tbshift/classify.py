@@ -26,8 +26,8 @@ from .abelian import (
     lazy_product,
 )
 from .algebra import AlgebraElement
-from .cocycle import star_bicharacter, star_blocks
-from .configs import Config, telescoped
+from .cocycle import BilinearCocycle, star_bicharacter, star_blocks
+from .configs import Config, sums_to_zero, telescoped
 from .dynamics import Triplet, VerifyReport, beta
 from .lattice import (
     DELTA,
@@ -75,23 +75,39 @@ class PiPhi(Immutable):
     accumulated over the support with gcd(k) exponents.  The mismatch is
     one character, built with pi from its values on the generators (chi_b's
     int row against each column of phi).  A term's values are mapped
-    through phi's matrix and reduced once, inline, by the target's
-    `orders`; the points stay, so the image is already sorted and builds
-    the key Config directly.  The term's phase, mu^_a(lam) plus the
-    corrector minus mu^_b(phi lam), is one int over D = lcm(mu_a.den,
-    mu_b.den, c.den): each site's `spiral_index` is computed once, the
-    decorated sites are sorted once for both `telescoped` sums, and the
-    corrector is c's int row against the weighted raw values (0, and no
-    weight read, for a trivial c).  The term pays it by one rotation.
+    through phi's matrix and reduced by the target's `orders`; the points
+    stay, so the image is already sorted and builds the key Config
+    directly.  The term's phase, mu^_a(lam) plus the corrector minus
+    mu^_b(phi lam), is one int over D = lcm(mu_a.den, mu_b.den, c.den),
+    the sites in `spiral_index` order, paid by one rotation.  For two
+    `BilinearCocycle`s (A over D_a, B over D_b) it is one telescoping
+    sum: phi is a homomorphism, so mu_b(phi g, phi h) = g^T Phi^T B Phi h
+    mod 1, and `__init__` pulls the difference back to H_a once, psi =
+    s_a A - s_b Phi^T B Phi over lcm(D_a, D_b), a valid BilinearCocycle
+    (phi kills what the torsion orders of H_a kill); a term reads
+    `telescoped(psi, values)` scaled to D and sums nothing over its
+    images.  A table on either side keeps the two sums, one over the
+    values and one over the nonzero images (a zero adds nothing to a
+    normalized cocycle).  The corrector is c's int row against the values,
+    each weighted at its site (none for a trivial c).  The zero-sum
+    refusal runs in the same pass, `sums_to_zero` of each term's values,
+    after the refusal of an element over another cocycle.
 
     `__init__` builds `mismatch` and keeps in `_constants` what every
     call reads: D, the three scales to it, c's int row (empty for a
     trivial c) and the (row, order) pairs of phi's matrix and the target;
-    `weight` and the module's `spiral_index` are read on each call.
-    Neither `mismatch` nor `_constants` is a field.
+    `_pullback` is (psi, D / psi.den), or () when a side is a table.  Its
+    memos, empty when built, live only as long as the value: `_images`
+    maps each value met to its reduced image (() for zero) and c's row
+    against it, `_rotated` a coefficient's stored form and num mod D to
+    the rotated coefficient, and `_indices` each order function read (the
+    module's `spiral_index`, read on each call, which tests replace) to
+    the indices of the sites met.  `weight` is read on each call.  None
+    of `mismatch`, `_constants`, `_pullback` and the memos is a field.
     """
 
-    __slots__ = ("ta", "tb", "phi", "weight", "mismatch", "_constants")
+    __slots__ = ("ta", "tb", "phi", "weight", "mismatch", "_constants", "_pullback",
+                 "_images", "_rotated", "_indices")
     _fields = ("ta", "tb", "phi", "weight")
 
     def __init__(self, ta: Triplet, tb: Triplet, phi: AbHom,
@@ -105,40 +121,77 @@ class PiPhi(Immutable):
             raise ValueError("phi does not map between the triplets' groups")
         d = lcm(chi_a.den, chi_b.den)
         sa, sb = d // chi_a.den, d // chi_b.den
+        images = list(zip(*phi.matrix))
         c = Character(chi_a.group, tuple(a * sa - sum(map(mul, chi_b.ints, x)) * sb
-                                         for a, x in zip(chi_a.ints, zip(*phi.matrix))), d)
+                                         for a, x in zip(chi_a.ints, images)), d)
         object.__setattr__(self, "mismatch", c)
-        d = lcm(ta.cocycle.den, tb.cocycle.den, c.den)
+        mu_a, mu_b = ta.cocycle, tb.cocycle
+        d = lcm(mu_a.den, mu_b.den, c.den)
         # in lowest terms a trivial c has den 1 and ints all 0
         object.__setattr__(self, "_constants", (
-            d, d // ta.cocycle.den, d // tb.cocycle.den, d // c.den, c.ints if c.den > 1 else (),
+            d, d // mu_a.den, d // mu_b.den, d // c.den, c.ints if c.den > 1 else (),
             tuple(zip(phi.matrix, phi.target.orders))))
+        pullback = ()
+        if isinstance(mu_a, BilinearCocycle) and isinstance(mu_b, BilinearCocycle):
+            dab = lcm(mu_a.den, mu_b.den)
+            sa, sb = dab // mu_a.den, dab // mu_b.den
+            b_images = [[sum(map(mul, row, y)) for row in mu_b.ints] for y in images]
+            psi = BilinearCocycle(phi.source, tuple(
+                tuple(sa * a - sb * sum(map(mul, x, by)) for a, by in zip(row, b_images))
+                for row, x in zip(mu_a.ints, images)), dab)
+            pullback = (psi, d // psi.den)
+        object.__setattr__(self, "_pullback", pullback)
+        object.__setattr__(self, "_images", {})
+        object.__setattr__(self, "_rotated", {})
+        object.__setattr__(self, "_indices", {})
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         mu_a, mu_b = self.ta.cocycle, self.tb.cocycle
         if x.cocycle != mu_a:
             raise ValueError("element is not over the source triplet")
-        if not x.is_zero_sum_supported:
-            raise ValueError("the intertwiner acts on zero-sum-supported elements")
         d, scale_a, scale_b, scale_c, row, rows = self._constants
+        pullback, images, rotated = self._pullback, self._images, self._rotated
         weight, target = self.weight, self.phi.target
+        group, order_key = mu_a.group, spiral_index
+        index = self._indices.setdefault(order_key, {})
         out: dict = {}
         for lam, coeff in x.terms.items():
             image = []
             sites = []
+            corrector = 0
             for p, v in lam.support:
-                w = tuple([sum(map(mul, r, v)) % n if n else sum(map(mul, r, v))
-                           for r, n in rows])
-                if any(w):
+                mapped = images.get(v)
+                if mapped is None:
+                    w = tuple([sum(map(mul, r, v)) % n if n else sum(map(mul, r, v))
+                               for r, n in rows])
+                    mapped = images[v] = (w if any(w) else (), sum(map(mul, row, v)))
+                w, cv = mapped
+                if w:
                     image.append((p, w))
-                sites.append((spiral_index(p), v, w))
+                if cv:
+                    corrector += weight(p) * cv
+                i = index.get(p)
+                if i is None:
+                    i = index[p] = order_key(p)
+                sites.append((i, v, w))
             sites.sort()
-            num = (scale_a * telescoped(mu_a, [site[1] for site in sites])
-                   - scale_b * telescoped(mu_b, [site[2] for site in sites]))
-            if row:
-                num += scale_c * sum([weight(p) * sum(map(mul, row, v)) for p, v in lam.support])
+            values = [site[1] for site in sites]
+            if not sums_to_zero(group, values):
+                raise ValueError("the intertwiner acts on zero-sum-supported elements")
+            if pullback:
+                psi, scale = pullback
+                num = scale * telescoped(psi, values) + scale_c * corrector
+            else:
+                num = (scale_a * telescoped(mu_a, values) + scale_c * corrector
+                       - scale_b * telescoped(mu_b, [site[2] for site in sites if site[2]]))
+            num %= d
+            term = coeff
+            if num:
+                key = (coeff.ints, coeff.den, coeff.order, num)
+                term = rotated.get(key)
+                if term is None:
+                    term = rotated[key] = coeff.rotated(num, d)
             key = Config(target, tuple(image))
-            term = coeff.rotated(num, d)
             out[key] = out[key] + term if key in out else term
         return AlgebraElement(mu_b, out)
 

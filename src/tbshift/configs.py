@@ -7,15 +7,16 @@ reduced coordinate tuples and no zero values, so that equality, hashing
 and serialization are canonical; `from_items` reduces the coordinate
 sequences it is given.  The group operations read that canonical form
 directly: a sum merges the two sorted supports, adding coordinates mod
-the torsion orders only where sites coincide, and the zero-sum test sums
-the raw coordinates.  A Config's hash is computed when it is built and
-kept in a slot, as configurations are the keys of every shift algebra
-element.
+the torsion orders only where sites coincide, and the zero-sum test
+(`sums_to_zero`) sums the raw coordinates.  A Config's hash is computed
+when it is built and kept in a slot, as configurations are the keys of
+every shift algebra element.
 """
 
 from __future__ import annotations
 
-from operator import add, index
+from itertools import islice
+from operator import add, index, mod
 from typing import Iterable, Sequence
 
 from .abelian import AbGroup
@@ -51,11 +52,8 @@ class Config(Immutable):
 
     @property
     def is_zero_sum(self) -> bool:
-        """The raw coordinate sums, zero on the free part and mod each
-        torsion order; computed on each read."""
-        values = [coords for _, coords in self.support]
-        return not any([s % n if n else s
-                        for s, n in zip(map(sum, zip(*values)), self.group.orders)])
+        """`sums_to_zero` of the support's values, computed on each read."""
+        return sums_to_zero(self.group, [coords for _, coords in self.support])
 
     def __add__(self, other: "Config") -> "Config":
         """Merge the two sorted supports; where sites coincide the values
@@ -91,6 +89,14 @@ class Config(Immutable):
             for p, coords in self.support))
 
 
+def sums_to_zero(group: AbGroup, values: list) -> bool:
+    """Whether the raw coordinate sums of the values are zero: on the free
+    part, then mod each torsion order.  The zero-sum guards of the
+    intertwiner and of beta call it on the values their pass collects."""
+    sums = map(sum, zip(*values))
+    return not (any(islice(sums, group.free_rank)) or any(map(mod, sums, group.torsion)))
+
+
 def dipole(group: AbGroup, coords: Sequence[int]) -> Config:
     """The elementary zero-sum configuration: h at e1 and -h at the origin,
     h the element of group with the given coordinates."""
@@ -117,12 +123,14 @@ def telescoped(mu, values: list) -> int:
     the cocycle's `exponent` on the int prefix.  Over the values of a
     zero-sum configuration in the spiral order it is the phase mu^ that
     relates the left-to-right product of their twisted unitaries to the
-    identity; the intertwiner sums it on both sides of each term.
+    identity; the intertwiner sums it once per term, of its pulled-back
+    form, or on both sides of a term when a side is a table.
     """
-    if not values:
-        return 0
-    value, prefix, total = mu.exponent, values[0], 0  # the first term is mu(0, v_1) = 0
-    for coords in values[1:]:
+    if len(values) < 2:
+        return 0  # the first term is mu(0, v_1) = 0
+    value, prefix = mu.exponent, values[0]
+    total = value(prefix, values[1])
+    for last, coords in zip(values[1:], values[2:]):
+        prefix = tuple(map(add, prefix, last))
         total += value(prefix, coords)
-        prefix = tuple(map(add, prefix, coords))
     return total

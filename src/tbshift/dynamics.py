@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from .abelian import AbGroup, Character
 from .algebra import AlgebraElement
 from .cocycle import BilinearCocycle
-from .configs import Config
+from .configs import Config, sums_to_zero
 from .lattice import (
     IDENTITY,
     IDENTITY_MAT,
@@ -121,37 +121,51 @@ def rho(t: Triplet, g: Motion, x: AlgebraElement) -> AlgebraElement:
 def beta(t: Triplet, move: AffineSL2, x: AlgebraElement) -> AlgebraElement:
     """The twisted Bernoulli shift: rho with the trivial character twist.
 
-    Defined on the zero-sum-supported subalgebra, which it preserves.
+    Defined on the zero-sum-supported subalgebra, which it preserves.  An
+    element that is not zero-sum is refused first, then one over another
+    group; over the triplet's group `_moved` checks each term's sum in its
+    relocation pass.
     """
-    if not x.is_zero_sum_supported:
-        raise ValueError("beta acts on zero-sum-supported elements only")
+    refusal = "beta acts on zero-sum-supported elements only"
     group = t.group
     if x.cocycle.group != group:
-        raise ValueError("element is not over the triplet's group")
-    return _moved(t, (0,) * group.rank, 1, move, x)
+        raise ValueError(refusal if not x.is_zero_sum_supported
+                         else "element is not over the triplet's group")
+    return _moved(t, (0,) * group.rank, 1, move, x, refusal)
 
 
-def _moved(t: Triplet, row: tuple, den: int, move: AffineSL2, x) -> AlgebraElement:
+def _moved(t: Triplet, row: tuple, den: int, move: AffineSL2, x,
+           refusal: str = "") -> AlgebraElement:
     """rho of (c, move), c the int row over den, in one pass per configuration
     that builds the key Config once.  A term's phase is one int over
-    D = lcm(chi.den, den): det(k, gamma p) chi.ints . v + row . v summed over
-    the sites v at p, both characters being homomorphisms; one rotation pays it.
-    A translation keeps the support's lexicographic order, so only a move with
-    a matrix sorts the relocated sites."""
+    D = lcm(chi.den, den): det(k, gamma p) chi.ints . v summed over the sites
+    v at p, plus row . (the sum of the v), both characters being
+    homomorphisms; one rotation pays it.  A site with det(k, gamma p) = 0
+    reads no chi, and a zero row no sum.  With a refusal, a term whose values
+    fail `sums_to_zero` raises ValueError(refusal) in the same pass.
+    A translation keeps the support's lexicographic order, so only a move
+    with a matrix sorts the relocated sites."""
     chi, group = t.character, t.group
     (kq, kr), ((g11, g12), (g21, g22)) = move.translation, move.matrix
     turned = move.matrix != IDENTITY_MAT
     d = lcm(chi.den, den)
     chi_row = [c * (d // chi.den) for c in chi.ints]
-    char_row = [c * (d // den) for c in row]
+    char_row = [c * (d // den) for c in row] if any(row) else []
     out: dict = {}
     for cfg, coeff in x.terms.items():
         num = 0
         support = []
         for (q, r), v in cfg.support:
             mq, mr = g11 * q + g12 * r, g21 * q + g22 * r
-            num += (kq * mr - kr * mq) * sum(map(mul, chi_row, v)) + sum(map(mul, char_row, v))
+            e = kq * mr - kr * mq
+            if e:
+                num += e * sum(map(mul, chi_row, v))
             support.append((LatticePoint(kq + mq, kr + mr), v))
+        if refusal or char_row:
+            values = [v for _, v in cfg.support]
+            if refusal and not sums_to_zero(group, values):
+                raise ValueError(refusal)
+            num += sum(map(mul, char_row, map(sum, zip(*values))))
         key = Config(group, tuple(sorted(support) if turned else support))
         term = coeff.rotated(num, d)
         out[key] = out[key] + term if key in out else term

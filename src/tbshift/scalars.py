@@ -344,15 +344,20 @@ class Cyclotomic(Immutable):
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "Cyclotomic":
-        """Complex conjugation: zeta_N -> zeta_N^{N-1}, i.e. z^i -> z^{-i}."""
-        n = self.order
-        if n == 1:
+    def conjugate(self, k: int = 0, n: int = 1) -> "Cyclotomic":
+        """Complex conjugation, zeta_N -> zeta_N^{N-1} (z^i -> z^{-i}), then
+        times zeta_n^k as by `rotated`, in one pass: the reversed power basis
+        is spread into Q(zeta_m), m the lcm of N and n over gcd(k, n), and
+        reduced once mod Phi_m."""
+        g = gcd(k, n)
+        m = lcm(self.order, n // g)
+        if m == 1:
             return self
-        out = [0] * n
+        step, shift = m // self.order, k // g * (m // (n // g)) % m
+        out = [0] * m
         for i, c in enumerate(self.ints):
-            out[-i % n] += c
-        return Cyclotomic(n, out, self.den)
+            out[(shift - i * step) % m] += c
+        return _make(m, _reduce(out, m), self.den)
 
 
 Cyclotomic.ZERO = Cyclotomic.from_rational(0)

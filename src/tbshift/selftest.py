@@ -59,13 +59,15 @@ def random_sl2(rng: random.Random, length: int = 5):
 
 
 def random_point(rng: random.Random, radius: int = 4) -> LatticePoint:
-    return LatticePoint(rng.randint(-radius, radius), rng.randint(-radius, radius))
+    # randrange(a, b + 1) is randint(a, b), the same draw with one call less
+    return LatticePoint(rng.randrange(-radius, radius + 1), rng.randrange(-radius, radius + 1))
 
 
 def random_zero_sum_config(rng: random.Random, group: AbGroup, radius: int = 2) -> Config:
     """One to three distinct random points, each but the last with random
-    int coordinates; the last gets minus their sum, so the raw coordinates
-    sum to zero.  `Config.from_items` reduces them and drops zero values."""
+    int coordinates; the last gets minus their sum, reduced, so the raw
+    coordinates sum to zero.  The drawn values are already reduced; the
+    sites with a nonzero value, sorted by point, are the support."""
     points = []
     while len(points) < rng.randrange(1, 4):
         p = random_point(rng, radius)
@@ -74,12 +76,12 @@ def random_zero_sum_config(rng: random.Random, group: AbGroup, radius: int = 2) 
     items = []
     last = [0] * group.rank
     for p in points[:-1]:
-        coords = [rng.randint(-2, 2) for _ in range(group.free_rank)]
+        coords = [rng.randrange(-2, 3) for _ in range(group.free_rank)]
         coords += [rng.randrange(n) for n in group.torsion]
-        items.append((p, coords))
+        items.append((p, tuple(coords)))
         last = [s - c for s, c in zip(last, coords)]
-    items.append((points[-1], last))
-    return Config.from_items(group, items)
+    items.append((points[-1], group.reduce(last)))
+    return Config(group, tuple(sorted([item for item in items if any(item[1])])))
 
 
 def random_algebra_element(
@@ -91,7 +93,7 @@ def random_algebra_element(
     out: dict = {}
     for _ in range(terms):
         cfg = random_zero_sum_config(rng, cocycle.group, radius)
-        coeff = Cyclotomic.ONE.rotated(rng.randrange(12), 12) * rng.randint(1, 3)
+        coeff = Cyclotomic.ONE.rotated(rng.randrange(12), 12) * rng.randrange(1, 4)
         out[cfg] = out[cfg] + coeff if cfg in out else coeff
     return AlgebraElement(cocycle, out)
 

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 import random
 from collections import Counter
 from math import gcd, lcm, prod
@@ -25,7 +27,7 @@ from oracles import (
     row_major_key,
     trivial_triplet,
 )
-from tbshift import classify, cocycle
+from tbshift import classify, cocycle, selftest
 from tbshift.abelian import (
     AbElem,
     AbGroup,
@@ -48,13 +50,14 @@ from tbshift.classify import (
     verify_pi,
 )
 from tbshift.cocycle import BilinearCocycle, degeneracy_witness, star_bicharacter, trivial_cocycle
-from tbshift.configs import dipole
+from tbshift.configs import Config, dipole
 from tbshift.dynamics import Motion, Triplet, beta, mod_q_triplet, motion_mul, rho
 from tbshift.lattice import AffineSL2, LatticePoint, spiral_index
-from tbshift.scalars import Phase
+from tbshift.scalars import Cyclotomic, Phase
 from tbshift.serialize import triplet_from_json
 from tbshift.selftest import (
     _random_bilinear,
+    _table,
     random_algebra_element,
     random_point,
     random_sl2,
@@ -460,6 +463,185 @@ def test_pi_reads_its_weight_on_every_call():
     first = by_gcd(x), flat(x)
     assert first[0] != first[1]
     assert (by_gcd(x), flat(x)) == first == (phase_pi(by_gcd, x), phase_pi(flat, x))
+
+
+def _random_bilinear_pairs(rng, count):
+    """PiPhis between random bilinear triplets on Z^2, Z + Z/3, Z/4 + Z/6 and
+    from Z + Z/3 into Z^2, each phi a random hom (a zero column or a
+    non-invertible matrix is common), the cocycles' denominators drawn apart."""
+    shapes = [(AbGroup(2), AbGroup(2)), (AbGroup(1, (3,)), AbGroup(1, (3,))),
+              (AbGroup(0, (4, 6)), AbGroup(0, (4, 6))), (AbGroup(1, (3,)), AbGroup(2))]
+    out = []
+    while len(out) < count:
+        ga, gb = shapes[len(out) % len(shapes)]
+        cols = [rng.choice(list(itertools.product(*ranges)))
+                for ranges in classify._pool_ranges(ga, gb, 2)]
+        phi = AbHom(ga, gb, tuple(zip(*cols)))
+        ta = Triplet(ga, _random_form(rng, ga), _random_character(rng, ga))
+        tb = Triplet(gb, _random_form(rng, gb), _random_character(rng, gb))
+        out.append(PiPhi(ta, tb, phi))
+    return out
+
+
+def test_the_pulled_back_form_matches_the_phase_oracle(monkeypatch):
+    # for two bilinear cocycles pi sums one telescoping form, the pullback
+    # s_a A - s_b Phi^T B Phi, over the source values; the oracle maps each
+    # term through phi and sums both sides Phase by Phase, in the same order
+    rng = random.Random(49)
+    cases = _random_bilinear_pairs(rng, 16)
+    assert any(pi.ta.cocycle.den != pi.tb.cocycle.den for pi in cases)
+    assert any(not is_isomorphism(pi.phi) for pi in cases)
+    assert any(any(row) for pi in cases for row in pi.phi.matrix)
+    for key in (spiral_index, row_major_key):
+        monkeypatch.setattr(classify, "spiral_index", key)
+        for pi in cases:
+            assert isinstance(pi._pullback[0], BilinearCocycle)
+            for _ in range(8):
+                x = random_algebra_element(rng, pi.ta.cocycle, terms=3, radius=2)
+                assert pi(x) == phase_pi(pi, x, key)
+
+
+def test_a_bilinear_pair_and_its_table_form_give_the_same_images(rng):
+    # the table branch (two telescoping sums, one per side) and the pulled-back
+    # form agree term by term, and so does the mixed pair
+    t = mod_q_triplet(3)
+    g = t.group
+    tb = Triplet(g, BilinearCocycle(g, ((1, 2), (0, 1)), 3), Character(g, (2, 1), 3))
+    table = {tr: Triplet(g, _table(g, tr.cocycle.exponent_table(), tr.cocycle.den), tr.character)
+             for tr in (t, tb)}
+    shear = AbHom(g, g, ((1, 0), (1, 1)))
+    bilinear = PiPhi(t, tb, shear)
+    variants = [PiPhi(a, b, shear) for a, b in ((table[t], table[tb]), (t, table[tb]),
+                                                 (table[t], tb))]
+    assert [pi._pullback for pi in variants] == [(), (), ()]
+    for _ in range(30):
+        x = random_algebra_element(rng, t.cocycle, terms=3)
+        image = bilinear(x)
+        for pi in variants:
+            twin = pi(AlgebraElement(pi.ta.cocycle, x.terms))
+            assert twin.terms == image.terms and twin.cocycle == pi.tb.cocycle
+
+
+def test_a_bilinear_term_is_one_telescoping_sum(rng, monkeypatch):
+    # one `telescoped` call per term on bilinear pairs, empty terms too;
+    # a table side keeps one per side
+    calls = []
+    real = classify.telescoped
+
+    def counting(mu, values):
+        calls.append(mu)
+        return real(mu, values)
+
+    monkeypatch.setattr(classify, "telescoped", counting)
+    t = mod_q_triplet(3)
+    shear = AbHom(t.group, t.group, ((1, 0), (1, 1)))
+    table = Triplet(t.group, oracles.to_table(t.cocycle), t.character)
+    for pi, per_term in ((PiPhi(t, t, shear), 1), (PiPhi(t, table, shear), 2)):
+        empty = AlgebraElement.unit(pi.ta.cocycle, Config(t.group, ()))
+        for x in [empty] + [random_algebra_element(rng, pi.ta.cocycle, terms=3) for _ in range(20)]:
+            del calls[:]
+            pi(x)
+            assert len(calls) == per_term * len(x.terms)
+
+
+def _not_zero_sum(group, value):
+    """The unit at one site with the given value: never zero-sum."""
+    return Config.from_items(group, [(LatticePoint(0, 1), value)])
+
+
+def test_pi_and_beta_refuse_a_term_that_is_not_zero_sum(trip3, rng):
+    # the refusal runs in the pass over the terms: the first, the last or
+    # the only term may be the one, and the message is the same
+    g, mu = trip3.group, trip3.cocycle
+    pi = build_pi(trip3, trip3, AbHom(g, g, ((1, 0), (1, 1))))
+    good = [random_zero_sum_config(rng, g) for _ in range(6)]
+    good = list(dict.fromkeys(k for k in good if k.support))[:2]
+    assert len(good) == 2
+    bad = _not_zero_sum(g, (1, 2))
+    for keys in ([bad], [bad, *good], [*good, bad]):
+        x = AlgebraElement(mu, dict.fromkeys(keys, Cyclotomic.ONE))
+        assert list(x.terms) == keys
+        with pytest.raises(ValueError, match="^the intertwiner acts on zero-sum-supported elements$"):
+            pi(x)
+        with pytest.raises(ValueError, match="^beta acts on zero-sum-supported elements only$"):
+            beta(trip3, CANONICAL_MOVES[2], x)
+        assert rho(trip3, Motion(trip3.character), x).terms  # rho takes any element
+    # a free coordinate that sums to 1 while the torsion ones vanish, and
+    # the other way round, are both refused; raw sums 0 and 3 are not
+    mixed = AbGroup(1, (3,))
+    tm = Triplet(mixed, trivial_cocycle(mixed), Character.trivial(mixed))
+    pim = PiPhi(tm, tm, AbHom.identity(mixed))
+    for values, ok in ((((1, 1), (0, 2)), False), (((1, 1), (-1, 1)), False),
+                       (((1, 1), (-1, 2)), True), (((2, 0), (-2, 0)), True)):
+        cfg = Config.from_items(mixed, zip((LatticePoint(0, 0), LatticePoint(1, 0)), values))
+        x = AlgebraElement.unit(tm.cocycle, cfg)
+        if ok:
+            assert pim(x) == phase_pi(pim, x) and beta(tm, CANONICAL_MOVES[3], x).terms
+        else:
+            with pytest.raises(ValueError, match="zero-sum"):
+                pim(x)
+            with pytest.raises(ValueError, match="zero-sum"):
+                beta(tm, CANONICAL_MOVES[3], x)
+
+
+def test_two_refusals_at_once_keep_the_first_message(trip3):
+    # beta refuses the zero-sum fault before the group's; pi the cocycle's
+    # before the zero-sum fault
+    other = mod_q_triplet(5)
+    lone = AlgebraElement.unit(other.cocycle, _not_zero_sum(other.group, (1, 0)))
+    with pytest.raises(ValueError, match="^beta acts on zero-sum-supported elements only$"):
+        beta(trip3, CANONICAL_MOVES[0], lone)
+    dipole5 = AlgebraElement.unit(other.cocycle, dipole(other.group, (1, 0)))
+    with pytest.raises(ValueError, match="^element is not over the triplet's group$"):
+        beta(trip3, CANONICAL_MOVES[0], dipole5)
+    pi = build_pi(trip3, trip3, AbHom.identity(trip3.group))
+    for x in (lone, dipole5):
+        with pytest.raises(ValueError, match="^element is not over the source triplet$"):
+            pi(x)
+
+
+def test_the_intertwiner_suite_never_reads_is_zero_sum(monkeypatch):
+    # the zero-sum guards of pi and beta run in their own passes over each
+    # support: with the property refusing, the suite's own pairs (its seed,
+    # its Random draws) give the report they give with it
+    name = "intertwiner"
+    seed = selftest.SEED + sum(map(ord, name))
+    before = selftest.suite_intertwiner(random.Random(seed))
+
+    def refuse(self):
+        raise AssertionError("Config.is_zero_sum was read")
+
+    monkeypatch.setattr(Config, "is_zero_sum", property(refuse))
+    assert selftest.suite_intertwiner(random.Random(seed)) == before
+    assert before["ok"] and before["verify_failures"] == 0
+    t = mod_q_triplet(3)
+    with pytest.raises(AssertionError, match="was read"):
+        AlgebraElement.unit(t.cocycle, dipole(t.group, (1, 0))).is_zero_sum_supported
+
+
+def test_warm_memos_leave_the_images_and_the_value_as_they_are(rng):
+    # the memos of mapped values, rotated coefficients and spiral indices
+    # fill as pi maps terms: another call order, a copy, a deep copy and a
+    # pickle round trip of a warm pi give the same images, equality, hash
+    # and repr as a fresh pi
+    t = mod_q_triplet(3)
+    shear = AbHom(t.group, t.group, ((1, 0), (1, 1)))
+    tb = Triplet(t.group, BilinearCocycle(t.group, ((1, 2), (0, 1)), 3), Character(t.group, (2, 1), 3))
+    xs = [random_algebra_element(rng, t.cocycle, terms=3) for _ in range(20)]
+    xs += [a * b for a, b in zip(xs[::2], xs[1::2])]
+    for ta, tb_ in ((t, t), (t, tb), (t, Triplet(t.group, oracles.to_table(tb.cocycle), tb.character))):
+        forward = PiPhi(ta, tb_, shear)
+        images = [forward(x) for x in xs]
+        backward = PiPhi(ta, tb_, shear)
+        assert [backward(x) for x in reversed(xs)] == images[::-1]
+        assert forward._images and forward._rotated and forward._indices
+        fresh = PiPhi(ta, tb_, shear)
+        if tb_.cocycle.__hash__ is not None:  # a table, and so its pi, is not hashed
+            assert hash(forward) == hash(fresh)
+        for twin in (copy.copy(forward), copy.deepcopy(forward), pickle.loads(pickle.dumps(forward))):
+            assert twin == forward == fresh and repr(twin) == repr(fresh)
+            assert [twin(x) for x in xs] == images
+        assert [fresh(x) for x in xs] == images
 
 
 def test_pi_evaluates_no_cocycle_value(monkeypatch, rng):

@@ -181,6 +181,26 @@ def test_every_slot_is_set_when_built(row):
     assert (unset, empty) == ([], [])
 
 
+def test_an_intertwiner_keeps_its_value_with_warm_memos_and_a_table_side():
+    # PiPhi's memos and its pullback are private slots outside its fields:
+    # after calls fill the memos, the row's repr, equality and hash hold; a
+    # table side leaves no pullback, held as () and not None
+    make, text, _, _, expected = next(row for row in TYPES if row[1].startswith("PiPhi("))
+    warm = make()
+    x = AlgebraElement(warm.ta.cocycle, {site((1,), (1,)): Cyclotomic.ONE.rotated(1, 4),
+                                         site(): Cyclotomic.ONE})
+    assert warm(x) == warm(x) and warm._images and warm._indices
+    assert repr(warm) == text and warm == make() and hash(warm) == expected
+    t = triplet()
+    tab = Triplet(z2(), table(), t.character)
+    for pi in (PiPhi(t, tab, AbHom.identity(z2())), PiPhi(tab, t, AbHom.identity(z2()))):
+        slots = [name for name in type(pi).__slots__ if name.startswith("_")]
+        assert [name for name in slots if getattr(pi, name, None) is None] == []
+        assert pi._pullback == ()
+        y = AlgebraElement(pi.ta.cocycle, x.terms)
+        assert pi(y).terms == warm(x).terms
+
+
 @pytest.mark.parametrize("row", range(len(TYPES)))
 def test_equality_against_another_class_is_false(row):
     a, other = TYPES[row][0](), TYPES[(row + 1) % len(TYPES)][0]()
