@@ -46,7 +46,13 @@ from .scalars import Cyclotomic, Immutable
 
 
 class AlgebraElement(Immutable):
-    """The frozen value sum_k c(k) u(k) of the shift algebra over a cocycle base."""
+    """The frozen value sum_k c(k) u(k) of the shift algebra over a cocycle base.
+
+    `__init__` checks each key's group and prunes zeros, for any caller.
+    The four builders of the package, the product, the adjoint,
+    `dynamics._moved` (rho and beta) and `classify.PiPhi.__call__`, make
+    their keys over the cocycle's group and prune only where terms merged,
+    so they hand their fresh dict to `adopt`, never another element's."""
 
     __slots__ = ("cocycle", "terms")
 
@@ -71,7 +77,19 @@ class AlgebraElement(Immutable):
         if self.cocycle != other.cocycle:
             raise ValueError("elements over different bases")
 
+    @classmethod
+    def adopt(cls, cocycle, terms: Dict[Config, Cyclotomic]) -> "AlgebraElement":
+        """The element holding `terms` itself, with no check and no copy:
+        trusted, for the four builders only, each on the dict it has just
+        made, keys over `cocycle.group` and coefficients nonzero."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "cocycle", cocycle)
+        object.__setattr__(x, "terms", terms)
+        return x
+
     def __mul__(self, other):
+        """Each term pair stores its product once; only when two pairs merge
+        onto one key can a sum cancel, so only then are zeros dropped."""
         if type(other) is not type(self):
             return NotImplemented
         self._check(other)
@@ -83,8 +101,13 @@ class AlgebraElement(Immutable):
                 # call, so instrumentation's rebinding of it reaches this loop
                 key = k1 + k2
                 coeff = (v1 * v2).rotated(mu_tilde(mu, k1, k2), mu.den)
-                out[key] = out[key] + coeff if key in out else coeff
-        return type(self)(mu, out)
+                # coeff is a new object, so it is the stored one only if key was new
+                prev = out.setdefault(key, coeff)
+                if prev is not coeff:
+                    out[key] = prev + coeff
+        if len(out) < len(self.terms) * len(other.terms):
+            out = {k: v for k, v in out.items() if any(v.ints)}
+        return type(self).adopt(mu, out)
 
     def star(self):
         """Adjoint: u(k)* = conj(mu~(k, -k)) u(-k), coefficients conjugated;
@@ -94,7 +117,7 @@ class AlgebraElement(Immutable):
         for k, v in self.terms.items():
             nk = -k
             out[nk] = v.conjugate(-mu_tilde(mu, k, nk), mu.den)
-        return type(self)(mu, out)
+        return type(self).adopt(mu, out)
 
     @property
     def is_zero_sum_supported(self) -> bool:

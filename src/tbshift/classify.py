@@ -100,14 +100,20 @@ class PiPhi(Immutable):
     memos, empty when built, live only as long as the value: `_images`
     maps each value met to its reduced image (() for zero) and c's row
     against it, `_rotated` a coefficient's stored form and num mod D to
-    the rotated coefficient, and `_indices` each order function read (the
+    the rotated coefficient, `_indices` each order function read (the
     module's `spiral_index`, read on each call, which tests replace) to
-    the indices of the sites met.  `weight` is read on each call.  None
-    of `mismatch`, `_constants`, `_pullback` and the memos is a field.
+    the indices of the sites met, and `_phases` the ordered value tuple of
+    each zero-sum term met to its cocycle phase over D (the telescoping
+    sums; the corrector, which reads the sites, is summed per term).  A
+    tuple that is not zero-sum is refused, never stored.  `weight` is read
+    on each call.  None of `mismatch`, `_constants`, `_pullback` and the
+    memos is a field.  The image keys are over phi's target, so an
+    element with a term is refused, with `AlgebraElement`'s message, when
+    the target cocycle lives on another group.
     """
 
     __slots__ = ("ta", "tb", "phi", "weight", "mismatch", "_constants", "_pullback",
-                 "_images", "_rotated", "_indices")
+                 "_images", "_rotated", "_indices", "_phases")
     _fields = ("ta", "tb", "phi", "weight")
 
     def __init__(self, ta: Triplet, tb: Triplet, phi: AbHom,
@@ -144,13 +150,14 @@ class PiPhi(Immutable):
         object.__setattr__(self, "_images", {})
         object.__setattr__(self, "_rotated", {})
         object.__setattr__(self, "_indices", {})
+        object.__setattr__(self, "_phases", {})
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         mu_a, mu_b = self.ta.cocycle, self.tb.cocycle
         if x.cocycle != mu_a:
             raise ValueError("element is not over the source triplet")
         d, scale_a, scale_b, scale_c, row, rows = self._constants
-        pullback, images, rotated = self._pullback, self._images, self._rotated
+        pullback, images, rotated, phases = self._pullback, self._images, self._rotated, self._phases
         weight, target = self.weight, self.phi.target
         group, order_key = mu_a.group, spiral_index
         index = self._indices.setdefault(order_key, {})
@@ -175,16 +182,19 @@ class PiPhi(Immutable):
                     i = index[p] = order_key(p)
                 sites.append((i, v, w))
             sites.sort()
-            values = [site[1] for site in sites]
-            if not sums_to_zero(group, values):
-                raise ValueError("the intertwiner acts on zero-sum-supported elements")
-            if pullback:
-                psi, scale = pullback
-                num = scale * telescoped(psi, values) + scale_c * corrector
-            else:
-                num = (scale_a * telescoped(mu_a, values) + scale_c * corrector
-                       - scale_b * telescoped(mu_b, [site[2] for site in sites if site[2]]))
-            num %= d
+            values = tuple([site[1] for site in sites])
+            phase = phases.get(values)
+            if phase is None:  # a tuple met first here; only zero-sum ones are kept
+                if not sums_to_zero(group, values):
+                    raise ValueError("the intertwiner acts on zero-sum-supported elements")
+                if pullback:
+                    psi, scale = pullback
+                    phase = scale * telescoped(psi, values)
+                else:
+                    phase = (scale_a * telescoped(mu_a, values)
+                             - scale_b * telescoped(mu_b, [site[2] for site in sites if site[2]]))
+                phases[values] = phase
+            num = (phase + scale_c * corrector) % d
             term = coeff
             if num:
                 key = (coeff.ints, coeff.den, coeff.order, num)
@@ -192,8 +202,16 @@ class PiPhi(Immutable):
                 if term is None:
                     term = rotated[key] = coeff.rotated(num, d)
             key = Config(target, tuple(image))
-            out[key] = out[key] + term if key in out else term
-        return AlgebraElement(mu_b, out)
+            # the memos may give two terms one object, so a merge shows in the size
+            size = len(out)
+            prev = out.setdefault(key, term)
+            if len(out) == size:
+                out[key] = prev + term
+        if out and target != mu_b.group:
+            raise ValueError("configuration over another group than the cocycle's")
+        if len(out) < len(x.terms):  # a non-injective phi merged terms, which may cancel
+            out = {k: v for k, v in out.items() if any(v.ints)}
+        return AlgebraElement.adopt(mu_b, out)
 
 
 def build_pi(ta: Triplet, tb: Triplet, phi: AbHom) -> PiPhi:

@@ -108,12 +108,22 @@ def mu_tilde(mu, c1: Config, c2: Config) -> int:
     over D = `mu.den`, as `telescoped` gives its sum.
 
     This is itself a normalized 2-cocycle on the configuration group.  The
-    shared sites are summed by the cocycle's `exponent`.
+    shared sites are found by one walk of the two supports, which a Config
+    keeps in lexicographic site order, and summed by the cocycle's
+    `exponent`.
     """
     if c1.group != c2.group:
         raise ValueError("configs over different groups")
-    value, d2 = mu.exponent, dict(c2.support)
-    return sum(value(v1, d2[p]) for p, v1 in c1.support if p in d2)
+    value, b = mu.exponent, c2.support
+    total, j, n = 0, 0, len(b)
+    for p, u in c1.support:
+        while j < n and b[j][0] < p:
+            j += 1
+        if j == n:
+            break
+        if b[j][0] == p:
+            total += value(u, b[j][1])
+    return total
 
 
 def telescoped(mu, values: list) -> int:

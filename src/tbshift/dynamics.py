@@ -144,7 +144,9 @@ def _moved(t: Triplet, row: tuple, den: int, move: AffineSL2, x,
     reads no chi, and a zero row no sum.  With a refusal, a term whose values
     fail `sums_to_zero` raises ValueError(refusal) in the same pass.
     A translation keeps the support's lexicographic order, so only a move
-    with a matrix sorts the relocated sites."""
+    with a matrix sorts the relocated sites.  The move is a bijection of
+    Z^2, so distinct configurations stay apart: no two terms merge, none
+    cancels, and the fresh dict is the element's own (`adopt`)."""
     chi, group = t.character, t.group
     (kq, kr), ((g11, g12), (g21, g22)) = move.translation, move.matrix
     turned = move.matrix != IDENTITY_MAT
@@ -166,10 +168,8 @@ def _moved(t: Triplet, row: tuple, den: int, move: AffineSL2, x,
             if refusal and not sums_to_zero(group, values):
                 raise ValueError(refusal)
             num += sum(map(mul, char_row, map(sum, zip(*values))))
-        key = Config(group, tuple(sorted(support) if turned else support))
-        term = coeff.rotated(num, d)
-        out[key] = out[key] + term if key in out else term
-    return type(x)(x.cocycle, out)
+        out[Config(group, tuple(sorted(support) if turned else support))] = coeff.rotated(num, d)
+    return type(x).adopt(x.cocycle, out)
 
 
 class VerifyReport(Immutable):

@@ -292,10 +292,11 @@ class Cyclotomic(Immutable):
         return self.rebase(m), other.rebase(m), m
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(other)
+        # a Cyclotomic first, so that it never reaches Fraction's ABC check
         if not isinstance(other, Cyclotomic):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Cyclotomic.from_rational(other)
         a, b, _ = self._common(other)
         return a.den == b.den and a.ints == b.ints
 
@@ -318,13 +319,14 @@ class Cyclotomic(Immutable):
         Cyclotomics of different orders are not rebased first: both power
         bases are spread into Q(zeta_m), m the lcm of the orders, inside the
         one convolution (z_a^i z_b^j is z_m^(i sa + j sb)), and the product
-        is reduced once mod Phi_m."""
-        if isinstance(other, int):
-            return _make(self.order, [c * other for c in self.ints], self.den)
-        if isinstance(other, Fraction):
-            k = other.numerator
-            return _make(self.order, [c * k for c in self.ints], self.den * other.denominator)
+        is reduced once mod Phi_m.  A Cyclotomic is tested for first, as in
+        `__eq__`."""
         if not isinstance(other, Cyclotomic):
+            if isinstance(other, int):
+                return _make(self.order, [c * other for c in self.ints], self.den)
+            if isinstance(other, Fraction):
+                k = other.numerator
+                return _make(self.order, [c * k for c in self.ints], self.den * other.denominator)
             return NotImplemented
         oa, ob = self.order, other.order
         m = oa if oa == ob else lcm(oa, ob)

@@ -17,7 +17,8 @@ route `tensor_check_malleability` (generic star and product, characters
 by `apply_diagonal_character`, the index form read back by
 `tensor_element`), and the intertwiner's int terms and the int twists `configs.mu_tilde` and
 `configs.telescoped` against their Phase sums `phase_pi`, `mu_tilde` and
-`mu_hat`, and `spiral_points` and `spiral_index` against the
+`mu_hat`, the walk of `configs.mu_tilde` over the two sorted supports
+against its dict lookups `dict_mu_tilde`, and `spiral_points` and `spiral_index` against the
 edge-by-edge walk `spiral_walk`.  The star map's one Hermite pass
 (`cocycle.star_blocks`) is held against the routes it replaced: the
 radical from an integer kernel (`kernel_radical_rows`, read by
@@ -776,6 +777,16 @@ def mu_tilde(mu, c1: Config, c2: Config) -> Phase:
         if p in d2:
             total = total + mu(v1.coords, d2[p])
     return total
+
+
+def dict_mu_tilde(mu, c1: Config, c2: Config) -> int:
+    """`configs.mu_tilde` by lookups: each site of c1 is looked up in a dict
+    of c2's support, and mu's `exponent` summed over those found, an int
+    over `mu.den`.  It reads no order of either support."""
+    if c1.group != c2.group:
+        raise ValueError("configs over different groups")
+    value, d2 = mu.exponent, dict(c2.support)
+    return sum(value(v1, d2[p]) for p, v1 in c1.support if p in d2)
 
 
 def mu_hat(mu, lam: Config, order_key=spiral_index) -> Phase:

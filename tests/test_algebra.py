@@ -487,14 +487,18 @@ def test_flow_oracle_refuses_a_time_the_kernel_has_no_flow_at(mu3, t):
 def test_check_malleability_draws_what_the_listed_dual_drew(monkeypatch):
     # each sample's character is dual_character at rng.choice(range(|H|)),
     # the draw rng.choice makes on the listed dual: the characters, the
-    # checks and the rng state afterwards are those of the list
+    # checks and the rng state afterwards are those of the list; each
+    # sample is the basis element u(g, h) of the g and h drawn before it,
+    # the first input of its three flows at t = 1/2, in both runs
+    real_half = _SwapKernel.half
     for q, samples in ((2, 3), (3, 5), (4, 6), (5, 4)):
         mu = to_table(mod_q_cocycle(q)) if q == 2 else mod_q_cocycle(q)
         group, v = mu.group, malleability_unitary(mu)
-        listed = dual_characters(group)
-        drawn = []
+        listed, numbers = dual_characters(group), list(group.coordinates())
+        drawn, halved = [], []
         monkeypatch.setattr(algebra, "dual_character",
                             lambda g, i: drawn.append(dual_character(g, i)) or drawn[-1])
+        monkeypatch.setattr(_SwapKernel, "half", lambda self, x: halved.append(x) or real_half(self, x))
         rng = random.Random(q)
         checks = algebra.check_malleability(v, rng, samples)
         monkeypatch.setattr(algebra, "dual_character", lambda g, i: listed[i])
@@ -502,12 +506,12 @@ def test_check_malleability_draws_what_the_listed_dual_drew(monkeypatch):
         assert algebra.check_malleability(v, from_list, samples) == checks
         monkeypatch.undo()
         assert rng.getstate() == from_list.getstate()
-        replay, expected = random.Random(q), []
+        replay, expected, sampled = random.Random(q), [], []
         for _ in range(samples):
-            for _ in range(2):
-                [replay.randrange(m) for m in group.torsion]
+            g, h = (tuple([replay.randrange(m) for m in group.torsion]) for _ in range(2))
+            sampled.append({numbers.index(g) * len(numbers) + numbers.index(h): Cyclotomic.ONE})
             expected.append(replay.choice(listed))
-        assert drawn == expected
+        assert drawn == expected and halved[::3] == sampled * 2 and len(halved) == 6 * samples
         assert rng.getstate() == replay.getstate()
         assert all(checks.values())
 

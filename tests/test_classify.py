@@ -38,7 +38,7 @@ from tbshift.abelian import (
     is_isomorphism,
     lazy_product,
 )
-from tbshift.algebra import AlgebraElement
+from tbshift.algebra import AlgebraElement, TensorElement, malleability_unitary
 from tbshift.classify import (
     CANONICAL_MOVES,
     PiPhi,
@@ -522,9 +522,15 @@ def test_a_bilinear_pair_and_its_table_form_give_the_same_images(rng):
             assert twin.terms == image.terms and twin.cocycle == pi.tb.cocycle
 
 
+def _ordered_values(lam: Config, order_key=spiral_index) -> tuple:
+    """lam's values with its sites in order_key order: the key of pi's `_phases`."""
+    return tuple(v for _, v in sorted(lam.support, key=lambda site: order_key(site[0])))
+
+
 def test_a_bilinear_term_is_one_telescoping_sum(rng, monkeypatch):
-    # one `telescoped` call per term on bilinear pairs, empty terms too;
-    # a table side keeps one per side
+    # one `telescoped` call per distinct ordered value tuple a pi meets, the
+    # empty one too: a tuple met again, in this call or an earlier one, is
+    # read from `_phases`; a table side keeps one call per side
     calls = []
     real = classify.telescoped
 
@@ -536,12 +542,20 @@ def test_a_bilinear_term_is_one_telescoping_sum(rng, monkeypatch):
     t = mod_q_triplet(3)
     shear = AbHom(t.group, t.group, ((1, 0), (1, 1)))
     table = Triplet(t.group, oracles.to_table(t.cocycle), t.character)
-    for pi, per_term in ((PiPhi(t, t, shear), 1), (PiPhi(t, table, shear), 2)):
+    for pi, per_tuple in ((PiPhi(t, t, shear), 1), (PiPhi(t, table, shear), 2)):
         empty = AlgebraElement.unit(pi.ta.cocycle, Config(t.group, ()))
-        for x in [empty] + [random_algebra_element(rng, pi.ta.cocycle, terms=3) for _ in range(20)]:
+        xs = [empty] + [random_algebra_element(rng, pi.ta.cocycle, terms=3) for _ in range(20)]
+        xs += [a * b for a, b in zip(xs[1::2], xs[2::2])]
+        met, terms = set(), 0
+        for x in xs + xs[:3]:
             del calls[:]
             pi(x)
-            assert len(calls) == per_term * len(x.terms)
+            new = {_ordered_values(lam) for lam in x.terms} - met
+            met |= new
+            terms += len(x.terms)
+            assert len(calls) == per_tuple * len(new)
+            assert len(pi._phases) == len(met)
+        assert len(met) < terms  # the memo was read, not only filled
 
 
 def _not_zero_sum(group, value):
@@ -619,11 +633,12 @@ def test_the_intertwiner_suite_never_reads_is_zero_sum(monkeypatch):
         AlgebraElement.unit(t.cocycle, dipole(t.group, (1, 0))).is_zero_sum_supported
 
 
-def test_warm_memos_leave_the_images_and_the_value_as_they_are(rng):
-    # the memos of mapped values, rotated coefficients and spiral indices
-    # fill as pi maps terms: another call order, a copy, a deep copy and a
-    # pickle round trip of a warm pi give the same images, equality, hash
-    # and repr as a fresh pi
+def test_warm_memos_leave_the_images_and_the_value_as_they_are(rng, monkeypatch):
+    # the memos of mapped values, rotated coefficients, spiral indices and
+    # term phases fill as pi maps terms: another call order, another order
+    # function, a copy, a deep copy and a pickle round trip of a warm pi
+    # give the same images, equality, hash and repr as a fresh pi, and
+    # every private slot holds its memo, never None
     t = mod_q_triplet(3)
     shear = AbHom(t.group, t.group, ((1, 0), (1, 1)))
     tb = Triplet(t.group, BilinearCocycle(t.group, ((1, 2), (0, 1)), 3), Character(t.group, (2, 1), 3))
@@ -634,14 +649,119 @@ def test_warm_memos_leave_the_images_and_the_value_as_they_are(rng):
         images = [forward(x) for x in xs]
         backward = PiPhi(ta, tb_, shear)
         assert [backward(x) for x in reversed(xs)] == images[::-1]
-        assert forward._images and forward._rotated and forward._indices
+        assert forward._images and forward._rotated and forward._indices and forward._phases
+        assert backward._phases == forward._phases
         fresh = PiPhi(ta, tb_, shear)
         if tb_.cocycle.__hash__ is not None:  # a table, and so its pi, is not hashed
             assert hash(forward) == hash(fresh)
         for twin in (copy.copy(forward), copy.deepcopy(forward), pickle.loads(pickle.dumps(forward))):
             assert twin == forward == fresh and repr(twin) == repr(fresh)
+            assert [name for name in PiPhi.__slots__ if getattr(twin, name, None) is None] == []
+            assert twin._phases == forward._phases
             assert [twin(x) for x in xs] == images
         assert [fresh(x) for x in xs] == images
+        # phases met in spiral order serve the row-major order only where
+        # the two orders give the same value tuple; from t to itself the
+        # pulled-back form is symmetric (the shear has det 1), so there the
+        # order moves no phase
+        with monkeypatch.context() as patch:
+            patch.setattr(classify, "spiral_index", row_major_key)
+            by_rows = [PiPhi(ta, tb_, shear)(x) for x in xs]
+            assert [forward(x) for x in xs] == by_rows
+            assert [phase_pi(forward, x, row_major_key) for x in xs] == by_rows
+            assert (by_rows != images) == (tb_ is not t)
+        assert [forward(x) for x in xs] == images
+
+
+def _checked(x, *inputs):
+    """x after asserting it is what the checked constructor makes of a copy
+    of its terms (each key over the cocycle's group, zeros pruned), holds no
+    zero and shares no terms dict with an input."""
+    twin = type(x)(x.cocycle, dict(x.terms))
+    assert type(twin) is type(x) and twin == x and x.terms == twin.terms
+    assert all(any(c.ints) for c in x.terms.values())
+    assert all(k.group == x.cocycle.group for k in x.terms)
+    assert all(x.terms is not y.terms for y in inputs)
+    return x
+
+
+def _cancelling(pi, lam1, lam2, coeff):
+    """coeff u(lam1) + b u(lam2), lam1 and lam2 sent by pi's phi to one key,
+    with b = -coeff z1 / z2 for the roots z1, z2 that pi gives the two
+    units, so that the two images cancel (1 / z2 is z2's conjugate)."""
+    mu = pi.ta.cocycle
+    (z1,), (z2,) = (pi(AlgebraElement.unit(mu, lam)).terms.values() for lam in (lam1, lam2))
+    return AlgebraElement(mu, {lam1: coeff, lam2: -(coeff * z1 * z2.conjugate())})
+
+
+def test_built_elements_are_their_checked_rebuild(rng):
+    # the product, the adjoint, rho, beta and pi keep the dict they build
+    # (`AlgebraElement.adopt`, no copy and no check): on seeded random
+    # elements each output is the checked constructor's element of its own
+    # terms, also where terms merge onto one key and where merged terms cancel
+    t = mod_q_triplet(3)
+    mu, g = t.cocycle, t.group
+    xs = [random_algebra_element(rng, mu, terms=rng.randrange(1, 5)) for _ in range(16)]
+    merges = cancels = 0
+    for a, b in zip(xs, xs[1:] + xs[:1]):
+        for x in (a * b, a * a.star(), a.star(), _checked(a.star()).star()):
+            _checked(x, a, b)
+        merges += len((a * a.star()).terms) < len(a.terms) ** 2  # onto the empty key
+    # (1 + u)(1 - u) = 1 - u u: the two cross terms cancel at lam
+    for _ in range(10):
+        lam = Config(g, ())
+        while not lam.support:
+            lam = random_zero_sum_config(rng, g)
+        z = Cyclotomic.ONE.rotated(rng.randrange(12), 12)
+        plus, minus = (AlgebraElement(mu, {Config(g, ()): z, lam: s * z}) for s in (1, -1))
+        prod = _checked(plus * minus, plus, minus)
+        twist = Cyclotomic.from_phase(oracles.mu_tilde(mu, lam, lam))
+        assert prod == AlgebraElement(mu, {Config(g, ()): z * z, lam + lam: -(z * z * twist)})
+        cancels += 1
+    # V V* = |H|: every term but the unit's cancels, and the product stays a TensorElement
+    v = malleability_unitary(mu)
+    square = _checked(v * _checked(v.star(), v), v)
+    assert type(square) is TensorElement and list(square.terms.values()) == [Cyclotomic.ONE * 9]
+    for x in xs:
+        for _ in range(3):
+            move = AffineSL2(random_point(rng), random_sl2(rng))
+            char = dual_character(g, rng.randrange(9))
+            _checked(rho(t, Motion(char, move), x), x)
+            _checked(beta(t, move, x), x)
+    # pi through an injective shear, a projection (two values onto one) and
+    # the zero hom (every term onto the empty key)
+    for matrix in (((1, 0), (1, 1)), ((1, 0), (0, 0)), ((0, 0), (0, 0))):
+        pi = PiPhi(t, t, AbHom(g, g, matrix))
+        for x in xs:
+            assert _checked(pi(x), x) == phase_pi(pi, x)
+        if matrix[0] == (1, 0):
+            continue
+        for _ in range(10):
+            lam1 = random_zero_sum_config(rng, g)
+            lam2 = lam1 + dipole(g, (0, rng.randrange(1, 3)))  # the same image
+            z = Cyclotomic.ONE.rotated(rng.randrange(12), 12)
+            x = _cancelling(pi, lam1, lam2, z)
+            y = AlgebraElement(mu, {**x.terms, **rng.choice(xs).terms})
+            assert _checked(pi(x), x).terms == {} and pi(x) == phase_pi(pi, x)
+            assert _checked(pi(y), y) == phase_pi(pi, y)
+            cancels += 1
+    assert merges and cancels >= 20
+
+
+def test_pi_refuses_an_image_off_the_target_cocycles_group(trip3):
+    # phi's target is the target character's group; a target cocycle over
+    # another group takes no nonzero image, with the constructor's message,
+    # and the empty element maps to the empty element over that cocycle
+    g = trip3.group
+    on_z2 = BilinearCocycle(AbGroup(2), ((0, 1), (0, 0)), 3)  # pulled back to (Z/3)^2
+    for other in (on_z2, oracles.to_table(mod_q_triplet(5).cocycle)):
+        pi = PiPhi(trip3, Triplet(g, other, trip3.character), AbHom.identity(g))
+        for x in (AlgebraElement.unit(trip3.cocycle, dipole(g, (1, 0))),
+                  AlgebraElement.unit(trip3.cocycle, Config(g, ()))):
+            with pytest.raises(ValueError, match="^configuration over another group than the cocycle's$"):
+                pi(x)
+        empty = pi(AlgebraElement(trip3.cocycle, {}))
+        assert empty.cocycle == other and empty.terms == {}
 
 
 def test_pi_evaluates_no_cocycle_value(monkeypatch, rng):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 import oracles
@@ -284,6 +286,35 @@ def test_int_twists_match_their_phase_sums(rng):
             raw = [tuple(rng.randint(-9, 9) for _ in range(g.rank)) for _ in range(2)]
             value = Phase(mu.exponent(*raw), mu.den)
             assert value == mu(g.reduce(raw[0]), g.reduce(raw[1]))
+
+
+def test_the_support_walk_matches_the_dict_form_of_mu_tilde(rng):
+    # mu_tilde walks the two supports in their lexicographic order; the
+    # oracle looks each site of c1 up in a dict of c2's, on groups with
+    # free and torsion parts, over disjoint, overlapping and equal supports
+    def on(points, g):
+        return Config.from_items(g, [(p, [rng.randint(-5, 5) for _ in range(g.free_rank)]
+                                      + [rng.randrange(1, n) for n in g.torsion]) for p in points])
+
+    kinds = Counter()
+    for mu in _twist_cases():
+        g = mu.group
+        for i in range(80):
+            a = _random_config(rng, g, i % 2 == 0)
+            points = [p for p, _ in a.support]
+            far = [LatticePoint(q + 7 * (-1) ** i, r) for q, r in points]
+            some = rng.sample(points, rng.randrange(len(points) + 1))
+            for b in (a, -a, on(points, g), on(far, g), on(some + far[:2], g),
+                      _random_config(rng, g, i % 3 == 0), Config(g, ())):
+                for c1, c2 in ((a, b), (b, a)):
+                    assert mu_tilde(mu, c1, c2) == oracles.dict_mu_tilde(mu, c1, c2)
+                sa, sb = ({p for p, _ in c.support} for c in (a, b))
+                if sa and sb:
+                    kinds["equal" if sa == sb else "overlapping" if sa & sb else "disjoint"] += 1
+    assert sorted(kinds) == ["disjoint", "equal", "overlapping"] and min(kinds.values()) > 100
+    other = AbGroup(1, (2,))
+    with pytest.raises(ValueError, match="different groups"):
+        mu_tilde(mod_q_cocycle(3), Config(mod_q_group(3), ()), Config(other, ()))
 
 
 def test_merged_sums_match_the_from_items_fold(rng):

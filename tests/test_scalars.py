@@ -146,6 +146,34 @@ def test_scalar_multiplication():
     assert z4 * 0 == 0
 
 
+def test_product_and_equality_by_the_other_operand():
+    # * and == test for a Cyclotomic first, then an int and a Fraction;
+    # anything else, a Phase or a float, is declined with NotImplemented
+    z3, i = Cyclotomic.ONE.rotated(1, 3), Cyclotomic.ONE.rotated(1, 4)
+    for scaled, want in ((z3 * 2, Cyclotomic(3, (0, 2, 0), 1)), (2 * z3, Cyclotomic(3, (0, 2, 0), 1)),
+                         (z3 * True, z3), (z3 * -3, Cyclotomic(3, (0, -3, 0), 1)),
+                         (z3 * Fraction(-3, 4), Cyclotomic(3, (0, -3, 0), 4)),
+                         (Fraction(1, 2) * z3, Cyclotomic(3, (0, 1, 0), 2))):
+        assert scaled.order == 3 and (scaled.ints, scaled.den) == (want.ints, want.den)
+    assert z3 * 0 == 0 and (z3 * 0).ints == (0, 0) and z3 * Fraction(0) == Cyclotomic.ZERO
+    for a, b, want in ((z3, i, Cyclotomic.ONE.rotated(7, 12)), (i, i, Cyclotomic.ONE.rotated(1, 2)),
+                       (z3, Cyclotomic.ONE.rotated(1, 6), Cyclotomic.ONE.rotated(1, 2)),
+                       (z3.rebase(6), z3.rebase(12), Cyclotomic.ONE.rotated(2, 3))):
+        assert a * b == b * a == want and (a * b).order == lcm(a.order, b.order)
+    assert z3 == z3.rebase(6) == z3.rebase(12) and z3 != i and z3.rebase(12) != i.rebase(12)
+    assert Cyclotomic.ONE.rebase(4) == 1 == Cyclotomic.ONE and Cyclotomic.ONE != 2
+    assert (Cyclotomic.ONE * Fraction(1, 2)).rebase(6) == Fraction(1, 2) != Fraction(1, 3)
+    assert Cyclotomic.ZERO.rebase(5) == 0 == Fraction(0) and z3 != 1 and z3 != Fraction(1, 3)
+    for other in (Phase(1, 3), 0.5, "1", None):
+        assert Cyclotomic.__mul__(z3, other) is NotImplemented
+        assert Cyclotomic.__eq__(z3, other) is NotImplemented
+        assert z3 != other and not z3 == other
+    with pytest.raises(TypeError):
+        z3 * Phase(1, 3)
+    with pytest.raises(TypeError):
+        Phase(1, 3) * z3
+
+
 def test_sums_with_a_number_are_refused_as_a_type_error():
     # == compares with numbers and * scales by them, but no sum lifts one:
     # the sum declines, and Python raises TypeError for the operator

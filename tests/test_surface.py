@@ -290,6 +290,20 @@ def test_a_group_element_is_its_coordinate_tuple():
     ]
 
 
+def test_only_the_four_builders_adopt_a_dict():
+    # `AlgebraElement.adopt` keeps the dict it is given, with no check and
+    # no copy: only the product, the adjoint, `dynamics._moved` (rho and
+    # beta) and the intertwiner call it, each on the dict it has just built
+    def adopts(node):
+        return sum(isinstance(sub, ast.Call) and getattr(sub.func, "attr", None) == "adopt"
+                   for sub in ast.walk(node))
+
+    total = sum(adopts(ast.parse(path.read_text("utf-8"))) for path in SRC.glob("*.py"))
+    builders = [f"{module}.{name}" for module, name, _, node in _members() if adopts(node)]
+    assert (builders, total) == (["algebra.AlgebraElement.__mul__", "algebra.AlgebraElement.star",
+                                  "classify.PiPhi.__call__", "dynamics._moved"], 4)
+
+
 def test_every_module_level_import_is_read_by_its_module():
     # a name a module of the package or of the tests imports and never
     # reads is a stale import; the package's __init__ imports only to

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import tbshift.cli  # noqa: F401  (defines every value type of the package)
+from tbshift import classify
 from tbshift.abelian import AbElem, AbGroup, AbHom, Character, StructureReport
 from tbshift.algebra import AlgebraElement, TensorElement
 from tbshift.classify import CentralizerReport, ConjugacyReport, PiPhi, VerifyReport
@@ -181,16 +182,34 @@ def test_every_slot_is_set_when_built(row):
     assert (unset, empty) == ([], [])
 
 
-def test_an_intertwiner_keeps_its_value_with_warm_memos_and_a_table_side():
+def test_an_intertwiner_keeps_its_value_with_warm_memos_and_a_table_side(monkeypatch):
     # PiPhi's memos and its pullback are private slots outside its fields:
-    # after calls fill the memos, the row's repr, equality and hash hold; a
-    # table side leaves no pullback, held as () and not None
+    # after calls fill the memos, the term phases among them, the row's
+    # repr, equality and hash hold, and so they do for a copy, a deep copy
+    # and a pickle, each holding the same memos and no private slot None;
+    # another call order, or another order function read on the call, gives
+    # a fresh pi's images; a table side leaves no pullback, held as () and
+    # not None
     make, text, _, _, expected = next(row for row in TYPES if row[1].startswith("PiPhi("))
     warm = make()
     x = AlgebraElement(warm.ta.cocycle, {site((1,), (1,)): Cyclotomic.ONE.rotated(1, 4),
                                          site(): Cyclotomic.ONE})
-    assert warm(x) == warm(x) and warm._images and warm._indices
+    y = AlgebraElement(warm.ta.cocycle, {site((1,), (1,)): Cyclotomic.ONE * 2})
+    assert warm(x) == warm(x) and warm._images and warm._indices and warm._phases
     assert repr(warm) == text and warm == make() and hash(warm) == expected
+    images = [warm(x), warm(y)]
+    assert [make()(z) for z in (y, x)] == images[::-1]
+    private = [name for name in PiPhi.__slots__ if name.startswith("_")]
+    for twin in (copy.copy(warm), copy.deepcopy(warm), pickle.loads(pickle.dumps(warm))):
+        assert twin == warm and repr(twin) == text and hash(twin) == expected
+        assert [name for name in private if getattr(twin, name, None) is None] == []
+        assert twin._phases == warm._phases and twin._images == warm._images
+        assert [twin(z) for z in (x, y)] == images
+    with monkeypatch.context() as patch:
+        patch.setattr(classify, "spiral_index", lambda p: (-p.q, -p.r))
+        assert [warm(z) for z in (x, y)] == [make()(z) for z in (x, y)]
+        assert len(warm._indices) == 2
+    assert [warm(z) for z in (x, y)] == images
     t = triplet()
     tab = Triplet(z2(), table(), t.character)
     for pi in (PiPhi(t, tab, AbHom.identity(z2())), PiPhi(tab, t, AbHom.identity(z2()))):
