@@ -101,9 +101,10 @@ class AlgebraElement(Immutable):
                 # call, so instrumentation's rebinding of it reaches this loop
                 key = k1 + k2
                 coeff = (v1 * v2).rotated(mu_tilde(mu, k1, k2), mu.den)
-                # coeff is a new object, so it is the stored one only if key was new
+                # a merge shows in the size, whatever objects the products are
+                size = len(out)
                 prev = out.setdefault(key, coeff)
-                if prev is not coeff:
+                if len(out) == size:
                     out[key] = prev + coeff
         if len(out) < len(self.terms) * len(other.terms):
             out = {k: v for k, v in out.items() if any(v.ints)}

@@ -80,6 +80,22 @@ def test_single_pair_product(mu3):
         Config(g, ()): Cyclotomic.from_phase(Phase(mu_tilde(mu3, lam, -lam), mu3.den))})
 
 
+def test_a_merge_is_summed_when_the_pair_products_are_one_object(mu3, monkeypatch):
+    # with a fast path that returns the unit itself for ONE * ONE, both cross
+    # pairs of (1 + u)(1 + u) store the same object at lam; the product still
+    # sums them, as it reads a merge from the dict's size, not from identity
+    g = mu3.group
+    lam = dipole(g, (1, 2))
+    mul = Cyclotomic.__mul__
+    monkeypatch.setattr(Cyclotomic, "__mul__",
+                        lambda a, b: a if b is Cyclotomic.ONE else mul(a, b))
+    assert Cyclotomic.ONE * Cyclotomic.ONE is Cyclotomic.ONE
+    x = AlgebraElement(mu3, {Config(g, ()): Cyclotomic.ONE, lam: Cyclotomic.ONE})
+    twist = Cyclotomic.from_phase(Phase(mu_tilde(mu3, lam, lam), mu3.den))
+    assert (x * x).terms == {Config(g, ()): Cyclotomic.ONE, lam: Cyclotomic.from_rational(2),
+                             lam + lam: twist}
+
+
 def test_distributivity(mu3, rng):
     for _ in range(20):
         a = random_algebra_element(rng, mu3)
